@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .corpus import Segment
 from .seqmatch import normalized_levenshtein
+from .util import atomic_write
 
 
 @dataclass
@@ -113,7 +114,8 @@ def write_clusters(path, clusters: list[Cluster]) -> None:
     """clusters_baseline.json: list of {id, leader, members}."""
     blob = [{"id": c.id, "leader": c.leader, "members": sorted(c.members)}
             for c in clusters]
-    Path(path).write_text(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(blob, sort_keys=True, indent=2) + "\n")
 
 
 def load_clusters(path) -> list[Cluster]:

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .util import atomic_write
+
 
 class CorpusError(ValueError):
     """Malformed corpus data or violated invariant."""
@@ -183,7 +185,7 @@ def symbols_in_span(utt: Utterance, start: int, end: int,
 
 
 def _write_feat(path: Path, features: np.ndarray) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(struct.pack("<QQ", features.shape[0], features.shape[1]))
         fh.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
 
@@ -205,7 +207,8 @@ def _write_sym(path: Path, utt: Utterance) -> None:
         " ".join(str(s) for s, _ in utt.frame_spans),
         " ".join(str(e) for _, e in utt.frame_spans),
     ]
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _read_sym(path: Path, utt_id: str) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -231,10 +234,12 @@ def write_corpus(corpus: Corpus, path) -> None:
         "alphabet_size": corpus.alphabet_size,
         "utterances": corpus.ids,
     }
-    (root / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     for utt in corpus:
         _write_feat(root / f"{utt.id}.feat", utt.features)
         _write_sym(root / f"{utt.id}.sym", utt)
+    # last, so a manifest never lists an utterance file not yet written
+    with atomic_write(root / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def load_corpus(path) -> Corpus:
@@ -270,7 +275,8 @@ def write_gold(gold: GoldAnnotation, path) -> None:
             "true_starts": [s for s, _ in g.true_spans],
             "true_ends": [e for _, e in g.true_spans],
         }
-    Path(path).write_text(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(blob, sort_keys=True, indent=2) + "\n")
 
 
 def load_gold(path) -> GoldAnnotation:

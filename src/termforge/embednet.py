@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Corpus, Segment, slice_features
 from .mining import PairManifest
-from .util import rng_from
+from .util import atomic_write, rng_from
 
 CHECKPOINT_MAGIC = b"TERMFNET"
 CHECKPOINT_VERSION = 1
@@ -458,7 +458,7 @@ def save_params(path, params: NetworkParams) -> None:
     arch_blob = json.dumps({"arch": params.arch.to_dict(),
                             "init_seed": params.init_seed},
                            sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(arch_blob)))
@@ -511,7 +511,7 @@ def load_params(path) -> NetworkParams:
 
 
 def write_loss_curve(path, curve: list[float]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mean_loss"])
         for epoch, value in enumerate(curve, 1):

@@ -17,6 +17,7 @@ from .baseline import Cluster
 from .corpus import Corpus, GoldAnnotation, Segment, UtteranceGold
 from .seqmatch import normalized_levenshtein
 from .synthgen import gold_segment_label
+from .util import atomic_write
 
 
 @dataclass
@@ -333,9 +334,10 @@ def render_text(report_: EvalReport, system: str = "system") -> str:
 
 
 def write_report(report_: EvalReport, json_path, txt_path, system: str = "system") -> None:
-    Path(json_path).write_text(
-        json.dumps(report_.to_dict(), sort_keys=True, indent=2) + "\n")
-    Path(txt_path).write_text(render_text(report_, system))
+    with atomic_write(json_path) as fh:
+        fh.write(json.dumps(report_.to_dict(), sort_keys=True, indent=2) + "\n")
+    with atomic_write(txt_path) as fh:
+        fh.write(render_text(report_, system))
 
 
 def load_report(path) -> EvalReport:

@@ -18,7 +18,7 @@ from pathlib import Path
 from .baseline import Cluster
 from .corpus import Segment
 from .seqmatch import levenshtein
-from .util import rng_from
+from .util import atomic_write, rng_from
 
 
 class MiningError(RuntimeError):
@@ -258,7 +258,8 @@ def write_manifest(path, manifest: PairManifest) -> None:
                       "negative": t.negative, "clusters": list(t.clusters)}
                      for t in manifest.triplets],
     }
-    Path(path).write_text(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(blob, sort_keys=True, indent=2) + "\n")
 
 
 def load_manifest(path) -> PairManifest:

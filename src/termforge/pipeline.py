@@ -20,7 +20,7 @@ import numpy as np
 from . import baseline as baseline_mod
 from . import embednet, evaluation, mining, recluster, seqmatch, synthgen
 from .corpus import load_corpus, load_gold, write_corpus, write_gold
-from .util import derive_seed, sha256_bytes, sha256_file, stable_json
+from .util import atomic_write, derive_seed, sha256_bytes, sha256_file, stable_json
 
 log = logging.getLogger("termforge")
 
@@ -189,26 +189,37 @@ def _stage_config_subset(config: PipelineConfig, stage: str) -> dict:
     raise PipelineError(f"unknown stage {stage!r}")
 
 
-def _corpus_input_hash(workdir: Path, rel: str) -> str:
-    """Hash a corpus by manifest plus every utterance file it references."""
-    manifest_path = workdir / rel
-    manifest = json.loads(manifest_path.read_text())
-    parts = [sha256_file(manifest_path)]
+def _artifact_hash(workdir: Path, rel: str) -> str:
+    """sha256 of an artifact; a corpus is hashed by its manifest plus every
+    utterance file the manifest references."""
+    path = workdir / rel
+    if rel != "corpus/manifest.json":
+        return sha256_file(path)
+    manifest = json.loads(path.read_text())
+    parts = [sha256_file(path)]
     for utt_id in manifest["utterances"]:
         for suffix in (".feat", ".sym"):
-            parts.append(sha256_file(manifest_path.parent / f"{utt_id}{suffix}"))
+            parts.append(sha256_file(path.parent / f"{utt_id}{suffix}"))
     return sha256_bytes("".join(parts).encode())
 
 
 def _stage_hash(config: PipelineConfig, stage: _Stage, workdir: Path) -> str:
     parts = [stable_json(_stage_config_subset(config, stage.name))]
-    for rel in stage.inputs:
-        path = workdir / rel
-        if rel == "corpus/manifest.json":
-            parts.append(_corpus_input_hash(workdir, rel))
-        else:
-            parts.append(sha256_file(path))
+    parts.extend(_artifact_hash(workdir, rel) for rel in stage.inputs)
     return sha256_bytes("|".join(parts).encode())
+
+
+def _is_current(stamp_path: Path, current: str, stage: _Stage, workdir: Path) -> bool:
+    """True when the stamp records the current input hash and every output
+    still has the hash recorded when the stage wrote it. A missing or
+    unreadable stamp, or a missing, changed or unreadable output, is stale."""
+    try:
+        stamp = json.loads(stamp_path.read_text())
+        recorded = stamp["outputs"]
+        return stamp["hash"] == current and all(
+            recorded.get(rel) == _artifact_hash(workdir, rel) for rel in stage.outputs)
+    except (OSError, ValueError, KeyError, TypeError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +291,8 @@ def _run_embed(config: PipelineConfig, workdir: Path) -> None:
     segments = seqmatch.load_segments(workdir / "segments.jsonl")
     params = embednet.load_params(workdir / "params.ckpt")
     table = embednet.embed_all(params, segments, corpus, config.train.l_max)
-    np.save(workdir / "embeddings.npy", table)
+    with atomic_write(workdir / "embeddings.npy", "wb") as fh:
+        np.save(fh, table)
     log.info("embed: %s table", table.shape)
 
 
@@ -305,8 +317,8 @@ def _run_recluster(config: PipelineConfig, workdir: Path) -> None:
         ],
         "noise": sorted(segments[p].id for p in result.noise),
     }
-    (workdir / "clusters_final.json").write_text(
-        json.dumps(blob, sort_keys=True, indent=2) + "\n")
+    with atomic_write(workdir / "clusters_final.json") as fh:
+        fh.write(json.dumps(blob, sort_keys=True, indent=2) + "\n")
     log.info("recluster: %d clusters, %d noise segments",
              len(result.clusters), len(result.noise))
 
@@ -346,7 +358,12 @@ _RUNNERS = {
 
 
 def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> bool:
-    """Run one stage; returns False when the cached artifacts are current."""
+    """Run one stage; returns False when the cached artifacts are current.
+
+    Outputs are renamed into place whole, the stamp is removed before the
+    stage runs and written after it with the hash of every output, so a
+    stage that fails or an output changed since leaves the stage stale.
+    """
     config.validate()
     if stage_name not in _RUNNERS:
         raise PipelineError(f"unknown stage {stage_name!r} (expected one of {STAGES})")
@@ -364,15 +381,15 @@ def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> b
     stamp_dir.mkdir(exist_ok=True)
     stamp_path = stamp_dir / f"{stage.name}.json"
     current = _stage_hash(config, stage, workdir)
-    outputs_present = all((workdir / rel).exists() for rel in stage.outputs)
-    if not force and outputs_present and stamp_path.exists():
-        recorded = json.loads(stamp_path.read_text()).get("hash")
-        if recorded == current:
-            log.info("%s: up to date, skipping", stage.name)
-            return False
+    if not force and _is_current(stamp_path, current, stage, workdir):
+        log.info("%s: up to date, skipping", stage.name)
+        return False
 
+    stamp_path.unlink(missing_ok=True)
     _RUNNERS[stage.name](config, workdir)
-    stamp_path.write_text(json.dumps({"hash": current}, sort_keys=True) + "\n")
+    outputs = {rel: _artifact_hash(workdir, rel) for rel in stage.outputs}
+    with atomic_write(stamp_path) as fh:
+        fh.write(json.dumps({"hash": current, "outputs": outputs}, sort_keys=True) + "\n")
     return True
 
 

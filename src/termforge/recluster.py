@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class ScaleError(RuntimeError):
-    """Input exceeds the dense-matrix point budget."""
+from .util import ScaleError
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Shared plumbing: seed derivation, stable hashing, worker counts."""
+"""Shared plumbing: seed derivation, stable hashing, worker counts, atomic writes."""
 
 from __future__ import annotations
 
@@ -6,10 +6,17 @@ import hashlib
 import json
 import os
 import struct
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+class ScaleError(RuntimeError):
+    """Raised when a computation would exceed its size or operation budget
+    (all-pairs alignment cells, dense-matrix points)."""
 
 
 def derive_seed(root_seed: int, label: str) -> int:
@@ -50,3 +57,20 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a temporary sibling of `path` for writing and rename it over
+    `path` when the block completes, so a reader finds the old file or the
+    whole new one, never a torn one. On an exception the temporary is removed
+    and `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

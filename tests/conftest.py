@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from termforge.corpus import Corpus, Segment, Utterance
+
+# Derandomized so a tier-1 run is repeatable; no deadline, because the first
+# call into numpy can take longer than hypothesis's 200 ms default.
+settings.register_profile("termforge", deadline=None, derandomize=True)
+settings.load_profile("termforge")
 
 
 @pytest.fixture

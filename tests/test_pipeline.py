@@ -8,6 +8,7 @@ import pytest
 import termforge
 from termforge import pipeline
 from termforge.pipeline import PipelineConfig, PipelineError, run_all, run_stage
+from termforge.util import atomic_write
 
 
 def small_blob(workdir, system="baseline", extraction="eom", seed=77):
@@ -53,6 +54,56 @@ def test_stage_reruns_when_config_changes(tmp_path):
     assert run_stage("discover", config) is False
     config.align.min_align_score = 4.0
     assert run_stage("discover", config) is True
+
+
+def test_torn_output_is_rebuilt_not_served(tmp_path):
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd"))
+    run_all(config)
+    workdir = tmp_path / "wd"
+    clusters = workdir / "clusters_baseline.json"
+    whole, report = clusters.read_bytes(), (workdir / "report.json").read_bytes()
+    clusters.write_text("[")
+    assert run_stage("baseline", config) is True
+    assert clusters.read_bytes() == whole
+    assert run_stage("evaluate", config) is False     # its inputs are whole again
+    assert run_all(config).grouping.f_score == 1.0
+    assert (workdir / "report.json").read_bytes() == report
+
+
+def test_torn_corpus_file_reruns_synth(tmp_path):
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd"))
+    run_stage("synth", config)
+    (tmp_path / "wd" / "corpus" / "manifest.json").write_text("{")
+    assert run_stage("synth", config) is True
+    assert run_stage("synth", config) is False
+
+
+def test_failed_stage_leaves_it_stale(tmp_path, monkeypatch):
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd"))
+    run_all(config)
+    segments = (tmp_path / "wd" / "segments.jsonl").read_bytes()
+
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(pipeline.seqmatch, "discover_segments", broken)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_stage("discover", config, force=True)
+    assert not (tmp_path / "wd" / ".stamps" / "discover.json").exists()
+    monkeypatch.undo()
+    assert run_stage("discover", config) is True
+    assert (tmp_path / "wd" / "segments.jsonl").read_bytes() == segments
+
+
+def test_atomic_write_keeps_old_file_on_error(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("old")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_recluster_before_embed_fails(tmp_path):

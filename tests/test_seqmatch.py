@@ -1,9 +1,13 @@
-import os
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import sw_oracle
+from termforge import recluster, seqmatch, util
+from termforge.recluster import HdbscanParams
 from termforge.seqmatch import (AlignScoring, ScaleError, discover_segments,
                                 levenshtein, local_align, load_segments,
                                 normalized_levenshtein, write_segments)
@@ -166,6 +170,70 @@ def test_self_alignment_finds_internal_repeat():
     assert all(sa != sb for sa, sb, _ in found)
 
 
+# --- equivalence with the row-major reference ----------------------------------
+
+# Round values make equal scores, and so tie-breaking, frequent; the floats
+# cover non-dyadic weights whose sums round.
+positive = st.one_of(st.sampled_from([1.0, 0.7, 0.5, 2.0]),
+                     st.floats(0.05, 3.0, allow_nan=False, allow_infinity=False))
+penalty = st.one_of(st.sampled_from([-1.0, -0.3, -0.45, -0.5, 0.0]),
+                    st.floats(-3.0, 0.0, allow_nan=False, allow_infinity=False))
+scorings = st.builds(AlignScoring, match_score=positive, mismatch_penalty=penalty,
+                     gap_penalty=penalty, min_align_score=positive,
+                     min_length=st.integers(1, 4))
+
+
+@st.composite
+def symbol_pairs(draw, max_len=40):
+    """(a, b, self_pair) over a 2-6 symbol alphabet; a self pair aligns a
+    sequence with itself, as discovery does."""
+    alphabet = st.integers(0, draw(st.integers(2, 6)) - 1)
+    a = tuple(draw(st.lists(alphabet, max_size=max_len)))
+    if draw(st.booleans()):
+        return a, a, draw(st.booleans())
+    return a, tuple(draw(st.lists(alphabet, max_size=max_len))), False
+
+
+@given(symbol_pairs(), scorings)
+@example(((0, 1, 0, 1, 1, 0, 1), (1, 0, 1, 1, 0, 1, 0), False),
+         AlignScoring(0.7, -0.3, -0.45, 1.1, 1))
+@example(((0, 2, 1, 0, 0, 1), (0, 2, 1, 0, 0, 1), True),   # diagonal ties with up
+         AlignScoring(1.0, -0.3, -0.3, 1.0, 1))
+@settings(max_examples=300)
+def test_local_align_matches_reference(pair, scoring):
+    a, b, self_pair = pair
+    assert local_align(a, b, scoring, self_pair) == sw_oracle.local_align(a, b, scoring, self_pair)
+
+
+@given(st.lists(symbol_pairs(), min_size=1, max_size=12), scorings,
+       st.sampled_from([seqmatch.CHUNK_CELLS, 2000, 1]))
+def test_mixed_length_batch_matches_reference(pairs, scoring, chunk_cells):
+    # small budgets split the batch into many chunks, down to one pair each
+    seqs = [seq for a, b, _ in pairs for seq in (a, b)]
+    tasks = [(2 * k, 2 * k + 1, self_pair) for k, (_, _, self_pair) in enumerate(pairs)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seqmatch, "CHUNK_CELLS", chunk_cells)
+        batched = seqmatch._align_many(seqs, tasks, scoring)
+    for (a, b, self_pair), found in zip(pairs, batched):
+        assert found == sw_oracle.local_align(a, b, scoring, self_pair)
+
+
+def test_discovery_matches_reference_on_noisy_corpus():
+    corpus, _ = generate(SynthConfig(
+        vocabulary_size=6, word_length_range=(4, 7), occurrences_per_word=5,
+        words_per_utterance=3, symbol_substitution_rate=0.1, filler_rate=0.3,
+        min_word_separation=0.5, alphabet_size=25, feature_dim=4, seed=11))
+    scoring = default_scoring()
+    found = discover_segments(corpus, scoring)
+    assert len(found) > 10
+    assert found == sw_oracle.discover_segments(corpus, scoring)
+
+
+def test_non_finite_scores_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        local_align((1, 2), (1, 2), default_scoring(gap_penalty=float("-inf")))
+
+
 # --- discover_segments -------------------------------------------------------
 
 
@@ -210,6 +278,13 @@ def test_budget_guard_trips():
     corpus = make_corpus([list(range(30)), list(range(30))])
     with pytest.raises(ScaleError, match="budget"):
         discover_segments(corpus, default_scoring(), max_dp_cells=10)
+
+
+def test_both_scale_guards_raise_one_class():
+    assert seqmatch.ScaleError is recluster.ScaleError is util.ScaleError
+    with pytest.raises(seqmatch.ScaleError, match="guard"):
+        recluster.hdbscan(np.zeros((30, 2)),
+                          HdbscanParams(min_cluster_size=3, min_samples=2, max_points=10))
 
 
 def test_parallel_discovery_matches_serial(monkeypatch):
