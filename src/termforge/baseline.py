@@ -13,8 +13,11 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import Segment
-from .seqmatch import normalized_levenshtein
+# normalized_levenshtein stays a module attribute for code that wraps it
+from .seqmatch import StringTable, normalized_levenshtein  # noqa: F401
 from .util import atomic_write
 
 
@@ -47,35 +50,38 @@ class Cluster:
 
 
 def leader_cluster(segments: list[Segment], params: LeaderParams) -> list[Cluster]:
-    """One-pass leader clustering over segments with len(symbols) >= R."""
+    """One-pass leader clustering over segments with len(symbols) >= R.
+
+    Distances are computed per distinct symbol string: when a leader is
+    founded, its normalized distance to every distinct eligible string comes
+    from one batched kernel call, and each segment then reads its string's
+    row: the first leader within T, else the first nearest one.
+    """
     params.validate()
     eligible = [s for s in sorted(segments, key=lambda s: s.id)
                 if len(s.symbols) >= params.R]
+    table = StringTable(s.symbols for s in eligible)
+    every_string = np.arange(len(table.strings))
+    # to_leader[u, k]: distance of distinct string u to the leader of cluster k
+    to_leader = np.empty((len(table.strings), 8))
     clusters: list[Cluster] = []
-    leader_symbols: list[tuple[int, ...]] = []
     founding_gap = params.a * params.T
 
-    for seg in eligible:
-        nearest_idx = -1
-        nearest_dist = float("inf")
-        assigned = False
-        for idx, leader in enumerate(leader_symbols):
-            dist = normalized_levenshtein(seg.symbols, leader)
-            if dist < nearest_dist:
-                nearest_dist = dist
-                nearest_idx = idx
-            if dist <= params.T:
-                clusters[idx].members.append(seg.id)
-                assigned = True
-                break
-        if assigned:
+    for seg, string in zip(eligible, table.ids.tolist()):
+        dists = to_leader[string, :len(clusters)]
+        within = np.flatnonzero(dists <= params.T)
+        if within.size:
+            clusters[within[0]].members.append(seg.id)
             continue
-        if nearest_idx < 0 or nearest_dist >= founding_gap:
+        nearest = int(dists.argmin()) if clusters else -1
+        if nearest < 0 or dists[nearest] >= founding_gap:
+            if len(clusters) == to_leader.shape[1]:
+                to_leader = np.concatenate([to_leader, np.empty_like(to_leader)], axis=1)
+            to_leader[:, len(clusters)] = table.normalized(string, every_string)
             clusters.append(Cluster(id=len(clusters), leader=seg.id, members=[seg.id]))
-            leader_symbols.append(seg.symbols)
         elif params.ambiguous_policy == "nearest":
-            clusters[nearest_idx].members.append(seg.id)
-            clusters[nearest_idx].nearest_assigned.add(seg.id)
+            clusters[nearest].members.append(seg.id)
+            clusters[nearest].nearest_assigned.add(seg.id)
         # "drop": ambiguous segment is discarded
 
     lengths = {s.id: len(s.symbols) for s in eligible}

@@ -19,6 +19,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -163,21 +164,23 @@ def slice_features(corpus: Corpus, segment: Segment) -> np.ndarray:
     return utt.features[segment.start:segment.end]
 
 
-def symbols_in_span(utt: Utterance, start: int, end: int,
-                    symbols: tuple[int, ...] | None = None,
-                    min_overlap: float = 0.5) -> tuple[int, ...]:
-    """Symbols whose frame span overlaps [start, end) by >= min_overlap of their duration.
-
-    `symbols` substitutes an alternative symbol sequence aligned with
-    utt.frame_spans (used to restrict gold transcriptions to a segment).
-    """
-    seq = utt.transcription if symbols is None else symbols
+def overlapped_symbols(symbols: Sequence[int], spans: Sequence[tuple[int, int]],
+                       start: int, end: int, min_overlap: float = 0.5) -> tuple[int, ...]:
+    """The symbols whose frame span overlaps [start, end) by >= min_overlap
+    of their duration; spans[k] is the frame span of symbols[k]."""
     out = []
-    for sym, (s, e) in zip(seq, utt.frame_spans):
-        inter = min(end, e) - max(start, s)
+    for sym, (s, e) in zip(symbols, spans):
+        inter = (end if end < e else e) - (start if start > s else s)
         if inter > 0 and inter >= min_overlap * (e - s):
             out.append(sym)
     return tuple(out)
+
+
+def symbols_in_span(utt: Utterance, start: int, end: int,
+                    min_overlap: float = 0.5) -> tuple[int, ...]:
+    """Transcription symbols whose frame span overlaps [start, end) by >=
+    min_overlap of their duration."""
+    return overlapped_symbols(utt.transcription, utt.frame_spans, start, end, min_overlap)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,16 @@ None, rendered as "NA".
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .baseline import Cluster
-from .corpus import Corpus, GoldAnnotation, Segment, UtteranceGold
-from .seqmatch import normalized_levenshtein
+from .corpus import Corpus, GoldAnnotation, Segment, overlapped_symbols
+# normalized_levenshtein stays a module attribute for code that wraps it
+from .seqmatch import StringTable, normalized_levenshtein  # noqa: F401
 from .synthgen import gold_segment_label
 from .util import atomic_write
 
@@ -24,7 +28,6 @@ from .util import atomic_write
 class EvalConfig:
     edge_tolerance: int = 1        # token span matching, per edge
     boundary_tolerance: int = 1
-    label_overlap: float = 0.5     # dual-overlap fraction for gold labels
 
 
 @dataclass
@@ -93,16 +96,12 @@ def _prf(precision, recall) -> PRF:
     return PRF(precision, recall, f_score(precision, recall))
 
 
-def _gold_string(gold_utt: UtteranceGold, start: int, end: int,
-                 min_overlap: float = 0.5) -> tuple[int, ...]:
-    """Gold transcription restricted to a frame span: symbols overlapped by
-    >= min_overlap of their duration."""
-    out = []
-    for sym, (s, e) in zip(gold_utt.true_symbols, gold_utt.true_spans):
-        inter = min(end, e) - max(start, s)
-        if inter > 0 and inter >= min_overlap * (e - s):
-            out.append(sym)
-    return tuple(out)
+def _gold_string(gold: GoldAnnotation, segment: Segment) -> tuple[int, ...]:
+    """Gold transcription of a segment: the true symbols it overlaps by at
+    least half their duration (true spans, which differ from the emitted
+    frame spans once indel noise is on)."""
+    utt = gold.utterances[segment.utterance_id]
+    return overlapped_symbols(utt.true_symbols, utt.true_spans, segment.start, segment.end)
 
 
 def _clustered_segments(clusters: list[Cluster],
@@ -118,28 +117,37 @@ def _clustered_segments(clusters: list[Cluster],
 def ned(clusters: list[Cluster], segments: list[Segment], corpus: Corpus,
         gold: GoldAnnotation) -> float | None:
     """Mean normalized Levenshtein distance between gold transcriptions of
-    all within-cluster segment pairs; None when no cluster has >= 2 members."""
+    all within-cluster segment pairs; None when no cluster has >= 2 members.
+
+    Two empty gold strings are at 0.0 and an empty one is at 1.0 from any
+    other. Distances come from one batched kernel call over the distinct
+    pairs of distinct gold strings that share a cluster; the pair values
+    are then summed in pair order (cluster by cluster, i < j) by a
+    sequential float sum, exactly as a loop over the pairs adds them.
+    """
     by_id = {s.id: s for s in segments}
+    table = StringTable(_gold_string(gold, by_id[m]) for c in clusters for m in c.members)
+    n_strings = len(table.strings)
+    sizes = np.cumsum([len(c.members) for c in clusters], dtype=np.intp)
+    # per cluster: its distinct strings and each member's index among them
+    distinct = [np.unique(g, return_inverse=True) for g in np.split(table.ids, sizes[:-1])]
+    upper = [np.triu_indices(len(strings), 1) for strings, _ in distinct]
+    keys = np.unique(np.concatenate(
+        [strings[i] * n_strings + strings[j] for (strings, _), (i, j) in zip(distinct, upper)]
+        + [np.empty(0, dtype=np.intp)]))
+    values = table.normalized(keys // n_strings, keys % n_strings)
+
     total = 0.0
     count = 0
-    for cluster in clusters:
-        strings = []
-        for member in cluster.members:
-            seg = by_id[member]
-            strings.append(_gold_string(gold.utterances[seg.utterance_id],
-                                        seg.start, seg.end))
-        for i in range(len(strings)):
-            for j in range(i + 1, len(strings)):
-                a, b = strings[i], strings[j]
-                if not a and not b:
-                    value = 0.0
-                elif not a or not b:
-                    value = 1.0
-                else:
-                    value = normalized_levenshtein(a, b)
-                total += value
-                count += 1
-    return total / count if count else None
+    for (strings, member_of), (i, j) in zip(distinct, upper):
+        within = np.zeros((len(strings), len(strings)))
+        within[i, j] = within[j, i] = values[
+            np.searchsorted(keys, strings[i] * n_strings + strings[j])]
+        for r in range(len(member_of) - 1):
+            row = within[member_of[r], member_of[r + 1:]]
+            total = np.add.accumulate(np.concatenate(([total], row)))[-1]
+        count += len(member_of) * (len(member_of) - 1) // 2
+    return float(total) / count if count else None
 
 
 def coverage(clusters: list[Cluster], segments: list[Segment],
@@ -173,35 +181,29 @@ def _segment_labels(clusters: list[Cluster], segments: list[Segment],
     return labels
 
 
+def _pairs(n: int) -> int:
+    return n * (n - 1) // 2
+
+
 def grouping_prf(clusters: list[Cluster], segments: list[Segment],
                  gold: GoldAnnotation) -> PRF:
-    """Pairwise grouping quality over gold-labelled clustered segments."""
+    """Pairwise grouping quality over gold-labelled clustered segments,
+    counted from cluster x gold-label contingency tables: a cell of n
+    segments holds C(n, 2) pairs that share both cluster and label."""
     labels = _segment_labels(clusters, segments, gold)
 
     within_total = 0
     within_same = 0
     for cluster in clusters:
-        labelled = [labels[m] for m in cluster.members if m in labels]
-        for i in range(len(labelled)):
-            for j in range(i + 1, len(labelled)):
-                within_total += 1
-                within_same += labelled[i] == labelled[j]
+        cells = Counter(labels[m] for m in cluster.members if m in labels)
+        within_total += _pairs(sum(cells.values()))
+        within_same += sum(_pairs(n) for n in cells.values())
     precision = within_same / within_total if within_total else None
 
-    cluster_of: dict[int, int] = {}
-    for cluster in clusters:
-        for member in cluster.members:
-            cluster_of[member] = cluster.id
-    by_label: dict[int, list[int]] = {}
-    for seg_id, label in labels.items():
-        by_label.setdefault(label, []).append(seg_id)
-    same_total = 0
-    same_grouped = 0
-    for members in by_label.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                same_total += 1
-                same_grouped += cluster_of[members[i]] == cluster_of[members[j]]
+    cluster_of = {member: cluster.id for cluster in clusters for member in cluster.members}
+    same_total = sum(_pairs(n) for n in Counter(labels.values()).values())
+    same_grouped = sum(_pairs(n) for n in Counter(
+        (label, cluster_of[seg_id]) for seg_id, label in labels.items()).values())
     recall = same_grouped / same_total if same_total else None
     return _prf(precision, recall)
 
@@ -285,7 +287,7 @@ def boundary_prf(clusters: list[Cluster], segments: list[Segment],
 
 
 def n_words_n_pairs(clusters: list[Cluster]) -> tuple[int, int]:
-    n_pairs = sum(len(c.members) * (len(c.members) - 1) // 2 for c in clusters)
+    n_pairs = sum(_pairs(len(c.members)) for c in clusters)
     return len(clusters), n_pairs
 
 

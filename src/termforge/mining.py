@@ -15,9 +15,12 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .baseline import Cluster
 from .corpus import Segment
-from .seqmatch import levenshtein
+# levenshtein stays a module attribute for code that wraps it
+from .seqmatch import StringTable, levenshtein  # noqa: F401
 from .util import atomic_write, rng_from
 
 
@@ -84,6 +87,20 @@ def _string_counts(symbols: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...]
     return list(counts.items())
 
 
+def _distances(jobs: list[tuple[list, list, np.ndarray, np.ndarray]]) -> list[list[int]]:
+    """For each job (left, right, i, j), the edit distances between left[i[k]]
+    and right[j[k]] as Python ints; every job shares one batched kernel call."""
+    table = StringTable(s for left, right, _, _ in jobs for s in (*left, *right))
+    a, b, offset = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], 0
+    for left, right, i, j in jobs:
+        a.append(table.ids[offset + i])
+        b.append(table.ids[offset + len(left) + j])
+        offset += len(left) + len(right)
+    values = table.distances(np.concatenate(a), np.concatenate(b))
+    ends = np.cumsum([len(i) for _, _, i, _ in jobs], dtype=np.intp)
+    return [part.tolist() for part in np.split(values, ends[:-1])]
+
+
 def mean_symbol_length(cluster: Cluster, segments_by_id: dict[int, Segment]) -> float:
     return sum(len(segments_by_id[m].symbols) for m in cluster.members) / len(cluster.members)
 
@@ -96,48 +113,79 @@ def purity_stats(cluster: Cluster, segments_by_id: dict[int, Segment],
     Computed over distinct symbol strings weighted by multiplicity, which is
     exact and much cheaper on clusters full of repeated strings.
     """
-    symbols = _member_symbols(cluster, segments_by_id)
-    n = len(symbols)
-    if n == 0:
-        raise ValueError("purity_stats requires a non-empty cluster")
-    if n == 1 and not include_self:
-        return PurityStats(0.0, 0.0)
-    counts = _string_counts(symbols)
-    total_pairs = n * n if include_self else n * (n - 1)
-    weighted_sum = 0.0
-    entries = []   # (weight, value) for distinct unordered string pairs
-    for i, (sa, ca) in enumerate(counts):
-        for sb, cb in counts[i + 1:]:
-            value = levenshtein(sa, sb)
-            weight = 2 * ca * cb          # both orders
+    return _purity_many([cluster], segments_by_id, include_self)[0]
+
+
+def _purity_many(clusters: list[Cluster], segments_by_id: dict[int, Segment],
+                 include_self: bool) -> list[PurityStats]:
+    """purity_stats of each cluster, the distances of all of them from one
+    batched kernel call."""
+    counts = []
+    jobs = []
+    for cluster in clusters:
+        symbols = _member_symbols(cluster, segments_by_id)
+        if not symbols:
+            raise ValueError("purity_stats requires a non-empty cluster")
+        counts.append(_string_counts(symbols))
+        strings = [s for s, _ in counts[-1]]
+        jobs.append((strings, strings, *np.triu_indices(len(strings), 1)))
+    stats = []
+    for cluster, cluster_counts, (_, _, i, j), distances in zip(
+            clusters, counts, jobs, _distances(jobs)):
+        n = len(cluster.members)
+        if n == 1 and not include_self:
+            stats.append(PurityStats(0.0, 0.0))
+            continue
+        total_pairs = n * n if include_self else n * (n - 1)
+        weighted_sum = 0.0
+        entries = []   # (weight, value) for distinct unordered string pairs
+        for a, b, value in zip(i.tolist(), j.tolist(), distances):
+            weight = 2 * cluster_counts[a][1] * cluster_counts[b][1]   # both orders
             weighted_sum += weight * value
             entries.append((weight, value))
-    mu = weighted_sum / total_pairs
-    zero_weight = total_pairs - sum(w for w, _ in entries)
-    var = (sum(w * (v - mu) ** 2 for w, v in entries) + zero_weight * mu * mu)
-    var /= total_pairs
-    return PurityStats(mu, math.sqrt(var))
+        mu = weighted_sum / total_pairs
+        zero_weight = total_pairs - sum(w for w, _ in entries)
+        var = (sum(w * (v - mu) ** 2 for w, v in entries) + zero_weight * mu * mu)
+        var /= total_pairs
+        stats.append(PurityStats(mu, math.sqrt(var)))
+    return stats
 
 
 def contrast_stats(c1: Cluster, c2: Cluster,
                    segments_by_id: dict[int, Segment]) -> ContrastStats:
     """Mean/std of Levenshtein distances over all cross pairs of two clusters."""
-    syms_1 = _member_symbols(c1, segments_by_id)
-    syms_2 = _member_symbols(c2, segments_by_id)
-    if not syms_1 or not syms_2:
-        raise ValueError("contrast_stats requires non-empty clusters")
-    total_pairs = len(syms_1) * len(syms_2)
-    weighted_sum = 0.0
-    entries = []
-    for sa, ca in _string_counts(syms_1):
-        for sb, cb in _string_counts(syms_2):
-            value = levenshtein(sa, sb)
-            weight = ca * cb
+    return _contrast_many([(c1, c2)], segments_by_id)[0]
+
+
+def _contrast_many(pairs: list[tuple[Cluster, Cluster]],
+                   segments_by_id: dict[int, Segment]) -> list[ContrastStats]:
+    """contrast_stats of each cluster pair, the distances of all of them from
+    one batched kernel call."""
+    counts = []
+    jobs = []
+    for c1, c2 in pairs:
+        syms_1 = _member_symbols(c1, segments_by_id)
+        syms_2 = _member_symbols(c2, segments_by_id)
+        if not syms_1 or not syms_2:
+            raise ValueError("contrast_stats requires non-empty clusters")
+        counts_1, counts_2 = _string_counts(syms_1), _string_counts(syms_2)
+        counts.append((counts_1, counts_2))
+        jobs.append(([s for s, _ in counts_1], [s for s, _ in counts_2],
+                     *np.divmod(np.arange(len(counts_1) * len(counts_2)), len(counts_2))))
+    stats = []
+    for (c1, c2), (counts_1, counts_2), (_, _, i, j), distances in zip(
+            pairs, counts, jobs, _distances(jobs)):
+        total_pairs = len(c1.members) * len(c2.members)
+        weighted_sum = 0.0
+        entries = []
+        for a, b, value in zip(i.tolist(), j.tolist(), distances):
+            weight = counts_1[a][1] * counts_2[b][1]
             weighted_sum += weight * value
             entries.append((weight, value))
-    mu = weighted_sum / total_pairs
-    var = sum(w * (v - mu) ** 2 for w, v in entries) / total_pairs
-    return ContrastStats(mu, math.sqrt(var))
+        mu = weighted_sum / total_pairs
+        var = sum(w * (v - mu) ** 2 for w, v in entries) / total_pairs
+        stats.append(ContrastStats(mu, math.sqrt(var)))
+    return stats
 
 
 def select_pure_clusters(clusters: list[Cluster], segments_by_id: dict[int, Segment],
@@ -146,9 +194,8 @@ def select_pure_clusters(clusters: list[Cluster], segments_by_id: dict[int, Segm
     """Clusters whose purity statistics fall strictly below the scaled bounds."""
     thresholds.validate()
     retained = []
-    for cluster in clusters:
+    for cluster, stats in zip(clusters, _purity_many(clusters, segments_by_id, include_self)):
         mean_len = cluster.mean_len or mean_symbol_length(cluster, segments_by_id)
-        stats = purity_stats(cluster, segments_by_id, include_self=include_self)
         if (stats.mu_s < thresholds.thres_mu_s * mean_len
                 and stats.sigma_s < thresholds.thres_sigma_s * mean_len):
             retained.append(cluster)
@@ -159,16 +206,14 @@ def select_contrasting_pairs(retained: list[Cluster], segments_by_id: dict[int, 
                              thresholds: MiningThresholds) -> list[tuple[Cluster, Cluster]]:
     """Unordered retained-cluster pairs with large, consistent cross distance."""
     thresholds.validate()
+    candidates = [(c1, c2) for k, c1 in enumerate(retained) for c2 in retained[k + 1:]]
     pairs = []
-    for i in range(len(retained)):
-        for j in range(i + 1, len(retained)):
-            c1, c2 = retained[i], retained[j]
-            scale = ((c1.mean_len or mean_symbol_length(c1, segments_by_id))
-                     + (c2.mean_len or mean_symbol_length(c2, segments_by_id))) / 2
-            stats = contrast_stats(c1, c2, segments_by_id)
-            if (stats.mu_d > thresholds.thres_mu_d * scale
-                    and stats.sigma_d < thresholds.thres_sigma_d * scale):
-                pairs.append((c1, c2))
+    for (c1, c2), stats in zip(candidates, _contrast_many(candidates, segments_by_id)):
+        scale = ((c1.mean_len or mean_symbol_length(c1, segments_by_id))
+                 + (c2.mean_len or mean_symbol_length(c2, segments_by_id))) / 2
+        if (stats.mu_d > thresholds.thres_mu_d * scale
+                and stats.sigma_d < thresholds.thres_sigma_d * scale):
+            pairs.append((c1, c2))
     return pairs
 
 

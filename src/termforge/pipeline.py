@@ -203,23 +203,55 @@ def _artifact_hash(workdir: Path, rel: str) -> str:
     return sha256_bytes("".join(parts).encode())
 
 
-def _stage_hash(config: PipelineConfig, stage: _Stage, workdir: Path) -> str:
-    parts = [stable_json(_stage_config_subset(config, stage.name))]
-    parts.extend(_artifact_hash(workdir, rel) for rel in stage.inputs)
+def _read_stamp(workdir: Path, stage: str) -> dict:
+    """The stamp a stage wrote when it last completed; {} when there is none
+    or it cannot be read."""
+    try:
+        stamp = json.loads((workdir / ".stamps" / f"{stage}.json").read_text())
+    except (OSError, ValueError):
+        return {}
+    return stamp if isinstance(stamp, dict) else {}
+
+
+def _recorded_hash(workdir: Path, rel: str, stamp: dict) -> str | None:
+    """The hash of an artifact when it still has the hash recorded in `stamp`,
+    else None (also when the artifact is missing or cannot be read)."""
+    outputs = stamp.get("outputs")
+    recorded = outputs.get(rel) if isinstance(outputs, dict) else None
+    try:
+        return recorded if recorded == _artifact_hash(workdir, rel) else None
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _input_hashes(table: dict[str, _Stage], stage: _Stage, workdir: Path) -> list[str]:
+    """Hash of every input, each checked against the output hash recorded by
+    the stage that writes it; a torn, changed or unrecorded input raises a
+    PipelineError that names that stage."""
+    producer = {rel: name for name, other in table.items() for rel in other.outputs}
+    hashes = []
+    for rel in stage.inputs:
+        digest = _recorded_hash(workdir, rel, _read_stamp(workdir, producer[rel]))
+        if digest is None:
+            raise PipelineError(
+                f"{rel} is not what the {producer[rel]} stage last wrote "
+                f"(run the {producer[rel]} stage again)")
+        hashes.append(digest)
+    return hashes
+
+
+def _stage_hash(config: PipelineConfig, stage: _Stage, input_hashes: list[str]) -> str:
+    parts = [stable_json(_stage_config_subset(config, stage.name)), *input_hashes]
     return sha256_bytes("|".join(parts).encode())
 
 
-def _is_current(stamp_path: Path, current: str, stage: _Stage, workdir: Path) -> bool:
+def _is_current(workdir: Path, current: str, stage: _Stage) -> bool:
     """True when the stamp records the current input hash and every output
     still has the hash recorded when the stage wrote it. A missing or
     unreadable stamp, or a missing, changed or unreadable output, is stale."""
-    try:
-        stamp = json.loads(stamp_path.read_text())
-        recorded = stamp["outputs"]
-        return stamp["hash"] == current and all(
-            recorded.get(rel) == _artifact_hash(workdir, rel) for rel in stage.outputs)
-    except (OSError, ValueError, KeyError, TypeError):
-        return False
+    stamp = _read_stamp(workdir, stage.name)
+    return stamp.get("hash") == current and all(
+        _recorded_hash(workdir, rel, stamp) is not None for rel in stage.outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +395,8 @@ def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> b
     Outputs are renamed into place whole, the stamp is removed before the
     stage runs and written after it with the hash of every output, so a
     stage that fails or an output changed since leaves the stage stale.
+    Every input must still have the hash its producing stage recorded;
+    otherwise a PipelineError names the stage to run again.
     """
     config.validate()
     if stage_name not in _RUNNERS:
@@ -371,7 +405,8 @@ def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> b
         raise PipelineError(f"stage {stage_name!r} is not part of mode {config.mode}")
     workdir = Path(config.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    stage = _stage_table(config)[stage_name]
+    table = _stage_table(config)
+    stage = table[stage_name]
 
     for rel in stage.inputs:
         if not (workdir / rel).exists():
@@ -380,8 +415,8 @@ def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> b
     stamp_dir = workdir / ".stamps"
     stamp_dir.mkdir(exist_ok=True)
     stamp_path = stamp_dir / f"{stage.name}.json"
-    current = _stage_hash(config, stage, workdir)
-    if not force and _is_current(stamp_path, current, stage, workdir):
+    current = _stage_hash(config, stage, _input_hashes(table, stage, workdir))
+    if not force and _is_current(workdir, current, stage):
         log.info("%s: up to date, skipping", stage.name)
         return False
 

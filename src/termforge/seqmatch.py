@@ -1,5 +1,18 @@
 """Symbol-sequence kernels: edit distance and local-alignment segment discovery.
 
+Edit distance is unit-cost Levenshtein, computed by one batched numpy kernel
+for every caller: leader clustering, NED, the mining statistics, vocabulary
+sampling, and levenshtein / normalized_levenshtein, which are one-pair
+calls into it. Callers pack their distinct strings once into a StringTable
+(zero-padded int64 rows; repeated strings share a row) and ask for the
+distances of many row pairs at a time. The kernel puts the shorter string
+of each pair on the DP rows, orders the pairs by shape, cuts them into
+chunks of at most CHUNK_CELLS DP cells and runs the DP one row at a time,
+vectorised over the pairs and columns of a chunk: substitutions and
+deletions from the row above, then insertions folded in by a running
+minimum. Distances are exact integers; nothing is memoized between calls.
+tests/lev_oracle.py keeps the scalar row-by-row DP as the reference.
+
 Local alignment is Smith-Waterman with a linear gap penalty, computed by one
 batched numpy kernel for every caller (local_align, discover_segments and
 its worker processes). The kernel packs sequence pairs into lanes, cuts them
@@ -14,14 +27,13 @@ operations of a row-major fill in the same order, so scores and tie-breaks
 match it bit for bit for any AlignScoring; tests/sw_oracle.py keeps that
 row-major fill as the reference.
 """
-
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,8 +42,9 @@ from .util import ScaleError, atomic_write, worker_count
 
 Span = tuple[int, int]
 
-# Cells in the skewed float64 score buffer of one batched fill: about 1 MiB,
-# whatever the corpus size.
+# DP cells of one batched chunk: about 1 MiB of float64 in the skewed
+# Smith-Waterman buffer, whatever the corpus size. An edit-distance chunk
+# does as much DP work and holds only one int64 row per pair at a time.
 CHUNK_CELLS = 1 << 17
 
 
@@ -57,29 +70,92 @@ class AlignScoring:
             raise ValueError("min_length must be >= 1")
 
 
-@lru_cache(maxsize=2_000_000)
-def _lev_core(a: tuple, b: tuple) -> int:
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, sym_a in enumerate(a, 1):
-        current = [i] + [0] * len(b)
-        for j, sym_b in enumerate(b, 1):
-            cost = previous[j - 1] + (sym_a != sym_b)
-            deletion = previous[j] + 1
-            insertion = current[j - 1] + 1
-            current[j] = min(cost, deletion, insertion)
-        previous = current
-    return previous[-1]
+class StringTable:
+    """Distinct symbol strings packed into one zero-padded int64 array, the
+    input of the batched edit-distance kernel.
+
+    `strings` holds each distinct string once, in order of first appearance,
+    and `ids[k]` is the row of the k-th string given, so repeated strings
+    share a row and their distances are computed once.
+    """
+
+    def __init__(self, strings: Iterable[Sequence[int]]):
+        rows: dict[tuple, int] = {}
+        self.ids = np.fromiter((rows.setdefault(tuple(s), len(rows)) for s in strings),
+                               dtype=np.intp)
+        self.strings = list(rows)
+        self.lengths = np.fromiter(map(len, self.strings), dtype=np.intp,
+                                   count=len(self.strings))
+        width = int(self.lengths.max(initial=0))
+        self.symbols = np.zeros((len(self.strings), width), dtype=np.int64)
+        self.symbols[np.arange(width) < self.lengths[:, None]] = np.fromiter(
+            chain.from_iterable(self.strings), dtype=np.int64, count=int(self.lengths.sum()))
+
+    def distances(self, a, b) -> np.ndarray:
+        """Unit-cost edit distances between rows `a` and `b` (row indices,
+        broadcast together), as an int64 array of their broadcast shape."""
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))
+        return _lev_many(self.symbols, self.lengths, a.ravel(), b.ravel()).reshape(a.shape)
+
+    def normalized(self, a, b) -> np.ndarray:
+        """distances(a, b) / max(len(a), len(b)) as float64; two empty strings
+        are at distance 0.0."""
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))
+        longest = np.maximum(np.maximum(self.lengths[a], self.lengths[b]), 1)
+        return self.distances(a, b) / longest
+
+
+def _lev_rows(a_sym, a_len, b_sym, b_len) -> np.ndarray:
+    """Edit distances of a chunk of P pairs, lanes sorted by len(a).
+
+    a_sym (P, N) and b_sym (P, M) hold the strings zero-padded. The DP runs
+    one row of all lanes at a time and stores E[i, j] = D[i, j] - j, so a
+    row is minimum.accumulate over [i, min(E[i-1, j-1] - equal, E[i-1, j] + 1)]:
+    the accumulation folds in the insertions. A column depends only on the
+    columns before it, so the padding never reaches column len(b), and each
+    lane's distance is read at row len(a), after which the lane drops out.
+    """
+    lanes, n_cols = b_sym.shape
+    n_rows = a_sym.shape[1]
+    row = np.zeros((lanes, n_cols + 1), dtype=np.int64)
+    out = b_len.copy()                       # row 0: len(a) == 0
+    starts = np.searchsorted(a_len, np.arange(1, n_rows + 2)).tolist()
+    for i in range(1, n_rows + 1):
+        start, stop = starts[i - 1], starts[i]
+        live = row[start:]
+        equal = a_sym[start:, i - 1, None] == b_sym[start:]
+        np.minimum(live[:, :-1] - equal, live[:, 1:] + 1, out=live[:, 1:])
+        live[:, 0] = i
+        np.minimum.accumulate(live, axis=1, out=live)
+        if stop > start:
+            done = b_len[start:stop]
+            out[start:stop] = live[np.arange(stop - start), done] + done
+    return out
+
+
+def _lev_many(symbols, lengths, a, b) -> np.ndarray:
+    """Edit distances between rows a[k] and b[k] of a packed table.
+
+    Each pair puts its shorter string on the rows (fewer steps, the same
+    distance); pairs are ordered by shape and cut into chunks of at most
+    CHUNK_CELLS DP cells, (len(a) + 1) * (len(b) + 1) each after padding.
+    """
+    swap = lengths[a] > lengths[b]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    rows, cols = lengths[a], lengths[b]
+    out = np.empty(len(a), dtype=np.int64)
+    for chunk, n_rows, n_cols in _chunks(np.lexsort((cols, rows)), rows, cols,
+                                         lambda r, c: (r + 1) * (c + 1)):
+        out[chunk] = _lev_rows(symbols[a[chunk], :n_rows], rows[chunk],
+                               symbols[b[chunk], :n_cols], cols[chunk])
+    return out
 
 
 def levenshtein(a: Sequence[int], b: Sequence[int]) -> int:
-    """Unit-cost edit distance between two symbol sequences (memoized; the
-    pipeline hits the same string pairs over and over)."""
-    ta, tb = tuple(a), tuple(b)
-    if len(ta) < len(tb) or (len(ta) == len(tb) and tb < ta):
-        ta, tb = tb, ta
-    return _lev_core(ta, tb)
+    """Unit-cost edit distance between two symbol sequences; a one-pair call
+    into the batched kernel behind StringTable.distances."""
+    table = StringTable([a, b])
+    return int(table.distances(table.ids[0], table.ids[1]))
 
 
 def normalized_levenshtein(a: Sequence[int], b: Sequence[int]) -> float:
@@ -169,21 +245,22 @@ def _traceback(skew, a_sym, b_rev, scoring: AlignScoring, lanes, i, j):
     return i, j
 
 
-def _chunks(order, rows, cols):
-    """Cut `order` into runs whose padded skewed buffers fit CHUNK_CELLS
-    (a single larger pair makes a chunk of its own)."""
-    chunk: list[int] = []
-    n_rows = n_cols = 0
-    for k in order:
-        grown_rows, grown_cols = max(n_rows, rows[k]), max(n_cols, cols[k])
-        if chunk and (grown_rows + grown_cols + 1) * (grown_rows + 1) * (len(chunk) + 1) \
-                > CHUNK_CELLS:
-            yield chunk, n_rows, n_cols
-            chunk, grown_rows, grown_cols = [], rows[k], cols[k]
-        chunk.append(k)
-        n_rows, n_cols = grown_rows, grown_cols
-    if chunk:
-        yield chunk, n_rows, n_cols
+def _chunks(order, rows, cols, cells):
+    """Cut `order` into runs whose padded buffers fit CHUNK_CELLS: a run of
+    P pairs with at most R rows and C columns takes P * cells(R, C) cells
+    (a single larger pair makes a run of its own). Yields (indices, R, C)."""
+    order = np.asarray(order, dtype=np.intp)
+    rows, cols = np.asarray(rows)[order], np.asarray(cols)[order]
+    start = 0
+    while start < len(order):
+        # every pair of the run takes at least cells(rows, cols) of its first
+        stop = min(len(order), start + CHUNK_CELLS // int(cells(rows[start], cols[start])) + 1)
+        n_rows = np.maximum.accumulate(rows[start:stop])
+        n_cols = np.maximum.accumulate(cols[start:stop])
+        used = cells(n_rows, n_cols) * np.arange(1, stop - start + 1)
+        take = max(1, int(np.searchsorted(used, CHUNK_CELLS, side="right")))
+        yield order[start:start + take], int(n_rows[take - 1]), int(n_cols[take - 1])
+        start += take
 
 
 def _align_many(seqs, pairs, scoring: AlignScoring) -> list[list[tuple[Span, Span, float]]]:
@@ -221,18 +298,18 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> list[list[tuple[Span, Spa
     todo = sorted(range(len(pairs)), key=lambda k: (rows[k], cols[k]))
     while todo:
         extracted = []
-        for chunk, n_rows, n_cols in _chunks(todo, rows, cols):
-            at = np.array(chunk, dtype=np.intp)
+        for chunk, n_rows, n_cols in _chunks(todo, rows, cols,
+                                             lambda r, c: (r + c + 1) * (r + 1)):
             tail = slice(width - n_cols, width)
             cells = (n_rows + n_cols + 1) * (n_rows + 1) * len(chunk)
             if buffer.size < cells:
                 buffer = np.empty(max(cells, CHUNK_CELLS))
-            a_sym = np.take(forward[:n_rows], a_of[at], axis=1)
-            b_rev = np.take(backward[tail], b_of[at], axis=1)
-            a_cap = np.where(np.take(a_dead[:n_rows], at, axis=1), 0.0, np.inf)
-            b_cap = np.where(np.take(b_dead[tail], at, axis=1), 0.0, np.inf)
+            a_sym = np.take(forward[:n_rows], a_of[chunk], axis=1)
+            b_rev = np.take(backward[tail], b_of[chunk], axis=1)
+            a_cap = np.where(np.take(a_dead[:n_rows], chunk, axis=1), 0.0, np.inf)
+            b_cap = np.where(np.take(b_dead[tail], chunk, axis=1), 0.0, np.inf)
             skew = _fill(buffer, a_sym, a_cap, b_rev, b_cap,
-                         np.flatnonzero(self_pair[at]), scoring)
+                         np.flatnonzero(self_pair[chunk]), scoring)
             best, i_end, j_end = _best_cells(skew)
             hit = np.flatnonzero(best >= scoring.min_align_score)
             i_start, j_start = _traceback(skew, a_sym, b_rev, scoring, hit, i_end, j_end)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, GoldAnnotation, GoldToken, Segment, Utterance, UtteranceGold
-from .seqmatch import normalized_levenshtein
+# normalized_levenshtein stays a module attribute for code that wraps it
+from .seqmatch import StringTable, normalized_levenshtein  # noqa: F401
 from .util import derive_seed, rng_from
 
 
@@ -85,10 +86,10 @@ def _sample_vocabulary(config: SynthConfig) -> list[tuple[int, ...]]:
         word = tuple(int(s) for s in rng.integers(0, config.alphabet_size, size=length))
         if word in seen:
             continue
-        if config.min_word_separation > 0 and any(
-                normalized_levenshtein(word, other) < config.min_word_separation
-                for other in words):
-            continue
+        if config.min_word_separation > 0 and words:
+            table = StringTable([word, *words])   # word is not among them
+            if (table.normalized(0, table.ids[1:]) < config.min_word_separation).any():
+                continue
         seen.add(word)
         words.append(word)
     return words

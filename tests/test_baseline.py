@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lev_oracle
 from termforge.baseline import (Cluster, LeaderParams, cluster_set_stats,
                                 leader_cluster, load_clusters,
                                 validate_partition, write_clusters)
@@ -139,3 +142,55 @@ def test_cluster_json_round_trip(tmp_path):
     restored = load_clusters(path)
     assert [(c.id, c.leader, sorted(c.members)) for c in restored] \
         == [(c.id, c.leader, sorted(c.members)) for c in clusters]
+
+
+@st.composite
+def leader_inputs(draw):
+    """Segments in shuffled id order over a small pool of strings (so many
+    repeat), with radii that hit exact ties d == T and d == a * T."""
+    alphabet = st.integers(0, draw(st.integers(1, 5)) - 1)
+    pool = draw(st.lists(st.lists(alphabet, min_size=1, max_size=8).map(tuple),
+                         min_size=1, max_size=10))
+    strings = draw(st.lists(st.sampled_from(pool), max_size=40))
+    ids = draw(st.permutations(range(len(strings))))
+    segments = [seg(i, s) for i, s in zip(ids, strings)]
+    params = LeaderParams(T=draw(st.sampled_from([0.2, 0.25, 1 / 3, 0.4, 0.5, 1.0])),
+                          a=draw(st.sampled_from([0.5, 1.0, 1.5, 1.8, 2.0, 3.0])),
+                          R=draw(st.integers(1, 3)),
+                          ambiguous_policy=draw(st.sampled_from(["nearest", "drop"])))
+    return segments, params
+
+
+def assert_same_clustering(segments, params):
+    expected = lev_oracle.leader_cluster(segments, params)
+    found = leader_cluster(segments, params)
+    assert found == expected
+    assert [c.nearest_assigned for c in found] == [c.nearest_assigned for c in expected]
+
+
+@given(leader_inputs())
+@settings(max_examples=200)
+def test_leader_cluster_matches_reference(case):
+    assert_same_clustering(*case)
+
+
+@pytest.mark.parametrize("policy", ["nearest", "drop"])
+def test_leader_cluster_exact_ties_match_reference(policy):
+    # d((1,2,3,4), (1,2,3,5)) = 0.25 == T joins; d = 0.5 == a * T founds a
+    # new leader; d = 0.375 lies between, so the segment is ambiguous
+    strings = [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 5, 5), (1, 2, 3, 4, 9, 9, 9, 9),
+               (1, 2, 3, 4), (5, 5, 3, 4, 9, 9, 9, 8), (1, 2, 5, 5)]
+    segments = [seg(i, s) for i, s in enumerate(strings)]
+    params = LeaderParams(T=0.25, a=2.0, R=1, ambiguous_policy=policy)
+    assert_same_clustering(segments, params)
+    assert len(leader_cluster(segments, params)) == 3
+
+
+@pytest.mark.parametrize("T, a", [(0.5, 1.0), (0.25, 3.0)])
+def test_leader_cluster_first_of_equidistant_leaders_wins(T, a):
+    # (1,1,2,2) is at 0.5 from both leaders: within T = 0.5 of both in the
+    # first case, ambiguous (nearest) in the second; the earlier leader wins
+    segments = [seg(0, (1, 1, 1, 1)), seg(1, (2, 2, 2, 2)), seg(2, (1, 1, 2, 2))]
+    params = LeaderParams(T=T, a=a, R=1)
+    assert_same_clustering(segments, params)
+    assert [c.members for c in leader_cluster(segments, params)] == [[0, 2], [1]]

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lev_oracle
 from termforge.baseline import Cluster
 from termforge.corpus import (Corpus, GoldAnnotation, GoldToken, Segment,
                               UtteranceGold)
@@ -11,6 +14,7 @@ from termforge.evaluation import (EvalConfig, EvalReport, boundary_prf,
                                   ned, n_words_n_pairs, render_text, report,
                                   token_type_prf, write_report)
 from termforge.seqmatch import normalized_levenshtein
+from termforge.synthgen import gold_segment_label
 
 from conftest import make_utterance
 
@@ -256,3 +260,90 @@ def test_coverage_monotone_under_added_segments(rng):
         value = coverage(clusters, pool, corpus)
         assert value >= previous
         previous = value
+
+
+@st.composite
+def scored_worlds(draw):
+    """Random gold utterances (symbols of 1-3 frames, word tokens of 1-4
+    symbols) with random segments (short ones have empty gold strings) and
+    random clusters over a subset of them, members in random order."""
+    utterances = {}
+    for u in range(draw(st.integers(1, 3))):
+        symbols = draw(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+        spans, cursor = [], 0
+        for frames in draw(st.lists(st.integers(1, 3), min_size=len(symbols),
+                                    max_size=len(symbols))):
+            spans.append((cursor, cursor + frames))
+            cursor += frames
+        tokens, k = [], 0
+        while k < len(symbols):
+            width = draw(st.integers(1, 4))
+            part = spans[k:k + width]
+            tokens.append(GoldToken(draw(st.integers(0, 3)), part[0][0], part[-1][1],
+                                    tuple(symbols[k:k + width])))
+            k += width
+        utterances[f"u{u}"] = UtteranceGold((0, cursor), tuple(tokens), tuple(symbols),
+                                            tuple(spans))
+    segments = []
+    for seg_id in range(draw(st.integers(0, 30))):
+        utt_id = draw(st.sampled_from(sorted(utterances)))
+        frames = utterances[utt_id].true_spans[-1][1]
+        start = draw(st.integers(0, frames - 1))
+        end = draw(st.integers(start + 1, frames))
+        segments.append(Segment(seg_id, utt_id, start, end, (0,)))
+    where = draw(st.lists(st.integers(-1, 4), min_size=len(segments),
+                          max_size=len(segments)))
+    clusters = []
+    for c in range(5):
+        members = draw(st.permutations([s.id for s, w in zip(segments, where) if w == c]))
+        if members:
+            clusters.append(Cluster(id=c, leader=members[0], members=list(members)))
+    return clusters, segments, GoldAnnotation(utterances)
+
+
+@given(scored_worlds())
+@settings(max_examples=200)
+def test_ned_matches_reference(world):
+    clusters, segments, gold = world
+    assert ned(clusters, segments, None, gold) == lev_oracle.ned(clusters, segments, gold)
+
+
+def test_ned_with_empty_gold_strings_matches_reference():
+    # 3 frames per symbol: a segment covering less than half of every symbol
+    # it touches has an empty gold string
+    gold = GoldAnnotation({"u0": UtteranceGold(
+        boundaries=(0, 12), tokens=(GoldToken(0, 0, 12, (1, 2, 3, 4)),),
+        true_symbols=(1, 2, 3, 4), true_spans=((0, 3), (3, 6), (6, 9), (9, 12)))})
+    spans = [(0, 1), (1, 2), (0, 3), (2, 5), (0, 6), (10, 11), (3, 12)]
+    segments = [Segment(k, "u0", start, end, (1,)) for k, (start, end) in enumerate(spans)]
+    strings = [lev_oracle.gold_string(gold.utterances["u0"], start, end)
+               for start, end in spans]
+    assert strings == [(), (), (1,), (2,), (1, 2), (), (2, 3, 4)]
+    clusters = [Cluster(id=0, leader=0, members=[0, 2, 1, 4, 5]),
+                Cluster(id=1, leader=3, members=[3, 6])]
+    value = ned(clusters, segments, None, gold)
+    assert value == lev_oracle.ned(clusters, segments, gold)
+    assert 0.0 < value < 1.0
+
+
+@given(scored_worlds())
+@settings(max_examples=200)
+def test_grouping_matches_pair_loop(world):
+    clusters, segments, gold = world
+    labels = {}
+    for c in clusters:
+        for m in c.members:
+            label = gold_segment_label(gold, segments[m])
+            if label is not None:
+                labels[m] = label
+    within = [(labels[a], labels[b]) for c in clusters
+              for i, a in enumerate(c.members) if a in labels
+              for b in c.members[i + 1:] if b in labels]
+    cluster_of = {m: c.id for c in clusters for m in c.members}
+    ids = sorted(labels)
+    same = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if labels[a] == labels[b]]
+    precision = sum(x == y for x, y in within) / len(within) if within else None
+    recall = (sum(cluster_of[a] == cluster_of[b] for a, b in same) / len(same)
+              if same else None)
+    prf = grouping_prf(clusters, segments, gold)
+    assert (prf.precision, prf.recall) == (precision, recall)

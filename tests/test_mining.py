@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lev_oracle
 from termforge.baseline import Cluster
 from termforge.corpus import Segment
 from termforge.mining import (MiningError, MiningThresholds, contrast_stats,
@@ -256,3 +259,19 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(path, manifest)
     assert load_manifest(path) == manifest
+
+
+cluster_strings = st.integers(1, 5).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, k - 1), min_size=1, max_size=8), min_size=1, max_size=12))
+
+
+@given(cluster_strings, cluster_strings, st.booleans())
+@settings(max_examples=200)
+def test_statistics_match_pairwise_reference(first, second, include_self):
+    c1, segs_1 = make_cluster(0, first)
+    c2, segs_2 = make_cluster(1, second, start_id=len(first))
+    by_id = {**segs_1, **segs_2}
+    purity = purity_stats(c1, by_id, include_self=include_self)
+    assert (purity.mu_s, purity.sigma_s) == lev_oracle.purity_stats(c1, by_id, include_self)
+    contrast = contrast_stats(c1, c2, by_id)
+    assert (contrast.mu_d, contrast.sigma_d) == lev_oracle.contrast_stats(c1, c2, by_id)

@@ -78,6 +78,38 @@ def test_torn_corpus_file_reruns_synth(tmp_path):
     assert run_stage("synth", config) is False
 
 
+def test_torn_corpus_stops_discover_naming_synth(tmp_path):
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd"))
+    run_stage("synth", config)
+    (tmp_path / "wd" / "corpus" / "manifest.json").write_text("{")
+    with pytest.raises(PipelineError, match="run the synth stage again"):
+        run_stage("discover", config)
+    assert not (tmp_path / "wd" / "segments.jsonl").exists()
+
+
+def test_torn_baseline_clusters_stop_evaluate_naming_baseline(tmp_path):
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd"))
+    run_all(config)
+    workdir = tmp_path / "wd"
+    report = (workdir / "report.json").read_bytes()
+    (workdir / "clusters_baseline.json").write_text("[")
+    for force in (False, True):
+        with pytest.raises(PipelineError, match="run the baseline stage again"):
+            run_stage("evaluate", config, force=force)
+    assert (workdir / "report.json").read_bytes() == report
+    assert run_stage("baseline", config) is True
+    assert run_stage("evaluate", config) is False
+
+
+def test_input_without_producer_stamp_is_refused(tmp_path):
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd"))
+    run_stage("synth", config)
+    run_stage("discover", config)
+    (tmp_path / "wd" / ".stamps" / "discover.json").unlink()
+    with pytest.raises(PipelineError, match="run the discover stage again"):
+        run_stage("baseline", config)
+
+
 def test_failed_stage_leaves_it_stale(tmp_path, monkeypatch):
     config = PipelineConfig.from_dict(small_blob(tmp_path / "wd"))
     run_all(config)

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 from functools import lru_cache
 
 import numpy as np
@@ -5,12 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lev_oracle
 import sw_oracle
+import termforge
 from termforge import recluster, seqmatch, util
 from termforge.recluster import HdbscanParams
-from termforge.seqmatch import (AlignScoring, ScaleError, discover_segments,
-                                levenshtein, local_align, load_segments,
-                                normalized_levenshtein, write_segments)
+from termforge.seqmatch import (AlignScoring, ScaleError, StringTable,
+                                discover_segments, levenshtein, local_align,
+                                load_segments, normalized_levenshtein,
+                                write_segments)
 from termforge.synthgen import SynthConfig, generate
 
 from conftest import make_corpus
@@ -87,6 +92,66 @@ def test_normalized_bounded(rng):
         a = tuple(rng.integers(0, 4, size=rng.integers(1, 9)))
         b = tuple(rng.integers(0, 4, size=rng.integers(0, 9)))
         assert 0.0 <= normalized_levenshtein(a, b) <= 1.0
+
+
+@st.composite
+def symbol_strings(draw, max_len=30):
+    """A list of strings over a 1-6 symbol alphabet, with repeats."""
+    alphabet = st.integers(0, draw(st.integers(1, 6)) - 1)
+    pool = draw(st.lists(st.lists(alphabet, max_size=max_len).map(tuple),
+                         min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+@given(symbol_strings().map(lambda s: s[:2] if len(s) > 1 else s * 2))
+@example([(), ()])
+@example([(), (0, 1, 2)])
+@example([(3,) * 30, (3,) * 30])
+@settings(max_examples=300)
+def test_levenshtein_matches_scalar_reference(pair):
+    a, b = pair
+    assert levenshtein(a, b) == lev_oracle.levenshtein(a, b)
+    if a or b:
+        assert normalized_levenshtein(a, b) == lev_oracle.normalized_levenshtein(a, b)
+
+
+@given(symbol_strings(), st.sampled_from([seqmatch.CHUNK_CELLS, 200, 1]), st.data())
+def test_mixed_length_distance_batch_matches_reference(strings, chunk_cells, data):
+    # small budgets split the batch into many chunks, down to one pair each
+    table = StringTable(strings)
+    assert [table.strings[k] for k in table.ids] == [tuple(s) for s in strings]
+    rows = st.integers(0, len(strings) - 1)
+    pairs = data.draw(st.lists(st.tuples(rows, rows), min_size=1, max_size=40))
+    a = table.ids[[i for i, _ in pairs]]
+    b = table.ids[[j for _, j in pairs]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seqmatch, "CHUNK_CELLS", chunk_cells)
+        distances = table.distances(a, b)
+        normalized = table.normalized(a, b)
+    assert distances.tolist() == [lev_oracle.levenshtein(strings[i], strings[j])
+                                  for i, j in pairs]
+    assert normalized.tolist() == [
+        lev_oracle.normalized_levenshtein(strings[i], strings[j])
+        if strings[i] or strings[j] else 0.0 for i, j in pairs]
+
+
+def test_distance_batches_broadcast():
+    table = StringTable([(1, 2, 3), (1, 3), (), (2, 2, 2, 2)])
+    grid = table.distances(np.arange(4)[:, None], np.arange(4)[None, :])
+    assert grid.shape == (4, 4)
+    assert grid.tolist() == [[lev_oracle.levenshtein(a, b) for b in table.strings]
+                             for a in table.strings]
+    assert table.distances([], []).shape == (0,)
+
+
+def test_no_function_in_the_package_is_lru_cached():
+    # a process-global memo grows for the life of the process and hides what
+    # a per-pair loop costs; edit distances go through the batched kernel
+    for info in pkgutil.iter_modules(termforge.__path__):
+        module = importlib.import_module(f"termforge.{info.name}")
+        cached = [name for name, obj in vars(module).items()
+                  if callable(obj) and hasattr(obj, "cache_info")]
+        assert cached == [], f"termforge.{info.name}: {cached}"
 
 
 # --- local alignment ---------------------------------------------------------
