@@ -2,20 +2,17 @@
 
 Baseline evaluates the leader clusters directly; the siamese/triplet variants
 mine pairs, train the embedder, re-cluster with plain or hybrid extraction,
-and score the result. Stages are cached in the shared work directory, so the
-five runs share synthesis, discovery, and leader clustering.
+and score the result. Stages are cached in the shared temporary work
+directory, so the five runs share synthesis, discovery, and leader
+clustering; the directory is removed at the end.
 """
 
 import tempfile
 
 from termforge.pipeline import PipelineConfig, run_all
 
-workdir = tempfile.mkdtemp(prefix="termforge_demo_")
-print("work directory:", workdir, "\n")
-
 base = {
     "seed": 2024,
-    "workdir": workdir,
     "synth": {
         "vocabulary_size": 5, "word_length_range": [4, 6],
         "occurrences_per_word": 12, "words_per_utterance": 1,
@@ -31,8 +28,10 @@ base = {
 
 variants = [("baseline", "eom"), ("siamese", "eom"), ("siamese", "hybrid"),
             ("triplet", "eom"), ("triplet", "hybrid")]
-for system, extraction in variants:
-    config = PipelineConfig.from_dict({**base, "system": system,
-                                       "extraction": extraction})
-    run_all(config)
-    print()
+with tempfile.TemporaryDirectory(prefix="termforge_demo_") as workdir:
+    print("work directory:", workdir, "\n")
+    for system, extraction in variants:
+        config = PipelineConfig.from_dict({**base, "workdir": workdir,
+                                           "system": system, "extraction": extraction})
+        run_all(config)
+        print()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -74,17 +74,12 @@ class Segment:
     start: int                                 # frame span, half-open
     end: int
     symbols: tuple[int, ...]
-    embedding: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.end <= self.start:
             raise CorpusError(f"segment {self.id}: end must exceed start")
         if not self.symbols:
             raise CorpusError(f"segment {self.id}: symbols must be non-empty")
-
-    @property
-    def n_frames(self) -> int:
-        return self.end - self.start
 
 
 @dataclass

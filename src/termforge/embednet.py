@@ -325,47 +325,41 @@ def _triplet_batch(ea, ep, en, margin):
     return losses, ga, gp, gn
 
 
-def _zero_grads(params: NetworkParams):
-    return {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
+# Each mode's towers, in forward order: the batch key of a tower's inputs and
+# the manifest-entry field holding its segment id.
+_TOWERS = {
+    "siamese": (("x0", "a"), ("x1", "b")),
+    "triplet": (("xa", "anchor"), ("xp", "positive"), ("xn", "negative")),
+}
+
+
+def _losses_and_grads(params: NetworkParams, batch: dict, kind: str, margin: float):
+    """Per-example losses, each tower's forward cache and the gradient of the
+    per-example losses wrt each tower's embeddings, in tower order."""
+    if kind not in _TOWERS:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    embeddings, caches = zip(*(_forward_cached(params, batch[key])
+                               for key, _ in _TOWERS[kind]))
+    if kind == "siamese":
+        losses, g = _contrastive_batch(*embeddings, batch["y"], margin)
+        return losses, caches, (g, -g)
+    losses, *grads = _triplet_batch(*embeddings, margin)
+    return losses, caches, grads
 
 
 def batch_loss(params: NetworkParams, batch: dict, kind: str, margin: float) -> float:
     """Mean loss of a batch without gradients (finite-difference probes)."""
-    if kind == "siamese":
-        e0, _ = _forward_cached(params, batch["x0"])
-        e1, _ = _forward_cached(params, batch["x1"])
-        losses, _ = _contrastive_batch(e0, e1, batch["y"], margin)
-    elif kind == "triplet":
-        ea, _ = _forward_cached(params, batch["xa"])
-        ep, _ = _forward_cached(params, batch["xp"])
-        en, _ = _forward_cached(params, batch["xn"])
-        losses, _, _, _ = _triplet_batch(ea, ep, en, margin)
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
+    losses, _, _ = _losses_and_grads(params, batch, kind, margin)
     return float(losses.mean())
 
 
 def backward(params: NetworkParams, batch: dict, kind: str, margin: float):
     """Mean batch loss plus analytic gradients for every parameter."""
-    grads = _zero_grads(params)
-    if kind == "siamese":
-        e0, c0 = _forward_cached(params, batch["x0"])
-        e1, c1 = _forward_cached(params, batch["x1"])
-        losses, g0 = _contrastive_batch(e0, e1, batch["y"], margin)
-        n = len(losses)
-        _branch_backward(params, c0, g0 / n, grads)
-        _branch_backward(params, c1, -g0 / n, grads)
-    elif kind == "triplet":
-        ea, ca = _forward_cached(params, batch["xa"])
-        ep, cp = _forward_cached(params, batch["xp"])
-        en, cn = _forward_cached(params, batch["xn"])
-        losses, ga, gp, gn = _triplet_batch(ea, ep, en, margin)
-        n = len(losses)
-        _branch_backward(params, ca, ga / n, grads)
-        _branch_backward(params, cp, gp / n, grads)
-        _branch_backward(params, cn, gn / n, grads)
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
+    losses, caches, tower_grads = _losses_and_grads(params, batch, kind, margin)
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
+    n = len(losses)
+    for cache, g in zip(caches, tower_grads):
+        _branch_backward(params, cache, g / n, grads)
     return float(losses.mean()), grads
 
 
@@ -373,14 +367,12 @@ def backward(params: NetworkParams, batch: dict, kind: str, margin: float):
 # training
 
 
-def _segment_features(corpus: Corpus, segments_by_id: dict[int, Segment],
-                      seg_id: int, l_max: int) -> np.ndarray:
-    return pad_or_truncate(np.asarray(slice_features(corpus, segments_by_id[seg_id]),
-                                      dtype=np.float64), l_max)
-
-
-def _stack(corpus, segments_by_id, ids, l_max):
-    return np.stack([_segment_features(corpus, segments_by_id, i, l_max) for i in ids])
+def _stack(corpus: Corpus, segments: list[Segment], l_max: int) -> np.ndarray:
+    """Padded float64 features of each segment, stacked into one batch."""
+    return np.stack([
+        pad_or_truncate(np.asarray(slice_features(corpus, seg), dtype=np.float64), l_max)
+        for seg in segments
+    ])
 
 
 def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
@@ -392,7 +384,7 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
     run whose loss stays finite while the weights grow without bound (for
     instance, a loss driven to exactly 0) ends normally and is not caught."""
     config.validate()
-    if mode not in ("siamese", "triplet"):
+    if mode not in _TOWERS:
         raise ValueError(f"unknown training mode {mode!r}")
     entries = manifest.siamese_pairs if mode == "siamese" else manifest.triplets
     if not entries:
@@ -407,18 +399,11 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
         total = 0.0
         for lo in range(0, len(entries), config.batch_size):
             chunk = [entries[k] for k in order[lo:lo + config.batch_size]]
+            batch = {key: _stack(corpus, [segments_by_id[getattr(e, attr)] for e in chunk],
+                                 config.l_max)
+                     for key, attr in _TOWERS[mode]}
             if mode == "siamese":
-                batch = {
-                    "x0": _stack(corpus, segments_by_id, [p.a for p in chunk], config.l_max),
-                    "x1": _stack(corpus, segments_by_id, [p.b for p in chunk], config.l_max),
-                    "y": np.array([p.y for p in chunk]),
-                }
-            else:
-                batch = {
-                    "xa": _stack(corpus, segments_by_id, [t.anchor for t in chunk], config.l_max),
-                    "xp": _stack(corpus, segments_by_id, [t.positive for t in chunk], config.l_max),
-                    "xn": _stack(corpus, segments_by_id, [t.negative for t in chunk], config.l_max),
-                }
+                batch["y"] = np.array([p.y for p in chunk])
             loss, grads = backward(params, batch, mode, config.margin)
             total += loss * len(chunk)
             if config.learning_rate != 0.0:
@@ -438,12 +423,7 @@ def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus,
     """Embedding table: row i is the embedding of segments[i]."""
     rows = []
     for lo in range(0, len(segments), chunk_size):
-        chunk = segments[lo:lo + chunk_size]
-        x = np.stack([
-            pad_or_truncate(np.asarray(slice_features(corpus, seg), dtype=np.float64), l_max)
-            for seg in chunk
-        ])
-        out, _ = _forward_cached(params, x)
+        out, _ = _forward_cached(params, _stack(corpus, segments[lo:lo + chunk_size], l_max))
         rows.append(out)
     if not rows:
         return np.zeros((0, params.arch.embed_dim))

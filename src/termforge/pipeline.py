@@ -1,8 +1,10 @@
 """Stage orchestration: synth -> discover -> baseline -> mine -> train ->
 embed -> recluster -> evaluate, with content-hash stage caching.
 
+One table (`_stage_table`) describes each stage: the artifacts it reads and
+writes, the config settings its hash covers and the function that runs it.
 Every stage is idempotent for identical inputs and seed: a stage re-runs only
-when the hash of its config subset plus upstream artifacts changes (or with
+when the hash of its settings plus upstream artifacts changes (or with
 force=True). All randomness flows from the root seed through labelled
 sub-seed derivation, so two runs with the same config produce byte-identical
 artifacts.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -99,94 +102,14 @@ class PipelineConfig:
         config.validate()
         return config
 
-    @classmethod
-    def from_file(cls, path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
-    def to_dict(self) -> dict:
-        blob = {
-            "seed": self.seed,
-            "system": self.system,
-            "extraction": self.extraction,
-            "workdir": self.workdir,
-            "synth": asdict(self.synth),
-            "align": asdict(self.align),
-            "leader": asdict(self.leader),
-            "mining": {**asdict(self.thresholds),
-                       "n_siamese": self.n_siamese, "n_triplet": self.n_triplet},
-            "train": asdict(self.train),
-            "hdbscan": asdict(self.hdbscan),
-            "eval": asdict(self.eval),
-            "max_dp_cells": self.max_dp_cells,
-        }
-        blob["synth"]["word_length_range"] = list(self.synth.word_length_range)
-        blob["synth"]["frames_per_subword_range"] = list(self.synth.frames_per_subword_range)
-        return blob
-
-
-@dataclass
+@dataclass(frozen=True)
 class _Stage:
     name: str
-    inputs: list[str]                 # workdir-relative artifact paths
-    outputs: list[str]
-    missing_message: str
-
-
-def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
-    clusters_file = ("clusters_baseline.json" if config.system == "baseline"
-                     else "clusters_final.json")
-    return {
-        "synth": _Stage("synth", [], ["corpus/manifest.json", "corpus/gold.json"],
-                        ""),
-        "discover": _Stage("discover", ["corpus/manifest.json"], ["segments.jsonl"],
-                           "missing corpus (run the synth stage first)"),
-        "baseline": _Stage("baseline", ["segments.jsonl"], ["clusters_baseline.json"],
-                           "missing segments (run the discover stage first)"),
-        "mine": _Stage("mine", ["segments.jsonl", "clusters_baseline.json"],
-                       ["manifest.json"],
-                       "missing baseline clusters (run the baseline stage first)"),
-        "train": _Stage("train", ["manifest.json", "corpus/manifest.json",
-                                  "segments.jsonl"],
-                        ["params.ckpt", "loss_curve.csv"],
-                        "missing pair manifest (run the mine stage first)"),
-        "embed": _Stage("embed", ["params.ckpt", "segments.jsonl",
-                                  "corpus/manifest.json"],
-                        ["embeddings.npy"],
-                        "missing trained params (run the train stage first)"),
-        "recluster": _Stage("recluster", ["embeddings.npy", "segments.jsonl"],
-                            ["clusters_final.json"],
-                            "missing embeddings (run the embed stage first)"),
-        "evaluate": _Stage("evaluate", [clusters_file, "segments.jsonl",
-                                        "corpus/manifest.json", "corpus/gold.json"],
-                           ["report.json", "report.txt"],
-                           f"missing {clusters_file} (run the upstream stages first)"),
-    }
-
-
-def _stage_config_subset(config: PipelineConfig, stage: str) -> dict:
-    common = {"seed": config.seed}
-    if stage == "synth":
-        return {**common, "synth": stable_json(asdict(config.synth))}
-    if stage == "discover":
-        return {**common, "align": stable_json(asdict(config.align)),
-                "max_dp_cells": config.max_dp_cells}
-    if stage == "baseline":
-        return {**common, "leader": stable_json(asdict(config.leader))}
-    if stage == "mine":
-        return {**common, "thresholds": stable_json(asdict(config.thresholds)),
-                "n_siamese": config.n_siamese, "n_triplet": config.n_triplet}
-    if stage == "train":
-        return {**common, "train": stable_json(asdict(config.train)),
-                "system": config.system}
-    if stage == "embed":
-        return {**common, "l_max": config.train.l_max}
-    if stage == "recluster":
-        return {**common, "hdbscan": stable_json(asdict(config.hdbscan)),
-                "extraction": config.extraction}
-    if stage == "evaluate":
-        return {**common, "eval": stable_json(asdict(config.eval)),
-                "system": config.system, "extraction": config.extraction}
-    raise PipelineError(f"unknown stage {stage!r}")
+    inputs: tuple[str, ...]           # workdir-relative artifact paths
+    outputs: tuple[str, ...]
+    settings: dict                    # config values the stage hash covers
+    run: Callable[[PipelineConfig, Path], None]
 
 
 def _artifact_hash(workdir: Path, rel: str) -> str:
@@ -226,11 +149,13 @@ def _recorded_hash(workdir: Path, rel: str, stamp: dict) -> str | None:
 
 def _input_hashes(table: dict[str, _Stage], stage: _Stage, workdir: Path) -> list[str]:
     """Hash of every input, each checked against the output hash recorded by
-    the stage that writes it; a torn, changed or unrecorded input raises a
-    PipelineError that names that stage."""
+    the stage that writes it; a missing, torn, changed or unrecorded input
+    raises a PipelineError that names that stage."""
     producer = {rel: name for name, other in table.items() for rel in other.outputs}
     hashes = []
     for rel in stage.inputs:
+        if not (workdir / rel).exists():
+            raise PipelineError(f"missing {rel} (run the {producer[rel]} stage first)")
         digest = _recorded_hash(workdir, rel, _read_stamp(workdir, producer[rel]))
         if digest is None:
             raise PipelineError(
@@ -241,7 +166,7 @@ def _input_hashes(table: dict[str, _Stage], stage: _Stage, workdir: Path) -> lis
 
 
 def _stage_hash(config: PipelineConfig, stage: _Stage, input_hashes: list[str]) -> str:
-    parts = [stable_json(_stage_config_subset(config, stage.name)), *input_hashes]
+    parts = [stable_json({"seed": config.seed, **stage.settings}), *input_hashes]
     return sha256_bytes("|".join(parts).encode())
 
 
@@ -377,16 +302,37 @@ def _run_evaluate(config: PipelineConfig, workdir: Path) -> None:
     log.info("evaluate[%s]: %d clusters scored", config.mode, len(clusters))
 
 
-_RUNNERS = {
-    "synth": _run_synth,
-    "discover": _run_discover,
-    "baseline": _run_baseline,
-    "mine": _run_mine,
-    "train": _run_train,
-    "embed": _run_embed,
-    "recluster": _run_recluster,
-    "evaluate": _run_evaluate,
-}
+def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
+    """Every stage of the pipeline, in run order, as `config` sets it up."""
+    clusters_file = ("clusters_baseline.json" if config.system == "baseline"
+                     else "clusters_final.json")
+    stages = (
+        _Stage("synth", (), ("corpus/manifest.json", "corpus/gold.json"),
+               {"synth": stable_json(asdict(config.synth))}, _run_synth),
+        _Stage("discover", ("corpus/manifest.json",), ("segments.jsonl",),
+               {"align": stable_json(asdict(config.align)),
+                "max_dp_cells": config.max_dp_cells}, _run_discover),
+        _Stage("baseline", ("segments.jsonl",), ("clusters_baseline.json",),
+               {"leader": stable_json(asdict(config.leader))}, _run_baseline),
+        _Stage("mine", ("segments.jsonl", "clusters_baseline.json"), ("manifest.json",),
+               {"thresholds": stable_json(asdict(config.thresholds)),
+                "n_siamese": config.n_siamese, "n_triplet": config.n_triplet},
+               _run_mine),
+        _Stage("train", ("manifest.json", "corpus/manifest.json", "segments.jsonl"),
+               ("params.ckpt", "loss_curve.csv"),
+               {"train": stable_json(asdict(config.train)), "system": config.system},
+               _run_train),
+        _Stage("embed", ("params.ckpt", "segments.jsonl", "corpus/manifest.json"),
+               ("embeddings.npy",), {"l_max": config.train.l_max}, _run_embed),
+        _Stage("recluster", ("embeddings.npy", "segments.jsonl"), ("clusters_final.json",),
+               {"hdbscan": stable_json(asdict(config.hdbscan)),
+                "extraction": config.extraction}, _run_recluster),
+        _Stage("evaluate", (clusters_file, "segments.jsonl", "corpus/manifest.json",
+                            "corpus/gold.json"), ("report.json", "report.txt"),
+               {"eval": stable_json(asdict(config.eval)), "system": config.system,
+                "extraction": config.extraction}, _run_evaluate),
+    )
+    return {stage.name: stage for stage in stages}
 
 
 def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> bool:
@@ -399,29 +345,25 @@ def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> b
     otherwise a PipelineError names the stage to run again.
     """
     config.validate()
-    if stage_name not in _RUNNERS:
+    table = _stage_table(config)
+    if stage_name not in table:
         raise PipelineError(f"unknown stage {stage_name!r} (expected one of {STAGES})")
     if stage_name not in config.stage_names():
         raise PipelineError(f"stage {stage_name!r} is not part of mode {config.mode}")
     workdir = Path(config.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    table = _stage_table(config)
     stage = table[stage_name]
-
-    for rel in stage.inputs:
-        if not (workdir / rel).exists():
-            raise PipelineError(stage.missing_message)
+    current = _stage_hash(config, stage, _input_hashes(table, stage, workdir))
 
     stamp_dir = workdir / ".stamps"
     stamp_dir.mkdir(exist_ok=True)
     stamp_path = stamp_dir / f"{stage.name}.json"
-    current = _stage_hash(config, stage, _input_hashes(table, stage, workdir))
     if not force and _is_current(workdir, current, stage):
         log.info("%s: up to date, skipping", stage.name)
         return False
 
     stamp_path.unlink(missing_ok=True)
-    _RUNNERS[stage.name](config, workdir)
+    stage.run(config, workdir)
     outputs = {rel: _artifact_hash(workdir, rel) for rel in stage.outputs}
     with atomic_write(stamp_path) as fh:
         fh.write(json.dumps({"hash": current, "outputs": outputs}, sort_keys=True) + "\n")

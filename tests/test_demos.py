@@ -1,0 +1,28 @@
+"""Each demo runs to completion in a child process and leaves nothing in
+the temporary directory."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_pipeline import cli_env
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS, "no demos next to the tests"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs_and_cleans_up(tmp_path, demo):
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True,
+        cwd=tmp_path, env={**cli_env(), "TMPDIR": str(tmpdir)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmpdir.iterdir()) == []

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import net_oracle
 from termforge import embednet
 from termforge.embednet import (NetArch, TrainConfig, TrainingDiverged,
                                 backward, batch_loss, contrastive_loss,
@@ -184,6 +187,65 @@ def run_gradient_check(params, batch, kind, margin, n_probes, h, rng,
     return worst, skipped
 
 
+@st.composite
+def tower_batches(draw):
+    """A batch of 1-5 examples for either loss. A siamese batch mixes y and
+    may hold a pair with identical inputs (the dist == 0 kink); a triplet
+    batch may hold an example whose hinge is inactive."""
+    kind = draw(st.sampled_from(["siamese", "triplet"]))
+    size = draw(st.integers(1, 5))
+    rng = rng_from(draw(st.integers(0, 2**16)))
+    params = init_params(SMALL, draw(st.integers(0, 2**16)))
+    margin = draw(st.sampled_from([0.05, 1.0, 2.0]))
+    special = draw(st.none() | st.integers(0, size - 1))
+    keys = [key for key, _ in embednet._TOWERS[kind]]
+    batch = {key: rng.standard_normal((size, SMALL.l_max, SMALL.feature_dim))
+             for key in keys}
+    if kind == "siamese":
+        batch["y"] = np.array(draw(st.lists(st.integers(0, 1), min_size=size,
+                                            max_size=size)))
+        if special is not None:
+            batch["x1"][special] = batch["x0"][special]
+    elif special is not None:
+        # anchor == positive and a margin below half the anchor-negative
+        # distance: m + 0 - ||ea - en||^2 < 0
+        batch["xp"][special] = batch["xa"][special]
+        ea = forward(params, batch["xa"][special])
+        en = forward(params, batch["xn"][special])
+        margin = min(margin, 0.5 * float((ea - en) @ (ea - en)))
+        assert margin > 0.0
+    return params, batch, kind, margin
+
+
+@given(tower_batches())
+@settings(max_examples=80)
+def test_loss_and_gradients_match_two_branch_reference(case):
+    params, batch, kind, margin = case
+    assert batch_loss(params, batch, kind, margin) \
+        == net_oracle.batch_loss(params, batch, kind, margin)
+    loss, grads = backward(params, batch, kind, margin)
+    expected_loss, expected = net_oracle.backward(params, batch, kind, margin)
+    assert loss == expected_loss
+    assert grads.keys() == expected.keys()
+    for name, grad in grads.items():
+        assert grad.shape == expected[name].shape
+        assert (grad == expected[name]).all(), name
+
+
+def test_unknown_loss_kind_rejected():
+    params = init_params(SMALL, 2)
+    x = np.zeros((1, SMALL.l_max, SMALL.feature_dim))
+    batch = {"x0": x, "x1": x, "y": np.ones(1, dtype=int), "xa": x, "xp": x, "xn": x}
+    with pytest.raises(ValueError, match="unknown loss kind"):
+        batch_loss(params, batch, "quadruplet", 1.0)
+    with pytest.raises(ValueError, match="unknown loss kind"):
+        backward(params, batch, "quadruplet", 1.0)
+    corpus, segments, manifest = _toy_training_setup()
+    with pytest.raises(ValueError, match="unknown training mode"):
+        train(init_params(NetArch(l_max=24, feature_dim=8), 5), manifest, corpus,
+              segments, TrainConfig(l_max=24), "quadruplet")
+
+
 @pytest.mark.parametrize("kind", ["siamese", "triplet"])
 def test_gradients_match_finite_differences(kind):
     params = init_params(SMALL, 123)
@@ -278,8 +340,8 @@ def test_divergence_guard():
     corpus, segments, manifest = _toy_training_setup(feature_noise_sigma=0.1)
     segments_by_id = {s.id: s for s in segments}
     assert any(
-        (embednet._segment_features(corpus, segments_by_id, p.a, 24)
-         != embednet._segment_features(corpus, segments_by_id, p.b, 24)).any()
+        (embednet._stack(corpus, [segments_by_id[p.a]], 24)
+         != embednet._stack(corpus, [segments_by_id[p.b]], 24)).any()
         for p in manifest.siamese_pairs if p.y == 1
     ), "every matched pair has identical padded inputs; nothing can diverge"
     arch = NetArch(l_max=24, feature_dim=8)

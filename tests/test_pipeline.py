@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 import termforge
 from termforge import pipeline
 from termforge.pipeline import PipelineConfig, PipelineError, run_all, run_stage
-from termforge.util import atomic_write
+from termforge.util import atomic_write, sha256_bytes, stable_json
 
 
 def small_blob(workdir, system="baseline", extraction="eom", seed=77):
@@ -144,6 +145,70 @@ def test_recluster_before_embed_fails(tmp_path):
     run_stage("discover", config)
     with pytest.raises(PipelineError, match="missing embeddings"):
         run_stage("recluster", config)
+
+
+@pytest.mark.parametrize("system", ["baseline", "siamese"])
+def test_every_input_has_one_earlier_producer(tmp_path, system):
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd", system=system))
+    table = pipeline._stage_table(config)
+    names = config.stage_names()
+    for position, name in enumerate(names):
+        for rel in table[name].inputs:
+            producers = [other for other in names[:position]
+                         if rel in table[other].outputs]
+            assert len(producers) == 1, (name, rel, producers)
+
+
+def reference_stage_settings(config, stage):
+    """The config subset each stage hash covered when the stages were three
+    tables; a change here invalidates every cached workdir."""
+    subsets = {
+        "synth": {"synth": stable_json(asdict(config.synth))},
+        "discover": {"align": stable_json(asdict(config.align)),
+                     "max_dp_cells": config.max_dp_cells},
+        "baseline": {"leader": stable_json(asdict(config.leader))},
+        "mine": {"thresholds": stable_json(asdict(config.thresholds)),
+                 "n_siamese": config.n_siamese, "n_triplet": config.n_triplet},
+        "train": {"train": stable_json(asdict(config.train)), "system": config.system},
+        "embed": {"l_max": config.train.l_max},
+        "recluster": {"hdbscan": stable_json(asdict(config.hdbscan)),
+                      "extraction": config.extraction},
+        "evaluate": {"eval": stable_json(asdict(config.eval)), "system": config.system,
+                     "extraction": config.extraction},
+    }
+    return {"seed": config.seed, **subsets[stage]}
+
+
+@pytest.mark.parametrize("system, extraction", [("baseline", "eom"),
+                                                ("siamese", "eom"),
+                                                ("triplet", "hybrid")])
+def test_stage_hash_covers_reference_settings(tmp_path, system, extraction):
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd", system, extraction))
+    table = pipeline._stage_table(config)
+    assert tuple(table) == pipeline.STAGES
+    for name, stage in table.items():
+        expected = sha256_bytes("|".join(
+            [stable_json(reference_stage_settings(config, name)), "h1", "h2"]).encode())
+        assert pipeline._stage_hash(config, stage, ["h1", "h2"]) == expected, name
+
+
+LEARNED_PRODUCERS = [("discover", "corpus/manifest.json", "synth"),
+                     ("baseline", "segments.jsonl", "discover"),
+                     ("mine", "segments.jsonl", "discover"),
+                     ("train", "manifest.json", "mine"),
+                     ("embed", "params.ckpt", "train"),
+                     ("recluster", "embeddings.npy", "embed"),
+                     ("evaluate", "clusters_final.json", "recluster")]
+
+
+@pytest.mark.parametrize("stage, first_input, producer", LEARNED_PRODUCERS)
+def test_stage_on_fresh_workdir_names_missing_input(tmp_path, stage, first_input,
+                                                    producer):
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd", system="siamese"))
+    message = f"missing {first_input} (run the {producer} stage first)"
+    with pytest.raises(PipelineError) as info:
+        run_stage(stage, config)
+    assert str(info.value) == message
 
 
 def test_baseline_mode_skips_training_stages(tmp_path):
