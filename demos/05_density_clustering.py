@@ -9,8 +9,8 @@ keeps apart.
 import numpy as np
 
 from termforge.recluster import (HdbscanParams, build_hierarchy, condense,
-                                 core_distances, extract_eom, extract_hybrid,
-                                 hdbscan, mst, mutual_reachability)
+                                 core_distances, extract, hdbscan, mst,
+                                 mutual_reachability)
 
 rng = np.random.Generator(np.random.Philox(key=5))
 
@@ -33,8 +33,8 @@ tree = condense(build_hierarchy(edges), min_cluster_size=5)
 print("condensed clusters:", len(tree.clusters()),
       "(sizes:", sorted(tree.cluster_size.values(), reverse=True), ")")
 
-eom_labels = extract_eom(tree)
-hybrid_labels = extract_hybrid(tree, epsilon=0.2)
+eom_labels = extract(tree)
+hybrid_labels = extract(tree, epsilon=0.2)
 
 
 def describe(labels):

@@ -45,7 +45,6 @@ class Cluster:
     leader: int                       # segment id
     members: list[int]
     mean_len: float = 0.0
-    stability: float | None = None    # filled by density re-clustering only
     nearest_assigned: set[int] = field(default_factory=set, compare=False)
 
 

@@ -12,7 +12,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import pipeline, synthgen
@@ -36,12 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_bare_synth(blob: dict, out_dir: str) -> None:
-    config = synthgen.SynthConfig(**{
-        **blob,
-        "word_length_range": tuple(blob.get("word_length_range", (4, 6))),
-        "frames_per_subword_range": tuple(blob.get("frames_per_subword_range", (2, 4))),
-    })
-    corpus, gold = synthgen.generate(config)
+    corpus, gold = synthgen.generate(pipeline.synth_config(blob))
     out = Path(out_dir)
     write_corpus(corpus, out)
     write_gold(gold, out / "gold.json")
@@ -56,9 +50,8 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    blob = json.loads(Path(args.config).read_text())
-
     try:
+        blob = json.loads(Path(args.config).read_text())
         if args.stage == "synth" and "synth" not in blob:
             # bare SynthConfig file: standalone corpus generation
             if not args.out:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,17 +68,6 @@ class NetArch:
 
     def flat_dim(self) -> int:
         return self.time_lengths()[-1] * self.conv_channels[2]
-
-    def to_dict(self) -> dict:
-        return {
-            "l_max": self.l_max,
-            "feature_dim": self.feature_dim,
-            "conv_channels": list(self.conv_channels),
-            "conv_kernels": list(self.conv_kernels),
-            "pool_width": self.pool_width,
-            "fc_sizes": list(self.fc_sizes),
-            "embed_dim": self.embed_dim,
-        }
 
     @classmethod
     def from_dict(cls, blob: dict) -> "NetArch":
@@ -435,7 +424,7 @@ def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus,
 
 
 def save_params(path, params: NetworkParams) -> None:
-    arch_blob = json.dumps({"arch": params.arch.to_dict(),
+    arch_blob = json.dumps({"arch": asdict(params.arch),
                             "init_seed": params.init_seed},
                            sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +36,6 @@ class PRF:
     recall: float | None
     f_score: float | None
 
-    def to_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall,
-                "f_score": self.f_score}
-
     @classmethod
     def from_dict(cls, blob: dict) -> "PRF":
         return cls(blob["precision"], blob["recall"], blob["f_score"])
@@ -55,18 +51,6 @@ class EvalReport:
     coverage: float
     n_words: int
     n_pairs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "grouping": self.grouping.to_dict(),
-            "token": self.token.to_dict(),
-            "type": self.type.to_dict(),
-            "boundary": self.boundary.to_dict(),
-            "ned": self.ned,
-            "coverage": self.coverage,
-            "n_words": self.n_words,
-            "n_pairs": self.n_pairs,
-        }
 
     @classmethod
     def from_dict(cls, blob: dict) -> "EvalReport":
@@ -337,7 +321,7 @@ def render_text(report_: EvalReport, system: str = "system") -> str:
 
 def write_report(report_: EvalReport, json_path, txt_path, system: str = "system") -> None:
     with atomic_write(json_path) as fh:
-        fh.write(json.dumps(report_.to_dict(), sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(asdict(report_), sort_keys=True, indent=2) + "\n")
     with atomic_write(txt_path) as fh:
         fh.write(render_text(report_, system))
 

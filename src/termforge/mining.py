@@ -2,8 +2,7 @@
 
 Purity of a cluster C is the mean and standard deviation of Levenshtein
 distances over all |C|^2 ordered member pairs (self pairs included, read
-literally from the defining sums; exclude_self flips to the |C|(|C|-1)
-variant for sensitivity checks). Contrast statistics run over all |C1||C2|
+literally from the defining sums). Contrast statistics run over all |C1||C2|
 cross pairs. Thresholds scale with the average symbol length of the clusters
 involved, and comparisons are strict.
 """
@@ -12,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,128 +76,88 @@ class PairManifest:
     sample_seed: int = 0
 
 
-def _member_symbols(cluster: Cluster, segments_by_id: dict[int, Segment]):
-    return [segments_by_id[m].symbols for m in cluster.members]
+def _distinct(cluster: Cluster, segments_by_id: dict[int, Segment]):
+    """The distinct symbol strings of a cluster's members, in first-seen
+    order, and how many members carry each."""
+    counts = Counter(segments_by_id[m].symbols for m in cluster.members)
+    return list(counts), np.array(list(counts.values()), dtype=np.int64)
 
 
-def _string_counts(symbols: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
-    counts: dict[tuple[int, ...], int] = {}
-    for s in symbols:
-        counts[s] = counts.get(s, 0) + 1
-    return list(counts.items())
-
-
-def _distances(jobs: list[tuple[list, list, np.ndarray, np.ndarray]]) -> list[list[int]]:
-    """For each job (left, right, i, j), the edit distances between left[i[k]]
-    and right[j[k]] as Python ints; every job shares one batched kernel call."""
-    table = StringTable(s for left, right, _, _ in jobs for s in (*left, *right))
+def _weighted_stats(jobs) -> list[tuple[float, float]]:
+    """Mean and standard deviation of edit distance for each job (left,
+    right, i, j, weights, total): pair k is left[i[k]] against right[j[k]]
+    with integer weight weights[k], and the total - sum(weights) pairs not
+    listed are at distance 0. Every job shares one batched kernel call."""
+    table = StringTable(s for left, right, *_ in jobs for s in (*left, *right))
     a, b, offset = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], 0
-    for left, right, i, j in jobs:
+    for left, right, i, j, _, _ in jobs:
         a.append(table.ids[offset + i])
         b.append(table.ids[offset + len(left) + j])
         offset += len(left) + len(right)
     values = table.distances(np.concatenate(a), np.concatenate(b))
-    ends = np.cumsum([len(i) for _, _, i, _ in jobs], dtype=np.intp)
-    return [part.tolist() for part in np.split(values, ends[:-1])]
+    ends = np.cumsum([len(job[2]) for job in jobs], dtype=np.intp)
+    stats = []
+    for (*_, weights, total), part in zip(jobs, np.split(values, ends[:-1])):
+        entries = list(zip(weights.tolist(), part.tolist()))
+        mu = sum(w * v for w, v in entries) / total
+        zero_weight = total - sum(w for w, _ in entries)
+        var = (sum(w * (v - mu) ** 2 for w, v in entries) + zero_weight * mu * mu)
+        stats.append((mu, math.sqrt(var / total)))
+    return stats
 
 
 def mean_symbol_length(cluster: Cluster, segments_by_id: dict[int, Segment]) -> float:
     return sum(len(segments_by_id[m].symbols) for m in cluster.members) / len(cluster.members)
 
 
-def purity_stats(cluster: Cluster, segments_by_id: dict[int, Segment],
-                 include_self: bool = True) -> PurityStats:
-    """Mean/std of within-cluster Levenshtein distances over all ordered
-    member pairs (self pairs included by default, matching the defining sums).
+def _purity_job(cluster: Cluster, segments_by_id: dict[int, Segment]):
+    """_weighted_stats job of a cluster: each pair of distinct strings
+    stands for both orders of the member pairs that carry it; the other
+    pairs of the |C|^2, self pairs included, join equal strings."""
+    if not cluster.members:
+        raise ValueError("purity_stats requires a non-empty cluster")
+    strings, counts = _distinct(cluster, segments_by_id)
+    i, j = np.triu_indices(len(strings), 1)
+    return strings, strings, i, j, 2 * counts[i] * counts[j], len(cluster.members) ** 2
+
+
+def _contrast_job(c1: Cluster, c2: Cluster, segments_by_id: dict[int, Segment]):
+    """_weighted_stats job of a cluster pair: every distinct cross pair."""
+    if not c1.members or not c2.members:
+        raise ValueError("contrast_stats requires non-empty clusters")
+    strings_1, counts_1 = _distinct(c1, segments_by_id)
+    strings_2, counts_2 = _distinct(c2, segments_by_id)
+    i, j = np.divmod(np.arange(len(strings_1) * len(strings_2)), len(strings_2))
+    return (strings_1, strings_2, i, j, counts_1[i] * counts_2[j],
+            len(c1.members) * len(c2.members))
+
+
+def purity_stats(cluster: Cluster, segments_by_id: dict[int, Segment]) -> PurityStats:
+    """Mean/std of within-cluster Levenshtein distances over all |C|^2
+    ordered member pairs, self pairs included as the defining sums read.
 
     Computed over distinct symbol strings weighted by multiplicity, which is
     exact and much cheaper on clusters full of repeated strings.
     """
-    return _purity_many([cluster], segments_by_id, include_self)[0]
-
-
-def _purity_many(clusters: list[Cluster], segments_by_id: dict[int, Segment],
-                 include_self: bool) -> list[PurityStats]:
-    """purity_stats of each cluster, the distances of all of them from one
-    batched kernel call."""
-    counts = []
-    jobs = []
-    for cluster in clusters:
-        symbols = _member_symbols(cluster, segments_by_id)
-        if not symbols:
-            raise ValueError("purity_stats requires a non-empty cluster")
-        counts.append(_string_counts(symbols))
-        strings = [s for s, _ in counts[-1]]
-        jobs.append((strings, strings, *np.triu_indices(len(strings), 1)))
-    stats = []
-    for cluster, cluster_counts, (_, _, i, j), distances in zip(
-            clusters, counts, jobs, _distances(jobs)):
-        n = len(cluster.members)
-        if n == 1 and not include_self:
-            stats.append(PurityStats(0.0, 0.0))
-            continue
-        total_pairs = n * n if include_self else n * (n - 1)
-        weighted_sum = 0.0
-        entries = []   # (weight, value) for distinct unordered string pairs
-        for a, b, value in zip(i.tolist(), j.tolist(), distances):
-            weight = 2 * cluster_counts[a][1] * cluster_counts[b][1]   # both orders
-            weighted_sum += weight * value
-            entries.append((weight, value))
-        mu = weighted_sum / total_pairs
-        zero_weight = total_pairs - sum(w for w, _ in entries)
-        var = (sum(w * (v - mu) ** 2 for w, v in entries) + zero_weight * mu * mu)
-        var /= total_pairs
-        stats.append(PurityStats(mu, math.sqrt(var)))
-    return stats
+    return PurityStats(*_weighted_stats([_purity_job(cluster, segments_by_id)])[0])
 
 
 def contrast_stats(c1: Cluster, c2: Cluster,
                    segments_by_id: dict[int, Segment]) -> ContrastStats:
     """Mean/std of Levenshtein distances over all cross pairs of two clusters."""
-    return _contrast_many([(c1, c2)], segments_by_id)[0]
-
-
-def _contrast_many(pairs: list[tuple[Cluster, Cluster]],
-                   segments_by_id: dict[int, Segment]) -> list[ContrastStats]:
-    """contrast_stats of each cluster pair, the distances of all of them from
-    one batched kernel call."""
-    counts = []
-    jobs = []
-    for c1, c2 in pairs:
-        syms_1 = _member_symbols(c1, segments_by_id)
-        syms_2 = _member_symbols(c2, segments_by_id)
-        if not syms_1 or not syms_2:
-            raise ValueError("contrast_stats requires non-empty clusters")
-        counts_1, counts_2 = _string_counts(syms_1), _string_counts(syms_2)
-        counts.append((counts_1, counts_2))
-        jobs.append(([s for s, _ in counts_1], [s for s, _ in counts_2],
-                     *np.divmod(np.arange(len(counts_1) * len(counts_2)), len(counts_2))))
-    stats = []
-    for (c1, c2), (counts_1, counts_2), (_, _, i, j), distances in zip(
-            pairs, counts, jobs, _distances(jobs)):
-        total_pairs = len(c1.members) * len(c2.members)
-        weighted_sum = 0.0
-        entries = []
-        for a, b, value in zip(i.tolist(), j.tolist(), distances):
-            weight = counts_1[a][1] * counts_2[b][1]
-            weighted_sum += weight * value
-            entries.append((weight, value))
-        mu = weighted_sum / total_pairs
-        var = sum(w * (v - mu) ** 2 for w, v in entries) / total_pairs
-        stats.append(ContrastStats(mu, math.sqrt(var)))
-    return stats
+    return ContrastStats(*_weighted_stats([_contrast_job(c1, c2, segments_by_id)])[0])
 
 
 def select_pure_clusters(clusters: list[Cluster], segments_by_id: dict[int, Segment],
-                         thresholds: MiningThresholds,
-                         include_self: bool = True) -> list[Cluster]:
+                         thresholds: MiningThresholds) -> list[Cluster]:
     """Clusters whose purity statistics fall strictly below the scaled bounds."""
     thresholds.validate()
+    stats = _weighted_stats([_purity_job(c, segments_by_id) for c in clusters])
     retained = []
-    for cluster, stats in zip(clusters, _purity_many(clusters, segments_by_id, include_self)):
+    for cluster, (mu_s, sigma_s) in zip(clusters, stats):
         mean_len = cluster.mean_len or mean_symbol_length(cluster, segments_by_id)
-        if (stats.mu_s < thresholds.thres_mu_s * mean_len
-                and stats.sigma_s < thresholds.thres_sigma_s * mean_len):
+        if (mu_s < thresholds.thres_mu_s * mean_len
+                and sigma_s < thresholds.thres_sigma_s * mean_len):
             retained.append(cluster)
     return retained
 
@@ -207,12 +167,13 @@ def select_contrasting_pairs(retained: list[Cluster], segments_by_id: dict[int, 
     """Unordered retained-cluster pairs with large, consistent cross distance."""
     thresholds.validate()
     candidates = [(c1, c2) for k, c1 in enumerate(retained) for c2 in retained[k + 1:]]
+    stats = _weighted_stats([_contrast_job(c1, c2, segments_by_id) for c1, c2 in candidates])
     pairs = []
-    for (c1, c2), stats in zip(candidates, _contrast_many(candidates, segments_by_id)):
+    for (c1, c2), (mu_d, sigma_d) in zip(candidates, stats):
         scale = ((c1.mean_len or mean_symbol_length(c1, segments_by_id))
                  + (c2.mean_len or mean_symbol_length(c2, segments_by_id))) / 2
-        if (stats.mu_d > thresholds.thres_mu_d * scale
-                and stats.sigma_d < thresholds.thres_sigma_d * scale):
+        if (mu_d > thresholds.thres_mu_d * scale
+                and sigma_d < thresholds.thres_sigma_d * scale):
             pairs.append((c1, c2))
     return pairs
 

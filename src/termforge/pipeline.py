@@ -37,6 +37,24 @@ class PipelineError(RuntimeError):
     pass
 
 
+def config_section(cls, section: str, data: dict):
+    """cls(**data); an unknown or a missing required key raises a
+    PipelineError that names the section and the key."""
+    try:
+        return cls(**data)
+    except TypeError as exc:   # from a dataclass __init__: a bad key
+        raise PipelineError(f"config section {section!r}: {exc}") from None
+
+
+def synth_config(data: dict) -> synthgen.SynthConfig:
+    """SynthConfig from JSON data, in which its ranges are lists."""
+    data = dict(data)
+    for key in ("word_length_range", "frames_per_subword_range"):
+        if key in data:
+            data[key] = tuple(data[key])
+    return config_section(synthgen.SynthConfig, "synth", data)
+
+
 @dataclass
 class PipelineConfig:
     seed: int = 0
@@ -77,9 +95,6 @@ class PipelineConfig:
     def from_dict(cls, blob: dict) -> "PipelineConfig":
         synth_data = dict(blob.get("synth", {}))
         synth_data.pop("seed", None)   # derived from the root seed
-        for key in ("word_length_range", "frames_per_subword_range"):
-            if key in synth_data:
-                synth_data[key] = tuple(synth_data[key])
         mining_data = dict(blob.get("mining", {}))
         n_siamese = mining_data.pop("n_siamese", 10_000)
         n_triplet = mining_data.pop("n_triplet", 10_000)
@@ -88,15 +103,15 @@ class PipelineConfig:
             system=blob.get("system", "baseline"),
             extraction=blob.get("extraction", "eom"),
             workdir=blob.get("workdir", "runs/default"),
-            synth=synthgen.SynthConfig(**synth_data),
-            align=seqmatch.AlignScoring(**blob.get("align", {})),
-            leader=baseline_mod.LeaderParams(**blob.get("leader", {})),
-            thresholds=mining.MiningThresholds(**mining_data),
+            synth=synth_config(synth_data),
+            align=config_section(seqmatch.AlignScoring, "align", blob.get("align", {})),
+            leader=config_section(baseline_mod.LeaderParams, "leader", blob.get("leader", {})),
+            thresholds=config_section(mining.MiningThresholds, "mining", mining_data),
             n_siamese=n_siamese,
             n_triplet=n_triplet,
-            train=embednet.TrainConfig(**blob.get("train", {})),
-            hdbscan=recluster.HdbscanParams(**blob.get("hdbscan", {})),
-            eval=evaluation.EvalConfig(**blob.get("eval", {})),
+            train=config_section(embednet.TrainConfig, "train", blob.get("train", {})),
+            hdbscan=config_section(recluster.HdbscanParams, "hdbscan", blob.get("hdbscan", {})),
+            eval=config_section(evaluation.EvalConfig, "eval", blob.get("eval", {})),
             max_dp_cells=blob.get("max_dp_cells", 200_000_000),
         )
         config.validate()
@@ -213,8 +228,6 @@ def _run_mine(config: PipelineConfig, workdir: Path) -> None:
     segments = seqmatch.load_segments(workdir / "segments.jsonl")
     by_id = {s.id: s for s in segments}
     clusters = baseline_mod.load_clusters(workdir / "clusters_baseline.json")
-    for cluster in clusters:
-        cluster.mean_len = mining.mean_symbol_length(cluster, by_id)
     retained = mining.select_pure_clusters(clusters, by_id, config.thresholds)
     contrasting = mining.select_contrasting_pairs(retained, by_id, config.thresholds)
     manifest = mining.sample_manifest(
@@ -283,8 +296,7 @@ def _run_recluster(config: PipelineConfig, workdir: Path) -> None:
 def _load_final_clusters(path) -> list[baseline_mod.Cluster]:
     blob = json.loads(Path(path).read_text())
     return [baseline_mod.Cluster(id=c["id"], leader=c["leader"],
-                                 members=list(c["members"]),
-                                 stability=c.get("stability"))
+                                 members=list(c["members"]))
             for c in blob["clusters"]]
 
 

@@ -2,9 +2,10 @@
 
 From-scratch HDBSCAN on a dense Euclidean distance matrix: core distances,
 mutual reachability, Prim's minimum spanning tree, single-linkage dendrogram,
-condensation by minimum cluster size, then excess-of-mass cluster selection,
-optionally with the hybrid cluster-selection-epsilon rule that merges
-clusters born below a distance threshold.
+condensation by minimum cluster size, then one cluster selection,
+`extract(tree, epsilon)`: excess-of-mass, followed for epsilon > 0 by the
+hybrid cluster-selection-epsilon rule that merges clusters born below that
+distance (epsilon = 0 is plain excess-of-mass).
 
 Conventions: lambda = 1/distance (distance 0 -> +inf, exact duplicates merge
 immediately); the root competes in excess-of-mass selection like any other
@@ -145,14 +146,6 @@ def build_hierarchy(mst_edges: list[tuple[int, int, float]]) -> np.ndarray:
     return rows
 
 
-def _leaf_counts(dendrogram: np.ndarray, n: int) -> np.ndarray:
-    counts = np.ones(2 * n - 1, dtype=np.int64)
-    for k in range(n - 1):
-        left, right = int(dendrogram[k, 0]), int(dendrogram[k, 1])
-        counts[n + k] = counts[left] + counts[right]
-    return counts
-
-
 def _leaves_under(dendrogram: np.ndarray, node: int, n: int) -> list[int]:
     stack = [node]
     leaves = []
@@ -173,7 +166,8 @@ def condense(dendrogram: np.ndarray, min_cluster_size: int) -> CondensedTree:
     if min_cluster_size < 2:
         raise ValueError("min_cluster_size must be >= 2")
     n = dendrogram.shape[0] + 1
-    counts = _leaf_counts(dendrogram, n)
+    counts = np.ones(2 * n - 1, dtype=np.int64)   # points under each node
+    counts[n:] = dendrogram[:, 3]
     root = 2 * n - 2
 
     rows: list[tuple[int, int, float, int]] = []
@@ -253,11 +247,16 @@ def _descendants(tree: CondensedTree, cluster: int,
     return out
 
 
-def _select_eom(tree: CondensedTree) -> set[int]:
-    # The root's stability integrates from lambda 0 and would dominate any
-    # child structure, so it only competes when it is the sole cluster (the
-    # single-blob case); it is also disqualified when the whole corpus is
-    # smaller than min_cluster_size.
+def _birth_distance(tree: CondensedTree, cluster: int) -> float:
+    birth = tree.cluster_birth[cluster]
+    return np.inf if birth == 0.0 else 1.0 / birth
+
+
+def _select(tree: CondensedTree, epsilon: float) -> set[int]:
+    # Excess of mass first. The root's stability integrates from lambda 0 and
+    # would dominate any child structure, so it only competes when it is the
+    # sole cluster (the single-blob case); it is also disqualified when the
+    # whole corpus is smaller than min_cluster_size.
     children = _cluster_children(tree)
     propagated: dict[int, float] = {}
     selected: set[int] = set()
@@ -273,11 +272,22 @@ def _select_eom(tree: CondensedTree) -> set[int]:
             propagated[cluster] = tree.stability[cluster]
         else:
             propagated[cluster] = subtree
-    return selected
+    if epsilon <= 0:
+        return selected
+    # Hybrid rule: lift each cluster born closer than epsilon to its nearest
+    # ancestor born at distance >= epsilon, then drop lifted descendants.
+    lifted: set[int] = set()
+    for cluster in selected:
+        while _birth_distance(tree, cluster) < epsilon:
+            cluster = tree.cluster_parent[cluster]
+        lifted.add(cluster)
+    return lifted.difference(*(_descendants(tree, c, children) for c in lifted))
 
 
-def _labels_from_selection(tree: CondensedTree, selected: set[int]):
-    """Canonical labels plus the selected cluster backing each label."""
+def _partition(tree: CondensedTree, selected: set[int]):
+    """The label of each point (-1 for noise), the sorted member points of
+    each selected cluster in canonical order (decreasing size, then smallest
+    member) and the cluster behind each label."""
     nearest: dict[int, int | None] = {}
     for cluster in sorted(tree.cluster_size):
         if cluster in selected:
@@ -287,64 +297,33 @@ def _labels_from_selection(tree: CondensedTree, selected: set[int]):
             nearest[cluster] = nearest[parent] if parent is not None else None
 
     members: dict[int, list[int]] = {c: [] for c in selected}
-    point_owner = np.full(tree.n_points, -1, dtype=np.int64)
     for parent, child in zip(tree.parent, tree.child):
         if child < tree.n_points:
             owner = nearest[int(parent)]
             if owner is not None:
                 members[owner].append(int(child))
-                point_owner[int(child)] = owner
-
     order = sorted((c for c in selected if members[c]),
                    key=lambda c: (-len(members[c]), min(members[c])))
-    rank = {c: i for i, c in enumerate(order)}
+    clusters = [sorted(members[c]) for c in order]
     labels = np.full(tree.n_points, -1, dtype=np.int64)
-    for point in range(tree.n_points):
-        owner = point_owner[point]
-        if owner >= 0:
-            labels[point] = rank[int(owner)]
-    return labels, order
+    for label, points in enumerate(clusters):
+        labels[points] = label
+    return labels, clusters, order
 
 
-def extract_eom(tree: CondensedTree) -> np.ndarray:
-    """Excess-of-mass labels: -1 marks noise."""
-    labels, _ = _labels_from_selection(tree, _select_eom(tree))
-    return labels
-
-
-def _birth_distance(tree: CondensedTree, cluster: int) -> float:
-    birth = tree.cluster_birth[cluster]
-    return np.inf if birth == 0.0 else 1.0 / birth
-
-
-def _select_hybrid(tree: CondensedTree, epsilon: float) -> set[int]:
-    selected = _select_eom(tree)
-    if epsilon <= 0:
-        return selected
-    lifted: set[int] = set()
-    for cluster in selected:
-        while _birth_distance(tree, cluster) < epsilon:
-            cluster = tree.cluster_parent[cluster]
-        lifted.add(cluster)
-    children = _cluster_children(tree)
-    final = set(lifted)
-    for cluster in lifted:
-        final.difference_update(_descendants(tree, cluster, children))
-    return final
-
-
-def extract_hybrid(tree: CondensedTree, epsilon: float) -> np.ndarray:
-    """EOM selection where clusters born closer than epsilon are replaced by
-    their nearest ancestor born at distance >= epsilon; epsilon = 0 is EOM."""
+def extract(tree: CondensedTree, epsilon: float = 0.0) -> np.ndarray:
+    """Cluster label per point, -1 marking noise: excess-of-mass selection in
+    which clusters born closer than epsilon are replaced by their nearest
+    ancestor born at distance >= epsilon; epsilon = 0 is plain EOM."""
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    labels, _ = _labels_from_selection(tree, _select_hybrid(tree, epsilon))
+    labels, _, _ = _partition(tree, _select(tree, epsilon))
     return labels
 
 
 def hdbscan(embeddings: np.ndarray, params: HdbscanParams) -> HdbscanResult:
     """Full pipeline: core distances -> mutual reachability -> MST ->
-    single linkage -> condense -> EOM or hybrid extraction."""
+    single linkage -> condense -> cluster selection."""
     params.validate()
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = len(embeddings)
@@ -362,14 +341,7 @@ def hdbscan(embeddings: np.ndarray, params: HdbscanParams) -> HdbscanResult:
     reach = mutual_reachability(embeddings, core)
     edges = mst(reach)
     tree = condense(build_hierarchy(edges), params.min_cluster_size)
-    selected = _select_hybrid(tree, params.cluster_selection_epsilon)
-    labels, order = _labels_from_selection(tree, selected)
-
-    members: dict[int, list[int]] = {}
-    for point, label in enumerate(labels):
-        if label >= 0:
-            members.setdefault(int(label), []).append(point)
-    clusters = [members[label] for label in range(len(members))]
+    labels, clusters, order = _partition(tree, _select(tree, params.cluster_selection_epsilon))
     noise = [int(p) for p in np.flatnonzero(labels < 0)]
     stabilities = [float(tree.stability[c]) for c in order]
     return HdbscanResult(labels=labels, clusters=clusters,

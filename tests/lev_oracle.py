@@ -109,14 +109,13 @@ def _string_counts(symbols):
     return list(counts.items())
 
 
-def purity_stats(cluster, segments_by_id, include_self=True):
-    """(mu, sigma) over ordered member pairs, accumulated pair by pair."""
+def purity_stats(cluster, segments_by_id):
+    """(mu, sigma) over all |C|^2 ordered member pairs, accumulated pair by
+    pair."""
     symbols = [segments_by_id[m].symbols for m in cluster.members]
     n = len(symbols)
-    if n == 1 and not include_self:
-        return 0.0, 0.0
     counts = _string_counts(symbols)
-    total_pairs = n * n if include_self else n * (n - 1)
+    total_pairs = n * n
     weighted_sum = 0.0
     entries = []
     for i, (sa, ca) in enumerate(counts):

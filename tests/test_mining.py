@@ -30,14 +30,8 @@ def make_cluster(cluster_id, symbol_lists, start_id=0):
                    mean_len=mean_len), segments
 
 
-def oracle_purity(symbol_lists, include_self=True):
-    values = []
-    for a in symbol_lists:
-        for b in symbol_lists:
-            if not include_self and a is b:
-                continue
-            values.append(levenshtein(a, b))
-    # note: identity-based skip above only works when lists hold distinct objects
+def oracle_purity(symbol_lists):
+    values = [levenshtein(a, b) for a in symbol_lists for b in symbol_lists]
     mu = sum(values) / len(values)
     sigma = math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
     return mu, sigma
@@ -73,15 +67,6 @@ def test_purity_matches_double_loop_oracle(rng):
         mu, sigma = oracle_purity([tuple(l) for l in lists])
         assert stats.mu_s == pytest.approx(mu, abs=1e-12)
         assert stats.sigma_s == pytest.approx(sigma, abs=1e-12)
-
-
-def test_purity_exclude_self_switch():
-    cluster, segments = make_cluster(0, [[1, 2, 3], [1, 2, 4]])
-    stats = purity_stats(cluster, segments, include_self=False)
-    assert stats.mu_s == pytest.approx(1.0)
-    assert stats.sigma_s == pytest.approx(0.0)
-    singleton, seg1 = make_cluster(1, [[5, 6, 7]], start_id=10)
-    assert purity_stats(singleton, seg1, include_self=False).mu_s == 0.0
 
 
 def test_select_pure_identical_strings_retained():
@@ -265,13 +250,13 @@ cluster_strings = st.integers(1, 5).flatmap(lambda k: st.lists(
     st.lists(st.integers(0, k - 1), min_size=1, max_size=8), min_size=1, max_size=12))
 
 
-@given(cluster_strings, cluster_strings, st.booleans())
+@given(cluster_strings, cluster_strings)
 @settings(max_examples=200)
-def test_statistics_match_pairwise_reference(first, second, include_self):
+def test_statistics_match_pairwise_reference(first, second):
     c1, segs_1 = make_cluster(0, first)
     c2, segs_2 = make_cluster(1, second, start_id=len(first))
     by_id = {**segs_1, **segs_2}
-    purity = purity_stats(c1, by_id, include_self=include_self)
-    assert (purity.mu_s, purity.sigma_s) == lev_oracle.purity_stats(c1, by_id, include_self)
+    purity = purity_stats(c1, by_id)
+    assert (purity.mu_s, purity.sigma_s) == lev_oracle.purity_stats(c1, by_id)
     contrast = contrast_stats(c1, c2, by_id)
     assert (contrast.mu_d, contrast.sigma_d) == lev_oracle.contrast_stats(c1, c2, by_id)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from dataclasses import asdict
 import pytest
 
 import termforge
-from termforge import pipeline
+from termforge import cli, pipeline
 from termforge.pipeline import PipelineConfig, PipelineError, run_all, run_stage
 from termforge.util import atomic_write, sha256_bytes, stable_json
 
@@ -296,6 +297,30 @@ def test_cli_bare_synth_config(tmp_path):
     assert (out_dir / "gold.json").is_file()
     from termforge.corpus import load_corpus
     assert len(load_corpus(out_dir)) == 2   # ceil(12 tokens / 8 per utterance)
+
+
+@pytest.mark.parametrize("stage, text, message", [
+    ("all", "{", "Expecting property name"),
+    ("all", None, "No such file"),
+    ("all", '{"synth": {"vocabulary_size": 3, "bogus": 1}}',
+     "config section 'synth': SynthConfig.__init__() got an unexpected keyword "
+     "argument 'bogus'"),
+    ("all", '{"synth": {"vocabulary_size": 3}, "hdbscan": {"min_size": 3}}',
+     "config section 'hdbscan'"),
+    ("all", '{"synth": {}}', "config section 'synth'"),
+    ("synth", '{"vocabulary_size": 3, "bogus": 1}', "config section 'synth'"),
+], ids=["malformed", "missing", "unknown-key", "unknown-hdbscan-key",
+        "missing-key", "bare-synth-unknown-key"])
+def test_cli_config_error_is_one_logged_line(tmp_path, caplog, stage, text, message):
+    config_path = tmp_path / "config.json"
+    if text is not None:
+        config_path.write_text(text)
+    argv = [stage, "--config", str(config_path), "--out", str(tmp_path / "out")]
+    with caplog.at_level(logging.ERROR, logger="termforge"):
+        assert cli.main(argv) == 1
+    [record] = caplog.records
+    assert record.name == "termforge" and record.levelno == logging.ERROR
+    assert message in record.getMessage()
 
 
 def test_unknown_stage_rejected(tmp_path):

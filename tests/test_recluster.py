@@ -2,11 +2,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cluster_oracle
 from termforge.recluster import (CondensedTree, HdbscanParams, ScaleError,
                                  build_hierarchy, condense, core_distances,
-                                 extract_eom, extract_hybrid, hdbscan,
-                                 mutual_reachability, mst)
+                                 extract, hdbscan, mutual_reachability, mst)
 from termforge.util import rng_from
 
 
@@ -286,13 +288,13 @@ def test_stability_matches_direct_summation(rng):
 
 def test_eom_single_blob_is_one_cluster(rng):
     points = blob_matrix(rng, [np.zeros(3)], 20)
-    labels = extract_eom(build_tree(points, 3, 5))
+    labels = extract(build_tree(points, 3, 5))
     assert set(labels.tolist()) == {0}
 
 
 def test_eom_scatter_with_huge_mcs_is_noise(rng):
     points = 10 * rng.standard_normal((15, 3))
-    labels = extract_eom(build_tree(points, 3, 16))
+    labels = extract(build_tree(points, 3, 16))
     assert (labels == -1).all()
 
 
@@ -301,16 +303,9 @@ def test_eom_two_blobs_two_clusters_plus_straggler_noise(rng):
         blob_matrix(rng, [np.zeros(2), np.array([8.0, 0])], 12),
         np.array([[100.0, 100.0], [-50.0, 80.0]]),
     ])
-    labels = extract_eom(build_tree(points, 3, 5))
+    labels = extract(build_tree(points, 3, 5))
     assert sorted(np.bincount(labels[labels >= 0]).tolist()) == [12, 12]
     assert (labels[-2:] == -1).all()
-
-
-def test_hybrid_epsilon_zero_equals_eom(rng):
-    for _ in range(10):
-        points = rng.standard_normal((int(rng.integers(15, 40)), 3))
-        tree = build_tree(points, 3, 4)
-        assert (extract_hybrid(tree, 0.0) == extract_eom(tree)).all()
 
 
 def test_hybrid_merges_micro_blobs(rng):
@@ -320,8 +315,8 @@ def test_hybrid_merges_micro_blobs(rng):
         blob_matrix(rng, [np.array([10.0, 0.0])], 10, spread=0.005),
     ])
     tree = build_tree(points, 3, 5)
-    eom_sizes = sorted(np.bincount(extract_eom(tree)[extract_eom(tree) >= 0]).tolist())
-    labels = extract_hybrid(tree, 0.2)
+    eom_sizes = sorted(np.bincount(extract(tree)[extract(tree) >= 0]).tolist())
+    labels = extract(tree, 0.2)
     hybrid_sizes = sorted(np.bincount(labels[labels >= 0]).tolist())
     assert eom_sizes == [10, 10, 10]
     assert hybrid_sizes == [10, 20]
@@ -329,8 +324,76 @@ def test_hybrid_merges_micro_blobs(rng):
 
 def test_hybrid_epsilon_beyond_diameter_single_cluster(rng):
     points = blob_matrix(rng, [np.zeros(2), np.array([5.0, 0])], 10)
-    labels = extract_hybrid(build_tree(points, 3, 5), 1000.0)
+    labels = extract(build_tree(points, 3, 5), 1000.0)
     assert set(labels.tolist()) == {0}
+
+
+def test_hybrid_compares_birth_distance_with_epsilon(rng):
+    # epsilon = 1/birth keeps a cluster (1/birth < epsilon is false) even when
+    # 1/(1/birth) < birth, where birth > 1/epsilon would lift it
+    points = np.vstack([
+        blob_matrix(rng, [np.zeros(2)], 10, spread=0.005),
+        blob_matrix(rng, [np.array([0.1, 0.0])], 10, spread=0.005),
+        blob_matrix(rng, [np.array([10.0, 0.0])], 10, spread=0.005),
+    ])
+    tree = build_tree(points, 3, 5)
+    micro = max(cluster_oracle.select_eom(tree), key=lambda c: tree.cluster_birth[c])
+    birth = tree.cluster_birth[micro]
+    while 1.0 / (1.0 / birth) >= birth:
+        birth = np.nextafter(birth, np.inf)
+    tree.cluster_birth[micro] = birth
+    assert (extract(tree, 1.0 / birth) == extract(tree)).all()
+    assert (extract(tree, np.nextafter(1.0 / birth, np.inf)) != extract(tree)).any()
+
+
+# --- equivalence with the separate EOM and hybrid passes ---------------------
+
+
+# up to four blobs; zero and quarter-step offsets give exact duplicates
+# (lambda = inf) and distance ties, fractions over a prime irregular
+# distances; 12+ points always pass hdbscan's size check
+offsets = st.one_of(st.just(0.0), st.integers(-4, 4).map(lambda v: v / 4),
+                    st.integers(-999_983, 999_983).map(lambda v: v / 999_983))
+coordinates = st.builds(lambda center, offset: center + offset,
+                        st.sampled_from((0.0, 8.0)), offsets)
+point_sets = st.lists(st.tuples(coordinates, coordinates),
+                      min_size=12, max_size=40).map(np.array)
+
+
+def epsilons(tree, points, which):
+    if which == "zero":
+        return [0.0]
+    if which == "beyond":   # past the diameter: everything merges
+        return [2.0 * float(np.abs(points[:, None] - points[None]).sum(-1).max()) + 1.0]
+    # the birth distance of each selected cluster, where < and <= part ways
+    lambdas = {tree.cluster_birth[c] for c in cluster_oracle.select_eom(tree)}
+    return sorted(1.0 / lam for lam in lambdas if 0.0 < lam < np.inf) or [1.0]
+
+
+@given(point_sets, st.integers(1, 4), st.integers(2, 8),
+       st.sampled_from(("zero", "birth", "beyond")))
+@settings(max_examples=300)
+def test_selection_matches_parent_oracle(points, k, mcs, which):
+    n = len(points)
+    dendrogram = build_hierarchy(mst(mutual_reachability(points, core_distances(points, k))))
+    assert (cluster_oracle.leaf_counts(dendrogram, n)[n:] == dendrogram[:, 3]).all()
+    trees = (condense(dendrogram, mcs), condense(dendrogram, n + 1))   # n + 1 > n
+    for epsilon in epsilons(trees[0], points, which):
+        for tree in trees:
+            labels = extract(tree, epsilon)
+            assert labels.dtype == np.int64
+            assert labels.tolist() == cluster_oracle.extract_hybrid(tree, epsilon).tolist()
+            if epsilon == 0.0:
+                assert labels.tolist() == cluster_oracle.extract_eom(tree).tolist()
+        params = HdbscanParams(min_cluster_size=mcs, min_samples=k,
+                               cluster_selection_epsilon=epsilon)
+        result = hdbscan(points, params)
+        oracle_labels, clusters, stabilities, noise = cluster_oracle.hdbscan(points, params)
+        assert result.labels.dtype == oracle_labels.dtype
+        assert result.labels.tolist() == oracle_labels.tolist()
+        assert result.clusters == clusters
+        assert result.stabilities == stabilities
+        assert result.noise == noise
 
 
 # --- full pipeline --------------------------------------------------------------
