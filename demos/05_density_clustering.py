@@ -38,7 +38,7 @@ hybrid_labels = extract(tree, epsilon=0.2)
 
 
 def describe(labels):
-    sizes = np.bincount(labels[labels >= 0]) if (labels >= 0).any() else []
+    sizes = np.bincount(labels[labels >= 0]).tolist()
     return f"{labels.max() + 1} clusters, sizes {sorted(sizes, reverse=True)}, " \
            f"{(labels == -1).sum()} noise points"
 

@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         blob = json.loads(Path(args.config).read_text())
-        if args.stage == "synth" and "synth" not in blob:
+        if args.stage == "synth" and isinstance(blob, dict) and "synth" not in blob:
             # bare SynthConfig file: standalone corpus generation
             if not args.out:
                 raise pipeline.PipelineError(

@@ -13,6 +13,23 @@ Convolutions are 1-D over time with features as channels, "valid" padding.
 All math is float64; gradients are analytic (chain rule, subgradient 0 at
 ReLU/hinge/maxpool kinks) and are checked against central finite differences
 in the test suite. Training is plain mini-batch gradient descent.
+
+Each convolution is one matrix product over an explicit window matrix
+("im2col", Chellapilla, Puri & Simard 2006). Activations are kept
+channel-major, (C, B, T), so `_cols` fills the (C*k, B*T) matrix one kernel
+tap at a time from contiguous rows. The forward pass is
+W.reshape(C_out, C*k) @ cols, the weight gradient cols @ d, and the input
+gradient the flipped kernel times the window matrix of the zero-padded d;
+the first layer's input gradient is never formed. These are the operands,
+shapes and orders numpy's einsum handed to matmul in the reference kernels
+of tests/net_oracle.py, so every float is bit-identical to them. Max-pool
+compares strided slices and keeps the first maximum, a NaN counting as the
+maximum, as argmax does.
+
+A BLAS product's last bits can depend on its shape: OpenBLAS picks kernels
+and blockings by size. Stacking the towers into one batch, or embedding in
+chunks of another size, therefore changes the floats, which is why
+`embed_all` keeps chunk_size=256.
 """
 
 from __future__ import annotations
@@ -24,7 +41,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Corpus, Segment, slice_features
 from .mining import PairManifest
@@ -165,64 +181,101 @@ def pad_or_truncate(features: np.ndarray, l_max: int) -> np.ndarray:
 # forward / backward
 
 
+def _cols(x, kernel):
+    """Window matrix of a valid convolution over channel-major x (C, B, T_in):
+    row c*kernel + j, column b*T + t holds x[c, b, t + j]."""
+    channels, batch, t_in = x.shape
+    t_out = t_in - kernel + 1
+    cols = np.empty((channels, kernel, batch, t_out))
+    for j in range(kernel):
+        cols[:, j] = x[:, :, j:j + t_out]
+    return cols.reshape(channels * kernel, batch * t_out)
+
+
 def _conv_forward(x, W, b):
-    kernel = W.shape[2]
-    windows = sliding_window_view(x, kernel, axis=1)      # (B, T, C_in, k)
-    return np.einsum("btik,oik->bto", windows, W, optimize=True) + b
+    """Valid convolution of channel-major x (C_in, B, T_in); the result is
+    channel-major (C_out, B, T)."""
+    out_ch, in_ch, kernel = W.shape
+    z = W.reshape(out_ch, in_ch * kernel) @ _cols(x, kernel)
+    z = z.reshape(out_ch, x.shape[1], -1)
+    z += b[:, None, None]
+    return z
 
 
-def _conv_backward(d_out, x, W):
-    kernel = W.shape[2]
-    windows = sliding_window_view(x, kernel, axis=1)
-    dW = np.einsum("bto,btik->oik", d_out, windows, optimize=True)
-    db = d_out.sum(axis=(0, 1))
-    batch, t_out, _ = d_out.shape
-    padded = np.zeros((batch, t_out + 2 * (kernel - 1), W.shape[0]))
-    padded[:, kernel - 1:kernel - 1 + t_out] = d_out
-    pwin = sliding_window_view(padded, kernel, axis=1)    # (B, T_in, C_out, k)
-    dx = np.einsum("bsok,oik->bsi", pwin, W[:, :, ::-1], optimize=True)
-    return dW, db, dx
+def _conv_backward(d_out, x, W, input_grad=True):
+    """Weight, bias and (unless input_grad is false) input gradients of a
+    conv layer from channel-major d_out (C_out, B, T) and input x."""
+    out_ch, in_ch, kernel = W.shape
+    _, batch, t_out = d_out.shape
+    # d_out as a C-ordered (B*T, C_out) matrix: the operand, and the order
+    # of the bias sum, of the reference kernel
+    rows = np.ascontiguousarray(d_out.transpose(1, 2, 0)).reshape(batch * t_out, out_ch)
+    dW = (_cols(x, kernel) @ rows).reshape(in_ch, kernel, out_ch).transpose(2, 0, 1)
+    db = rows.sum(axis=0)
+    if not input_grad:
+        return dW, db, None
+    padded = np.zeros((out_ch, batch, t_out + 2 * (kernel - 1)))
+    padded[:, :, kernel - 1:kernel - 1 + t_out] = d_out
+    flipped = W[:, :, ::-1].transpose(1, 0, 2).reshape(in_ch, out_ch * kernel)
+    dx = flipped @ _cols(padded, kernel)
+    return dW, db, dx.reshape(in_ch, batch, -1)
 
 
 def _pool_forward(x, width):
-    batch, t, channels = x.shape
-    t_out = t // width
-    blocks = x[:, :t_out * width].reshape(batch, t_out, width, channels)
-    idx = blocks.argmax(axis=2)
-    out = np.take_along_axis(blocks, idx[:, :, None, :], axis=2).squeeze(2)
-    return out, idx, t
+    """Max over non-overlapping windows of `width` frames of channel-major x;
+    idx is the first position of each maximum, a NaN counting as the
+    maximum."""
+    span = x.shape[2] // width * width
+    out = x[:, :, 0:span:width]
+    idx = np.zeros(out.shape, dtype=np.int8)
+    for j in range(1, width):
+        cand = x[:, :, j:span:width]
+        take = ~(cand <= out) & ~np.isnan(out)
+        out = np.where(take, cand, out)
+        idx += take * (j - idx)       # idx[take] = j, without a masked store
+    return out, idx
 
 
 def _pool_backward(d_out, idx, t_in, width):
-    batch, t_out, channels = d_out.shape
-    blocks = np.zeros((batch, t_out, width, channels))
-    np.put_along_axis(blocks, idx[:, :, None, :], d_out[:, :, None, :], axis=2)
-    dx = np.zeros((batch, t_in, channels))
-    dx[:, :t_out * width] = blocks.reshape(batch, t_out * width, channels)
+    """Each pooled gradient goes to the frame its maximum came from."""
+    channels, batch, t_out = d_out.shape
+    dx = np.zeros((channels, batch, t_in))
+    for j in range(width):
+        dx[:, :, j:t_out * width:width] = np.where(idx == j, d_out, 0.0)
     return dx
+
+
+def _forward(params: NetworkParams, x: np.ndarray, cache: dict | None = None):
+    """Embeddings of a batch x (B, l_max, feature_dim). A `cache` dict
+    receives the intermediates backprop needs; without one, each is dropped
+    once the next layer has read it."""
+    p = params.arrays
+    width = params.arch.pool_width
+    keep = cache.update if cache is not None else lambda **_: None
+    h = np.ascontiguousarray(x.transpose(2, 0, 1))
+    keep(x=h)
+    z = _conv_forward(h, p["W1"], p["b1"])
+    h, idx = _pool_forward(np.maximum(z, 0.0), width)
+    keep(z1=z, idx1=idx, p1=h)
+    z = _conv_forward(h, p["W2"], p["b2"])
+    h, idx = _pool_forward(np.maximum(z, 0.0), width)
+    keep(z2=z, idx2=idx, p2=h)
+    z = _conv_forward(h, p["W3"], p["b3"])
+    h = np.maximum(z, 0.0).transpose(1, 2, 0).reshape(x.shape[0], -1)
+    keep(z3=z, flat=h)
+    z = h @ p["Wf1"] + p["bf1"]
+    h = np.maximum(z, 0.0)
+    keep(zf1=z, af1=h)
+    z = h @ p["Wf2"] + p["bf2"]
+    h = np.maximum(z, 0.0)
+    keep(zf2=z, af2=h)
+    return h @ p["Wo"] + p["bo"]
 
 
 def _forward_cached(params: NetworkParams, x: np.ndarray):
     """Forward pass keeping the intermediates needed for backprop."""
-    p = params.arrays
-    cache = {"x": x}
-    z1 = _conv_forward(x, p["W1"], p["b1"])
-    a1 = np.maximum(z1, 0.0)
-    p1, idx1, t1 = _pool_forward(a1, params.arch.pool_width)
-    z2 = _conv_forward(p1, p["W2"], p["b2"])
-    a2 = np.maximum(z2, 0.0)
-    p2, idx2, t2 = _pool_forward(a2, params.arch.pool_width)
-    z3 = _conv_forward(p2, p["W3"], p["b3"])
-    a3 = np.maximum(z3, 0.0)
-    flat = a3.reshape(x.shape[0], -1)
-    zf1 = flat @ p["Wf1"] + p["bf1"]
-    af1 = np.maximum(zf1, 0.0)
-    zf2 = af1 @ p["Wf2"] + p["bf2"]
-    af2 = np.maximum(zf2, 0.0)
-    out = af2 @ p["Wo"] + p["bo"]
-    cache.update(z1=z1, idx1=idx1, t1=t1, p1=p1, z2=z2, idx2=idx2, t2=t2, p2=p2,
-                 z3=z3, a3=a3, flat=flat, zf1=zf1, af1=af1, zf2=zf2, af2=af2)
-    return out, cache
+    cache = {}
+    return _forward(params, x, cache), cache
 
 
 def forward(params: NetworkParams, padded: np.ndarray) -> np.ndarray:
@@ -234,12 +287,13 @@ def forward(params: NetworkParams, padded: np.ndarray) -> np.ndarray:
             f"input shape {x.shape[1:]} does not match arch "
             f"({params.arch.l_max}, {params.arch.feature_dim})"
         )
-    out, _ = _forward_cached(params, np.asarray(x, dtype=np.float64))
+    out = _forward(params, np.asarray(x, dtype=np.float64))
     return out[0] if single else out
 
 
 def _branch_backward(params: NetworkParams, cache, d_out, grads):
     p = params.arrays
+    width = params.arch.pool_width
     grads["Wo"] += cache["af2"].T @ d_out
     grads["bo"] += d_out.sum(axis=0)
     d = (d_out @ p["Wo"].T) * (cache["zf2"] > 0.0)
@@ -248,42 +302,25 @@ def _branch_backward(params: NetworkParams, cache, d_out, grads):
     d = (d @ p["Wf2"].T) * (cache["zf1"] > 0.0)
     grads["Wf1"] += cache["flat"].T @ d
     grads["bf1"] += d.sum(axis=0)
-    d = (d @ p["Wf1"].T).reshape(cache["a3"].shape) * (cache["z3"] > 0.0)
+    _, batch, t3 = cache["z3"].shape
+    d = (d @ p["Wf1"].T).reshape(batch, t3, -1).transpose(2, 0, 1) * (cache["z3"] > 0.0)
     dW, db, d = _conv_backward(d, cache["p2"], p["W3"])
     grads["W3"] += dW
     grads["b3"] += db
-    d = _pool_backward(d, cache["idx2"], cache["t2"], params.arch.pool_width)
+    d = _pool_backward(d, cache["idx2"], cache["z2"].shape[2], width)
     d *= cache["z2"] > 0.0
     dW, db, d = _conv_backward(d, cache["p1"], p["W2"])
     grads["W2"] += dW
     grads["b2"] += db
-    d = _pool_backward(d, cache["idx1"], cache["t1"], params.arch.pool_width)
+    d = _pool_backward(d, cache["idx1"], cache["z1"].shape[2], width)
     d *= cache["z1"] > 0.0
-    dW, db, _ = _conv_backward(d, cache["x"], p["W1"])
+    dW, db, _ = _conv_backward(d, cache["x"], p["W1"], input_grad=False)
     grads["W1"] += dW
     grads["b1"] += db
 
 
 # ---------------------------------------------------------------------------
 # losses
-
-
-def contrastive_loss(e0: np.ndarray, e1: np.ndarray, y: int, margin: float) -> float:
-    """0.5*y*||e0-e1||^2 + 0.5*(1-y)*max(0, m - ||e0-e1||)^2."""
-    diff = np.asarray(e0, dtype=np.float64) - np.asarray(e1, dtype=np.float64)
-    dist_sq = float(diff @ diff)
-    if y == 1:
-        return 0.5 * dist_sq
-    hinge = max(0.0, margin - np.sqrt(dist_sq))
-    return 0.5 * hinge * hinge
-
-
-def triplet_loss(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, margin: float) -> float:
-    """max(0, m + ||ea-ep||^2 - ||ea-en||^2)."""
-    ea = np.asarray(ea, dtype=np.float64)
-    dap = ea - np.asarray(ep, dtype=np.float64)
-    dan = ea - np.asarray(en, dtype=np.float64)
-    return max(0.0, margin + float(dap @ dap) - float(dan @ dan))
 
 
 def _contrastive_batch(e0, e1, y, margin):
@@ -357,11 +394,13 @@ def backward(params: NetworkParams, batch: dict, kind: str, margin: float):
 
 
 def _stack(corpus: Corpus, segments: list[Segment], l_max: int) -> np.ndarray:
-    """Padded float64 features of each segment, stacked into one batch."""
-    return np.stack([
-        pad_or_truncate(np.asarray(slice_features(corpus, seg), dtype=np.float64), l_max)
-        for seg in segments
-    ])
+    """Padded float64 features of each segment as one (B, l_max, feature_dim)
+    batch, stored channel-major as the first conv layer reads it."""
+    out = np.empty((corpus.feature_dim, len(segments), l_max))
+    for i, seg in enumerate(segments):
+        out[:, i] = pad_or_truncate(
+            np.asarray(slice_features(corpus, seg), dtype=np.float64), l_max).T
+    return out.transpose(1, 2, 0)
 
 
 def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
@@ -412,8 +451,7 @@ def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus,
     """Embedding table: row i is the embedding of segments[i]."""
     rows = []
     for lo in range(0, len(segments), chunk_size):
-        out, _ = _forward_cached(params, _stack(corpus, segments[lo:lo + chunk_size], l_max))
-        rows.append(out)
+        rows.append(_forward(params, _stack(corpus, segments[lo:lo + chunk_size], l_max)))
     if not rows:
         return np.zeros((0, params.arch.embed_dim))
     return np.concatenate(rows, axis=0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +37,16 @@ class PipelineError(RuntimeError):
     pass
 
 
+def _json_object(data, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise PipelineError(f"{where} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
 def config_section(cls, section: str, data: dict):
-    """cls(**data); an unknown or a missing required key raises a
-    PipelineError that names the section and the key."""
+    """cls(**data); data that is not an object, or an unknown or missing
+    required key, raises a PipelineError that names the section and the key."""
+    data = _json_object(data, f"config section {section!r}")
     try:
         return cls(**data)
     except TypeError as exc:   # from a dataclass __init__: a bad key
@@ -93,9 +100,16 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "PipelineConfig":
-        synth_data = dict(blob.get("synth", {}))
+        """Config from a JSON object whose top-level keys are the fields,
+        except that `mining` holds the thresholds, n_siamese and n_triplet.
+        Any other top-level key raises a PipelineError."""
+        unknown = sorted(set(_json_object(blob, "config")) - set(_TOP_LEVEL_KEYS))
+        if unknown:
+            raise PipelineError(f"config: unknown top-level key(s) {unknown}; "
+                                f"expected keys are {list(_TOP_LEVEL_KEYS)}")
+        synth_data = dict(_json_object(blob.get("synth", {}), "config section 'synth'"))
         synth_data.pop("seed", None)   # derived from the root seed
-        mining_data = dict(blob.get("mining", {}))
+        mining_data = dict(_json_object(blob.get("mining", {}), "config section 'mining'"))
         n_siamese = mining_data.pop("n_siamese", 10_000)
         n_triplet = mining_data.pop("n_triplet", 10_000)
         config = cls(
@@ -116,6 +130,11 @@ class PipelineConfig:
         )
         config.validate()
         return config
+
+
+_TOP_LEVEL_KEYS = tuple(
+    "mining" if f.name == "thresholds" else f.name
+    for f in fields(PipelineConfig) if f.name not in ("n_siamese", "n_triplet"))
 
 
 @dataclass(frozen=True)

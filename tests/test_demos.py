@@ -1,5 +1,5 @@
-"""Each demo runs to completion in a child process and leaves nothing in
-the temporary directory."""
+"""Each demo runs to completion in a child process, prints no numpy scalar
+repr and leaves nothing in the temporary directory."""
 
 import subprocess
 import sys
@@ -25,4 +25,6 @@ def test_demo_runs_and_cleans_up(tmp_path, demo):
         cwd=tmp_path, env={**cli_env(), "TMPDIR": str(tmpdir)},
     )
     assert proc.returncode == 0, proc.stderr
+    for scalar in ("np.int64(", "np.float64("):
+        assert scalar not in proc.stdout, proc.stdout
     assert list(tmpdir.iterdir()) == []

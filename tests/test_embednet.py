@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import net_oracle
+from net_oracle import contrastive_loss, triplet_loss
 from termforge import embednet
+from termforge.corpus import Corpus, Segment, Utterance
 from termforge.embednet import (NetArch, TrainConfig, TrainingDiverged,
-                                backward, batch_loss, contrastive_loss,
-                                embed_all, forward, init_params, load_params,
-                                pad_or_truncate, save_params, train,
-                                triplet_loss)
+                                backward, batch_loss, embed_all, forward,
+                                init_params, load_params, pad_or_truncate,
+                                save_params, train)
 from termforge.mining import PairManifest, SiamesePair, Triplet
 from termforge.seqmatch import AlignScoring, discover_segments
 from termforge.synthgen import SynthConfig, generate
@@ -230,6 +233,109 @@ def test_loss_and_gradients_match_two_branch_reference(case):
     for name, grad in grads.items():
         assert grad.shape == expected[name].shape
         assert (grad == expected[name]).all(), name
+
+
+def _min_l_max(arch):
+    """Smallest l_max for which the conv stack of `arch` fits."""
+    l_max = 1
+    while True:
+        try:
+            replace(arch, l_max=l_max).time_lengths()
+            return l_max
+        except ValueError:
+            l_max += 1
+
+
+def _kernel_inputs(rng, size, arch, integer, nan):
+    """(size, l_max, feature_dim) inputs. Integer-valued ones repeat each
+    frame and end in zero frames, as padded segments do, so pool windows
+    tie; `nan` puts one NaN somewhere."""
+    shape = (size, arch.l_max, arch.feature_dim)
+    if integer:
+        x = np.repeat(rng.integers(-2, 3, size=shape).astype(float), 2, axis=1)
+        x = np.ascontiguousarray(x[:, :arch.l_max])
+        x[:, int(rng.integers(arch.l_max // 2, arch.l_max)):] = 0.0
+    else:
+        x = rng.standard_normal(shape)
+    if nan:
+        x[tuple(int(rng.integers(n)) for n in shape)] = np.nan
+    return x
+
+
+@st.composite
+def kernel_cases(draw):
+    """Params of an arch from its minimum l_max up, with pool width 2 or 3
+    (so odd time lengths occur), and an input generator."""
+    channels, kernels = draw(st.sampled_from([((32, 64, 64), (5, 5, 3)),
+                                              ((3, 5, 4), (2, 3, 1))]))
+    arch = NetArch(l_max=1, feature_dim=draw(st.sampled_from([1, 3, 8])),
+                   conv_channels=channels, conv_kernels=kernels,
+                   pool_width=draw(st.sampled_from([2, 3])), fc_sizes=(16, 8),
+                   embed_dim=6)
+    arch = replace(arch, l_max=_min_l_max(arch) + draw(st.integers(0, 9)))
+    params = init_params(arch, draw(st.integers(0, 2**16)))
+    rng = rng_from(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):     # nonzero biases: zero padding then ties at b
+        for name in ("b1", "b2", "b3"):
+            params.arrays[name] = rng.integers(-1, 2, params.arrays[name].shape) * 0.5
+    integer = draw(st.booleans())
+    nan = draw(st.integers(0, 9)) == 0
+    return params, lambda size: _kernel_inputs(rng, size, arch, integer, nan)
+
+
+def _same_bytes(a, b):
+    """Same dtype, shape and bytes once every NaN is one canonical NaN. With
+    batch 1 and one output frame, a conv's weight gradient sums a single
+    term; numpy's einsum then multiplies instead of calling matmul, which
+    can pass on the other operand's NaN sign."""
+    a, b = (np.where(np.isnan(v), np.nan, v) for v in (np.asarray(a), np.asarray(b)))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(kernel_cases(), st.integers(1, 6))
+@settings(max_examples=60)
+def test_forward_matches_reference_kernels(case, size):
+    params, inputs = case
+    x = inputs(size)
+    with np.errstate(invalid="ignore"):
+        assert _same_bytes(forward(params, x), net_oracle.forward(params, x))
+        assert _same_bytes(forward(params, x[0]), net_oracle.forward(params, x[:1])[0])
+
+
+@given(kernel_cases(), st.integers(1, 6), st.sampled_from(["siamese", "triplet"]))
+@settings(max_examples=60)
+def test_backward_matches_reference_kernels(case, size, kind):
+    params, inputs = case
+    batch = {key: inputs(size) for key, _ in embednet._TOWERS[kind]}
+    batch["y"] = np.arange(size) % 2
+    with np.errstate(invalid="ignore"):
+        loss, grads = backward(params, batch, kind, 1.0)
+        expected_loss, expected = net_oracle.backward(params, batch, kind, 1.0)
+    assert _same_bytes(loss, expected_loss)
+    assert grads.keys() == expected.keys()
+    for name, grad in grads.items():
+        assert _same_bytes(grad, expected[name]), name
+
+
+@given(kernel_cases(), st.integers(1, 13), st.integers(1, 6), st.data())
+@settings(max_examples=40)
+def test_embed_all_matches_reference_kernels(case, n_segments, chunk_size, data):
+    """Segments shorter and longer than l_max, chunked so that the last
+    chunk may be short."""
+    params, inputs = case
+    arch = params.arch
+    features = inputs(1)[0].repeat(3, axis=0).astype(np.float32)
+    corpus = Corpus(arch.feature_dim, 1,
+                    [Utterance("u0", features, (0,), ((0, len(features)),))])
+    spans = data.draw(st.lists(st.tuples(st.integers(0, len(features) - 1),
+                                         st.integers(1, 2 * arch.l_max)),
+                               min_size=n_segments, max_size=n_segments))
+    segments = [Segment(i, "u0", start, min(start + length, len(features)), (0,))
+                for i, (start, length) in enumerate(spans)]
+    with np.errstate(invalid="ignore"):
+        table = embed_all(params, segments, corpus, arch.l_max, chunk_size)
+        expected = net_oracle.embed_all(params, segments, corpus, arch.l_max, chunk_size)
+    assert _same_bytes(table, expected)
 
 
 def test_unknown_loss_kind_rejected():

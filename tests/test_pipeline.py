@@ -309,8 +309,17 @@ def test_cli_bare_synth_config(tmp_path):
      "config section 'hdbscan'"),
     ("all", '{"synth": {}}', "config section 'synth'"),
     ("synth", '{"vocabulary_size": 3, "bogus": 1}', "config section 'synth'"),
+    ("all", '{"synth": {"vocabulary_size": 3}, "hdbscn": {"min_cluster_size": 3}}',
+     "unknown top-level key(s) ['hdbscn']"),
+    ("all", "[1]", "config must be a JSON object, got list"),
+    ("synth", "[1]", "config must be a JSON object, got list"),
+    ("all", '{"synth": [1]}', "config section 'synth' must be a JSON object"),
+    ("all", '{"synth": {"vocabulary_size": 3}, "train": 3}',
+     "config section 'train' must be a JSON object, got int"),
 ], ids=["malformed", "missing", "unknown-key", "unknown-hdbscan-key",
-        "missing-key", "bare-synth-unknown-key"])
+        "missing-key", "bare-synth-unknown-key", "unknown-top-level-key",
+        "not-an-object", "synth-not-an-object", "section-not-an-object",
+        "train-not-an-object"])
 def test_cli_config_error_is_one_logged_line(tmp_path, caplog, stage, text, message):
     config_path = tmp_path / "config.json"
     if text is not None:
