@@ -7,7 +7,7 @@ calls into it. Callers pack their distinct strings once into a StringTable
 (zero-padded int64 rows; repeated strings share a row) and ask for the
 distances of many row pairs at a time. The kernel puts the shorter string
 of each pair on the DP rows, orders the pairs by shape, cuts them into
-chunks of at most CHUNK_CELLS DP cells and runs the DP one row at a time,
+chunks of at most CHUNK_BYTES // 8 DP cells and runs the DP one row at a time,
 vectorised over the pairs and columns of a chunk: substitutions and
 deletions from the row above, then insertions folded in by a running
 minimum. Distances are exact integers; nothing is memoized between calls.
@@ -16,16 +16,26 @@ tests/lev_oracle.py keeps the scalar row-by-row DP as the reference.
 Local alignment is Smith-Waterman with a linear gap penalty, computed by one
 batched numpy kernel for every caller (local_align, discover_segments and
 its worker processes). The kernel packs sequence pairs into lanes, cuts them
-into chunks of at most CHUNK_CELLS cells and fills a chunk one anti-diagonal
-at a time in a skewed, diagonal-major buffer S[d, i, p] = H_p[i, d - i], so
-every step reads contiguous slices. Each round extracts at most one
-alignment per pair: the best cell is the first row-major maximum, and the
-traceback prefers the diagonal, then up, then left. The aligned positions
-are masked and the pairs that extracted an alignment are filled again,
-batched together, in the next round. Every cell performs the float
-operations of a row-major fill in the same order, so scores and tie-breaks
-match it bit for bit for any AlignScoring; tests/sw_oracle.py keeps that
-row-major fill as the reference.
+into chunks whose buffer holds at most CHUNK_BYTES (1 MiB) and fills a chunk
+one anti-diagonal at a time in a skewed, diagonal-major buffer
+S[d, i, p] = H_p[i, d - i], so every step reads contiguous slices. Each
+round extracts at most one alignment per pair: the best cell is the first
+row-major maximum, and the traceback prefers the diagonal, then up, then
+left. The aligned positions are masked and the pairs that extracted an
+alignment are filled again, batched together, in the next round.
+
+The fill runs in int16 when the match, mismatch and gap weights are
+integers, width * match <= 32767 for the longest sequence's width, and both
+penalties are >= -32768 (the default 1/-1/-1 scoring qualifies); any other
+scoring runs in float64. An int16 chunk holds four times the lanes of a
+float64 one in the same bytes, so the fill makes a quarter of the numpy
+calls. Under that rule every value the fill and traceback form is an
+integer of magnitude at most 2**15, which both types hold exactly, and max,
+min and == agree between them, so both pick the same cells and float(score)
+is the same. Every cell performs the operations of a row-major fill in the
+same order, so scores and tie-breaks match it bit for bit for any
+AlignScoring; tests/sw_oracle.py keeps that row-major float fill as the
+reference.
 """
 from __future__ import annotations
 
@@ -42,10 +52,12 @@ from .util import ScaleError, atomic_write, worker_count
 
 Span = tuple[int, int]
 
-# DP cells of one batched chunk: about 1 MiB of float64 in the skewed
-# Smith-Waterman buffer, whatever the corpus size. An edit-distance chunk
-# does as much DP work and holds only one int64 row per pair at a time.
-CHUNK_CELLS = 1 << 17
+# Bytes of the skewed Smith-Waterman buffer of one batched chunk, whatever
+# the corpus size: 2**17 float64 or 2**19 int16 cells. An edit-distance chunk
+# does as much DP work as 2**17 cells (CHUNK_BYTES // 8) and holds only one
+# int64 row per pair at a time.
+CHUNK_BYTES = 1 << 20
+_INT16 = np.iinfo(np.int16)
 
 
 @dataclass
@@ -138,14 +150,14 @@ def _lev_many(symbols, lengths, a, b) -> np.ndarray:
 
     Each pair puts its shorter string on the rows (fewer steps, the same
     distance); pairs are ordered by shape and cut into chunks of at most
-    CHUNK_CELLS DP cells, (len(a) + 1) * (len(b) + 1) each after padding.
+    CHUNK_BYTES // 8 DP cells, (len(a) + 1) * (len(b) + 1) each after padding.
     """
     swap = lengths[a] > lengths[b]
     a, b = np.where(swap, b, a), np.where(swap, a, b)
     rows, cols = lengths[a], lengths[b]
     out = np.empty(len(a), dtype=np.int64)
     for chunk, n_rows, n_cols in _chunks(np.lexsort((cols, rows)), rows, cols,
-                                         lambda r, c: (r + 1) * (c + 1)):
+                                         lambda r, c: (r + 1) * (c + 1), CHUNK_BYTES // 8):
         out[chunk] = _lev_rows(symbols[a[chunk], :n_rows], rows[chunk],
                                symbols[b[chunk], :n_cols], cols[chunk])
     return out
@@ -166,10 +178,30 @@ def normalized_levenshtein(a: Sequence[int], b: Sequence[int]) -> float:
     return levenshtein(a, b) / longest
 
 
-def _weights(scoring: AlignScoring) -> tuple[float, float, float]:
-    """Match, mismatch and gap weights as the floats a row-major fill adds."""
-    return (float(scoring.match_score), float(scoring.mismatch_penalty),
-            float(scoring.gap_penalty))
+def _score_dtype(scoring: AlignScoring, width: int) -> type:
+    """int16 when the weights are integers and no Smith-Waterman value of
+    sequences up to `width` symbols leaves int16, float64 otherwise.
+
+    Cell (i, j) holds at most min(i, j) * match, so every sum the fill and
+    the traceback form, a cell plus match or a cell (>= 0) plus a penalty,
+    lies in [penalty, width * match]. With width * match <= 32767 (match
+    alone for width 0) and both penalties >= -32768 no int16 sum wraps. Each
+    sum is then an integer that float64 holds exactly as well, and max, min
+    and == agree between the two types, so the int16 fill stores the values
+    of the float64 fill and picks the same cells; float(score) is unchanged.
+    """
+    weights = (scoring.match_score, scoring.mismatch_penalty, scoring.gap_penalty)
+    integral = all(float(w).is_integer() for w in weights)
+    if (integral and max(width, 1) * scoring.match_score <= _INT16.max
+            and min(scoring.mismatch_penalty, scoring.gap_penalty) >= _INT16.min):
+        return np.int16
+    return np.float64
+
+
+def _weights(scoring: AlignScoring, dtype) -> tuple:
+    """Match, mismatch and gap weights as the `dtype` scalars the fill adds."""
+    return (dtype(scoring.match_score), dtype(scoring.mismatch_penalty),
+            dtype(scoring.gap_penalty))
 
 
 def _fill(buffer, a_sym, a_cap, b_rev, b_cap, self_lanes, scoring: AlignScoring):
@@ -177,9 +209,10 @@ def _fill(buffer, a_sym, a_cap, b_rev, b_cap, self_lanes, scoring: AlignScoring)
 
     Rows 1..N of lane p hold a_sym[:, p]; columns are stored reversed (column
     j at index M - j) so that every anti-diagonal reads contiguous slices.
-    A cap is +inf where a row or column is live and 0 where it is masked or
-    padding. The returned buffer is diagonal-major and skewed,
-    S[d, i, p] = H_p[i, d - i]. Each cell is diag + (match | mismatch), then
+    A cap is the largest value of the dtype of `buffer` (+inf for float64)
+    where a row or column is live and 0 where it is masked or padding. The
+    returned buffer is diagonal-major and skewed, S[d, i, p] = H_p[i, d - i],
+    in the dtype of `buffer`. Each cell is diag + (match | mismatch), then
     the max with up + gap, then with left + gap, and 0 where that is <= 0 or
     the cell is dead (padding, a masked row or column, or the diagonal of a
     self pair in `self_lanes`), exactly as a row-major fill computes it.
@@ -188,10 +221,10 @@ def _fill(buffer, a_sym, a_cap, b_rev, b_cap, self_lanes, scoring: AlignScoring)
     """
     n_rows, lanes = a_sym.shape
     n_cols = b_rev.shape[0]
-    match, mismatch, gap = _weights(scoring)
+    match, mismatch, gap = _weights(scoring, buffer.dtype.type)
     shape = (n_rows + n_cols + 1, n_rows + 1, lanes)
     skew = buffer[:shape[0] * shape[1] * lanes].reshape(shape)
-    skew.fill(0.0)
+    skew.fill(0)
     for d in range(2, n_rows + n_cols + 1):
         lo, hi = max(1, d - n_cols), min(n_rows, d - 1) + 1
         rows = slice(lo - 1, hi - 1)
@@ -201,12 +234,12 @@ def _fill(buffer, a_sym, a_cap, b_rev, b_cap, self_lanes, scoring: AlignScoring)
         gapped = skew[d - 1, lo - 1:hi] + gap
         np.maximum(value, gapped[:-1], out=value)
         np.maximum(value, gapped[1:], out=value)
-        # No score is ever -0.0, so the max with 0 and the min with the caps
-        # store +0.0 exactly where the row-major fill leaves its 0.0.
-        np.maximum(value, 0.0, out=value)
+        # float64 only: no score is ever -0.0, so the max with 0 and the min
+        # with the caps store +0.0 exactly where the row-major fill leaves 0.0.
+        np.maximum(value, 0, out=value)
         np.minimum(value, np.minimum(a_cap[rows], b_cap[cols]), out=skew[d, lo:hi])
         if self_lanes.size and d % 2 == 0 and lo <= d // 2 < hi:
-            skew[d, d // 2, self_lanes] = 0.0
+            skew[d, d // 2, self_lanes] = 0
     return skew
 
 
@@ -229,13 +262,13 @@ def _traceback(skew, a_sym, b_rev, scoring: AlignScoring, lanes, i, j):
     [i_stop, i_start) and the aligned columns [j_stop, j_start).
     """
     n_cols = b_rev.shape[0]
-    match, mismatch, gap = _weights(scoring)
+    match, mismatch, gap = _weights(scoring, skew.dtype.type)
     i, j = i.copy(), j.copy()
     moving = lanes
     while moving.size:
         ii, jj = i[moving], j[moving]
         here = skew[ii + jj, ii, moving]
-        keep = here > 0.0
+        keep = here > 0
         moving, ii, jj, here = moving[keep], ii[keep], jj[keep], here[keep]
         sub = np.where(a_sym[ii - 1, moving] == b_rev[n_cols - jj, moving], match, mismatch)
         diag = here == skew[ii + jj - 2, ii - 1, moving] + sub
@@ -245,8 +278,13 @@ def _traceback(skew, a_sym, b_rev, scoring: AlignScoring, lanes, i, j):
     return i, j
 
 
-def _chunks(order, rows, cols, cells):
-    """Cut `order` into runs whose padded buffers fit CHUNK_CELLS: a run of
+def _skew_cells(n_rows, n_cols):
+    """Cells of one lane of the skewed buffer of an n_rows x n_cols fill."""
+    return (n_rows + n_cols + 1) * (n_rows + 1)
+
+
+def _chunks(order, rows, cols, cells, budget):
+    """Cut `order` into runs whose padded buffers fit `budget` cells: a run of
     P pairs with at most R rows and C columns takes P * cells(R, C) cells
     (a single larger pair makes a run of its own). Yields (indices, R, C)."""
     order = np.asarray(order, dtype=np.intp)
@@ -254,11 +292,11 @@ def _chunks(order, rows, cols, cells):
     start = 0
     while start < len(order):
         # every pair of the run takes at least cells(rows, cols) of its first
-        stop = min(len(order), start + CHUNK_CELLS // int(cells(rows[start], cols[start])) + 1)
+        stop = min(len(order), start + budget // int(cells(rows[start], cols[start])) + 1)
         n_rows = np.maximum.accumulate(rows[start:stop])
         n_cols = np.maximum.accumulate(cols[start:stop])
         used = cells(n_rows, n_cols) * np.arange(1, stop - start + 1)
-        take = max(1, int(np.searchsorted(used, CHUNK_CELLS, side="right")))
+        take = max(1, int(np.searchsorted(used, budget, side="right")))
         yield order[start:start + take], int(n_rows[take - 1]), int(n_cols[take - 1])
         start += take
 
@@ -270,7 +308,8 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> list[list[tuple[Span, Spa
     Each round fills every pair still in play, chunk by chunk, and extracts at
     most one alignment per pair; the pairs that extracted one are masked and
     batched together for the next round. Pairs are ordered by shape so that a
-    chunk pads little.
+    chunk pads little. The fill runs in _score_dtype(scoring, width), and a
+    chunk's skewed buffer holds at most CHUNK_BYTES of it.
     """
     scoring.validate()
     lengths = [len(seq) for seq in seqs]
@@ -293,21 +332,23 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> list[list[tuple[Span, Spa
     a_dead = position >= np.array(rows, dtype=np.intp)
     b_dead = position < width - np.array(cols, dtype=np.intp)
 
-    buffer = np.empty(0)
+    dtype = _score_dtype(scoring, width)
+    live = dtype(_INT16.max if dtype is np.int16 else np.inf)
+    budget = CHUNK_BYTES // np.dtype(dtype).itemsize
+    buffer = np.empty(0, dtype)
     results: list[list[tuple[Span, Span, float]]] = [[] for _ in pairs]
     todo = sorted(range(len(pairs)), key=lambda k: (rows[k], cols[k]))
     while todo:
         extracted = []
-        for chunk, n_rows, n_cols in _chunks(todo, rows, cols,
-                                             lambda r, c: (r + c + 1) * (r + 1)):
+        for chunk, n_rows, n_cols in _chunks(todo, rows, cols, _skew_cells, budget):
             tail = slice(width - n_cols, width)
-            cells = (n_rows + n_cols + 1) * (n_rows + 1) * len(chunk)
+            cells = _skew_cells(n_rows, n_cols) * len(chunk)
             if buffer.size < cells:
-                buffer = np.empty(max(cells, CHUNK_CELLS))
+                buffer = np.empty(max(cells, budget), dtype)
             a_sym = np.take(forward[:n_rows], a_of[chunk], axis=1)
             b_rev = np.take(backward[tail], b_of[chunk], axis=1)
-            a_cap = np.where(np.take(a_dead[:n_rows], chunk, axis=1), 0.0, np.inf)
-            b_cap = np.where(np.take(b_dead[tail], chunk, axis=1), 0.0, np.inf)
+            a_cap = np.where(np.take(a_dead[:n_rows], chunk, axis=1), 0, live)
+            b_cap = np.where(np.take(b_dead[tail], chunk, axis=1), 0, live)
             skew = _fill(buffer, a_sym, a_cap, b_rev, b_cap,
                          np.flatnonzero(self_pair[chunk]), scoring)
             best, i_end, j_end = _best_cells(skew)
@@ -338,11 +379,13 @@ def local_align(a: Sequence[int], b: Sequence[int], scoring: AlignScoring,
     are discarded.
 
     This is a one-pair call into the batched kernel that discover_segments
-    uses; that kernel fills chunks of at most CHUNK_CELLS cells, and a pair
-    of lengths n and m takes (n + m + 1) * (n + 1) of them. The best cell of
-    a fill is the first row-major maximum, and the traceback prefers the
-    diagonal, then up, then left; scores are the float64 values of a plain
-    row-major Smith-Waterman fill, bit for bit, for any AlignScoring.
+    uses; that kernel fills chunks of at most CHUNK_BYTES of score cells, and
+    a pair of lengths n and m takes (n + m + 1) * (n + 1) of them, int16 for
+    an integral scoring within the int16 bound and float64 otherwise (see
+    the module docstring). The best cell of a fill is the first row-major
+    maximum, and the traceback prefers the diagonal, then up, then left;
+    scores are the float64 values of a plain row-major Smith-Waterman fill,
+    bit for bit, for any AlignScoring.
     """
     return _align_many([a, b], [(0, 1, self_pair)], scoring)[0]
 
@@ -358,10 +401,12 @@ def discover_segments(corpus: Corpus, scoring: AlignScoring,
     total work (each extracted alignment adds one more fill of its pair),
     not memory. All pairs go through one batched kernel with the tie-breaking
     of local_align: it fills the matrices of a chunk of pairs together, one
-    anti-diagonal at a time, and a chunk holds at most CHUNK_CELLS float64
-    cells (1 MiB) however large the corpus; only a single pair larger than
-    that gets a buffer of its own size. With more than one worker, each
-    worker runs the kernel on one contiguous block of pairs.
+    anti-diagonal at a time, and a chunk's buffer holds at most CHUNK_BYTES
+    (1 MiB) however large the corpus: 2**19 int16 cells for an integral
+    scoring within the int16 bound, such as the default, and 2**17 float64
+    cells otherwise. Only a single pair larger than that gets a buffer of its
+    own size. With more than one worker, each worker runs the kernel on one
+    contiguous block of pairs.
     """
     utts = list(corpus)
     seqs = [utt.transcription for utt in utts]

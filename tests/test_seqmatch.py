@@ -115,8 +115,8 @@ def test_levenshtein_matches_scalar_reference(pair):
         assert normalized_levenshtein(a, b) == lev_oracle.normalized_levenshtein(a, b)
 
 
-@given(symbol_strings(), st.sampled_from([seqmatch.CHUNK_CELLS, 200, 1]), st.data())
-def test_mixed_length_distance_batch_matches_reference(strings, chunk_cells, data):
+@given(symbol_strings(), st.sampled_from([seqmatch.CHUNK_BYTES, 1600, 1]), st.data())
+def test_mixed_length_distance_batch_matches_reference(strings, chunk_bytes, data):
     # small budgets split the batch into many chunks, down to one pair each
     table = StringTable(strings)
     assert [table.strings[k] for k in table.ids] == [tuple(s) for s in strings]
@@ -125,7 +125,7 @@ def test_mixed_length_distance_batch_matches_reference(strings, chunk_cells, dat
     a = table.ids[[i for i, _ in pairs]]
     b = table.ids[[j for _, j in pairs]]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(seqmatch, "CHUNK_CELLS", chunk_cells)
+        patch.setattr(seqmatch, "CHUNK_BYTES", chunk_bytes)
         distances = table.distances(a, b)
         normalized = table.normalized(a, b)
     assert distances.tolist() == [lev_oracle.levenshtein(strings[i], strings[j])
@@ -237,11 +237,12 @@ def test_self_alignment_finds_internal_repeat():
 
 # --- equivalence with the row-major reference ----------------------------------
 
-# Round values make equal scores, and so tie-breaking, frequent; the floats
-# cover non-dyadic weights whose sums round.
-positive = st.one_of(st.sampled_from([1.0, 0.7, 0.5, 2.0]),
+# Round values make equal scores, and so tie-breaking, frequent; integers run
+# the int16 fill; the floats cover non-dyadic weights whose sums round.
+positive = st.one_of(st.sampled_from([1.0, 0.7, 0.5, 2.0]), st.integers(1, 9).map(float),
                      st.floats(0.05, 3.0, allow_nan=False, allow_infinity=False))
 penalty = st.one_of(st.sampled_from([-1.0, -0.3, -0.45, -0.5, 0.0]),
+                    st.integers(-9, 0).map(float),
                     st.floats(-3.0, 0.0, allow_nan=False, allow_infinity=False))
 scorings = st.builds(AlignScoring, match_score=positive, mismatch_penalty=penalty,
                      gap_penalty=penalty, min_align_score=positive,
@@ -264,6 +265,14 @@ def symbol_pairs(draw, max_len=40):
          AlignScoring(0.7, -0.3, -0.45, 1.1, 1))
 @example(((0, 2, 1, 0, 0, 1), (0, 2, 1, 0, 0, 1), True),   # diagonal ties with up
          AlignScoring(1.0, -0.3, -0.3, 1.0, 1))
+@example(((0, 1, 0, 0, 1, 1, 0), (0, 1, 1, 0, 1, 1, 1), False),   # integral penalties
+         AlignScoring(1.5, -1.0, -2.0, 2.0, 1))
+# either side of the int16 bound: width * match 32767 | 32768, a penalty
+# -32768 | -32769; the first and third fill in int16, the others in float64
+@example(((0,) * 7, (0,) * 7, False), AlignScoring(4681.0, -1.0, -1.0, 3.0, 1))
+@example(((0,) * 8, (0,) * 8, False), AlignScoring(4096.0, -1.0, -1.0, 3.0, 1))
+@example(((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False), AlignScoring(2.0, -32768.0, -1.0, 1.0, 1))
+@example(((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False), AlignScoring(2.0, -1.0, -32769.0, 1.0, 1))
 @settings(max_examples=300)
 def test_local_align_matches_reference(pair, scoring):
     a, b, self_pair = pair
@@ -271,16 +280,67 @@ def test_local_align_matches_reference(pair, scoring):
 
 
 @given(st.lists(symbol_pairs(), min_size=1, max_size=12), scorings,
-       st.sampled_from([seqmatch.CHUNK_CELLS, 2000, 1]))
-def test_mixed_length_batch_matches_reference(pairs, scoring, chunk_cells):
+       st.sampled_from([seqmatch.CHUNK_BYTES, 16000, 1]))
+def test_mixed_length_batch_matches_reference(pairs, scoring, chunk_bytes):
     # small budgets split the batch into many chunks, down to one pair each
     seqs = [seq for a, b, _ in pairs for seq in (a, b)]
     tasks = [(2 * k, 2 * k + 1, self_pair) for k, (_, _, self_pair) in enumerate(pairs)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(seqmatch, "CHUNK_CELLS", chunk_cells)
+        patch.setattr(seqmatch, "CHUNK_BYTES", chunk_bytes)
         batched = seqmatch._align_many(seqs, tasks, scoring)
     for (a, b, self_pair), found in zip(pairs, batched):
         assert found == sw_oracle.local_align(a, b, scoring, self_pair)
+
+
+def expected_dtype(scoring, width):
+    """int16 exactly when the weights are integers, max(width, 1) * match
+    <= 32767 and both penalties >= -32768."""
+    weights = (scoring.match_score, scoring.mismatch_penalty, scoring.gap_penalty)
+    if (all(w == int(w) for w in weights) and max(width, 1) * scoring.match_score <= 32767
+            and min(weights) >= -32768):
+        return np.int16
+    return np.float64
+
+
+@pytest.mark.parametrize("width, scoring, dtype", [
+    (7, AlignScoring(4681.0, -1.0, -1.0), np.int16),
+    (8, AlignScoring(4096.0, -1.0, -1.0), np.float64),
+    (0, AlignScoring(1e9, -1.0, -1.0), np.float64),
+    (40, AlignScoring(1.0, -32768.0, -32768.0), np.int16),
+    (40, AlignScoring(1.0, -32769.0, -1.0), np.float64),
+    (40, AlignScoring(1.0, -1.0, -32769.0), np.float64),
+    (40, AlignScoring(1.0, -1.0, -0.5), np.float64),
+    (40, AlignScoring(), np.int16),
+])
+def test_fill_dtype_follows_the_int16_bound(width, scoring, dtype):
+    assert seqmatch._score_dtype(scoring, width) is dtype
+    assert expected_dtype(scoring, width) is dtype
+
+
+@given(st.lists(symbol_pairs(), min_size=1, max_size=12), scorings,
+       st.sampled_from([seqmatch.CHUNK_BYTES, 16000, 3000, 1]))
+def test_sw_chunks_fit_the_byte_budget(pairs, scoring, chunk_bytes):
+    # every skewed buffer the kernel fills fits the byte budget at the dtype
+    # the scoring selects, unless it holds a single pair
+    seqs = [seq for a, b, _ in pairs for seq in (a, b)]
+    tasks = [(2 * k, 2 * k + 1, self_pair) for k, (_, _, self_pair) in enumerate(pairs)]
+    dtype = expected_dtype(scoring, max(map(len, seqs)))
+    filled = []
+
+    def spy(*args):
+        skew = fill(*args)
+        filled.append(skew)
+        return skew
+
+    fill = seqmatch._fill
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seqmatch, "CHUNK_BYTES", chunk_bytes)
+        patch.setattr(seqmatch, "_fill", spy)
+        seqmatch._align_many(seqs, tasks, scoring)
+    assert filled
+    for skew in filled:
+        assert skew.dtype == dtype
+        assert skew.nbytes <= chunk_bytes or skew.shape[2] == 1
 
 
 def test_discovery_matches_reference_on_noisy_corpus():
