@@ -6,9 +6,9 @@ the sampling of matched/mismatched training examples.
 """
 
 from termforge.baseline import LeaderParams, cluster_set_stats, leader_cluster
-from termforge.mining import (MiningThresholds, contrast_stats, purity_stats,
-                              sample_manifest, select_contrasting_pairs,
-                              select_pure_clusters)
+from termforge.mining import (MiningThresholds, contrast_stats,
+                              mean_symbol_length, purity_stats, sample_manifest,
+                              select_contrasting_pairs, select_pure_clusters)
 from termforge.seqmatch import AlignScoring, discover_segments
 from termforge.synthgen import SynthConfig, generate, gold_segment_label
 
@@ -29,7 +29,7 @@ by_id = {s.id: s for s in segments}
 for cluster in clusters[:4]:
     p = purity_stats(cluster, by_id)
     print(f"  cluster {cluster.id}: |C|={len(cluster.members)} "
-          f"C~={cluster.mean_len:.1f} mu_s={p.mu_s:.2f} sigma_s={p.sigma_s:.2f}")
+          f"C~={mean_symbol_length(cluster, by_id):.1f} mu_s={p.mu_s:.2f} sigma_s={p.sigma_s:.2f}")
 
 thresholds = MiningThresholds(thres_mu_s=0.4, thres_sigma_s=0.4,
                               thres_mu_d=0.4, thres_sigma_d=0.4)

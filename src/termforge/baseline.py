@@ -44,7 +44,6 @@ class Cluster:
     id: int
     leader: int                       # segment id
     members: list[int]
-    mean_len: float = 0.0
     nearest_assigned: set[int] = field(default_factory=set, compare=False)
 
 
@@ -82,15 +81,11 @@ def leader_cluster(segments: list[Segment], params: LeaderParams) -> list[Cluste
             clusters[nearest].members.append(seg.id)
             clusters[nearest].nearest_assigned.add(seg.id)
         # "drop": ambiguous segment is discarded
-
-    lengths = {s.id: len(s.symbols) for s in eligible}
-    for cluster in clusters:
-        cluster.mean_len = sum(lengths[m] for m in cluster.members) / len(cluster.members)
     return clusters
 
 
 def cluster_set_stats(clusters: list[Cluster]) -> dict:
-    """Summary: cluster count, size histogram, and per-cluster mean length."""
+    """Summary: cluster count, member count and size histogram."""
     histogram: dict[int, int] = {}
     for cluster in clusters:
         histogram[len(cluster.members)] = histogram.get(len(cluster.members), 0) + 1
@@ -98,7 +93,6 @@ def cluster_set_stats(clusters: list[Cluster]) -> dict:
         "count": len(clusters),
         "total_members": sum(len(c.members) for c in clusters),
         "size_histogram": dict(sorted(histogram.items())),
-        "mean_len": {c.id: c.mean_len for c in clusters},
     }
 
 

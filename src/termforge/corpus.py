@@ -135,9 +135,6 @@ class Corpus:
     def __iter__(self):
         return iter(self._utterances.values())
 
-    def __contains__(self, utt_id: str) -> bool:
-        return utt_id in self._utterances
-
     def __getitem__(self, utt_id: str) -> Utterance:
         try:
             return self._utterances[utt_id]
@@ -169,13 +166,6 @@ def overlapped_symbols(symbols: Sequence[int], spans: Sequence[tuple[int, int]],
         if inter > 0 and inter >= min_overlap * (e - s):
             out.append(sym)
     return tuple(out)
-
-
-def symbols_in_span(utt: Utterance, start: int, end: int,
-                    min_overlap: float = 0.5) -> tuple[int, ...]:
-    """Transcription symbols whose frame span overlaps [start, end) by >=
-    min_overlap of their duration."""
-    return overlapped_symbols(utt.transcription, utt.frame_spans, start, end, min_overlap)
 
 
 # ---------------------------------------------------------------------------

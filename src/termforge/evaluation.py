@@ -1,10 +1,16 @@
 """Scoring of discovered clusters against gold annotations.
 
 Reconstruction of the zerospeech-style spoken term discovery metric family:
-pairwise grouping P/R/F, token and type P/R/F with a configurable +/-1 frame
-edge tolerance, boundary P/R/F, NED over gold transcriptions of clustered
-segment pairs, coverage, n-words and n-pairs. Degenerate denominators yield
-None, rendered as "NA".
+pairwise grouping P/R/F, token and type P/R/F, boundary P/R/F, NED over gold
+transcriptions of clustered segment pairs, coverage, n-words and n-pairs.
+Token edges and boundaries match within a fixed tolerance of TOLERANCE = 1
+frame per edge; it is not configurable. Degenerate denominators yield None,
+rendered as "NA".
+
+`report` scores one resolved clustering: `resolve` maps the cluster member
+ids to their segments and gold words once, and each metric reads that. A
+clustering is a partition, no segment in two clusters, as
+`baseline.validate_partition` checks and every stage writes.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +30,7 @@ from .seqmatch import StringTable, normalized_levenshtein  # noqa: F401
 from .synthgen import gold_segment_label
 from .util import atomic_write
 
-
-@dataclass
-class EvalConfig:
-    edge_tolerance: int = 1        # token span matching, per edge
-    boundary_tolerance: int = 1
+TOLERANCE = 1   # frames per edge, for token spans and gold boundaries
 
 
 @dataclass
@@ -88,20 +91,25 @@ def _gold_string(gold: GoldAnnotation, segment: Segment) -> tuple[int, ...]:
     return overlapped_symbols(utt.true_symbols, utt.true_spans, segment.start, segment.end)
 
 
-def _clustered_segments(clusters: list[Cluster],
-                        segments: list[Segment]) -> dict[int, Segment]:
+def resolve(clusters: list[Cluster], segments: list[Segment],
+            gold: GoldAnnotation) -> tuple[list[list[Segment]], list[list[int]]]:
+    """(members, labels) of a clustering, a partition of some of `segments`.
+
+    members[k] holds the segments of cluster k in member order; labels[k]
+    holds the gold words (`gold_segment_label`) of those of them that have
+    one, in the same order. Each clustered segment is labelled once.
+    """
     by_id = {s.id: s for s in segments}
-    out = {}
-    for cluster in clusters:
-        for member in cluster.members:
-            out[member] = by_id[member]
-    return out
+    members = [[by_id[m] for m in cluster.members] for cluster in clusters]
+    labels = [[word for word in (gold_segment_label(gold, seg) for seg in group)
+               if word is not None] for group in members]
+    return members, labels
 
 
-def ned(clusters: list[Cluster], segments: list[Segment], corpus: Corpus,
-        gold: GoldAnnotation) -> float | None:
+def ned(members: list[list[Segment]], gold: GoldAnnotation) -> float | None:
     """Mean normalized Levenshtein distance between gold transcriptions of
-    all within-cluster segment pairs; None when no cluster has >= 2 members.
+    all within-cluster segment pairs of the resolved members of a partition;
+    None when no cluster has >= 2 members.
 
     Two empty gold strings are at 0.0 and an empty one is at 1.0 from any
     other. Distances come from one batched kernel call over the distinct
@@ -109,16 +117,20 @@ def ned(clusters: list[Cluster], segments: list[Segment], corpus: Corpus,
     are then summed in pair order (cluster by cluster, i < j) by a
     sequential float sum, exactly as a loop over the pairs adds them.
     """
-    by_id = {s.id: s for s in segments}
-    table = StringTable(_gold_string(gold, by_id[m]) for c in clusters for m in c.members)
+    table = StringTable(_gold_string(gold, seg) for group in members for seg in group)
     n_strings = len(table.strings)
-    sizes = np.cumsum([len(c.members) for c in clusters], dtype=np.intp)
+    sizes = np.cumsum([len(group) for group in members], dtype=np.intp)
     # per cluster: its distinct strings and each member's index among them
     distinct = [np.unique(g, return_inverse=True) for g in np.split(table.ids, sizes[:-1])]
     upper = [np.triu_indices(len(strings), 1) for strings, _ in distinct]
-    keys = np.unique(np.concatenate(
+    # distinct pair keys by a sort and a neighbour mask: a plain np.unique
+    # imports numpy.ma on its first call in a process
+    keys = np.sort(np.concatenate(
         [strings[i] * n_strings + strings[j] for (strings, _), (i, j) in zip(distinct, upper)]
         + [np.empty(0, dtype=np.intp)]))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
     values = table.normalized(keys // n_strings, keys % n_strings)
 
     total = 0.0
@@ -134,11 +146,11 @@ def ned(clusters: list[Cluster], segments: list[Segment], corpus: Corpus,
     return float(total) / count if count else None
 
 
-def coverage(clusters: list[Cluster], segments: list[Segment],
-             corpus: Corpus) -> float:
-    """Fraction of corpus frames covered by the union of clustered segments."""
+def coverage(members: list[list[Segment]], corpus: Corpus) -> float:
+    """Fraction of corpus frames covered by the union of the resolved
+    members of a partition."""
     spans: dict[str, list[tuple[int, int]]] = {}
-    for seg in _clustered_segments(clusters, segments).values():
+    for seg in chain.from_iterable(members):
         spans.setdefault(seg.utterance_id, []).append((seg.start, seg.end))
     covered = 0
     for utt_id, utt_spans in spans.items():
@@ -155,85 +167,69 @@ def coverage(clusters: list[Cluster], segments: list[Segment],
     return covered / total if total else 0.0
 
 
-def _segment_labels(clusters: list[Cluster], segments: list[Segment],
-                    gold: GoldAnnotation) -> dict[int, int]:
-    labels = {}
-    for seg_id, seg in _clustered_segments(clusters, segments).items():
-        label = gold_segment_label(gold, seg)
-        if label is not None:
-            labels[seg_id] = label
-    return labels
-
-
 def _pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def grouping_prf(clusters: list[Cluster], segments: list[Segment],
-                 gold: GoldAnnotation) -> PRF:
-    """Pairwise grouping quality over gold-labelled clustered segments,
-    counted from cluster x gold-label contingency tables: a cell of n
-    segments holds C(n, 2) pairs that share both cluster and label."""
-    labels = _segment_labels(clusters, segments, gold)
+def grouping_prf(labels: list[list[int]]) -> PRF:
+    """Pairwise grouping quality over the gold-labelled members of a
+    partition, given as each cluster's gold words (`resolve`).
 
+    Counted from cluster x gold-label contingency tables: a cell of n
+    segments holds C(n, 2) pairs that share both cluster and label. Those
+    pairs are precision's and recall's numerator alike; precision divides
+    by the labelled pairs within clusters, recall by the same-label pairs.
+    """
     within_total = 0
     within_same = 0
-    for cluster in clusters:
-        cells = Counter(labels[m] for m in cluster.members if m in labels)
-        within_total += _pairs(sum(cells.values()))
-        within_same += sum(_pairs(n) for n in cells.values())
+    for words in labels:
+        within_total += _pairs(len(words))
+        within_same += sum(_pairs(n) for n in Counter(words).values())
+    same_total = sum(_pairs(n) for n in Counter(chain.from_iterable(labels)).values())
     precision = within_same / within_total if within_total else None
-
-    cluster_of = {member: cluster.id for cluster in clusters for member in cluster.members}
-    same_total = sum(_pairs(n) for n in Counter(labels.values()).values())
-    same_grouped = sum(_pairs(n) for n in Counter(
-        (label, cluster_of[seg_id]) for seg_id, label in labels.items()).values())
-    recall = same_grouped / same_total if same_total else None
+    recall = within_same / same_total if same_total else None
     return _prf(precision, recall)
 
 
-def _token_matches(clustered: dict[int, Segment], gold: GoldAnnotation,
-                   tolerance: int):
-    """(matched segment ids, matched gold token keys); a match needs both
-    edges within the tolerance."""
-    matched_segments: set[int] = set()
+def token_type_prf(members: list[list[Segment]], labels: list[list[int]],
+                   gold: GoldAnnotation) -> tuple[PRF, PRF]:
+    """Token and type P/R/F of the resolved members and labels of a
+    partition (`resolve`).
+
+    A segment matches a gold token when both edges lie within TOLERANCE
+    frames of the token's. Token precision is the share of clustered
+    segments that match a token, token recall the share of gold tokens
+    matched. A cluster discovers the type of its majority gold word (ties
+    to the lowest word id); type precision is the share of discovered
+    types that some matched token has, type recall the share of gold types
+    that some segment matched.
+    """
+    n_matched = 0
     matched_tokens: set[tuple[str, int]] = set()
-    for seg_id, seg in clustered.items():
+    for seg in chain.from_iterable(members):
         gold_utt = gold.utterances.get(seg.utterance_id)
         if gold_utt is None:
             continue
-        for token_idx, token in enumerate(gold_utt.tokens):
-            if (abs(seg.start - token.start) <= tolerance
-                    and abs(seg.end - token.end) <= tolerance):
-                matched_segments.add(seg_id)
-                matched_tokens.add((seg.utterance_id, token_idx))
-    return matched_segments, matched_tokens
+        hits = {(seg.utterance_id, token_idx)
+                for token_idx, token in enumerate(gold_utt.tokens)
+                if (abs(seg.start - token.start) <= TOLERANCE
+                    and abs(seg.end - token.end) <= TOLERANCE)}
+        n_matched += bool(hits)
+        matched_tokens |= hits
 
-
-def token_type_prf(clusters: list[Cluster], segments: list[Segment],
-                   gold: GoldAnnotation, tolerance: int = 1) -> tuple[PRF, PRF]:
-    clustered = _clustered_segments(clusters, segments)
-    matched_segments, matched_tokens = _token_matches(clustered, gold, tolerance)
-
+    n_clustered = sum(len(group) for group in members)
     n_gold_tokens = sum(len(g.tokens) for g in gold.utterances.values())
-    token_p = len(matched_segments) / len(clustered) if clustered else None
+    token_p = n_matched / n_clustered if n_clustered else None
     token_r = len(matched_tokens) / n_gold_tokens if n_gold_tokens else None
 
     gold_types = {t.word_id for g in gold.utterances.values() for t in g.tokens}
-    found_types = set()
-    for utt_id, token_idx in matched_tokens:
-        found_types.add(gold.utterances[utt_id].tokens[token_idx].word_id)
-
-    labels = _segment_labels(clusters, segments, gold)
+    found_types = {gold.utterances[utt_id].tokens[token_idx].word_id
+                   for utt_id, token_idx in matched_tokens}
     discovered_types = set()
-    for cluster in clusters:
-        votes: dict[int, int] = {}
-        for member in cluster.members:
-            if member in labels:
-                votes[labels[member]] = votes.get(labels[member], 0) + 1
-        if votes:
-            majority = min(votes, key=lambda w: (-votes[w], w))
-            discovered_types.add(majority)
+    for words in labels:
+        if words:
+            votes = Counter(words)
+            discovered_types.add(min(votes, key=lambda w: (-votes[w], w)))
 
     type_p = (len(discovered_types & found_types) / len(discovered_types)
               if discovered_types else None)
@@ -241,14 +237,13 @@ def token_type_prf(clusters: list[Cluster], segments: list[Segment],
     return _prf(token_p, token_r), _prf(type_p, type_r)
 
 
-def boundary_prf(clusters: list[Cluster], segments: list[Segment],
-                 gold: GoldAnnotation, tolerance: int = 1) -> PRF:
-    """Deduplicated clustered-segment edges scored against gold boundaries."""
+def boundary_prf(members: list[list[Segment]], gold: GoldAnnotation) -> PRF:
+    """Deduplicated edges of the resolved members of a partition scored
+    against gold boundaries; an edge and a boundary match within TOLERANCE
+    frames."""
     discovered: dict[str, set[int]] = {}
-    for seg in _clustered_segments(clusters, segments).values():
-        edges = discovered.setdefault(seg.utterance_id, set())
-        edges.add(seg.start)
-        edges.add(seg.end)
+    for seg in chain.from_iterable(members):
+        discovered.setdefault(seg.utterance_id, set()).update((seg.start, seg.end))
 
     n_discovered = 0
     n_discovered_hit = 0
@@ -260,10 +255,10 @@ def boundary_prf(clusters: list[Cluster], segments: list[Segment],
         n_discovered += len(found)
         n_gold += len(gold_bounds)
         for edge in found:
-            if any(abs(edge - b) <= tolerance for b in gold_bounds):
+            if any(abs(edge - b) <= TOLERANCE for b in gold_bounds):
                 n_discovered_hit += 1
         for bound in gold_bounds:
-            if any(abs(bound - edge) <= tolerance for edge in found):
+            if any(abs(bound - edge) <= TOLERANCE for edge in found):
                 n_gold_hit += 1
     precision = n_discovered_hit / n_discovered if n_discovered else None
     recall = n_gold_hit / n_gold if n_gold else None
@@ -276,17 +271,19 @@ def n_words_n_pairs(clusters: list[Cluster]) -> tuple[int, int]:
 
 
 def report(clusters: list[Cluster], segments: list[Segment], corpus: Corpus,
-           gold: GoldAnnotation, config: EvalConfig | None = None) -> EvalReport:
-    config = config or EvalConfig()
-    token, type_ = token_type_prf(clusters, segments, gold, config.edge_tolerance)
+           gold: GoldAnnotation) -> EvalReport:
+    """Every metric of one clustering, a partition of some of `segments`,
+    from one `resolve` of it."""
+    members, labels = resolve(clusters, segments, gold)
+    token, type_ = token_type_prf(members, labels, gold)
     words, pairs = n_words_n_pairs(clusters)
     return EvalReport(
-        grouping=grouping_prf(clusters, segments, gold),
+        grouping=grouping_prf(labels),
         token=token,
         type=type_,
-        boundary=boundary_prf(clusters, segments, gold, config.boundary_tolerance),
-        ned=ned(clusters, segments, corpus, gold),
-        coverage=coverage(clusters, segments, corpus),
+        boundary=boundary_prf(members, gold),
+        ned=ned(members, gold),
+        coverage=coverage(members, corpus),
         n_words=words,
         n_pairs=pairs,
     )

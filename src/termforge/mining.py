@@ -155,7 +155,7 @@ def select_pure_clusters(clusters: list[Cluster], segments_by_id: dict[int, Segm
     stats = _weighted_stats([_purity_job(c, segments_by_id) for c in clusters])
     retained = []
     for cluster, (mu_s, sigma_s) in zip(clusters, stats):
-        mean_len = cluster.mean_len or mean_symbol_length(cluster, segments_by_id)
+        mean_len = mean_symbol_length(cluster, segments_by_id)
         if (mu_s < thresholds.thres_mu_s * mean_len
                 and sigma_s < thresholds.thres_sigma_s * mean_len):
             retained.append(cluster)
@@ -170,8 +170,8 @@ def select_contrasting_pairs(retained: list[Cluster], segments_by_id: dict[int, 
     stats = _weighted_stats([_contrast_job(c1, c2, segments_by_id) for c1, c2 in candidates])
     pairs = []
     for (c1, c2), (mu_d, sigma_d) in zip(candidates, stats):
-        scale = ((c1.mean_len or mean_symbol_length(c1, segments_by_id))
-                 + (c2.mean_len or mean_symbol_length(c2, segments_by_id))) / 2
+        scale = (mean_symbol_length(c1, segments_by_id)
+                 + mean_symbol_length(c2, segments_by_id)) / 2
         if (mu_d > thresholds.thres_mu_d * scale
                 and sigma_d < thresholds.thres_sigma_d * scale):
             pairs.append((c1, c2))

@@ -77,7 +77,6 @@ class PipelineConfig:
     n_triplet: int = 10_000
     train: embednet.TrainConfig = field(default_factory=embednet.TrainConfig)
     hdbscan: recluster.HdbscanParams = field(default_factory=recluster.HdbscanParams)
-    eval: evaluation.EvalConfig = field(default_factory=evaluation.EvalConfig)
     max_dp_cells: int = 200_000_000
 
     def validate(self) -> None:
@@ -125,7 +124,6 @@ class PipelineConfig:
             n_triplet=n_triplet,
             train=config_section(embednet.TrainConfig, "train", blob.get("train", {})),
             hdbscan=config_section(recluster.HdbscanParams, "hdbscan", blob.get("hdbscan", {})),
-            eval=config_section(evaluation.EvalConfig, "eval", blob.get("eval", {})),
             max_dp_cells=blob.get("max_dp_cells", 200_000_000),
         )
         config.validate()
@@ -327,7 +325,7 @@ def _run_evaluate(config: PipelineConfig, workdir: Path) -> None:
         clusters = baseline_mod.load_clusters(workdir / "clusters_baseline.json")
     else:
         clusters = _load_final_clusters(workdir / "clusters_final.json")
-    report = evaluation.report(clusters, segments, corpus, gold, config.eval)
+    report = evaluation.report(clusters, segments, corpus, gold)
     evaluation.write_report(report, workdir / "report.json", workdir / "report.txt",
                             system=config.mode)
     log.info("evaluate[%s]: %d clusters scored", config.mode, len(clusters))
@@ -360,8 +358,11 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
                 "extraction": config.extraction}, _run_recluster),
         _Stage("evaluate", (clusters_file, "segments.jsonl", "corpus/manifest.json",
                             "corpus/gold.json"), ("report.json", "report.txt"),
-               {"eval": stable_json(asdict(config.eval)), "system": config.system,
-                "extraction": config.extraction}, _run_evaluate),
+               # the keys of the former tolerance settings, so that stamps
+               # written before they became one constant stay current
+               {"eval": stable_json({"boundary_tolerance": evaluation.TOLERANCE,
+                                     "edge_tolerance": evaluation.TOLERANCE}),
+                "system": config.system, "extraction": config.extraction}, _run_evaluate),
     )
     return {stage.name: stage for stage in stages}
 

@@ -61,10 +61,6 @@ def leader_cluster(segments, params):
         elif params.ambiguous_policy == "nearest":
             clusters[nearest_idx].members.append(seg.id)
             clusters[nearest_idx].nearest_assigned.add(seg.id)
-
-    lengths = {s.id: len(s.symbols) for s in eligible}
-    for cluster in clusters:
-        cluster.mean_len = sum(lengths[m] for m in cluster.members) / len(cluster.members)
     return clusters
 
 

@@ -106,15 +106,7 @@ def test_leader_separation(rng):
 
 def test_stats_empty():
     assert cluster_set_stats([]) == {
-        "count": 0, "total_members": 0, "size_histogram": {}, "mean_len": {}}
-
-
-def test_stats_mean_len():
-    segments = [seg(0, [1, 2, 3]), seg(1, [1, 2, 3, 4]), seg(2, [1, 2, 3, 4, 5])]
-    clusters = leader_cluster(segments, LeaderParams(T=1.0))
-    stats = cluster_set_stats(clusters)
-    assert stats["count"] == 1
-    assert stats["mean_len"][0] == pytest.approx(4.0)
+        "count": 0, "total_members": 0, "size_histogram": {}}
 
 
 def test_stats_match_recount(rng):
@@ -128,10 +120,6 @@ def test_stats_match_recount(rng):
     for c in clusters:
         histogram[len(c.members)] = histogram.get(len(c.members), 0) + 1
     assert stats["size_histogram"] == histogram
-    by_id = {s.id: s for s in segments}
-    for c in clusters:
-        expected = sum(len(by_id[m].symbols) for m in c.members) / len(c.members)
-        assert stats["mean_len"][c.id] == pytest.approx(expected)
 
 
 def test_cluster_json_round_trip(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from termforge.corpus import (Corpus, CorpusError, Segment, Utterance,
-                              load_corpus, slice_features, symbols_in_span,
+                              load_corpus, overlapped_symbols, slice_features,
                               write_corpus)
 
 from conftest import make_corpus, make_segment, make_utterance
@@ -111,6 +111,9 @@ def test_slice_shape_property(rng):
 def test_symbols_in_span_overlap_rule():
     utt = make_utterance("u0", [7, 8, 9], frames_per_symbol=4)
     # spans: [0,4) [4,8) [8,12); cover half of the middle symbol exactly
-    assert symbols_in_span(utt, 0, 6) == (7, 8)
-    assert symbols_in_span(utt, 0, 5) == (7,)
-    assert symbols_in_span(utt, 4, 12) == (8, 9)
+    def symbols_in_span(start, end):
+        return overlapped_symbols(utt.transcription, utt.frame_spans, start, end)
+
+    assert symbols_in_span(0, 6) == (7, 8)
+    assert symbols_in_span(0, 5) == (7,)
+    assert symbols_in_span(4, 12) == (8, 9)

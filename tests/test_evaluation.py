@@ -1,18 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eval_oracle
 import lev_oracle
+from termforge import evaluation
 from termforge.baseline import Cluster
 from termforge.corpus import (Corpus, GoldAnnotation, GoldToken, Segment,
-                              UtteranceGold)
-from termforge.evaluation import (EvalConfig, EvalReport, boundary_prf,
-                                  coverage, f_score, grouping_prf, load_report,
-                                  ned, n_words_n_pairs, render_text, report,
-                                  token_type_prf, write_report)
+                              Utterance, UtteranceGold)
+from termforge.evaluation import (boundary_prf, coverage, f_score,
+                                  grouping_prf, load_report, ned,
+                                  n_words_n_pairs, render_text, report,
+                                  resolve, token_type_prf, write_report)
 from termforge.seqmatch import normalized_levenshtein
 from termforge.synthgen import gold_segment_label
 
@@ -49,6 +55,14 @@ def toy_world():
     return corpus, gold, segments, perfect
 
 
+def members_of(clusters, segments, gold):
+    return resolve(clusters, segments, gold)[0]
+
+
+def labels_of(clusters, segments, gold):
+    return resolve(clusters, segments, gold)[1]
+
+
 def test_f_score_identity():
     assert f_score(0.5, 0.5) == pytest.approx(0.5)
     assert f_score(1.0, 0.5) == pytest.approx(2 / 3)
@@ -59,13 +73,13 @@ def test_f_score_identity():
 
 def test_ned_identical_gold_strings_zero():
     corpus, gold, segments, perfect = toy_world()
-    assert ned(perfect, segments, corpus, gold) == 0.0
+    assert ned(members_of(perfect, segments, gold), gold) == 0.0
 
 
 def test_ned_disjoint_equal_length_is_one():
     corpus, gold, segments, _ = toy_world()
     mixed = [Cluster(id=0, leader=0, members=[0, 1])]   # (1,2,3) vs (4,5,6)
-    assert ned(mixed, segments, corpus, gold) == 1.0
+    assert ned(members_of(mixed, segments, gold), gold) == 1.0
 
 
 def test_ned_matches_double_loop_oracle(rng):
@@ -82,19 +96,19 @@ def test_ned_matches_double_loop_oracle(rng):
                 expected_values.append(
                     normalized_levenshtein(gold_strings[a], gold_strings[b]))
     expected = sum(expected_values) / len(expected_values)
-    assert ned(clusters, segments, corpus, gold) == pytest.approx(expected)
+    assert ned(members_of(clusters, segments, gold), gold) == pytest.approx(expected)
 
 
 def test_ned_undefined_without_pairs():
     corpus, gold, segments, _ = toy_world()
     singletons = [Cluster(id=i, leader=i, members=[i]) for i in range(4)]
-    assert ned(singletons, segments, corpus, gold) is None
+    assert ned(members_of(singletons, segments, gold), gold) is None
 
 
 def test_coverage_empty_and_full():
     corpus, gold, segments, perfect = toy_world()
-    assert coverage([], segments, corpus) == 0.0
-    assert coverage(perfect, segments, corpus) == 1.0
+    assert coverage([], corpus) == 0.0
+    assert coverage(members_of(perfect, segments, gold), corpus) == 1.0
 
 
 def test_coverage_overlap_union():
@@ -105,19 +119,19 @@ def test_coverage_overlap_union():
     ]
     clusters = [Cluster(id=0, leader=0, members=[0, 1])]
     # union covers u0 fully (12) out of 24 corpus frames
-    assert coverage(clusters, overlapping, corpus) == pytest.approx(0.5)
+    assert coverage(members_of(clusters, overlapping, gold), corpus) == pytest.approx(0.5)
 
 
 def test_grouping_perfect():
     corpus, gold, segments, perfect = toy_world()
-    prf = grouping_prf(perfect, segments, gold)
+    prf = grouping_prf(labels_of(perfect, segments, gold))
     assert (prf.precision, prf.recall, prf.f_score) == (1.0, 1.0, 1.0)
 
 
 def test_grouping_singletons_null_precision_zero_recall():
     corpus, gold, segments, _ = toy_world()
     singletons = [Cluster(id=i, leader=i, members=[i]) for i in range(4)]
-    prf = grouping_prf(singletons, segments, gold)
+    prf = grouping_prf(labels_of(singletons, segments, gold))
     assert prf.precision is None
     assert prf.recall == 0.0
 
@@ -142,21 +156,21 @@ def test_grouping_matches_pair_counting_oracle(rng):
                       if within else None)
         expected_r = (sum(same_cluster[a] == same_cluster[b] for a, b in same_pairs)
                       / len(same_pairs))
-        prf = grouping_prf(clusters, segments, gold)
+        prf = grouping_prf(labels_of(clusters, segments, gold))
         assert prf.precision == expected_p
         assert prf.recall == pytest.approx(expected_r)
 
 
 def test_token_type_perfect():
     corpus, gold, segments, perfect = toy_world()
-    token, type_ = token_type_prf(perfect, segments, gold)
+    token, type_ = token_type_prf(*resolve(perfect, segments, gold), gold)
     assert (token.precision, token.recall, token.f_score) == (1.0, 1.0, 1.0)
     assert (type_.precision, type_.recall, type_.f_score) == (1.0, 1.0, 1.0)
 
 
 def test_token_type_empty_discovery():
     corpus, gold, segments, _ = toy_world()
-    token, type_ = token_type_prf([], segments, gold)
+    token, type_ = token_type_prf([], [], gold)
     assert token.precision is None
     assert token.recall == 0.0
     assert token.f_score == 0.0
@@ -174,16 +188,16 @@ def test_token_edge_tolerance_hand_count():
         Segment(4, "u1", 2, 5, (2, 3)),        # inside w0 -> no match
     ]
     clusters = [Cluster(id=0, leader=0, members=[0, 1, 2, 3, 4])]
-    token, _ = token_type_prf(clusters, found, gold, tolerance=1)
+    token, _ = token_type_prf(*resolve(clusters, found, gold), gold)
     assert token.precision == pytest.approx(3 / 5)
     assert token.recall == pytest.approx(3 / 4)
 
 
 def test_boundary_perfect_and_empty():
     corpus, gold, segments, perfect = toy_world()
-    prf = boundary_prf(perfect, segments, gold)
+    prf = boundary_prf(members_of(perfect, segments, gold), gold)
     assert (prf.precision, prf.recall, prf.f_score) == (1.0, 1.0, 1.0)
-    prf_empty = boundary_prf([], segments, gold)
+    prf_empty = boundary_prf([], gold)
     assert prf_empty.precision is None
     assert prf_empty.recall == 0.0
 
@@ -194,7 +208,7 @@ def test_boundary_two_word_segment_hand_count():
     # 3 gold boundaries in u0; u1 contributes 3 unhit gold boundaries
     spanning = [Segment(0, "u0", 0, 12, (1, 2, 3, 4, 5, 6))]
     clusters = [Cluster(id=0, leader=0, members=[0])]
-    prf = boundary_prf(clusters, spanning, gold)
+    prf = boundary_prf(members_of(clusters, spanning, gold), gold)
     assert prf.precision == 1.0
     assert prf.recall == pytest.approx(2 / 6)
 
@@ -257,7 +271,7 @@ def test_coverage_monotone_under_added_segments(rng):
     previous = 0.0
     for k in range(1, len(pool) + 1):
         clusters = [Cluster(id=0, leader=0, members=list(range(k)))]
-        value = coverage(clusters, pool, corpus)
+        value = coverage(members_of(clusters, pool, gold), corpus)
         assert value >= previous
         previous = value
 
@@ -305,7 +319,8 @@ def scored_worlds(draw):
 @settings(max_examples=200)
 def test_ned_matches_reference(world):
     clusters, segments, gold = world
-    assert ned(clusters, segments, None, gold) == lev_oracle.ned(clusters, segments, gold)
+    assert ned(members_of(clusters, segments, gold), gold) == lev_oracle.ned(
+        clusters, segments, gold)
 
 
 def test_ned_with_empty_gold_strings_matches_reference():
@@ -321,7 +336,7 @@ def test_ned_with_empty_gold_strings_matches_reference():
     assert strings == [(), (), (1,), (2,), (1, 2), (), (2, 3, 4)]
     clusters = [Cluster(id=0, leader=0, members=[0, 2, 1, 4, 5]),
                 Cluster(id=1, leader=3, members=[3, 6])]
-    value = ned(clusters, segments, None, gold)
+    value = ned(members_of(clusters, segments, gold), gold)
     assert value == lev_oracle.ned(clusters, segments, gold)
     assert 0.0 < value < 1.0
 
@@ -345,5 +360,77 @@ def test_grouping_matches_pair_loop(world):
     precision = sum(x == y for x, y in within) / len(within) if within else None
     recall = (sum(cluster_of[a] == cluster_of[b] for a, b in same) / len(same)
               if same else None)
-    prf = grouping_prf(clusters, segments, gold)
+    prf = grouping_prf(labels_of(clusters, segments, gold))
     assert (prf.precision, prf.recall) == (precision, recall)
+
+
+def corpus_of(gold):
+    """A corpus whose utterances have the frames and symbols of the gold."""
+    return Corpus(1, 4, [
+        Utterance(utt_id, np.zeros((utt.true_spans[-1][1], 1), dtype=np.float32),
+                  utt.true_symbols, utt.true_spans)
+        for utt_id, utt in gold.utterances.items()])
+
+
+@given(scored_worlds())
+@settings(max_examples=300)
+def test_report_matches_per_metric_reference(world):
+    clusters, segments, gold = world
+    corpus = corpus_of(gold)
+    assert report(clusters, segments, corpus, gold) == eval_oracle.report(
+        clusters, segments, corpus, gold)
+
+
+CLUSTERINGS = {
+    "perfect": [Cluster(id=0, leader=0, members=[0, 2]),
+                Cluster(id=1, leader=1, members=[1, 3])],
+    "mixed": [Cluster(id=0, leader=2, members=[2, 0, 1]),
+              Cluster(id=1, leader=3, members=[3])],
+    "partial": [Cluster(id=0, leader=1, members=[1])],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", CLUSTERINGS)
+def test_report_calls_each_metric_once_and_labels_each_segment_once(monkeypatch, name):
+    corpus, gold, segments, _ = toy_world()
+    clusters = CLUSTERINGS[name]
+    calls = Counter()
+
+    def counted(fn_name):
+        original = getattr(evaluation, fn_name)
+
+        def wrapper(*args, **kwargs):
+            calls[fn_name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(evaluation, fn_name, wrapper)
+
+    metrics = ("ned", "grouping_prf", "token_type_prf", "boundary_prf", "coverage")
+    for fn_name in (*metrics, "gold_segment_label"):
+        counted(fn_name)
+    report(clusters, segments, corpus, gold)
+    assert calls == Counter({**dict.fromkeys(metrics, 1),
+                             "gold_segment_label": sum(len(c.members) for c in clusters)})
+
+
+def test_report_leaves_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma on its first call, which costs a
+    # fresh process 10-20 ms
+    script = (
+        "import sys\n"
+        "from termforge.baseline import Cluster\n"
+        "from termforge.evaluation import report\n"
+        "from test_evaluation import toy_world\n"
+        "corpus, gold, segments, perfect = toy_world()\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "mixed = [Cluster(id=0, leader=0, members=[0, 1, 2])]\n"
+        "for clusters in (perfect, mixed):\n"
+        "    assert report(clusters, segments, corpus, gold).ned is not None\n"
+        "print('numpy.ma' in sys.modules)\n")
+    # the imported termforge package and this directory first on the path
+    path = [os.path.dirname(os.path.dirname(os.path.abspath(evaluation.__file__))),
+            os.path.dirname(os.path.abspath(__file__)), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -8,9 +8,9 @@ import lev_oracle
 from termforge.baseline import Cluster
 from termforge.corpus import Segment
 from termforge.mining import (MiningError, MiningThresholds, contrast_stats,
-                              load_manifest, purity_stats, sample_manifest,
-                              select_contrasting_pairs, select_pure_clusters,
-                              write_manifest)
+                              load_manifest, mean_symbol_length, purity_stats,
+                              sample_manifest, select_contrasting_pairs,
+                              select_pure_clusters, write_manifest)
 from termforge.seqmatch import levenshtein
 from termforge.synthgen import SynthConfig, generate, gold_segment_label
 from termforge.seqmatch import AlignScoring, discover_segments
@@ -25,9 +25,7 @@ def make_cluster(cluster_id, symbol_lists, start_id=0):
         segments[seg_id] = Segment(seg_id, "u0", offset * 50,
                                    offset * 50 + 2 * len(symbols), tuple(symbols))
         members.append(seg_id)
-    mean_len = sum(len(s) for s in symbol_lists) / len(symbol_lists)
-    return Cluster(id=cluster_id, leader=members[0], members=members,
-                   mean_len=mean_len), segments
+    return Cluster(id=cluster_id, leader=members[0], members=members), segments
 
 
 def oracle_purity(symbol_lists):
@@ -48,6 +46,13 @@ def test_purity_identical_sequences():
     cluster, segments = make_cluster(0, [[1, 2, 3]] * 4)
     stats = purity_stats(cluster, segments)
     assert stats.mu_s == 0.0 and stats.sigma_s == 0.0
+
+
+def test_mean_symbol_length_of_leader_cluster():
+    segments = [Segment(k, "u0", 100 * k, 100 * k + 2 * n, tuple(range(1, n + 1)))
+                for k, n in enumerate((3, 4, 5))]
+    [cluster] = leader_cluster(segments, LeaderParams(T=1.0))
+    assert mean_symbol_length(cluster, {s.id: s for s in segments}) == 4.0
 
 
 def test_purity_two_member_hand_case():

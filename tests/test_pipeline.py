@@ -174,8 +174,8 @@ def reference_stage_settings(config, stage):
         "embed": {"l_max": config.train.l_max},
         "recluster": {"hdbscan": stable_json(asdict(config.hdbscan)),
                       "extraction": config.extraction},
-        "evaluate": {"eval": stable_json(asdict(config.eval)), "system": config.system,
-                     "extraction": config.extraction},
+        "evaluate": {"eval": stable_json({"boundary_tolerance": 1, "edge_tolerance": 1}),
+                     "system": config.system, "extraction": config.extraction},
     }
     return {"seed": config.seed, **subsets[stage]}
 
@@ -311,6 +311,8 @@ def test_cli_bare_synth_config(tmp_path):
     ("synth", '{"vocabulary_size": 3, "bogus": 1}', "config section 'synth'"),
     ("all", '{"synth": {"vocabulary_size": 3}, "hdbscn": {"min_cluster_size": 3}}',
      "unknown top-level key(s) ['hdbscn']"),
+    ("all", '{"synth": {"vocabulary_size": 3}, "eval": {"edge_tolerance": 1}}',
+     "unknown top-level key(s) ['eval']"),
     ("all", "[1]", "config must be a JSON object, got list"),
     ("synth", "[1]", "config must be a JSON object, got list"),
     ("all", '{"synth": [1]}', "config section 'synth' must be a JSON object"),
@@ -318,6 +320,7 @@ def test_cli_bare_synth_config(tmp_path):
      "config section 'train' must be a JSON object, got int"),
 ], ids=["malformed", "missing", "unknown-key", "unknown-hdbscan-key",
         "missing-key", "bare-synth-unknown-key", "unknown-top-level-key",
+        "eval-top-level-key",
         "not-an-object", "synth-not-an-object", "section-not-an-object",
         "train-not-an-object"])
 def test_cli_config_error_is_one_logged_line(tmp_path, caplog, stage, text, message):
