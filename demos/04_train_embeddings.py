@@ -30,11 +30,11 @@ manifest = sample_manifest(retained, contrasting, 400, 400, seed=9)
 arch = NetArch(l_max=24, feature_dim=corpus.feature_dim)
 params = init_params(arch, seed=1)
 config = TrainConfig(margin=2.0, learning_rate=0.03, batch_size=32,
-                     max_epochs=12, seed=2, l_max=24)
+                     max_epochs=12, seed=2)
 params, curve = train(params, manifest, corpus, segments, config, "triplet")
 print("loss curve:", " -> ".join(f"{v:.4f}" for v in curve))
 
-table = embed_all(params, segments, corpus, l_max=24)
+table = embed_all(params, segments, corpus)
 labels = np.array([gold_segment_label(gold, s) for s in segments])
 same, diff = [], []
 for i in range(len(segments)):

@@ -51,7 +51,10 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        blob = json.loads(Path(args.config).read_text())
+        try:
+            blob = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise pipeline.PipelineError(f"{args.config}: {exc}") from None
         if args.stage == "synth" and isinstance(blob, dict) and "synth" not in blob:
             # bare SynthConfig file: standalone corpus generation
             if not args.out:

@@ -115,6 +115,10 @@ class NetworkParams:
 
 @dataclass
 class TrainConfig:
+    """Training settings. `seed` seeds the batch order of a direct `train`
+    call; the pipeline derives it from its root seed. `l_max` is the input
+    width the pipeline builds `NetArch` with; `train` and `embed_all` read
+    the width of the network they are given, `params.arch.l_max`."""
     margin: float = 1.0
     learning_rate: float = 1e-3
     batch_size: int = 64
@@ -428,7 +432,7 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
         for lo in range(0, len(entries), config.batch_size):
             chunk = [entries[k] for k in order[lo:lo + config.batch_size]]
             batch = {key: _stack(corpus, [segments_by_id[getattr(e, attr)] for e in chunk],
-                                 config.l_max)
+                                 params.arch.l_max)
                      for key, attr in _TOWERS[mode]}
             if mode == "siamese":
                 batch["y"] = np.array([p.y for p in chunk])
@@ -447,11 +451,13 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
 
 
 def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus,
-              l_max: int, chunk_size: int = 256) -> np.ndarray:
-    """Embedding table: row i is the embedding of segments[i]."""
+              chunk_size: int = 256) -> np.ndarray:
+    """Embedding table: row i is the embedding of segments[i], its features
+    padded or cut to the network's input width."""
     rows = []
     for lo in range(0, len(segments), chunk_size):
-        rows.append(_forward(params, _stack(corpus, segments[lo:lo + chunk_size], l_max)))
+        rows.append(_forward(params, _stack(corpus, segments[lo:lo + chunk_size],
+                                            params.arch.l_max)))
     if not rows:
         return np.zeros((0, params.arch.embed_dim))
     return np.concatenate(rows, axis=0)

@@ -85,8 +85,7 @@ def _prf(precision, recall) -> PRF:
 
 def _gold_string(gold: GoldAnnotation, segment: Segment) -> tuple[int, ...]:
     """Gold transcription of a segment: the true symbols it overlaps by at
-    least half their duration (true spans, which differ from the emitted
-    frame spans once indel noise is on)."""
+    least half their duration."""
     utt = gold.utterances[segment.utterance_id]
     return overlapped_symbols(utt.true_symbols, utt.true_spans, segment.start, segment.end)
 

@@ -213,10 +213,10 @@ def sample_manifest(retained: list[Cluster], contrasting: list[tuple[Cluster, Cl
     pos_weights = [len(c.members) * (len(c.members) - 1) // 2 for c in positive_sources]
     neg_weights = [len(c1.members) * len(c2.members) for c1, c2 in contrasting]
 
-    partners: dict[int, list[tuple[int, Cluster]]] = {}
+    partners: dict[int, list[Cluster]] = {}
     for c1, c2 in contrasting:
-        partners.setdefault(c1.id, []).append((c2.id, c2))
-        partners.setdefault(c2.id, []).append((c1.id, c1))
+        partners.setdefault(c1.id, []).append(c2)
+        partners.setdefault(c2.id, []).append(c1)
     triplet_sources = [c for c in positive_sources if c.id in partners]
     tri_weights = [len(c.members) * (len(c.members) - 1) // 2 for c in triplet_sources]
 
@@ -247,7 +247,7 @@ def sample_manifest(retained: list[Cluster], contrasting: list[tuple[Cluster, Cl
         src = triplet_sources[_weighted_choice(rng, tri_weights)]
         i, j = _distinct_pair(rng, len(src.members))
         options = partners[src.id]
-        _neg_id, neg_cluster = options[int(rng.integers(0, len(options)))]
+        neg_cluster = options[int(rng.integers(0, len(options)))]
         k = int(rng.integers(0, len(neg_cluster.members)))
         manifest.triplets.append(Triplet(
             anchor=src.members[i], positive=src.members[j],

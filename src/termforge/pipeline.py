@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +80,20 @@ class PipelineConfig:
     max_dp_cells: int = 200_000_000
 
     def validate(self) -> None:
+        """Every setting, so that a bad value stops the run before any stage
+        writes; a bad section value raises a PipelineError naming the section."""
         if self.system not in SYSTEMS:
             raise PipelineError(f"system must be one of {SYSTEMS}, got {self.system!r}")
         if self.extraction not in EXTRACTIONS:
             raise PipelineError(
                 f"extraction must be one of {EXTRACTIONS}, got {self.extraction!r}")
+        for section, settings in (("synth", self.synth), ("align", self.align),
+                                  ("leader", self.leader), ("mining", self.thresholds),
+                                  ("train", self.train), ("hdbscan", self.hdbscan)):
+            try:
+                settings.validate()
+            except ValueError as exc:
+                raise PipelineError(f"config section {section!r}: {exc}") from None
 
     @property
     def mode(self) -> str:
@@ -101,31 +110,32 @@ class PipelineConfig:
     def from_dict(cls, blob: dict) -> "PipelineConfig":
         """Config from a JSON object whose top-level keys are the fields,
         except that `mining` holds the thresholds, n_siamese and n_triplet.
-        Any other top-level key raises a PipelineError."""
-        unknown = sorted(set(_json_object(blob, "config")) - set(_TOP_LEVEL_KEYS))
+        Any other top-level key raises a PipelineError. A key that is absent
+        keeps the dataclass default. A `seed` in the synth or train section
+        is ignored: the pipeline derives both seeds from the root seed."""
+        kwargs = dict(_json_object(blob, "config"))
+        unknown = sorted(set(kwargs) - set(_TOP_LEVEL_KEYS))
         if unknown:
             raise PipelineError(f"config: unknown top-level key(s) {unknown}; "
                                 f"expected keys are {list(_TOP_LEVEL_KEYS)}")
-        synth_data = dict(_json_object(blob.get("synth", {}), "config section 'synth'"))
-        synth_data.pop("seed", None)   # derived from the root seed
-        mining_data = dict(_json_object(blob.get("mining", {}), "config section 'mining'"))
-        n_siamese = mining_data.pop("n_siamese", 10_000)
-        n_triplet = mining_data.pop("n_triplet", 10_000)
-        config = cls(
-            seed=blob.get("seed", 0),
-            system=blob.get("system", "baseline"),
-            extraction=blob.get("extraction", "eom"),
-            workdir=blob.get("workdir", "runs/default"),
-            synth=synth_config(synth_data),
-            align=config_section(seqmatch.AlignScoring, "align", blob.get("align", {})),
-            leader=config_section(baseline_mod.LeaderParams, "leader", blob.get("leader", {})),
-            thresholds=config_section(mining.MiningThresholds, "mining", mining_data),
-            n_siamese=n_siamese,
-            n_triplet=n_triplet,
-            train=config_section(embednet.TrainConfig, "train", blob.get("train", {})),
-            hdbscan=config_section(recluster.HdbscanParams, "hdbscan", blob.get("hdbscan", {})),
-            max_dp_cells=blob.get("max_dp_cells", 200_000_000),
-        )
+        for section in ("synth", "train"):
+            if section in kwargs:
+                data = _json_object(kwargs[section], f"config section {section!r}")
+                kwargs[section] = {k: v for k, v in data.items() if k != "seed"}
+        if "synth" in kwargs:
+            kwargs["synth"] = synth_config(kwargs["synth"])
+        if "mining" in kwargs:
+            data = dict(_json_object(kwargs.pop("mining"), "config section 'mining'"))
+            kwargs.update({key: data.pop(key) for key in ("n_siamese", "n_triplet")
+                           if key in data})
+            kwargs["thresholds"] = config_section(mining.MiningThresholds, "mining", data)
+        for section, section_cls in (("align", seqmatch.AlignScoring),
+                                     ("leader", baseline_mod.LeaderParams),
+                                     ("train", embednet.TrainConfig),
+                                     ("hdbscan", recluster.HdbscanParams)):
+            if section in kwargs:
+                kwargs[section] = config_section(section_cls, section, kwargs[section])
+        config = cls(**kwargs)
         config.validate()
         return config
 
@@ -216,9 +226,8 @@ def _is_current(workdir: Path, current: str, stage: _Stage) -> bool:
 
 
 def _run_synth(config: PipelineConfig, workdir: Path) -> None:
-    synth_cfg = synthgen.SynthConfig(**{**asdict(config.synth),
-                                        "seed": derive_seed(config.seed, "synth")})
-    corpus, gold = synthgen.generate(synth_cfg)
+    corpus, gold = synthgen.generate(
+        replace(config.synth, seed=derive_seed(config.seed, "synth")))
     corpus_dir = workdir / "corpus"
     write_corpus(corpus, corpus_dir)
     write_gold(gold, corpus_dir / "gold.json")
@@ -263,8 +272,7 @@ def _run_train(config: PipelineConfig, workdir: Path) -> None:
     arch = embednet.NetArch(l_max=config.train.l_max,
                             feature_dim=corpus.feature_dim)
     params = embednet.init_params(arch, derive_seed(config.seed, "init"))
-    train_cfg = embednet.TrainConfig(**{**asdict(config.train),
-                                        "seed": derive_seed(config.seed, "train")})
+    train_cfg = replace(config.train, seed=derive_seed(config.seed, "train"))
     params, curve = embednet.train(params, manifest, corpus, segments,
                                    train_cfg, mode=config.system)
     embednet.save_params(workdir / "params.ckpt", params)
@@ -277,7 +285,7 @@ def _run_embed(config: PipelineConfig, workdir: Path) -> None:
     corpus = load_corpus(workdir / "corpus")
     segments = seqmatch.load_segments(workdir / "segments.jsonl")
     params = embednet.load_params(workdir / "params.ckpt")
-    table = embednet.embed_all(params, segments, corpus, config.train.l_max)
+    table = embednet.embed_all(params, segments, corpus)
     with atomic_write(workdir / "embeddings.npy", "wb") as fh:
         np.save(fh, table)
     log.info("embed: %s table", table.shape)
@@ -286,11 +294,8 @@ def _run_embed(config: PipelineConfig, workdir: Path) -> None:
 def _run_recluster(config: PipelineConfig, workdir: Path) -> None:
     segments = seqmatch.load_segments(workdir / "segments.jsonl")
     table = np.load(workdir / "embeddings.npy")
-    params = recluster.HdbscanParams(**{
-        **asdict(config.hdbscan),
-        "cluster_selection_epsilon": (config.hdbscan.cluster_selection_epsilon
-                                      if config.extraction == "hybrid" else 0.0),
-    })
+    params = (config.hdbscan if config.extraction == "hybrid"
+              else replace(config.hdbscan, cluster_selection_epsilon=0.0))
     result = recluster.hdbscan(table, params)
     blob = {
         "clusters": [
@@ -337,7 +342,10 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
                      else "clusters_final.json")
     stages = (
         _Stage("synth", (), ("corpus/manifest.json", "corpus/gold.json"),
-               {"synth": stable_json(asdict(config.synth))}, _run_synth),
+               # the former indel_rate, always 0, so that stamps written
+               # before it was removed stay current
+               {"synth": stable_json({**asdict(config.synth), "indel_rate": 0.0})},
+               _run_synth),
         _Stage("discover", ("corpus/manifest.json",), ("segments.jsonl",),
                {"align": stable_json(asdict(config.align)),
                 "max_dp_cells": config.max_dp_cells}, _run_discover),

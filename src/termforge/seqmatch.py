@@ -39,6 +39,7 @@ reference.
 """
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -456,8 +457,6 @@ def discover_segments(corpus: Corpus, scoring: AlignScoring,
 
 def write_segments(path, segments: list[Segment]) -> None:
     """segments.jsonl: one segment per line (id, utterance, span, symbols)."""
-    import json
-
     with atomic_write(path) as fh:
         for seg in segments:
             fh.write(json.dumps({
@@ -469,8 +468,6 @@ def write_segments(path, segments: list[Segment]) -> None:
 
 
 def load_segments(path) -> list[Segment]:
-    import json
-
     segments = []
     with open(path) as fh:
         for line in fh:

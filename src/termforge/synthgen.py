@@ -37,7 +37,6 @@ class SynthConfig:
     filler_rate: float = 0.0
     words_per_utterance: int = 8
     min_word_separation: float = 0.0   # pairwise normalized Levenshtein floor
-    indel_rate: float = 0.0            # extension flag, off by default
     seed: int = 0
 
     def validate(self) -> None:
@@ -52,7 +51,6 @@ class SynthConfig:
         for name, rate in (
             ("symbol_substitution_rate", self.symbol_substitution_rate),
             ("filler_rate", self.filler_rate),
-            ("indel_rate", self.indel_rate),
         ):
             if not 0.0 <= rate <= 1.0:
                 raise SynthError(f"{name} must be in [0, 1]")
@@ -110,46 +108,6 @@ def _substitute(symbols: list[int], rate: float, alphabet: int,
     return out
 
 
-def _apply_indels(symbols: list[int], spans: list[tuple[int, int]], rate: float,
-                  alphabet: int, rng: np.random.Generator):
-    """Optional insertion/deletion noise on the emitted transcription.
-
-    Deletions hand their frames to the previous symbol (next, if first);
-    insertions split a span >= 2 frames and emit a random symbol in the
-    second half. Gold spans are left untouched, so they stop aligning with
-    the transcription once this is enabled.
-    """
-    out_syms: list[int] = []
-    out_spans: list[tuple[int, int]] = []
-    for sym, (start, end) in zip(symbols, spans):
-        action = rng.random()
-        if action < rate / 2 and (out_spans or len(symbols) > 1):
-            # delete: frames absorbed by the previous span when one exists
-            if out_spans:
-                prev_s, _ = out_spans[-1]
-                out_spans[-1] = (prev_s, end)
-            else:
-                # first symbol: mark for absorption by the next one
-                out_spans.append((start, end))
-                out_syms.append(-1)
-            continue
-        out_syms.append(sym)
-        out_spans.append((start, end))
-        if rate / 2 <= action < rate and end - start >= 2:
-            mid = (start + end) // 2
-            out_spans[-1] = (start, mid)
-            out_syms.append(int(rng.integers(0, alphabet)))
-            out_spans.append((mid, end))
-    if out_syms and out_syms[0] == -1:
-        if len(out_syms) > 1:
-            merged_end = out_spans[1][1]
-            out_syms = out_syms[1:]
-            out_spans = [(out_spans[0][0], merged_end)] + out_spans[2:]
-        else:
-            out_syms = [int(rng.integers(0, alphabet))]
-    return out_syms, out_spans
-
-
 def generate(config: SynthConfig) -> tuple[Corpus, GoldAnnotation]:
     """Build a corpus plus gold annotation; deterministic for a fixed seed."""
     config.validate()
@@ -204,17 +162,12 @@ def generate(config: SynthConfig) -> tuple[Corpus, GoldAnnotation]:
 
         emitted = _substitute(true_symbols, config.symbol_substitution_rate,
                               config.alphabet_size, rng)
-        emitted_spans = list(spans)
-        if config.indel_rate > 0:
-            emitted, emitted_spans = _apply_indels(
-                emitted, emitted_spans, config.indel_rate, config.alphabet_size, rng
-            )
 
         utterances.append(Utterance(
             id=utt_id,
             features=features,
             transcription=tuple(emitted),
-            frame_spans=tuple(emitted_spans),
+            frame_spans=tuple(spans),
         ))
 
         boundaries = [0]

@@ -333,7 +333,7 @@ def test_embed_all_matches_reference_kernels(case, n_segments, chunk_size, data)
     segments = [Segment(i, "u0", start, min(start + length, len(features)), (0,))
                 for i, (start, length) in enumerate(spans)]
     with np.errstate(invalid="ignore"):
-        table = embed_all(params, segments, corpus, arch.l_max, chunk_size)
+        table = embed_all(params, segments, corpus, chunk_size)
         expected = net_oracle.embed_all(params, segments, corpus, arch.l_max, chunk_size)
     assert _same_bytes(table, expected)
 
@@ -437,6 +437,21 @@ def test_training_deterministic():
         assert (finals[0].arrays[name] == finals[1].arrays[name]).all()
 
 
+def test_train_reads_the_network_width():
+    """The input width comes from params.arch alone: TrainConfig.l_max, which
+    the pipeline builds NetArch with, leaves a direct train call unchanged."""
+    corpus, segments, manifest = _toy_training_setup()
+    params = init_params(NetArch(l_max=24, feature_dim=8), 5)
+    runs = [train(params, manifest, corpus, segments,
+                  TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=2,
+                              seed=1, l_max=l_max), "triplet")
+            for l_max in (24, 100)]
+    (first, first_curve), (second, second_curve) = runs
+    assert first_curve == second_curve
+    for name in first.arrays:
+        assert (first.arrays[name] == second.arrays[name]).all()
+
+
 def test_divergence_guard():
     # The matched contrastive term grows quadratically with the distance
     # between the two embeddings, so an absurd learning rate drives the
@@ -463,7 +478,7 @@ def test_embed_all_rows_and_duplicates():
     corpus, segments, _ = _toy_training_setup()
     arch = NetArch(l_max=24, feature_dim=8)
     params = init_params(arch, 6)
-    table = embed_all(params, segments, corpus, l_max=24)
+    table = embed_all(params, segments, corpus)
     assert table.shape == (len(segments), arch.embed_dim)
     by_symbols = {}
     for row, seg in zip(table, segments):
@@ -481,7 +496,7 @@ def test_trained_embeddings_separate_classes():
     config = TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=15,
                          seed=1, l_max=24)
     trained, _ = train(params, manifest, corpus, segments, config, "triplet")
-    table = embed_all(trained, segments, corpus, l_max=24)
+    table = embed_all(trained, segments, corpus)
     groups = {}
     for row, seg in zip(table, segments):
         groups.setdefault(seg.symbols, []).append(row)

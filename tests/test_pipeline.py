@@ -164,7 +164,7 @@ def reference_stage_settings(config, stage):
     """The config subset each stage hash covered when the stages were three
     tables; a change here invalidates every cached workdir."""
     subsets = {
-        "synth": {"synth": stable_json(asdict(config.synth))},
+        "synth": {"synth": stable_json({**asdict(config.synth), "indel_rate": 0.0})},
         "discover": {"align": stable_json(asdict(config.align)),
                      "max_dp_cells": config.max_dp_cells},
         "baseline": {"leader": stable_json(asdict(config.leader))},
@@ -191,6 +191,51 @@ def test_stage_hash_covers_reference_settings(tmp_path, system, extraction):
         expected = sha256_bytes("|".join(
             [stable_json(reference_stage_settings(config, name)), "h1", "h2"]).encode())
         assert pipeline._stage_hash(config, stage, ["h1", "h2"]) == expected, name
+
+
+def test_from_dict_takes_defaults_from_the_dataclass():
+    assert PipelineConfig.from_dict({}) == PipelineConfig()
+    scalars = {"seed": 9, "system": "triplet", "extraction": "hybrid",
+               "workdir": "elsewhere", "max_dp_cells": 1234}
+    config = PipelineConfig.from_dict(
+        {**scalars, "mining": {"n_siamese": 7, "n_triplet": 8}})
+    assert config == PipelineConfig(**scalars, n_siamese=7, n_triplet=8)
+
+
+@pytest.mark.parametrize("system, extraction", [("baseline", "eom"),
+                                                ("triplet", "hybrid")])
+def test_section_seeds_leave_every_stage_hash_unchanged(tmp_path, system, extraction):
+    """The synth and train seeds derive from the root seed, so a seed in
+    either section is ignored and the cached stages stay current."""
+    blob = small_blob(tmp_path / "wd", system, extraction)
+    seeded = {**blob, "synth": {**blob["synth"], "seed": 5},
+              "train": {**blob["train"], "seed": 5}}
+    config, seeded_config = PipelineConfig.from_dict(blob), PipelineConfig.from_dict(seeded)
+    table, seeded_table = pipeline._stage_table(config), pipeline._stage_table(seeded_config)
+    for name in pipeline.STAGES:
+        assert (pipeline._stage_hash(seeded_config, seeded_table[name], ["h1"])
+                == pipeline._stage_hash(config, table[name], ["h1"])), name
+
+
+@pytest.mark.parametrize("section, settings, message", [
+    ("synth", {"vocabulary_size": 3, "filler_rate": 2.0}, "filler_rate must be in [0, 1]"),
+    ("align", {"match_score": 0.0}, "match_score must be positive"),
+    ("leader", {"T": 2}, "T must be in (0, 1]"),
+    ("mining", {"thres_mu_s": 0.0}, "thres_mu_s must be positive"),
+    ("train", {"max_epochs": 21}, "max_epochs is capped at 20"),
+    ("hdbscan", {"min_cluster_size": 1}, "min_cluster_size must be >= 2"),
+])
+def test_bad_section_value_stops_before_any_stage(tmp_path, caplog, section, settings,
+                                                  message):
+    blob = {"synth": {"vocabulary_size": 3}, "system": "triplet", section: settings}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(blob))
+    workdir = tmp_path / "wd"
+    with caplog.at_level(logging.ERROR, logger="termforge"):
+        assert cli.main(["all", "--config", str(config_path), "--out", str(workdir)]) == 1
+    [record] = caplog.records
+    assert record.getMessage() == f"config section {section!r}: {message}"
+    assert not workdir.exists()
 
 
 LEARNED_PRODUCERS = [("discover", "corpus/manifest.json", "synth"),
@@ -300,7 +345,7 @@ def test_cli_bare_synth_config(tmp_path):
 
 
 @pytest.mark.parametrize("stage, text, message", [
-    ("all", "{", "Expecting property name"),
+    ("all", '{"seed": 1,', "config.json: Expecting property name"),
     ("all", None, "No such file"),
     ("all", '{"synth": {"vocabulary_size": 3, "bogus": 1}}',
      "config section 'synth': SynthConfig.__init__() got an unexpected keyword "
@@ -318,11 +363,17 @@ def test_cli_bare_synth_config(tmp_path):
     ("all", '{"synth": [1]}', "config section 'synth' must be a JSON object"),
     ("all", '{"synth": {"vocabulary_size": 3}, "train": 3}',
      "config section 'train' must be a JSON object, got int"),
+    ("all", '{"synth": {"vocabulary_size": 3, "indel_rate": 0.1}}',
+     "config section 'synth': SynthConfig.__init__() got an unexpected keyword "
+     "argument 'indel_rate'"),
+    ("synth", '{"vocabulary_size": 3, "indel_rate": 0.0}',
+     "config section 'synth': SynthConfig.__init__() got an unexpected keyword "
+     "argument 'indel_rate'"),
 ], ids=["malformed", "missing", "unknown-key", "unknown-hdbscan-key",
         "missing-key", "bare-synth-unknown-key", "unknown-top-level-key",
         "eval-top-level-key",
         "not-an-object", "synth-not-an-object", "section-not-an-object",
-        "train-not-an-object"])
+        "train-not-an-object", "indel-rate", "bare-synth-indel-rate"])
 def test_cli_config_error_is_one_logged_line(tmp_path, caplog, stage, text, message):
     config_path = tmp_path / "config.json"
     if text is not None:

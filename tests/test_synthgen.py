@@ -122,14 +122,6 @@ def test_filler_symbols_not_in_gold_tokens():
     assert saw_filler
 
 
-def test_indel_noise_keeps_invariants():
-    config = small_config(indel_rate=0.3, occurrences_per_word=10)
-    corpus, gold = generate(config)   # Corpus() validates spans internally
-    changed = any(utt.transcription != gold.utterances[utt.id].true_symbols
-                  for utt in corpus)
-    assert changed
-
-
 # --- gold_segment_label -----------------------------------------------------
 
 
