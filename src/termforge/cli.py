@@ -14,7 +14,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import pipeline, synthgen
+from . import embednet, mining, pipeline, synthgen, util
 from .corpus import write_corpus, write_gold
 
 
@@ -35,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_bare_synth(blob: dict, out_dir: str) -> None:
-    corpus, gold = synthgen.generate(pipeline.synth_config(blob))
+    corpus, gold = synthgen.generate(
+        util.from_json(synthgen.SynthConfig, blob, "config section 'synth'"))
     out = Path(out_dir)
     write_corpus(corpus, out)
     write_gold(gold, out / "gold.json")
@@ -69,12 +70,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.stage == "all":
             pipeline.run_all(config, force=args.force)
         else:
-            ran = pipeline.run_stage(args.stage, config, force=args.force)
-            if not ran:
-                logging.getLogger("termforge").info(
-                    "%s: cached artifacts are current", args.stage)
+            pipeline.run_stage(args.stage, config, force=args.force)
         return 0
-    except (pipeline.PipelineError, ValueError, OSError) as exc:
+    except (pipeline.PipelineError, ValueError, OSError,
+            util.ScaleError, mining.MiningError, embednet.TrainingDiverged) as exc:
         logging.getLogger("termforge").error("%s", exc)
         return 1
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .corpus import Corpus, Segment, slice_features
 from .mining import PairManifest
-from .util import atomic_write, rng_from
+from .util import atomic_write, from_json, rng_from
 
 CHECKPOINT_MAGIC = b"TERMFNET"
 CHECKPOINT_VERSION = 1
@@ -84,18 +84,6 @@ class NetArch:
 
     def flat_dim(self) -> int:
         return self.time_lengths()[-1] * self.conv_channels[2]
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "NetArch":
-        return cls(
-            l_max=blob["l_max"],
-            feature_dim=blob["feature_dim"],
-            conv_channels=tuple(blob["conv_channels"]),
-            conv_kernels=tuple(blob["conv_kernels"]),
-            pool_width=blob["pool_width"],
-            fc_sizes=tuple(blob["fc_sizes"]),
-            embed_dim=blob["embed_dim"],
-        )
 
 
 PARAM_ORDER = ("W1", "b1", "W2", "b2", "W3", "b3",
@@ -520,7 +508,7 @@ def load_params(path) -> NetworkParams:
         arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
         offset += 8 * size
         arrays[name] = arr.reshape(shape).copy()
-    return NetworkParams(NetArch.from_dict(meta["arch"]), arrays, meta["init_seed"])
+    return NetworkParams(from_json(NetArch, meta["arch"], str(path)), arrays, meta["init_seed"])
 
 
 def write_loss_curve(path, curve: list[float]) -> None:

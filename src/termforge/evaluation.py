@@ -28,7 +28,7 @@ from .corpus import Corpus, GoldAnnotation, Segment, overlapped_symbols
 # normalized_levenshtein stays a module attribute for code that wraps it
 from .seqmatch import StringTable, normalized_levenshtein  # noqa: F401
 from .synthgen import gold_segment_label
-from .util import atomic_write
+from .util import atomic_write, from_json
 
 TOLERANCE = 1   # frames per edge, for token spans and gold boundaries
 
@@ -38,10 +38,6 @@ class PRF:
     precision: float | None
     recall: float | None
     f_score: float | None
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "PRF":
-        return cls(blob["precision"], blob["recall"], blob["f_score"])
 
 
 @dataclass
@@ -54,19 +50,6 @@ class EvalReport:
     coverage: float
     n_words: int
     n_pairs: int
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "EvalReport":
-        return cls(
-            grouping=PRF.from_dict(blob["grouping"]),
-            token=PRF.from_dict(blob["token"]),
-            type=PRF.from_dict(blob["type"]),
-            boundary=PRF.from_dict(blob["boundary"]),
-            ned=blob["ned"],
-            coverage=blob["coverage"],
-            n_words=blob["n_words"],
-            n_pairs=blob["n_pairs"],
-        )
 
 
 def f_score(precision: float | None, recall: float | None) -> float | None:
@@ -323,4 +306,4 @@ def write_report(report_: EvalReport, json_path, txt_path, system: str = "system
 
 
 def load_report(path) -> EvalReport:
-    return EvalReport.from_dict(json.loads(Path(path).read_text()))
+    return from_json(EvalReport, json.loads(Path(path).read_text()), str(path))

@@ -23,7 +23,7 @@ import numpy as np
 from . import baseline as baseline_mod
 from . import embednet, evaluation, mining, recluster, seqmatch, synthgen
 from .corpus import load_corpus, load_gold, write_corpus, write_gold
-from .util import atomic_write, derive_seed, sha256_bytes, sha256_file, stable_json
+from .util import atomic_write, derive_seed, from_json, sha256_bytes, sha256_file, stable_json
 
 log = logging.getLogger("termforge")
 
@@ -35,31 +35,6 @@ EXTRACTIONS = ("eom", "hybrid")
 
 class PipelineError(RuntimeError):
     pass
-
-
-def _json_object(data, where: str) -> dict:
-    if not isinstance(data, dict):
-        raise PipelineError(f"{where} must be a JSON object, got {type(data).__name__}")
-    return data
-
-
-def config_section(cls, section: str, data: dict):
-    """cls(**data); data that is not an object, or an unknown or missing
-    required key, raises a PipelineError that names the section and the key."""
-    data = _json_object(data, f"config section {section!r}")
-    try:
-        return cls(**data)
-    except TypeError as exc:   # from a dataclass __init__: a bad key
-        raise PipelineError(f"config section {section!r}: {exc}") from None
-
-
-def synth_config(data: dict) -> synthgen.SynthConfig:
-    """SynthConfig from JSON data, in which its ranges are lists."""
-    data = dict(data)
-    for key in ("word_length_range", "frames_per_subword_range"):
-        if key in data:
-            data[key] = tuple(data[key])
-    return config_section(synthgen.SynthConfig, "synth", data)
 
 
 @dataclass
@@ -77,7 +52,7 @@ class PipelineConfig:
     n_triplet: int = 10_000
     train: embednet.TrainConfig = field(default_factory=embednet.TrainConfig)
     hdbscan: recluster.HdbscanParams = field(default_factory=recluster.HdbscanParams)
-    max_dp_cells: int = 200_000_000
+    max_dp_cells: int = seqmatch.MAX_DP_CELLS
 
     def validate(self) -> None:
         """Every setting, so that a bad value stops the run before any stage
@@ -87,6 +62,13 @@ class PipelineConfig:
         if self.extraction not in EXTRACTIONS:
             raise PipelineError(
                 f"extraction must be one of {EXTRACTIONS}, got {self.extraction!r}")
+        if self.max_dp_cells < 1:
+            raise PipelineError(f"max_dp_cells must be >= 1, got {self.max_dp_cells}")
+        for system, count in (("siamese", self.n_siamese), ("triplet", self.n_triplet)):
+            least = 1 if system == self.system else 0   # the count the system trains on
+            if count < least:
+                raise PipelineError(f"config section 'mining': n_{system} must be >= {least}"
+                                    f" for system {self.system!r}, got {count}")
         for section, settings in (("synth", self.synth), ("align", self.align),
                                   ("leader", self.leader), ("mining", self.thresholds),
                                   ("train", self.train), ("hdbscan", self.hdbscan)):
@@ -110,32 +92,28 @@ class PipelineConfig:
     def from_dict(cls, blob: dict) -> "PipelineConfig":
         """Config from a JSON object whose top-level keys are the fields,
         except that `mining` holds the thresholds, n_siamese and n_triplet.
-        Any other top-level key raises a PipelineError. A key that is absent
-        keeps the dataclass default. A `seed` in the synth or train section
-        is ignored: the pipeline derives both seeds from the root seed."""
-        kwargs = dict(_json_object(blob, "config"))
-        unknown = sorted(set(kwargs) - set(_TOP_LEVEL_KEYS))
+        Any other key or a wrong-typed value raises a PipelineError. A key
+        that is absent keeps the dataclass default. A `seed` in the synth or
+        train section is ignored: both derive from the root seed."""
+        if not isinstance(blob, dict):
+            raise PipelineError(f"config must be a JSON object, got {type(blob).__name__}")
+        unknown = sorted(set(blob) - set(_TOP_LEVEL_KEYS))
         if unknown:
             raise PipelineError(f"config: unknown top-level key(s) {unknown}; "
                                 f"expected keys are {list(_TOP_LEVEL_KEYS)}")
-        for section in ("synth", "train"):
-            if section in kwargs:
-                data = _json_object(kwargs[section], f"config section {section!r}")
-                kwargs[section] = {k: v for k, v in data.items() if k != "seed"}
-        if "synth" in kwargs:
-            kwargs["synth"] = synth_config(kwargs["synth"])
-        if "mining" in kwargs:
-            data = dict(_json_object(kwargs.pop("mining"), "config section 'mining'"))
-            kwargs.update({key: data.pop(key) for key in ("n_siamese", "n_triplet")
-                           if key in data})
-            kwargs["thresholds"] = config_section(mining.MiningThresholds, "mining", data)
-        for section, section_cls in (("align", seqmatch.AlignScoring),
-                                     ("leader", baseline_mod.LeaderParams),
-                                     ("train", embednet.TrainConfig),
-                                     ("hdbscan", recluster.HdbscanParams)):
-            if section in kwargs:
-                kwargs[section] = config_section(section_cls, section, kwargs[section])
-        config = cls(**kwargs)
+        kwargs = {key: ({k: v for k, v in value.items() if k != "seed"}
+                        if key in ("synth", "train") and isinstance(value, dict) else value)
+                  for key, value in blob.items() if key != "mining"}
+        data = blob.get("mining", {})
+        if isinstance(data, dict):
+            kwargs.update({k: data[k] for k in ("n_siamese", "n_triplet") if k in data})
+            data = {k: v for k, v in data.items() if k not in ("n_siamese", "n_triplet")}
+        try:
+            kwargs["thresholds"] = from_json(mining.MiningThresholds, data,
+                                             "config section 'mining'")
+            config = from_json(cls, kwargs, "config")
+        except ValueError as exc:
+            raise PipelineError(str(exc)) from None
         config.validate()
         return config
 

@@ -37,6 +37,8 @@ class HdbscanParams:
             raise ValueError("min_samples must be >= 1")
         if self.cluster_selection_epsilon < 0:
             raise ValueError("cluster_selection_epsilon must be >= 0")
+        if self.max_points <= max(self.min_samples, self.min_cluster_size):
+            raise ValueError("max_points must exceed max(min_samples, min_cluster_size)")
 
 
 @dataclass

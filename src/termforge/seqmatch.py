@@ -59,6 +59,7 @@ Span = tuple[int, int]
 # int64 row per pair at a time.
 CHUNK_BYTES = 1 << 20
 _INT16 = np.iinfo(np.int16)
+MAX_DP_CELLS = 200_000_000   # default budget of discover_segments
 
 
 @dataclass
@@ -392,7 +393,7 @@ def local_align(a: Sequence[int], b: Sequence[int], scoring: AlignScoring,
 
 
 def discover_segments(corpus: Corpus, scoring: AlignScoring,
-                      max_dp_cells: int = 200_000_000,
+                      max_dp_cells: int = MAX_DP_CELLS,
                       workers: int | None = None) -> list[Segment]:
     """Run local alignment over all unordered utterance pairs (self pairs
     included) and convert every aligned span into a deduplicated Segment.

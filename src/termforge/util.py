@@ -1,11 +1,15 @@
-"""Shared plumbing: seed derivation, stable hashing, worker counts, atomic writes."""
+"""Shared plumbing: seed derivation, stable hashing, worker counts, atomic
+writes, and `from_json`, which reads every settings dataclass from JSON."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import struct
+import types
+import typing
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -40,6 +44,49 @@ def worker_count(requested: int | None = None) -> int:
             raise ValueError(f"TERMFORGE_THREADS must be an integer, got {cap!r}") from exc
         return cap_value if requested is None else min(requested, cap_value)
     return 1 if requested is None else max(1, requested)
+
+
+_JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool}
+
+
+def _is_json_type(value, tp) -> bool:
+    """Whether JSON `value` holds `tp`; only scalars, None, tuples and unions are checked."""
+    if tp in _JSON_TYPES:
+        return isinstance(value, _JSON_TYPES[tp]) and (tp is bool or not isinstance(value, bool))
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_is_json_type, value, args)))
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        return any(_is_json_type(value, arm) for arm in args)
+    return tp is not type(None) or value is None
+
+
+def from_json(cls, data, where: str):
+    """`cls(**data)` for a dataclass `cls` and a JSON object `data`. A list
+    becomes a tuple for a `tuple[...]` field; a dataclass field that is not
+    already an instance is built from its own object, with `where` + " section
+    '<field>'". A scalar must hold its JSON type (an int passes for a float, a
+    bool never for an int) and is not converted, so a stage hash sees it as
+    written. A non-object, an unknown or missing key or a wrong-typed value
+    raises a ValueError that starts with `where`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, value in data.items():
+        tp = hints.get(name)
+        if dataclasses.is_dataclass(tp) and not isinstance(value, tp):
+            value = from_json(tp, value, f"{where} section {name!r}")
+        elif tp is not None and not _is_json_type(value, tp):
+            raise ValueError(f"{where}: {name} must be "
+                             f"{tp.__name__ if isinstance(tp, type) else tp}, "
+                             f"got {type(value).__name__} {value!r}")
+        kwargs[name] = tuple(value) if typing.get_origin(tp) is tuple else value
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:   # from the dataclass __init__: an unknown or missing key
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def stable_json(obj) -> str:

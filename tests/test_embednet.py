@@ -1,3 +1,5 @@
+import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -529,6 +531,21 @@ def test_checkpoint_round_trip(tmp_path):
     assert restored.init_seed == params.init_seed
     for name in params.arrays:
         assert (restored.arrays[name] == params.arrays[name]).all()
+
+
+def test_checkpoint_arch_with_unknown_key_rejected(tmp_path):
+    path = tmp_path / "params.ckpt"
+    save_params(path, init_params(SMALL, 42))
+    raw = path.read_bytes()
+    blob_len, = struct.unpack_from("<I", raw, 12)
+    meta = json.loads(raw[16:16 + blob_len])
+    meta["arch"]["dropout"] = 0.5
+    blob = json.dumps(meta).encode()
+    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + blob_len:])
+    with pytest.raises(ValueError) as info:
+        load_params(path)
+    assert str(info.value) == (f"{path}: NetArch.__init__() got an unexpected "
+                               "keyword argument 'dropout'")
 
 
 def test_bad_input_shape_rejected():

@@ -249,6 +249,19 @@ def test_report_json_round_trip(tmp_path):
     assert restored == rep
 
 
+def test_load_report_names_the_file(tmp_path):
+    corpus, gold, segments, perfect = toy_world()
+    write_report(report(perfect, segments, corpus, gold), tmp_path / "report.json",
+                 tmp_path / "report.txt")
+    blob = json.loads((tmp_path / "report.json").read_text())
+    del blob["n_pairs"]
+    (tmp_path / "report.json").write_text(json.dumps(blob))
+    with pytest.raises(ValueError) as info:
+        load_report(tmp_path / "report.json")
+    assert str(info.value).startswith(f"{tmp_path / 'report.json'}: ")
+    assert "'n_pairs'" in str(info.value)
+
+
 def test_null_metrics_render_as_na(tmp_path):
     corpus, gold, segments, _ = toy_world()
     rep = report([], segments, corpus, gold)

@@ -224,6 +224,7 @@ def test_section_seeds_leave_every_stage_hash_unchanged(tmp_path, system, extrac
     ("mining", {"thres_mu_s": 0.0}, "thres_mu_s must be positive"),
     ("train", {"max_epochs": 21}, "max_epochs is capped at 20"),
     ("hdbscan", {"min_cluster_size": 1}, "min_cluster_size must be >= 2"),
+    ("hdbscan", {"max_points": 0}, "max_points must exceed max(min_samples, min_cluster_size)"),
 ])
 def test_bad_section_value_stops_before_any_stage(tmp_path, caplog, section, settings,
                                                   message):
@@ -236,6 +237,37 @@ def test_bad_section_value_stops_before_any_stage(tmp_path, caplog, section, set
     [record] = caplog.records
     assert record.getMessage() == f"config section {section!r}: {message}"
     assert not workdir.exists()
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"seed": "x"}, "config: seed must be int, got str 'x'"),
+    ({"leader": {"T": "0.4"}}, "config section 'leader': T must be float, got str '0.4'"),
+    ({"mining": {"n_siamese": -5}},
+     "config section 'mining': n_siamese must be >= 0 for system 'baseline', got -5"),
+    ({"system": "siamese", "mining": {"n_siamese": 0}},
+     "config section 'mining': n_siamese must be >= 1 for system 'siamese', got 0"),
+    ({"max_dp_cells": 0}, "max_dp_cells must be >= 1, got 0"),
+], ids=["seed", "leader-T", "negative-count", "no-pairs-to-train-on", "max-dp-cells"])
+def test_bad_top_level_value_stops_before_any_stage(tmp_path, caplog, settings, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"synth": {"vocabulary_size": 3}, **settings}))
+    workdir = tmp_path / "wd"
+    with caplog.at_level(logging.ERROR, logger="termforge"):
+        assert cli.main(["all", "--config", str(config_path), "--out", str(workdir)]) == 1
+    [record] = caplog.records
+    assert record.getMessage() == message
+    assert not workdir.exists()
+
+
+def test_cached_stage_logs_one_line(tmp_path, caplog):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"synth": {"vocabulary_size": 3}}))
+    argv = ["synth", "--config", str(config_path), "--out", str(tmp_path / "wd")]
+    assert cli.main(argv) == 0
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="termforge"):
+        assert cli.main(argv) == 0
+    assert [r.getMessage() for r in caplog.records] == ["synth: up to date, skipping"]
 
 
 LEARNED_PRODUCERS = [("discover", "corpus/manifest.json", "synth"),
@@ -369,11 +401,19 @@ def test_cli_bare_synth_config(tmp_path):
     ("synth", '{"vocabulary_size": 3, "indel_rate": 0.0}',
      "config section 'synth': SynthConfig.__init__() got an unexpected keyword "
      "argument 'indel_rate'"),
+    ("all", '{"synth": {"vocabulary_size": 3}, "mining": {"bogus": 1}}',
+     "config section 'mining': MiningThresholds.__init__() got an unexpected keyword "
+     "argument 'bogus'"),
+    ("all", '{"synth": {"vocabulary_size": 3}, "max_dp_cells": 1}',
+     "alignment budget exceeded: 38165 DP cells > 1"),
+    ("all", '{"synth": {"vocabulary_size": 3}, "system": "siamese"}',
+     "no positive source"),
 ], ids=["malformed", "missing", "unknown-key", "unknown-hdbscan-key",
         "missing-key", "bare-synth-unknown-key", "unknown-top-level-key",
         "eval-top-level-key",
         "not-an-object", "synth-not-an-object", "section-not-an-object",
-        "train-not-an-object", "indel-rate", "bare-synth-indel-rate"])
+        "train-not-an-object", "indel-rate", "bare-synth-indel-rate",
+        "unknown-mining-key", "alignment-budget", "no-positive-source"])
 def test_cli_config_error_is_one_logged_line(tmp_path, caplog, stage, text, message):
     config_path = tmp_path / "config.json"
     if text is not None:
