@@ -6,7 +6,7 @@ the sampling of matched/mismatched training examples.
 """
 
 from termforge.baseline import LeaderParams, cluster_set_stats, leader_cluster
-from termforge.mining import (MiningThresholds, contrast_stats,
+from termforge.mining import (MiningConfig, contrast_stats,
                               mean_symbol_length, purity_stats, sample_manifest,
                               select_contrasting_pairs, select_pure_clusters)
 from termforge.seqmatch import AlignScoring, discover_segments
@@ -31,8 +31,8 @@ for cluster in clusters[:4]:
     print(f"  cluster {cluster.id}: |C|={len(cluster.members)} "
           f"C~={mean_symbol_length(cluster, by_id):.1f} mu_s={p.mu_s:.2f} sigma_s={p.sigma_s:.2f}")
 
-thresholds = MiningThresholds(thres_mu_s=0.4, thres_sigma_s=0.4,
-                              thres_mu_d=0.4, thres_sigma_d=0.4)
+thresholds = MiningConfig(thres_mu_s=0.4, thres_sigma_s=0.4,
+                          thres_mu_d=0.4, thres_sigma_d=0.4)
 retained = select_pure_clusters(clusters, by_id, thresholds)
 contrasting = select_contrasting_pairs(retained, by_id, thresholds)
 print(f"\nretained {len(retained)} pure clusters, "

@@ -9,7 +9,7 @@ import numpy as np
 
 from termforge.baseline import LeaderParams, leader_cluster
 from termforge.embednet import NetArch, TrainConfig, embed_all, init_params, train
-from termforge.mining import MiningThresholds, sample_manifest, \
+from termforge.mining import MiningConfig, sample_manifest, \
     select_contrasting_pairs, select_pure_clusters
 from termforge.seqmatch import AlignScoring, discover_segments
 from termforge.synthgen import SynthConfig, generate, gold_segment_label
@@ -22,7 +22,7 @@ corpus, gold = generate(SynthConfig(
 segments = discover_segments(corpus, AlignScoring())
 by_id = {s.id: s for s in segments}
 clusters = leader_cluster(segments, LeaderParams())
-thresholds = MiningThresholds()
+thresholds = MiningConfig()
 retained = select_pure_clusters(clusters, by_id, thresholds)
 contrasting = select_contrasting_pairs(retained, by_id, thresholds)
 manifest = sample_manifest(retained, contrasting, 400, 400, seed=9)

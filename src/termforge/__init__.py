@@ -9,7 +9,7 @@ from .baseline import Cluster, LeaderParams, leader_cluster
 from .corpus import (Corpus, GoldAnnotation, Segment, Utterance, load_corpus,
                      slice_features, write_corpus)
 from .evaluation import EvalReport, report
-from .mining import MiningThresholds, PairManifest, sample_manifest
+from .mining import MiningConfig, PairManifest, sample_manifest
 from .pipeline import PipelineConfig, run_all, run_stage
 from .recluster import HdbscanParams, hdbscan
 from .seqmatch import AlignScoring, discover_segments, levenshtein, local_align, \
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignScoring", "Cluster", "Corpus", "EvalReport", "GoldAnnotation",
-    "HdbscanParams", "LeaderParams", "MiningThresholds", "PairManifest",
+    "HdbscanParams", "LeaderParams", "MiningConfig", "PairManifest",
     "PipelineConfig", "Segment", "SynthConfig", "Utterance",
     "discover_segments", "generate", "gold_segment_label", "hdbscan",
     "leader_cluster", "levenshtein", "load_corpus", "local_align",

@@ -3,7 +3,9 @@
 Logs go to stderr; machine-readable artifacts are written to files only.
 `termforge synth` also accepts a bare synthesis config (the SynthConfig
 field names at the top level) together with --out for standalone corpus
-generation.
+generation. A config counts as bare when it has no `synth` key and at least
+one key that is not a PipelineConfig field; any other config is a pipeline
+config, and one without a `synth` section synthesizes its default corpus.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import embednet, mining, pipeline, synthgen, util
@@ -56,7 +59,8 @@ def main(argv: list[str] | None = None) -> int:
             blob = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
             raise pipeline.PipelineError(f"{args.config}: {exc}") from None
-        if args.stage == "synth" and isinstance(blob, dict) and "synth" not in blob:
+        if (args.stage == "synth" and isinstance(blob, dict) and "synth" not in blob
+                and set(blob) - {f.name for f in fields(pipeline.PipelineConfig)}):
             # bare SynthConfig file: standalone corpus generation
             if not args.out:
                 raise pipeline.PipelineError(

@@ -41,11 +41,16 @@ class ContrastStats:
 
 
 @dataclass
-class MiningThresholds:
+class MiningConfig:
+    """Settings of the mine stage, the `mining` section of a pipeline config:
+    the purity and contrast thresholds, and how many Siamese pairs and
+    triplets `sample_manifest` draws."""
     thres_mu_s: float = 0.2
     thres_sigma_s: float = 0.2
     thres_mu_d: float = 0.4
     thres_sigma_d: float = 0.2
+    n_siamese: int = 10_000
+    n_triplet: int = 10_000
 
     def validate(self) -> None:
         for name in ("thres_mu_s", "thres_sigma_s", "thres_mu_d", "thres_sigma_d"):
@@ -149,7 +154,7 @@ def contrast_stats(c1: Cluster, c2: Cluster,
 
 
 def select_pure_clusters(clusters: list[Cluster], segments_by_id: dict[int, Segment],
-                         thresholds: MiningThresholds) -> list[Cluster]:
+                         thresholds: MiningConfig) -> list[Cluster]:
     """Clusters whose purity statistics fall strictly below the scaled bounds."""
     thresholds.validate()
     stats = _weighted_stats([_purity_job(c, segments_by_id) for c in clusters])
@@ -163,7 +168,7 @@ def select_pure_clusters(clusters: list[Cluster], segments_by_id: dict[int, Segm
 
 
 def select_contrasting_pairs(retained: list[Cluster], segments_by_id: dict[int, Segment],
-                             thresholds: MiningThresholds) -> list[tuple[Cluster, Cluster]]:
+                             thresholds: MiningConfig) -> list[tuple[Cluster, Cluster]]:
     """Unordered retained-cluster pairs with large, consistent cross distance."""
     thresholds.validate()
     candidates = [(c1, c2) for k, c1 in enumerate(retained) for c2 in retained[k + 1:]]

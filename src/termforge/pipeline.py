@@ -8,6 +8,9 @@ when the hash of its settings plus upstream artifacts changes (or with
 force=True). All randomness flows from the root seed through labelled
 sub-seed derivation, so two runs with the same config produce byte-identical
 artifacts.
+
+A config file is `PipelineConfig` as JSON: its keys are the fields, and each
+section is the JSON object of that field's own settings dataclass.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +42,9 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class PipelineConfig:
+    """Settings of a run. The keys of a config file are these fields, and
+    each section (`synth`, `align`, `leader`, `mining`, `train`, `hdbscan`)
+    is its dataclass's own object, so `asdict` of a config is a config file."""
     seed: int = 0
     system: str = "baseline"
     extraction: str = "eom"
@@ -47,9 +53,7 @@ class PipelineConfig:
         default_factory=lambda: synthgen.SynthConfig(vocabulary_size=5))
     align: seqmatch.AlignScoring = field(default_factory=seqmatch.AlignScoring)
     leader: baseline_mod.LeaderParams = field(default_factory=baseline_mod.LeaderParams)
-    thresholds: mining.MiningThresholds = field(default_factory=mining.MiningThresholds)
-    n_siamese: int = 10_000
-    n_triplet: int = 10_000
+    mining: mining.MiningConfig = field(default_factory=mining.MiningConfig)
     train: embednet.TrainConfig = field(default_factory=embednet.TrainConfig)
     hdbscan: recluster.HdbscanParams = field(default_factory=recluster.HdbscanParams)
     max_dp_cells: int = seqmatch.MAX_DP_CELLS
@@ -64,18 +68,20 @@ class PipelineConfig:
                 f"extraction must be one of {EXTRACTIONS}, got {self.extraction!r}")
         if self.max_dp_cells < 1:
             raise PipelineError(f"max_dp_cells must be >= 1, got {self.max_dp_cells}")
-        for system, count in (("siamese", self.n_siamese), ("triplet", self.n_triplet)):
+        for system, count in (("siamese", self.mining.n_siamese),
+                              ("triplet", self.mining.n_triplet)):
             least = 1 if system == self.system else 0   # the count the system trains on
             if count < least:
                 raise PipelineError(f"config section 'mining': n_{system} must be >= {least}"
                                     f" for system {self.system!r}, got {count}")
-        for section, settings in (("synth", self.synth), ("align", self.align),
-                                  ("leader", self.leader), ("mining", self.thresholds),
-                                  ("train", self.train), ("hdbscan", self.hdbscan)):
-            try:
-                settings.validate()
-            except ValueError as exc:
-                raise PipelineError(f"config section {section!r}: {exc}") from None
+        for section in fields(self):
+            settings = getattr(self, section.name)
+            if is_dataclass(settings):
+                try:
+                    settings.validate()
+                except ValueError as exc:
+                    raise PipelineError(
+                        f"config section {section.name!r}: {exc}") from None
 
     @property
     def mode(self) -> str:
@@ -90,37 +96,24 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "PipelineConfig":
-        """Config from a JSON object whose top-level keys are the fields,
-        except that `mining` holds the thresholds, n_siamese and n_triplet.
-        Any other key or a wrong-typed value raises a PipelineError. A key
-        that is absent keeps the dataclass default. A `seed` in the synth or
-        train section is ignored: both derive from the root seed."""
+        """Config from a JSON object whose keys are the fields and whose
+        sections are the objects of their dataclasses. An unknown key, a
+        wrong-typed or out-of-range value raises a PipelineError. A key that
+        is absent keeps the dataclass default. The `seed` of the synth and
+        train sections is not used: both derive from the root seed."""
         if not isinstance(blob, dict):
             raise PipelineError(f"config must be a JSON object, got {type(blob).__name__}")
-        unknown = sorted(set(blob) - set(_TOP_LEVEL_KEYS))
+        keys = [f.name for f in fields(cls)]
+        unknown = sorted(set(blob) - set(keys))
         if unknown:
             raise PipelineError(f"config: unknown top-level key(s) {unknown}; "
-                                f"expected keys are {list(_TOP_LEVEL_KEYS)}")
-        kwargs = {key: ({k: v for k, v in value.items() if k != "seed"}
-                        if key in ("synth", "train") and isinstance(value, dict) else value)
-                  for key, value in blob.items() if key != "mining"}
-        data = blob.get("mining", {})
-        if isinstance(data, dict):
-            kwargs.update({k: data[k] for k in ("n_siamese", "n_triplet") if k in data})
-            data = {k: v for k, v in data.items() if k not in ("n_siamese", "n_triplet")}
+                                f"expected keys are {keys}")
         try:
-            kwargs["thresholds"] = from_json(mining.MiningThresholds, data,
-                                             "config section 'mining'")
-            config = from_json(cls, kwargs, "config")
+            config = from_json(cls, blob, "config")
         except ValueError as exc:
             raise PipelineError(str(exc)) from None
         config.validate()
         return config
-
-
-_TOP_LEVEL_KEYS = tuple(
-    "mining" if f.name == "thresholds" else f.name
-    for f in fields(PipelineConfig) if f.name not in ("n_siamese", "n_triplet"))
 
 
 @dataclass(frozen=True)
@@ -232,10 +225,10 @@ def _run_mine(config: PipelineConfig, workdir: Path) -> None:
     segments = seqmatch.load_segments(workdir / "segments.jsonl")
     by_id = {s.id: s for s in segments}
     clusters = baseline_mod.load_clusters(workdir / "clusters_baseline.json")
-    retained = mining.select_pure_clusters(clusters, by_id, config.thresholds)
-    contrasting = mining.select_contrasting_pairs(retained, by_id, config.thresholds)
+    retained = mining.select_pure_clusters(clusters, by_id, config.mining)
+    contrasting = mining.select_contrasting_pairs(retained, by_id, config.mining)
     manifest = mining.sample_manifest(
-        retained, contrasting, config.n_siamese, config.n_triplet,
+        retained, contrasting, config.mining.n_siamese, config.mining.n_triplet,
         seed=derive_seed(config.seed, "mine"))
     mining.write_manifest(workdir / "manifest.json", manifest)
     log.info("mine: %d retained clusters, %d contrasting pairs, %d pairs, %d triplets",
@@ -318,11 +311,16 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
     """Every stage of the pipeline, in run order, as `config` sets it up."""
     clusters_file = ("clusters_baseline.json" if config.system == "baseline"
                      else "clusters_final.json")
+    # the thresholds apart from the two counts, as hashed before the counts
+    # joined the mining section, so that stamps written before stay current
+    thresholds = asdict(config.mining)
+    counts = {key: thresholds.pop(key) for key in ("n_siamese", "n_triplet")}
     stages = (
         _Stage("synth", (), ("corpus/manifest.json", "corpus/gold.json"),
-               # the former indel_rate, always 0, so that stamps written
-               # before it was removed stay current
-               {"synth": stable_json({**asdict(config.synth), "indel_rate": 0.0})},
+               # the section seed, unused, as 0, and the former indel_rate,
+               # always 0, so that stamps written before stay current
+               {"synth": stable_json({**asdict(config.synth), "seed": 0,
+                                      "indel_rate": 0.0})},
                _run_synth),
         _Stage("discover", ("corpus/manifest.json",), ("segments.jsonl",),
                {"align": stable_json(asdict(config.align)),
@@ -330,12 +328,12 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
         _Stage("baseline", ("segments.jsonl",), ("clusters_baseline.json",),
                {"leader": stable_json(asdict(config.leader))}, _run_baseline),
         _Stage("mine", ("segments.jsonl", "clusters_baseline.json"), ("manifest.json",),
-               {"thresholds": stable_json(asdict(config.thresholds)),
-                "n_siamese": config.n_siamese, "n_triplet": config.n_triplet},
-               _run_mine),
+               {"thresholds": stable_json(thresholds), **counts}, _run_mine),
         _Stage("train", ("manifest.json", "corpus/manifest.json", "segments.jsonl"),
                ("params.ckpt", "loss_curve.csv"),
-               {"train": stable_json(asdict(config.train)), "system": config.system},
+               # the section seed, unused, as 0
+               {"train": stable_json({**asdict(config.train), "seed": 0}),
+                "system": config.system},
                _run_train),
         _Stage("embed", ("params.ckpt", "segments.jsonl", "corpus/manifest.json"),
                ("embeddings.npy",), {"l_max": config.train.l_max}, _run_embed),

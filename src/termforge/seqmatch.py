@@ -14,8 +14,8 @@ minimum. Distances are exact integers; nothing is memoized between calls.
 tests/lev_oracle.py keeps the scalar row-by-row DP as the reference.
 
 Local alignment is Smith-Waterman with a linear gap penalty, computed by one
-batched numpy kernel for every caller (local_align, discover_segments and
-its worker processes). The kernel packs sequence pairs into lanes, cuts them
+batched numpy kernel for every caller (local_align and discover_segments).
+The kernel packs sequence pairs into lanes, cuts them
 into chunks whose buffer holds at most CHUNK_BYTES (1 MiB) and fills a chunk
 one anti-diagonal at a time in a skewed, diagonal-major buffer
 S[d, i, p] = H_p[i, d - i], so every step reads contiguous slices. Each
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -49,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, Segment
-from .util import ScaleError, atomic_write, worker_count
+from .util import ScaleError, atomic_write
 
 Span = tuple[int, int]
 
@@ -393,8 +392,7 @@ def local_align(a: Sequence[int], b: Sequence[int], scoring: AlignScoring,
 
 
 def discover_segments(corpus: Corpus, scoring: AlignScoring,
-                      max_dp_cells: int = MAX_DP_CELLS,
-                      workers: int | None = None) -> list[Segment]:
+                      max_dp_cells: int = MAX_DP_CELLS) -> list[Segment]:
     """Run local alignment over all unordered utterance pairs (self pairs
     included) and convert every aligned span into a deduplicated Segment.
 
@@ -407,8 +405,7 @@ def discover_segments(corpus: Corpus, scoring: AlignScoring,
     (1 MiB) however large the corpus: 2**19 int16 cells for an integral
     scoring within the int16 bound, such as the default, and 2**17 float64
     cells otherwise. Only a single pair larger than that gets a buffer of its
-    own size. With more than one worker, each worker runs the kernel on one
-    contiguous block of pairs.
+    own size.
     """
     utts = list(corpus)
     seqs = [utt.transcription for utt in utts]
@@ -420,16 +417,7 @@ def discover_segments(corpus: Corpus, scoring: AlignScoring,
             "shrink the corpus or raise max_dp_cells"
         )
 
-    n_workers = worker_count(workers)
-    if n_workers > 1 and len(tasks) > 1:
-        size = -(-len(tasks) // n_workers)
-        blocks = [tasks[start:start + size] for start in range(0, len(tasks), size)]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            alignments = [found for block in pool.map(
-                _align_many, [seqs] * len(blocks), blocks, [scoring] * len(blocks))
-                for found in block]
-    else:
-        alignments = _align_many(seqs, tasks, scoring)
+    alignments = _align_many(seqs, tasks, scoring)
 
     segments: list[Segment] = []
     seen: set[tuple[str, int, int]] = set()

@@ -1,5 +1,5 @@
-"""Shared plumbing: seed derivation, stable hashing, worker counts, atomic
-writes, and `from_json`, which reads every settings dataclass from JSON."""
+"""Shared plumbing: seed derivation, stable hashing, atomic writes, and
+`from_json`, which reads every settings dataclass from JSON."""
 
 from __future__ import annotations
 
@@ -32,18 +32,6 @@ def derive_seed(root_seed: int, label: str) -> int:
 def rng_from(seed: int) -> np.random.Generator:
     """Counter-based generator; reproducible independent of thread schedule."""
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Effective worker count; the TERMFORGE_THREADS env var caps any request."""
-    cap = os.environ.get("TERMFORGE_THREADS")
-    if cap is not None:
-        try:
-            cap_value = max(1, int(cap))
-        except ValueError as exc:
-            raise ValueError(f"TERMFORGE_THREADS must be an integer, got {cap!r}") from exc
-        return cap_value if requested is None else min(requested, cap_value)
-    return 1 if requested is None else max(1, requested)
 
 
 _JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import lev_oracle
 from termforge.baseline import Cluster
 from termforge.corpus import Segment
-from termforge.mining import (MiningError, MiningThresholds, contrast_stats,
+from termforge.mining import (MiningConfig, MiningError, contrast_stats,
                               load_manifest, mean_symbol_length, purity_stats,
                               sample_manifest, select_contrasting_pairs,
                               select_pure_clusters, write_manifest)
@@ -76,16 +76,16 @@ def test_purity_matches_double_loop_oracle(rng):
 
 def test_select_pure_identical_strings_retained():
     cluster, segments = make_cluster(0, [[1, 2, 3, 4, 5]] * 3)
-    thresholds = MiningThresholds(thres_mu_s=0.2, thres_sigma_s=0.2)
+    thresholds = MiningConfig(thres_mu_s=0.2, thres_sigma_s=0.2)
     assert select_pure_clusters([cluster], segments, thresholds) == [cluster]
 
 
 def test_select_pure_hand_case_retained_then_rejected():
     cluster, segments = make_cluster(0, [[1, 2, 3], [1, 2, 4]])
     # mu_s = sigma_s = 0.5, mean_len = 3: bound 0.6 retains, bound 0.3 rejects
-    keep = MiningThresholds(thres_mu_s=0.2, thres_sigma_s=0.2)
+    keep = MiningConfig(thres_mu_s=0.2, thres_sigma_s=0.2)
     assert select_pure_clusters([cluster], segments, keep) == [cluster]
-    reject = MiningThresholds(thres_mu_s=0.1, thres_sigma_s=0.2)
+    reject = MiningConfig(thres_mu_s=0.1, thres_sigma_s=0.2)
     assert select_pure_clusters([cluster], segments, reject) == []
 
 
@@ -127,19 +127,19 @@ def test_contrasting_disjoint_singletons_selected():
     c2, seg2 = make_cluster(1, [[5, 6, 7, 8]], start_id=10)
     segments = {**seg1, **seg2}
     # lev = 4, scale = 4: mu_d 4 > 1.6 and sigma_d 0 < 0.8
-    pairs = select_contrasting_pairs([c1, c2], segments, MiningThresholds())
+    pairs = select_contrasting_pairs([c1, c2], segments, MiningConfig())
     assert pairs == [(c1, c2)]
 
 
 def test_identical_content_clusters_not_contrasting():
     c1, seg1 = make_cluster(0, [[1, 2, 3, 4]] * 2)
     c2, seg2 = make_cluster(1, [[1, 2, 3, 4]] * 2, start_id=10)
-    pairs = select_contrasting_pairs([c1, c2], {**seg1, **seg2}, MiningThresholds())
+    pairs = select_contrasting_pairs([c1, c2], {**seg1, **seg2}, MiningConfig())
     assert pairs == []
 
 
 def test_empty_retained_no_pairs():
-    assert select_contrasting_pairs([], {}, MiningThresholds()) == []
+    assert select_contrasting_pairs([], {}, MiningConfig()) == []
 
 
 def test_selection_monotone_in_thresholds(rng):
@@ -153,8 +153,8 @@ def test_selection_monotone_in_thresholds(rng):
         next_id += len(lists)
         clusters.append(cluster)
         segments.update(segs)
-    tight = MiningThresholds(0.3, 0.3, 0.5, 0.3)
-    loose = MiningThresholds(0.6, 0.6, 0.4, 0.6)   # looser purity, looser contrast
+    tight = MiningConfig(0.3, 0.3, 0.5, 0.3)
+    loose = MiningConfig(0.6, 0.6, 0.4, 0.6)   # looser purity, looser contrast
     retained_tight = select_pure_clusters(clusters, segments, tight)
     retained_loose = select_pure_clusters(clusters, segments, loose)
     assert {c.id for c in retained_tight} <= {c.id for c in retained_loose}
@@ -228,7 +228,7 @@ def test_label_audit_on_zero_noise_corpus():
     segments = discover_segments(corpus, AlignScoring())
     by_id = {s.id: s for s in segments}
     clusters = leader_cluster(segments, LeaderParams())
-    thresholds = MiningThresholds()
+    thresholds = MiningConfig()
     retained = select_pure_clusters(clusters, by_id, thresholds)
     contrasting = select_contrasting_pairs(retained, by_id, thresholds)
     manifest = sample_manifest(retained, contrasting, 200, 200, seed=5)

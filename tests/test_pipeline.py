@@ -9,7 +9,13 @@ import pytest
 
 import termforge
 from termforge import cli, pipeline
+from termforge.baseline import LeaderParams
+from termforge.embednet import TrainConfig
+from termforge.mining import MiningConfig
 from termforge.pipeline import PipelineConfig, PipelineError, run_all, run_stage
+from termforge.recluster import HdbscanParams
+from termforge.seqmatch import AlignScoring
+from termforge.synthgen import SynthConfig
 from termforge.util import atomic_write, sha256_bytes, stable_json
 
 
@@ -168,8 +174,9 @@ def reference_stage_settings(config, stage):
         "discover": {"align": stable_json(asdict(config.align)),
                      "max_dp_cells": config.max_dp_cells},
         "baseline": {"leader": stable_json(asdict(config.leader))},
-        "mine": {"thresholds": stable_json(asdict(config.thresholds)),
-                 "n_siamese": config.n_siamese, "n_triplet": config.n_triplet},
+        "mine": {"thresholds": stable_json({k: v for k, v in asdict(config.mining).items()
+                                            if k.startswith("thres_")}),
+                 "n_siamese": config.mining.n_siamese, "n_triplet": config.mining.n_triplet},
         "train": {"train": stable_json(asdict(config.train)), "system": config.system},
         "embed": {"l_max": config.train.l_max},
         "recluster": {"hdbscan": stable_json(asdict(config.hdbscan)),
@@ -199,7 +206,24 @@ def test_from_dict_takes_defaults_from_the_dataclass():
                "workdir": "elsewhere", "max_dp_cells": 1234}
     config = PipelineConfig.from_dict(
         {**scalars, "mining": {"n_siamese": 7, "n_triplet": 8}})
-    assert config == PipelineConfig(**scalars, n_siamese=7, n_triplet=8)
+    assert config == PipelineConfig(**scalars, mining=MiningConfig(n_siamese=7, n_triplet=8))
+
+
+@pytest.mark.parametrize("config", [
+    PipelineConfig(),
+    PipelineConfig(
+        seed=9, system="triplet", extraction="hybrid", workdir="elsewhere",
+        synth=SynthConfig(vocabulary_size=7, word_length_range=(3, 6), filler_rate=0.25,
+                          seed=11),
+        align=AlignScoring(min_align_score=4.0, min_length=4),
+        leader=LeaderParams(T=0.3, ambiguous_policy="drop"),
+        mining=MiningConfig(thres_mu_s=0.3, thres_sigma_d=0.1, n_siamese=7, n_triplet=8),
+        train=TrainConfig(margin=2.0, max_epochs=3, seed=11, l_max=24),
+        hdbscan=HdbscanParams(min_cluster_size=4, cluster_selection_epsilon=0.5),
+        max_dp_cells=1234),
+], ids=["defaults", "every-section"])
+def test_asdict_of_a_config_is_a_config(config):
+    assert PipelineConfig.from_dict(json.loads(json.dumps(asdict(config)))) == config
 
 
 @pytest.mark.parametrize("system, extraction", [("baseline", "eom"),
@@ -247,7 +271,10 @@ def test_bad_section_value_stops_before_any_stage(tmp_path, caplog, section, set
     ({"system": "siamese", "mining": {"n_siamese": 0}},
      "config section 'mining': n_siamese must be >= 1 for system 'siamese', got 0"),
     ({"max_dp_cells": 0}, "max_dp_cells must be >= 1, got 0"),
-], ids=["seed", "leader-T", "negative-count", "no-pairs-to-train-on", "max-dp-cells"])
+    ({"mining": {"n_siamese": "x"}},
+     "config section 'mining': n_siamese must be int, got str 'x'"),
+], ids=["seed", "leader-T", "negative-count", "no-pairs-to-train-on", "max-dp-cells",
+        "mining-count-type"])
 def test_bad_top_level_value_stops_before_any_stage(tmp_path, caplog, settings, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"synth": {"vocabulary_size": 3}, **settings}))
@@ -257,6 +284,23 @@ def test_bad_top_level_value_stops_before_any_stage(tmp_path, caplog, settings, 
     [record] = caplog.records
     assert record.getMessage() == message
     assert not workdir.exists()
+
+
+@pytest.mark.parametrize("use_out", [True, False], ids=["out", "workdir"])
+def test_synth_reads_a_pipeline_config_without_synth_section(tmp_path, use_out):
+    """A file whose keys are all PipelineConfig fields is a pipeline config,
+    not a bare SynthConfig, also when it has no synth section."""
+    workdir = tmp_path / "wd"
+    blob = {"seed": 3} if use_out else {"seed": 3, "workdir": str(workdir)}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(blob))
+    argv = ["synth", "--config", str(config_path)]
+    argv += ["--out", str(workdir)] if use_out else []
+    assert cli.main(argv) == 0
+    reference = PipelineConfig.from_dict({"seed": 3, "workdir": str(tmp_path / "ref")})
+    run_stage("synth", reference)
+    assert ((workdir / "corpus" / "manifest.json").read_bytes()
+            == (tmp_path / "ref" / "corpus" / "manifest.json").read_bytes())
 
 
 def test_cached_stage_logs_one_line(tmp_path, caplog):
@@ -402,7 +446,7 @@ def test_cli_bare_synth_config(tmp_path):
      "config section 'synth': SynthConfig.__init__() got an unexpected keyword "
      "argument 'indel_rate'"),
     ("all", '{"synth": {"vocabulary_size": 3}, "mining": {"bogus": 1}}',
-     "config section 'mining': MiningThresholds.__init__() got an unexpected keyword "
+     "config section 'mining': MiningConfig.__init__() got an unexpected keyword "
      "argument 'bogus'"),
     ("all", '{"synth": {"vocabulary_size": 3}, "max_dp_cells": 1}',
      "alignment budget exceeded: 38165 DP cells > 1"),
@@ -430,13 +474,3 @@ def test_unknown_stage_rejected(tmp_path):
     config = PipelineConfig.from_dict(small_blob(tmp_path / "wd"))
     with pytest.raises(PipelineError, match="unknown stage"):
         run_stage("compress", config)
-
-
-def test_env_thread_cap_keeps_results_identical(tmp_path, monkeypatch):
-    config = PipelineConfig.from_dict(small_blob(tmp_path / "serial"))
-    run_all(config)
-    monkeypatch.setenv("TERMFORGE_THREADS", "2")
-    config2 = PipelineConfig.from_dict(small_blob(tmp_path / "parallel"))
-    run_all(config2)
-    assert ((tmp_path / "serial" / "segments.jsonl").read_bytes()
-            == (tmp_path / "parallel" / "segments.jsonl").read_bytes())

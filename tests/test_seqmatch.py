@@ -412,17 +412,6 @@ def test_both_scale_guards_raise_one_class():
                           HdbscanParams(min_cluster_size=3, min_samples=2, max_points=10))
 
 
-def test_parallel_discovery_matches_serial(monkeypatch):
-    corpus, _ = generate(SynthConfig(
-        vocabulary_size=4, word_length_range=(3, 4), occurrences_per_word=6,
-        alphabet_size=25, feature_dim=4, words_per_utterance=2, seed=3))
-    serial = discover_segments(corpus, default_scoring())
-    monkeypatch.setenv("TERMFORGE_THREADS", "2")
-    parallel = discover_segments(corpus, default_scoring(), workers=2)
-    assert [(s.id, s.utterance_id, s.start, s.end) for s in serial] \
-        == [(s.id, s.utterance_id, s.start, s.end) for s in parallel]
-
-
 def test_segments_jsonl_round_trip(tmp_path):
     corpus = make_corpus([[1, 2, 3, 4, 9], [7, 1, 2, 3, 4]])
     segments = discover_segments(corpus, default_scoring())

@@ -1,8 +1,11 @@
+import ast
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import termforge
 from termforge import pipeline
 from termforge.embednet import NetArch
 from termforge.evaluation import PRF, EvalReport
@@ -68,3 +71,24 @@ def test_int_for_float_keeps_its_stage_hash():
     stage = pipeline._stage_table(config)["baseline"]
     assert pipeline._stage_hash(config, stage, ["h1"]) == (
         "25057de70df21ec40418904bd93f1b1899382a8b2d40da7a3b5431ba391ef742")
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    """Every setting lives in the config file: no module reads os.environ or
+    os.getenv, as an attribute or through `from os import ...`."""
+    reads = []
+    for path in sorted(Path(termforge.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{path.name}:{node.lineno} os.{name}"
+                      for name in names if name in ENVIRONMENT_READERS]
+    assert reads == []
