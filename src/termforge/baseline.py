@@ -50,38 +50,65 @@ class Cluster:
 def leader_cluster(segments: list[Segment], params: LeaderParams) -> list[Cluster]:
     """One-pass leader clustering over segments with len(symbols) >= R.
 
-    Distances are computed per distinct symbol string: when a leader is
-    founded, its normalized distance to every distinct eligible string comes
-    from one batched kernel call, and each segment then reads its string's
-    row: the first leader within T, else the first nearest one.
+    A segment's fate depends only on its symbol string and on the leaders
+    founded before it, so the loop runs once per leader, not per segment.
+    Per distinct string it keeps the first leader within T and the first
+    nearest leader with its distance. Between two foundings every segment
+    is assigned at once from its string's entries: the first leader within
+    T, else the first nearest one (or dropped); the next founding is the
+    first segment at least a*T from every leader. A new leader's normalized
+    distances come from one batched kernel call over the distinct strings
+    that still matter: those with no leader within T that occur later.
     """
     params.validate()
     eligible = [s for s in sorted(segments, key=lambda s: s.id)
                 if len(s.symbols) >= params.R]
     table = StringTable(s.symbols for s in eligible)
-    every_string = np.arange(len(table.strings))
-    # to_leader[u, k]: distance of distinct string u to the leader of cluster k
-    to_leader = np.empty((len(table.strings), 8))
-    clusters: list[Cluster] = []
+    strings = table.ids
+    last_seen = np.zeros(len(table.strings), dtype=np.intp)
+    np.maximum.at(last_seen, strings, np.arange(len(strings)))
+    # per distinct string: the first leader within T (-1 for none), the
+    # first nearest leader and its distance
+    first_within = np.full(len(table.strings), -1)
+    nearest = np.full(len(table.strings), -1)
+    nearest_dist = np.full(len(table.strings), np.inf)
     founding_gap = params.a * params.T
+    keep_ambiguous = params.ambiguous_policy == "nearest"
 
-    for seg, string in zip(eligible, table.ids.tolist()):
-        dists = to_leader[string, :len(clusters)]
-        within = np.flatnonzero(dists <= params.T)
-        if within.size:
-            clusters[within[0]].members.append(seg.id)
-            continue
-        nearest = int(dists.argmin()) if clusters else -1
-        if nearest < 0 or dists[nearest] >= founding_gap:
-            if len(clusters) == to_leader.shape[1]:
-                to_leader = np.concatenate([to_leader, np.empty_like(to_leader)], axis=1)
-            to_leader[:, len(clusters)] = table.normalized(string, every_string)
-            clusters.append(Cluster(id=len(clusters), leader=seg.id, members=[seg.id]))
-        elif params.ambiguous_policy == "nearest":
-            clusters[nearest].members.append(seg.id)
-            clusters[nearest].nearest_assigned.add(seg.id)
-        # "drop": ambiguous segment is discarded
-    return clusters
+    target = np.full(len(eligible), -1)       # cluster of each eligible segment
+    ambiguous = np.zeros(len(eligible), dtype=bool)   # no leader within T
+    leaders: list[int] = []
+    start = 0
+    while start < len(eligible):
+        founds = ((first_within < 0) & (nearest_dist >= founding_gap))[strings[start:]]
+        stop = start + (int(founds.argmax()) if founds.any() else len(founds))
+        block = strings[start:stop]
+        within = first_within[block]
+        ambiguous[start:stop] = within < 0
+        target[start:stop] = np.where(within >= 0, within,
+                                      nearest[block] if keep_ambiguous else -1)
+        if stop == len(eligible):
+            break
+        k = len(leaders)
+        leaders.append(stop)
+        target[stop] = k
+        # a string with a leader within T keeps it, and one not seen after
+        # this segment is done: only the others need the new distances
+        live = np.flatnonzero((first_within < 0) & (last_seen > stop))
+        dists = table.normalized(strings[stop], live)
+        first_within[live[dists <= params.T]] = k
+        closer = dists < nearest_dist[live]
+        nearest[live[closer]] = k
+        nearest_dist[live[closer]] = dists[closer]
+        start = stop + 1
+
+    # each cluster's members in processing order: a stable sort by cluster
+    ids = np.array([s.id for s in eligible], dtype=np.int64)
+    kept = np.argsort(target, kind="stable")[np.count_nonzero(target < 0):]
+    bounds = np.cumsum(np.bincount(target[kept], minlength=len(leaders)))[:-1]
+    return [Cluster(id=k, leader=int(ids[leader]), members=ids[rows].tolist(),
+                    nearest_assigned=set(ids[rows[ambiguous[rows]]].tolist()))
+            for k, (leader, rows) in enumerate(zip(leaders, np.split(kept, bounds)))]
 
 
 def cluster_set_stats(clusters: list[Cluster]) -> dict:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -98,9 +98,83 @@ class UtteranceGold:
     true_spans: tuple[tuple[int, int], ...]
 
 
+@dataclass(frozen=True)
+class GoldIndex:
+    """One utterance's gold edges, each list sorted, for lookups by bisection.
+
+    True spans and word tokens are sorted by start and do not overlap, so
+    their ends are sorted as well: the spans that overlap [start, end) are
+    the run from bisect_right(ends, start) to bisect_left(starts, end).
+    """
+
+    true_symbols: tuple[int, ...]
+    true_starts: list[int]
+    true_ends: list[int]
+    token_starts: list[int]
+    token_ends: list[int]
+    boundaries: tuple[int, ...]                # strictly increasing
+
+    def tokens_overlapping(self, start: int, end: int) -> slice:
+        """The run of word tokens that overlap frames [start, end)."""
+        lo = bisect_right(self.token_ends, start)
+        return slice(lo, bisect_left(self.token_starts, end, lo))
+
+    def overlapped_symbols(self, start: int, end: int) -> tuple[int, ...]:
+        """The true symbols whose frame span overlaps [start, end) by at
+        least half its duration."""
+        lo = bisect_right(self.true_ends, start)
+        out = []
+        for k in range(lo, bisect_left(self.true_starts, end, lo)):
+            s, e = self.true_starts[k], self.true_ends[k]
+            inter = (end if end < e else e) - (start if start > s else s)
+            if inter > 0 and inter >= 0.5 * (e - s):
+                out.append(self.true_symbols[k])
+        return tuple(out)
+
+
+def _sorted_edges(utt_id: str, what: str, spans) -> tuple[list[int], list[int]]:
+    """(starts, ends) of spans that must be sorted by start and non-overlapping."""
+    starts: list[int] = []
+    ends: list[int] = []
+    for start, end in spans:
+        if end < start or (ends and start < ends[-1]):
+            raise CorpusError(f"{utt_id}: gold {what} must be sorted by start "
+                              "and non-overlapping")
+        starts.append(start)
+        ends.append(end)
+    return starts, ends
+
+
 @dataclass
 class GoldAnnotation:
+    """Word-level ground truth per utterance; not to be changed once read,
+    because `index` keeps what it builds."""
+
     utterances: dict[str, UtteranceGold]
+    _indexes: dict[str, GoldIndex] = field(default_factory=dict, init=False,
+                                           repr=False, compare=False)
+
+    def index(self, utt_id: str) -> GoldIndex:
+        """The GoldIndex of one utterance, built and checked on first use.
+
+        Raises CorpusError naming the utterance when its true spans or word
+        tokens are not sorted by start and non-overlapping, or its boundaries
+        are not strictly increasing, since a bisection over them would
+        mis-score without any error; KeyError when it has no gold.
+        """
+        index = self._indexes.get(utt_id)
+        if index is None:
+            gold = self.utterances[utt_id]
+            bounds = gold.boundaries
+            if any(b >= c for b, c in zip(bounds, bounds[1:])):
+                raise CorpusError(f"{utt_id}: gold boundaries must be strictly sorted")
+            index = GoldIndex(
+                gold.true_symbols,
+                *_sorted_edges(utt_id, "true spans", gold.true_spans),
+                *_sorted_edges(utt_id, "tokens", ((t.start, t.end) for t in gold.tokens)),
+                bounds)
+            self._indexes[utt_id] = index
+        return index
 
     def validate(self, corpus: "Corpus") -> None:
         for utt_id, gold in self.utterances.items():
@@ -108,8 +182,7 @@ class GoldAnnotation:
             bounds = gold.boundaries
             if not bounds or bounds[0] != 0 or bounds[-1] != frames:
                 raise CorpusError(f"{utt_id}: gold boundaries must start at 0 and end at {frames}")
-            if any(b >= c for b, c in zip(bounds, bounds[1:])):
-                raise CorpusError(f"{utt_id}: gold boundaries must be strictly sorted")
+            self.index(utt_id)
 
 
 class Corpus:
@@ -154,18 +227,6 @@ def slice_features(corpus: Corpus, segment: Segment) -> np.ndarray:
             f"out of range for {utt.id} with {utt.frames} frames"
         )
     return utt.features[segment.start:segment.end]
-
-
-def overlapped_symbols(symbols: Sequence[int], spans: Sequence[tuple[int, int]],
-                       start: int, end: int, min_overlap: float = 0.5) -> tuple[int, ...]:
-    """The symbols whose frame span overlaps [start, end) by >= min_overlap
-    of their duration; spans[k] is the frame span of symbols[k]."""
-    out = []
-    for sym, (s, e) in zip(symbols, spans):
-        inter = (end if end < e else e) - (start if start > s else s)
-        if inter > 0 and inter >= min_overlap * (e - s):
-            out.append(sym)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,21 @@ rendered as "NA".
 ids to their segments and gold words once, and each metric reads that. A
 clustering is a partition, no segment in two clusters, as
 `baseline.validate_partition` checks and every stage writes.
+
+Gold lookups bisect a per-utterance index (`GoldAnnotation.index`: sorted
+starts and ends of the true spans and word tokens, and the boundaries)
+instead of scanning the utterance: a segment's gold string, its gold word,
+the tokens its edges match and the boundaries an edge matches each take a
+bisection and a look at the few spans it finds. `ned` sums its pair values
+in blocks of rows, one `np.add.accumulate` per block; the sum stays
+sequential, in pair order, so its floats are those of a pair-by-pair loop,
+and a block holds at most NED_BLOCK values however large a cluster is.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -24,13 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import Cluster
-from .corpus import Corpus, GoldAnnotation, Segment, overlapped_symbols
+from .corpus import Corpus, GoldAnnotation, Segment
 # normalized_levenshtein stays a module attribute for code that wraps it
 from .seqmatch import StringTable, normalized_levenshtein  # noqa: F401
 from .synthgen import gold_segment_label
 from .util import atomic_write, from_json
 
 TOLERANCE = 1   # frames per edge, for token spans and gold boundaries
+NED_BLOCK = 1 << 16   # pair values summed by one np.add.accumulate call
 
 
 @dataclass
@@ -69,8 +80,7 @@ def _prf(precision, recall) -> PRF:
 def _gold_string(gold: GoldAnnotation, segment: Segment) -> tuple[int, ...]:
     """Gold transcription of a segment: the true symbols it overlaps by at
     least half their duration."""
-    utt = gold.utterances[segment.utterance_id]
-    return overlapped_symbols(utt.true_symbols, utt.true_spans, segment.start, segment.end)
+    return gold.index(segment.utterance_id).overlapped_symbols(segment.start, segment.end)
 
 
 def resolve(clusters: list[Cluster], segments: list[Segment],
@@ -97,7 +107,9 @@ def ned(members: list[list[Segment]], gold: GoldAnnotation) -> float | None:
     other. Distances come from one batched kernel call over the distinct
     pairs of distinct gold strings that share a cluster; the pair values
     are then summed in pair order (cluster by cluster, i < j) by a
-    sequential float sum, exactly as a loop over the pairs adds them.
+    sequential float sum, exactly as a loop over the pairs adds them: one
+    np.add.accumulate per block of a cluster's rows, each block holding at
+    most NED_BLOCK pair values (a single row may hold more).
     """
     table = StringTable(_gold_string(gold, seg) for group in members for seg in group)
     n_strings = len(table.strings)
@@ -121,10 +133,14 @@ def ned(members: list[list[Segment]], gold: GoldAnnotation) -> float | None:
         within = np.zeros((len(strings), len(strings)))
         within[i, j] = within[j, i] = values[
             np.searchsorted(keys, strings[i] * n_strings + strings[j])]
-        for r in range(len(member_of) - 1):
-            row = within[member_of[r], member_of[r + 1:]]
-            total = np.add.accumulate(np.concatenate(([total], row)))[-1]
-        count += len(member_of) * (len(member_of) - 1) // 2
+        n = len(member_of)
+        step = max(1, NED_BLOCK // max(n, 1))
+        for r in range(0, n - 1, step):
+            rows = np.arange(r, min(r + step, n - 1))
+            # the upper triangle of these rows, row-major: the pair order
+            block = within[member_of[rows, None], member_of][rows[:, None] < np.arange(n)]
+            total = np.add.accumulate(np.concatenate(([total], block)))[-1]
+        count += n * (n - 1) // 2
     return float(total) / count if count else None
 
 
@@ -189,13 +205,14 @@ def token_type_prf(members: list[list[Segment]], labels: list[list[int]],
     n_matched = 0
     matched_tokens: set[tuple[str, int]] = set()
     for seg in chain.from_iterable(members):
-        gold_utt = gold.utterances.get(seg.utterance_id)
-        if gold_utt is None:
+        if seg.utterance_id not in gold.utterances:
             continue
-        hits = {(seg.utterance_id, token_idx)
-                for token_idx, token in enumerate(gold_utt.tokens)
-                if (abs(seg.start - token.start) <= TOLERANCE
-                    and abs(seg.end - token.end) <= TOLERANCE)}
+        index = gold.index(seg.utterance_id)
+        # tokens whose start lies within TOLERANCE of the segment's
+        lo = bisect_left(index.token_starts, seg.start - TOLERANCE)
+        hi = bisect_right(index.token_starts, seg.start + TOLERANCE, lo)
+        hits = {(seg.utterance_id, token_idx) for token_idx in range(lo, hi)
+                if abs(seg.end - index.token_ends[token_idx]) <= TOLERANCE}
         n_matched += bool(hits)
         matched_tokens |= hits
 
@@ -219,6 +236,12 @@ def token_type_prf(members: list[list[Segment]], labels: list[list[int]],
     return _prf(token_p, token_r), _prf(type_p, type_r)
 
 
+def _near(points, sorted_targets) -> int:
+    """How many of `points` lie within TOLERANCE of some sorted target."""
+    return sum(bisect_right(sorted_targets, p + TOLERANCE)
+               > bisect_left(sorted_targets, p - TOLERANCE) for p in points)
+
+
 def boundary_prf(members: list[list[Segment]], gold: GoldAnnotation) -> PRF:
     """Deduplicated edges of the resolved members of a partition scored
     against gold boundaries; an edge and a boundary match within TOLERANCE
@@ -231,17 +254,13 @@ def boundary_prf(members: list[list[Segment]], gold: GoldAnnotation) -> PRF:
     n_discovered_hit = 0
     n_gold = 0
     n_gold_hit = 0
-    for utt_id, gold_utt in gold.utterances.items():
-        gold_bounds = gold_utt.boundaries
+    for utt_id in gold.utterances:
+        gold_bounds = gold.index(utt_id).boundaries
         found = sorted(discovered.get(utt_id, ()))
         n_discovered += len(found)
         n_gold += len(gold_bounds)
-        for edge in found:
-            if any(abs(edge - b) <= TOLERANCE for b in gold_bounds):
-                n_discovered_hit += 1
-        for bound in gold_bounds:
-            if any(abs(bound - edge) <= TOLERANCE for edge in found):
-                n_gold_hit += 1
+        n_discovered_hit += _near(found, gold_bounds)
+        n_gold_hit += _near(gold_bounds, found)
     precision = n_discovered_hit / n_discovered if n_discovered else None
     recall = n_gold_hit / n_gold if n_gold else None
     return _prf(precision, recall)

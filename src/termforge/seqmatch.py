@@ -7,22 +7,27 @@ calls into it. Callers pack their distinct strings once into a StringTable
 (zero-padded int64 rows; repeated strings share a row) and ask for the
 distances of many row pairs at a time. The kernel puts the shorter string
 of each pair on the DP rows, orders the pairs by shape, cuts them into
-chunks of at most CHUNK_BYTES // 8 DP cells and runs the DP one row at a time,
-vectorised over the pairs and columns of a chunk: substitutions and
+chunks of at most CHUNK_BYTES // 16 = 2**17 DP cells (as many as under the
+earlier 1 MiB budget; larger chunks made corpus synthesis slower in a fresh
+process, see CHUNK_BYTES) and runs the DP one row at a time, vectorised
+over the pairs and columns of a chunk: substitutions and
 deletions from the row above, then insertions folded in by a running
 minimum. Distances are exact integers; nothing is memoized between calls.
 tests/lev_oracle.py keeps the scalar row-by-row DP as the reference.
 
 Local alignment is Smith-Waterman with a linear gap penalty, computed by one
 batched numpy kernel for every caller (local_align and discover_segments).
-The kernel packs sequence pairs into lanes, cuts them
-into chunks whose buffer holds at most CHUNK_BYTES (1 MiB) and fills a chunk
-one anti-diagonal at a time in a skewed, diagonal-major buffer
-S[d, i, p] = H_p[i, d - i], so every step reads contiguous slices. Each
-round extracts at most one alignment per pair: the best cell is the first
-row-major maximum, and the traceback prefers the diagonal, then up, then
-left. The aligned positions are masked and the pairs that extracted an
-alignment are filled again, batched together, in the next round.
+The kernel packs sequence pairs into lanes, cuts them into chunks whose
+buffer holds at most CHUNK_BYTES (2 MiB) and fills a chunk one
+anti-diagonal at a time in a skewed, diagonal-major buffer
+S[d, i, p] = H_p[i, d - i], so every step reads contiguous slices; a fill
+spends much of its time in the overhead of those per-diagonal numpy calls,
+which a larger chunk spreads over more lanes. Each round extracts at most
+one alignment per pair: the best cell is the first row-major maximum, and
+the traceback prefers the diagonal, then up, then left. The aligned
+positions of every pair of a chunk are masked at once, and the pairs that
+extracted an alignment are filled again, batched together, in the next
+round.
 
 The fill runs in int16 when the match, mismatch and gap weights are
 integers, width * match <= 32767 for the longest sequence's width, and both
@@ -53,10 +58,14 @@ from .util import ScaleError, atomic_write
 Span = tuple[int, int]
 
 # Bytes of the skewed Smith-Waterman buffer of one batched chunk, whatever
-# the corpus size: 2**17 float64 or 2**19 int16 cells. An edit-distance chunk
-# does as much DP work as 2**17 cells (CHUNK_BYTES // 8) and holds only one
-# int64 row per pair at a time.
-CHUNK_BYTES = 1 << 20
+# the corpus size: 2**18 float64 or 2**20 int16 cells. A fill makes a few
+# numpy calls per anti-diagonal of a chunk, so larger chunks make fewer
+# calls. An edit-distance chunk does as much DP work as 2**17 cells
+# (CHUNK_BYTES // 16) and holds only one int64 row per pair at a time; it
+# keeps the cell count it had under a 1 MiB budget, because doubling it made
+# corpus synthesis (vocabulary sampling) slower in a fresh process: 0.082 ->
+# 0.090 s median over 18 runs each, against 0.085 s with only the fill doubled.
+CHUNK_BYTES = 1 << 21
 _INT16 = np.iinfo(np.int16)
 MAX_DP_CELLS = 200_000_000   # default budget of discover_segments
 
@@ -151,14 +160,14 @@ def _lev_many(symbols, lengths, a, b) -> np.ndarray:
 
     Each pair puts its shorter string on the rows (fewer steps, the same
     distance); pairs are ordered by shape and cut into chunks of at most
-    CHUNK_BYTES // 8 DP cells, (len(a) + 1) * (len(b) + 1) each after padding.
+    CHUNK_BYTES // 16 DP cells, (len(a) + 1) * (len(b) + 1) each after padding.
     """
     swap = lengths[a] > lengths[b]
     a, b = np.where(swap, b, a), np.where(swap, a, b)
     rows, cols = lengths[a], lengths[b]
     out = np.empty(len(a), dtype=np.int64)
     for chunk, n_rows, n_cols in _chunks(np.lexsort((cols, rows)), rows, cols,
-                                         lambda r, c: (r + 1) * (c + 1), CHUNK_BYTES // 8):
+                                         lambda r, c: (r + 1) * (c + 1), CHUNK_BYTES // 16):
         out[chunk] = _lev_rows(symbols[a[chunk], :n_rows], rows[chunk],
                                symbols[b[chunk], :n_cols], cols[chunk])
     return out
@@ -326,20 +335,19 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> list[list[tuple[Span, Spa
     a_of = np.array([a for a, _, _ in pairs], dtype=np.intp)
     b_of = np.array([b for _, b, _ in pairs], dtype=np.intp)
     self_pair = np.array([flag for _, _, flag in pairs], dtype=bool)
-    rows = [lengths[a] for a, _, _ in pairs]
-    cols = [lengths[b] for _, b, _ in pairs]
+    rows, cols = np.take(lengths, a_of), np.take(lengths, b_of)
     # dead positions of pair k: padding, then every aligned span
     position = np.arange(width)[:, None]
-    a_dead = position >= np.array(rows, dtype=np.intp)
-    b_dead = position < width - np.array(cols, dtype=np.intp)
+    a_dead = position >= rows
+    b_dead = position < width - cols
 
     dtype = _score_dtype(scoring, width)
     live = dtype(_INT16.max if dtype is np.int16 else np.inf)
     budget = CHUNK_BYTES // np.dtype(dtype).itemsize
     buffer = np.empty(0, dtype)
     results: list[list[tuple[Span, Span, float]]] = [[] for _ in pairs]
-    todo = sorted(range(len(pairs)), key=lambda k: (rows[k], cols[k]))
-    while todo:
+    todo = np.lexsort((cols, rows))
+    while todo.size:
         extracted = []
         for chunk, n_rows, n_cols in _chunks(todo, rows, cols, _skew_cells, budget):
             tail = slice(width - n_cols, width)
@@ -355,18 +363,20 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> list[list[tuple[Span, Spa
             best, i_end, j_end = _best_cells(skew)
             hit = np.flatnonzero(best >= scoring.min_align_score)
             i_start, j_start = _traceback(skew, a_sym, b_rev, scoring, hit, i_end, j_end)
-            for lane in hit.tolist():
-                k = chunk[lane]
-                span_a = (int(i_start[lane]), int(i_end[lane]))
-                span_b = (int(j_start[lane]), int(j_end[lane]))
-                a_dead[span_a[0]:span_a[1], k] = True
-                b_dead[width - span_b[1]:width - span_b[0], k] = True
-                long_enough = (span_a[1] - span_a[0] >= scoring.min_length
-                               and span_b[1] - span_b[0] >= scoring.min_length)
-                if long_enough and not (self_pair[k] and span_a == span_b):
-                    results[k].append((span_a, span_b, float(best[lane])))
-                extracted.append(k)
-        todo = extracted
+            k = chunk[hit]
+            a0, a1, b0, b1 = i_start[hit], i_end[hit], j_start[hit], j_end[hit]
+            # mask the aligned rows [a0, a1) and columns [b0, b1) of each hit
+            # pair; column j sits at row n_cols - j of the tail
+            a_rows, b_rows = position[:n_rows], position[:n_cols]
+            a_dead[:n_rows, k] |= (a0 <= a_rows) & (a_rows < a1)
+            b_dead[tail, k] |= (n_cols - b1 <= b_rows) & (b_rows < n_cols - b0)
+            keep = ((a1 - a0 >= scoring.min_length) & (b1 - b0 >= scoring.min_length)
+                    & ~(self_pair[k] & (a0 == b0) & (a1 == b1)))
+            for pair, i0, i1, j0, j1, score in zip(*(v[keep].tolist() for v in (
+                    k, a0, a1, b0, b1, best[hit].astype(np.float64)))):
+                results[pair].append(((i0, i1), (j0, j1), score))
+            extracted.append(k)
+        todo = np.concatenate(extracted)
     return results
 
 
@@ -402,15 +412,20 @@ def discover_segments(corpus: Corpus, scoring: AlignScoring,
     not memory. All pairs go through one batched kernel with the tie-breaking
     of local_align: it fills the matrices of a chunk of pairs together, one
     anti-diagonal at a time, and a chunk's buffer holds at most CHUNK_BYTES
-    (1 MiB) however large the corpus: 2**19 int16 cells for an integral
-    scoring within the int16 bound, such as the default, and 2**17 float64
+    (2 MiB) however large the corpus: 2**20 int16 cells for an integral
+    scoring within the int16 bound, such as the default, and 2**18 float64
     cells otherwise. Only a single pair larger than that gets a buffer of its
-    own size.
+    own size. The edit-distance kernel keeps chunks of 2**17 cells, as under
+    the earlier 1 MiB budget, since larger ones made corpus synthesis slower
+    in a fresh process (see CHUNK_BYTES).
     """
     utts = list(corpus)
     seqs = [utt.transcription for utt in utts]
     tasks = [(i, j, i == j) for i in range(len(utts)) for j in range(i, len(utts))]
-    cells = sum(len(seqs[i]) * len(seqs[j]) for i, j, _ in tasks)
+    # sum of len(a) * len(b) over the pairs a <= b: half of (sum of lengths)**2
+    # plus the squares of the self pairs
+    lengths = [len(seq) for seq in seqs]
+    cells = (sum(lengths) ** 2 + sum(n * n for n in lengths)) // 2
     if cells > max_dp_cells:
         raise ScaleError(
             f"alignment budget exceeded: {cells} DP cells > {max_dp_cells}; "
@@ -419,53 +434,30 @@ def discover_segments(corpus: Corpus, scoring: AlignScoring,
 
     alignments = _align_many(seqs, tasks, scoring)
 
-    segments: list[Segment] = []
-    seen: set[tuple[str, int, int]] = set()
-
-    def add(utt, sym_span: Span) -> None:
-        key = (utt.id, sym_span[0], sym_span[1])
-        if key in seen:
-            return
-        seen.add(key)
-        frame_start = utt.frame_spans[sym_span[0]][0]
-        frame_end = utt.frame_spans[sym_span[1] - 1][1]
-        segments.append(Segment(
-            id=len(segments),
-            utterance_id=utt.id,
-            start=frame_start,
-            end=frame_end,
-            symbols=utt.transcription[sym_span[0]:sym_span[1]],
-        ))
-
-    for (i, j, _), found in zip(tasks, alignments):
-        for span_a, span_b, _score in found:
-            add(utts[i], span_a)
-            add(utts[j], span_b)
-    return segments
+    # every aligned span once, in discovery order: (utterance, symbol span)
+    spans = dict.fromkeys(
+        key for (i, j, _), found in zip(tasks, alignments)
+        for (a0, a1), (b0, b1), _score in found for key in ((i, a0, a1), (j, b0, b1)))
+    return [Segment(id=k, utterance_id=utts[u].id, start=utts[u].frame_spans[lo][0],
+                    end=utts[u].frame_spans[hi - 1][1], symbols=utts[u].transcription[lo:hi])
+            for k, (u, lo, hi) in enumerate(spans)]
 
 
 def write_segments(path, segments: list[Segment]) -> None:
-    """segments.jsonl: one segment per line (id, utterance, span, symbols)."""
+    """segments.jsonl: one segment per line (id, utterance, span, symbols),
+    each line the json.dumps(..., sort_keys=True) of that object."""
+    quoted = {utt: json.dumps(utt) for utt in {seg.utterance_id for seg in segments}}
     with atomic_write(path) as fh:
-        for seg in segments:
-            fh.write(json.dumps({
-                "id": seg.id,
-                "utterance": seg.utterance_id,
-                "span": [seg.start, seg.end],
-                "symbols": list(seg.symbols),
-            }, sort_keys=True) + "\n")
+        fh.write("".join(
+            f'{{"id": {seg.id}, "span": [{seg.start}, {seg.end}], '
+            f'"symbols": [{", ".join(map(str, seg.symbols))}], '
+            f'"utterance": {quoted[seg.utterance_id]}}}\n' for seg in segments))
 
 
 def load_segments(path) -> list[Segment]:
-    segments = []
+    """The segments of a segments.jsonl, decoded as one JSON array."""
     with open(path) as fh:
-        for line in fh:
-            blob = json.loads(line)
-            segments.append(Segment(
-                id=blob["id"],
-                utterance_id=blob["utterance"],
-                start=blob["span"][0],
-                end=blob["span"][1],
-                symbols=tuple(blob["symbols"]),
-            ))
-    return segments
+        blobs = json.loads("[" + ",".join(fh.read().splitlines()) + "]")
+    return [Segment(id=blob["id"], utterance_id=blob["utterance"], start=blob["span"][0],
+                    end=blob["span"][1], symbols=tuple(blob["symbols"]))
+            for blob in blobs]

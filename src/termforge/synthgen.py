@@ -197,13 +197,16 @@ def generate(config: SynthConfig) -> tuple[Corpus, GoldAnnotation]:
 def gold_segment_label(gold: GoldAnnotation, segment: Segment) -> int | None:
     """Gold word whose token overlaps the segment by more than half in both
     directions (strictly, so a segment spanning two equal words stays
-    unlabelled)."""
+    unlabelled). Only the tokens that overlap the segment at all, found by
+    bisecting the utterance's gold index, are looked at."""
     utt_gold = gold.utterances.get(segment.utterance_id)
     if utt_gold is None:
         return None
+    overlapping = gold.index(segment.utterance_id).tokens_overlapping(
+        segment.start, segment.end)
     seg_len = segment.end - segment.start
     best: tuple[int, int, int] | None = None   # (-overlap, token start, word id)
-    for token in utt_gold.tokens:
+    for token in utt_gold.tokens[overlapping]:
         inter = min(segment.end, token.end) - max(segment.start, token.start)
         if inter <= 0:
             continue

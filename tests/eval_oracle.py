@@ -1,14 +1,149 @@
 """Reference scoring code: the metric functions of termforge.evaluation as
 they were before `report` resolved a clustering once, each mapping member
 ids to segments and labelling segments on its own, with NED from
-lev_oracle. Tests require the package to reproduce `report` exactly."""
+lev_oracle; and the linear gold scans, the per-token, per-edge and per-row
+loops over resolved members that the bisected gold index and the blocked
+NED sum replaced. Tests require the package to reproduce them exactly."""
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 import lev_oracle
-from termforge.evaluation import PRF, EvalReport, f_score
-from termforge.synthgen import gold_segment_label
+from termforge.evaluation import PRF, TOLERANCE, EvalReport, f_score
+from termforge.seqmatch import StringTable
+
+
+def overlapped_symbols(symbols, spans, start, end, min_overlap=0.5):
+    """The symbols whose frame span overlaps [start, end) by >= min_overlap
+    of their duration; spans[k] is the frame span of symbols[k]."""
+    out = []
+    for sym, (s, e) in zip(symbols, spans):
+        inter = (end if end < e else e) - (start if start > s else s)
+        if inter > 0 and inter >= min_overlap * (e - s):
+            out.append(sym)
+    return tuple(out)
+
+
+def gold_segment_label(gold, segment):
+    """Gold word whose token overlaps the segment by more than half in both
+    directions (strictly, so a segment spanning two equal words stays
+    unlabelled)."""
+    utt_gold = gold.utterances.get(segment.utterance_id)
+    if utt_gold is None:
+        return None
+    seg_len = segment.end - segment.start
+    best = None   # (-overlap, token start, word id)
+    for token in utt_gold.tokens:
+        inter = min(segment.end, token.end) - max(segment.start, token.start)
+        if inter <= 0:
+            continue
+        if inter * 2 > seg_len and inter * 2 > (token.end - token.start):
+            key = (-inter, token.start, token.word_id)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[2]
+
+
+def _gold_string(gold, segment):
+    utt = gold.utterances[segment.utterance_id]
+    return overlapped_symbols(utt.true_symbols, utt.true_spans, segment.start, segment.end)
+
+
+def resolved_ned(members, gold):
+    """termforge.evaluation.ned with one np.add.accumulate per member row."""
+    table = StringTable(_gold_string(gold, seg) for group in members for seg in group)
+    n_strings = len(table.strings)
+    sizes = np.cumsum([len(group) for group in members], dtype=np.intp)
+    # per cluster: its distinct strings and each member's index among them
+    distinct = [np.unique(g, return_inverse=True) for g in np.split(table.ids, sizes[:-1])]
+    upper = [np.triu_indices(len(strings), 1) for strings, _ in distinct]
+    # distinct pair keys by a sort and a neighbour mask: a plain np.unique
+    # imports numpy.ma on its first call in a process
+    keys = np.sort(np.concatenate(
+        [strings[i] * n_strings + strings[j] for (strings, _), (i, j) in zip(distinct, upper)]
+        + [np.empty(0, dtype=np.intp)]))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    values = table.normalized(keys // n_strings, keys % n_strings)
+
+    total = 0.0
+    count = 0
+    for (strings, member_of), (i, j) in zip(distinct, upper):
+        within = np.zeros((len(strings), len(strings)))
+        within[i, j] = within[j, i] = values[
+            np.searchsorted(keys, strings[i] * n_strings + strings[j])]
+        for r in range(len(member_of) - 1):
+            row = within[member_of[r], member_of[r + 1:]]
+            total = np.add.accumulate(np.concatenate(([total], row)))[-1]
+        count += len(member_of) * (len(member_of) - 1) // 2
+    return float(total) / count if count else None
+
+
+def resolved_token_type_prf(members, labels, gold):
+    """termforge.evaluation.token_type_prf with a scan over every gold token
+    of the utterance per segment."""
+    n_matched = 0
+    matched_tokens = set()
+    for seg in chain.from_iterable(members):
+        gold_utt = gold.utterances.get(seg.utterance_id)
+        if gold_utt is None:
+            continue
+        hits = {(seg.utterance_id, token_idx)
+                for token_idx, token in enumerate(gold_utt.tokens)
+                if (abs(seg.start - token.start) <= TOLERANCE
+                    and abs(seg.end - token.end) <= TOLERANCE)}
+        n_matched += bool(hits)
+        matched_tokens |= hits
+
+    n_clustered = sum(len(group) for group in members)
+    n_gold_tokens = sum(len(g.tokens) for g in gold.utterances.values())
+    token_p = n_matched / n_clustered if n_clustered else None
+    token_r = len(matched_tokens) / n_gold_tokens if n_gold_tokens else None
+
+    gold_types = {t.word_id for g in gold.utterances.values() for t in g.tokens}
+    found_types = {gold.utterances[utt_id].tokens[token_idx].word_id
+                   for utt_id, token_idx in matched_tokens}
+    discovered_types = set()
+    for words in labels:
+        if words:
+            votes = Counter(words)
+            discovered_types.add(min(votes, key=lambda w: (-votes[w], w)))
+
+    type_p = (len(discovered_types & found_types) / len(discovered_types)
+              if discovered_types else None)
+    type_r = len(found_types) / len(gold_types) if gold_types else None
+    return _prf(token_p, token_r), _prf(type_p, type_r)
+
+
+def resolved_boundary_prf(members, gold):
+    """termforge.evaluation.boundary_prf with a scan over every gold
+    boundary per edge and every edge per boundary."""
+    discovered = {}
+    for seg in chain.from_iterable(members):
+        discovered.setdefault(seg.utterance_id, set()).update((seg.start, seg.end))
+
+    n_discovered = 0
+    n_discovered_hit = 0
+    n_gold = 0
+    n_gold_hit = 0
+    for utt_id, gold_utt in gold.utterances.items():
+        gold_bounds = gold_utt.boundaries
+        found = sorted(discovered.get(utt_id, ()))
+        n_discovered += len(found)
+        n_gold += len(gold_bounds)
+        for edge in found:
+            if any(abs(edge - b) <= TOLERANCE for b in gold_bounds):
+                n_discovered_hit += 1
+        for bound in gold_bounds:
+            if any(abs(bound - edge) <= TOLERANCE for edge in found):
+                n_gold_hit += 1
+    precision = n_discovered_hit / n_discovered if n_discovered else None
+    recall = n_gold_hit / n_gold if n_gold else None
+    return _prf(precision, recall)
 
 
 @dataclass

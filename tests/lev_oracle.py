@@ -1,11 +1,15 @@
 """Reference edit-distance code: the scalar row-by-row DP and the per-pair
 loops of leader clustering, NED and the mining statistics that the batched
-kernel in termforge.seqmatch replaced. Tests require the package to
-reproduce them exactly, floats included."""
+kernel in termforge.seqmatch replaced, and the per-segment loop of leader
+clustering over that kernel's distances that the per-leader loop replaced.
+Tests require the package to reproduce them exactly, floats included."""
 
 import math
 
+import numpy as np
+
 from termforge.baseline import Cluster
+from termforge.seqmatch import StringTable
 
 
 def levenshtein(a, b):
@@ -61,6 +65,39 @@ def leader_cluster(segments, params):
         elif params.ambiguous_policy == "nearest":
             clusters[nearest_idx].members.append(seg.id)
             clusters[nearest_idx].nearest_assigned.add(seg.id)
+    return clusters
+
+
+def leader_cluster_table(segments, params):
+    """One-pass leader clustering, one decision per segment, reading the
+    distances of its string to every leader from a table filled by one
+    batched kernel call per founded leader."""
+    params.validate()
+    eligible = [s for s in sorted(segments, key=lambda s: s.id)
+                if len(s.symbols) >= params.R]
+    table = StringTable(s.symbols for s in eligible)
+    every_string = np.arange(len(table.strings))
+    # to_leader[u, k]: distance of distinct string u to the leader of cluster k
+    to_leader = np.empty((len(table.strings), 8))
+    clusters = []
+    founding_gap = params.a * params.T
+
+    for seg, string in zip(eligible, table.ids.tolist()):
+        dists = to_leader[string, :len(clusters)]
+        within = np.flatnonzero(dists <= params.T)
+        if within.size:
+            clusters[within[0]].members.append(seg.id)
+            continue
+        nearest = int(dists.argmin()) if clusters else -1
+        if nearest < 0 or dists[nearest] >= founding_gap:
+            if len(clusters) == to_leader.shape[1]:
+                to_leader = np.concatenate([to_leader, np.empty_like(to_leader)], axis=1)
+            to_leader[:, len(clusters)] = table.normalized(string, every_string)
+            clusters.append(Cluster(id=len(clusters), leader=seg.id, members=[seg.id]))
+        elif params.ambiguous_policy == "nearest":
+            clusters[nearest].members.append(seg.id)
+            clusters[nearest].nearest_assigned.add(seg.id)
+        # "drop": ambiguous segment is discarded
     return clusters
 
 

@@ -1,8 +1,13 @@
 """Reference Smith-Waterman: the row-major pure-Python fill, traceback and
 extraction loop that the batched kernel in termforge.seqmatch replaced.
-Tests require the kernel to reproduce it exactly, scores included."""
+Tests require the kernel to reproduce it exactly, scores included. Also the
+segments.jsonl writer and reader with one json.dumps / json.loads per line,
+which the package must reproduce byte for byte."""
+
+import json
 
 from termforge.corpus import Segment
+from termforge.util import atomic_write
 
 
 def sw_fill(a, b, scoring, mask_a, mask_b, ban_diagonal):
@@ -107,4 +112,31 @@ def discover_segments(corpus, scoring):
             for span_a, span_b, _score in found:
                 add(utts[i], span_a)
                 add(utts[j], span_b)
+    return segments
+
+
+def write_segments(path, segments):
+    """segments.jsonl: one segment per line (id, utterance, span, symbols)."""
+    with atomic_write(path) as fh:
+        for seg in segments:
+            fh.write(json.dumps({
+                "id": seg.id,
+                "utterance": seg.utterance_id,
+                "span": [seg.start, seg.end],
+                "symbols": list(seg.symbols),
+            }, sort_keys=True) + "\n")
+
+
+def load_segments(path):
+    segments = []
+    with open(path) as fh:
+        for line in fh:
+            blob = json.loads(line)
+            segments.append(Segment(
+                id=blob["id"],
+                utterance_id=blob["utterance"],
+                start=blob["span"][0],
+                end=blob["span"][1],
+                symbols=tuple(blob["symbols"]),
+            ))
     return segments

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lev_oracle
@@ -149,11 +149,27 @@ def leader_inputs(draw):
     return segments, params
 
 
-def assert_same_clustering(segments, params):
-    expected = lev_oracle.leader_cluster(segments, params)
+def assert_same_clustering(segments, params, oracle=lev_oracle.leader_cluster):
+    expected = oracle(segments, params)
     found = leader_cluster(segments, params)
     assert found == expected
     assert [c.nearest_assigned for c in found] == [c.nearest_assigned for c in expected]
+
+
+# T = 0.25, a = 2: (1,2,5,5) is at 0.5 == a * T from (1,2,3,4) and founds;
+# (1,2,3,5) is at 0.25 == T from both leaders; (1,1,0,0,0,0,0,2) is at
+# 0.375 from both (0,)*8 and (1,1,1,1,0,0,0,0), a tie for the nearest leader
+TIES = [seg(i, s) for i, s in enumerate([(1, 2, 3, 4), (1, 2, 5, 5), (1, 2, 3, 5), (0,) * 8,
+                                         (1, 1, 1, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0, 2),
+                                         (1, 2, 5, 6)])]
+
+
+@given(leader_inputs())
+@example((TIES, LeaderParams(T=0.25, a=2.0, R=1, ambiguous_policy="nearest")))
+@example((TIES, LeaderParams(T=0.25, a=2.0, R=1, ambiguous_policy="drop")))
+@settings(max_examples=300)
+def test_leader_cluster_matches_per_segment_loop(case):
+    assert_same_clustering(*case, oracle=lev_oracle.leader_cluster_table)
 
 
 @given(leader_inputs())

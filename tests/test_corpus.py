@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from termforge.corpus import (Corpus, CorpusError, Segment, Utterance,
-                              load_corpus, overlapped_symbols, slice_features,
-                              write_corpus)
+from termforge.baseline import Cluster
+from termforge.corpus import (Corpus, CorpusError, GoldAnnotation, GoldToken, Segment,
+                              Utterance, UtteranceGold, load_corpus, load_gold,
+                              slice_features, write_corpus, write_gold)
+from termforge.evaluation import report
 
 from conftest import make_corpus, make_segment, make_utterance
 
@@ -110,10 +114,33 @@ def test_slice_shape_property(rng):
 
 def test_symbols_in_span_overlap_rule():
     utt = make_utterance("u0", [7, 8, 9], frames_per_symbol=4)
+    gold = GoldAnnotation({"u0": UtteranceGold((0, 12), (), utt.transcription,
+                                               utt.frame_spans)})
     # spans: [0,4) [4,8) [8,12); cover half of the middle symbol exactly
     def symbols_in_span(start, end):
-        return overlapped_symbols(utt.transcription, utt.frame_spans, start, end)
+        return gold.index("u0").overlapped_symbols(start, end)
 
     assert symbols_in_span(0, 6) == (7, 8)
     assert symbols_in_span(0, 5) == (7,)
     assert symbols_in_span(4, 12) == (8, 9)
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("true_spans", ((2, 4), (0, 2)), "true spans"),
+    ("tokens", (GoldToken(1, 2, 4, (2,)), GoldToken(0, 0, 2, (1,))), "tokens"),
+    ("tokens", (GoldToken(0, 0, 3, (1, 2)), GoldToken(1, 2, 4, (2,))), "tokens"),
+], ids=["spans-unsorted", "tokens-unsorted", "tokens-overlapping"])
+def test_out_of_order_gold_is_refused(tmp_path, field, value, what):
+    # a bisection over such spans would mis-score without any error
+    utt = make_utterance("u 7", [1, 2], frames_per_symbol=2)
+    corpus = Corpus(4, 55, [utt])
+    gold = UtteranceGold(boundaries=(0, 2, 4),
+                         tokens=(GoldToken(0, 0, 2, (1,)), GoldToken(1, 2, 4, (2,))),
+                         true_symbols=(1, 2), true_spans=((0, 2), (2, 4)))
+    write_gold(GoldAnnotation({"u 7": replace(gold, **{field: value})}), tmp_path / "gold.json")
+    message = f"u 7: gold {what} must be sorted by start and non-overlapping"
+    with pytest.raises(CorpusError, match=message):
+        load_gold(tmp_path / "gold.json").validate(corpus)
+    segments = [Segment(0, "u 7", 0, 2, (1,))]
+    with pytest.raises(CorpusError, match=message):
+        report([Cluster(0, 0, [0])], segments, corpus, load_gold(tmp_path / "gold.json"))

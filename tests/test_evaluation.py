@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eval_oracle
@@ -291,32 +291,46 @@ def test_coverage_monotone_under_added_segments(rng):
 
 @st.composite
 def scored_worlds(draw):
-    """Random gold utterances (symbols of 1-3 frames, word tokens of 1-4
-    symbols) with random segments (short ones have empty gold strings) and
-    random clusters over a subset of them, members in random order."""
+    """Random gold utterances (symbols of 1-3 frames, some after a gap; runs
+    of 1-4 symbols, most of them word tokens and the rest fillers, whose
+    edges are the boundaries; ids that need JSON escaping among them) with
+    random segments (short ones have empty gold strings, some cover half a
+    token) and random clusters over a subset of them, members in random
+    order."""
     utterances = {}
-    for u in range(draw(st.integers(1, 3))):
+    for utt_id in draw(st.lists(st.sampled_from(["u0", "u1", 'u"2\\', "u\t3"]),
+                                min_size=1, max_size=3, unique=True)):
         symbols = draw(st.lists(st.integers(0, 3), min_size=1, max_size=12))
         spans, cursor = [], 0
         for frames in draw(st.lists(st.integers(1, 3), min_size=len(symbols),
                                     max_size=len(symbols))):
+            cursor += draw(st.sampled_from([0, 0, 0, 1, 2]))
             spans.append((cursor, cursor + frames))
             cursor += frames
-        tokens, k = [], 0
+        tokens, bounds, k = [], {0, cursor}, 0
         while k < len(symbols):
             width = draw(st.integers(1, 4))
             part = spans[k:k + width]
-            tokens.append(GoldToken(draw(st.integers(0, 3)), part[0][0], part[-1][1],
-                                    tuple(symbols[k:k + width])))
+            bounds |= {part[0][0], part[-1][1]}
+            if draw(st.integers(0, 3)):
+                tokens.append(GoldToken(draw(st.integers(0, 3)), part[0][0], part[-1][1],
+                                        tuple(symbols[k:k + width])))
             k += width
-        utterances[f"u{u}"] = UtteranceGold((0, cursor), tuple(tokens), tuple(symbols),
-                                            tuple(spans))
+        utterances[utt_id] = UtteranceGold(tuple(sorted(bounds)), tuple(tokens),
+                                           tuple(symbols), tuple(spans))
     segments = []
     for seg_id in range(draw(st.integers(0, 30))):
         utt_id = draw(st.sampled_from(sorted(utterances)))
-        frames = utterances[utt_id].true_spans[-1][1]
-        start = draw(st.integers(0, frames - 1))
-        end = draw(st.integers(start + 1, frames))
+        tokens = utterances[utt_id].tokens
+        if tokens and draw(st.integers(0, 3)) == 0:
+            token = draw(st.sampled_from(tokens))
+            half = (token.end - token.start) // 2 or 1
+            start, end = draw(st.sampled_from([(token.start, token.start + half),
+                                               (token.end - half, token.end)]))
+        else:
+            frames = utterances[utt_id].true_spans[-1][1]
+            start = draw(st.integers(0, frames - 1))
+            end = draw(st.integers(start + 1, frames))
         segments.append(Segment(seg_id, utt_id, start, end, (0,)))
     where = draw(st.lists(st.integers(-1, 4), min_size=len(segments),
                           max_size=len(segments)))
@@ -326,6 +340,42 @@ def scored_worlds(draw):
         if members:
             clusters.append(Cluster(id=c, leader=members[0], members=list(members)))
     return clusters, segments, GoldAnnotation(utterances)
+
+
+# a filler (4, 6) and a gap (6, 8) between two tokens; segment 0 overlaps no
+# token, 1 and 2 cover exactly half of a token (no label), and 2 covers
+# exactly half of the symbol at (10, 12)
+EDGE_WORLD = (
+    [Cluster(id=0, leader=0, members=[0, 1, 3]), Cluster(id=1, leader=2, members=[2, 4, 5])],
+    [Segment(k, 'u"2\\', start, end, (0,))
+     for k, (start, end) in enumerate([(4, 6), (0, 2), (8, 11), (0, 4), (9, 14), (5, 9)])],
+    GoldAnnotation({'u"2\\': UtteranceGold(
+        boundaries=(0, 4, 6, 14),
+        tokens=(GoldToken(0, 0, 4, (1, 2)), GoldToken(1, 8, 14, (4, 5, 6))),
+        true_symbols=(1, 2, 3, 4, 5, 6),
+        true_spans=((0, 2), (2, 4), (4, 6), (8, 10), (10, 12), (12, 14)))}),
+)
+
+
+@given(scored_worlds(), st.sampled_from([evaluation.NED_BLOCK, 40, 1]))
+@example(EDGE_WORLD, 1)
+@settings(max_examples=300)
+def test_bisected_gold_lookups_match_scans(world, ned_block):
+    clusters, segments, gold = world
+    for seg in segments:
+        utt = gold.utterances[seg.utterance_id]
+        assert (gold.index(seg.utterance_id).overlapped_symbols(seg.start, seg.end)
+                == eval_oracle.overlapped_symbols(utt.true_symbols, utt.true_spans,
+                                                  seg.start, seg.end))
+        assert gold_segment_label(gold, seg) == eval_oracle.gold_segment_label(gold, seg)
+    members, labels = resolve(clusters, segments, gold)
+    assert (token_type_prf(members, labels, gold)
+            == eval_oracle.resolved_token_type_prf(members, labels, gold))
+    assert boundary_prf(members, gold) == eval_oracle.resolved_boundary_prf(members, gold)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "NED_BLOCK", ned_block)
+        value = ned(members, gold)
+    assert value == eval_oracle.resolved_ned(members, gold)
 
 
 @given(scored_worlds())

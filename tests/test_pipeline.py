@@ -366,6 +366,38 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+# sha256 of the baseline system's artifacts and stamps on one small noisy
+# corpus (34 utterances, 498 segments, 24 clusters), as an earlier, per-segment
+# implementation of discovery, leader clustering and scoring wrote them, with
+# numpy 2.4 (the synth stamp hashes the corpus's float32 features)
+NOISY_BASELINE_DIGESTS = {
+    "segments.jsonl": "3bfe25d00e3b9b43e7b1b76b8d4cd304c614d213ba078c8e7278be4ed1c3244a",
+    "clusters_baseline.json": "3b3dec72d1e048d695d01979260e167042b2e3be7786cfd62d80cfd862f33ce1",
+    "report.json": "8f2412e059cb43d672960e93e20e95ad8a0b20ae6cbe52e3e465ba134226dd7f",
+    ".stamps/baseline.json": "2f3c131a53066161d9a9ec9e90b2b8e737a40e10695feedad9f6afad85ac7230",
+    ".stamps/discover.json": "56aaedc1fd4470a8a765899ab8fadd0fe18d8141ee70b1fe7f3cb540e94db309",
+    ".stamps/evaluate.json": "04543908d06f8d3a2fc4cca249ffc85d27a31d04b119c7c28f54ed4fa7614e15",
+    ".stamps/synth.json": "57ed2227690e1aef92fd272da7ff774f7e3561132a540f4d8015a5c5bcc78609",
+}
+
+
+def test_noisy_baseline_artifacts_match_golden_digests(tmp_path):
+    workdir = tmp_path / "wd"
+    config = PipelineConfig.from_dict({
+        "seed": 3001, "system": "baseline", "workdir": str(workdir),
+        "synth": {"vocabulary_size": 20, "occurrences_per_word": 10,
+                  "word_length_range": [4, 7], "frames_per_subword_range": [3, 5],
+                  "symbol_substitution_rate": 0.1, "filler_rate": 0.3,
+                  "feature_noise_sigma": 0.3, "min_word_separation": 0.5,
+                  "words_per_utterance": 6}})
+    for stage in config.stage_names():
+        run_stage(stage, config)
+    stamps = {f".stamps/{p.name}" for p in (workdir / ".stamps").iterdir()}
+    assert stamps == {k for k in NOISY_BASELINE_DIGESTS if k.startswith(".stamps/")}
+    assert {name: sha256_bytes((workdir / name).read_bytes())
+            for name in NOISY_BASELINE_DIGESTS} == NOISY_BASELINE_DIGESTS
+
+
 def test_mode_switch_reuses_shared_stages(tmp_path):
     workdir = tmp_path / "wd"
     baseline_config = PipelineConfig.from_dict(small_blob(workdir))

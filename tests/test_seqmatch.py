@@ -11,6 +11,7 @@ import lev_oracle
 import sw_oracle
 import termforge
 from termforge import recluster, seqmatch, util
+from termforge.corpus import Segment
 from termforge.recluster import HdbscanParams
 from termforge.seqmatch import (AlignScoring, ScaleError, StringTable,
                                 discover_segments, levenshtein, local_align,
@@ -410,6 +411,33 @@ def test_both_scale_guards_raise_one_class():
     with pytest.raises(seqmatch.ScaleError, match="guard"):
         recluster.hdbscan(np.zeros((30, 2)),
                           HdbscanParams(min_cluster_size=3, min_samples=2, max_points=10))
+
+
+@st.composite
+def segment_lists(draw):
+    """Segments with utterance ids that need JSON escaping (quotes,
+    backslashes, control and non-ASCII characters) among plain ones."""
+    utt_ids = st.one_of(st.sampled_from(["u0", 'u"1\\', "u\n2", "\u00e93", "\U0001f6004"]),
+                        st.text(max_size=6))
+    segments = []
+    for seg_id in range(draw(st.integers(0, 12))):
+        start = draw(st.integers(0, 10**6))
+        segments.append(Segment(seg_id, draw(utt_ids), start,
+                                start + draw(st.integers(1, 10**4)),
+                                tuple(draw(st.lists(st.integers(0, 10**9), min_size=1,
+                                                    max_size=8)))))
+    return segments
+
+
+@given(segment_lists())
+@settings(max_examples=300)
+def test_segments_jsonl_matches_line_by_line_codec(tmp_path_factory, segments):
+    path = tmp_path_factory.mktemp("jsonl") / "segments.jsonl"
+    sw_oracle.write_segments(path, segments)
+    expected = path.read_bytes()
+    assert load_segments(path) == sw_oracle.load_segments(path) == segments
+    write_segments(path, segments)
+    assert path.read_bytes() == expected
 
 
 def test_segments_jsonl_round_trip(tmp_path):
