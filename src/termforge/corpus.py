@@ -177,6 +177,12 @@ class GoldAnnotation:
         return index
 
     def validate(self, corpus: "Corpus") -> None:
+        """Gold for exactly the corpus's utterances, each ending at the
+        utterance's last frame and indexable."""
+        if set(self.utterances) != set(corpus.ids):
+            raise CorpusError("gold must annotate exactly the corpus utterances: "
+                              f"missing {sorted(set(corpus.ids) - set(self.utterances))}, "
+                              f"extra {sorted(set(self.utterances) - set(corpus.ids))}")
         for utt_id, gold in self.utterances.items():
             frames = corpus[utt_id].frames
             bounds = gold.boundaries

@@ -10,9 +10,17 @@ A single parameter set serves every branch evaluation (the two or three
     -> flatten -> fc 256 -> ReLU -> fc 128 -> ReLU -> linear embed_dim
 
 Convolutions are 1-D over time with features as channels, "valid" padding.
-All math is float64; gradients are analytic (chain rule, subgradient 0 at
-ReLU/hinge/maxpool kinks) and are checked against central finite differences
-in the test suite. Training is plain mini-batch gradient descent.
+Gradients are analytic (chain rule, subgradient 0 at ReLU/hinge/maxpool
+kinks) and are checked against central finite differences in the test
+suite. Training is plain mini-batch gradient descent.
+
+Every kernel computes in the dtype of the parameters: inputs are cast to it
+and every buffer is allocated in it. `init_params` and `load_params` give
+float32, the dtype of the stored features, so the pipeline trains, stores
+and embeds in float32. The tests cast a `NetworkParams` to float64 and run
+the same kernels, for the finite-difference checks and the bit-identical
+reference below; float32 results match that reference within a stated
+tolerance.
 
 Each convolution is one matrix product over an explicit window matrix
 ("im2col", Chellapilla, Puri & Simard 2006). Activations are kept
@@ -22,14 +30,14 @@ W.reshape(C_out, C*k) @ cols, the weight gradient cols @ d, and the input
 gradient the flipped kernel times the window matrix of the zero-padded d;
 the first layer's input gradient is never formed. These are the operands,
 shapes and orders numpy's einsum handed to matmul in the reference kernels
-of tests/net_oracle.py, so every float is bit-identical to them. Max-pool
-compares strided slices and keeps the first maximum, a NaN counting as the
-maximum, as argmax does.
+of tests/net_oracle.py, so in float64 every float is bit-identical to them.
+Max-pool compares strided slices and keeps the first maximum, a NaN counting
+as the maximum, as argmax does.
 
 A BLAS product's last bits can depend on its shape: OpenBLAS picks kernels
 and blockings by size. Stacking the towers into one batch, or embedding in
 chunks of another size, therefore changes the floats, which is why
-`embed_all` keeps chunk_size=256.
+`embed_all` keeps chunk_size=256, in float32 as it did in float64.
 """
 
 from __future__ import annotations
@@ -47,12 +55,17 @@ from .mining import PairManifest
 from .util import atomic_write, from_json, rng_from
 
 CHECKPOINT_MAGIC = b"TERMFNET"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2   # 1 stored float64 parameters
+# the dtype of the parameters init_params and load_params give; checkpoints
+# store it little-endian
+PARAM_DTYPE = np.dtype(np.float32)
 
 
 class TrainingDiverged(RuntimeError):
-    """Epoch-mean loss became non-finite. This is the only divergence it
-    reports: a run whose loss stays finite while the weights blow up is
+    """Epoch-mean loss became non-finite. In float32 a learning rate that
+    blows the weights up overflows the embeddings within an epoch, for the
+    triplet loss as for the contrastive one, and the loss turns inf or NaN.
+    A run whose weights grow large but stay finite, with a finite loss, is
     not caught."""
 
 
@@ -96,6 +109,11 @@ class NetworkParams:
     arrays: dict[str, np.ndarray]
     init_seed: int
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype every kernel computes in."""
+        return self.arrays["W1"].dtype
+
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.arch, {k: v.copy() for k, v in self.arrays.items()},
                              self.init_seed)
@@ -126,7 +144,8 @@ class TrainConfig:
 
 
 def init_params(arch: NetArch, seed: int) -> NetworkParams:
-    """Fan-in-scaled uniform weights, zero biases."""
+    """Fan-in-scaled uniform weights, zero biases, in PARAM_DTYPE (drawn in
+    float64 and rounded)."""
     rng = rng_from(seed)
     c1, c2, c3 = arch.conv_channels
     k1, k2, k3 = arch.conv_kernels
@@ -151,22 +170,11 @@ def init_params(arch: NetArch, seed: int) -> NetworkParams:
     for name in PARAM_ORDER:
         shape = shapes[name]
         if name.startswith("b"):
-            arrays[name] = np.zeros(shape)
+            arrays[name] = np.zeros(shape, dtype=PARAM_DTYPE)
         else:
             bound = 1.0 / np.sqrt(fan_in[name])
-            arrays[name] = rng.uniform(-bound, bound, size=shape)
+            arrays[name] = rng.uniform(-bound, bound, size=shape).astype(PARAM_DTYPE)
     return NetworkParams(arch, arrays, seed)
-
-
-def pad_or_truncate(features: np.ndarray, l_max: int) -> np.ndarray:
-    """Zero-pad on the right, or keep only the first l_max frames."""
-    if features.shape[0] == 0:
-        raise ValueError("cannot pad an empty feature matrix")
-    frames, dim = features.shape
-    out = np.zeros((l_max, dim))
-    keep = min(frames, l_max)
-    out[:keep] = features[:keep]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +186,7 @@ def _cols(x, kernel):
     row c*kernel + j, column b*T + t holds x[c, b, t + j]."""
     channels, batch, t_in = x.shape
     t_out = t_in - kernel + 1
-    cols = np.empty((channels, kernel, batch, t_out))
+    cols = np.empty((channels, kernel, batch, t_out), dtype=x.dtype)
     for j in range(kernel):
         cols[:, j] = x[:, :, j:j + t_out]
     return cols.reshape(channels * kernel, batch * t_out)
@@ -206,7 +214,7 @@ def _conv_backward(d_out, x, W, input_grad=True):
     db = rows.sum(axis=0)
     if not input_grad:
         return dW, db, None
-    padded = np.zeros((out_ch, batch, t_out + 2 * (kernel - 1)))
+    padded = np.zeros((out_ch, batch, t_out + 2 * (kernel - 1)), dtype=d_out.dtype)
     padded[:, :, kernel - 1:kernel - 1 + t_out] = d_out
     flipped = W[:, :, ::-1].transpose(1, 0, 2).reshape(in_ch, out_ch * kernel)
     dx = flipped @ _cols(padded, kernel)
@@ -231,20 +239,21 @@ def _pool_forward(x, width):
 def _pool_backward(d_out, idx, t_in, width):
     """Each pooled gradient goes to the frame its maximum came from."""
     channels, batch, t_out = d_out.shape
-    dx = np.zeros((channels, batch, t_in))
+    dx = np.zeros((channels, batch, t_in), dtype=d_out.dtype)
     for j in range(width):
         dx[:, :, j:t_out * width:width] = np.where(idx == j, d_out, 0.0)
     return dx
 
 
 def _forward(params: NetworkParams, x: np.ndarray, cache: dict | None = None):
-    """Embeddings of a batch x (B, l_max, feature_dim). A `cache` dict
-    receives the intermediates backprop needs; without one, each is dropped
-    once the next layer has read it."""
+    """Embeddings of a batch x (B, l_max, feature_dim), computed in the
+    dtype of the parameters. A `cache` dict receives the intermediates
+    backprop needs; without one, each is dropped once the next layer has
+    read it."""
     p = params.arrays
     width = params.arch.pool_width
     keep = cache.update if cache is not None else lambda **_: None
-    h = np.ascontiguousarray(x.transpose(2, 0, 1))
+    h = np.ascontiguousarray(x.transpose(2, 0, 1), dtype=params.dtype)
     keep(x=h)
     z = _conv_forward(h, p["W1"], p["b1"])
     h, idx = _pool_forward(np.maximum(z, 0.0), width)
@@ -279,7 +288,7 @@ def forward(params: NetworkParams, padded: np.ndarray) -> np.ndarray:
             f"input shape {x.shape[1:]} does not match arch "
             f"({params.arch.l_max}, {params.arch.feature_dim})"
         )
-    out = _forward(params, np.asarray(x, dtype=np.float64))
+    out = _forward(params, x)
     return out[0] if single else out
 
 
@@ -335,7 +344,7 @@ def _triplet_batch(ea, ep, en, margin):
     dap = ea - ep
     dan = ea - en
     raw = margin + np.einsum("be,be->b", dap, dap) - np.einsum("be,be->b", dan, dan)
-    active = (raw > 0.0).astype(np.float64)[:, None]
+    active = (raw > 0.0).astype(raw.dtype)[:, None]
     losses = np.maximum(0.0, raw)
     ga = 2.0 * active * (dap - dan)
     gp = -2.0 * active * dap
@@ -385,24 +394,30 @@ def backward(params: NetworkParams, batch: dict, kind: str, margin: float):
 # training
 
 
-def _stack(corpus: Corpus, segments: list[Segment], l_max: int) -> np.ndarray:
-    """Padded float64 features of each segment as one (B, l_max, feature_dim)
-    batch, stored channel-major as the first conv layer reads it."""
-    out = np.empty((corpus.feature_dim, len(segments), l_max))
+def _stack(corpus: Corpus, segments: list[Segment], l_max: int,
+           dtype: np.dtype) -> np.ndarray:
+    """The features of each segment, zero-padded or cut to l_max frames, as
+    one (B, l_max, feature_dim) batch of `dtype`, stored channel-major as
+    the first conv layer reads it. Each segment's frames are written
+    straight into the batch."""
+    out = np.zeros((corpus.feature_dim, len(segments), l_max), dtype=dtype)
     for i, seg in enumerate(segments):
-        out[:, i] = pad_or_truncate(
-            np.asarray(slice_features(corpus, seg), dtype=np.float64), l_max).T
+        frames = slice_features(corpus, seg)[:l_max]
+        out[:, i, :len(frames)] = frames.T
     return out.transpose(1, 2, 0)
 
 
 def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
           segments: list[Segment], config: TrainConfig, mode: str):
-    """Mini-batch gradient descent; stops early once the epoch-mean loss
-    plateaus (improvement < 1e-4 absolute). Deterministic for a fixed seed.
+    """Mini-batch gradient descent in the dtype of `params`; stops early once
+    the epoch-mean loss plateaus (improvement < 1e-4 absolute).
+    Deterministic for a fixed seed.
 
-    Raises TrainingDiverged only when an epoch-mean loss is non-finite. A
-    run whose loss stays finite while the weights grow without bound (for
-    instance, a loss driven to exactly 0) ends normally and is not caught."""
+    Raises TrainingDiverged when an epoch-mean loss is non-finite, which
+    in float32 an absurd learning rate brings about in either mode. A run
+    whose weights grow large but stay finite with a finite loss (for
+    instance, a loss driven to exactly 0) ends normally and is not caught;
+    in float64 that is where a blown-up triplet net ends."""
     config.validate()
     if mode not in _TOWERS:
         raise ValueError(f"unknown training mode {mode!r}")
@@ -420,7 +435,7 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
         for lo in range(0, len(entries), config.batch_size):
             chunk = [entries[k] for k in order[lo:lo + config.batch_size]]
             batch = {key: _stack(corpus, [segments_by_id[getattr(e, attr)] for e in chunk],
-                                 params.arch.l_max)
+                                 params.arch.l_max, params.dtype)
                      for key, attr in _TOWERS[mode]}
             if mode == "siamese":
                 batch["y"] = np.array([p.y for p in chunk])
@@ -440,19 +455,24 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
 
 def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus,
               chunk_size: int = 256) -> np.ndarray:
-    """Embedding table: row i is the embedding of segments[i], its features
-    padded or cut to the network's input width."""
+    """Embedding table in the dtype of `params`: row i is the embedding of
+    segments[i], its features padded or cut to the network's input width.
+    The chunk size sets the GEMM shapes and so the last bits of every row
+    (see the module docstring)."""
     rows = []
     for lo in range(0, len(segments), chunk_size):
         rows.append(_forward(params, _stack(corpus, segments[lo:lo + chunk_size],
-                                            params.arch.l_max)))
+                                            params.arch.l_max, params.dtype)))
     if not rows:
-        return np.zeros((0, params.arch.embed_dim))
+        return np.zeros((0, params.arch.embed_dim), dtype=params.dtype)
     return np.concatenate(rows, axis=0)
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, arch JSON, shapes header, f64 payload
+# checkpoint format: magic, version, arch JSON, shapes header, payload of
+# little-endian PARAM_DTYPE
+
+_STORED = PARAM_DTYPE.newbyteorder("<")
 
 
 def save_params(path, params: NetworkParams) -> None:
@@ -473,10 +493,11 @@ def save_params(path, params: NetworkParams) -> None:
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         for name in PARAM_ORDER:
-            fh.write(np.ascontiguousarray(params.arrays[name], dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(params.arrays[name], dtype=_STORED).tobytes())
 
 
 def load_params(path) -> NetworkParams:
+    """The network a checkpoint of CHECKPOINT_VERSION holds, in PARAM_DTYPE."""
     raw = Path(path).read_bytes()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ValueError("not a network checkpoint")
@@ -505,9 +526,9 @@ def load_params(path) -> NetworkParams:
     arrays = {}
     for name, shape in shapes:
         size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
-        offset += 8 * size
-        arrays[name] = arr.reshape(shape).copy()
+        arr = np.frombuffer(raw, dtype=_STORED, count=size, offset=offset)
+        offset += _STORED.itemsize * size
+        arrays[name] = arr.reshape(shape).astype(PARAM_DTYPE)
     return NetworkParams(from_json(NetArch, meta["arch"], str(path)), arrays, meta["init_seed"])
 
 

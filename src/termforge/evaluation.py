@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import Cluster
-from .corpus import Corpus, GoldAnnotation, Segment
+from .corpus import GoldAnnotation, Segment
 # normalized_levenshtein stays a module attribute for code that wraps it
 from .seqmatch import StringTable, normalized_levenshtein  # noqa: F401
 from .synthgen import gold_segment_label
@@ -144,9 +144,10 @@ def ned(members: list[list[Segment]], gold: GoldAnnotation) -> float | None:
     return float(total) / count if count else None
 
 
-def coverage(members: list[list[Segment]], corpus: Corpus) -> float:
+def coverage(members: list[list[Segment]], gold: GoldAnnotation) -> float:
     """Fraction of corpus frames covered by the union of the resolved
-    members of a partition."""
+    members of a partition. An utterance's frame count is its last gold
+    boundary, which `GoldAnnotation.validate` ties to the corpus."""
     spans: dict[str, list[tuple[int, int]]] = {}
     for seg in chain.from_iterable(members):
         spans.setdefault(seg.utterance_id, []).append((seg.start, seg.end))
@@ -161,7 +162,7 @@ def coverage(members: list[list[Segment]], corpus: Corpus) -> float:
             else:
                 current_end = max(current_end, end)
         covered += current_end - current_start
-    total = corpus.total_frames()
+    total = sum(utt.boundaries[-1] for utt in gold.utterances.values())
     return covered / total if total else 0.0
 
 
@@ -271,7 +272,7 @@ def n_words_n_pairs(clusters: list[Cluster]) -> tuple[int, int]:
     return len(clusters), n_pairs
 
 
-def report(clusters: list[Cluster], segments: list[Segment], corpus: Corpus,
+def report(clusters: list[Cluster], segments: list[Segment],
            gold: GoldAnnotation) -> EvalReport:
     """Every metric of one clustering, a partition of some of `segments`,
     from one `resolve` of it."""
@@ -284,7 +285,7 @@ def report(clusters: list[Cluster], segments: list[Segment], corpus: Corpus,
         type=type_,
         boundary=boundary_prf(members, gold),
         ned=ned(members, gold),
-        coverage=coverage(members, corpus),
+        coverage=coverage(members, gold),
         n_words=words,
         n_pairs=pairs,
     )

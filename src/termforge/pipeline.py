@@ -294,14 +294,15 @@ def _load_final_clusters(path) -> list[baseline_mod.Cluster]:
 
 
 def _run_evaluate(config: PipelineConfig, workdir: Path) -> None:
-    corpus = load_corpus(workdir / "corpus")
+    # the corpus stays an input: coverage counts its frames from the gold,
+    # which synth checked against it
     gold = load_gold(workdir / "corpus" / "gold.json")
     segments = seqmatch.load_segments(workdir / "segments.jsonl")
     if config.system == "baseline":
         clusters = baseline_mod.load_clusters(workdir / "clusters_baseline.json")
     else:
         clusters = _load_final_clusters(workdir / "clusters_final.json")
-    report = evaluation.report(clusters, segments, corpus, gold)
+    report = evaluation.report(clusters, segments, gold)
     evaluation.write_report(report, workdir / "report.json", workdir / "report.txt",
                             system=config.mode)
     log.info("evaluate[%s]: %d clusters scored", config.mode, len(clusters))
@@ -331,9 +332,10 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
                {"thresholds": stable_json(thresholds), **counts}, _run_mine),
         _Stage("train", ("manifest.json", "corpus/manifest.json", "segments.jsonl"),
                ("params.ckpt", "loss_curve.csv"),
-               # the section seed, unused, as 0
+               # the section seed, unused, as 0; the dtype, so that stamps
+               # of float64 networks are stale
                {"train": stable_json({**asdict(config.train), "seed": 0}),
-                "system": config.system},
+                "system": config.system, "dtype": embednet.PARAM_DTYPE.name},
                _run_train),
         _Stage("embed", ("params.ckpt", "segments.jsonl", "corpus/manifest.json"),
                ("embeddings.npy",), {"l_max": config.train.l_max}, _run_embed),

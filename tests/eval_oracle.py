@@ -1,9 +1,11 @@
 """Reference scoring code: the metric functions of termforge.evaluation as
 they were before `report` resolved a clustering once, each mapping member
 ids to segments and labelling segments on its own, with NED from
-lev_oracle; and the linear gold scans, the per-token, per-edge and per-row
+lev_oracle; the linear gold scans, the per-token, per-edge and per-row
 loops over resolved members that the bisected gold index and the blocked
-NED sum replaced. Tests require the package to reproduce them exactly."""
+NED sum replaced; and coverage over the corpus's frame count, which the
+gold's last boundaries replaced. Tests require the package to reproduce
+them exactly."""
 
 from collections import Counter
 from dataclasses import dataclass

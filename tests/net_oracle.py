@@ -5,6 +5,9 @@ included:
   that the explicit window-matrix kernels in termforge.embednet replaced;
 - the separate siamese and triplet branches of batch_loss and backward that
   the tower table in termforge.embednet replaced;
+- the per-segment float64 padding of the reference embed_all, which
+  termforge.embednet's `_stack` replaced by writing frames straight into
+  the batch;
 - the scalar contrastive and triplet losses, kept for closed-form tests.
 """
 
@@ -12,7 +15,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from termforge.corpus import slice_features
-from termforge.embednet import _contrastive_batch, _triplet_batch, pad_or_truncate
+from termforge.embednet import _contrastive_batch, _triplet_batch
+
+
+def pad_or_truncate(features: np.ndarray, l_max: int) -> np.ndarray:
+    """Zero-pad on the right, or keep only the first l_max frames."""
+    if features.shape[0] == 0:
+        raise ValueError("cannot pad an empty feature matrix")
+    frames, dim = features.shape
+    out = np.zeros((l_max, dim))
+    keep = min(frames, l_max)
+    out[:keep] = features[:keep]
+    return out
 
 
 def contrastive_loss(e0: np.ndarray, e1: np.ndarray, y: int, margin: float) -> float:

@@ -143,4 +143,15 @@ def test_out_of_order_gold_is_refused(tmp_path, field, value, what):
         load_gold(tmp_path / "gold.json").validate(corpus)
     segments = [Segment(0, "u 7", 0, 2, (1,))]
     with pytest.raises(CorpusError, match=message):
-        report([Cluster(0, 0, [0])], segments, corpus, load_gold(tmp_path / "gold.json"))
+        report([Cluster(0, 0, [0])], segments, load_gold(tmp_path / "gold.json"))
+
+
+def test_gold_of_other_utterances_is_refused():
+    # coverage counts each utterance's frames from its last gold boundary
+    corpus = make_corpus([[1, 2], [3, 4]])
+    gold = UtteranceGold(boundaries=(0, 4), tokens=(), true_symbols=(1, 2),
+                         true_spans=((0, 2), (2, 4)))
+    with pytest.raises(CorpusError, match=r"missing \['u1'\], extra \[\]"):
+        GoldAnnotation({"u0": gold}).validate(corpus)
+    with pytest.raises(CorpusError, match=r"missing \[\], extra \['u2'\]"):
+        GoldAnnotation({"u0": gold, "u1": gold, "u2": gold}).validate(corpus)

@@ -25,6 +25,6 @@ def test_demo_runs_and_cleans_up(tmp_path, demo):
         cwd=tmp_path, env={**cli_env(), "TMPDIR": str(tmpdir)},
     )
     assert proc.returncode == 0, proc.stderr
-    for scalar in ("np.int64(", "np.float64("):
+    for scalar in ("np.int64(", "np.float64(", "np.float32("):
         assert scalar not in proc.stdout, proc.stdout
     assert list(tmpdir.iterdir()) == []

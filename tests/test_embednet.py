@@ -4,16 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import net_oracle
-from net_oracle import contrastive_loss, triplet_loss
+from net_oracle import contrastive_loss, pad_or_truncate, triplet_loss
 from termforge import embednet
 from termforge.corpus import Corpus, Segment, Utterance
-from termforge.embednet import (NetArch, TrainConfig, TrainingDiverged,
-                                backward, batch_loss, embed_all, forward,
-                                init_params, load_params, pad_or_truncate,
+from termforge.embednet import (NetArch, NetworkParams, TrainConfig,
+                                TrainingDiverged, backward, batch_loss,
+                                embed_all, forward, init_params, load_params,
                                 save_params, train)
 from termforge.mining import PairManifest, SiamesePair, Triplet
 from termforge.seqmatch import AlignScoring, discover_segments
@@ -21,6 +21,34 @@ from termforge.synthgen import SynthConfig, generate
 from termforge.util import rng_from
 
 SMALL = NetArch(l_max=24, feature_dim=8)
+
+# Float32 results against the float64 reference, as a fraction of the
+# largest magnitude compared. Float32 rounds at 6e-8. Over the stack's sums
+# of up to ~1,500 terms, the embedding and loss errors measured on 1,600
+# random kernel cases stayed below 1e-5 of the largest embedding or the
+# loss. Gradients are scaled by the largest gradient entry of the whole
+# network, because a bias gradient can cancel to ~0 between the towers;
+# that cancellation also leaves them larger errors, up to 1e-4 measured.
+FLOAT32_RTOL = 1e-4
+FLOAT32_GRAD_RTOL = 1e-3
+
+
+def float64(params):
+    """The same network cast to float64, in which the kernels reproduce the
+    reference code bit for bit and finite differences are meaningful."""
+    return NetworkParams(params.arch, {name: arr.astype(np.float64)
+                                       for name, arr in params.arrays.items()},
+                         params.init_seed)
+
+
+def _close32(actual, expected, rtol=FLOAT32_RTOL, scale=None):
+    """float32 `actual` within rtol * scale of the float64 `expected`; the
+    scale defaults to the largest |expected|."""
+    if scale is None:
+        scale = np.abs(expected).max(initial=0.0)
+    return (actual.dtype == np.float32 and expected.dtype == np.float64
+            and actual.shape == expected.shape
+            and bool((np.abs(actual - expected) <= rtol * scale).all()))
 
 
 def test_pad_identity():
@@ -101,8 +129,17 @@ def naive_forward(params, x):
     return h @ p["Wo"] + p["bo"]
 
 
-def test_forward_matches_naive_oracle():
+def test_init_params_draws_float64_and_rounds_to_float32():
     params = init_params(SMALL, 7)
+    assert {arr.dtype for arr in params.arrays.values()} == {np.dtype(np.float32)}
+    assert params.dtype == np.float32
+    bound = 1.0 / np.sqrt(SMALL.feature_dim * SMALL.conv_kernels[0])
+    drawn = rng_from(7).uniform(-bound, bound, size=params.arrays["W1"].shape)
+    assert (params.arrays["W1"] == drawn.astype(np.float32)).all()
+
+
+def test_forward_matches_naive_oracle():
+    params = float64(init_params(SMALL, 7))
     rng = rng_from(2)
     for _ in range(3):
         x = rng.standard_normal((SMALL.l_max, SMALL.feature_dim))
@@ -200,7 +237,7 @@ def tower_batches(draw):
     kind = draw(st.sampled_from(["siamese", "triplet"]))
     size = draw(st.integers(1, 5))
     rng = rng_from(draw(st.integers(0, 2**16)))
-    params = init_params(SMALL, draw(st.integers(0, 2**16)))
+    params = float64(init_params(SMALL, draw(st.integers(0, 2**16))))
     margin = draw(st.sampled_from([0.05, 1.0, 2.0]))
     special = draw(st.none() | st.integers(0, size - 1))
     keys = [key for key, _ in embednet._TOWERS[kind]]
@@ -265,9 +302,9 @@ def _kernel_inputs(rng, size, arch, integer, nan):
 
 
 @st.composite
-def kernel_cases(draw):
-    """Params of an arch from its minimum l_max up, with pool width 2 or 3
-    (so odd time lengths occur), and an input generator."""
+def kernel_cases(draw, nan_inputs=True):
+    """Float32 params of an arch from its minimum l_max up, with pool width 2
+    or 3 (so odd time lengths occur), and a float64 input generator."""
     channels, kernels = draw(st.sampled_from([((32, 64, 64), (5, 5, 3)),
                                               ((3, 5, 4), (2, 3, 1))]))
     arch = NetArch(l_max=1, feature_dim=draw(st.sampled_from([1, 3, 8])),
@@ -279,9 +316,9 @@ def kernel_cases(draw):
     rng = rng_from(draw(st.integers(0, 2**16)))
     if draw(st.booleans()):     # nonzero biases: zero padding then ties at b
         for name in ("b1", "b2", "b3"):
-            params.arrays[name] = rng.integers(-1, 2, params.arrays[name].shape) * 0.5
+            params.arrays[name][:] = rng.integers(-1, 2, params.arrays[name].shape) * 0.5
     integer = draw(st.booleans())
-    nan = draw(st.integers(0, 9)) == 0
+    nan = nan_inputs and draw(st.integers(0, 9)) == 0
     return params, lambda size: _kernel_inputs(rng, size, arch, integer, nan)
 
 
@@ -298,6 +335,7 @@ def _same_bytes(a, b):
 @settings(max_examples=60)
 def test_forward_matches_reference_kernels(case, size):
     params, inputs = case
+    params = float64(params)
     x = inputs(size)
     with np.errstate(invalid="ignore"):
         assert _same_bytes(forward(params, x), net_oracle.forward(params, x))
@@ -308,6 +346,7 @@ def test_forward_matches_reference_kernels(case, size):
 @settings(max_examples=60)
 def test_backward_matches_reference_kernels(case, size, kind):
     params, inputs = case
+    params = float64(params)
     batch = {key: inputs(size) for key, _ in embednet._TOWERS[kind]}
     batch["y"] = np.arange(size) % 2
     with np.errstate(invalid="ignore"):
@@ -319,13 +358,9 @@ def test_backward_matches_reference_kernels(case, size, kind):
         assert _same_bytes(grad, expected[name]), name
 
 
-@given(kernel_cases(), st.integers(1, 13), st.integers(1, 6), st.data())
-@settings(max_examples=40)
-def test_embed_all_matches_reference_kernels(case, n_segments, chunk_size, data):
-    """Segments shorter and longer than l_max, chunked so that the last
-    chunk may be short."""
-    params, inputs = case
-    arch = params.arch
+def _segment_world(inputs, arch, n_segments, data):
+    """A one-utterance corpus of float32 features and segments shorter and
+    longer than l_max."""
     features = inputs(1)[0].repeat(3, axis=0).astype(np.float32)
     corpus = Corpus(arch.feature_dim, 1,
                     [Utterance("u0", features, (0,), ((0, len(features)),))])
@@ -334,10 +369,76 @@ def test_embed_all_matches_reference_kernels(case, n_segments, chunk_size, data)
                                min_size=n_segments, max_size=n_segments))
     segments = [Segment(i, "u0", start, min(start + length, len(features)), (0,))
                 for i, (start, length) in enumerate(spans)]
+    return corpus, segments
+
+
+@given(kernel_cases(), st.integers(1, 13), st.integers(1, 6), st.data())
+@settings(max_examples=40)
+def test_embed_all_matches_reference_kernels(case, n_segments, chunk_size, data):
+    """Segments shorter and longer than l_max, chunked so that the last
+    chunk may be short."""
+    params, inputs = case
+    params = float64(params)
+    arch = params.arch
+    corpus, segments = _segment_world(inputs, arch, n_segments, data)
     with np.errstate(invalid="ignore"):
         table = embed_all(params, segments, corpus, chunk_size)
         expected = net_oracle.embed_all(params, segments, corpus, arch.l_max, chunk_size)
     assert _same_bytes(table, expected)
+
+
+def _kink_sides(params, batch, kind, margin):
+    """The side of every kink the batch sits on: ReLU signs, pool choices
+    and active hinges. Where float32 and float64 rounding put one value on
+    different sides, the gradients differ by a whole term, not by rounding."""
+    losses, _, _ = embednet._losses_and_grads(params, batch, kind, margin)
+    return _state_signature(params, batch, kind) + (losses > 0).tobytes()
+
+
+@given(kernel_cases(nan_inputs=False), st.integers(1, 6))
+@settings(max_examples=60)
+def test_float32_forward_is_close_to_float64_reference(case, size):
+    params, inputs = case
+    x = inputs(size).astype(np.float32)
+    assert _close32(forward(params, x), net_oracle.forward(float64(params), x))
+
+
+@given(kernel_cases(nan_inputs=False), st.integers(1, 6),
+       st.sampled_from(["siamese", "triplet"]))
+@settings(max_examples=60)
+def test_float32_backward_is_close_to_float64_reference(case, size, kind):
+    """Every intermediate stays float32, and the loss and gradients are
+    close to the float64 reference's; a batch that sits on different sides
+    of a kink in the two dtypes is drawn again."""
+    params, inputs = case
+    reference = float64(params)
+    batch = {key: inputs(size).astype(np.float32) for key, _ in embednet._TOWERS[kind]}
+    batch["y"] = np.arange(size) % 2
+    assume(_kink_sides(params, batch, kind, 1.0) == _kink_sides(reference, batch, kind, 1.0))
+    losses, caches, tower_grads = embednet._losses_and_grads(params, batch, kind, 1.0)
+    floats = [losses, *tower_grads, *(value for cache in caches
+                                      for key, value in cache.items()
+                                      if not key.startswith("idx"))]
+    assert {value.dtype for value in floats} == {np.dtype(np.float32)}
+    loss, grads = backward(params, batch, kind, 1.0)
+    expected_loss, expected = net_oracle.backward(reference, batch, kind, 1.0)
+    assert abs(loss - expected_loss) <= FLOAT32_RTOL * abs(expected_loss)
+    scale = max(np.abs(grad).max() for grad in expected.values())
+    for name, grad in grads.items():
+        assert _close32(grad, expected[name], FLOAT32_GRAD_RTOL, scale), name
+
+
+@given(kernel_cases(nan_inputs=False), st.integers(1, 13), st.integers(1, 6), st.data())
+@settings(max_examples=40)
+def test_float32_embed_all_is_close_to_float64_reference(case, n_segments, chunk_size,
+                                                        data):
+    params, inputs = case
+    arch = params.arch
+    corpus, segments = _segment_world(inputs, arch, n_segments, data)
+    table = embed_all(params, segments, corpus, chunk_size)
+    expected = net_oracle.embed_all(float64(params), segments, corpus, arch.l_max,
+                                    chunk_size)
+    assert _close32(table, expected)
 
 
 def test_unknown_loss_kind_rejected():
@@ -367,7 +468,7 @@ def test_gradients_match_finite_differences(kind):
         "xp": rng.standard_normal((B, 24, 8)),
         "xn": rng.standard_normal((B, 24, 8)),
     }
-    worst, skipped = run_gradient_check(params, batch, kind, margin=1.0,
+    worst, skipped = run_gradient_check(float64(params), batch, kind, margin=1.0,
                                         n_probes=60, h=1e-5, rng=rng_from(5))
     assert worst < 1e-4, f"worst relative error {worst}"
     assert skipped <= 10
@@ -402,13 +503,27 @@ def _toy_training_setup(seed=0, feature_noise_sigma=0.0):
 def test_zero_learning_rate_is_identity():
     corpus, segments, manifest = _toy_training_setup()
     arch = NetArch(l_max=24, feature_dim=8)
-    params = init_params(arch, 5)
+    params = float64(init_params(arch, 5))
     config = TrainConfig(learning_rate=0.0, batch_size=4, max_epochs=3,
                          seed=1, l_max=24)
     trained, curve = train(params, manifest, corpus, segments, config, "siamese")
     for name in params.arrays:
         assert (trained.arrays[name] == params.arrays[name]).all()
     assert len(set(curve)) == 1   # flat loss curve
+
+
+def test_zero_learning_rate_keeps_float32_params():
+    """The epochs batch the same losses in another order, so in float32 the
+    curve is flat only to rounding: its spread measured 1.2e-8 of the loss
+    here, and 5.1e-8 at most over fixture seeds 0-4."""
+    corpus, segments, manifest = _toy_training_setup()
+    params = init_params(NetArch(l_max=24, feature_dim=8), 5)
+    config = TrainConfig(learning_rate=0.0, batch_size=4, max_epochs=3,
+                         seed=1, l_max=24)
+    trained, curve = train(params, manifest, corpus, segments, config, "siamese")
+    for name in params.arrays:
+        assert trained.arrays[name].tobytes() == params.arrays[name].tobytes()
+    assert max(curve) - min(curve) <= 1e-6 * curve[0]
 
 
 @pytest.mark.parametrize("mode", ["siamese", "triplet"])
@@ -455,16 +570,18 @@ def test_train_reads_the_network_width():
 
 
 def test_divergence_guard():
-    # The matched contrastive term grows quadratically with the distance
-    # between the two embeddings, so an absurd learning rate drives the
-    # epoch mean to overflow. That needs matched pairs whose inputs differ:
-    # with identical inputs the term is 0 for any weights, the loss settles
-    # at a finite 0 and training stops at its plateau check.
+    # An absurd learning rate blows the float32 weights up until the
+    # embeddings, and with them the epoch mean, overflow. The matched
+    # contrastive term needs matched pairs whose inputs differ: with
+    # identical inputs it is 0 for any weights, the loss settles at a finite
+    # 0 and training stops at its plateau check. In float64 the triplet
+    # loss instead reaches exactly 0 with weights of ~1e10, stays finite and
+    # is not caught.
     corpus, segments, manifest = _toy_training_setup(feature_noise_sigma=0.1)
     segments_by_id = {s.id: s for s in segments}
     assert any(
-        (embednet._stack(corpus, [segments_by_id[p.a]], 24)
-         != embednet._stack(corpus, [segments_by_id[p.b]], 24)).any()
+        (embednet._stack(corpus, [segments_by_id[p.a]], 24, np.float32)
+         != embednet._stack(corpus, [segments_by_id[p.b]], 24, np.float32)).any()
         for p in manifest.siamese_pairs if p.y == 1
     ), "every matched pair has identical padded inputs; nothing can diverge"
     arch = NetArch(l_max=24, feature_dim=8)
@@ -474,12 +591,17 @@ def test_divergence_guard():
     with pytest.raises(TrainingDiverged):
         with np.errstate(over="ignore", invalid="ignore"):
             train(params, manifest, corpus, segments, config, "siamese")
+    for seed in range(5):
+        corpus, segments, manifest = _toy_training_setup(seed, feature_noise_sigma=0.1)
+        with pytest.raises(TrainingDiverged):
+            with np.errstate(over="ignore", invalid="ignore"):
+                train(params, manifest, corpus, segments, config, "triplet")
 
 
 def test_embed_all_rows_and_duplicates():
     corpus, segments, _ = _toy_training_setup()
     arch = NetArch(l_max=24, feature_dim=8)
-    params = init_params(arch, 6)
+    params = float64(init_params(arch, 6))
     table = embed_all(params, segments, corpus)
     assert table.shape == (len(segments), arch.embed_dim)
     by_symbols = {}
@@ -489,6 +611,19 @@ def test_embed_all_rows_and_duplicates():
             assert np.allclose(by_symbols[key], row, atol=1e-12)
         else:
             by_symbols[key] = row
+
+
+def test_embed_all_duplicates_agree_in_float32():
+    """Equal inputs in other GEMM columns agree to float32 rounding: the
+    largest difference measured 4.5e-7 of the largest entry here, and
+    5.9e-7 at most over fixture seeds 0-4."""
+    corpus, segments, _ = _toy_training_setup()
+    table = embed_all(init_params(NetArch(l_max=24, feature_dim=8), 6), segments, corpus)
+    assert table.dtype == np.float32
+    tolerance = 5e-6 * np.abs(table).max()
+    by_symbols = {}
+    for row, seg in zip(table, segments):
+        assert np.abs(by_symbols.setdefault(seg.symbols, row) - row).max() <= tolerance
 
 
 def test_trained_embeddings_separate_classes():
@@ -529,8 +664,25 @@ def test_checkpoint_round_trip(tmp_path):
     restored = load_params(path)
     assert restored.arch == params.arch
     assert restored.init_seed == params.init_seed
-    for name in params.arrays:
-        assert (restored.arrays[name] == params.arrays[name]).all()
+    assert restored.arrays.keys() == params.arrays.keys()
+    for name, arr in params.arrays.items():
+        assert restored.arrays[name].dtype == np.float32
+        assert restored.arrays[name].shape == arr.shape
+        assert restored.arrays[name].tobytes() == arr.tobytes()
+
+
+def test_float64_checkpoint_is_refused(tmp_path):
+    """A version-1 file, which stored each array as little-endian float64."""
+    params = init_params(SMALL, 42)
+    path = tmp_path / "params.ckpt"
+    save_params(path, params)
+    raw = path.read_bytes()
+    payload = sum(arr.size for arr in params.arrays.values()) * 4
+    header = raw[len(embednet.CHECKPOINT_MAGIC) + 4:len(raw) - payload]
+    path.write_bytes(embednet.CHECKPOINT_MAGIC + struct.pack("<I", 1) + header + b"".join(
+        params.arrays[name].astype("<f8").tobytes() for name in embednet.PARAM_ORDER))
+    with pytest.raises(ValueError, match="^unsupported checkpoint version 1$"):
+        load_params(path)
 
 
 def test_checkpoint_arch_with_unknown_key_rejected(tmp_path):

@@ -107,8 +107,8 @@ def test_ned_undefined_without_pairs():
 
 def test_coverage_empty_and_full():
     corpus, gold, segments, perfect = toy_world()
-    assert coverage([], corpus) == 0.0
-    assert coverage(members_of(perfect, segments, gold), corpus) == 1.0
+    assert coverage([], gold) == 0.0
+    assert coverage(members_of(perfect, segments, gold), gold) == 1.0
 
 
 def test_coverage_overlap_union():
@@ -119,7 +119,7 @@ def test_coverage_overlap_union():
     ]
     clusters = [Cluster(id=0, leader=0, members=[0, 1])]
     # union covers u0 fully (12) out of 24 corpus frames
-    assert coverage(members_of(clusters, overlapping, gold), corpus) == pytest.approx(0.5)
+    assert coverage(members_of(clusters, overlapping, gold), gold) == pytest.approx(0.5)
 
 
 def test_grouping_perfect():
@@ -232,7 +232,7 @@ def test_n_words_n_pairs_recount(rng):
 
 def test_report_perfect_discovery():
     corpus, gold, segments, perfect = toy_world()
-    rep = report(perfect, segments, corpus, gold)
+    rep = report(perfect, segments, gold)
     for group in (rep.grouping, rep.token, rep.type, rep.boundary):
         assert group.f_score == 1.0
     assert rep.ned == 0.0
@@ -243,7 +243,7 @@ def test_report_perfect_discovery():
 
 def test_report_json_round_trip(tmp_path):
     corpus, gold, segments, perfect = toy_world()
-    rep = report(perfect, segments, corpus, gold)
+    rep = report(perfect, segments, gold)
     write_report(rep, tmp_path / "report.json", tmp_path / "report.txt")
     restored = load_report(tmp_path / "report.json")
     assert restored == rep
@@ -251,7 +251,7 @@ def test_report_json_round_trip(tmp_path):
 
 def test_load_report_names_the_file(tmp_path):
     corpus, gold, segments, perfect = toy_world()
-    write_report(report(perfect, segments, corpus, gold), tmp_path / "report.json",
+    write_report(report(perfect, segments, gold), tmp_path / "report.json",
                  tmp_path / "report.txt")
     blob = json.loads((tmp_path / "report.json").read_text())
     del blob["n_pairs"]
@@ -264,7 +264,7 @@ def test_load_report_names_the_file(tmp_path):
 
 def test_null_metrics_render_as_na(tmp_path):
     corpus, gold, segments, _ = toy_world()
-    rep = report([], segments, corpus, gold)
+    rep = report([], segments, gold)
     text = render_text(rep, system="empty")
     assert "NA" in text
     write_report(rep, tmp_path / "report.json", tmp_path / "report.txt")
@@ -284,7 +284,7 @@ def test_coverage_monotone_under_added_segments(rng):
     previous = 0.0
     for k in range(1, len(pool) + 1):
         clusters = [Cluster(id=0, leader=0, members=list(range(k)))]
-        value = coverage(members_of(clusters, pool, gold), corpus)
+        value = coverage(members_of(clusters, pool, gold), gold)
         assert value >= previous
         previous = value
 
@@ -438,9 +438,12 @@ def corpus_of(gold):
 @given(scored_worlds())
 @settings(max_examples=300)
 def test_report_matches_per_metric_reference(world):
+    """The reference counts coverage over the corpus's frames, the package
+    over the gold's last boundaries, which validate ties to them."""
     clusters, segments, gold = world
     corpus = corpus_of(gold)
-    assert report(clusters, segments, corpus, gold) == eval_oracle.report(
+    gold.validate(corpus)
+    assert report(clusters, segments, gold) == eval_oracle.report(
         clusters, segments, corpus, gold)
 
 
@@ -471,7 +474,7 @@ def test_report_calls_each_metric_once_and_labels_each_segment_once(monkeypatch,
     metrics = ("ned", "grouping_prf", "token_type_prf", "boundary_prf", "coverage")
     for fn_name in (*metrics, "gold_segment_label"):
         counted(fn_name)
-    report(clusters, segments, corpus, gold)
+    report(clusters, segments, gold)
     assert calls == Counter({**dict.fromkeys(metrics, 1),
                              "gold_segment_label": sum(len(c.members) for c in clusters)})
 
@@ -488,7 +491,7 @@ def test_report_leaves_numpy_ma_unimported():
         "assert 'numpy.ma' not in sys.modules\n"
         "mixed = [Cluster(id=0, leader=0, members=[0, 1, 2])]\n"
         "for clusters in (perfect, mixed):\n"
-        "    assert report(clusters, segments, corpus, gold).ned is not None\n"
+        "    assert report(clusters, segments, gold).ned is not None\n"
         "print('numpy.ma' in sys.modules)\n")
     # the imported termforge package and this directory first on the path
     path = [os.path.dirname(os.path.dirname(os.path.abspath(evaluation.__file__))),

@@ -3,12 +3,12 @@ import logging
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 import termforge
-from termforge import cli, pipeline
+from termforge import cli, embednet, pipeline
 from termforge.baseline import LeaderParams
 from termforge.embednet import TrainConfig
 from termforge.mining import MiningConfig
@@ -168,7 +168,8 @@ def test_every_input_has_one_earlier_producer(tmp_path, system):
 
 def reference_stage_settings(config, stage):
     """The config subset each stage hash covered when the stages were three
-    tables; a change here invalidates every cached workdir."""
+    tables, plus the network dtype that train gained when the network went
+    float32; a change here invalidates every cached workdir."""
     subsets = {
         "synth": {"synth": stable_json({**asdict(config.synth), "indel_rate": 0.0})},
         "discover": {"align": stable_json(asdict(config.align)),
@@ -177,7 +178,8 @@ def reference_stage_settings(config, stage):
         "mine": {"thresholds": stable_json({k: v for k, v in asdict(config.mining).items()
                                             if k.startswith("thres_")}),
                  "n_siamese": config.mining.n_siamese, "n_triplet": config.mining.n_triplet},
-        "train": {"train": stable_json(asdict(config.train)), "system": config.system},
+        "train": {"train": stable_json(asdict(config.train)), "system": config.system,
+                  "dtype": "float32"},
         "embed": {"l_max": config.train.l_max},
         "recluster": {"hdbscan": stable_json(asdict(config.hdbscan)),
                       "extraction": config.extraction},
@@ -396,6 +398,38 @@ def test_noisy_baseline_artifacts_match_golden_digests(tmp_path):
     assert stamps == {k for k in NOISY_BASELINE_DIGESTS if k.startswith(".stamps/")}
     assert {name: sha256_bytes((workdir / name).read_bytes())
             for name in NOISY_BASELINE_DIGESTS} == NOISY_BASELINE_DIGESTS
+
+
+def test_float64_train_stamp_reruns_the_network_stages(tmp_path, monkeypatch):
+    """A workdir trained in float64 before the train hash covered the dtype:
+    train, embed, recluster and evaluate run again, nothing upstream."""
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd", system="siamese"))
+    stage_table, init_params = pipeline._stage_table, embednet.init_params
+
+    def without_dtype(config):
+        table = stage_table(config)
+        settings = {k: v for k, v in table["train"].settings.items() if k != "dtype"}
+        return {**table, "train": replace(table["train"], settings=settings)}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_stage_table", without_dtype)
+        patch.setattr(embednet, "init_params", lambda arch, seed: embednet.NetworkParams(
+            arch, {k: v.astype("f8") for k, v in init_params(arch, seed).arrays.items()},
+            seed))
+        run_all(config)
+    rerun = [stage for stage in config.stage_names() if run_stage(stage, config)]
+    assert rerun == ["train", "embed", "recluster", "evaluate"]
+
+
+def test_evaluate_reads_no_features(tmp_path, monkeypatch):
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd"))
+    for stage in config.stage_names()[:-1]:
+        run_stage(stage, config)
+
+    def refuse(path):
+        raise AssertionError(f"evaluate loaded the corpus at {path}")
+    monkeypatch.setattr(pipeline, "load_corpus", refuse)
+    assert run_stage("evaluate", config)
 
 
 def test_mode_switch_reuses_shared_stages(tmp_path):
