@@ -18,9 +18,8 @@ config = SynthConfig(
     symbol_substitution_rate=0.1,
     feature_noise_sigma=0.2,
     filler_rate=0.3,
-    seed=42,
 )
-corpus, gold = generate(config)
+corpus, gold = generate(config, seed=42)
 
 print(f"{len(corpus)} utterances, {corpus.total_frames()} frames, "
       f"feature dim {corpus.feature_dim}")

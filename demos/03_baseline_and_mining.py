@@ -14,8 +14,8 @@ from termforge.synthgen import SynthConfig, generate, gold_segment_label
 
 corpus, gold = generate(SynthConfig(
     vocabulary_size=8, word_length_range=(4, 6), occurrences_per_word=12,
-    words_per_utterance=4, symbol_substitution_rate=0.08, seed=7,
-))
+    words_per_utterance=4, symbol_substitution_rate=0.08,
+), seed=7)
 
 segments = discover_segments(corpus, AlignScoring())
 print(f"discovered {len(segments)} segments")

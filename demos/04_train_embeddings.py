@@ -17,8 +17,8 @@ from termforge.synthgen import SynthConfig, generate, gold_segment_label
 corpus, gold = generate(SynthConfig(
     vocabulary_size=3, word_length_range=(4, 5), occurrences_per_word=15,
     words_per_utterance=1, min_word_separation=0.8, feature_noise_sigma=0.2,
-    frames_per_subword_range=(3, 4), seed=21,
-))
+    frames_per_subword_range=(3, 4),
+), seed=21)
 segments = discover_segments(corpus, AlignScoring())
 by_id = {s.id: s for s in segments}
 clusters = leader_cluster(segments, LeaderParams())
@@ -30,8 +30,8 @@ manifest = sample_manifest(retained, contrasting, 400, 400, seed=9)
 arch = NetArch(l_max=24, feature_dim=corpus.feature_dim)
 params = init_params(arch, seed=1)
 config = TrainConfig(margin=2.0, learning_rate=0.03, batch_size=32,
-                     max_epochs=12, seed=2)
-params, curve = train(params, manifest, corpus, segments, config, "triplet")
+                     max_epochs=12)
+params, curve = train(params, manifest, corpus, segments, config, "triplet", seed=2)
 print("loss curve:", " -> ".join(f"{v:.4f}" for v in curve))
 
 table = embed_all(params, segments, corpus)

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import Segment
 # normalized_levenshtein stays a module attribute for code that wraps it
 from .seqmatch import StringTable, normalized_levenshtein  # noqa: F401
-from .util import atomic_write
+from .util import write_json
 
 
 @dataclass
@@ -140,8 +140,7 @@ def write_clusters(path, clusters: list[Cluster]) -> None:
     """clusters_baseline.json: list of {id, leader, members}."""
     blob = [{"id": c.id, "leader": c.leader, "members": sorted(c.members)}
             for c in clusters]
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+    write_json(path, blob)
 
 
 def load_clusters(path) -> list[Cluster]:

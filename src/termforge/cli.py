@@ -1,11 +1,9 @@
 """Command line entry point: `termforge <stage|all> --config cfg.json`.
 
 Logs go to stderr; machine-readable artifacts are written to files only.
-`termforge synth` also accepts a bare synthesis config (the SynthConfig
-field names at the top level) together with --out for standalone corpus
-generation. A config counts as bare when it has no `synth` key and at least
-one key that is not a PipelineConfig field; any other config is a pipeline
-config, and one without a `synth` section synthesizes its default corpus.
+The config is a pipeline config (see `termforge.pipeline`); --out replaces
+its workdir, so `termforge synth --config cfg.json --out d` writes the corpus
+under `d/corpus` and the synth stamp under `d/.stamps`.
 """
 
 from __future__ import annotations
@@ -14,11 +12,9 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import fields
 from pathlib import Path
 
-from . import embednet, mining, pipeline, synthgen, util
-from .corpus import write_corpus, write_gold
+from . import embednet, mining, pipeline, util
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,16 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_bare_synth(blob: dict, out_dir: str) -> None:
-    corpus, gold = synthgen.generate(
-        util.from_json(synthgen.SynthConfig, blob, "config section 'synth'"))
-    out = Path(out_dir)
-    write_corpus(corpus, out)
-    write_gold(gold, out / "gold.json")
-    logging.getLogger("termforge").info(
-        "wrote %d utterances to %s", len(corpus), out)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
@@ -59,15 +45,6 @@ def main(argv: list[str] | None = None) -> int:
             blob = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
             raise pipeline.PipelineError(f"{args.config}: {exc}") from None
-        if (args.stage == "synth" and isinstance(blob, dict) and "synth" not in blob
-                and set(blob) - {f.name for f in fields(pipeline.PipelineConfig)}):
-            # bare SynthConfig file: standalone corpus generation
-            if not args.out:
-                raise pipeline.PipelineError(
-                    "--out is required when synthesizing from a bare config")
-            _run_bare_synth(blob, args.out)
-            return 0
-
         config = pipeline.PipelineConfig.from_dict(blob)
         if args.out:
             config.workdir = args.out

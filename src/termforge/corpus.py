@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import atomic_write
+from .util import atomic_write, write_json
 
 
 class CorpusError(ValueError):
@@ -293,8 +293,7 @@ def write_corpus(corpus: Corpus, path) -> None:
         _write_feat(root / f"{utt.id}.feat", utt.features)
         _write_sym(root / f"{utt.id}.sym", utt)
     # last, so a manifest never lists an utterance file not yet written
-    with atomic_write(root / "manifest.json") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(root / "manifest.json", manifest)
 
 
 def load_corpus(path) -> Corpus:
@@ -330,8 +329,7 @@ def write_gold(gold: GoldAnnotation, path) -> None:
             "true_starts": [s for s, _ in g.true_spans],
             "true_ends": [e for _, e in g.true_spans],
         }
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+    write_json(path, blob)
 
 
 def load_gold(path) -> GoldAnnotation:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -121,15 +122,12 @@ class NetworkParams:
 
 @dataclass
 class TrainConfig:
-    """Training settings. `seed` seeds the batch order of a direct `train`
-    call; the pipeline derives it from its root seed. `l_max` is the input
-    width the pipeline builds `NetArch` with; `train` and `embed_all` read
-    the width of the network they are given, `params.arch.l_max`."""
+    """Training settings. `l_max` is the input width the pipeline builds
+    `NetArch` with; `train` and `embed_all` read `params.arch.l_max`."""
     margin: float = 1.0
     learning_rate: float = 1e-3
     batch_size: int = 64
     max_epochs: int = 20
-    seed: int = 0
     l_max: int = 100
 
     def validate(self) -> None:
@@ -408,10 +406,10 @@ def _stack(corpus: Corpus, segments: list[Segment], l_max: int,
 
 
 def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
-          segments: list[Segment], config: TrainConfig, mode: str):
+          segments: list[Segment], config: TrainConfig, mode: str, seed: int):
     """Mini-batch gradient descent in the dtype of `params`; stops early once
-    the epoch-mean loss plateaus (improvement < 1e-4 absolute).
-    Deterministic for a fixed seed.
+    the epoch-mean loss plateaus (improvement < 1e-4 absolute). `seed`
+    seeds the batch order, so equal arguments train an identical network.
 
     Raises TrainingDiverged when an epoch-mean loss is non-finite, which
     in float32 an absurd learning rate brings about in either mode. A run
@@ -427,7 +425,7 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
 
     segments_by_id = {s.id: s for s in segments}
     params = params.copy()
-    rng = rng_from(config.seed)
+    rng = rng_from(seed)
     curve: list[float] = []
     for _epoch in range(config.max_epochs):
         order = rng.permutation(len(entries))
@@ -497,38 +495,40 @@ def save_params(path, params: NetworkParams) -> None:
 
 
 def load_params(path) -> NetworkParams:
-    """The network a checkpoint of CHECKPOINT_VERSION holds, in PARAM_DTYPE."""
-    raw = Path(path).read_bytes()
+    """The network a checkpoint of CHECKPOINT_VERSION holds, in PARAM_DTYPE.
+    A file that ends inside a field, holds bytes past its payload or whose
+    arch JSON does not parse raises a ValueError that names it."""
+    raw = memoryview(Path(path).read_bytes())   # slices share its bytes
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ValueError("not a network checkpoint")
     offset = 8
-    version, = struct.unpack_from("<I", raw, offset)
-    offset += 4
+
+    def take(size: int) -> memoryview:
+        nonlocal offset
+        if offset + size > len(raw):
+            raise ValueError(f"{path}: checkpoint ends at byte {len(raw)}, inside "
+                             f"a field that runs to byte {offset + size}")
+        offset += size
+        return raw[offset - size:offset]
+
+    version, = struct.unpack("<I", take(4))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    blob_len, = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    meta = json.loads(raw[offset:offset + blob_len].decode("utf-8"))
-    offset += blob_len
-    count, = struct.unpack_from("<I", raw, offset)
-    offset += 4
+    arch_blob = take(struct.unpack("<I", take(4))[0])
+    try:
+        meta = json.loads(bytes(arch_blob))
+    except ValueError as exc:   # a JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"{path}: arch JSON: {exc}") from None
+    count, = struct.unpack("<I", take(4))
     shapes = []
     for _ in range(count):
-        name_len, = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        name = raw[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        ndim, = struct.unpack_from("<B", raw, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}Q", raw, offset)
-        offset += 8 * ndim
-        shapes.append((name, tuple(int(d) for d in shape)))
-    arrays = {}
-    for name, shape in shapes:
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype=_STORED, count=size, offset=offset)
-        offset += _STORED.itemsize * size
-        arrays[name] = arr.reshape(shape).astype(PARAM_DTYPE)
+        name = str(take(struct.unpack("<H", take(2))[0]), "utf-8")
+        ndim, = struct.unpack("<B", take(1))
+        shapes.append((name, struct.unpack(f"<{ndim}Q", take(8 * ndim))))
+    arrays = {name: np.frombuffer(take(_STORED.itemsize * math.prod(shape)), dtype=_STORED)
+              .reshape(shape).astype(PARAM_DTYPE) for name, shape in shapes}
+    if offset != len(raw):
+        raise ValueError(f"{path}: {len(raw) - offset} bytes past the end of the checkpoint")
     return NetworkParams(from_json(NetArch, meta["arch"], str(path)), arrays, meta["init_seed"])
 
 

@@ -38,7 +38,7 @@ from .corpus import GoldAnnotation, Segment
 # normalized_levenshtein stays a module attribute for code that wraps it
 from .seqmatch import StringTable, normalized_levenshtein  # noqa: F401
 from .synthgen import gold_segment_label
-from .util import atomic_write, from_json
+from .util import atomic_write, from_json, write_json
 
 TOLERANCE = 1   # frames per edge, for token spans and gold boundaries
 NED_BLOCK = 1 << 16   # pair values summed by one np.add.accumulate call
@@ -319,8 +319,7 @@ def render_text(report_: EvalReport, system: str = "system") -> str:
 
 
 def write_report(report_: EvalReport, json_path, txt_path, system: str = "system") -> None:
-    with atomic_write(json_path) as fh:
-        fh.write(json.dumps(asdict(report_), sort_keys=True, indent=2) + "\n")
+    write_json(json_path, asdict(report_))
     with atomic_write(txt_path) as fh:
         fh.write(render_text(report_, system))
 

@@ -21,7 +21,7 @@ from .baseline import Cluster
 from .corpus import Segment
 # levenshtein stays a module attribute for code that wraps it
 from .seqmatch import StringTable, levenshtein  # noqa: F401
-from .util import atomic_write, rng_from
+from .util import rng_from, write_json
 
 
 class MiningError(RuntimeError):
@@ -269,8 +269,7 @@ def write_manifest(path, manifest: PairManifest) -> None:
                       "negative": t.negative, "clusters": list(t.clusters)}
                      for t in manifest.triplets],
     }
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+    write_json(path, blob)
 
 
 def load_manifest(path) -> PairManifest:

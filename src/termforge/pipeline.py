@@ -26,7 +26,8 @@ import numpy as np
 from . import baseline as baseline_mod
 from . import embednet, evaluation, mining, recluster, seqmatch, synthgen
 from .corpus import load_corpus, load_gold, write_corpus, write_gold
-from .util import atomic_write, derive_seed, from_json, sha256_bytes, sha256_file, stable_json
+from .util import (atomic_write, derive_seed, from_json, sha256_bytes, sha256_file,
+                   stable_json, write_json)
 
 log = logging.getLogger("termforge")
 
@@ -99,8 +100,7 @@ class PipelineConfig:
         """Config from a JSON object whose keys are the fields and whose
         sections are the objects of their dataclasses. An unknown key, a
         wrong-typed or out-of-range value raises a PipelineError. A key that
-        is absent keeps the dataclass default. The `seed` of the synth and
-        train sections is not used: both derive from the root seed."""
+        is absent keeps the dataclass default."""
         if not isinstance(blob, dict):
             raise PipelineError(f"config must be a JSON object, got {type(blob).__name__}")
         keys = [f.name for f in fields(cls)]
@@ -197,8 +197,7 @@ def _is_current(workdir: Path, current: str, stage: _Stage) -> bool:
 
 
 def _run_synth(config: PipelineConfig, workdir: Path) -> None:
-    corpus, gold = synthgen.generate(
-        replace(config.synth, seed=derive_seed(config.seed, "synth")))
+    corpus, gold = synthgen.generate(config.synth, derive_seed(config.seed, "synth"))
     corpus_dir = workdir / "corpus"
     write_corpus(corpus, corpus_dir)
     write_gold(gold, corpus_dir / "gold.json")
@@ -243,9 +242,8 @@ def _run_train(config: PipelineConfig, workdir: Path) -> None:
     arch = embednet.NetArch(l_max=config.train.l_max,
                             feature_dim=corpus.feature_dim)
     params = embednet.init_params(arch, derive_seed(config.seed, "init"))
-    train_cfg = replace(config.train, seed=derive_seed(config.seed, "train"))
-    params, curve = embednet.train(params, manifest, corpus, segments,
-                                   train_cfg, mode=config.system)
+    params, curve = embednet.train(params, manifest, corpus, segments, config.train,
+                                   config.system, derive_seed(config.seed, "train"))
     embednet.save_params(workdir / "params.ckpt", params)
     embednet.write_loss_curve(workdir / "loss_curve.csv", curve)
     log.info("train[%s]: %d epochs, final loss %.6f",
@@ -280,8 +278,7 @@ def _run_recluster(config: PipelineConfig, workdir: Path) -> None:
         ],
         "noise": sorted(segments[p].id for p in result.noise),
     }
-    with atomic_write(workdir / "clusters_final.json") as fh:
-        fh.write(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+    write_json(workdir / "clusters_final.json", blob)
     log.info("recluster: %d clusters, %d noise segments",
              len(result.clusters), len(result.noise))
 
@@ -318,8 +315,8 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
     counts = {key: thresholds.pop(key) for key in ("n_siamese", "n_triplet")}
     stages = (
         _Stage("synth", (), ("corpus/manifest.json", "corpus/gold.json"),
-               # the section seed, unused, as 0, and the former indel_rate,
-               # always 0, so that stamps written before stay current
+               # the former section seed, as it was hashed, and the former
+               # indel_rate, always 0, so that stamps written before stay current
                {"synth": stable_json({**asdict(config.synth), "seed": 0,
                                       "indel_rate": 0.0})},
                _run_synth),
@@ -332,8 +329,8 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
                {"thresholds": stable_json(thresholds), **counts}, _run_mine),
         _Stage("train", ("manifest.json", "corpus/manifest.json", "segments.jsonl"),
                ("params.ckpt", "loss_curve.csv"),
-               # the section seed, unused, as 0; the dtype, so that stamps
-               # of float64 networks are stale
+               # the former section seed, as it was hashed; the dtype, so
+               # that stamps of float64 networks are stale
                {"train": stable_json({**asdict(config.train), "seed": 0}),
                 "system": config.system, "dtype": embednet.PARAM_DTYPE.name},
                _run_train),

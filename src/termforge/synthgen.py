@@ -37,7 +37,6 @@ class SynthConfig:
     filler_rate: float = 0.0
     words_per_utterance: int = 8
     min_word_separation: float = 0.0   # pairwise normalized Levenshtein floor
-    seed: int = 0
 
     def validate(self) -> None:
         if self.vocabulary_size < 1:
@@ -64,7 +63,7 @@ class SynthConfig:
             raise SynthError("min_word_separation must be in [0, 1]")
 
 
-def _sample_vocabulary(config: SynthConfig) -> list[tuple[int, ...]]:
+def _sample_vocabulary(config: SynthConfig, seed: int) -> list[tuple[int, ...]]:
     lo, hi = config.word_length_range
     capacity = sum(config.alphabet_size ** length for length in range(lo, hi + 1))
     if config.vocabulary_size > capacity:
@@ -72,7 +71,7 @@ def _sample_vocabulary(config: SynthConfig) -> list[tuple[int, ...]]:
             f"cannot build {config.vocabulary_size} distinct words of length "
             f"{lo}..{hi} over {config.alphabet_size} symbols"
         )
-    rng = rng_from(derive_seed(config.seed, "vocabulary"))
+    rng = rng_from(derive_seed(seed, "vocabulary"))
     words: list[tuple[int, ...]] = []
     seen = set()
     attempts = 0
@@ -108,16 +107,16 @@ def _substitute(symbols: list[int], rate: float, alphabet: int,
     return out
 
 
-def generate(config: SynthConfig) -> tuple[Corpus, GoldAnnotation]:
-    """Build a corpus plus gold annotation; deterministic for a fixed seed."""
+def generate(config: SynthConfig, seed: int) -> tuple[Corpus, GoldAnnotation]:
+    """Build a corpus plus gold annotation; every draw derives from `seed`."""
     config.validate()
-    vocabulary = _sample_vocabulary(config)
-    prototypes = rng_from(derive_seed(config.seed, "prototypes")).standard_normal(
+    vocabulary = _sample_vocabulary(config, seed)
+    prototypes = rng_from(derive_seed(seed, "prototypes")).standard_normal(
         (config.alphabet_size, config.feature_dim)
     )
 
     token_stream = np.repeat(np.arange(config.vocabulary_size), config.occurrences_per_word)
-    token_stream = rng_from(derive_seed(config.seed, "order")).permutation(token_stream)
+    token_stream = rng_from(derive_seed(seed, "order")).permutation(token_stream)
 
     utterances: list[Utterance] = []
     gold_utts: dict[str, UtteranceGold] = {}
@@ -127,7 +126,7 @@ def generate(config: SynthConfig) -> tuple[Corpus, GoldAnnotation]:
 
     for u in range(n_utts):
         utt_id = f"u{u:0{pad}d}"
-        rng = rng_from(derive_seed(config.seed, f"utterance:{u}"))
+        rng = rng_from(derive_seed(seed, f"utterance:{u}"))
         words = token_stream[u * config.words_per_utterance:(u + 1) * config.words_per_utterance]
 
         # token layout: (kind, payload) with fillers between words

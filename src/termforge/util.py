@@ -1,5 +1,5 @@
-"""Shared plumbing: seed derivation, stable hashing, atomic writes, and
-`from_json`, which reads every settings dataclass from JSON."""
+"""Shared plumbing: seed derivation, stable hashing, atomic writes (also of
+JSON artifacts), and `from_json`, which reads every settings dataclass."""
 
 from __future__ import annotations
 
@@ -109,3 +109,10 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` to `path` atomically as sorted, 2-space indented JSON with
+    a final newline: the byte format of every JSON artifact."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")

@@ -58,8 +58,8 @@ def test_drop_policy_discards_ambiguous():
 def test_five_word_zero_noise_corpus_matches_gold():
     config = SynthConfig(vocabulary_size=5, word_length_range=(4, 6),
                          occurrences_per_word=8, words_per_utterance=1,
-                         min_word_separation=0.75, seed=11)
-    corpus, gold = generate(config)
+                         min_word_separation=0.75)
+    corpus, gold = generate(config, 11)
     segments = discover_segments(corpus, AlignScoring())
     clusters = leader_cluster(segments, LeaderParams())
     assert len(clusters) == 5

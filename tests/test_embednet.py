@@ -452,7 +452,7 @@ def test_unknown_loss_kind_rejected():
     corpus, segments, manifest = _toy_training_setup()
     with pytest.raises(ValueError, match="unknown training mode"):
         train(init_params(NetArch(l_max=24, feature_dim=8), 5), manifest, corpus,
-              segments, TrainConfig(l_max=24), "quadruplet")
+              segments, TrainConfig(l_max=24), "quadruplet", 1)
 
 
 @pytest.mark.parametrize("kind", ["siamese", "triplet"])
@@ -481,8 +481,8 @@ def _toy_training_setup(seed=0, feature_noise_sigma=0.0):
                          occurrences_per_word=6, alphabet_size=4, feature_dim=8,
                          frames_per_subword_range=(3, 3), words_per_utterance=1,
                          min_word_separation=0.9,
-                         feature_noise_sigma=feature_noise_sigma, seed=seed)
-    corpus, _ = generate(config)
+                         feature_noise_sigma=feature_noise_sigma)
+    corpus, _ = generate(config, seed)
     segments = discover_segments(corpus, AlignScoring())
     # group segments by symbol string: two groups
     groups = {}
@@ -505,8 +505,8 @@ def test_zero_learning_rate_is_identity():
     arch = NetArch(l_max=24, feature_dim=8)
     params = float64(init_params(arch, 5))
     config = TrainConfig(learning_rate=0.0, batch_size=4, max_epochs=3,
-                         seed=1, l_max=24)
-    trained, curve = train(params, manifest, corpus, segments, config, "siamese")
+                         l_max=24)
+    trained, curve = train(params, manifest, corpus, segments, config, "siamese", 1)
     for name in params.arrays:
         assert (trained.arrays[name] == params.arrays[name]).all()
     assert len(set(curve)) == 1   # flat loss curve
@@ -519,8 +519,8 @@ def test_zero_learning_rate_keeps_float32_params():
     corpus, segments, manifest = _toy_training_setup()
     params = init_params(NetArch(l_max=24, feature_dim=8), 5)
     config = TrainConfig(learning_rate=0.0, batch_size=4, max_epochs=3,
-                         seed=1, l_max=24)
-    trained, curve = train(params, manifest, corpus, segments, config, "siamese")
+                         l_max=24)
+    trained, curve = train(params, manifest, corpus, segments, config, "siamese", 1)
     for name in params.arrays:
         assert trained.arrays[name].tobytes() == params.arrays[name].tobytes()
     assert max(curve) - min(curve) <= 1e-6 * curve[0]
@@ -532,8 +532,8 @@ def test_training_reduces_loss(mode):
     arch = NetArch(l_max=24, feature_dim=8)
     params = init_params(arch, 5)
     config = TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=12,
-                         seed=1, l_max=24)
-    _, curve = train(params, manifest, corpus, segments, config, mode)
+                         l_max=24)
+    _, curve = train(params, manifest, corpus, segments, config, mode, 1)
     assert curve[-1] < curve[0]
 
 
@@ -545,8 +545,8 @@ def test_training_deterministic():
     for _ in range(2):
         params = init_params(arch, 5)
         config = TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=5,
-                             seed=1, l_max=24)
-        trained, curve = train(params, manifest, corpus, segments, config, "triplet")
+                             l_max=24)
+        trained, curve = train(params, manifest, corpus, segments, config, "triplet", 1)
         curves.append(tuple(curve))
         finals.append(trained)
     assert curves[0] == curves[1]
@@ -561,7 +561,7 @@ def test_train_reads_the_network_width():
     params = init_params(NetArch(l_max=24, feature_dim=8), 5)
     runs = [train(params, manifest, corpus, segments,
                   TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=2,
-                              seed=1, l_max=l_max), "triplet")
+                              l_max=l_max), "triplet", 1)
             for l_max in (24, 100)]
     (first, first_curve), (second, second_curve) = runs
     assert first_curve == second_curve
@@ -587,15 +587,15 @@ def test_divergence_guard():
     arch = NetArch(l_max=24, feature_dim=8)
     params = init_params(arch, 5)
     config = TrainConfig(learning_rate=1e12, batch_size=4, max_epochs=20,
-                         seed=1, l_max=24)
+                         l_max=24)
     with pytest.raises(TrainingDiverged):
         with np.errstate(over="ignore", invalid="ignore"):
-            train(params, manifest, corpus, segments, config, "siamese")
+            train(params, manifest, corpus, segments, config, "siamese", 1)
     for seed in range(5):
         corpus, segments, manifest = _toy_training_setup(seed, feature_noise_sigma=0.1)
         with pytest.raises(TrainingDiverged):
             with np.errstate(over="ignore", invalid="ignore"):
-                train(params, manifest, corpus, segments, config, "triplet")
+                train(params, manifest, corpus, segments, config, "triplet", 1)
 
 
 def test_embed_all_rows_and_duplicates():
@@ -631,8 +631,8 @@ def test_trained_embeddings_separate_classes():
     arch = NetArch(l_max=24, feature_dim=8)
     params = init_params(arch, 5)
     config = TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=15,
-                         seed=1, l_max=24)
-    trained, _ = train(params, manifest, corpus, segments, config, "triplet")
+                         l_max=24)
+    trained, _ = train(params, manifest, corpus, segments, config, "triplet", 1)
     table = embed_all(trained, segments, corpus)
     groups = {}
     for row, seg in zip(table, segments):
@@ -683,6 +683,31 @@ def test_float64_checkpoint_is_refused(tmp_path):
         params.arrays[name].astype("<f8").tobytes() for name in embednet.PARAM_ORDER))
     with pytest.raises(ValueError, match="^unsupported checkpoint version 1$"):
         load_params(path)
+
+
+@pytest.mark.parametrize("cut", ["version", "arch-length", "arch-json", "count", "shapes",
+                                 "payload", "last-byte", "appended"])
+def test_torn_or_overlong_checkpoint_is_refused(tmp_path, cut):
+    """A file cut anywhere past the magic, or with bytes after the payload,
+    raises a ValueError that names it."""
+    params = init_params(SMALL, 42)
+    path = tmp_path / "params.ckpt"
+    save_params(path, params)
+    raw = path.read_bytes()
+    arch_end = 16 + struct.unpack_from("<I", raw, 12)[0]
+    payload_start = len(raw) - sum(arr.size for arr in params.arrays.values()) * 4
+    ends = {"version": 10, "arch-length": 14, "arch-json": arch_end - 5,
+            "count": arch_end + 2, "shapes": (arch_end + payload_start) // 2,
+            "payload": (payload_start + len(raw)) // 2, "last-byte": len(raw) - 1}
+    if cut == "appended":
+        path.write_bytes(raw + bytes(8))
+        message = "8 bytes past the end of the checkpoint"
+    else:
+        path.write_bytes(raw[:ends[cut]])
+        message = f"checkpoint ends at byte {ends[cut]}, inside a field"
+    with pytest.raises(ValueError) as info:
+        load_params(path)
+    assert str(info.value).startswith(f"{path}: {message}")
 
 
 def test_checkpoint_arch_with_unknown_key_rejected(tmp_path):

@@ -223,8 +223,8 @@ def test_sample_errors_without_sources():
 def test_label_audit_on_zero_noise_corpus():
     config = SynthConfig(vocabulary_size=5, word_length_range=(4, 6),
                          occurrences_per_word=8, words_per_utterance=1,
-                         min_word_separation=0.75, seed=11)
-    corpus, gold = generate(config)
+                         min_word_separation=0.75)
+    corpus, gold = generate(config, 11)
     segments = discover_segments(corpus, AlignScoring())
     by_id = {s.id: s for s in segments}
     clusters = leader_cluster(segments, LeaderParams())

@@ -169,17 +169,19 @@ def test_every_input_has_one_earlier_producer(tmp_path, system):
 def reference_stage_settings(config, stage):
     """The config subset each stage hash covered when the stages were three
     tables, plus the network dtype that train gained when the network went
-    float32; a change here invalidates every cached workdir."""
+    float32; a change here invalidates every cached workdir. The synth and
+    train sections hash the seed they held before it became an argument."""
     subsets = {
-        "synth": {"synth": stable_json({**asdict(config.synth), "indel_rate": 0.0})},
+        "synth": {"synth": stable_json({**asdict(config.synth), "seed": 0,
+                                        "indel_rate": 0.0})},
         "discover": {"align": stable_json(asdict(config.align)),
                      "max_dp_cells": config.max_dp_cells},
         "baseline": {"leader": stable_json(asdict(config.leader))},
         "mine": {"thresholds": stable_json({k: v for k, v in asdict(config.mining).items()
                                             if k.startswith("thres_")}),
                  "n_siamese": config.mining.n_siamese, "n_triplet": config.mining.n_triplet},
-        "train": {"train": stable_json(asdict(config.train)), "system": config.system,
-                  "dtype": "float32"},
+        "train": {"train": stable_json({**asdict(config.train), "seed": 0}),
+                  "system": config.system, "dtype": "float32"},
         "embed": {"l_max": config.train.l_max},
         "recluster": {"hdbscan": stable_json(asdict(config.hdbscan)),
                       "extraction": config.extraction},
@@ -215,32 +217,16 @@ def test_from_dict_takes_defaults_from_the_dataclass():
     PipelineConfig(),
     PipelineConfig(
         seed=9, system="triplet", extraction="hybrid", workdir="elsewhere",
-        synth=SynthConfig(vocabulary_size=7, word_length_range=(3, 6), filler_rate=0.25,
-                          seed=11),
+        synth=SynthConfig(vocabulary_size=7, word_length_range=(3, 6), filler_rate=0.25),
         align=AlignScoring(min_align_score=4.0, min_length=4),
         leader=LeaderParams(T=0.3, ambiguous_policy="drop"),
         mining=MiningConfig(thres_mu_s=0.3, thres_sigma_d=0.1, n_siamese=7, n_triplet=8),
-        train=TrainConfig(margin=2.0, max_epochs=3, seed=11, l_max=24),
+        train=TrainConfig(margin=2.0, max_epochs=3, l_max=24),
         hdbscan=HdbscanParams(min_cluster_size=4, cluster_selection_epsilon=0.5),
         max_dp_cells=1234),
 ], ids=["defaults", "every-section"])
 def test_asdict_of_a_config_is_a_config(config):
     assert PipelineConfig.from_dict(json.loads(json.dumps(asdict(config)))) == config
-
-
-@pytest.mark.parametrize("system, extraction", [("baseline", "eom"),
-                                                ("triplet", "hybrid")])
-def test_section_seeds_leave_every_stage_hash_unchanged(tmp_path, system, extraction):
-    """The synth and train seeds derive from the root seed, so a seed in
-    either section is ignored and the cached stages stay current."""
-    blob = small_blob(tmp_path / "wd", system, extraction)
-    seeded = {**blob, "synth": {**blob["synth"], "seed": 5},
-              "train": {**blob["train"], "seed": 5}}
-    config, seeded_config = PipelineConfig.from_dict(blob), PipelineConfig.from_dict(seeded)
-    table, seeded_table = pipeline._stage_table(config), pipeline._stage_table(seeded_config)
-    for name in pipeline.STAGES:
-        assert (pipeline._stage_hash(seeded_config, seeded_table[name], ["h1"])
-                == pipeline._stage_hash(config, table[name], ["h1"])), name
 
 
 @pytest.mark.parametrize("section, settings, message", [
@@ -251,6 +237,9 @@ def test_section_seeds_leave_every_stage_hash_unchanged(tmp_path, system, extrac
     ("train", {"max_epochs": 21}, "max_epochs is capped at 20"),
     ("hdbscan", {"min_cluster_size": 1}, "min_cluster_size must be >= 2"),
     ("hdbscan", {"max_points": 0}, "max_points must exceed max(min_samples, min_cluster_size)"),
+    ("synth", {"vocabulary_size": 3, "seed": 99},
+     "SynthConfig.__init__() got an unexpected keyword argument 'seed'"),
+    ("train", {"seed": 7}, "TrainConfig.__init__() got an unexpected keyword argument 'seed'"),
 ])
 def test_bad_section_value_stops_before_any_stage(tmp_path, caplog, section, settings,
                                                   message):
@@ -290,8 +279,8 @@ def test_bad_top_level_value_stops_before_any_stage(tmp_path, caplog, settings, 
 
 @pytest.mark.parametrize("use_out", [True, False], ids=["out", "workdir"])
 def test_synth_reads_a_pipeline_config_without_synth_section(tmp_path, use_out):
-    """A file whose keys are all PipelineConfig fields is a pipeline config,
-    not a bare SynthConfig, also when it has no synth section."""
+    """A pipeline config without a synth section synthesizes its default
+    corpus, under --out or under the configured workdir."""
     workdir = tmp_path / "wd"
     blob = {"seed": 3} if use_out else {"seed": 3, "workdir": str(workdir)}
     config_path = tmp_path / "config.json"
@@ -400,6 +389,28 @@ def test_noisy_baseline_artifacts_match_golden_digests(tmp_path):
             for name in NOISY_BASELINE_DIGESTS} == NOISY_BASELINE_DIGESTS
 
 
+# sha256 of what the siamese system's mine stage wrote for small_blob, and
+# the train stage's hash, which covers its settings and input hashes but no
+# trained float, as the code before the synth and train seeds became
+# arguments wrote them
+LEARNED_DIGESTS = {
+    "manifest.json": "60f509192f460edaae708f87bc077147cda6873d2af8a6a2a61eaf8fbc54cdc8",
+    ".stamps/mine.json": "02849e6a989882ebb7d7f1efbd02e8b13aaf49f741bd29ecbae4a17cf984c2cc",
+}
+LEARNED_TRAIN_HASH = "11e13139b3b1eaaf56584c31e1ae3a23200bd8979fc70c3bd2dd5ce3762fe198"
+
+
+def test_learned_artifacts_match_golden_digests(tmp_path):
+    workdir = tmp_path / "wd"
+    config = PipelineConfig.from_dict(small_blob(workdir, system="siamese"))
+    for stage in ("synth", "discover", "baseline", "mine", "train"):
+        run_stage(stage, config)
+    assert {name: sha256_bytes((workdir / name).read_bytes())
+            for name in LEARNED_DIGESTS} == LEARNED_DIGESTS
+    assert json.loads((workdir / ".stamps" / "train.json").read_text())["hash"] \
+        == LEARNED_TRAIN_HASH
+
+
 def test_float64_train_stamp_reruns_the_network_stages(tmp_path, monkeypatch):
     """A workdir trained in float64 before the train hash covered the dtype:
     train, embed, recluster and evaluate run again, nothing upstream."""
@@ -467,25 +478,6 @@ def test_cli_end_to_end(tmp_path):
     assert "baseline" in proc.stdout        # the printed results row
 
 
-def test_cli_bare_synth_config(tmp_path):
-    config_path = tmp_path / "synth.json"
-    config_path.write_text(json.dumps({
-        "vocabulary_size": 3, "word_length_range": [3, 4],
-        "occurrences_per_word": 4, "seed": 5,
-    }))
-    out_dir = tmp_path / "corpus"
-    proc = subprocess.run(
-        [sys.executable, "-m", "termforge.cli", "synth",
-         "--config", str(config_path), "--out", str(out_dir)],
-        capture_output=True, text=True, env=cli_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert (out_dir / "manifest.json").is_file()
-    assert (out_dir / "gold.json").is_file()
-    from termforge.corpus import load_corpus
-    assert len(load_corpus(out_dir)) == 2   # ceil(12 tokens / 8 per utterance)
-
-
 @pytest.mark.parametrize("stage, text, message", [
     ("all", '{"seed": 1,', "config.json: Expecting property name"),
     ("all", None, "No such file"),
@@ -495,7 +487,8 @@ def test_cli_bare_synth_config(tmp_path):
     ("all", '{"synth": {"vocabulary_size": 3}, "hdbscan": {"min_size": 3}}',
      "config section 'hdbscan'"),
     ("all", '{"synth": {}}', "config section 'synth'"),
-    ("synth", '{"vocabulary_size": 3, "bogus": 1}', "config section 'synth'"),
+    ("synth", '{"vocabulary_size": 3, "bogus": 1}',
+     "config: unknown top-level key(s) ['bogus', 'vocabulary_size']"),
     ("all", '{"synth": {"vocabulary_size": 3}, "hdbscn": {"min_cluster_size": 3}}',
      "unknown top-level key(s) ['hdbscn']"),
     ("all", '{"synth": {"vocabulary_size": 3}, "eval": {"edge_tolerance": 1}}',
@@ -509,8 +502,13 @@ def test_cli_bare_synth_config(tmp_path):
      "config section 'synth': SynthConfig.__init__() got an unexpected keyword "
      "argument 'indel_rate'"),
     ("synth", '{"vocabulary_size": 3, "indel_rate": 0.0}',
+     "config: unknown top-level key(s) ['indel_rate', 'vocabulary_size']"),
+    ("synth", '{"synth": {"vocabulary_size": 3, "seed": 99}}',
      "config section 'synth': SynthConfig.__init__() got an unexpected keyword "
-     "argument 'indel_rate'"),
+     "argument 'seed'"),
+    ("all", '{"synth": {"vocabulary_size": 3}, "train": {"seed": 7}}',
+     "config section 'train': TrainConfig.__init__() got an unexpected keyword "
+     "argument 'seed'"),
     ("all", '{"synth": {"vocabulary_size": 3}, "mining": {"bogus": 1}}',
      "config section 'mining': MiningConfig.__init__() got an unexpected keyword "
      "argument 'bogus'"),
@@ -523,6 +521,7 @@ def test_cli_bare_synth_config(tmp_path):
         "eval-top-level-key",
         "not-an-object", "synth-not-an-object", "section-not-an-object",
         "train-not-an-object", "indel-rate", "bare-synth-indel-rate",
+        "synth-seed", "train-seed",
         "unknown-mining-key", "alignment-budget", "no-positive-source"])
 def test_cli_config_error_is_one_logged_line(tmp_path, caplog, stage, text, message):
     config_path = tmp_path / "config.json"

@@ -348,7 +348,7 @@ def test_discovery_matches_reference_on_noisy_corpus():
     corpus, _ = generate(SynthConfig(
         vocabulary_size=6, word_length_range=(4, 7), occurrences_per_word=5,
         words_per_utterance=3, symbol_substitution_rate=0.1, filler_rate=0.3,
-        min_word_separation=0.5, alphabet_size=25, feature_dim=4, seed=11))
+        min_word_separation=0.5, alphabet_size=25, feature_dim=4), 11)
     scoring = default_scoring()
     found = discover_segments(corpus, scoring)
     assert len(found) > 10

@@ -6,16 +6,19 @@ from termforge.seqmatch import levenshtein
 from termforge.synthgen import SynthConfig, SynthError, generate, gold_segment_label
 
 
+SEED = 17
+
+
 def small_config(**overrides):
     base = dict(vocabulary_size=4, word_length_range=(3, 4),
                 occurrences_per_word=6, alphabet_size=20, feature_dim=6,
-                frames_per_subword_range=(2, 3), words_per_utterance=3, seed=17)
+                frames_per_subword_range=(2, 3), words_per_utterance=3)
     base.update(overrides)
     return SynthConfig(**base)
 
 
 def test_zero_noise_transcription_equals_gold():
-    corpus, gold = generate(small_config())
+    corpus, gold = generate(small_config(), SEED)
     for utt in corpus:
         assert utt.transcription == gold.utterances[utt.id].true_symbols
         assert utt.frame_spans == gold.utterances[utt.id].true_spans
@@ -24,7 +27,7 @@ def test_zero_noise_transcription_equals_gold():
 def test_zero_noise_identical_word_occurrences_have_identical_features():
     # frame counts vary per occurrence, but at zero noise every subword block
     # must consist of copies of that subword's fixed prototype row
-    corpus, gold = generate(small_config())
+    corpus, gold = generate(small_config(), SEED)
     prototype_rows = {}
     for utt in corpus:
         g = gold.utterances[utt.id]
@@ -39,7 +42,7 @@ def test_zero_noise_identical_word_occurrences_have_identical_features():
 
 def test_occurrence_counts_match_config():
     config = small_config()
-    corpus, gold = generate(config)
+    corpus, gold = generate(config, SEED)
     counts = {}
     for g in gold.utterances.values():
         for token in g.tokens:
@@ -52,7 +55,7 @@ def test_determinism_byte_identical(tmp_path):
     config = small_config(symbol_substitution_rate=0.1, feature_noise_sigma=0.2,
                           filler_rate=0.3)
     for run in ("a", "b"):
-        corpus, gold = generate(config)
+        corpus, gold = generate(config, SEED)
         write_corpus(corpus, tmp_path / run)
     for path_a in sorted((tmp_path / "a").iterdir()):
         path_b = tmp_path / "b" / path_a.name
@@ -63,7 +66,7 @@ def test_substitution_fraction_concentrates():
     config = small_config(vocabulary_size=30, occurrences_per_word=30,
                           word_length_range=(12, 14), alphabet_size=55,
                           symbol_substitution_rate=0.15)
-    corpus, gold = generate(config)
+    corpus, gold = generate(config, SEED)
     total = 0
     substituted = 0
     for utt in corpus:
@@ -76,7 +79,7 @@ def test_substitution_fraction_concentrates():
 
 
 def test_zero_noise_same_word_segments_at_distance_zero():
-    corpus, gold = generate(small_config())
+    corpus, gold = generate(small_config(), SEED)
     by_word = {}
     for utt in corpus:
         for token in gold.utterances[utt.id].tokens:
@@ -91,14 +94,14 @@ def test_zero_noise_same_word_segments_at_distance_zero():
 def test_unconstructible_vocabulary_rejected():
     with pytest.raises(SynthError, match="distinct words"):
         generate(small_config(vocabulary_size=10, word_length_range=(1, 1),
-                              alphabet_size=3))
+                              alphabet_size=3), SEED)
 
 
 def test_min_word_separation_enforced():
     from termforge.seqmatch import normalized_levenshtein
     config = small_config(vocabulary_size=8, alphabet_size=55,
                           word_length_range=(4, 6), min_word_separation=0.75)
-    _, gold = generate(config)
+    _, gold = generate(config, SEED)
     words = {}
     for g in gold.utterances.values():
         for token in g.tokens:
@@ -111,7 +114,7 @@ def test_min_word_separation_enforced():
 
 def test_filler_symbols_not_in_gold_tokens():
     config = small_config(filler_rate=1.0)
-    corpus, gold = generate(config)
+    corpus, gold = generate(config, SEED)
     saw_filler = False
     for utt in corpus:
         g = gold.utterances[utt.id]
@@ -126,7 +129,7 @@ def test_filler_symbols_not_in_gold_tokens():
 
 
 def test_label_exact_token_span():
-    corpus, gold = generate(small_config())
+    corpus, gold = generate(small_config(), SEED)
     utt = next(iter(corpus))
     token = gold.utterances[utt.id].tokens[0]
     seg = Segment(0, utt.id, token.start, token.end, (1,))

@@ -17,7 +17,7 @@ from termforge.util import from_json
 @pytest.mark.parametrize("value", [
     PipelineConfig(),
     SynthConfig(vocabulary_size=7, word_length_range=(3, 9), filler_rate=0.25,
-                frames_per_subword_range=(1, 5), seed=11),
+                frames_per_subword_range=(1, 5)),
     NetArch(l_max=30, feature_dim=8, conv_channels=(4, 8, 8), fc_sizes=(16, 8)),
     EvalReport(grouping=PRF(None, 0.5, None), token=PRF(1.0, 0.25, 0.4),
                type=PRF(0.0, None, 0.0), boundary=PRF(None, None, None),
