@@ -56,7 +56,7 @@ from .mining import PairManifest
 from .util import atomic_write, from_json, rng_from
 
 CHECKPOINT_MAGIC = b"TERMFNET"
-CHECKPOINT_VERSION = 2   # 1 stored float64 parameters
+CHECKPOINT_VERSION = 3   # 2 stored names and shapes, 1 float64 parameters
 # the dtype of the parameters init_params and load_params give; checkpoints
 # store it little-endian
 PARAM_DTYPE = np.dtype(np.float32)
@@ -82,19 +82,14 @@ class NetArch:
 
     def time_lengths(self) -> list[int]:
         """Per-stage time lengths: conv1, pool1, conv2, pool2, conv3."""
-        lengths = []
-        t = self.l_max
+        lengths = [self.l_max]
         for stage, kernel in enumerate(self.conv_kernels):
-            t = t - kernel + 1
-            if t < 1:
-                raise ValueError(f"l_max={self.l_max} too short for conv stack")
-            lengths.append(t)
+            lengths.append(lengths[-1] - kernel + 1)
             if stage < 2:   # blocks 1-2 pool, block 3 does not
-                t = t // self.pool_width
-                if t < 1:
-                    raise ValueError(f"l_max={self.l_max} too short for conv stack")
-                lengths.append(t)
-        return lengths
+                lengths.append(lengths[-1] // self.pool_width)
+        if min(lengths) < 1:
+            raise ValueError(f"l_max={self.l_max} too short for conv stack")
+        return lengths[1:]
 
     def flat_dim(self) -> int:
         return self.time_lengths()[-1] * self.conv_channels[2]
@@ -141,14 +136,18 @@ class TrainConfig:
             raise ValueError("max_epochs is capped at 20")
 
 
-def init_params(arch: NetArch, seed: int) -> NetworkParams:
-    """Fan-in-scaled uniform weights, zero biases, in PARAM_DTYPE (drawn in
-    float64 and rounded)."""
-    rng = rng_from(seed)
+def param_shapes(arch: NetArch) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in PARAM_ORDER: (C_out, C_in, kernel) for a
+    conv weight, (inputs, outputs) for a dense one. Raises a ValueError when
+    a width is not positive or l_max is too short for the conv stack."""
+    widths = (arch.feature_dim, *arch.conv_channels, *arch.conv_kernels, arch.pool_width,
+              *arch.fc_sizes, arch.embed_dim)
+    if min(widths) < 1:
+        raise ValueError(f"every width of {arch} must be positive")
     c1, c2, c3 = arch.conv_channels
     k1, k2, k3 = arch.conv_kernels
     f1, f2 = arch.fc_sizes
-    shapes = {
+    return {
         "W1": (c1, arch.feature_dim, k1), "b1": (c1,),
         "W2": (c2, c1, k2), "b2": (c2,),
         "W3": (c3, c2, k3), "b3": (c3,),
@@ -156,21 +155,19 @@ def init_params(arch: NetArch, seed: int) -> NetworkParams:
         "Wf2": (f1, f2), "bf2": (f2,),
         "Wo": (f2, arch.embed_dim), "bo": (arch.embed_dim,),
     }
-    fan_in = {
-        "W1": arch.feature_dim * k1,
-        "W2": c1 * k2,
-        "W3": c2 * k3,
-        "Wf1": arch.flat_dim(),
-        "Wf2": f1,
-        "Wo": f2,
-    }
+
+
+def init_params(arch: NetArch, seed: int) -> NetworkParams:
+    """Fan-in-scaled uniform weights, zero biases, in PARAM_DTYPE (drawn in
+    float64 and rounded)."""
+    rng = rng_from(seed)
     arrays = {}
-    for name in PARAM_ORDER:
-        shape = shapes[name]
+    for name, shape in param_shapes(arch).items():
         if name.startswith("b"):
             arrays[name] = np.zeros(shape, dtype=PARAM_DTYPE)
         else:
-            bound = 1.0 / np.sqrt(fan_in[name])
+            fan_in = math.prod(shape[1:]) if len(shape) == 3 else shape[0]
+            bound = 1.0 / np.sqrt(fan_in)
             arrays[name] = rng.uniform(-bound, bound, size=shape).astype(PARAM_DTYPE)
     return NetworkParams(arch, arrays, seed)
 
@@ -467,8 +464,9 @@ def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, arch JSON, shapes header, payload of
-# little-endian PARAM_DTYPE
+# checkpoint format: magic, version, length of the arch JSON, arch JSON, then
+# every parameter in PARAM_ORDER as little-endian PARAM_DTYPE, in the shapes
+# param_shapes gives its arch
 
 _STORED = PARAM_DTYPE.newbyteorder("<")
 
@@ -478,30 +476,18 @@ def save_params(path, params: NetworkParams) -> None:
                             "init_seed": params.init_seed},
                            sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(arch_blob)))
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(arch_blob)))
         fh.write(arch_blob)
-        fh.write(struct.pack("<I", len(PARAM_ORDER)))
-        for name in PARAM_ORDER:
-            arr = params.arrays[name]
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         for name in PARAM_ORDER:
             fh.write(np.ascontiguousarray(params.arrays[name], dtype=_STORED).tobytes())
 
 
 def load_params(path) -> NetworkParams:
     """The network a checkpoint of CHECKPOINT_VERSION holds, in PARAM_DTYPE.
-    A file that ends inside a field, holds bytes past its payload or whose
-    arch JSON does not parse raises a ValueError that names it."""
+    Any other magic or version, a cut or over-long file and an arch JSON that
+    is not an arch and init_seed raise a ValueError that starts with the path."""
     raw = memoryview(Path(path).read_bytes())   # slices share its bytes
-    if raw[:8] != CHECKPOINT_MAGIC:
-        raise ValueError("not a network checkpoint")
-    offset = 8
+    offset = 0
 
     def take(size: int) -> memoryview:
         nonlocal offset
@@ -511,25 +497,29 @@ def load_params(path) -> NetworkParams:
         offset += size
         return raw[offset - size:offset]
 
+    if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a network checkpoint")
     version, = struct.unpack("<I", take(4))
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
     arch_blob = take(struct.unpack("<I", take(4))[0])
     try:
         meta = json.loads(bytes(arch_blob))
     except ValueError as exc:   # a JSONDecodeError or UnicodeDecodeError
         raise ValueError(f"{path}: arch JSON: {exc}") from None
-    count, = struct.unpack("<I", take(4))
-    shapes = []
-    for _ in range(count):
-        name = str(take(struct.unpack("<H", take(2))[0]), "utf-8")
-        ndim, = struct.unpack("<B", take(1))
-        shapes.append((name, struct.unpack(f"<{ndim}Q", take(8 * ndim))))
+    if not isinstance(meta, dict) or sorted(meta) != ["arch", "init_seed"]:
+        raise ValueError(f"{path}: arch JSON must be an object with the keys "
+                         "arch and init_seed")
+    arch = from_json(NetArch, meta["arch"], str(path))
+    try:
+        shapes = param_shapes(arch)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     arrays = {name: np.frombuffer(take(_STORED.itemsize * math.prod(shape)), dtype=_STORED)
-              .reshape(shape).astype(PARAM_DTYPE) for name, shape in shapes}
+              .reshape(shape).astype(PARAM_DTYPE) for name, shape in shapes.items()}
     if offset != len(raw):
         raise ValueError(f"{path}: {len(raw) - offset} bytes past the end of the checkpoint")
-    return NetworkParams(from_json(NetArch, meta["arch"], str(path)), arrays, meta["init_seed"])
+    return NetworkParams(arch, arrays, meta["init_seed"])
 
 
 def write_loss_curve(path, curve: list[float]) -> None:

@@ -2,12 +2,13 @@
 embed -> recluster -> evaluate, with content-hash stage caching.
 
 One table (`_stage_table`) describes each stage: the artifacts it reads and
-writes, the config settings its hash covers and the function that runs it.
-Every stage is idempotent for identical inputs and seed: a stage re-runs only
-when the hash of its settings plus upstream artifacts changes (or with
-force=True). All randomness flows from the root seed through labelled
-sub-seed derivation, so two runs with the same config produce byte-identical
-artifacts.
+writes, the `PipelineConfig` fields its hash covers and the function that
+runs it. A stage's hash covers the root seed, the fields its table entry
+names and the hashes of its inputs, and nothing else. Every stage is
+idempotent for identical inputs and seed: a stage re-runs only when that
+hash changes (or with force=True). All randomness flows from the root seed
+through labelled sub-seed derivation, so two runs with the same config produce
+byte-identical artifacts.
 
 A config file is `PipelineConfig` as JSON: its keys are the fields, and each
 section is the JSON object of that field's own settings dataclass.
@@ -121,7 +122,7 @@ class _Stage:
     name: str
     inputs: tuple[str, ...]           # workdir-relative artifact paths
     outputs: tuple[str, ...]
-    settings: dict                    # config values the stage hash covers
+    settings: tuple[str, ...]         # PipelineConfig fields the stage hash covers
     run: Callable[[PipelineConfig, Path], None]
 
 
@@ -179,8 +180,9 @@ def _input_hashes(table: dict[str, _Stage], stage: _Stage, workdir: Path) -> lis
 
 
 def _stage_hash(config: PipelineConfig, stage: _Stage, input_hashes: list[str]) -> str:
-    parts = [stable_json({"seed": config.seed, **stage.settings}), *input_hashes]
-    return sha256_bytes("|".join(parts).encode())
+    blob = asdict(config)
+    settings = {name: blob[name] for name in ("seed", *stage.settings)}
+    return sha256_bytes("|".join([stable_json(settings), *input_hashes]).encode())
 
 
 def _is_current(workdir: Path, current: str, stage: _Stage) -> bool:
@@ -309,43 +311,25 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
     """Every stage of the pipeline, in run order, as `config` sets it up."""
     clusters_file = ("clusters_baseline.json" if config.system == "baseline"
                      else "clusters_final.json")
-    # the thresholds apart from the two counts, as hashed before the counts
-    # joined the mining section, so that stamps written before stay current
-    thresholds = asdict(config.mining)
-    counts = {key: thresholds.pop(key) for key in ("n_siamese", "n_triplet")}
     stages = (
         _Stage("synth", (), ("corpus/manifest.json", "corpus/gold.json"),
-               # the former section seed, as it was hashed, and the former
-               # indel_rate, always 0, so that stamps written before stay current
-               {"synth": stable_json({**asdict(config.synth), "seed": 0,
-                                      "indel_rate": 0.0})},
-               _run_synth),
+               ("synth",), _run_synth),
         _Stage("discover", ("corpus/manifest.json",), ("segments.jsonl",),
-               {"align": stable_json(asdict(config.align)),
-                "max_dp_cells": config.max_dp_cells}, _run_discover),
+               ("align", "max_dp_cells"), _run_discover),
         _Stage("baseline", ("segments.jsonl",), ("clusters_baseline.json",),
-               {"leader": stable_json(asdict(config.leader))}, _run_baseline),
+               ("leader",), _run_baseline),
         _Stage("mine", ("segments.jsonl", "clusters_baseline.json"), ("manifest.json",),
-               {"thresholds": stable_json(thresholds), **counts}, _run_mine),
+               ("mining",), _run_mine),
         _Stage("train", ("manifest.json", "corpus/manifest.json", "segments.jsonl"),
-               ("params.ckpt", "loss_curve.csv"),
-               # the former section seed, as it was hashed; the dtype, so
-               # that stamps of float64 networks are stale
-               {"train": stable_json({**asdict(config.train), "seed": 0}),
-                "system": config.system, "dtype": embednet.PARAM_DTYPE.name},
-               _run_train),
+               ("params.ckpt", "loss_curve.csv"), ("train", "system"), _run_train),
+        # l_max reaches embed inside the checkpoint's arch, an input
         _Stage("embed", ("params.ckpt", "segments.jsonl", "corpus/manifest.json"),
-               ("embeddings.npy",), {"l_max": config.train.l_max}, _run_embed),
+               ("embeddings.npy",), (), _run_embed),
         _Stage("recluster", ("embeddings.npy", "segments.jsonl"), ("clusters_final.json",),
-               {"hdbscan": stable_json(asdict(config.hdbscan)),
-                "extraction": config.extraction}, _run_recluster),
+               ("hdbscan", "extraction"), _run_recluster),
         _Stage("evaluate", (clusters_file, "segments.jsonl", "corpus/manifest.json",
                             "corpus/gold.json"), ("report.json", "report.txt"),
-               # the keys of the former tolerance settings, so that stamps
-               # written before they became one constant stay current
-               {"eval": stable_json({"boundary_tolerance": evaluation.TOLERANCE,
-                                     "edge_tolerance": evaluation.TOLERANCE}),
-                "system": config.system, "extraction": config.extraction}, _run_evaluate),
+               ("system", "extraction"), _run_evaluate),
     )
     return {stage.name: stage for stage in stages}
 

@@ -124,8 +124,7 @@ def build_hierarchy(mst_edges: list[tuple[int, int, float]]) -> np.ndarray:
     """Single-linkage dendrogram: rows (left, right, distance, size), merge
     order (weight, smaller endpoint, larger endpoint); new node k gets id n+k."""
     n = len(mst_edges) + 1
-    ordered = sorted((min(u, v), max(u, v), w) for u, v, w in mst_edges)
-    ordered.sort(key=lambda e: (e[2], e[0], e[1]))
+    ordered = sorted((w, min(u, v), max(u, v)) for u, v, w in mst_edges)
     parent = list(range(2 * n - 1))
     size = [1] * n + [0] * (n - 1)
 
@@ -136,7 +135,7 @@ def build_hierarchy(mst_edges: list[tuple[int, int, float]]) -> np.ndarray:
         return x
 
     rows = np.zeros((n - 1, 4))
-    for k, (u, v, w) in enumerate(ordered):
+    for k, (w, u, v) in enumerate(ordered):
         ru, rv = find(u), find(v)
         if ru == rv:
             raise ValueError("mst edges do not form a tree")

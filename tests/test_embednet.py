@@ -1,6 +1,7 @@
 import json
+import re
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -681,23 +682,44 @@ def test_float64_checkpoint_is_refused(tmp_path):
     header = raw[len(embednet.CHECKPOINT_MAGIC) + 4:len(raw) - payload]
     path.write_bytes(embednet.CHECKPOINT_MAGIC + struct.pack("<I", 1) + header + b"".join(
         params.arrays[name].astype("<f8").tobytes() for name in embednet.PARAM_ORDER))
-    with pytest.raises(ValueError, match="^unsupported checkpoint version 1$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                         "unsupported checkpoint version 1$"):
         load_params(path)
 
 
-@pytest.mark.parametrize("cut", ["version", "arch-length", "arch-json", "count", "shapes",
+def test_v2_checkpoint_is_refused(tmp_path):
+    """A version-2 file, whose header also listed each parameter's name and
+    shape between the arch JSON and the payload."""
+    params = init_params(SMALL, 42)
+    path = tmp_path / "params.ckpt"
+    save_params(path, params)
+    raw = path.read_bytes()
+    arch_end = 16 + struct.unpack_from("<I", raw, 12)[0]
+    shapes = [struct.pack("<I", len(embednet.PARAM_ORDER))]
+    for name in embednet.PARAM_ORDER:
+        arr = params.arrays[name]
+        shapes += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", arr.ndim),
+                   struct.pack(f"<{arr.ndim}Q", *arr.shape)]
+    path.write_bytes(raw[:8] + struct.pack("<I", 2) + raw[12:arch_end] + b"".join(shapes)
+                     + raw[arch_end:])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                         "unsupported checkpoint version 2$"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("cut", ["magic", "version", "arch-length", "arch-json",
                                  "payload", "last-byte", "appended"])
 def test_torn_or_overlong_checkpoint_is_refused(tmp_path, cut):
-    """A file cut anywhere past the magic, or with bytes after the payload,
-    raises a ValueError that names it."""
+    """A file cut anywhere, or with bytes after the payload, raises a
+    ValueError that names it."""
     params = init_params(SMALL, 42)
     path = tmp_path / "params.ckpt"
     save_params(path, params)
     raw = path.read_bytes()
     arch_end = 16 + struct.unpack_from("<I", raw, 12)[0]
     payload_start = len(raw) - sum(arr.size for arr in params.arrays.values()) * 4
-    ends = {"version": 10, "arch-length": 14, "arch-json": arch_end - 5,
-            "count": arch_end + 2, "shapes": (arch_end + payload_start) // 2,
+    assert payload_start == arch_end
+    ends = {"magic": 5, "version": 10, "arch-length": 14, "arch-json": arch_end - 5,
             "payload": (payload_start + len(raw)) // 2, "last-byte": len(raw) - 1}
     if cut == "appended":
         path.write_bytes(raw + bytes(8))
@@ -710,15 +732,44 @@ def test_torn_or_overlong_checkpoint_is_refused(tmp_path, cut):
     assert str(info.value).startswith(f"{path}: {message}")
 
 
+def test_file_that_is_not_a_checkpoint_is_refused(tmp_path):
+    path = tmp_path / "params.ckpt"
+    path.write_text(json.dumps({"arch": {}, "init_seed": 0}))
+    with pytest.raises(ValueError) as info:
+        load_params(path)
+    assert str(info.value) == f"{path}: not a network checkpoint"
+
+
+def _rewrite_meta(path, meta):
+    """Replace the arch JSON of the checkpoint at `path` with `meta`."""
+    raw = path.read_bytes()
+    blob_len, = struct.unpack_from("<I", raw, 12)
+    blob = json.dumps(meta).encode()
+    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + blob_len:])
+
+
+@pytest.mark.parametrize("meta, message", [
+    ([1, 2], "arch JSON must be an object with the keys arch and init_seed"),
+    ({"arch": {"l_max": 24, "feature_dim": 8}},
+     "arch JSON must be an object with the keys arch and init_seed"),
+    ({"arch": {"l_max": 10, "feature_dim": 8}, "init_seed": 42},
+     "l_max=10 too short for conv stack"),
+    ({"arch": {"l_max": 24, "feature_dim": 8, "pool_width": 0}, "init_seed": 42},
+     f"every width of {replace(SMALL, pool_width=0)} must be positive"),
+], ids=["not-an-object", "no-init-seed", "l_max-too-short", "zero-pool-width"])
+def test_checkpoint_with_bad_header_is_refused(tmp_path, meta, message):
+    path = tmp_path / "params.ckpt"
+    save_params(path, init_params(SMALL, 42))
+    _rewrite_meta(path, meta)
+    with pytest.raises(ValueError) as info:
+        load_params(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_checkpoint_arch_with_unknown_key_rejected(tmp_path):
     path = tmp_path / "params.ckpt"
     save_params(path, init_params(SMALL, 42))
-    raw = path.read_bytes()
-    blob_len, = struct.unpack_from("<I", raw, 12)
-    meta = json.loads(raw[16:16 + blob_len])
-    meta["arch"]["dropout"] = 0.5
-    blob = json.dumps(meta).encode()
-    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + blob_len:])
+    _rewrite_meta(path, {"arch": {**asdict(SMALL), "dropout": 0.5}, "init_seed": 42})
     with pytest.raises(ValueError) as info:
         load_params(path)
     assert str(info.value) == (f"{path}: NetArch.__init__() got an unexpected "

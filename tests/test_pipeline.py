@@ -3,12 +3,12 @@ import logging
 import os
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import pytest
 
 import termforge
-from termforge import cli, embednet, pipeline
+from termforge import cli, pipeline
 from termforge.baseline import LeaderParams
 from termforge.embednet import TrainConfig
 from termforge.mining import MiningConfig
@@ -16,7 +16,7 @@ from termforge.pipeline import PipelineConfig, PipelineError, run_all, run_stage
 from termforge.recluster import HdbscanParams
 from termforge.seqmatch import AlignScoring
 from termforge.synthgen import SynthConfig
-from termforge.util import atomic_write, sha256_bytes, stable_json
+from termforge.util import atomic_write, sha256_bytes
 
 
 def small_blob(workdir, system="baseline", extraction="eom", seed=77):
@@ -166,42 +166,84 @@ def test_every_input_has_one_earlier_producer(tmp_path, system):
             assert len(producers) == 1, (name, rel, producers)
 
 
-def reference_stage_settings(config, stage):
-    """The config subset each stage hash covered when the stages were three
-    tables, plus the network dtype that train gained when the network went
-    float32; a change here invalidates every cached workdir. The synth and
-    train sections hash the seed they held before it became an argument."""
-    subsets = {
-        "synth": {"synth": stable_json({**asdict(config.synth), "seed": 0,
-                                        "indel_rate": 0.0})},
-        "discover": {"align": stable_json(asdict(config.align)),
-                     "max_dp_cells": config.max_dp_cells},
-        "baseline": {"leader": stable_json(asdict(config.leader))},
-        "mine": {"thresholds": stable_json({k: v for k, v in asdict(config.mining).items()
-                                            if k.startswith("thres_")}),
-                 "n_siamese": config.mining.n_siamese, "n_triplet": config.mining.n_triplet},
-        "train": {"train": stable_json({**asdict(config.train), "seed": 0}),
-                  "system": config.system, "dtype": "float32"},
-        "embed": {"l_max": config.train.l_max},
-        "recluster": {"hdbscan": stable_json(asdict(config.hdbscan)),
-                      "extraction": config.extraction},
-        "evaluate": {"eval": stable_json({"boundary_tolerance": 1, "edge_tolerance": 1}),
-                     "system": config.system, "extraction": config.extraction},
-    }
-    return {"seed": config.seed, **subsets[stage]}
+# the stages whose hash each config field changes
+HASHED_BY = {
+    "seed": pipeline.STAGES,
+    "system": ("train", "evaluate"),
+    "extraction": ("recluster", "evaluate"),
+    "workdir": (),
+    "synth": ("synth",),
+    "align": ("discover",),
+    "leader": ("baseline",),
+    "mining": ("mine",),
+    "train": ("train",),
+    "hdbscan": ("recluster",),
+    "max_dp_cells": ("discover",),
+}
+
+
+def stage_hashes(config):
+    return {name: pipeline._stage_hash(config, stage, ["h1", "h2"])
+            for name, stage in pipeline._stage_table(config).items()}
 
 
 @pytest.mark.parametrize("system, extraction", [("baseline", "eom"),
                                                 ("siamese", "eom"),
                                                 ("triplet", "hybrid")])
-def test_stage_hash_covers_reference_settings(tmp_path, system, extraction):
+def test_stage_hash_covers_every_config_field(tmp_path, system, extraction):
+    """Every field but the workdir is the root seed or is named by a stage,
+    so that no setting can change without some stage running again."""
     config = PipelineConfig.from_dict(small_blob(tmp_path / "wd", system, extraction))
     table = pipeline._stage_table(config)
     assert tuple(table) == pipeline.STAGES
-    for name, stage in table.items():
-        expected = sha256_bytes("|".join(
-            [stable_json(reference_stage_settings(config, name)), "h1", "h2"]).encode())
-        assert pipeline._stage_hash(config, stage, ["h1", "h2"]) == expected, name
+    named = {"seed"}.union(*(stage.settings for stage in table.values()))
+    assert named == {f.name for f in fields(PipelineConfig)} - {"workdir"}
+
+
+def leaf_settings(config):
+    """The path of every setting: "field.setting" in a section, "field" at
+    the top level."""
+    paths = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        paths += ([f"{f.name}.{sub.name}" for sub in fields(value)] if is_dataclass(value)
+                  else [f.name])
+    return paths
+
+
+def other_valid_value(config, path):
+    """`config` with the setting at `path` changed to the first of a few
+    other values that the config accepts."""
+    name, _, sub = path.partition(".")
+    value = getattr(getattr(config, name), sub) if sub else getattr(config, name)
+    if isinstance(value, str):
+        candidates = ["elsewhere", "siamese", "hybrid", "drop"]
+    elif isinstance(value, tuple):
+        candidates = [(value[0], value[1] + 1)]
+    else:
+        candidates = [value + 1, value - 1, value / 2]
+    for candidate in candidates:
+        if candidate == value:
+            continue
+        section = replace(getattr(config, name), **{sub: candidate}) if sub else candidate
+        changed = replace(config, **{name: section})
+        try:
+            changed.validate()
+        except PipelineError:
+            continue
+        return changed
+    raise AssertionError(f"no other valid value for {path}")
+
+
+@pytest.mark.parametrize("path", leaf_settings(PipelineConfig()))
+def test_setting_change_reruns_exactly_its_stages(path):
+    """Changing one setting changes the hash of every stage that names its
+    field and of no other stage."""
+    base = PipelineConfig()
+    before = stage_hashes(base)
+    after = stage_hashes(other_valid_value(base, path))
+    changed = tuple(name for name in pipeline.STAGES if after[name] != before[name])
+    assert changed == HASHED_BY[path.partition(".")[0]]
 
 
 def test_from_dict_takes_defaults_from_the_dataclass():
@@ -358,17 +400,19 @@ def test_identical_runs_are_byte_identical(tmp_path):
 
 
 # sha256 of the baseline system's artifacts and stamps on one small noisy
-# corpus (34 utterances, 498 segments, 24 clusters), as an earlier, per-segment
-# implementation of discovery, leader clustering and scoring wrote them, with
-# numpy 2.4 (the synth stamp hashes the corpus's float32 features)
+# corpus (34 utterances, 498 segments, 24 clusters), with numpy 2.4 (the synth
+# stamp hashes the corpus's float32 features). The three artifacts are as an
+# earlier, per-segment implementation of discovery, leader clustering and
+# scoring wrote them; the stamps are as written since each stage hash covers
+# exactly the config fields its stage names.
 NOISY_BASELINE_DIGESTS = {
     "segments.jsonl": "3bfe25d00e3b9b43e7b1b76b8d4cd304c614d213ba078c8e7278be4ed1c3244a",
     "clusters_baseline.json": "3b3dec72d1e048d695d01979260e167042b2e3be7786cfd62d80cfd862f33ce1",
     "report.json": "8f2412e059cb43d672960e93e20e95ad8a0b20ae6cbe52e3e465ba134226dd7f",
-    ".stamps/baseline.json": "2f3c131a53066161d9a9ec9e90b2b8e737a40e10695feedad9f6afad85ac7230",
-    ".stamps/discover.json": "56aaedc1fd4470a8a765899ab8fadd0fe18d8141ee70b1fe7f3cb540e94db309",
-    ".stamps/evaluate.json": "04543908d06f8d3a2fc4cca249ffc85d27a31d04b119c7c28f54ed4fa7614e15",
-    ".stamps/synth.json": "57ed2227690e1aef92fd272da7ff774f7e3561132a540f4d8015a5c5bcc78609",
+    ".stamps/baseline.json": "ffb840d4c3a00920f9f7a49a2ab15165cab6f44fbea8b7f419ce931dc67fe80e",
+    ".stamps/discover.json": "71a445e38dadb4a78cd6bcb8d2ff3c34d7e4ccf3b6f40676e0d9fe7ebd8ea42a",
+    ".stamps/evaluate.json": "0c506514845ab9103712b78e554ecb0c8e13af3de47ae3657a0679a31ccebf0e",
+    ".stamps/synth.json": "0537ebcd5ca0f01bfe3bc1a49a322fd5020fb473f476a092c3fcab28a708c1c6",
 }
 
 
@@ -391,13 +435,14 @@ def test_noisy_baseline_artifacts_match_golden_digests(tmp_path):
 
 # sha256 of what the siamese system's mine stage wrote for small_blob, and
 # the train stage's hash, which covers its settings and input hashes but no
-# trained float, as the code before the synth and train seeds became
-# arguments wrote them
+# trained float. The manifest is as the code before the synth and train seeds
+# became arguments wrote it; the stamp and the hash are as written since each
+# stage hash covers exactly the config fields its stage names.
 LEARNED_DIGESTS = {
     "manifest.json": "60f509192f460edaae708f87bc077147cda6873d2af8a6a2a61eaf8fbc54cdc8",
-    ".stamps/mine.json": "02849e6a989882ebb7d7f1efbd02e8b13aaf49f741bd29ecbae4a17cf984c2cc",
+    ".stamps/mine.json": "721b702ac4ed703adea791c8e444e0fad6df5c1fcbaba00d1452a0319e615787",
 }
-LEARNED_TRAIN_HASH = "11e13139b3b1eaaf56584c31e1ae3a23200bd8979fc70c3bd2dd5ce3762fe198"
+LEARNED_TRAIN_HASH = "174171f7f3c1bce97e739b9523fe3fd9396d8ad83c39b93014ee024012ff48c4"
 
 
 def test_learned_artifacts_match_golden_digests(tmp_path):
@@ -409,27 +454,6 @@ def test_learned_artifacts_match_golden_digests(tmp_path):
             for name in LEARNED_DIGESTS} == LEARNED_DIGESTS
     assert json.loads((workdir / ".stamps" / "train.json").read_text())["hash"] \
         == LEARNED_TRAIN_HASH
-
-
-def test_float64_train_stamp_reruns_the_network_stages(tmp_path, monkeypatch):
-    """A workdir trained in float64 before the train hash covered the dtype:
-    train, embed, recluster and evaluate run again, nothing upstream."""
-    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd", system="siamese"))
-    stage_table, init_params = pipeline._stage_table, embednet.init_params
-
-    def without_dtype(config):
-        table = stage_table(config)
-        settings = {k: v for k, v in table["train"].settings.items() if k != "dtype"}
-        return {**table, "train": replace(table["train"], settings=settings)}
-
-    with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "_stage_table", without_dtype)
-        patch.setattr(embednet, "init_params", lambda arch, seed: embednet.NetworkParams(
-            arch, {k: v.astype("f8") for k, v in init_params(arch, seed).arrays.items()},
-            seed))
-        run_all(config)
-    rerun = [stage for stage in config.stage_names() if run_stage(stage, config)]
-    assert rerun == ["train", "embed", "recluster", "evaluate"]
 
 
 def test_evaluate_reads_no_features(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from termforge.embednet import NetArch
 from termforge.evaluation import PRF, EvalReport
 from termforge.pipeline import PipelineConfig
 from termforge.synthgen import SynthConfig
-from termforge.util import from_json
+from termforge.util import from_json, sha256_bytes
 
 
 @pytest.mark.parametrize("value", [
@@ -64,13 +64,13 @@ def test_from_json_converts_lists_and_nothing_else():
 
 
 def test_int_for_float_keeps_its_stage_hash():
-    """The hash serialises values as given: "T": 1 hashes as 1, the digest
-    it had when sections were read with a plain cls(**data)."""
+    """The hash serialises values as given: "T": 1 hashes as 1, not 1.0."""
     config = PipelineConfig.from_dict({"leader": {"T": 1}})
     assert type(config.leader.T) is int
     stage = pipeline._stage_table(config)["baseline"]
-    assert pipeline._stage_hash(config, stage, ["h1"]) == (
-        "25057de70df21ec40418904bd93f1b1899382a8b2d40da7a3b5431ba391ef742")
+    expected = ('{"leader":{"R":3,"T":1,"a":1.8,"ambiguous_policy":"nearest"},"seed":0}'
+                "|h1")
+    assert pipeline._stage_hash(config, stage, ["h1"]) == sha256_bytes(expected.encode())
 
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
