@@ -34,10 +34,20 @@ of tests/net_oracle.py, so in float64 every float is bit-identical to them.
 Max-pool compares strided slices and keeps the first maximum, a NaN counting
 as the maximum, as argmax does.
 
+A training step embeds each distinct segment of its batch once. The batch
+holds the U distinct inputs `x` and a (B, towers) table `rows`, so that tower
+t of example i embeds x[rows[i, t]]. The losses read the embeddings gathered
+by `rows`; each tower's embedding gradient is scatter-added onto the U rows,
+tower by tower and slot by slot, and one branch backward runs over x. In
+float64 a step is bit-identical to the same gather, scatter and branch
+backward around the reference kernels. It equals the per-tower reference,
+which forwards and back-propagates each tower's B inputs on their own, only
+to rounding: the GEMMs sum the towers' terms in another order.
+
 A BLAS product's last bits can depend on its shape: OpenBLAS picks kernels
-and blockings by size. Stacking the towers into one batch, or embedding in
-chunks of another size, therefore changes the floats, which is why
-`embed_all` keeps chunk_size=256, in float32 as it did in float64.
+and blockings by size. Embedding in chunks of another size therefore changes
+the floats, which is why `embed_all` keeps chunk_size=256, in float32 as it
+did in float64.
 """
 
 from __future__ import annotations
@@ -347,26 +357,28 @@ def _triplet_batch(ea, ep, en, margin):
     return losses, ga, gp, gn
 
 
-# Each mode's towers, in forward order: the batch key of a tower's inputs and
-# the manifest-entry field holding its segment id.
+# Each mode's towers, in forward order: the manifest-entry field holding a
+# tower's segment id.
 _TOWERS = {
-    "siamese": (("x0", "a"), ("x1", "b")),
-    "triplet": (("xa", "anchor"), ("xp", "positive"), ("xn", "negative")),
+    "siamese": ("a", "b"),
+    "triplet": ("anchor", "positive", "negative"),
 }
 
 
 def _losses_and_grads(params: NetworkParams, batch: dict, kind: str, margin: float):
-    """Per-example losses, each tower's forward cache and the gradient of the
-    per-example losses wrt each tower's embeddings, in tower order."""
+    """Per-example losses, the forward cache of the distinct inputs
+    batch["x"] and the gradient of the per-example losses wrt each tower's
+    embeddings, in tower order. Tower t of example i embeds
+    x[rows[i, t]]."""
     if kind not in _TOWERS:
         raise ValueError(f"unknown loss kind {kind!r}")
-    embeddings, caches = zip(*(_forward_cached(params, batch[key])
-                               for key, _ in _TOWERS[kind]))
+    embeddings, cache = _forward_cached(params, batch["x"])
+    towers = embeddings[batch["rows"].T]      # (towers, B, embed_dim)
     if kind == "siamese":
-        losses, g = _contrastive_batch(*embeddings, batch["y"], margin)
-        return losses, caches, (g, -g)
-    losses, *grads = _triplet_batch(*embeddings, margin)
-    return losses, caches, grads
+        losses, g = _contrastive_batch(*towers, batch["y"], margin)
+        return losses, cache, (g, -g)
+    losses, *grads = _triplet_batch(*towers, margin)
+    return losses, cache, grads
 
 
 def batch_loss(params: NetworkParams, batch: dict, kind: str, margin: float) -> float:
@@ -376,12 +388,18 @@ def batch_loss(params: NetworkParams, batch: dict, kind: str, margin: float) -> 
 
 
 def backward(params: NetworkParams, batch: dict, kind: str, margin: float):
-    """Mean batch loss plus analytic gradients for every parameter."""
-    losses, caches, tower_grads = _losses_and_grads(params, batch, kind, margin)
-    grads = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
+    """Mean batch loss plus analytic gradients for every parameter. The
+    batch is {"x": (U, l_max, feature_dim) distinct inputs, "rows": (B,
+    towers) indices into x, "y": (B,) labels, siamese only}. Each tower's
+    embedding gradient is added onto the rows of x it read, tower by tower
+    and slot by slot, and one branch backward runs over x."""
+    losses, cache, tower_grads = _losses_and_grads(params, batch, kind, margin)
     n = len(losses)
-    for cache, g in zip(caches, tower_grads):
-        _branch_backward(params, cache, g / n, grads)
+    d_out = np.zeros((len(batch["x"]), params.arch.embed_dim), dtype=params.dtype)
+    for t, g in enumerate(tower_grads):
+        np.add.at(d_out, batch["rows"][:, t], g / n)
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
+    _branch_backward(params, cache, d_out, grads)
     return float(losses.mean()), grads
 
 
@@ -402,11 +420,28 @@ def _stack(corpus: Corpus, segments: list[Segment], l_max: int,
     return out.transpose(1, 2, 0)
 
 
+def tower_segment_ids(manifest: PairManifest, mode: str) -> np.ndarray:
+    """(entries, towers) array of the segment id each tower of each `mode`
+    entry of the manifest reads, towers in forward order."""
+    if mode not in _TOWERS:
+        raise ValueError(f"unknown training mode {mode!r}")
+    entries = manifest.siamese_pairs if mode == "siamese" else manifest.triplets
+    if not entries:
+        raise ValueError(f"manifest has no {mode} entries")
+    return np.array([[getattr(entry, field) for field in _TOWERS[mode]]
+                     for entry in entries])
+
+
 def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
           segments: list[Segment], config: TrainConfig, mode: str, seed: int):
     """Mini-batch gradient descent in the dtype of `params`; stops early once
     the epoch-mean loss plateaus (improvement < 1e-4 absolute). `seed`
     seeds the batch order, so equal arguments train an identical network.
+
+    The manifest's distinct segments are stacked once; each step gathers
+    the distinct segments of its batch from that stack and makes one
+    `backward` call over them. A manifest entry naming a segment id that
+    `segments` lacks raises a ValueError before the first step.
 
     Raises TrainingDiverged when an epoch-mean loss is non-finite, which
     in float32 an absurd learning rate brings about in either mode. A run
@@ -414,32 +449,38 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
     instance, a loss driven to exactly 0) ends normally and is not caught;
     in float64 that is where a blown-up triplet net ends."""
     config.validate()
-    if mode not in _TOWERS:
-        raise ValueError(f"unknown training mode {mode!r}")
-    entries = manifest.siamese_pairs if mode == "siamese" else manifest.triplets
-    if not entries:
-        raise ValueError(f"manifest has no {mode} entries")
+    tower_ids = tower_segment_ids(manifest, mode)
+    position = {s.id: i for i, s in enumerate(segments)}
+    distinct, entry_rows = np.unique(tower_ids, return_inverse=True)
+    for seg_id in distinct:
+        if seg_id not in position:
+            entry, tower = np.argwhere(tower_ids == seg_id)[0]
+            raise ValueError(f"{mode} manifest entry {entry}: {_TOWERS[mode][tower]} "
+                             f"is segment {seg_id}, which is not among the segments")
+    # the row of `stacked` that tower t of entry k reads
+    entry_rows = entry_rows.reshape(tower_ids.shape)
+    stacked = _stack(corpus, [segments[position[seg_id]] for seg_id in distinct],
+                     params.arch.l_max, params.dtype)
+    labels = np.array([p.y for p in manifest.siamese_pairs]) if mode == "siamese" else None
 
-    segments_by_id = {s.id: s for s in segments}
     params = params.copy()
     rng = rng_from(seed)
     curve: list[float] = []
     for _epoch in range(config.max_epochs):
-        order = rng.permutation(len(entries))
+        order = rng.permutation(len(entry_rows))
         total = 0.0
-        for lo in range(0, len(entries), config.batch_size):
-            chunk = [entries[k] for k in order[lo:lo + config.batch_size]]
-            batch = {key: _stack(corpus, [segments_by_id[getattr(e, attr)] for e in chunk],
-                                 params.arch.l_max, params.dtype)
-                     for key, attr in _TOWERS[mode]}
-            if mode == "siamese":
-                batch["y"] = np.array([p.y for p in chunk])
+        for lo in range(0, len(entry_rows), config.batch_size):
+            chunk = order[lo:lo + config.batch_size]
+            used, rows = np.unique(entry_rows[chunk], return_inverse=True)
+            batch = {"x": stacked[used], "rows": rows.reshape(len(chunk), -1)}
+            if labels is not None:
+                batch["y"] = labels[chunk]
             loss, grads = backward(params, batch, mode, config.margin)
             total += loss * len(chunk)
             if config.learning_rate != 0.0:
                 for name, grad in grads.items():
                     params.arrays[name] -= config.learning_rate * grad
-        epoch_mean = total / len(entries)
+        epoch_mean = total / len(entry_rows)
         if not np.isfinite(epoch_mean):
             raise TrainingDiverged(f"epoch-mean loss is {epoch_mean}")
         curve.append(epoch_mean)

@@ -248,8 +248,10 @@ def _run_train(config: PipelineConfig, workdir: Path) -> None:
                                    config.system, derive_seed(config.seed, "train"))
     embednet.save_params(workdir / "params.ckpt", params)
     embednet.write_loss_curve(workdir / "loss_curve.csv", curve)
-    log.info("train[%s]: %d epochs, final loss %.6f",
-             config.system, len(curve), curve[-1])
+    tower_ids = embednet.tower_segment_ids(manifest, config.system)
+    log.info("train[%s]: %d epochs, final loss %.6f, %d distinct segments for %d "
+             "tower inputs", config.system, len(curve), curve[-1],
+             len(np.unique(tower_ids)), tower_ids.size)
 
 
 def _run_embed(config: PipelineConfig, workdir: Path) -> None:

@@ -1,10 +1,17 @@
-"""Reference network code that the package must reproduce exactly, floats
-included:
+"""Reference network code that the package must reproduce, floats included
+unless stated:
 
 - the einsum/argmax conv and pool kernels, forward pass and branch backward
   that the explicit window-matrix kernels in termforge.embednet replaced;
-- the separate siamese and triplet branches of batch_loss and backward that
-  the tower table in termforge.embednet replaced;
+- `batch_loss` / `backward`: the separate siamese and triplet branches that
+  forward and back-propagate each tower's inputs on their own. They read
+  the package's batch form, {"x": distinct inputs, "rows": (B, towers)
+  indices into x, "y": labels}, by gathering each tower's inputs from x.
+  termforge.embednet forwards each distinct input once and sums the towers'
+  terms in another order, so it matches these within a float64 tolerance;
+- `one_pass_batch_loss` / `one_pass_backward`: one forward over x, the same
+  gather and scatter order as termforge.embednet and one branch backward,
+  which the package reproduces bit for bit;
 - the per-segment float64 padding of the reference embed_all, which
   termforge.embednet's `_stack` replaced by writing frames straight into
   the batch;
@@ -152,15 +159,22 @@ def embed_all(params, segments, corpus, l_max, chunk_size=256):
     return np.concatenate(rows, axis=0)
 
 
+def _towers(batch, count):
+    """Each tower's (B, l_max, feature_dim) inputs, gathered from batch["x"]."""
+    return [batch["x"][batch["rows"][:, t]] for t in range(count)]
+
+
 def batch_loss(params, batch, kind, margin):
     if kind == "siamese":
-        e0, _ = _forward_cached(params, batch["x0"])
-        e1, _ = _forward_cached(params, batch["x1"])
+        x0, x1 = _towers(batch, 2)
+        e0, _ = _forward_cached(params, x0)
+        e1, _ = _forward_cached(params, x1)
         losses, _ = _contrastive_batch(e0, e1, batch["y"], margin)
     elif kind == "triplet":
-        ea, _ = _forward_cached(params, batch["xa"])
-        ep, _ = _forward_cached(params, batch["xp"])
-        en, _ = _forward_cached(params, batch["xn"])
+        xa, xp, xn = _towers(batch, 3)
+        ea, _ = _forward_cached(params, xa)
+        ep, _ = _forward_cached(params, xp)
+        en, _ = _forward_cached(params, xn)
         losses, _, _, _ = _triplet_batch(ea, ep, en, margin)
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
@@ -170,16 +184,18 @@ def batch_loss(params, batch, kind, margin):
 def backward(params, batch, kind, margin):
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
     if kind == "siamese":
-        e0, c0 = _forward_cached(params, batch["x0"])
-        e1, c1 = _forward_cached(params, batch["x1"])
+        x0, x1 = _towers(batch, 2)
+        e0, c0 = _forward_cached(params, x0)
+        e1, c1 = _forward_cached(params, x1)
         losses, g0 = _contrastive_batch(e0, e1, batch["y"], margin)
         n = len(losses)
         _branch_backward(params, c0, g0 / n, grads)
         _branch_backward(params, c1, -g0 / n, grads)
     elif kind == "triplet":
-        ea, ca = _forward_cached(params, batch["xa"])
-        ep, cp = _forward_cached(params, batch["xp"])
-        en, cn = _forward_cached(params, batch["xn"])
+        xa, xp, xn = _towers(batch, 3)
+        ea, ca = _forward_cached(params, xa)
+        ep, cp = _forward_cached(params, xp)
+        en, cn = _forward_cached(params, xn)
         losses, ga, gp, gn = _triplet_batch(ea, ep, en, margin)
         n = len(losses)
         _branch_backward(params, ca, ga / n, grads)
@@ -187,4 +203,36 @@ def backward(params, batch, kind, margin):
         _branch_backward(params, cn, gn / n, grads)
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
+    return float(losses.mean()), grads
+
+
+def _one_pass(params, batch, kind, margin):
+    """Per-example losses, the cache of one forward over batch["x"] and the
+    gradient wrt each tower's gathered embeddings."""
+    e, cache = _forward_cached(params, batch["x"])
+    rows = batch["rows"]
+    if kind == "siamese":
+        losses, g0 = _contrastive_batch(e[rows[:, 0]], e[rows[:, 1]], batch["y"], margin)
+        return losses, cache, [g0, -g0]
+    if kind == "triplet":
+        losses, ga, gp, gn = _triplet_batch(e[rows[:, 0]], e[rows[:, 1]], e[rows[:, 2]],
+                                            margin)
+        return losses, cache, [ga, gp, gn]
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def one_pass_batch_loss(params, batch, kind, margin):
+    losses, _, _ = _one_pass(params, batch, kind, margin)
+    return float(losses.mean())
+
+
+def one_pass_backward(params, batch, kind, margin):
+    losses, cache, tower_grads = _one_pass(params, batch, kind, margin)
+    n = len(losses)
+    d_out = np.zeros((len(batch["x"]), params.arch.embed_dim))
+    for t, g in enumerate(tower_grads):          # tower by tower, slot by slot
+        for slot, row in enumerate(batch["rows"][:, t]):
+            d_out[row] += g[slot] / n
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
+    _branch_backward(params, cache, d_out, grads)
     return float(losses.mean()), grads

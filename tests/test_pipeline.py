@@ -11,7 +11,7 @@ import termforge
 from termforge import cli, pipeline
 from termforge.baseline import LeaderParams
 from termforge.embednet import TrainConfig
-from termforge.mining import MiningConfig
+from termforge.mining import MiningConfig, load_manifest
 from termforge.pipeline import PipelineConfig, PipelineError, run_all, run_stage
 from termforge.recluster import HdbscanParams
 from termforge.seqmatch import AlignScoring
@@ -387,6 +387,20 @@ def test_triplet_mode_emits_all_artifacts(tmp_path):
                  "clusters_final.json", "report.json"):
         assert (workdir / name).exists(), name
     assert report.n_words >= 1
+
+
+def test_train_log_counts_distinct_segments(tmp_path, caplog):
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd", system="triplet"))
+    for stage in ("synth", "discover", "baseline", "mine"):
+        run_stage(stage, config)
+    triplets = load_manifest(tmp_path / "wd" / "manifest.json").triplets
+    distinct = {seg for t in triplets for seg in (t.anchor, t.positive, t.negative)}
+    with caplog.at_level(logging.INFO, logger="termforge"):
+        run_stage("train", config)
+    [message] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("train[")]
+    assert message.startswith("train[triplet]: ")
+    assert message.endswith(f", {len(distinct)} distinct segments for "
+                            f"{3 * len(triplets)} tower inputs")
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
