@@ -1,7 +1,8 @@
 """Hierarchical density clustering on a constructed 2-D geometry.
 
-Runs the clustering stack step by step (core distances, mutual reachability,
-minimum spanning tree, single linkage, condensation, extraction) and shows
+Runs the clustering stack step by step (one distance matrix, core distances
+and mutual reachability from it, minimum spanning tree, single linkage,
+condensation, extraction) and shows
 how the hybrid epsilon rule merges micro-clusters that plain excess-of-mass
 keeps apart.
 """
@@ -9,8 +10,8 @@ keeps apart.
 import numpy as np
 
 from termforge.recluster import (HdbscanParams, build_hierarchy, condense,
-                                 core_distances, extract, hdbscan, mst,
-                                 mutual_reachability)
+                                 core_distances, distance_matrix, extract,
+                                 hdbscan, mst, mutual_reachability)
 
 rng = np.random.Generator(np.random.Philox(key=5))
 
@@ -22,10 +23,11 @@ points = np.vstack([
     [[4.0, 6.0], [-3.0, 5.0]],
 ])
 
-core = core_distances(points, k=3)
+dist = distance_matrix(points)
+core = core_distances(dist, k=3)
 print("core distance range:", round(core.min(), 4), "..", round(core.max(), 4))
 
-reach = mutual_reachability(points, core)
+reach = mutual_reachability(dist, core)
 edges = mst(reach)
 print("MST total weight:", round(sum(w for _, _, w in edges), 3))
 

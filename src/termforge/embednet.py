@@ -105,10 +105,6 @@ class NetArch:
         return self.time_lengths()[-1] * self.conv_channels[2]
 
 
-PARAM_ORDER = ("W1", "b1", "W2", "b2", "W3", "b3",
-               "Wf1", "bf1", "Wf2", "bf2", "Wo", "bo")
-
-
 @dataclass
 class NetworkParams:
     arch: NetArch
@@ -147,7 +143,7 @@ class TrainConfig:
 
 
 def param_shapes(arch: NetArch) -> dict[str, tuple[int, ...]]:
-    """Every parameter's shape, in PARAM_ORDER: (C_out, C_in, kernel) for a
+    """Every parameter's shape, in checkpoint order: (C_out, C_in, kernel) for a
     conv weight, (inputs, outputs) for a dense one. Raises a ValueError when
     a width is not positive or l_max is too short for the conv stack."""
     widths = (arch.feature_dim, *arch.conv_channels, *arch.conv_kernels, arch.pool_width,
@@ -506,7 +502,7 @@ def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus,
 
 # ---------------------------------------------------------------------------
 # checkpoint format: magic, version, length of the arch JSON, arch JSON, then
-# every parameter in PARAM_ORDER as little-endian PARAM_DTYPE, in the shapes
+# every parameter as little-endian PARAM_DTYPE, in the order and shapes
 # param_shapes gives its arch
 
 _STORED = PARAM_DTYPE.newbyteorder("<")
@@ -519,7 +515,7 @@ def save_params(path, params: NetworkParams) -> None:
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(arch_blob)))
         fh.write(arch_blob)
-        for name in PARAM_ORDER:
+        for name in param_shapes(params.arch):
             fh.write(np.ascontiguousarray(params.arrays[name], dtype=_STORED).tobytes())
 
 

@@ -58,7 +58,6 @@ class PipelineConfig:
     mining: mining.MiningConfig = field(default_factory=mining.MiningConfig)
     train: embednet.TrainConfig = field(default_factory=embednet.TrainConfig)
     hdbscan: recluster.HdbscanParams = field(default_factory=recluster.HdbscanParams)
-    max_dp_cells: int = seqmatch.MAX_DP_CELLS
 
     def validate(self) -> None:
         """Every setting, so that a bad value stops the run before any stage
@@ -68,8 +67,6 @@ class PipelineConfig:
         if self.extraction not in EXTRACTIONS:
             raise PipelineError(
                 f"extraction must be one of {EXTRACTIONS}, got {self.extraction!r}")
-        if self.max_dp_cells < 1:
-            raise PipelineError(f"max_dp_cells must be >= 1, got {self.max_dp_cells}")
         for system, count in (("siamese", self.mining.n_siamese),
                               ("triplet", self.mining.n_triplet)):
             least = 1 if system == self.system else 0   # the count the system trains on
@@ -208,8 +205,7 @@ def _run_synth(config: PipelineConfig, workdir: Path) -> None:
 
 def _run_discover(config: PipelineConfig, workdir: Path) -> None:
     corpus = load_corpus(workdir / "corpus")
-    segments = seqmatch.discover_segments(corpus, config.align,
-                                          max_dp_cells=config.max_dp_cells)
+    segments = seqmatch.discover_segments(corpus, config.align)
     seqmatch.write_segments(workdir / "segments.jsonl", segments)
     log.info("discover: %d segments", len(segments))
 
@@ -317,7 +313,7 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
         _Stage("synth", (), ("corpus/manifest.json", "corpus/gold.json"),
                ("synth",), _run_synth),
         _Stage("discover", ("corpus/manifest.json",), ("segments.jsonl",),
-               ("align", "max_dp_cells"), _run_discover),
+               ("align",), _run_discover),
         _Stage("baseline", ("segments.jsonl",), ("clusters_baseline.json",),
                ("leader",), _run_baseline),
         _Stage("mine", ("segments.jsonl", "clusters_baseline.json"), ("manifest.json",),

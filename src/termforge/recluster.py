@@ -1,8 +1,9 @@
 """Hierarchical density clustering of segment embeddings.
 
-From-scratch HDBSCAN on a dense Euclidean distance matrix: core distances,
-mutual reachability, Prim's minimum spanning tree, single-linkage dendrogram,
-condensation by minimum cluster size, then one cluster selection,
+From-scratch HDBSCAN on a dense Euclidean distance matrix, built once per
+call: core distances and mutual reachability both read it, then Prim's
+minimum spanning tree, single-linkage dendrogram, condensation by minimum
+cluster size, then one cluster selection,
 `extract(tree, epsilon)`: excess-of-mass, followed for epsilon > 0 by the
 hybrid cluster-selection-epsilon rule that merges clusters born below that
 distance (epsilon = 0 is plain excess-of-mass).
@@ -11,7 +12,8 @@ Conventions: lambda = 1/distance (distance 0 -> +inf, exact duplicates merge
 immediately); the root competes in excess-of-mass selection like any other
 cluster but is disqualified when the corpus itself is smaller than
 min_cluster_size. Cluster ids are canonical: decreasing size, ties broken by
-smallest member index.
+smallest member index. A call refuses more points than one n x n float64
+matrix of DENSE_MATRIX_BYTES holds (n > 20,000).
 """
 
 from __future__ import annotations
@@ -22,13 +24,17 @@ import numpy as np
 
 from .util import ScaleError
 
+# Bytes one n x n float64 matrix may take: n = 20,000 points, 3.2 GB. A
+# call's peak is three such matrices, inside mutual_reachability.
+DENSE_MATRIX_BYTES = 8 * 20_000**2
+
 
 @dataclass
 class HdbscanParams:
+    """Settings of one HDBSCAN call; its size guard is DENSE_MATRIX_BYTES."""
     min_cluster_size: int = 5
     min_samples: int = 5                     # core-distance neighbor count k
     cluster_selection_epsilon: float = 0.0   # 0 disables the hybrid rule
-    max_points: int = 20_000                 # dense O(n^2) guard
 
     def validate(self) -> None:
         if self.min_cluster_size < 2:
@@ -37,8 +43,6 @@ class HdbscanParams:
             raise ValueError("min_samples must be >= 1")
         if self.cluster_selection_epsilon < 0:
             raise ValueError("cluster_selection_epsilon must be >= 0")
-        if self.max_points <= max(self.min_samples, self.min_cluster_size):
-            raise ValueError("max_points must exceed max(min_samples, min_cluster_size)")
 
 
 @dataclass
@@ -70,7 +74,8 @@ class HdbscanResult:
     noise: list[int]
 
 
-def _distance_matrix(embeddings: np.ndarray) -> np.ndarray:
+def distance_matrix(embeddings: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances in float64, with a zero diagonal."""
     x = np.asarray(embeddings, dtype=np.float64)
     sq = np.einsum("ij,ij->i", x, x)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
@@ -79,21 +84,22 @@ def _distance_matrix(embeddings: np.ndarray) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def core_distances(embeddings: np.ndarray, k: int) -> np.ndarray:
-    """Distance to each point's k-th nearest neighbor (self excluded)."""
-    n = len(embeddings)
+def core_distances(dist: np.ndarray, k: int) -> np.ndarray:
+    """Distance to each point's k-th nearest neighbor (self excluded), read
+    from the distance matrix."""
+    n = len(dist)
     if n <= k:
         raise ValueError(f"need more than k={k} points, got {n}")
-    dist = _distance_matrix(embeddings)
-    # row-sorted position k skips the self distance at position 0
-    return np.partition(dist, k, axis=1)[:, k]
+    # row-sorted position k skips the self distance at position 0; the copy
+    # frees the n x n partition, which a column view would keep alive
+    return np.partition(dist, k, axis=1)[:, k].copy()
 
 
-def mutual_reachability(embeddings: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """max(core_i, core_j, d(i, j)) with a zero diagonal."""
-    if len(core) != len(embeddings):
-        raise ValueError("core distances and embeddings disagree in length")
-    dist = _distance_matrix(embeddings)
+def mutual_reachability(dist: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """max(core_i, core_j, d(i, j)) with a zero diagonal, from the distance
+    matrix d."""
+    if len(core) != len(dist):
+        raise ValueError("core distances and distance matrix disagree in length")
     out = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
     np.fill_diagonal(out, 0.0)
     return out
@@ -323,8 +329,8 @@ def extract(tree: CondensedTree, epsilon: float = 0.0) -> np.ndarray:
 
 
 def hdbscan(embeddings: np.ndarray, params: HdbscanParams) -> HdbscanResult:
-    """Full pipeline: core distances -> mutual reachability -> MST ->
-    single linkage -> condense -> cluster selection."""
+    """Full pipeline: distance matrix -> core distances -> mutual
+    reachability -> MST -> single linkage -> condense -> cluster selection."""
     params.validate()
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = len(embeddings)
@@ -333,13 +339,15 @@ def hdbscan(embeddings: np.ndarray, params: HdbscanParams) -> HdbscanResult:
             f"need more than {max(params.min_samples, params.min_cluster_size)} "
             f"points, got {n}"
         )
-    if n > params.max_points:
+    if 8 * n * n > DENSE_MATRIX_BYTES:
         raise ScaleError(
-            f"{n} points exceed the dense-matrix guard ({params.max_points}); "
-            "subsample or raise max_points"
+            f"{n} points need a {8 * n * n}-byte distance matrix, over the "
+            f"dense-matrix guard of {DENSE_MATRIX_BYTES} bytes; subsample the segments"
         )
-    core = core_distances(embeddings, params.min_samples)
-    reach = mutual_reachability(embeddings, core)
+    dist = distance_matrix(embeddings)
+    core = core_distances(dist, params.min_samples)
+    reach = mutual_reachability(dist, core)
+    del dist
     edges = mst(reach)
     tree = condense(build_hierarchy(edges), params.min_cluster_size)
     labels, clusters, order = _partition(tree, _select(tree, params.cluster_selection_epsilon))

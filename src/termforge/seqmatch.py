@@ -67,7 +67,7 @@ Span = tuple[int, int]
 # 0.090 s median over 18 runs each, against 0.085 s with only the fill doubled.
 CHUNK_BYTES = 1 << 21
 _INT16 = np.iinfo(np.int16)
-MAX_DP_CELLS = 200_000_000   # default budget of discover_segments
+MAX_DP_CELLS = 200_000_000   # the most DP cells discover_segments takes on
 
 
 @dataclass
@@ -390,34 +390,23 @@ def local_align(a: Sequence[int], b: Sequence[int], scoring: AlignScoring,
     are discarded.
 
     This is a one-pair call into the batched kernel that discover_segments
-    uses; that kernel fills chunks of at most CHUNK_BYTES of score cells, and
-    a pair of lengths n and m takes (n + m + 1) * (n + 1) of them, int16 for
-    an integral scoring within the int16 bound and float64 otherwise (see
-    the module docstring). The best cell of a fill is the first row-major
-    maximum, and the traceback prefers the diagonal, then up, then left;
-    scores are the float64 values of a plain row-major Smith-Waterman fill,
-    bit for bit, for any AlignScoring.
+    uses, with its chunks, cell types and tie-breaking (see the module
+    docstring and CHUNK_BYTES); a pair of lengths n and m takes
+    (n + m + 1) * (n + 1) score cells.
     """
     return _align_many([a, b], [(0, 1, self_pair)], scoring)[0]
 
 
-def discover_segments(corpus: Corpus, scoring: AlignScoring,
-                      max_dp_cells: int = MAX_DP_CELLS) -> list[Segment]:
+def discover_segments(corpus: Corpus, scoring: AlignScoring) -> list[Segment]:
     """Run local alignment over all unordered utterance pairs (self pairs
     included) and convert every aligned span into a deduplicated Segment.
 
     Segment ids are dense in discovery order. A budget guard rejects corpora
-    whose single-pass DP cell count would exceed max_dp_cells. It bounds
+    whose single-pass DP cell count would exceed MAX_DP_CELLS. It bounds
     total work (each extracted alignment adds one more fill of its pair),
-    not memory. All pairs go through one batched kernel with the tie-breaking
-    of local_align: it fills the matrices of a chunk of pairs together, one
-    anti-diagonal at a time, and a chunk's buffer holds at most CHUNK_BYTES
-    (2 MiB) however large the corpus: 2**20 int16 cells for an integral
-    scoring within the int16 bound, such as the default, and 2**18 float64
-    cells otherwise. Only a single pair larger than that gets a buffer of its
-    own size. The edit-distance kernel keeps chunks of 2**17 cells, as under
-    the earlier 1 MiB budget, since larger ones made corpus synthesis slower
-    in a fresh process (see CHUNK_BYTES).
+    not memory, which the chunks of the batched kernel bound (see the module
+    docstring and CHUNK_BYTES); only a single pair larger than a chunk gets
+    a buffer of its own size.
     """
     utts = list(corpus)
     seqs = [utt.transcription for utt in utts]
@@ -426,10 +415,10 @@ def discover_segments(corpus: Corpus, scoring: AlignScoring,
     # plus the squares of the self pairs
     lengths = [len(seq) for seq in seqs]
     cells = (sum(lengths) ** 2 + sum(n * n for n in lengths)) // 2
-    if cells > max_dp_cells:
+    if cells > MAX_DP_CELLS:
         raise ScaleError(
-            f"alignment budget exceeded: {cells} DP cells > {max_dp_cells}; "
-            "shrink the corpus or raise max_dp_cells"
+            f"alignment budget exceeded: {cells} DP cells > {MAX_DP_CELLS}; "
+            "shrink the corpus"
         )
 
     alignments = _align_many(seqs, tasks, scoring)

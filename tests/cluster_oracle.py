@@ -6,7 +6,8 @@ to reproduce them exactly."""
 import numpy as np
 
 from termforge.recluster import (_cluster_children, _descendants, build_hierarchy,
-                                 condense, core_distances, mst, mutual_reachability)
+                                 condense, core_distances, distance_matrix, mst,
+                                 mutual_reachability)
 
 
 def leaf_counts(dendrogram, n):
@@ -101,9 +102,8 @@ def extract_hybrid(tree, epsilon):
 def hdbscan(embeddings, params):
     """(labels, clusters, stabilities, noise) as the package's hdbscan
     returned them, after its input checks have passed."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    core = core_distances(embeddings, params.min_samples)
-    reach = mutual_reachability(embeddings, core)
+    dist = distance_matrix(embeddings)
+    reach = mutual_reachability(dist, core_distances(dist, params.min_samples))
     tree = condense(build_hierarchy(mst(reach)), params.min_cluster_size)
     labels, order = labels_from_selection(
         tree, select_hybrid(tree, params.cluster_selection_epsilon))

@@ -15,7 +15,7 @@ from termforge.corpus import Corpus, Segment, Utterance
 from termforge.embednet import (NetArch, NetworkParams, TrainConfig,
                                 TrainingDiverged, backward, batch_loss,
                                 embed_all, forward, init_params, load_params,
-                                save_params, train)
+                                param_shapes, save_params, train)
 from termforge.mining import PairManifest, SiamesePair, Triplet
 from termforge.seqmatch import AlignScoring, discover_segments
 from termforge.synthgen import SynthConfig, generate
@@ -196,7 +196,7 @@ def run_gradient_check(params, batch, kind, margin, n_probes, h, rng,
     between theta-h and theta+h cross a kink, where the finite-difference
     oracle is invalid, and are re-drawn."""
     _, grads = backward(params, batch, kind, margin)
-    names = list(embednet.PARAM_ORDER)
+    names = list(param_shapes(params.arch))
     checked = 0
     skipped = 0
     worst = 0.0
@@ -768,7 +768,7 @@ def test_float64_checkpoint_is_refused(tmp_path):
     payload = sum(arr.size for arr in params.arrays.values()) * 4
     header = raw[len(embednet.CHECKPOINT_MAGIC) + 4:len(raw) - payload]
     path.write_bytes(embednet.CHECKPOINT_MAGIC + struct.pack("<I", 1) + header + b"".join(
-        params.arrays[name].astype("<f8").tobytes() for name in embednet.PARAM_ORDER))
+        params.arrays[name].astype("<f8").tobytes() for name in param_shapes(params.arch)))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
                                          "unsupported checkpoint version 1$"):
         load_params(path)
@@ -782,8 +782,9 @@ def test_v2_checkpoint_is_refused(tmp_path):
     save_params(path, params)
     raw = path.read_bytes()
     arch_end = 16 + struct.unpack_from("<I", raw, 12)[0]
-    shapes = [struct.pack("<I", len(embednet.PARAM_ORDER))]
-    for name in embednet.PARAM_ORDER:
+    names = list(param_shapes(params.arch))
+    shapes = [struct.pack("<I", len(names))]
+    for name in names:
         arr = params.arrays[name]
         shapes += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", arr.ndim),
                    struct.pack(f"<{arr.ndim}Q", *arr.shape)]

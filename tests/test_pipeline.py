@@ -8,7 +8,7 @@ from dataclasses import asdict, fields, is_dataclass, replace
 import pytest
 
 import termforge
-from termforge import cli, pipeline
+from termforge import cli, pipeline, seqmatch
 from termforge.baseline import LeaderParams
 from termforge.embednet import TrainConfig
 from termforge.mining import MiningConfig, load_manifest
@@ -178,8 +178,24 @@ HASHED_BY = {
     "mining": ("mine",),
     "train": ("train",),
     "hdbscan": ("recluster",),
-    "max_dp_cells": ("discover",),
 }
+
+# every setting of a config, so that adding or dropping one edits this list
+LEAF_SETTINGS = [
+    "seed", "system", "extraction", "workdir",
+    "synth.vocabulary_size", "synth.word_length_range", "synth.occurrences_per_word",
+    "synth.alphabet_size", "synth.feature_dim", "synth.frames_per_subword_range",
+    "synth.symbol_substitution_rate", "synth.feature_noise_sigma", "synth.filler_rate",
+    "synth.words_per_utterance", "synth.min_word_separation",
+    "align.match_score", "align.mismatch_penalty", "align.gap_penalty",
+    "align.min_align_score", "align.min_length",
+    "leader.T", "leader.a", "leader.R", "leader.ambiguous_policy",
+    "mining.thres_mu_s", "mining.thres_sigma_s", "mining.thres_mu_d",
+    "mining.thres_sigma_d", "mining.n_siamese", "mining.n_triplet",
+    "train.margin", "train.learning_rate", "train.batch_size", "train.max_epochs",
+    "train.l_max",
+    "hdbscan.min_cluster_size", "hdbscan.min_samples", "hdbscan.cluster_selection_epsilon",
+]
 
 
 def stage_hashes(config):
@@ -209,6 +225,11 @@ def leaf_settings(config):
         paths += ([f"{f.name}.{sub.name}" for sub in fields(value)] if is_dataclass(value)
                   else [f.name])
     return paths
+
+
+def test_config_settings_are_the_pinned_list():
+    assert leaf_settings(PipelineConfig()) == LEAF_SETTINGS
+    assert len(LEAF_SETTINGS) == 38
 
 
 def other_valid_value(config, path):
@@ -249,7 +270,7 @@ def test_setting_change_reruns_exactly_its_stages(path):
 def test_from_dict_takes_defaults_from_the_dataclass():
     assert PipelineConfig.from_dict({}) == PipelineConfig()
     scalars = {"seed": 9, "system": "triplet", "extraction": "hybrid",
-               "workdir": "elsewhere", "max_dp_cells": 1234}
+               "workdir": "elsewhere"}
     config = PipelineConfig.from_dict(
         {**scalars, "mining": {"n_siamese": 7, "n_triplet": 8}})
     assert config == PipelineConfig(**scalars, mining=MiningConfig(n_siamese=7, n_triplet=8))
@@ -264,8 +285,7 @@ def test_from_dict_takes_defaults_from_the_dataclass():
         leader=LeaderParams(T=0.3, ambiguous_policy="drop"),
         mining=MiningConfig(thres_mu_s=0.3, thres_sigma_d=0.1, n_siamese=7, n_triplet=8),
         train=TrainConfig(margin=2.0, max_epochs=3, l_max=24),
-        hdbscan=HdbscanParams(min_cluster_size=4, cluster_selection_epsilon=0.5),
-        max_dp_cells=1234),
+        hdbscan=HdbscanParams(min_cluster_size=4, cluster_selection_epsilon=0.5)),
 ], ids=["defaults", "every-section"])
 def test_asdict_of_a_config_is_a_config(config):
     assert PipelineConfig.from_dict(json.loads(json.dumps(asdict(config)))) == config
@@ -278,7 +298,8 @@ def test_asdict_of_a_config_is_a_config(config):
     ("mining", {"thres_mu_s": 0.0}, "thres_mu_s must be positive"),
     ("train", {"max_epochs": 21}, "max_epochs is capped at 20"),
     ("hdbscan", {"min_cluster_size": 1}, "min_cluster_size must be >= 2"),
-    ("hdbscan", {"max_points": 0}, "max_points must exceed max(min_samples, min_cluster_size)"),
+    ("hdbscan", {"max_points": 0},
+     "HdbscanParams.__init__() got an unexpected keyword argument 'max_points'"),
     ("synth", {"vocabulary_size": 3, "seed": 99},
      "SynthConfig.__init__() got an unexpected keyword argument 'seed'"),
     ("train", {"seed": 7}, "TrainConfig.__init__() got an unexpected keyword argument 'seed'"),
@@ -303,7 +324,9 @@ def test_bad_section_value_stops_before_any_stage(tmp_path, caplog, section, set
      "config section 'mining': n_siamese must be >= 0 for system 'baseline', got -5"),
     ({"system": "siamese", "mining": {"n_siamese": 0}},
      "config section 'mining': n_siamese must be >= 1 for system 'siamese', got 0"),
-    ({"max_dp_cells": 0}, "max_dp_cells must be >= 1, got 0"),
+    ({"max_dp_cells": 0}, "config: unknown top-level key(s) ['max_dp_cells']; expected keys "
+     "are ['seed', 'system', 'extraction', 'workdir', 'synth', 'align', 'leader', "
+     "'mining', 'train', 'hdbscan']"),
     ({"mining": {"n_siamese": "x"}},
      "config section 'mining': n_siamese must be int, got str 'x'"),
 ], ids=["seed", "leader-T", "negative-count", "no-pairs-to-train-on", "max-dp-cells",
@@ -418,13 +441,14 @@ def test_identical_runs_are_byte_identical(tmp_path):
 # stamp hashes the corpus's float32 features). The three artifacts are as an
 # earlier, per-segment implementation of discovery, leader clustering and
 # scoring wrote them; the stamps are as written since each stage hash covers
-# exactly the config fields its stage names.
+# exactly the config fields its stage names, and discover's since it names
+# align alone.
 NOISY_BASELINE_DIGESTS = {
     "segments.jsonl": "3bfe25d00e3b9b43e7b1b76b8d4cd304c614d213ba078c8e7278be4ed1c3244a",
     "clusters_baseline.json": "3b3dec72d1e048d695d01979260e167042b2e3be7786cfd62d80cfd862f33ce1",
     "report.json": "8f2412e059cb43d672960e93e20e95ad8a0b20ae6cbe52e3e465ba134226dd7f",
     ".stamps/baseline.json": "ffb840d4c3a00920f9f7a49a2ab15165cab6f44fbea8b7f419ce931dc67fe80e",
-    ".stamps/discover.json": "71a445e38dadb4a78cd6bcb8d2ff3c34d7e4ccf3b6f40676e0d9fe7ebd8ea42a",
+    ".stamps/discover.json": "7b911e6ec7428d50da0de311be585957096b4100b757b26a1f2e4a0cf1815c59",
     ".stamps/evaluate.json": "0c506514845ab9103712b78e554ecb0c8e13af3de47ae3657a0679a31ccebf0e",
     ".stamps/synth.json": "0537ebcd5ca0f01bfe3bc1a49a322fd5020fb473f476a092c3fcab28a708c1c6",
 }
@@ -516,52 +540,62 @@ def test_cli_end_to_end(tmp_path):
     assert "baseline" in proc.stdout        # the printed results row
 
 
-@pytest.mark.parametrize("stage, text, message", [
-    ("all", '{"seed": 1,', "config.json: Expecting property name"),
-    ("all", None, "No such file"),
+@pytest.mark.parametrize("stage, text, message, dp_cells", [
+    ("all", '{"seed": 1,', "config.json: Expecting property name", None),
+    ("all", None, "No such file", None),
     ("all", '{"synth": {"vocabulary_size": 3, "bogus": 1}}',
      "config section 'synth': SynthConfig.__init__() got an unexpected keyword "
-     "argument 'bogus'"),
+     "argument 'bogus'", None),
     ("all", '{"synth": {"vocabulary_size": 3}, "hdbscan": {"min_size": 3}}',
-     "config section 'hdbscan'"),
-    ("all", '{"synth": {}}', "config section 'synth'"),
+     "config section 'hdbscan'", None),
+    ("all", '{"synth": {}}', "config section 'synth'", None),
     ("synth", '{"vocabulary_size": 3, "bogus": 1}',
-     "config: unknown top-level key(s) ['bogus', 'vocabulary_size']"),
+     "config: unknown top-level key(s) ['bogus', 'vocabulary_size']", None),
     ("all", '{"synth": {"vocabulary_size": 3}, "hdbscn": {"min_cluster_size": 3}}',
-     "unknown top-level key(s) ['hdbscn']"),
+     "unknown top-level key(s) ['hdbscn']", None),
     ("all", '{"synth": {"vocabulary_size": 3}, "eval": {"edge_tolerance": 1}}',
-     "unknown top-level key(s) ['eval']"),
-    ("all", "[1]", "config must be a JSON object, got list"),
-    ("synth", "[1]", "config must be a JSON object, got list"),
-    ("all", '{"synth": [1]}', "config section 'synth' must be a JSON object"),
+     "unknown top-level key(s) ['eval']", None),
+    ("all", "[1]", "config must be a JSON object, got list", None),
+    ("synth", "[1]", "config must be a JSON object, got list", None),
+    ("all", '{"synth": [1]}', "config section 'synth' must be a JSON object", None),
     ("all", '{"synth": {"vocabulary_size": 3}, "train": 3}',
-     "config section 'train' must be a JSON object, got int"),
+     "config section 'train' must be a JSON object, got int", None),
     ("all", '{"synth": {"vocabulary_size": 3, "indel_rate": 0.1}}',
      "config section 'synth': SynthConfig.__init__() got an unexpected keyword "
-     "argument 'indel_rate'"),
+     "argument 'indel_rate'", None),
     ("synth", '{"vocabulary_size": 3, "indel_rate": 0.0}',
-     "config: unknown top-level key(s) ['indel_rate', 'vocabulary_size']"),
+     "config: unknown top-level key(s) ['indel_rate', 'vocabulary_size']", None),
     ("synth", '{"synth": {"vocabulary_size": 3, "seed": 99}}',
      "config section 'synth': SynthConfig.__init__() got an unexpected keyword "
-     "argument 'seed'"),
+     "argument 'seed'", None),
     ("all", '{"synth": {"vocabulary_size": 3}, "train": {"seed": 7}}',
      "config section 'train': TrainConfig.__init__() got an unexpected keyword "
-     "argument 'seed'"),
+     "argument 'seed'", None),
     ("all", '{"synth": {"vocabulary_size": 3}, "mining": {"bogus": 1}}',
      "config section 'mining': MiningConfig.__init__() got an unexpected keyword "
-     "argument 'bogus'"),
+     "argument 'bogus'", None),
+    ("all", '{"synth": {"vocabulary_size": 3}}',
+     "alignment budget exceeded: 38165 DP cells > 1", 1),
+    ("all", '{"synth": {"vocabulary_size": 3}, "hdbscan": {"max_points": 10}}',
+     "config section 'hdbscan': HdbscanParams.__init__() got an unexpected keyword "
+     "argument 'max_points'", None),
     ("all", '{"synth": {"vocabulary_size": 3}, "max_dp_cells": 1}',
-     "alignment budget exceeded: 38165 DP cells > 1"),
+     "config: unknown top-level key(s) ['max_dp_cells']", None),
     ("all", '{"synth": {"vocabulary_size": 3}, "system": "siamese"}',
-     "no positive source"),
+     "no positive source", None),
 ], ids=["malformed", "missing", "unknown-key", "unknown-hdbscan-key",
         "missing-key", "bare-synth-unknown-key", "unknown-top-level-key",
         "eval-top-level-key",
         "not-an-object", "synth-not-an-object", "section-not-an-object",
         "train-not-an-object", "indel-rate", "bare-synth-indel-rate",
         "synth-seed", "train-seed",
-        "unknown-mining-key", "alignment-budget", "no-positive-source"])
-def test_cli_config_error_is_one_logged_line(tmp_path, caplog, stage, text, message):
+        "unknown-mining-key", "alignment-budget", "max-points-key", "max-dp-cells-key",
+        "no-positive-source"])
+def test_cli_config_error_is_one_logged_line(tmp_path, caplog, monkeypatch, stage, text,
+                                             message, dp_cells):
+    """dp_cells, where a case gives it, replaces the alignment budget."""
+    if dp_cells is not None:
+        monkeypatch.setattr(seqmatch, "MAX_DP_CELLS", dp_cells)
     config_path = tmp_path / "config.json"
     if text is not None:
         config_path.write_text(text)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cluster_oracle
+from termforge import recluster
 from termforge.recluster import (CondensedTree, HdbscanParams, ScaleError,
                                  build_hierarchy, condense, core_distances,
-                                 extract, hdbscan, mutual_reachability, mst)
+                                 distance_matrix, extract, hdbscan,
+                                 mutual_reachability, mst)
 from termforge.util import rng_from
 
 
@@ -97,25 +100,25 @@ def dendrogram_partitions(dendrogram, n, thresholds):
 
 def test_core_identical_points_zero():
     points = np.ones((6, 3))
-    assert (core_distances(points, 2) == 0).all()
+    assert (core_distances(distance_matrix(points), 2) == 0).all()
 
 
 def test_core_collinear_hand_case():
     points = np.array([[0.0], [1.0], [3.0]])
-    assert core_distances(points, 1).tolist() == [1.0, 1.0, 2.0]
+    assert core_distances(distance_matrix(points), 1).tolist() == [1.0, 1.0, 2.0]
 
 
 def test_core_matches_brute_force(rng):
     for _ in range(20):
         points = rng.standard_normal((int(rng.integers(6, 20)), 3))
         k = int(rng.integers(1, 5))
-        assert np.allclose(core_distances(points, k),
+        assert np.allclose(core_distances(distance_matrix(points), k),
                            brute_core_distances(points, k))
 
 
 def test_core_requires_enough_points():
     with pytest.raises(ValueError):
-        core_distances(np.zeros((3, 2)), 3)
+        core_distances(distance_matrix(np.zeros((3, 2))), 3)
 
 
 # --- mutual reachability -----------------------------------------------------
@@ -123,23 +126,24 @@ def test_core_requires_enough_points():
 
 def test_mutual_reachability_zero_core_is_euclidean(rng):
     points = rng.standard_normal((8, 3))
-    reach = mutual_reachability(points, np.zeros(8))
+    reach = mutual_reachability(distance_matrix(points), np.zeros(8))
     direct = np.sqrt(((points[:, None] - points[None]) ** 2).sum(-1))
     assert np.allclose(reach, direct)
 
 
 def test_mutual_reachability_symmetric_zero_diagonal(rng):
     points = rng.standard_normal((10, 4))
-    core = core_distances(points, 3)
-    reach = mutual_reachability(points, core)
+    dist = distance_matrix(points)
+    reach = mutual_reachability(dist, core_distances(dist, 3))
     assert (reach == reach.T).all()
     assert (np.diag(reach) == 0).all()
 
 
 def test_mutual_reachability_hand_case():
     points = np.array([[0.0], [1.0], [2.0], [10.0]])
-    core = core_distances(points, 1)          # (1, 1, 1, 8)
-    reach = mutual_reachability(points, core)
+    dist = distance_matrix(points)
+    core = core_distances(dist, 1)            # (1, 1, 1, 8)
+    reach = mutual_reachability(dist, core)
     assert reach[0, 1] == 1.0                  # max(1, 1, 1)
     assert reach[0, 2] == 2.0                  # max(1, 1, 2)
     assert reach[0, 3] == 10.0                 # max(1, 8, 10)
@@ -224,8 +228,8 @@ def blob_matrix(rng, centers, size, spread=0.05):
 
 
 def build_tree(points, k, mcs):
-    core = core_distances(points, k)
-    reach = mutual_reachability(points, core)
+    dist = distance_matrix(points)
+    reach = mutual_reachability(dist, core_distances(dist, k))
     return condense(build_hierarchy(mst(reach)), mcs)
 
 
@@ -375,7 +379,8 @@ def epsilons(tree, points, which):
 @settings(max_examples=300)
 def test_selection_matches_parent_oracle(points, k, mcs, which):
     n = len(points)
-    dendrogram = build_hierarchy(mst(mutual_reachability(points, core_distances(points, k))))
+    dist = distance_matrix(points)
+    dendrogram = build_hierarchy(mst(mutual_reachability(dist, core_distances(dist, k))))
     assert (cluster_oracle.leaf_counts(dendrogram, n)[n:] == dendrogram[:, 3]).all()
     trees = (condense(dendrogram, mcs), condense(dendrogram, n + 1))   # n + 1 > n
     for epsilon in epsilons(trees[0], points, which):
@@ -404,10 +409,57 @@ def test_hdbscan_too_few_points():
         hdbscan(np.zeros((4, 2)), HdbscanParams(min_cluster_size=5, min_samples=2))
 
 
-def test_hdbscan_scale_guard():
-    with pytest.raises(ScaleError, match="guard"):
-        hdbscan(np.zeros((30, 2)), HdbscanParams(min_cluster_size=3,
-                                                 min_samples=2, max_points=10))
+def test_hdbscan_scale_guard(monkeypatch):
+    """The guard refuses n points when one n x n float64 matrix would take
+    more than DENSE_MATRIX_BYTES, read at call time."""
+    assert recluster.DENSE_MATRIX_BYTES == 8 * 20_000**2
+    monkeypatch.setattr(recluster, "DENSE_MATRIX_BYTES", 8 * 10**2)
+    params = HdbscanParams(min_cluster_size=3, min_samples=2)
+    assert len(hdbscan(np.zeros((10, 2)), params).labels) == 10
+    with pytest.raises(ScaleError, match="^11 points need a 968-byte distance matrix, "
+                                         "over the dense-matrix guard of 800 bytes"):
+        hdbscan(np.zeros((11, 2)), params)
+
+
+def test_hdbscan_holds_at_most_three_dense_matrices(rng):
+    """One call's traced peak stays under four n x n float64 matrices: the
+    distance matrix is built once, and no view keeps a dead matrix alive."""
+    n = 300
+    points = rng.standard_normal((n, 8))
+    tracemalloc.start()
+    try:
+        hdbscan(points, HdbscanParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * n * n
+
+
+def test_hdbscan_builds_the_distance_matrix_once(monkeypatch, rng):
+    """One call builds one n x n matrix, and both core_distances and
+    mutual_reachability receive it as their first argument."""
+    built, seen = [], {}
+
+    def counted(embeddings):
+        built.append(distance_matrix(embeddings))
+        return built[-1]
+
+    def recording(name):
+        original = getattr(recluster, name)
+
+        def wrapper(*args):
+            seen[name] = args[0]
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(recluster, "distance_matrix", counted)
+    for name in ("core_distances", "mutual_reachability"):
+        monkeypatch.setattr(recluster, name, recording(name))
+    points = blob_matrix(rng, [np.zeros(3), 6 * np.ones(3)], 15)
+    hdbscan(points, HdbscanParams(min_cluster_size=5, min_samples=3))
+    [dist] = built
+    assert dist.shape == (30, 30)
+    assert seen["core_distances"] is dist and seen["mutual_reachability"] is dist
 
 
 def test_hdbscan_partition_and_noise_disjoint(rng):

@@ -400,17 +400,18 @@ def test_segment_ids_dense_and_symbols_consistent():
         assert utt.transcription[lo:hi] == seg.symbols
 
 
-def test_budget_guard_trips():
+def test_budget_guard_trips(monkeypatch):
     corpus = make_corpus([list(range(30)), list(range(30))])
+    monkeypatch.setattr(seqmatch, "MAX_DP_CELLS", 10)
     with pytest.raises(ScaleError, match="budget"):
-        discover_segments(corpus, default_scoring(), max_dp_cells=10)
+        discover_segments(corpus, default_scoring())
 
 
-def test_both_scale_guards_raise_one_class():
+def test_both_scale_guards_raise_one_class(monkeypatch):
     assert seqmatch.ScaleError is recluster.ScaleError is util.ScaleError
+    monkeypatch.setattr(recluster, "DENSE_MATRIX_BYTES", 8 * 10**2)
     with pytest.raises(seqmatch.ScaleError, match="guard"):
-        recluster.hdbscan(np.zeros((30, 2)),
-                          HdbscanParams(min_cluster_size=3, min_samples=2, max_points=10))
+        recluster.hdbscan(np.zeros((30, 2)), HdbscanParams(min_cluster_size=3, min_samples=2))
 
 
 @st.composite
