@@ -29,25 +29,56 @@ tap at a time from contiguous rows. The forward pass is
 W.reshape(C_out, C*k) @ cols, the weight gradient cols @ d, and the input
 gradient the flipped kernel times the window matrix of the zero-padded d;
 the first layer's input gradient is never formed. These are the operands,
-shapes and orders numpy's einsum handed to matmul in the reference kernels
-of tests/net_oracle.py, so in float64 every float is bit-identical to them.
-Max-pool compares strided slices and keeps the first maximum, a NaN counting
-as the maximum, as argmax does.
+shapes and orders of the reference kernels of tests/net_oracle.py, so in
+float64 every float is bit-identical to them. Max-pool compares strided
+slices and keeps the first maximum, a NaN counting as the maximum, as
+argmax does.
+
+The conv stack runs over a packed layout, not over each input zero-padded to
+l_max. An input's data ends at its last nonzero frame (a segment longer than
+l_max is first cut to l_max); the frames after it are padding. Conv3 output
+t reads input frames [t*s, t*s + span), s = pool_width**2 and span =
+`_receptive_field` (24 for the default arch), so it reads data only when
+t*s is below the data length, and every other conv3 output reads zeros
+alone and equals the same output of an all-zero input. A packed batch is
+one channel-major sequence (feature_dim, 1, frames): one slot per input
+with its frames up to the last one its data outputs read, zero-filled to a
+multiple of s, so that every slot starts on a boundary of both pools, then
+a template slot of zeros one conv3 output wide. For the default arch a slot
+holds 4*ceil(L/4) + 20 frames for data length L, at most about l_max, and
+an all-zero input gets none. `_cols` and the conv and pool kernels run once
+over the whole sequence. fc1's flat input takes each data output from its
+slot and every padding output from the template's. In the backward pass,
+the padding outputs' gradients are summed into the template's one conv3
+position. This is exact in real arithmetic: each padding output's backward
+cone sees the template's activations, ReLU signs and pool choices. In
+float64 the results differ from the padded stack's only by rounding, about
+1e-15 relative, because the GEMMs have other shapes and the padding
+gradients are summed before the weight gradients.
+
+Packing is not free: at each conv layer, the k - 1 outputs that straddle
+two slots are computed and read by nothing. A batch therefore runs packed
+only when that takes fewer conv multiply-adds (`_conv_macs`) than the
+padded stack, one (feature_dim, B, l_max) row per input, which then runs
+as before, float for float. At l_max 100 a batch of 9-64-frame segments
+packs into about 40% of the padded frames; at l_max 40 most segments fill
+their slot and batches run padded.
 
 A training step embeds each distinct segment of its batch once. The batch
 holds the U distinct inputs `x` and a (B, towers) table `rows`, so that tower
 t of example i embeds x[rows[i, t]]. The losses read the embeddings gathered
 by `rows`; each tower's embedding gradient is scatter-added onto the U rows,
 tower by tower and slot by slot, and one branch backward runs over x. In
-float64 a step is bit-identical to the same gather, scatter and branch
-backward around the reference kernels. It equals the per-tower reference,
-which forwards and back-propagates each tower's B inputs on their own, only
-to rounding: the GEMMs sum the towers' terms in another order.
+float64 a step is bit-identical to the same gather, scatter, packed layout
+and branch backward around the reference kernels. It equals the per-tower
+reference over padded inputs, which forwards and back-propagates each
+tower's B inputs on their own, only to rounding.
 
 A BLAS product's last bits can depend on its shape: OpenBLAS picks kernels
-and blockings by size. Embedding in chunks of another size therefore changes
-the floats, which is why `embed_all` keeps chunk_size=256, in float32 as it
-did in float64.
+and blockings by size. The packed sequence of a chunk of `embed_all` is as
+long as the sum of its segments' slots, so each row's floats depend on the
+chunk it lands in: embedding in chunks of another size changes them, which
+is why `embed_all` keeps chunk_size=256, in float32 as it did in float64.
 """
 
 from __future__ import annotations
@@ -56,7 +87,7 @@ import csv
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -246,16 +277,75 @@ def _pool_backward(d_out, idx, t_in, width):
     return dx
 
 
-def _forward(params: NetworkParams, x: np.ndarray, cache: dict | None = None):
-    """Embeddings of a batch x (B, l_max, feature_dim), computed in the
-    dtype of the parameters. A `cache` dict receives the intermediates
-    backprop needs; without one, each is dropped once the next layer has
-    read it."""
+def _receptive_field(arch: NetArch) -> int:
+    """Input frames one conv3 output reads: the shortest input for which
+    the conv stack has one output."""
+    k1, k2, k3 = arch.conv_kernels
+    width = arch.pool_width
+    return (k3 * width + k2 - 1) * width + k1 - 1
+
+
+def _conv_macs(arch: NetArch, frames: int) -> int:
+    """Multiply-adds of the three convolutions over one input row of
+    `frames` frames."""
+    channels_in = (arch.feature_dim, *arch.conv_channels[:2])
+    outputs = replace(arch, l_max=frames).time_lengths()[0::2]
+    return sum(c_in * kernel * c_out * t for c_in, kernel, c_out, t
+               in zip(channels_in, arch.conv_kernels, arch.conv_channels, outputs))
+
+
+def _pack(arch: NetArch, inputs, dtype: np.dtype):
+    """The layout the conv stack runs over for a batch of frame matrices
+    (see the module docstring): the packed one or the padded one, whichever
+    needs fewer conv multiply-adds, the padded one on a tie. Returns the
+    channel-major (feature_dim, rows, frames) array and the (B, T3) index
+    of each input's conv3 outputs in the conv3 output flattened to (rows *
+    T3', channels); -1, the template's, for a padding output. Each input is
+    cut to l_max frames, and frames after its last nonzero one count as
+    padding."""
+    stride = arch.pool_width ** 2
+    span = _receptive_field(arch)
+    t3 = arch.time_lengths()[-1]
+    lengths = []
+    for frames in inputs:
+        length = min(len(frames), arch.l_max)
+        if length and not frames[length - 1].any():
+            nonzero = np.flatnonzero(frames[:length].any(axis=1))
+            length = int(nonzero[-1]) + 1 if len(nonzero) else 0
+        lengths.append(length)
+    lengths = np.array(lengths, dtype=np.int64)
+    data_outputs = np.minimum(-(-lengths // stride), t3)
+    widths = np.where(data_outputs > 0,
+                      -(-((data_outputs - 1) * stride + span) // stride) * stride, 0)
+    starts = np.concatenate(([0], np.cumsum(widths)))
+    total = starts[-1] + -(-span // stride) * stride     # the template slot last
+    positions = np.arange(t3)
+    if _conv_macs(arch, total) >= len(lengths) * _conv_macs(arch, arch.l_max):
+        seq = np.zeros((arch.feature_dim, len(lengths), arch.l_max), dtype=dtype)
+        for row, (frames, length) in enumerate(zip(inputs, lengths.tolist())):
+            seq[:, row, :length] = frames[:length].T
+        return seq, np.arange(len(lengths))[:, None] * t3 + positions
+    seq = np.zeros((arch.feature_dim, 1, total), dtype=dtype)
+    # a slot may end before the input's last data frame, which no
+    # conv3 output of the padded stack reads
+    for frames, start, length in zip(inputs, starts.tolist(),
+                                     np.minimum(lengths, widths).tolist()):
+        seq[:, 0, start:start + length] = frames[:length].T
+    gather = np.where(positions < data_outputs[:, None],
+                      starts[:-1, None] // stride + positions, -1)
+    return seq, gather
+
+
+def _forward(params: NetworkParams, inputs, cache: dict | None = None):
+    """Embeddings of a batch of frame matrices, each (frames, feature_dim),
+    computed in the dtype of the parameters over the layout `_pack` picks. A
+    `cache` dict receives the intermediates backprop needs; without one,
+    each is dropped once the next layer has read it."""
     p = params.arrays
     width = params.arch.pool_width
     keep = cache.update if cache is not None else lambda **_: None
-    h = np.ascontiguousarray(x.transpose(2, 0, 1), dtype=params.dtype)
-    keep(x=h)
+    h, gather = _pack(params.arch, inputs, params.dtype)
+    keep(x=h, gather=gather)
     z = _conv_forward(h, p["W1"], p["b1"])
     h, idx = _pool_forward(np.maximum(z, 0.0), width)
     keep(z1=z, idx1=idx, p1=h)
@@ -263,7 +353,8 @@ def _forward(params: NetworkParams, x: np.ndarray, cache: dict | None = None):
     h, idx = _pool_forward(np.maximum(z, 0.0), width)
     keep(z2=z, idx2=idx, p2=h)
     z = _conv_forward(h, p["W3"], p["b3"])
-    h = np.maximum(z, 0.0).transpose(1, 2, 0).reshape(x.shape[0], -1)
+    h = np.ascontiguousarray(z.reshape(len(z), -1).T)
+    h = np.maximum(h, 0.0, out=h)[gather].reshape(len(gather), -1)
     keep(z3=z, flat=h)
     z = h @ p["Wf1"] + p["bf1"]
     h = np.maximum(z, 0.0)
@@ -281,7 +372,8 @@ def _forward_cached(params: NetworkParams, x: np.ndarray):
 
 
 def forward(params: NetworkParams, padded: np.ndarray) -> np.ndarray:
-    """Embed one (l_max x feature_dim) matrix or a batch of them."""
+    """Embed one (l_max x feature_dim) matrix or a batch of them; trailing
+    zero frames are padding."""
     single = padded.ndim == 2
     x = padded[None] if single else padded
     if x.shape[1] != params.arch.l_max or x.shape[2] != params.arch.feature_dim:
@@ -304,8 +396,18 @@ def _branch_backward(params: NetworkParams, cache, d_out, grads):
     d = (d @ p["Wf2"].T) * (cache["zf1"] > 0.0)
     grads["Wf1"] += cache["flat"].T @ d
     grads["bf1"] += d.sum(axis=0)
-    _, batch, t3 = cache["z3"].shape
-    d = (d @ p["Wf1"].T).reshape(batch, t3, -1).transpose(2, 0, 1) * (cache["z3"] > 0.0)
+    # each data position of fc1's input takes its gradient from one row;
+    # the template's one position takes the sum over every padding row
+    gather = cache["gather"].reshape(-1)
+    d = (d @ p["Wf1"].T).reshape(len(gather), -1)
+    z3 = cache["z3"]
+    d3 = np.zeros((z3[0].size, d.shape[1]), dtype=d.dtype)
+    padding = gather < 0
+    d3[gather[~padding]] = d[~padding]
+    if padding.any():
+        d3[-1] = d[padding].sum(axis=0)
+    d3 *= z3.reshape(len(z3), -1).T > 0.0
+    d = d3.T.reshape(z3.shape)
     dW, db, d = _conv_backward(d, cache["p2"], p["W3"])
     grads["W3"] += dW
     grads["b3"] += db
@@ -385,10 +487,12 @@ def batch_loss(params: NetworkParams, batch: dict, kind: str, margin: float) -> 
 
 def backward(params: NetworkParams, batch: dict, kind: str, margin: float):
     """Mean batch loss plus analytic gradients for every parameter. The
-    batch is {"x": (U, l_max, feature_dim) distinct inputs, "rows": (B,
-    towers) indices into x, "y": (B,) labels, siamese only}. Each tower's
-    embedding gradient is added onto the rows of x it read, tower by tower
-    and slot by slot, and one branch backward runs over x."""
+    batch is {"x": U distinct inputs, "rows": (B, towers) indices into x,
+    "y": (B,) labels, siamese only}. An input is a (frames, feature_dim)
+    matrix read as its first l_max frames, zero-padded; a (U, l_max,
+    feature_dim) array holds U of them. Each tower's embedding gradient is
+    added onto the rows of x it read, tower by tower and slot by slot, and
+    one branch backward runs over x."""
     losses, cache, tower_grads = _losses_and_grads(params, batch, kind, margin)
     n = len(losses)
     d_out = np.zeros((len(batch["x"]), params.arch.embed_dim), dtype=params.dtype)
@@ -401,19 +505,6 @@ def backward(params: NetworkParams, batch: dict, kind: str, margin: float):
 
 # ---------------------------------------------------------------------------
 # training
-
-
-def _stack(corpus: Corpus, segments: list[Segment], l_max: int,
-           dtype: np.dtype) -> np.ndarray:
-    """The features of each segment, zero-padded or cut to l_max frames, as
-    one (B, l_max, feature_dim) batch of `dtype`, stored channel-major as
-    the first conv layer reads it. Each segment's frames are written
-    straight into the batch."""
-    out = np.zeros((corpus.feature_dim, len(segments), l_max), dtype=dtype)
-    for i, seg in enumerate(segments):
-        frames = slice_features(corpus, seg)[:l_max]
-        out[:, i, :len(frames)] = frames.T
-    return out.transpose(1, 2, 0)
 
 
 def tower_segment_ids(manifest: PairManifest, mode: str) -> np.ndarray:
@@ -434,10 +525,10 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
     the epoch-mean loss plateaus (improvement < 1e-4 absolute). `seed`
     seeds the batch order, so equal arguments train an identical network.
 
-    The manifest's distinct segments are stacked once; each step gathers
-    the distinct segments of its batch from that stack and makes one
-    `backward` call over them. A manifest entry naming a segment id that
-    `segments` lacks raises a ValueError before the first step.
+    Each step makes one `backward` call over the feature views of the
+    distinct segments of its batch; no padded copy of them is kept. A
+    manifest entry naming a segment id that `segments` lacks raises a
+    ValueError before the first step.
 
     Raises TrainingDiverged when an epoch-mean loss is non-finite, which
     in float32 an absurd learning rate brings about in either mode. A run
@@ -453,10 +544,9 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
             entry, tower = np.argwhere(tower_ids == seg_id)[0]
             raise ValueError(f"{mode} manifest entry {entry}: {_TOWERS[mode][tower]} "
                              f"is segment {seg_id}, which is not among the segments")
-    # the row of `stacked` that tower t of entry k reads
+    # the distinct segment that tower t of entry k reads
     entry_rows = entry_rows.reshape(tower_ids.shape)
-    stacked = _stack(corpus, [segments[position[seg_id]] for seg_id in distinct],
-                     params.arch.l_max, params.dtype)
+    frames = [slice_features(corpus, segments[position[seg_id]]) for seg_id in distinct]
     labels = np.array([p.y for p in manifest.siamese_pairs]) if mode == "siamese" else None
 
     params = params.copy()
@@ -468,7 +558,7 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
         for lo in range(0, len(entry_rows), config.batch_size):
             chunk = order[lo:lo + config.batch_size]
             used, rows = np.unique(entry_rows[chunk], return_inverse=True)
-            batch = {"x": stacked[used], "rows": rows.reshape(len(chunk), -1)}
+            batch = {"x": [frames[u] for u in used], "rows": rows.reshape(len(chunk), -1)}
             if labels is not None:
                 batch["y"] = labels[chunk]
             loss, grads = backward(params, batch, mode, config.margin)
@@ -489,12 +579,13 @@ def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus,
               chunk_size: int = 256) -> np.ndarray:
     """Embedding table in the dtype of `params`: row i is the embedding of
     segments[i], its features padded or cut to the network's input width.
-    The chunk size sets the GEMM shapes and so the last bits of every row
-    (see the module docstring)."""
+    Each chunk of segments is packed into one sequence whose length, and so
+    the GEMM shapes and the last bits of every row, depend on the chunk's
+    segments (see the module docstring)."""
     rows = []
     for lo in range(0, len(segments), chunk_size):
-        rows.append(_forward(params, _stack(corpus, segments[lo:lo + chunk_size],
-                                            params.arch.l_max, params.dtype)))
+        rows.append(_forward(params, [slice_features(corpus, seg)
+                                      for seg in segments[lo:lo + chunk_size]]))
     if not rows:
         return np.zeros((0, params.arch.embed_dim), dtype=params.dtype)
     return np.concatenate(rows, axis=0)

@@ -330,9 +330,16 @@ def extract(tree: CondensedTree, epsilon: float = 0.0) -> np.ndarray:
 
 def hdbscan(embeddings: np.ndarray, params: HdbscanParams) -> HdbscanResult:
     """Full pipeline: distance matrix -> core distances -> mutual
-    reachability -> MST -> single linkage -> condense -> cluster selection."""
+    reachability -> MST -> single linkage -> condense -> cluster selection.
+    A NaN or infinite entry raises a ValueError naming its row before any
+    distance is computed."""
     params.validate()
     embeddings = np.asarray(embeddings, dtype=np.float64)
+    finite = np.isfinite(embeddings)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"embedding row {row} is not finite: column {col} is "
+                         f"{embeddings[row, col]}")
     n = len(embeddings)
     if n <= max(params.min_samples, params.min_cluster_size):
         raise ValueError(

@@ -1,22 +1,27 @@
 """Reference network code that the package must reproduce, floats included
 unless stated:
 
-- the einsum/argmax conv and pool kernels, forward pass and branch backward
-  that the explicit window-matrix kernels in termforge.embednet replaced;
-- `batch_loss` / `backward`: the separate siamese and triplet branches that
-  forward and back-propagate each tower's inputs on their own. They read
-  the package's batch form, {"x": distinct inputs, "rows": (B, towers)
-  indices into x, "y": labels}, by gathering each tower's inputs from x.
-  termforge.embednet forwards each distinct input once and sums the towers'
-  terms in another order, so it matches these within a float64 tolerance;
-- `one_pass_batch_loss` / `one_pass_backward`: one forward over x, the same
-  gather and scatter order as termforge.embednet and one branch backward,
-  which the package reproduces bit for bit;
-- the per-segment float64 padding of the reference embed_all, which
-  termforge.embednet's `_stack` replaced by writing frames straight into
-  the batch;
+- the einsum/tensordot/argmax conv and pool kernels, forward pass and
+  branch backward that the explicit window-matrix kernels in
+  termforge.embednet replaced;
+- the padded semantics: `forward`, `embed_all`, `batch_loss` and `backward`
+  run the stack over each input zero-padded or cut to l_max frames, and the
+  separate siamese and triplet branches forward and back-propagate each
+  tower's inputs on their own. They read the package's batch form, {"x":
+  distinct inputs, "rows": (B, towers) indices into x, "y": labels}, by
+  gathering each tower's inputs from x. termforge.embednet runs the conv
+  stack over its packed layout and each distinct input once, so it matches
+  these within a float64 tolerance;
+- the packed layout, built here by its definition: `pack` lays out the
+  template slot and one slot per input, and `packed_forward`,
+  `packed_embed_all`, `packed_batch_loss` and `packed_backward` run the
+  reference kernels once over it, with one forward over x and the same
+  gather and scatter order as termforge.embednet. The package reproduces
+  these bit for bit;
 - the scalar contrastive and triplet losses, kept for closed-form tests.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,7 +68,11 @@ def _conv_forward(x, W, b):
 def _conv_backward(d_out, x, W):
     kernel = W.shape[2]
     windows = sliding_window_view(x, kernel, axis=1)
-    dW = np.einsum("bto,btik->oik", d_out, windows, optimize=True)
+    # the window matrix C-ordered, as einsum lays it out for kernel > 1; for
+    # kernel 1 einsum hands matmul an F-ordered view, which rounds
+    # differently once the product sums 16 or more terms
+    rows = np.ascontiguousarray(windows.transpose(2, 3, 0, 1))
+    dW = np.tensordot(rows, d_out, axes=([2, 3], [0, 1])).transpose(2, 0, 1)
     db = d_out.sum(axis=(0, 1))
     batch, t_out, _ = d_out.shape
     padded = np.zeros((batch, t_out + 2 * (kernel - 1), W.shape[0]))
@@ -91,10 +100,11 @@ def _pool_backward(d_out, idx, t_in, width):
     return dx
 
 
-def _forward_cached(params, x):
-    """Forward pass keeping the intermediates needed for backprop."""
+def _conv_stack(params, x, cache):
+    """The three conv blocks over x (B, T, feature_dim); returns the conv3
+    activations (B, T3, C3)."""
     p = params.arrays
-    cache = {"x": x}
+    cache["x"] = x
     z1 = _conv_forward(x, p["W1"], p["b1"])
     a1 = np.maximum(z1, 0.0)
     p1, idx1, t1 = _pool_forward(a1, params.arch.pool_width)
@@ -103,18 +113,31 @@ def _forward_cached(params, x):
     p2, idx2, t2 = _pool_forward(a2, params.arch.pool_width)
     z3 = _conv_forward(p2, p["W3"], p["b3"])
     a3 = np.maximum(z3, 0.0)
-    flat = a3.reshape(x.shape[0], -1)
+    cache.update(z1=z1, idx1=idx1, t1=t1, p1=p1, z2=z2, idx2=idx2, t2=t2, p2=p2,
+                 z3=z3, a3=a3)
+    return a3
+
+
+def _fc_head(params, flat, cache):
+    p = params.arrays
     zf1 = flat @ p["Wf1"] + p["bf1"]
     af1 = np.maximum(zf1, 0.0)
     zf2 = af1 @ p["Wf2"] + p["bf2"]
     af2 = np.maximum(zf2, 0.0)
-    out = af2 @ p["Wo"] + p["bo"]
-    cache.update(z1=z1, idx1=idx1, t1=t1, p1=p1, z2=z2, idx2=idx2, t2=t2, p2=p2,
-                 z3=z3, a3=a3, flat=flat, zf1=zf1, af1=af1, zf2=zf2, af2=af2)
-    return out, cache
+    cache.update(flat=flat, zf1=zf1, af1=af1, zf2=zf2, af2=af2)
+    return af2 @ p["Wo"] + p["bo"]
 
 
-def _branch_backward(params, cache, d_out, grads):
+def _forward_cached(params, x):
+    """Forward pass over padded x (B, l_max, feature_dim), keeping the
+    intermediates needed for backprop."""
+    cache = {}
+    a3 = _conv_stack(params, x, cache)
+    return _fc_head(params, a3.reshape(x.shape[0], -1), cache), cache
+
+
+def _fc_backward(params, cache, d_out, grads):
+    """Gradients of the fc layers; returns the gradient wrt fc1's input."""
     p = params.arrays
     grads["Wo"] += cache["af2"].T @ d_out
     grads["bo"] += d_out.sum(axis=0)
@@ -124,7 +147,14 @@ def _branch_backward(params, cache, d_out, grads):
     d = (d @ p["Wf2"].T) * (cache["zf1"] > 0.0)
     grads["Wf1"] += cache["flat"].T @ d
     grads["bf1"] += d.sum(axis=0)
-    d = (d @ p["Wf1"].T).reshape(cache["a3"].shape) * (cache["z3"] > 0.0)
+    return d @ p["Wf1"].T
+
+
+def _conv_stack_backward(params, cache, d, grads):
+    """Gradients of the conv blocks from d, the gradient wrt the conv3
+    activations."""
+    p = params.arrays
+    d = d * (cache["z3"] > 0.0)
     dW, db, d = _conv_backward(d, cache["p2"], p["W3"])
     grads["W3"] += dW
     grads["b3"] += db
@@ -138,6 +168,11 @@ def _branch_backward(params, cache, d_out, grads):
     dW, db, _ = _conv_backward(d, cache["x"], p["W1"])
     grads["W1"] += dW
     grads["b1"] += db
+
+
+def _branch_backward(params, cache, d_out, grads):
+    d = _fc_backward(params, cache, d_out, grads)
+    _conv_stack_backward(params, cache, d.reshape(cache["a3"].shape), grads)
 
 
 def forward(params, x):
@@ -206,10 +241,116 @@ def backward(params, batch, kind, margin):
     return float(losses.mean()), grads
 
 
-def _one_pass(params, batch, kind, margin):
-    """Per-example losses, the cache of one forward over batch["x"] and the
-    gradient wrt each tower's gathered embeddings."""
-    e, cache = _forward_cached(params, batch["x"])
+def _shortest_input(arch):
+    """The fewest input frames for which the conv stack has an output: the
+    frames one conv3 output reads."""
+    frames = 1
+    while True:
+        try:
+            replace(arch, l_max=frames).time_lengths()
+            return frames
+        except ValueError:
+            frames += 1
+
+
+def _conv_macs(arch, frames):
+    """Multiply-adds of the three convolutions over an input of `frames`
+    frames."""
+    t1, _, t2, _, t3 = replace(arch, l_max=frames).time_lengths()
+    c1, c2, c3 = arch.conv_channels
+    k1, k2, k3 = arch.conv_kernels
+    return arch.feature_dim * k1 * c1 * t1 + c1 * k2 * c2 * t2 + c2 * k3 * c3 * t3
+
+
+def pack(arch, inputs):
+    """The layout of `inputs`, frame matrices of at most l_max frames
+    (longer ones are cut) whose frames after the last nonzero one are
+    padding. Conv3 output t of an input reads its frames [t*s, t*s + span),
+    s = pool_width**2; it reads data when t*s is below the data length, and
+    otherwise only padding.
+
+    The packed layout is one sequence: a slot per input holding its frames
+    from 0 to the last frame its data outputs read, zero-filled to a
+    multiple of s so that every slot starts on a pooling boundary of both
+    pools, then a template slot of zeros with one conv3 output. The padded
+    layout is one row of l_max frames per input. The layout is the one
+    whose convolutions take fewer multiply-adds, the padded one on a tie.
+    Returns the (rows, frames, feature_dim) input and the (B, T3) position
+    in the conv3 output flattened over its rows that each input's conv3
+    output t is read from: its own for a data output, the template's (-1,
+    the last) for a padding one."""
+    stride = arch.pool_width ** 2
+    span = _shortest_input(arch)
+    t3 = arch.time_lengths()[-1]
+
+    def slot(outputs):
+        frames = (outputs - 1) * stride + span
+        return frames + (-frames) % stride
+
+    rows, pieces, gather = [], [], []
+    for frames in inputs:
+        frames = np.asarray(frames, dtype=np.float64)[:arch.l_max]
+        data = 0
+        for t in range(len(frames)):
+            if frames[t].any():
+                data = t + 1
+        row = np.zeros((arch.l_max, arch.feature_dim))
+        row[:data] = frames[:data]
+        rows.append(row)
+        outputs = sum(1 for t in range(t3) if t * stride < data)
+        start = sum(len(piece) for piece in pieces) // stride
+        gather.append([start + t if t < outputs else -1 for t in range(t3)])
+        if outputs:
+            piece = np.zeros((slot(outputs), arch.feature_dim))
+            keep = min(data, len(piece))
+            piece[:keep] = frames[:keep]
+            pieces.append(piece)
+    packed = np.concatenate(pieces + [np.zeros((slot(1), arch.feature_dim))])
+    if _conv_macs(arch, len(packed)) >= len(rows) * _conv_macs(arch, arch.l_max):
+        return np.stack(rows), np.arange(len(rows) * t3).reshape(-1, t3)
+    return packed[None], np.array(gather, dtype=int).reshape(-1, t3)
+
+
+def _packed_forward_cached(params, inputs):
+    x, gather = pack(params.arch, inputs)
+    cache = {"gather": gather}
+    a3 = _conv_stack(params, x, cache)
+    flat = a3.reshape(-1, a3.shape[2])[gather].reshape(len(gather), -1)
+    return _fc_head(params, flat, cache), cache
+
+
+def _packed_branch_backward(params, cache, d_out, grads):
+    """Each data position of fc1's input passes its gradient to its one
+    conv3 position; the padding positions' gradients are summed, in row
+    order, into the template's."""
+    gather = cache["gather"].reshape(-1)
+    d = _fc_backward(params, cache, d_out, grads).reshape(len(gather), -1)
+    padding = gather < 0
+    d3 = np.zeros((cache["a3"][:, :, 0].size, d.shape[1]))
+    d3[gather[~padding]] = d[~padding]
+    if padding.any():
+        d3[-1] = d[padding].sum(axis=0)
+    _conv_stack_backward(params, cache, d3.reshape(cache["a3"].shape), grads)
+
+
+def packed_forward(params, inputs):
+    out, _ = _packed_forward_cached(params, inputs)
+    return out
+
+
+def packed_embed_all(params, segments, corpus, chunk_size=256):
+    rows = [packed_forward(params, [slice_features(corpus, seg)
+                                    for seg in segments[lo:lo + chunk_size]])
+            for lo in range(0, len(segments), chunk_size)]
+    if not rows:
+        return np.zeros((0, params.arch.embed_dim))
+    return np.concatenate(rows, axis=0)
+
+
+def _packed_one_pass(params, batch, kind, margin):
+    """Per-example losses, the cache of one packed forward over batch["x"]
+    and the gradient wrt each tower's gathered embeddings."""
+    e, cache = _packed_forward_cached(params, batch["x"])
     rows = batch["rows"]
     if kind == "siamese":
         losses, g0 = _contrastive_batch(e[rows[:, 0]], e[rows[:, 1]], batch["y"], margin)
@@ -221,18 +362,18 @@ def _one_pass(params, batch, kind, margin):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def one_pass_batch_loss(params, batch, kind, margin):
-    losses, _, _ = _one_pass(params, batch, kind, margin)
+def packed_batch_loss(params, batch, kind, margin):
+    losses, _, _ = _packed_one_pass(params, batch, kind, margin)
     return float(losses.mean())
 
 
-def one_pass_backward(params, batch, kind, margin):
-    losses, cache, tower_grads = _one_pass(params, batch, kind, margin)
+def packed_backward(params, batch, kind, margin):
+    losses, cache, tower_grads = _packed_one_pass(params, batch, kind, margin)
     n = len(losses)
     d_out = np.zeros((len(batch["x"]), params.arch.embed_dim))
     for t, g in enumerate(tower_grads):          # tower by tower, slot by slot
         for slot, row in enumerate(batch["rows"][:, t]):
             d_out[row] += g[slot] / n
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
-    _branch_backward(params, cache, d_out, grads)
+    _packed_branch_backward(params, cache, d_out, grads)
     return float(losses.mean()), grads

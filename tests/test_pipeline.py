@@ -5,10 +5,11 @@ import subprocess
 import sys
 from dataclasses import asdict, fields, is_dataclass, replace
 
+import numpy as np
 import pytest
 
 import termforge
-from termforge import cli, pipeline, seqmatch
+from termforge import cli, embednet, pipeline, seqmatch
 from termforge.baseline import LeaderParams
 from termforge.embednet import TrainConfig
 from termforge.mining import MiningConfig, load_manifest
@@ -605,6 +606,26 @@ def test_cli_config_error_is_one_logged_line(tmp_path, caplog, monkeypatch, stag
     [record] = caplog.records
     assert record.name == "termforge" and record.levelno == logging.ERROR
     assert message in record.getMessage()
+
+
+def test_cli_non_finite_embeddings_are_one_logged_line(tmp_path, caplog, monkeypatch):
+    """Embeddings that overflowed stop the run at recluster with one logged
+    line that names the row, and no clusters are written."""
+    original = embednet.embed_all
+
+    def overflowed(*args):
+        table = original(*args)
+        table[3] = np.inf
+        return table
+
+    monkeypatch.setattr(embednet, "embed_all", overflowed)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_blob(tmp_path / "wd", system="triplet")))
+    with caplog.at_level(logging.ERROR, logger="termforge"):
+        assert cli.main(["all", "--config", str(config_path)]) == 1
+    [record] = caplog.records
+    assert record.getMessage() == "embedding row 3 is not finite: column 0 is inf"
+    assert not (tmp_path / "wd" / "clusters_final.json").exists()
 
 
 def test_unknown_stage_rejected(tmp_path):

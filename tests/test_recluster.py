@@ -421,6 +421,21 @@ def test_hdbscan_scale_guard(monkeypatch):
         hdbscan(np.zeros((11, 2)), params)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_hdbscan_refuses_non_finite_embeddings(monkeypatch, rng, bad):
+    """A table with non-finite entries in rows 17 and 30 is refused, naming
+    the first, before the distance matrix is built."""
+    points = rng.standard_normal((40, 4))
+    points[17, 2] = bad
+    points[30, 0] = bad
+    built = []
+    monkeypatch.setattr(recluster, "distance_matrix", built.append)
+    with pytest.raises(ValueError) as info:
+        hdbscan(points, HdbscanParams(min_cluster_size=5, min_samples=3))
+    assert str(info.value) == f"embedding row 17 is not finite: column 2 is {bad}"
+    assert built == []
+
+
 def test_hdbscan_holds_at_most_three_dense_matrices(rng):
     """One call's traced peak stays under four n x n float64 matrices: the
     distance matrix is built once, and no view keeps a dead matrix alive."""
