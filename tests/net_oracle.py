@@ -16,8 +16,10 @@ unless stated:
   template slot and one slot per input, and `packed_forward`,
   `packed_embed_all`, `packed_batch_loss` and `packed_backward` run the
   reference kernels once over it, with one forward over x and the same
-  gather and scatter order as termforge.embednet. The package reproduces
-  these bit for bit;
+  gather and scatter order as termforge.embednet. They take the choice
+  between the packed and the padded layout from the caller, so that the
+  package's rule for it is stated once; the package reproduces these bit
+  for bit;
 - the scalar contrastive and triplet losses, kept for closed-form tests.
 """
 
@@ -253,16 +255,7 @@ def _shortest_input(arch):
             frames += 1
 
 
-def _conv_macs(arch, frames):
-    """Multiply-adds of the three convolutions over an input of `frames`
-    frames."""
-    t1, _, t2, _, t3 = replace(arch, l_max=frames).time_lengths()
-    c1, c2, c3 = arch.conv_channels
-    k1, k2, k3 = arch.conv_kernels
-    return arch.feature_dim * k1 * c1 * t1 + c1 * k2 * c2 * t2 + c2 * k3 * c3 * t3
-
-
-def pack(arch, inputs):
+def pack(arch, inputs, packed):
     """The layout of `inputs`, frame matrices of at most l_max frames
     (longer ones are cut) whose frames after the last nonzero one are
     padding. Conv3 output t of an input reads its frames [t*s, t*s + span),
@@ -273,12 +266,12 @@ def pack(arch, inputs):
     from 0 to the last frame its data outputs read, zero-filled to a
     multiple of s so that every slot starts on a pooling boundary of both
     pools, then a template slot of zeros with one conv3 output. The padded
-    layout is one row of l_max frames per input. The layout is the one
-    whose convolutions take fewer multiply-adds, the padded one on a tie.
-    Returns the (rows, frames, feature_dim) input and the (B, T3) position
-    in the conv3 output flattened over its rows that each input's conv3
-    output t is read from: its own for a data output, the template's (-1,
-    the last) for a padding one."""
+    layout is one row of l_max frames per input. `packed` picks the layout:
+    which one runs is the package's choice, which this reference does not
+    make again. Returns the (rows, frames, feature_dim) input and the (B,
+    T3) position in the conv3 output flattened over its rows that each
+    input's conv3 output t is read from: its own for a data output, the
+    template's (-1, the last) for a padding one."""
     stride = arch.pool_width ** 2
     span = _shortest_input(arch)
     t3 = arch.time_lengths()[-1]
@@ -305,14 +298,14 @@ def pack(arch, inputs):
             keep = min(data, len(piece))
             piece[:keep] = frames[:keep]
             pieces.append(piece)
-    packed = np.concatenate(pieces + [np.zeros((slot(1), arch.feature_dim))])
-    if _conv_macs(arch, len(packed)) >= len(rows) * _conv_macs(arch, arch.l_max):
+    if not packed:
         return np.stack(rows), np.arange(len(rows) * t3).reshape(-1, t3)
-    return packed[None], np.array(gather, dtype=int).reshape(-1, t3)
+    sequence = np.concatenate(pieces + [np.zeros((slot(1), arch.feature_dim))])
+    return sequence[None], np.array(gather, dtype=int).reshape(-1, t3)
 
 
-def _packed_forward_cached(params, inputs):
-    x, gather = pack(params.arch, inputs)
+def _packed_forward_cached(params, inputs, packs):
+    x, gather = pack(params.arch, inputs, packs(inputs))
     cache = {"gather": gather}
     a3 = _conv_stack(params, x, cache)
     flat = a3.reshape(-1, a3.shape[2])[gather].reshape(len(gather), -1)
@@ -333,24 +326,26 @@ def _packed_branch_backward(params, cache, d_out, grads):
     _conv_stack_backward(params, cache, d3.reshape(cache["a3"].shape), grads)
 
 
-def packed_forward(params, inputs):
-    out, _ = _packed_forward_cached(params, inputs)
+def packed_forward(params, inputs, packs):
+    """Embeddings of `inputs` over the layout that `packs(inputs)`, a
+    predicate over a batch's frame matrices, picks: packed where true."""
+    out, _ = _packed_forward_cached(params, inputs, packs)
     return out
 
 
-def packed_embed_all(params, segments, corpus, chunk_size=256):
+def packed_embed_all(params, segments, corpus, packs, chunk_size=256):
     rows = [packed_forward(params, [slice_features(corpus, seg)
-                                    for seg in segments[lo:lo + chunk_size]])
+                                    for seg in segments[lo:lo + chunk_size]], packs)
             for lo in range(0, len(segments), chunk_size)]
     if not rows:
         return np.zeros((0, params.arch.embed_dim))
     return np.concatenate(rows, axis=0)
 
 
-def _packed_one_pass(params, batch, kind, margin):
+def _packed_one_pass(params, batch, kind, margin, packs):
     """Per-example losses, the cache of one packed forward over batch["x"]
     and the gradient wrt each tower's gathered embeddings."""
-    e, cache = _packed_forward_cached(params, batch["x"])
+    e, cache = _packed_forward_cached(params, batch["x"], packs)
     rows = batch["rows"]
     if kind == "siamese":
         losses, g0 = _contrastive_batch(e[rows[:, 0]], e[rows[:, 1]], batch["y"], margin)
@@ -362,13 +357,13 @@ def _packed_one_pass(params, batch, kind, margin):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def packed_batch_loss(params, batch, kind, margin):
-    losses, _, _ = _packed_one_pass(params, batch, kind, margin)
+def packed_batch_loss(params, batch, kind, margin, packs):
+    losses, _, _ = _packed_one_pass(params, batch, kind, margin, packs)
     return float(losses.mean())
 
 
-def packed_backward(params, batch, kind, margin):
-    losses, cache, tower_grads = _packed_one_pass(params, batch, kind, margin)
+def packed_backward(params, batch, kind, margin, packs):
+    losses, cache, tower_grads = _packed_one_pass(params, batch, kind, margin, packs)
     n = len(losses)
     d_out = np.zeros((len(batch["x"]), params.arch.embed_dim))
     for t, g in enumerate(tower_grads):          # tower by tower, slot by slot
