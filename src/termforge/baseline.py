@@ -3,14 +3,13 @@
 Order-dependent by design: segments are processed in ascending id order, a
 segment joins the first cluster whose leader lies within radius T, and a new
 cluster may only be founded when the segment is at least a*T away from every
-existing leader. Segments failing both tests go to the nearest leader (kept,
-not dropped) unless ambiguous_policy="drop".
+existing leader. Segments failing both tests go to the nearest leader.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,6 @@ class LeaderParams:
     T: float = 0.4
     a: float = 1.8
     R: int = 3
-    ambiguous_policy: str = "nearest"   # or "drop"
 
     def validate(self) -> None:
         if not 0 < self.T <= 1:
@@ -35,8 +33,6 @@ class LeaderParams:
             raise ValueError("a must be positive")
         if self.R < 1:
             raise ValueError("R must be >= 1")
-        if self.ambiguous_policy not in ("nearest", "drop"):
-            raise ValueError("ambiguous_policy must be 'nearest' or 'drop'")
 
 
 @dataclass
@@ -44,7 +40,6 @@ class Cluster:
     id: int
     leader: int                       # segment id
     members: list[int]
-    nearest_assigned: set[int] = field(default_factory=set, compare=False)
 
 
 def leader_cluster(segments: list[Segment], params: LeaderParams) -> list[Cluster]:
@@ -55,8 +50,8 @@ def leader_cluster(segments: list[Segment], params: LeaderParams) -> list[Cluste
     Per distinct string it keeps the first leader within T and the first
     nearest leader with its distance. Between two foundings every segment
     is assigned at once from its string's entries: the first leader within
-    T, else the first nearest one (or dropped); the next founding is the
-    first segment at least a*T from every leader. A new leader's normalized
+    T, else the first nearest one; the next founding is the first segment
+    at least a*T from every leader. A new leader's normalized
     distances come from one batched kernel call over the distinct strings
     that still matter: those with no leader within T that occur later.
     """
@@ -73,10 +68,8 @@ def leader_cluster(segments: list[Segment], params: LeaderParams) -> list[Cluste
     nearest = np.full(len(table.strings), -1)
     nearest_dist = np.full(len(table.strings), np.inf)
     founding_gap = params.a * params.T
-    keep_ambiguous = params.ambiguous_policy == "nearest"
 
     target = np.full(len(eligible), -1)       # cluster of each eligible segment
-    ambiguous = np.zeros(len(eligible), dtype=bool)   # no leader within T
     leaders: list[int] = []
     start = 0
     while start < len(eligible):
@@ -84,9 +77,7 @@ def leader_cluster(segments: list[Segment], params: LeaderParams) -> list[Cluste
         stop = start + (int(founds.argmax()) if founds.any() else len(founds))
         block = strings[start:stop]
         within = first_within[block]
-        ambiguous[start:stop] = within < 0
-        target[start:stop] = np.where(within >= 0, within,
-                                      nearest[block] if keep_ambiguous else -1)
+        target[start:stop] = np.where(within >= 0, within, nearest[block])
         if stop == len(eligible):
             break
         k = len(leaders)
@@ -104,11 +95,10 @@ def leader_cluster(segments: list[Segment], params: LeaderParams) -> list[Cluste
 
     # each cluster's members in processing order: a stable sort by cluster
     ids = np.array([s.id for s in eligible], dtype=np.int64)
-    kept = np.argsort(target, kind="stable")[np.count_nonzero(target < 0):]
-    bounds = np.cumsum(np.bincount(target[kept], minlength=len(leaders)))[:-1]
-    return [Cluster(id=k, leader=int(ids[leader]), members=ids[rows].tolist(),
-                    nearest_assigned=set(ids[rows[ambiguous[rows]]].tolist()))
-            for k, (leader, rows) in enumerate(zip(leaders, np.split(kept, bounds)))]
+    order = np.argsort(target, kind="stable")
+    bounds = np.cumsum(np.bincount(target[order], minlength=len(leaders)))[:-1]
+    return [Cluster(id=k, leader=int(ids[leader]), members=ids[rows].tolist())
+            for k, (leader, rows) in enumerate(zip(leaders, np.split(order, bounds)))]
 
 
 def cluster_set_stats(clusters: list[Cluster]) -> dict:

@@ -7,7 +7,8 @@ A corpus directory contains:
                     frames*dim float32 values, row-major, little-endian
     <id>.sym        line 1: subword symbols, line 2: start frames,
                     line 3: end frames (all space-separated integers)
-    gold.json       optional word-level ground truth
+    gold.json       optional word-level ground truth, per utterance in the
+                    shape of `UtteranceGold`, which gold lookups bisect
 
 Feature payloads are float32 so that write -> load round-trips are bit-exact.
 A Corpus is immutable after load and safe for concurrent readers.
@@ -92,27 +93,25 @@ class GoldToken:
 
 @dataclass
 class UtteranceGold:
-    boundaries: tuple[int, ...]                # frame indices, first=0, last=frames
-    tokens: tuple[GoldToken, ...]              # word tokens only (fillers excluded)
-    true_symbols: tuple[int, ...]              # pre-noise transcription, fillers included
-    true_spans: tuple[tuple[int, int], ...]
+    """One utterance's gold in the shape of gold.json, and its lookup index.
 
-
-@dataclass(frozen=True)
-class GoldIndex:
-    """One utterance's gold edges, each list sorted, for lookups by bisection.
-
-    True spans and word tokens are sorted by start and do not overlap, so
-    their ends are sorted as well: the spans that overlap [start, end) are
-    the run from bisect_right(ends, start) to bisect_left(starts, end).
+    True spans and word tokens are sorted by start and do not overlap
+    (`GoldAnnotation` checks this), so their ends are sorted as well: the
+    spans that overlap [start, end) are the run from bisect_right(ends,
+    start) to bisect_left(starts, end).
     """
 
-    true_symbols: tuple[int, ...]
-    true_starts: list[int]
-    true_ends: list[int]
-    token_starts: list[int]
-    token_ends: list[int]
-    boundaries: tuple[int, ...]                # strictly increasing
+    boundaries: tuple[int, ...]                # strictly increasing, first=0, last=frames
+    tokens: tuple[GoldToken, ...]              # word tokens only (fillers excluded)
+    true_symbols: tuple[int, ...]              # pre-noise transcription, fillers included
+    true_starts: tuple[int, ...]               # frame span of each true symbol
+    true_ends: tuple[int, ...]
+    token_starts: list[int] = field(init=False, compare=False)
+    token_ends: list[int] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        self.token_starts = [t.start for t in self.tokens]
+        self.token_ends = [t.end for t in self.tokens]
 
     def tokens_overlapping(self, start: int, end: int) -> slice:
         """The run of word tokens that overlap frames [start, end)."""
@@ -132,53 +131,34 @@ class GoldIndex:
         return tuple(out)
 
 
-def _sorted_edges(utt_id: str, what: str, spans) -> tuple[list[int], list[int]]:
-    """(starts, ends) of spans that must be sorted by start and non-overlapping."""
-    starts: list[int] = []
-    ends: list[int] = []
-    for start, end in spans:
-        if end < start or (ends and start < ends[-1]):
-            raise CorpusError(f"{utt_id}: gold {what} must be sorted by start "
-                              "and non-overlapping")
-        starts.append(start)
-        ends.append(end)
-    return starts, ends
-
-
 @dataclass
 class GoldAnnotation:
-    """Word-level ground truth per utterance; not to be changed once read,
-    because `index` keeps what it builds."""
+    """Word-level ground truth per utterance. Raises CorpusError naming the
+    utterance when its true spans or word tokens are not sorted by start and
+    non-overlapping, or its boundaries are not strictly increasing, since a
+    bisection over them would mis-score without any error."""
 
     utterances: dict[str, UtteranceGold]
-    _indexes: dict[str, GoldIndex] = field(default_factory=dict, init=False,
-                                           repr=False, compare=False)
 
-    def index(self, utt_id: str) -> GoldIndex:
-        """The GoldIndex of one utterance, built and checked on first use.
-
-        Raises CorpusError naming the utterance when its true spans or word
-        tokens are not sorted by start and non-overlapping, or its boundaries
-        are not strictly increasing, since a bisection over them would
-        mis-score without any error; KeyError when it has no gold.
-        """
-        index = self._indexes.get(utt_id)
-        if index is None:
-            gold = self.utterances[utt_id]
+    def __post_init__(self):
+        for utt_id, gold in self.utterances.items():
             bounds = gold.boundaries
             if any(b >= c for b, c in zip(bounds, bounds[1:])):
                 raise CorpusError(f"{utt_id}: gold boundaries must be strictly sorted")
-            index = GoldIndex(
-                gold.true_symbols,
-                *_sorted_edges(utt_id, "true spans", gold.true_spans),
-                *_sorted_edges(utt_id, "tokens", ((t.start, t.end) for t in gold.tokens)),
-                bounds)
-            self._indexes[utt_id] = index
-        return index
+            if not len(gold.true_symbols) == len(gold.true_starts) == len(gold.true_ends):
+                raise CorpusError(f"{utt_id}: gold true_symbols, true_starts and "
+                                  "true_ends must have one entry per symbol")
+            for what, starts, ends in (
+                    ("true spans", gold.true_starts, gold.true_ends),
+                    ("tokens", gold.token_starts, gold.token_ends)):
+                if (any(e < s for s, e in zip(starts, ends))
+                        or any(s < e for s, e in zip(starts[1:], ends))):
+                    raise CorpusError(f"{utt_id}: gold {what} must be sorted by start "
+                                      "and non-overlapping")
 
     def validate(self, corpus: "Corpus") -> None:
         """Gold for exactly the corpus's utterances, each ending at the
-        utterance's last frame and indexable."""
+        utterance's last frame."""
         if set(self.utterances) != set(corpus.ids):
             raise CorpusError("gold must annotate exactly the corpus utterances: "
                               f"missing {sorted(set(corpus.ids) - set(self.utterances))}, "
@@ -188,7 +168,6 @@ class GoldAnnotation:
             bounds = gold.boundaries
             if not bounds or bounds[0] != 0 or bounds[-1] != frames:
                 raise CorpusError(f"{utt_id}: gold boundaries must start at 0 and end at {frames}")
-            self.index(utt_id)
 
 
 class Corpus:
@@ -326,8 +305,8 @@ def write_gold(gold: GoldAnnotation, path) -> None:
                 for t in g.tokens
             ],
             "true_symbols": list(g.true_symbols),
-            "true_starts": [s for s, _ in g.true_spans],
-            "true_ends": [e for _, e in g.true_spans],
+            "true_starts": list(g.true_starts),
+            "true_ends": list(g.true_ends),
         }
     write_json(path, blob)
 
@@ -340,11 +319,11 @@ def load_gold(path) -> GoldAnnotation:
             GoldToken(t["word"], t["start"], t["end"], tuple(t["symbols"]))
             for t in g["tokens"]
         )
-        spans = tuple(zip(g["true_starts"], g["true_ends"]))
         utterances[utt_id] = UtteranceGold(
             boundaries=tuple(g["boundaries"]),
             tokens=tokens,
             true_symbols=tuple(g["true_symbols"]),
-            true_spans=spans,
+            true_starts=tuple(g["true_starts"]),
+            true_ends=tuple(g["true_ends"]),
         )
     return GoldAnnotation(utterances)

@@ -12,14 +12,14 @@ ids to their segments and gold words once, and each metric reads that. A
 clustering is a partition, no segment in two clusters, as
 `baseline.validate_partition` checks and every stage writes.
 
-Gold lookups bisect a per-utterance index (`GoldAnnotation.index`: sorted
-starts and ends of the true spans and word tokens, and the boundaries)
-instead of scanning the utterance: a segment's gold string, its gold word,
-the tokens its edges match and the boundaries an edge matches each take a
-bisection and a look at the few spans it finds. `ned` sums its pair values
-in blocks of rows, one `np.add.accumulate` per block; the sum stays
-sequential, in pair order, so its floats are those of a pair-by-pair loop,
-and a block holds at most NED_BLOCK values however large a cluster is.
+Gold lookups bisect each utterance's `UtteranceGold`, whose true spans,
+word tokens and boundaries are sorted, instead of scanning it: a
+segment's gold string, its gold word, the tokens its edges match and the
+boundaries an edge matches each take a bisection and a look at the few
+spans it finds. `ned` sums its pair values in blocks of rows, one
+`np.add.accumulate` per block; the sum stays sequential, in pair order, so
+its floats are those of a pair-by-pair loop, and a block holds at most
+NED_BLOCK values however large a cluster is.
 """
 
 from __future__ import annotations
@@ -77,12 +77,6 @@ def _prf(precision, recall) -> PRF:
     return PRF(precision, recall, f_score(precision, recall))
 
 
-def _gold_string(gold: GoldAnnotation, segment: Segment) -> tuple[int, ...]:
-    """Gold transcription of a segment: the true symbols it overlaps by at
-    least half their duration."""
-    return gold.index(segment.utterance_id).overlapped_symbols(segment.start, segment.end)
-
-
 def resolve(clusters: list[Cluster], segments: list[Segment],
             gold: GoldAnnotation) -> tuple[list[list[Segment]], list[list[int]]]:
     """(members, labels) of a clustering, a partition of some of `segments`.
@@ -111,7 +105,8 @@ def ned(members: list[list[Segment]], gold: GoldAnnotation) -> float | None:
     np.add.accumulate per block of a cluster's rows, each block holding at
     most NED_BLOCK pair values (a single row may hold more).
     """
-    table = StringTable(_gold_string(gold, seg) for group in members for seg in group)
+    table = StringTable(gold.utterances[seg.utterance_id].overlapped_symbols(seg.start, seg.end)
+                        for group in members for seg in group)
     n_strings = len(table.strings)
     sizes = np.cumsum([len(group) for group in members], dtype=np.intp)
     # per cluster: its distinct strings and each member's index among them
@@ -206,14 +201,14 @@ def token_type_prf(members: list[list[Segment]], labels: list[list[int]],
     n_matched = 0
     matched_tokens: set[tuple[str, int]] = set()
     for seg in chain.from_iterable(members):
-        if seg.utterance_id not in gold.utterances:
+        utt = gold.utterances.get(seg.utterance_id)
+        if utt is None:
             continue
-        index = gold.index(seg.utterance_id)
         # tokens whose start lies within TOLERANCE of the segment's
-        lo = bisect_left(index.token_starts, seg.start - TOLERANCE)
-        hi = bisect_right(index.token_starts, seg.start + TOLERANCE, lo)
+        lo = bisect_left(utt.token_starts, seg.start - TOLERANCE)
+        hi = bisect_right(utt.token_starts, seg.start + TOLERANCE, lo)
         hits = {(seg.utterance_id, token_idx) for token_idx in range(lo, hi)
-                if abs(seg.end - index.token_ends[token_idx]) <= TOLERANCE}
+                if abs(seg.end - utt.token_ends[token_idx]) <= TOLERANCE}
         n_matched += bool(hits)
         matched_tokens |= hits
 
@@ -255,8 +250,8 @@ def boundary_prf(members: list[list[Segment]], gold: GoldAnnotation) -> PRF:
     n_discovered_hit = 0
     n_gold = 0
     n_gold_hit = 0
-    for utt_id in gold.utterances:
-        gold_bounds = gold.index(utt_id).boundaries
+    for utt_id, utt in gold.utterances.items():
+        gold_bounds = utt.boundaries
         found = sorted(discovered.get(utt_id, ()))
         n_discovered += len(found)
         n_gold += len(gold_bounds)

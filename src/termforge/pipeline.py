@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -61,7 +62,8 @@ class PipelineConfig:
 
     def validate(self) -> None:
         """Every setting, so that a bad value stops the run before any stage
-        writes; a bad section value raises a PipelineError naming the section."""
+        writes; a bad section value, such as a float that is NaN or
+        infinite, raises a PipelineError naming the section."""
         if self.system not in SYSTEMS:
             raise PipelineError(f"system must be one of {SYSTEMS}, got {self.system!r}")
         if self.extraction not in EXTRACTIONS:
@@ -77,6 +79,10 @@ class PipelineConfig:
             settings = getattr(self, section.name)
             if is_dataclass(settings):
                 try:
+                    for setting in fields(settings):
+                        value = getattr(settings, setting.name)
+                        if isinstance(value, float) and not math.isfinite(value):
+                            raise ValueError(f"{setting.name} must be finite, got {value}")
                     settings.validate()
                 except ValueError as exc:
                     raise PipelineError(

@@ -27,6 +27,9 @@ from .util import ScaleError
 # Bytes one n x n float64 matrix may take: n = 20,000 points, 3.2 GB. A
 # call's peak is three such matrices, inside mutual_reachability.
 DENSE_MATRIX_BYTES = 8 * 20_000**2
+# Largest squared row norm a call takes: every term of a squared distance
+# is at most 4 * max |x|^2, so below this none overflows float64.
+MAX_SQUARED_NORM = np.finfo(np.float64).max / 4
 
 
 @dataclass
@@ -331,7 +334,8 @@ def extract(tree: CondensedTree, epsilon: float = 0.0) -> np.ndarray:
 def hdbscan(embeddings: np.ndarray, params: HdbscanParams) -> HdbscanResult:
     """Full pipeline: distance matrix -> core distances -> mutual
     reachability -> MST -> single linkage -> condense -> cluster selection.
-    A NaN or infinite entry raises a ValueError naming its row before any
+    A NaN or infinite entry, or a row whose squared norm exceeds
+    MAX_SQUARED_NORM, raises a ValueError naming its row before any
     distance is computed."""
     params.validate()
     embeddings = np.asarray(embeddings, dtype=np.float64)
@@ -340,6 +344,12 @@ def hdbscan(embeddings: np.ndarray, params: HdbscanParams) -> HdbscanResult:
         row, col = np.argwhere(~finite)[0]
         raise ValueError(f"embedding row {row} is not finite: column {col} is "
                          f"{embeddings[row, col]}")
+    with np.errstate(over="ignore"):
+        too_large = np.einsum("ij,ij->i", embeddings, embeddings) > MAX_SQUARED_NORM
+    if too_large.any():
+        raise ValueError(f"embedding row {too_large.argmax()} is too large: its squared "
+                         f"norm exceeds {MAX_SQUARED_NORM:.4g}, where float64 distances "
+                         "overflow")
     n = len(embeddings)
     if n <= max(params.min_samples, params.min_cluster_size):
         raise ValueError(

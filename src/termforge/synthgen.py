@@ -183,7 +183,8 @@ def generate(config: SynthConfig, seed: int) -> tuple[Corpus, GoldAnnotation]:
             boundaries=tuple(boundaries),
             tokens=tuple(gold_tokens),
             true_symbols=tuple(true_symbols),
-            true_spans=tuple(spans),
+            true_starts=tuple(start for start, _ in spans),
+            true_ends=tuple(end for _, end in spans),
         )
         assert boundaries[-1] == total_frames
 
@@ -197,12 +198,11 @@ def gold_segment_label(gold: GoldAnnotation, segment: Segment) -> int | None:
     """Gold word whose token overlaps the segment by more than half in both
     directions (strictly, so a segment spanning two equal words stays
     unlabelled). Only the tokens that overlap the segment at all, found by
-    bisecting the utterance's gold index, are looked at."""
+    bisecting the utterance's gold tokens, are looked at."""
     utt_gold = gold.utterances.get(segment.utterance_id)
     if utt_gold is None:
         return None
-    overlapping = gold.index(segment.utterance_id).tokens_overlapping(
-        segment.start, segment.end)
+    overlapping = utt_gold.tokens_overlapping(segment.start, segment.end)
     seg_len = segment.end - segment.start
     best: tuple[int, int, int] | None = None   # (-overlap, token start, word id)
     for token in utt_gold.tokens[overlapping]:

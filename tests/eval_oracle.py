@@ -51,7 +51,8 @@ def gold_segment_label(gold, segment):
 
 def _gold_string(gold, segment):
     utt = gold.utterances[segment.utterance_id]
-    return overlapped_symbols(utt.true_symbols, utt.true_spans, segment.start, segment.end)
+    return overlapped_symbols(utt.true_symbols, zip(utt.true_starts, utt.true_ends),
+                              segment.start, segment.end)
 
 
 def resolved_ned(members, gold):

@@ -62,9 +62,8 @@ def leader_cluster(segments, params):
         if nearest_idx < 0 or nearest_dist >= founding_gap:
             clusters.append(Cluster(id=len(clusters), leader=seg.id, members=[seg.id]))
             leader_symbols.append(seg.symbols)
-        elif params.ambiguous_policy == "nearest":
+        else:
             clusters[nearest_idx].members.append(seg.id)
-            clusters[nearest_idx].nearest_assigned.add(seg.id)
     return clusters
 
 
@@ -94,16 +93,14 @@ def leader_cluster_table(segments, params):
                 to_leader = np.concatenate([to_leader, np.empty_like(to_leader)], axis=1)
             to_leader[:, len(clusters)] = table.normalized(string, every_string)
             clusters.append(Cluster(id=len(clusters), leader=seg.id, members=[seg.id]))
-        elif params.ambiguous_policy == "nearest":
+        else:
             clusters[nearest].members.append(seg.id)
-            clusters[nearest].nearest_assigned.add(seg.id)
-        # "drop": ambiguous segment is discarded
     return clusters
 
 
 def gold_string(gold_utt, start, end, min_overlap=0.5):
     out = []
-    for sym, (s, e) in zip(gold_utt.true_symbols, gold_utt.true_spans):
+    for sym, s, e in zip(gold_utt.true_symbols, gold_utt.true_starts, gold_utt.true_ends):
         inter = min(end, e) - max(start, s)
         if inter > 0 and inter >= min_overlap * (e - s):
             out.append(sym)

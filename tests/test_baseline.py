@@ -45,14 +45,7 @@ def test_nearest_assignment_flagged():
     segments = [seg(0, [1, 2, 3, 4]), seg(1, [1, 2, 5, 6])]
     clusters = leader_cluster(segments, LeaderParams(T=0.4, a=1.8))
     assert len(clusters) == 1
-    assert clusters[0].nearest_assigned == {1}
-
-
-def test_drop_policy_discards_ambiguous():
-    segments = [seg(0, [1, 2, 3, 4]), seg(1, [1, 2, 5, 6])]
-    clusters = leader_cluster(segments, LeaderParams(ambiguous_policy="drop"))
-    assert len(clusters) == 1
-    assert clusters[0].members == [0]
+    assert clusters[0].members == [0, 1]
 
 
 def test_five_word_zero_noise_corpus_matches_gold():
@@ -89,7 +82,8 @@ def test_membership_radius_or_flag(rng):
         leader_syms = by_id[cluster.leader].symbols
         for member in cluster.members:
             dist = normalized_levenshtein(by_id[member].symbols, leader_syms)
-            assert dist <= params.T or member in cluster.nearest_assigned
+            # within T, or the nearest leader of a segment too close to found one
+            assert dist < params.a * params.T
 
 
 def test_leader_separation(rng):
@@ -144,8 +138,7 @@ def leader_inputs(draw):
     segments = [seg(i, s) for i, s in zip(ids, strings)]
     params = LeaderParams(T=draw(st.sampled_from([0.2, 0.25, 1 / 3, 0.4, 0.5, 1.0])),
                           a=draw(st.sampled_from([0.5, 1.0, 1.5, 1.8, 2.0, 3.0])),
-                          R=draw(st.integers(1, 3)),
-                          ambiguous_policy=draw(st.sampled_from(["nearest", "drop"])))
+                          R=draw(st.integers(1, 3)))
     return segments, params
 
 
@@ -153,7 +146,6 @@ def assert_same_clustering(segments, params, oracle=lev_oracle.leader_cluster):
     expected = oracle(segments, params)
     found = leader_cluster(segments, params)
     assert found == expected
-    assert [c.nearest_assigned for c in found] == [c.nearest_assigned for c in expected]
 
 
 # T = 0.25, a = 2: (1,2,5,5) is at 0.5 == a * T from (1,2,3,4) and founds;
@@ -165,8 +157,7 @@ TIES = [seg(i, s) for i, s in enumerate([(1, 2, 3, 4), (1, 2, 5, 5), (1, 2, 3, 5
 
 
 @given(leader_inputs())
-@example((TIES, LeaderParams(T=0.25, a=2.0, R=1, ambiguous_policy="nearest")))
-@example((TIES, LeaderParams(T=0.25, a=2.0, R=1, ambiguous_policy="drop")))
+@example((TIES, LeaderParams(T=0.25, a=2.0, R=1)))
 @settings(max_examples=300)
 def test_leader_cluster_matches_per_segment_loop(case):
     assert_same_clustering(*case, oracle=lev_oracle.leader_cluster_table)
@@ -178,14 +169,13 @@ def test_leader_cluster_matches_reference(case):
     assert_same_clustering(*case)
 
 
-@pytest.mark.parametrize("policy", ["nearest", "drop"])
-def test_leader_cluster_exact_ties_match_reference(policy):
+def test_leader_cluster_exact_ties_match_reference():
     # d((1,2,3,4), (1,2,3,5)) = 0.25 == T joins; d = 0.5 == a * T founds a
     # new leader; d = 0.375 lies between, so the segment is ambiguous
     strings = [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 5, 5), (1, 2, 3, 4, 9, 9, 9, 9),
                (1, 2, 3, 4), (5, 5, 3, 4, 9, 9, 9, 8), (1, 2, 5, 5)]
     segments = [seg(i, s) for i, s in enumerate(strings)]
-    params = LeaderParams(T=0.25, a=2.0, R=1, ambiguous_policy=policy)
+    params = LeaderParams(T=0.25, a=2.0, R=1)
     assert_same_clustering(segments, params)
     assert len(leader_cluster(segments, params)) == 3
 

@@ -1,15 +1,14 @@
-from dataclasses import replace
+import json
 
 import numpy as np
 import pytest
 
-from termforge.baseline import Cluster
-from termforge.corpus import (Corpus, CorpusError, GoldAnnotation, GoldToken, Segment,
+from termforge.corpus import (Corpus, CorpusError, GoldAnnotation, Segment,
                               Utterance, UtteranceGold, load_corpus, load_gold,
                               slice_features, write_corpus, write_gold)
-from termforge.evaluation import report
+from termforge.synthgen import SynthConfig, generate
 
-from conftest import make_corpus, make_segment, make_utterance
+from conftest import make_corpus, make_segment
 
 
 def test_round_trip_two_utterances(tmp_path, rng):
@@ -113,44 +112,65 @@ def test_slice_shape_property(rng):
 
 
 def test_symbols_in_span_overlap_rule():
-    utt = make_utterance("u0", [7, 8, 9], frames_per_symbol=4)
-    gold = GoldAnnotation({"u0": UtteranceGold((0, 12), (), utt.transcription,
-                                               utt.frame_spans)})
     # spans: [0,4) [4,8) [8,12); cover half of the middle symbol exactly
+    gold = GoldAnnotation({"u0": UtteranceGold((0, 12), (), (7, 8, 9), (0, 4, 8),
+                                               (4, 8, 12))})
+
     def symbols_in_span(start, end):
-        return gold.index("u0").overlapped_symbols(start, end)
+        return gold.utterances["u0"].overlapped_symbols(start, end)
 
     assert symbols_in_span(0, 6) == (7, 8)
     assert symbols_in_span(0, 5) == (7,)
     assert symbols_in_span(4, 12) == (8, 9)
 
 
-@pytest.mark.parametrize("field, value, what", [
-    ("true_spans", ((2, 4), (0, 2)), "true spans"),
-    ("tokens", (GoldToken(1, 2, 4, (2,)), GoldToken(0, 0, 2, (1,))), "tokens"),
-    ("tokens", (GoldToken(0, 0, 3, (1, 2)), GoldToken(1, 2, 4, (2,))), "tokens"),
-], ids=["spans-unsorted", "tokens-unsorted", "tokens-overlapping"])
-def test_out_of_order_gold_is_refused(tmp_path, field, value, what):
+IN_ORDER_GOLD = {"boundaries": [0, 2, 4],
+                 "tokens": [{"word": 0, "start": 0, "end": 2, "symbols": [1]},
+                            {"word": 1, "start": 2, "end": 4, "symbols": [2]}],
+                 "true_symbols": [1, 2], "true_starts": [0, 2], "true_ends": [2, 4]}
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"true_starts": [2, 0], "true_ends": [4, 2]},
+     "gold true spans must be sorted by start and non-overlapping"),
+    ({"tokens": IN_ORDER_GOLD["tokens"][::-1]},
+     "gold tokens must be sorted by start and non-overlapping"),
+    ({"tokens": [{"word": 0, "start": 0, "end": 3, "symbols": [1, 2]},
+                 {"word": 1, "start": 2, "end": 4, "symbols": [2]}]},
+     "gold tokens must be sorted by start and non-overlapping"),
+    ({"boundaries": [0, 2, 2, 4]}, "gold boundaries must be strictly sorted"),
+    ({"true_ends": [2]}, "gold true_symbols, true_starts and true_ends must have one "
+     "entry per symbol"),
+], ids=["spans-unsorted", "tokens-unsorted", "tokens-overlapping", "boundaries-repeated",
+        "spans-short"])
+def test_out_of_order_gold_is_refused(tmp_path, entry, message):
     # a bisection over such spans would mis-score without any error
-    utt = make_utterance("u 7", [1, 2], frames_per_symbol=2)
-    corpus = Corpus(4, 55, [utt])
-    gold = UtteranceGold(boundaries=(0, 2, 4),
-                         tokens=(GoldToken(0, 0, 2, (1,)), GoldToken(1, 2, 4, (2,))),
-                         true_symbols=(1, 2), true_spans=((0, 2), (2, 4)))
-    write_gold(GoldAnnotation({"u 7": replace(gold, **{field: value})}), tmp_path / "gold.json")
-    message = f"u 7: gold {what} must be sorted by start and non-overlapping"
-    with pytest.raises(CorpusError, match=message):
-        load_gold(tmp_path / "gold.json").validate(corpus)
-    segments = [Segment(0, "u 7", 0, 2, (1,))]
-    with pytest.raises(CorpusError, match=message):
-        report([Cluster(0, 0, [0])], segments, load_gold(tmp_path / "gold.json"))
+    path = tmp_path / "gold.json"
+    path.write_text(json.dumps({"utterances": {"u 7": IN_ORDER_GOLD}}))
+    load_gold(path)
+    path.write_text(json.dumps({"utterances": {"u 7": {**IN_ORDER_GOLD, **entry}}}))
+    with pytest.raises(CorpusError, match=f"^u 7: {message}$"):
+        load_gold(path)
+
+
+def test_gold_round_trips_through_json(tmp_path):
+    _, gold = generate(SynthConfig(vocabulary_size=4, occurrences_per_word=3,
+                                   filler_rate=0.5, words_per_utterance=3), 5)
+    write_gold(gold, tmp_path / "gold.json")
+    loaded = load_gold(tmp_path / "gold.json")
+    assert loaded == gold
+    for utt_id, utt in loaded.utterances.items():
+        assert utt.token_starts == gold.utterances[utt_id].token_starts
+        assert utt.token_ends == gold.utterances[utt_id].token_ends
+    write_gold(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "gold.json").read_bytes()
 
 
 def test_gold_of_other_utterances_is_refused():
     # coverage counts each utterance's frames from its last gold boundary
     corpus = make_corpus([[1, 2], [3, 4]])
     gold = UtteranceGold(boundaries=(0, 4), tokens=(), true_symbols=(1, 2),
-                         true_spans=((0, 2), (2, 4)))
+                         true_starts=(0, 2), true_ends=(2, 4))
     with pytest.raises(CorpusError, match=r"missing \['u1'\], extra \[\]"):
         GoldAnnotation({"u0": gold}).validate(corpus)
     with pytest.raises(CorpusError, match=r"missing \[\], extra \['u2'\]"):

@@ -38,7 +38,8 @@ def toy_world():
             boundaries=(0, 6, 12),
             tokens=(GoldToken(0, 0, 6, (1, 2, 3)), GoldToken(1, 6, 12, (4, 5, 6))),
             true_symbols=(1, 2, 3, 4, 5, 6),
-            true_spans=((0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 12)),
+            true_starts=(0, 2, 4, 6, 8, 10),
+            true_ends=(2, 4, 6, 8, 10, 12),
         )
         for uid in ("u0", "u1")
     })
@@ -317,7 +318,7 @@ def scored_worlds(draw):
                                         tuple(symbols[k:k + width])))
             k += width
         utterances[utt_id] = UtteranceGold(tuple(sorted(bounds)), tuple(tokens),
-                                           tuple(symbols), tuple(spans))
+                                           tuple(symbols), *map(tuple, zip(*spans)))
     segments = []
     for seg_id in range(draw(st.integers(0, 30))):
         utt_id = draw(st.sampled_from(sorted(utterances)))
@@ -328,7 +329,7 @@ def scored_worlds(draw):
             start, end = draw(st.sampled_from([(token.start, token.start + half),
                                                (token.end - half, token.end)]))
         else:
-            frames = utterances[utt_id].true_spans[-1][1]
+            frames = utterances[utt_id].true_ends[-1]
             start = draw(st.integers(0, frames - 1))
             end = draw(st.integers(start + 1, frames))
         segments.append(Segment(seg_id, utt_id, start, end, (0,)))
@@ -353,7 +354,7 @@ EDGE_WORLD = (
         boundaries=(0, 4, 6, 14),
         tokens=(GoldToken(0, 0, 4, (1, 2)), GoldToken(1, 8, 14, (4, 5, 6))),
         true_symbols=(1, 2, 3, 4, 5, 6),
-        true_spans=((0, 2), (2, 4), (4, 6), (8, 10), (10, 12), (12, 14)))}),
+        true_starts=(0, 2, 4, 8, 10, 12), true_ends=(2, 4, 6, 10, 12, 14))}),
 )
 
 
@@ -364,8 +365,9 @@ def test_bisected_gold_lookups_match_scans(world, ned_block):
     clusters, segments, gold = world
     for seg in segments:
         utt = gold.utterances[seg.utterance_id]
-        assert (gold.index(seg.utterance_id).overlapped_symbols(seg.start, seg.end)
-                == eval_oracle.overlapped_symbols(utt.true_symbols, utt.true_spans,
+        assert (utt.overlapped_symbols(seg.start, seg.end)
+                == eval_oracle.overlapped_symbols(utt.true_symbols,
+                                                  zip(utt.true_starts, utt.true_ends),
                                                   seg.start, seg.end))
         assert gold_segment_label(gold, seg) == eval_oracle.gold_segment_label(gold, seg)
     members, labels = resolve(clusters, segments, gold)
@@ -391,7 +393,7 @@ def test_ned_with_empty_gold_strings_matches_reference():
     # it touches has an empty gold string
     gold = GoldAnnotation({"u0": UtteranceGold(
         boundaries=(0, 12), tokens=(GoldToken(0, 0, 12, (1, 2, 3, 4)),),
-        true_symbols=(1, 2, 3, 4), true_spans=((0, 3), (3, 6), (6, 9), (9, 12)))})
+        true_symbols=(1, 2, 3, 4), true_starts=(0, 3, 6, 9), true_ends=(3, 6, 9, 12))})
     spans = [(0, 1), (1, 2), (0, 3), (2, 5), (0, 6), (10, 11), (3, 12)]
     segments = [Segment(k, "u0", start, end, (1,)) for k, (start, end) in enumerate(spans)]
     strings = [lev_oracle.gold_string(gold.utterances["u0"], start, end)
@@ -430,8 +432,8 @@ def test_grouping_matches_pair_loop(world):
 def corpus_of(gold):
     """A corpus whose utterances have the frames and symbols of the gold."""
     return Corpus(1, 4, [
-        Utterance(utt_id, np.zeros((utt.true_spans[-1][1], 1), dtype=np.float32),
-                  utt.true_symbols, utt.true_spans)
+        Utterance(utt_id, np.zeros((utt.true_ends[-1], 1), dtype=np.float32),
+                  utt.true_symbols, tuple(zip(utt.true_starts, utt.true_ends)))
         for utt_id, utt in gold.utterances.items()])
 
 

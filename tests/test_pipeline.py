@@ -190,7 +190,7 @@ LEAF_SETTINGS = [
     "synth.words_per_utterance", "synth.min_word_separation",
     "align.match_score", "align.mismatch_penalty", "align.gap_penalty",
     "align.min_align_score", "align.min_length",
-    "leader.T", "leader.a", "leader.R", "leader.ambiguous_policy",
+    "leader.T", "leader.a", "leader.R",
     "mining.thres_mu_s", "mining.thres_sigma_s", "mining.thres_mu_d",
     "mining.thres_sigma_d", "mining.n_siamese", "mining.n_triplet",
     "train.margin", "train.learning_rate", "train.batch_size", "train.max_epochs",
@@ -230,16 +230,21 @@ def leaf_settings(config):
 
 def test_config_settings_are_the_pinned_list():
     assert leaf_settings(PipelineConfig()) == LEAF_SETTINGS
-    assert len(LEAF_SETTINGS) == 38
+    assert len(LEAF_SETTINGS) == 37
+
+
+def setting_value(config, path):
+    name, _, sub = path.partition(".")
+    return getattr(getattr(config, name), sub) if sub else getattr(config, name)
 
 
 def other_valid_value(config, path):
     """`config` with the setting at `path` changed to the first of a few
     other values that the config accepts."""
     name, _, sub = path.partition(".")
-    value = getattr(getattr(config, name), sub) if sub else getattr(config, name)
+    value = setting_value(config, path)
     if isinstance(value, str):
-        candidates = ["elsewhere", "siamese", "hybrid", "drop"]
+        candidates = ["elsewhere", "siamese", "hybrid"]
     elif isinstance(value, tuple):
         candidates = [(value[0], value[1] + 1)]
     else:
@@ -268,6 +273,21 @@ def test_setting_change_reruns_exactly_its_stages(path):
     assert changed == HASHED_BY[path.partition(".")[0]]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path", [path for path in LEAF_SETTINGS
+                                  if isinstance(setting_value(PipelineConfig(), path), float)])
+def test_non_finite_float_setting_is_refused(path, bad):
+    """JSON's NaN and Infinity parse as floats; every float setting refuses
+    them, so that no stage runs into them."""
+    section, _, name = path.partition(".")
+    blob = json.loads(json.dumps(asdict(PipelineConfig())))
+    blob[section][name] = bad
+    with pytest.raises(PipelineError) as info:
+        PipelineConfig.from_dict(blob)
+    assert str(info.value) == f"config section {section!r}: {name} must be finite, got {bad}"
+
+
 def test_from_dict_takes_defaults_from_the_dataclass():
     assert PipelineConfig.from_dict({}) == PipelineConfig()
     scalars = {"seed": 9, "system": "triplet", "extraction": "hybrid",
@@ -283,7 +303,7 @@ def test_from_dict_takes_defaults_from_the_dataclass():
         seed=9, system="triplet", extraction="hybrid", workdir="elsewhere",
         synth=SynthConfig(vocabulary_size=7, word_length_range=(3, 6), filler_rate=0.25),
         align=AlignScoring(min_align_score=4.0, min_length=4),
-        leader=LeaderParams(T=0.3, ambiguous_policy="drop"),
+        leader=LeaderParams(T=0.3, R=4),
         mining=MiningConfig(thres_mu_s=0.3, thres_sigma_d=0.1, n_siamese=7, n_triplet=8),
         train=TrainConfig(margin=2.0, max_epochs=3, l_max=24),
         hdbscan=HdbscanParams(min_cluster_size=4, cluster_selection_epsilon=0.5)),
@@ -304,6 +324,7 @@ def test_asdict_of_a_config_is_a_config(config):
     ("synth", {"vocabulary_size": 3, "seed": 99},
      "SynthConfig.__init__() got an unexpected keyword argument 'seed'"),
     ("train", {"seed": 7}, "TrainConfig.__init__() got an unexpected keyword argument 'seed'"),
+    ("train", {"learning_rate": float("nan")}, "learning_rate must be finite, got nan"),
 ])
 def test_bad_section_value_stops_before_any_stage(tmp_path, caplog, section, settings,
                                                   message):
@@ -442,13 +463,13 @@ def test_identical_runs_are_byte_identical(tmp_path):
 # stamp hashes the corpus's float32 features). The three artifacts are as an
 # earlier, per-segment implementation of discovery, leader clustering and
 # scoring wrote them; the stamps are as written since each stage hash covers
-# exactly the config fields its stage names, and discover's since it names
-# align alone.
+# exactly the config fields its stage names, discover's since it names
+# align alone, and baseline's since the leader section has three settings.
 NOISY_BASELINE_DIGESTS = {
     "segments.jsonl": "3bfe25d00e3b9b43e7b1b76b8d4cd304c614d213ba078c8e7278be4ed1c3244a",
     "clusters_baseline.json": "3b3dec72d1e048d695d01979260e167042b2e3be7786cfd62d80cfd862f33ce1",
     "report.json": "8f2412e059cb43d672960e93e20e95ad8a0b20ae6cbe52e3e465ba134226dd7f",
-    ".stamps/baseline.json": "ffb840d4c3a00920f9f7a49a2ab15165cab6f44fbea8b7f419ce931dc67fe80e",
+    ".stamps/baseline.json": "8e0c526b8b702162e2d7ee24b13f45d830ee7a6a90d8006b8023fd84524485ba",
     ".stamps/discover.json": "7b911e6ec7428d50da0de311be585957096b4100b757b26a1f2e4a0cf1815c59",
     ".stamps/evaluate.json": "0c506514845ab9103712b78e554ecb0c8e13af3de47ae3657a0679a31ccebf0e",
     ".stamps/synth.json": "0537ebcd5ca0f01bfe3bc1a49a322fd5020fb473f476a092c3fcab28a708c1c6",

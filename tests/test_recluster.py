@@ -1,5 +1,6 @@
 import tracemalloc
-from itertools import product
+import warnings
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -434,6 +435,27 @@ def test_hdbscan_refuses_non_finite_embeddings(monkeypatch, rng, bad):
         hdbscan(points, HdbscanParams(min_cluster_size=5, min_samples=3))
     assert str(info.value) == f"embedding row 17 is not finite: column 2 is {bad}"
     assert built == []
+
+
+def test_hdbscan_refuses_rows_whose_distances_overflow(monkeypatch, rng):
+    """A finite row at 1e200 would overflow the squared distances, so it is
+    refused by name before the distance matrix is built; a row at 1e150
+    stays within range and clusters."""
+    points = rng.standard_normal((40, 4))
+    points[23, 1] = 1e200
+    built = []
+    with monkeypatch.context() as patch:
+        patch.setattr(recluster, "distance_matrix", built.append)
+        with pytest.raises(ValueError) as info:
+            hdbscan(points, HdbscanParams(min_cluster_size=5, min_samples=3))
+    assert str(info.value) == ("embedding row 23 is too large: its squared norm exceeds "
+                               "4.494e+307, where float64 distances overflow")
+    assert built == []
+    points[23, 1] = 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no overflow on the way
+        result = hdbscan(points, HdbscanParams(min_cluster_size=5, min_samples=3))
+    assert sorted([*chain.from_iterable(result.clusters), *result.noise]) == list(range(40))
 
 
 def test_hdbscan_holds_at_most_three_dense_matrices(rng):

@@ -20,8 +20,9 @@ def small_config(**overrides):
 def test_zero_noise_transcription_equals_gold():
     corpus, gold = generate(small_config(), SEED)
     for utt in corpus:
-        assert utt.transcription == gold.utterances[utt.id].true_symbols
-        assert utt.frame_spans == gold.utterances[utt.id].true_spans
+        g = gold.utterances[utt.id]
+        assert utt.transcription == g.true_symbols
+        assert utt.frame_spans == tuple(zip(g.true_starts, g.true_ends))
 
 
 def test_zero_noise_identical_word_occurrences_have_identical_features():
@@ -31,7 +32,7 @@ def test_zero_noise_identical_word_occurrences_have_identical_features():
     prototype_rows = {}
     for utt in corpus:
         g = gold.utterances[utt.id]
-        for sym, (start, end) in zip(g.true_symbols, g.true_spans):
+        for sym, start, end in zip(g.true_symbols, g.true_starts, g.true_ends):
             block = utt.features[start:end]
             assert (block == block[0]).all()
             if sym in prototype_rows:
@@ -143,7 +144,8 @@ def test_label_two_full_words_is_none():
         boundaries=(0, 10, 20),
         tokens=(GoldToken(0, 0, 10, (1, 2)), GoldToken(1, 10, 20, (3, 4))),
         true_symbols=(1, 2, 3, 4),
-        true_spans=((0, 5), (5, 10), (10, 15), (15, 20)),
+        true_starts=(0, 5, 10, 15),
+        true_ends=(5, 10, 15, 20),
     )})
     seg = Segment(0, "u0", 0, 20, (1, 2, 3, 4))
     assert gold_segment_label(gold, seg) is None
@@ -158,7 +160,8 @@ def test_label_dual_sixty_percent_overlap():
         boundaries=(0, 10),
         tokens=(GoldToken(3, 0, 10, (1, 2, 3, 4, 5)),),
         true_symbols=(1, 2, 3, 4, 5),
-        true_spans=((0, 2), (2, 4), (4, 6), (6, 8), (8, 10)),
+        true_starts=(0, 2, 4, 6, 8),
+        true_ends=(2, 4, 6, 8, 10),
     )})
     seg = Segment(0, "u0", 4, 10, (3, 4, 5))
     assert gold_segment_label(gold, seg) == 3

@@ -68,8 +68,7 @@ def test_int_for_float_keeps_its_stage_hash():
     config = PipelineConfig.from_dict({"leader": {"T": 1}})
     assert type(config.leader.T) is int
     stage = pipeline._stage_table(config)["baseline"]
-    expected = ('{"leader":{"R":3,"T":1,"a":1.8,"ambiguous_policy":"nearest"},"seed":0}'
-                "|h1")
+    expected = '{"leader":{"R":3,"T":1,"a":1.8},"seed":0}|h1'
     assert pipeline._stage_hash(config, stage, ["h1"]) == sha256_bytes(expected.encode())
 
 
