@@ -1,12 +1,14 @@
-"""Data model and on-disk formats for pseudo-transcribed speech corpora.
+"""Data model and on-disk format for pseudo-transcribed speech corpora.
 
 A corpus directory contains:
 
-    manifest.json   {"feature_dim": int, "alphabet_size": int, "utterances": [ids]}
-    <id>.feat       header u64 frames, u64 dim (little-endian), then
-                    frames*dim float32 values, row-major, little-endian
-    <id>.sym        line 1: subword symbols, line 2: start frames,
-                    line 3: end frames (all space-separated integers)
+    manifest.json   {"feature_dim": int, "alphabet_size": int, "utterances":
+                    [{"id": str, "frames": int, "symbols": [int],
+                      "starts": [int], "ends": [int]}, ...]}, where symbol k
+                    of an utterance spans its frames [starts[k], ends[k])
+    features.npy    every utterance's frames, in manifest order, as one
+                    (total frames, feature_dim) little-endian float32 matrix
+                    in NumPy's .npy format
     gold.json       optional word-level ground truth, per utterance in the
                     shape of `UtteranceGold`, which gold lookups bisect
 
@@ -17,7 +19,6 @@ A Corpus is immutable after load and safe for concurrent readers.
 from __future__ import annotations
 
 import json
-import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -218,81 +219,83 @@ def slice_features(corpus: Corpus, segment: Segment) -> np.ndarray:
 # on-disk formats
 
 
-def _write_feat(path: Path, features: np.ndarray) -> None:
-    with atomic_write(path, "wb") as fh:
-        fh.write(struct.pack("<QQ", features.shape[0], features.shape[1]))
-        fh.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
-
-
-def _read_feat(path: Path, utt_id: str) -> np.ndarray:
-    raw = path.read_bytes()
-    if len(raw) < 16:
-        raise CorpusError(f"{utt_id}: truncated feature file")
-    frames, dim = struct.unpack_from("<QQ", raw, 0)
-    data = np.frombuffer(raw, dtype="<f4", offset=16)
-    if data.size != frames * dim:
-        raise CorpusError(f"{utt_id}: feature payload size mismatch")
-    return data.reshape(int(frames), int(dim)).copy()
-
-
-def _write_sym(path: Path, utt: Utterance) -> None:
-    lines = [
-        " ".join(str(s) for s in utt.transcription),
-        " ".join(str(s) for s, _ in utt.frame_spans),
-        " ".join(str(e) for _, e in utt.frame_spans),
-    ]
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _read_sym(path: Path, utt_id: str) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    lines = path.read_text().splitlines()
-    if len(lines) < 3:
-        raise CorpusError(f"{utt_id}: transcription file needs 3 lines")
-    symbols = tuple(int(x) for x in lines[0].split())
-    starts = [int(x) for x in lines[1].split()]
-    ends = [int(x) for x in lines[2].split()]
-    if len(starts) != len(ends):
-        raise CorpusError(f"{utt_id}: start/end frame lines differ in length")
-    if len(symbols) != len(starts):
-        raise CorpusError(f"{utt_id}: span/symbol length mismatch")
-    return symbols, tuple(zip(starts, ends))
-
-
 def write_corpus(corpus: Corpus, path) -> None:
     """Persist a corpus; load_corpus(write_corpus(c)) reproduces c bit-exactly."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
+    rows = [utt.features for utt in corpus] or [np.empty((0, corpus.feature_dim))]
+    with atomic_write(root / "features.npy", "wb") as fh:
+        np.save(fh, np.concatenate(rows).astype("<f4", copy=False))
     manifest = {
         "feature_dim": corpus.feature_dim,
         "alphabet_size": corpus.alphabet_size,
-        "utterances": corpus.ids,
+        "utterances": [{"id": utt.id, "frames": utt.frames,
+                        "symbols": list(utt.transcription),
+                        "starts": [start for start, _ in utt.frame_spans],
+                        "ends": [end for _, end in utt.frame_spans]}
+                       for utt in corpus],
     }
-    for utt in corpus:
-        _write_feat(root / f"{utt.id}.feat", utt.features)
-        _write_sym(root / f"{utt.id}.sym", utt)
-    # last, so a manifest never lists an utterance file not yet written
+    # last, so a manifest never lists an utterance whose features are not yet written
     write_json(root / "manifest.json", manifest)
 
 
+def _read_features(path: Path) -> np.ndarray:
+    try:
+        with open(path, "rb") as fh:
+            # not np.load, which raises EOFError on an empty file and opens a zip
+            features = np.lib.format.read_array(fh, allow_pickle=False)
+            trailing = fh.read(1)
+    except ValueError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
+    if features.ndim != 2 or features.dtype != np.dtype("<f4"):
+        raise CorpusError(f"{path}: expected a 2-D little-endian float32 matrix, "
+                          f"got {features.ndim}-D {features.dtype}")
+    if trailing:
+        raise CorpusError(f"{path}: bytes after the feature matrix")
+    return features
+
+
 def load_corpus(path) -> Corpus:
-    """Load and validate a corpus directory."""
+    """Load and validate a corpus directory. Each utterance's features are a
+    view of the one feature matrix. A missing or malformed file, or a
+    manifest entry that does not fit the matrix, raises a CorpusError that
+    names the file or the utterance."""
     root = Path(path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.is_file():
-        raise CorpusError(f"missing manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest_path, features_path = root / "manifest.json", root / "features.npy"
+    for required in (manifest_path, features_path):
+        if not required.is_file():
+            raise CorpusError(f"missing corpus file: {required}")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise CorpusError(f"{manifest_path}: {exc}") from None
+    features = _read_features(features_path)
     utterances = []
-    for utt_id in manifest["utterances"]:
-        feat_path = root / f"{utt_id}.feat"
-        sym_path = root / f"{utt_id}.sym"
-        for required in (feat_path, sym_path):
-            if not required.is_file():
-                raise CorpusError(f"{utt_id}: missing file {required.name}")
-        features = _read_feat(feat_path, utt_id)
-        symbols, spans = _read_sym(sym_path, utt_id)
-        utterances.append(Utterance(utt_id, features, symbols, spans))
-    return Corpus(manifest["feature_dim"], manifest["alphabet_size"], utterances)
+    offset = 0
+    try:
+        for entry in manifest["utterances"]:
+            utt_id = entry["id"]
+            frames, symbols, starts, ends = (entry[key] for key in
+                                             ("frames", "symbols", "starts", "ends"))
+            if not all(type(v) is int for v in (frames, *symbols, *starts, *ends)) \
+                    or frames < 0:
+                raise CorpusError(f"{utt_id}: symbols, starts and ends must be JSON "
+                                  "integers, and frames a non-negative one")
+            if len(starts) != len(ends):
+                raise CorpusError(f"{utt_id}: starts and ends differ in length")
+            if len(symbols) != len(starts):
+                raise CorpusError(f"{utt_id}: span/symbol length mismatch")
+            utterances.append(Utterance(utt_id, features[offset:offset + frames],
+                                        tuple(symbols), tuple(zip(starts, ends))))
+            offset += frames
+        feature_dim, alphabet_size = manifest["feature_dim"], manifest["alphabet_size"]
+    except (KeyError, TypeError) as exc:
+        raise CorpusError(f"{manifest_path}: malformed manifest ({type(exc).__name__}: "
+                          f"{exc})") from None
+    if offset != len(features):
+        raise CorpusError(f"{features_path}: {len(features)} rows, but the manifest's "
+                          f"utterances have {offset} frames")
+    return Corpus(feature_dim, alphabet_size, utterances)
 
 
 def write_gold(gold: GoldAnnotation, path) -> None:

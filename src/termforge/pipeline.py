@@ -3,8 +3,10 @@ embed -> recluster -> evaluate, with content-hash stage caching.
 
 One table (`_stage_table`) describes each stage: the artifacts it reads and
 writes, the `PipelineConfig` fields its hash covers and the function that
-runs it. A stage's hash covers the root seed, the fields its table entry
-names and the hashes of its inputs, and nothing else. Every stage is
+runs it. Each artifact is one workdir file, hashed by its sha256; the
+corpus is two of them, `corpus/manifest.json` and `corpus/features.npy`.
+A stage's hash covers the root seed, the fields its table entry names and
+the hashes of its inputs, and nothing else. Every stage is
 idempotent for identical inputs and seed: a stage re-runs only when that
 hash changes (or with force=True). All randomness flows from the root seed
 through labelled sub-seed derivation, so two runs with the same config produce
@@ -129,20 +131,6 @@ class _Stage:
     run: Callable[[PipelineConfig, Path], None]
 
 
-def _artifact_hash(workdir: Path, rel: str) -> str:
-    """sha256 of an artifact; a corpus is hashed by its manifest plus every
-    utterance file the manifest references."""
-    path = workdir / rel
-    if rel != "corpus/manifest.json":
-        return sha256_file(path)
-    manifest = json.loads(path.read_text())
-    parts = [sha256_file(path)]
-    for utt_id in manifest["utterances"]:
-        for suffix in (".feat", ".sym"):
-            parts.append(sha256_file(path.parent / f"{utt_id}{suffix}"))
-    return sha256_bytes("".join(parts).encode())
-
-
 def _read_stamp(workdir: Path, stage: str) -> dict:
     """The stamp a stage wrote when it last completed; {} when there is none
     or it cannot be read."""
@@ -159,8 +147,8 @@ def _recorded_hash(workdir: Path, rel: str, stamp: dict) -> str | None:
     outputs = stamp.get("outputs")
     recorded = outputs.get(rel) if isinstance(outputs, dict) else None
     try:
-        return recorded if recorded == _artifact_hash(workdir, rel) else None
-    except (OSError, ValueError, KeyError, TypeError):
+        return recorded if recorded == sha256_file(workdir / rel) else None
+    except OSError:
         return None
 
 
@@ -297,8 +285,8 @@ def _load_final_clusters(path) -> list[baseline_mod.Cluster]:
 
 
 def _run_evaluate(config: PipelineConfig, workdir: Path) -> None:
-    # the corpus stays an input: coverage counts its frames from the gold,
-    # which synth checked against it
+    # the corpus manifest stays an input: coverage counts the corpus's frames
+    # from the gold, which synth checked against it
     gold = load_gold(workdir / "corpus" / "gold.json")
     segments = seqmatch.load_segments(workdir / "segments.jsonl")
     if config.system == "baseline":
@@ -311,23 +299,24 @@ def _run_evaluate(config: PipelineConfig, workdir: Path) -> None:
     log.info("evaluate[%s]: %d clusters scored", config.mode, len(clusters))
 
 
+_CORPUS = ("corpus/manifest.json", "corpus/features.npy")   # what load_corpus reads
+
+
 def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
     """Every stage of the pipeline, in run order, as `config` sets it up."""
     clusters_file = ("clusters_baseline.json" if config.system == "baseline"
                      else "clusters_final.json")
     stages = (
-        _Stage("synth", (), ("corpus/manifest.json", "corpus/gold.json"),
-               ("synth",), _run_synth),
-        _Stage("discover", ("corpus/manifest.json",), ("segments.jsonl",),
-               ("align",), _run_discover),
+        _Stage("synth", (), (*_CORPUS, "corpus/gold.json"), ("synth",), _run_synth),
+        _Stage("discover", _CORPUS, ("segments.jsonl",), ("align",), _run_discover),
         _Stage("baseline", ("segments.jsonl",), ("clusters_baseline.json",),
                ("leader",), _run_baseline),
         _Stage("mine", ("segments.jsonl", "clusters_baseline.json"), ("manifest.json",),
                ("mining",), _run_mine),
-        _Stage("train", ("manifest.json", "corpus/manifest.json", "segments.jsonl"),
+        _Stage("train", ("manifest.json", *_CORPUS, "segments.jsonl"),
                ("params.ckpt", "loss_curve.csv"), ("train", "system"), _run_train),
         # l_max reaches embed inside the checkpoint's arch, an input
-        _Stage("embed", ("params.ckpt", "segments.jsonl", "corpus/manifest.json"),
+        _Stage("embed", ("params.ckpt", "segments.jsonl", *_CORPUS),
                ("embeddings.npy",), (), _run_embed),
         _Stage("recluster", ("embeddings.npy", "segments.jsonl"), ("clusters_final.json",),
                ("hdbscan", "extraction"), _run_recluster),
@@ -367,7 +356,7 @@ def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> b
 
     stamp_path.unlink(missing_ok=True)
     stage.run(config, workdir)
-    outputs = {rel: _artifact_hash(workdir, rel) for rel in stage.outputs}
+    outputs = {rel: sha256_file(workdir / rel) for rel in stage.outputs}
     with atomic_write(stamp_path) as fh:
         fh.write(json.dumps({"hash": current, "outputs": outputs}, sort_keys=True) + "\n")
     return True

@@ -40,7 +40,7 @@ def test_short_segments_filtered():
     assert clusters[0].members == [1]
 
 
-def test_nearest_assignment_flagged():
+def test_segment_between_t_and_a_t_joins_nearest_leader():
     # distance 0.5 from the leader: outside T=0.4, inside a*T=0.72
     segments = [seg(0, [1, 2, 3, 4]), seg(1, [1, 2, 5, 6])]
     clusters = leader_cluster(segments, LeaderParams(T=0.4, a=1.8))
@@ -72,7 +72,7 @@ def test_partition_property(rng):
     assert clustered == {s.id for s in segments if len(s.symbols) >= params.R}
 
 
-def test_membership_radius_or_flag(rng):
+def test_members_lie_within_a_t_of_their_leader(rng):
     segments = [seg(i, list(rng.integers(0, 5, size=int(rng.integers(3, 9)))))
                 for i in range(80)]
     params = LeaderParams()

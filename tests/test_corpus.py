@@ -1,20 +1,24 @@
+import io
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
 
+from termforge import cli
 from termforge.corpus import (Corpus, CorpusError, GoldAnnotation, Segment,
                               Utterance, UtteranceGold, load_corpus, load_gold,
                               slice_features, write_corpus, write_gold)
 from termforge.synthgen import SynthConfig, generate
+from termforge.util import sha256_file
 
 from conftest import make_corpus, make_segment
 
 
 def test_round_trip_two_utterances(tmp_path, rng):
     utts = []
-    for i in range(2):
-        frames = int(rng.integers(6, 12))
+    for i, frames in enumerate((7, 10)):   # u0 has a frame after its last span
         features = rng.standard_normal((frames, 5)).astype(np.float32)
         n_syms = frames // 2
         spans = tuple((2 * k, 2 * k + 2) for k in range(n_syms))
@@ -32,21 +36,17 @@ def test_round_trip_two_utterances(tmp_path, rng):
         assert restored.features.tobytes() == original.features.tobytes()
 
 
+def test_empty_corpus_round_trips(tmp_path):
+    write_corpus(Corpus(5, 55, []), tmp_path)
+    loaded = load_corpus(tmp_path)
+    assert (len(loaded), loaded.feature_dim, loaded.alphabet_size) == (0, 5, 55)
+    assert np.load(tmp_path / "features.npy").shape == (0, 5)
+
+
 def test_empty_utterance_rejected():
     features = np.zeros((0, 4), dtype=np.float32)
     with pytest.raises(CorpusError, match="empty utterance"):
         Corpus(4, 55, [Utterance("u0", features, (), ())])
-
-
-def test_span_symbol_length_mismatch(tmp_path):
-    corpus = make_corpus([[1, 2, 3]])
-    write_corpus(corpus, tmp_path)
-    sym_file = tmp_path / "u0.sym"
-    lines = sym_file.read_text().splitlines()
-    lines[0] = lines[0] + " 9"     # one extra symbol, no extra span
-    sym_file.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorpusError, match="span/symbol length mismatch"):
-        load_corpus(tmp_path)
 
 
 def test_feature_dim_mismatch_names_utterance(tmp_path):
@@ -59,12 +59,95 @@ def test_feature_dim_mismatch_names_utterance(tmp_path):
         load_corpus(tmp_path)
 
 
-def test_missing_file_reported(tmp_path):
-    corpus = make_corpus([[1, 2]])
-    write_corpus(corpus, tmp_path)
-    (tmp_path / "u0.feat").unlink()
-    with pytest.raises(CorpusError, match="missing file"):
+def _saved(array, save=np.save) -> bytes:
+    buffer = io.BytesIO()
+    save(buffer, array)
+    return buffer.getvalue()
+
+
+def _features(rewrite):
+    """Replace features.npy with rewrite(its bytes, its matrix)."""
+    def mutate(root):
+        path = root / "features.npy"
+        path.write_bytes(rewrite(path.read_bytes(), np.load(path)))
+    return mutate
+
+
+def _second_utterance(edit):
+    """Apply `edit` to the manifest entry of u1."""
+    def mutate(root):
+        path = root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["utterances"][1])
+        path.write_text(json.dumps(manifest))
+    return mutate
+
+
+MATRIX = r"features\.npy: expected a 2-D little-endian float32 matrix"
+INTEGERS = "symbols, starts and ends must be JSON integers, and frames a non-negative one"
+MALFORMED = {
+    "features-missing": (lambda root: (root / "features.npy").unlink(),
+                         r"missing .*features\.npy"),
+    "features-empty": (_features(lambda raw, x: b""),
+                       r"features\.npy: EOF: reading magic string"),
+    "features-header-cut": (_features(lambda raw, x: raw[:20]),
+                            r"features\.npy: EOF: reading array header"),
+    "features-data-cut": (_features(lambda raw, x: raw[:-5]),
+                          r"features\.npy: Failed to read all data"),
+    "features-trailing": (_features(lambda raw, x: raw + b"\0"),
+                          r"features\.npy: bytes after the feature matrix"),
+    "features-npz": (_features(lambda raw, x: _saved(x, np.savez)),
+                     r"features\.npy: the magic string is not correct"),
+    "features-float64": (_features(lambda raw, x: _saved(x.astype(np.float64))),
+                         MATRIX + ", got 2-D float64"),
+    "features-1d": (_features(lambda raw, x: _saved(x.ravel())), MATRIX + ", got 1-D float32"),
+    "frame-total": (_second_utterance(lambda u: u.update(frames=3)),
+                    r"features\.npy: 10 rows, but the manifest's utterances have 9 frames"),
+    "ends-short": (_second_utterance(lambda u: u.update(ends=u["ends"][:-1])),
+                   "u1: starts and ends differ in length"),
+    "symbol-extra": (_second_utterance(lambda u: u.update(symbols=u["symbols"] + [9])),
+                     "u1: span/symbol length mismatch"),
+    "symbol-float": (_second_utterance(lambda u: u.update(symbols=[1.5, 5])),
+                     "u1: " + INTEGERS),
+    "frames-string": (_second_utterance(lambda u: u.update(frames="4")), "u1: " + INTEGERS),
+    "frames-negative": (_second_utterance(lambda u: u.update(frames=-4)), "u1: " + INTEGERS),
+    "ends-absent": (_second_utterance(lambda u: u.pop("ends")),
+                    r"manifest\.json: malformed manifest \(KeyError: 'ends'\)"),
+    "manifest-not-json": (lambda root: (root / "manifest.json").write_text("{"),
+                          r"manifest\.json: Expecting property name"),
+}
+
+
+def _write_malformed(root, case):
+    # u0 has 6 frames and u1 4, each symbol 2 frames of 4 features
+    write_corpus(make_corpus([[1, 2, 3], [4, 5]]), root)
+    MALFORMED[case][0](root)
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_corpus_is_refused(tmp_path, case):
+    _write_malformed(tmp_path, case)
+    with pytest.raises(CorpusError, match=MALFORMED[case][1]):
         load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_discover_on_malformed_corpus_logs_one_line(tmp_path, caplog, case):
+    workdir = tmp_path / "wd"
+    _write_malformed(workdir / "corpus", case)
+    # a synth stamp that records the hand-written files, so discover reads them
+    (workdir / ".stamps").mkdir()
+    (workdir / ".stamps" / "synth.json").write_text(json.dumps({"hash": "", "outputs": {
+        rel: sha256_file(workdir / rel)
+        for rel in ("corpus/manifest.json", "corpus/features.npy")
+        if (workdir / rel).exists()}}))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"workdir": str(workdir)}))
+    with caplog.at_level(logging.ERROR, logger="termforge"):
+        assert cli.main(["discover", "--config", str(config_path)]) == 1
+    [record] = caplog.records
+    assert re.search(MALFORMED[case][1], record.getMessage())
+    assert not (workdir / "segments.jsonl").exists()
 
 
 def test_write_to_invalid_path_raises(tmp_path):

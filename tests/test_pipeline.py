@@ -79,21 +79,28 @@ def test_torn_output_is_rebuilt_not_served(tmp_path):
     assert (workdir / "report.json").read_bytes() == report
 
 
+def tear(path):
+    whole = path.read_bytes()
+    path.write_bytes(whole[:len(whole) // 2])
+
+
 def test_torn_corpus_file_reruns_synth(tmp_path):
     config = PipelineConfig.from_dict(small_blob(tmp_path / "wd"))
     run_stage("synth", config)
-    (tmp_path / "wd" / "corpus" / "manifest.json").write_text("{")
-    assert run_stage("synth", config) is True
-    assert run_stage("synth", config) is False
+    for name in ("manifest.json", "features.npy"):
+        tear(tmp_path / "wd" / "corpus" / name)
+        assert run_stage("synth", config) is True
+        assert run_stage("synth", config) is False
 
 
 def test_torn_corpus_stops_discover_naming_synth(tmp_path):
     config = PipelineConfig.from_dict(small_blob(tmp_path / "wd"))
-    run_stage("synth", config)
-    (tmp_path / "wd" / "corpus" / "manifest.json").write_text("{")
-    with pytest.raises(PipelineError, match="run the synth stage again"):
-        run_stage("discover", config)
-    assert not (tmp_path / "wd" / "segments.jsonl").exists()
+    for name in ("manifest.json", "features.npy"):
+        run_stage("synth", config)
+        tear(tmp_path / "wd" / "corpus" / name)
+        with pytest.raises(PipelineError, match="run the synth stage again"):
+            run_stage("discover", config)
+        assert not (tmp_path / "wd" / "segments.jsonl").exists()
 
 
 def test_torn_baseline_clusters_stop_evaluate_naming_baseline(tmp_path):
@@ -464,15 +471,17 @@ def test_identical_runs_are_byte_identical(tmp_path):
 # earlier, per-segment implementation of discovery, leader clustering and
 # scoring wrote them; the stamps are as written since each stage hash covers
 # exactly the config fields its stage names, discover's since it names
-# align alone, and baseline's since the leader section has three settings.
+# align alone, baseline's since the leader section has three settings, and
+# synth's, discover's and evaluate's since the corpus is a manifest and one
+# feature matrix, each hashed as a file.
 NOISY_BASELINE_DIGESTS = {
     "segments.jsonl": "3bfe25d00e3b9b43e7b1b76b8d4cd304c614d213ba078c8e7278be4ed1c3244a",
     "clusters_baseline.json": "3b3dec72d1e048d695d01979260e167042b2e3be7786cfd62d80cfd862f33ce1",
     "report.json": "8f2412e059cb43d672960e93e20e95ad8a0b20ae6cbe52e3e465ba134226dd7f",
     ".stamps/baseline.json": "8e0c526b8b702162e2d7ee24b13f45d830ee7a6a90d8006b8023fd84524485ba",
-    ".stamps/discover.json": "7b911e6ec7428d50da0de311be585957096b4100b757b26a1f2e4a0cf1815c59",
-    ".stamps/evaluate.json": "0c506514845ab9103712b78e554ecb0c8e13af3de47ae3657a0679a31ccebf0e",
-    ".stamps/synth.json": "0537ebcd5ca0f01bfe3bc1a49a322fd5020fb473f476a092c3fcab28a708c1c6",
+    ".stamps/discover.json": "f7604cc2257aefcdb6ba8f4c6c8424d25b32bcd59804c02f290152aed802b6d4",
+    ".stamps/evaluate.json": "15527e797dc2c901ffe46c15a6cfc45b737fd5b8e60c486ba30865aaa7b06b60",
+    ".stamps/synth.json": "0d2980040d9ee414ac3d0d0bd771ad4501e9f28b21236b76e98509d18a2985a0",
 }
 
 
@@ -497,12 +506,13 @@ def test_noisy_baseline_artifacts_match_golden_digests(tmp_path):
 # the train stage's hash, which covers its settings and input hashes but no
 # trained float. The manifest is as the code before the synth and train seeds
 # became arguments wrote it; the stamp and the hash are as written since each
-# stage hash covers exactly the config fields its stage names.
+# stage hash covers exactly the config fields its stage names, and the hash
+# since the corpus is a manifest and one feature matrix.
 LEARNED_DIGESTS = {
     "manifest.json": "60f509192f460edaae708f87bc077147cda6873d2af8a6a2a61eaf8fbc54cdc8",
     ".stamps/mine.json": "721b702ac4ed703adea791c8e444e0fad6df5c1fcbaba00d1452a0319e615787",
 }
-LEARNED_TRAIN_HASH = "174171f7f3c1bce97e739b9523fe3fd9396d8ad83c39b93014ee024012ff48c4"
+LEARNED_TRAIN_HASH = "3bfd9e5748ce62c86189ea3810508281ffe302de6ac274fdd5d9c903ed8e9411"
 
 
 def test_learned_artifacts_match_golden_digests(tmp_path):

@@ -58,9 +58,10 @@ def test_determinism_byte_identical(tmp_path):
     for run in ("a", "b"):
         corpus, gold = generate(config, SEED)
         write_corpus(corpus, tmp_path / run)
-    for path_a in sorted((tmp_path / "a").iterdir()):
-        path_b = tmp_path / "b" / path_a.name
-        assert path_a.read_bytes() == path_b.read_bytes()
+    for name in ("features.npy", "manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == ["features.npy",
+                                                                  "manifest.json"]
 
 
 def test_substitution_fraction_concentrates():
