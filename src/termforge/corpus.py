@@ -67,7 +67,7 @@ class Utterance:
             prev_end = end
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     """A hypothesized term occurrence inside one utterance."""
 
@@ -275,6 +275,9 @@ def load_corpus(path) -> Corpus:
     try:
         for entry in manifest["utterances"]:
             utt_id = entry["id"]
+            if type(utt_id) is not str:
+                raise CorpusError(f"{manifest_path}: utterance id {utt_id!r} is not a "
+                                  "JSON string")
             frames, symbols, starts, ends = (entry[key] for key in
                                              ("frames", "symbols", "starts", "ends"))
             if not all(type(v) is int for v in (frames, *symbols, *starts, *ends)) \
@@ -289,6 +292,9 @@ def load_corpus(path) -> Corpus:
                                         tuple(symbols), tuple(zip(starts, ends))))
             offset += frames
         feature_dim, alphabet_size = manifest["feature_dim"], manifest["alphabet_size"]
+        if type(feature_dim) is not int or type(alphabet_size) is not int:
+            raise CorpusError(f"{manifest_path}: feature_dim and alphabet_size must be "
+                              "JSON integers")
     except (KeyError, TypeError) as exc:
         raise CorpusError(f"{manifest_path}: malformed manifest ({type(exc).__name__}: "
                           f"{exc})") from None

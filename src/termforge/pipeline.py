@@ -241,7 +241,7 @@ def _run_train(config: PipelineConfig, workdir: Path) -> None:
     tower_ids = embednet.tower_segment_ids(manifest, config.system)
     log.info("train[%s]: %d epochs, final loss %.6f, %d distinct segments for %d "
              "tower inputs", config.system, len(curve), curve[-1],
-             len(np.unique(tower_ids)), tower_ids.size)
+             len(set(tower_ids.ravel().tolist())), tower_ids.size)
 
 
 def _run_embed(config: PipelineConfig, workdir: Path) -> None:

@@ -1,46 +1,57 @@
 """Symbol-sequence kernels: edit distance and local-alignment segment discovery.
 
+Both kernels run in the narrowest integer types that hold their values
+exactly, picked from the data of each call. Symbols are packed once per
+call, zero-padded and lanes-last: string u is column u of one (width,
+strings) array of the narrowest signed integer type that holds every symbol
+of the call (int8 for the corpus alphabets), found by one max over the
+symbols.
+
 Edit distance is unit-cost Levenshtein, computed by one batched numpy kernel
 for every caller: leader clustering, NED, the mining statistics, vocabulary
 sampling, and levenshtein / normalized_levenshtein, which are one-pair
 calls into it. Callers pack their distinct strings once into a StringTable
-(zero-padded int64 rows; repeated strings share a row) and ask for the
-distances of many row pairs at a time. The kernel puts the shorter string
-of each pair on the DP rows, orders the pairs by shape, cuts them into
-chunks of at most CHUNK_BYTES // 16 = 2**17 DP cells (as many as under the
-earlier 1 MiB budget; larger chunks made corpus synthesis slower in a fresh
-process, see CHUNK_BYTES) and runs the DP one row at a time, vectorised
-over the pairs and columns of a chunk: substitutions and
-deletions from the row above, then insertions folded in by a running
-minimum. Distances are exact integers; nothing is memoized between calls.
+(repeated strings share a column) and ask for the distances of many pairs
+of columns at a time. The kernel puts the shorter string of each pair on
+the DP rows, orders the pairs by shape, cuts them into chunks of at most
+CHUNK_BYTES // 16 = 2**17 DP cells (as many as under the earlier 1 MiB
+budget; larger chunks made corpus synthesis slower in a fresh process, see
+CHUNK_BYTES) and runs the DP one row at a time, vectorised over the pairs
+and columns of a chunk: substitutions and deletions from the row above,
+then insertions folded in by a running minimum down the columns. A row is
+a (columns + 1, lanes) array, so each step of that running minimum is one
+operation over contiguous lanes, and it takes the narrowest signed type
+that holds the chunk's row and column counts (int8 up to 127 symbols, then
+int16). Distances are exact integers; nothing is memoized between calls.
 tests/lev_oracle.py keeps the scalar row-by-row DP as the reference.
 
 Local alignment is Smith-Waterman with a linear gap penalty, computed by one
 batched numpy kernel for every caller (local_align and discover_segments).
 The kernel packs sequence pairs into lanes, cuts them into chunks whose
-buffer holds at most CHUNK_BYTES (2 MiB) and fills a chunk one
-anti-diagonal at a time in a skewed, diagonal-major buffer
-S[d, i, p] = H_p[i, d - i], so every step reads contiguous slices; a fill
-spends much of its time in the overhead of those per-diagonal numpy calls,
-which a larger chunk spreads over more lanes. Each round extracts at most
-one alignment per pair: the best cell is the first row-major maximum, and
-the traceback prefers the diagonal, then up, then left. The aligned
-positions of every pair of a chunk are masked at once, and the pairs that
-extracted an alignment are filled again, batched together, in the next
-round.
+buffer holds at most CHUNK_BYTES (2 MiB: 2**21 int8, 2**20 int16 or 2**18
+float64 cells) and fills a chunk one anti-diagonal at a time in a skewed,
+diagonal-major buffer S[d, i, p] = H_p[i, d - i], so every step reads
+contiguous slices; a fill spends much of its time in the overhead of those
+per-diagonal numpy calls, which a larger chunk spreads over more lanes.
+Each round extracts at most one alignment per pair: the best cell is the
+first row-major maximum, and the traceback prefers the diagonal, then up,
+then left. The aligned positions of every pair of a chunk are masked at
+once, and the pairs that extracted an alignment are filled again, batched
+together, in the next round.
 
-The fill runs in int16 when the match, mismatch and gap weights are
-integers, width * match <= 32767 for the longest sequence's width, and both
-penalties are >= -32768 (the default 1/-1/-1 scoring qualifies); any other
-scoring runs in float64. An int16 chunk holds four times the lanes of a
-float64 one in the same bytes, so the fill makes a quarter of the numpy
-calls. Under that rule every value the fill and traceback form is an
-integer of magnitude at most 2**15, which both types hold exactly, and max,
-min and == agree between them, so both pick the same cells and float(score)
-is the same. Every cell performs the operations of a row-major fill in the
-same order, so scores and tie-breaks match it bit for bit for any
-AlignScoring; tests/sw_oracle.py keeps that row-major float fill as the
-reference.
+The fill runs in int8 when the match, mismatch and gap weights are
+integers, width * match <= 127 for the longest sequence's width, and both
+penalties are >= -128 (the default 1/-1/-1 scoring on sequences of up to
+127 symbols qualifies); in int16 under the same rule with 32767 and -32768;
+and in float64 for any other scoring. An int8 chunk holds eight times the
+lanes of a float64 one in the same bytes, so the fill makes an eighth of
+the numpy calls. Under that rule every value the fill and traceback form is
+an integer inside the chosen type, which float64 holds exactly as well, and
+max, min and == agree between them, so all three types pick the same cells
+and float(score) is the same. Every cell performs the operations of a
+row-major fill in the same order, so scores and tie-breaks match it bit for
+bit for any AlignScoring; tests/sw_oracle.py keeps that row-major float
+fill as the reference.
 """
 from __future__ import annotations
 
@@ -58,15 +69,16 @@ from .util import ScaleError, atomic_write
 Span = tuple[int, int]
 
 # Bytes of the skewed Smith-Waterman buffer of one batched chunk, whatever
-# the corpus size: 2**18 float64 or 2**20 int16 cells. A fill makes a few
-# numpy calls per anti-diagonal of a chunk, so larger chunks make fewer
-# calls. An edit-distance chunk does as much DP work as 2**17 cells
-# (CHUNK_BYTES // 16) and holds only one int64 row per pair at a time; it
+# the corpus size: 2**21 int8, 2**20 int16 or 2**18 float64 cells. A fill
+# makes a few numpy calls per anti-diagonal of a chunk, so larger chunks
+# make fewer calls. An edit-distance chunk does as much DP work as 2**17
+# cells (CHUNK_BYTES // 16) and holds only one DP row per pair at a time; it
 # keeps the cell count it had under a 1 MiB budget, because doubling it made
 # corpus synthesis (vocabulary sampling) slower in a fresh process: 0.082 ->
 # 0.090 s median over 18 runs each, against 0.085 s with only the fill doubled.
 CHUNK_BYTES = 1 << 21
-_INT16 = np.iinfo(np.int16)
+# the signed integer types, narrowest first, each with its largest value
+_SIGNED = tuple((int(np.iinfo(t).max), t) for t in (np.int8, np.int16, np.int32, np.int64))
 MAX_DP_CELLS = 200_000_000   # the most DP cells discover_segments takes on
 
 
@@ -92,13 +104,32 @@ class AlignScoring:
             raise ValueError("min_length must be >= 1")
 
 
+def _narrowest(bound: int) -> type:
+    """The narrowest signed integer type that holds [-bound - 1, bound]."""
+    return next(dtype for top, dtype in _SIGNED if bound <= top)
+
+
+def _pack(strings, lengths) -> np.ndarray:
+    """`strings` as the columns of one zero-padded (width, len(strings))
+    array of the narrowest signed integer type that holds all their symbols.
+    The type holds x exactly when it holds both x and ~x = -1 - x, so one
+    max over both finds it."""
+    width = int(lengths.max(initial=0))
+    flat = np.fromiter(chain.from_iterable(strings), dtype=np.int64, count=int(lengths.sum()))
+    symbols = np.zeros((width, len(strings)),
+                       _narrowest(int(np.maximum(flat, ~flat).max(initial=0))))
+    symbols.T[np.arange(width) < lengths[:, None]] = flat
+    return symbols
+
+
 class StringTable:
-    """Distinct symbol strings packed into one zero-padded int64 array, the
-    input of the batched edit-distance kernel.
+    """Distinct symbol strings packed into the columns of one zero-padded
+    (width, strings) array of a narrow integer type, the input of the
+    batched edit-distance kernel.
 
     `strings` holds each distinct string once, in order of first appearance,
-    and `ids[k]` is the row of the k-th string given, so repeated strings
-    share a row and their distances are computed once.
+    and `ids[k]` is the column of the k-th string given, so repeated strings
+    share a column and their distances are computed once.
     """
 
     def __init__(self, strings: Iterable[Sequence[int]]):
@@ -108,14 +139,12 @@ class StringTable:
         self.strings = list(rows)
         self.lengths = np.fromiter(map(len, self.strings), dtype=np.intp,
                                    count=len(self.strings))
-        width = int(self.lengths.max(initial=0))
-        self.symbols = np.zeros((len(self.strings), width), dtype=np.int64)
-        self.symbols[np.arange(width) < self.lengths[:, None]] = np.fromiter(
-            chain.from_iterable(self.strings), dtype=np.int64, count=int(self.lengths.sum()))
+        self.symbols = _pack(self.strings, self.lengths)
 
     def distances(self, a, b) -> np.ndarray:
-        """Unit-cost edit distances between rows `a` and `b` (row indices,
-        broadcast together), as an int64 array of their broadcast shape."""
+        """Unit-cost edit distances between strings `a` and `b` (indices
+        into `strings`, broadcast together), as an int64 array of their
+        broadcast shape."""
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))
         return _lev_many(self.symbols, self.lengths, a.ravel(), b.ravel()).reshape(a.shape)
 
@@ -130,33 +159,36 @@ class StringTable:
 def _lev_rows(a_sym, a_len, b_sym, b_len) -> np.ndarray:
     """Edit distances of a chunk of P pairs, lanes sorted by len(a).
 
-    a_sym (P, N) and b_sym (P, M) hold the strings zero-padded. The DP runs
-    one row of all lanes at a time and stores E[i, j] = D[i, j] - j, so a
-    row is minimum.accumulate over [i, min(E[i-1, j-1] - equal, E[i-1, j] + 1)]:
-    the accumulation folds in the insertions. A column depends only on the
-    columns before it, so the padding never reaches column len(b), and each
-    lane's distance is read at row len(a), after which the lane drops out.
+    a_sym (N, P) and b_sym (M, P) hold the strings zero-padded, one lane per
+    column. The DP runs one row of all lanes at a time in an (M + 1, P)
+    array and stores E[i, j] = D[i, j] - j, so a row is minimum.accumulate
+    down the columns over [i, min(E[i-1, j-1] - equal, E[i-1, j] + 1)]: the
+    accumulation folds in the insertions. D[i, j] lies in [|i - j|,
+    max(i, j)], so E and both terms lie in [-M, N] and the row takes the
+    narrowest type that holds them. A column depends only on the columns
+    before it, so the padding never reaches column len(b), and each lane's
+    distance is read at row len(a), after which the lane drops out.
     """
-    lanes, n_cols = b_sym.shape
-    n_rows = a_sym.shape[1]
-    row = np.zeros((lanes, n_cols + 1), dtype=np.int64)
+    n_cols, lanes = b_sym.shape
+    n_rows = a_sym.shape[0]
+    row = np.zeros((n_cols + 1, lanes), dtype=_narrowest(max(n_rows, n_cols)))
     out = b_len.copy()                       # row 0: len(a) == 0
     starts = np.searchsorted(a_len, np.arange(1, n_rows + 2)).tolist()
     for i in range(1, n_rows + 1):
         start, stop = starts[i - 1], starts[i]
-        live = row[start:]
-        equal = a_sym[start:, i - 1, None] == b_sym[start:]
-        np.minimum(live[:, :-1] - equal, live[:, 1:] + 1, out=live[:, 1:])
-        live[:, 0] = i
-        np.minimum.accumulate(live, axis=1, out=live)
+        live = row[:, start:]
+        equal = a_sym[i - 1, start:] == b_sym[:, start:]
+        np.minimum(live[:-1] - equal, live[1:] + 1, out=live[1:])
+        live[0] = i
+        np.minimum.accumulate(live, axis=0, out=live)
         if stop > start:
             done = b_len[start:stop]
-            out[start:stop] = live[np.arange(stop - start), done] + done
+            out[start:stop] = live[done, np.arange(stop - start)] + done
     return out
 
 
 def _lev_many(symbols, lengths, a, b) -> np.ndarray:
-    """Edit distances between rows a[k] and b[k] of a packed table.
+    """Edit distances between columns a[k] and b[k] of a packed table.
 
     Each pair puts its shorter string on the rows (fewer steps, the same
     distance); pairs are ordered by shape and cut into chunks of at most
@@ -168,8 +200,8 @@ def _lev_many(symbols, lengths, a, b) -> np.ndarray:
     out = np.empty(len(a), dtype=np.int64)
     for chunk, n_rows, n_cols in _chunks(np.lexsort((cols, rows)), rows, cols,
                                          lambda r, c: (r + 1) * (c + 1), CHUNK_BYTES // 16):
-        out[chunk] = _lev_rows(symbols[a[chunk], :n_rows], rows[chunk],
-                               symbols[b[chunk], :n_cols], cols[chunk])
+        out[chunk] = _lev_rows(np.take(symbols[:n_rows], a[chunk], axis=1), rows[chunk],
+                               np.take(symbols[:n_cols], b[chunk], axis=1), cols[chunk])
     return out
 
 
@@ -189,22 +221,25 @@ def normalized_levenshtein(a: Sequence[int], b: Sequence[int]) -> float:
 
 
 def _score_dtype(scoring: AlignScoring, width: int) -> type:
-    """int16 when the weights are integers and no Smith-Waterman value of
-    sequences up to `width` symbols leaves int16, float64 otherwise.
+    """int8, else int16, when the weights are integers and no Smith-Waterman
+    value of sequences up to `width` symbols leaves that type; float64
+    otherwise.
 
     Cell (i, j) holds at most min(i, j) * match, so every sum the fill and
     the traceback form, a cell plus match or a cell (>= 0) plus a penalty,
-    lies in [penalty, width * match]. With width * match <= 32767 (match
-    alone for width 0) and both penalties >= -32768 no int16 sum wraps. Each
-    sum is then an integer that float64 holds exactly as well, and max, min
-    and == agree between the two types, so the int16 fill stores the values
-    of the float64 fill and picks the same cells; float(score) is unchanged.
+    lies in [penalty, width * match]. With width * match <= 127 (match alone
+    for width 0) and both penalties >= -128 no int8 sum wraps, and with
+    32767 and -32768 no int16 sum. Each sum is then an integer that float64
+    holds exactly as well, and max, min and == agree between the types, so
+    an integer fill stores the values of the float64 fill and picks the same
+    cells; float(score) is unchanged.
     """
     weights = (scoring.match_score, scoring.mismatch_penalty, scoring.gap_penalty)
-    integral = all(float(w).is_integer() for w in weights)
-    if (integral and max(width, 1) * scoring.match_score <= _INT16.max
-            and min(scoring.mismatch_penalty, scoring.gap_penalty) >= _INT16.min):
-        return np.int16
+    if all(float(w).is_integer() for w in weights):
+        for top, dtype in _SIGNED[:2]:
+            if (max(width, 1) * scoring.match_score <= top
+                    and min(scoring.mismatch_penalty, scoring.gap_penalty) >= -top - 1):
+                return dtype
     return np.float64
 
 
@@ -322,16 +357,13 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> list[list[tuple[Span, Spa
     chunk's skewed buffer holds at most CHUNK_BYTES of it.
     """
     scoring.validate()
-    lengths = [len(seq) for seq in seqs]
-    width = max(lengths, default=0)
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
     # column u of `forward` holds sequence u from the top; column u of
     # `backward` holds it reversed and bottom-aligned, so that matrix column j
     # (sequence position j - 1) of a b side sits at row width - j
-    forward = np.zeros((width, len(seqs)), dtype=np.int64)
-    backward = np.zeros((width, len(seqs)), dtype=np.int64)
-    for u, seq in enumerate(seqs):
-        forward[:lengths[u], u] = seq
-        backward[width - lengths[u]:, u] = seq[::-1]
+    forward = _pack(seqs, lengths)
+    backward = forward[::-1]
+    width = len(forward)
     a_of = np.array([a for a, _, _ in pairs], dtype=np.intp)
     b_of = np.array([b for _, b, _ in pairs], dtype=np.intp)
     self_pair = np.array([flag for _, _, flag in pairs], dtype=bool)
@@ -342,7 +374,7 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> list[list[tuple[Span, Spa
     b_dead = position < width - cols
 
     dtype = _score_dtype(scoring, width)
-    live = dtype(_INT16.max if dtype is np.int16 else np.inf)
+    live = dtype(np.inf if dtype is np.float64 else np.iinfo(dtype).max)
     budget = CHUNK_BYTES // np.dtype(dtype).itemsize
     buffer = np.empty(0, dtype)
     results: list[list[tuple[Span, Span, float]]] = [[] for _ in pairs]

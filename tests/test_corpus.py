@@ -73,18 +73,24 @@ def _features(rewrite):
     return mutate
 
 
-def _second_utterance(edit):
-    """Apply `edit` to the manifest entry of u1."""
+def _manifest(edit):
+    """Apply `edit` to the manifest."""
     def mutate(root):
         path = root / "manifest.json"
         manifest = json.loads(path.read_text())
-        edit(manifest["utterances"][1])
+        edit(manifest)
         path.write_text(json.dumps(manifest))
     return mutate
 
 
+def _second_utterance(edit):
+    """Apply `edit` to the manifest entry of u1."""
+    return _manifest(lambda manifest: edit(manifest["utterances"][1]))
+
+
 MATRIX = r"features\.npy: expected a 2-D little-endian float32 matrix"
 INTEGERS = "symbols, starts and ends must be JSON integers, and frames a non-negative one"
+DIMS = r"manifest\.json: feature_dim and alphabet_size must be JSON integers"
 MALFORMED = {
     "features-missing": (lambda root: (root / "features.npy").unlink(),
                          r"missing .*features\.npy"),
@@ -115,6 +121,11 @@ MALFORMED = {
                     r"manifest\.json: malformed manifest \(KeyError: 'ends'\)"),
     "manifest-not-json": (lambda root: (root / "manifest.json").write_text("{"),
                           r"manifest\.json: Expecting property name"),
+    "feature-dim-float": (_manifest(lambda m: m.update(feature_dim=4.9)), DIMS),
+    "alphabet-string": (_manifest(lambda m: m.update(alphabet_size="55")), DIMS),
+    "alphabet-bool": (_manifest(lambda m: m.update(alphabet_size=True)), DIMS),
+    "id-integer": (_second_utterance(lambda u: u.update(id=7)),
+                   r"manifest\.json: utterance id 7 is not a JSON string"),
 }
 
 

@@ -572,6 +572,22 @@ def test_cli_end_to_end(tmp_path):
     assert "baseline" in proc.stdout        # the printed results row
 
 
+def test_siamese_stages_leave_numpy_ma_unimported(tmp_path):
+    # a plain np.unique imports numpy.ma on its first call, which costs a
+    # fresh process 10-20 ms
+    script = (
+        "import sys\n"
+        "from termforge.pipeline import PipelineConfig, run_stage\n"
+        f"config = PipelineConfig.from_dict({small_blob(tmp_path / 'wd', system='siamese')!r})\n"
+        "for stage in config.stage_names():\n"
+        "    assert run_stage(stage, config), stage\n"
+        "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("stage, text, message, dp_cells", [
     ("all", '{"seed": 1,', "config.json: Expecting property name", None),
     ("all", None, "No such file", None),

@@ -108,6 +108,10 @@ def symbol_strings(draw, max_len=30):
 @example([(), ()])
 @example([(), (0, 1, 2)])
 @example([(3,) * 30, (3,) * 30])
+# either side of the int8 bound on the DP row: strings of 127 | 128 symbols
+@example([(0,) * 127, (1,) * 127])
+@example([(0,) * 128, (1,) * 128])
+@example([(0,) * 3, (1,) * 200])
 @settings(max_examples=300)
 def test_levenshtein_matches_scalar_reference(pair):
     a, b = pair
@@ -274,6 +278,12 @@ def symbol_pairs(draw, max_len=40):
 @example(((0,) * 8, (0,) * 8, False), AlignScoring(4096.0, -1.0, -1.0, 3.0, 1))
 @example(((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False), AlignScoring(2.0, -32768.0, -1.0, 1.0, 1))
 @example(((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False), AlignScoring(2.0, -1.0, -32769.0, 1.0, 1))
+# either side of the int8 bound: width * match 127 | 128, a penalty -128 |
+# -129; the first and third fill in int8, the others in int16
+@example(((0,) * 127, (0,) * 127, False), AlignScoring(1.0, -1.0, -1.0, 3.0, 1))
+@example(((0,) * 128, (0,) * 128, False), AlignScoring(1.0, -1.0, -1.0, 3.0, 1))
+@example(((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False), AlignScoring(2.0, -128.0, -1.0, 1.0, 1))
+@example(((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False), AlignScoring(2.0, -1.0, -129.0, 1.0, 1))
 @settings(max_examples=300)
 def test_local_align_matches_reference(pair, scoring):
     a, b, self_pair = pair
@@ -294,12 +304,15 @@ def test_mixed_length_batch_matches_reference(pairs, scoring, chunk_bytes):
 
 
 def expected_dtype(scoring, width):
-    """int16 exactly when the weights are integers, max(width, 1) * match
-    <= 32767 and both penalties >= -32768."""
+    """int8, else int16, when the weights are integers, max(width, 1) * match
+    is at most the type's largest value and both penalties at least its
+    smallest; float64 otherwise."""
     weights = (scoring.match_score, scoring.mismatch_penalty, scoring.gap_penalty)
-    if (all(w == int(w) for w in weights) and max(width, 1) * scoring.match_score <= 32767
-            and min(weights) >= -32768):
-        return np.int16
+    if all(w == int(w) for w in weights):
+        for dtype in (np.int8, np.int16):
+            info = np.iinfo(dtype)
+            if max(width, 1) * scoring.match_score <= info.max and min(weights) >= info.min:
+                return dtype
     return np.float64
 
 
@@ -311,15 +324,33 @@ def expected_dtype(scoring, width):
     (40, AlignScoring(1.0, -32769.0, -1.0), np.float64),
     (40, AlignScoring(1.0, -1.0, -32769.0), np.float64),
     (40, AlignScoring(1.0, -1.0, -0.5), np.float64),
-    (40, AlignScoring(), np.int16),
+    (40, AlignScoring(4.0, -1.0, -1.0), np.int16),
+    (40, AlignScoring(), np.int8),
+    (127, AlignScoring(), np.int8),
+    (128, AlignScoring(), np.int16),
+    (0, AlignScoring(127.0, -1.0, -1.0), np.int8),
+    (0, AlignScoring(128.0, -1.0, -1.0), np.int16),
+    (40, AlignScoring(1.0, -128.0, -128.0), np.int8),
+    (40, AlignScoring(1.0, -129.0, -1.0), np.int16),
+    (40, AlignScoring(1.0, -1.0, -129.0), np.int16),
 ])
 def test_fill_dtype_follows_the_int16_bound(width, scoring, dtype):
+    # the three tiers: int8, then int16, then float64
     assert seqmatch._score_dtype(scoring, width) is dtype
     assert expected_dtype(scoring, width) is dtype
 
 
 @given(st.lists(symbol_pairs(), min_size=1, max_size=12), scorings,
        st.sampled_from([seqmatch.CHUNK_BYTES, 16000, 3000, 1]))
+# either side of the int8 bound, as in test_local_align_matches_reference
+@example([((0,) * 127, (0,) * 127, False)], AlignScoring(1.0, -1.0, -1.0, 3.0, 1),
+         seqmatch.CHUNK_BYTES)
+@example([((0,) * 128, (0,) * 128, False)], AlignScoring(1.0, -1.0, -1.0, 3.0, 1),
+         seqmatch.CHUNK_BYTES)
+@example([((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False)] * 4,
+         AlignScoring(2.0, -128.0, -1.0, 1.0, 1), 3000)
+@example([((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False)] * 4,
+         AlignScoring(2.0, -1.0, -129.0, 1.0, 1), 3000)
 def test_sw_chunks_fit_the_byte_budget(pairs, scoring, chunk_bytes):
     # every skewed buffer the kernel fills fits the byte budget at the dtype
     # the scoring selects, unless it holds a single pair
@@ -342,6 +373,40 @@ def test_sw_chunks_fit_the_byte_budget(pairs, scoring, chunk_bytes):
     for skew in filled:
         assert skew.dtype == dtype
         assert skew.nbytes <= chunk_bytes or skew.shape[2] == 1
+
+
+# symbols either side of the int8, int16 and int32 bounds, which the packed
+# symbol arrays of both kernels must hold without wrapping
+BOUND_SYMBOLS = (0, -1, 127, 128, 255, 256, 32767, 32768, 2**31, -129, -32769)
+
+
+@st.composite
+def bound_symbol_strings(draw):
+    """Two to six strings over a one to three symbol alphabet drawn from
+    BOUND_SYMBOLS."""
+    alphabet = draw(st.lists(st.sampled_from(BOUND_SYMBOLS), min_size=1, max_size=3,
+                             unique=True))
+    return draw(st.lists(st.lists(st.sampled_from(alphabet), max_size=12).map(tuple),
+                         min_size=2, max_size=6))
+
+
+@given(bound_symbol_strings(), st.booleans())
+# each pair of symbols below is equal once wrapped to the next narrower type
+@example([(0, 256, 0), (256, 0, 256, 0)], False)
+@example([(-1, 127, 127, 127), (255, 127, 127, 127)], False)
+@example([(-129, 0, 0), (127, 0, 0)], False)
+@example([(32768, 0, 0, 0), (-32768, 0, 0, 0)], True)
+@example([(2**31, 1, 1), (-2**31, 1, 1)], False)
+@settings(max_examples=200)
+def test_symbols_at_type_bounds_match_reference(strings, self_pair):
+    scoring = default_scoring(min_align_score=2.0, min_length=2)
+    a, b = strings[0], strings[0] if self_pair else strings[1]
+    assert local_align(a, b, scoring, self_pair) == sw_oracle.local_align(a, b, scoring,
+                                                                        self_pair)
+    table = StringTable(strings)
+    every = np.arange(len(table.strings))
+    assert table.distances(every[:, None], every[None, :]).tolist() == [
+        [lev_oracle.levenshtein(u, v) for v in table.strings] for u in table.strings]
 
 
 def test_discovery_matches_reference_on_noisy_corpus():
