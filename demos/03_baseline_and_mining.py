@@ -5,7 +5,9 @@ synthetic corpus, one-pass leader clustering, purity/contrast statistics, and
 the sampling of matched/mismatched training examples.
 """
 
-from termforge.baseline import LeaderParams, cluster_set_stats, leader_cluster
+from collections import Counter
+
+from termforge.baseline import LeaderParams, leader_cluster
 from termforge.mining import (MiningConfig, contrast_stats,
                               mean_symbol_length, purity_stats, sample_manifest,
                               select_contrasting_pairs, select_pure_clusters)
@@ -21,9 +23,8 @@ segments = discover_segments(corpus, AlignScoring())
 print(f"discovered {len(segments)} segments")
 
 clusters = leader_cluster(segments, LeaderParams(T=0.4, a=1.8, R=3))
-stats = cluster_set_stats(clusters)
-print(f"leader clustering: {stats['count']} clusters, "
-      f"sizes {dict(list(stats['size_histogram'].items())[:6])} ...")
+sizes = sorted(Counter(len(c.members) for c in clusters).items())
+print(f"leader clustering: {len(clusters)} clusters, sizes {dict(sizes[:6])} ...")
 
 by_id = {s.id: s for s in segments}
 for cluster in clusters[:4]:

@@ -1,9 +1,16 @@
-"""Leader clustering of discovered segments by normalized Levenshtein distance.
+"""Leader clustering of discovered segments by normalized Levenshtein
+distance, and the one file format of a clustering.
 
 Order-dependent by design: segments are processed in ascending id order, a
 segment joins the first cluster whose leader lies within radius T, and a new
 cluster may only be founded when the segment is at least a*T away from every
 existing leader. Segments failing both tests go to the nearest leader.
+
+Leader clusters (`clusters_baseline.json`) and HDBSCAN re-clusters
+(`clusters_final.json`) are both written by `write_clusters` and read by
+`load_clusters`, as {"clusters": [{"id", "leader", "members", "stability"}],
+"noise": [segment ids]}: members and noise are sorted, noise holds every
+segment that no cluster holds, and stability is null for a leader cluster.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ class Cluster:
     id: int
     leader: int                       # segment id
     members: list[int]
+    stability: float | None = None    # HDBSCAN's; None for a leader cluster
 
 
 def leader_cluster(segments: list[Segment], params: LeaderParams) -> list[Cluster]:
@@ -101,18 +109,6 @@ def leader_cluster(segments: list[Segment], params: LeaderParams) -> list[Cluste
             for k, (leader, rows) in enumerate(zip(leaders, np.split(order, bounds)))]
 
 
-def cluster_set_stats(clusters: list[Cluster]) -> dict:
-    """Summary: cluster count, member count and size histogram."""
-    histogram: dict[int, int] = {}
-    for cluster in clusters:
-        histogram[len(cluster.members)] = histogram.get(len(cluster.members), 0) + 1
-    return {
-        "count": len(clusters),
-        "total_members": sum(len(c.members) for c in clusters),
-        "size_histogram": dict(sorted(histogram.items())),
-    }
-
-
 def validate_partition(clusters: list[Cluster]) -> None:
     seen: set[int] = set()
     for cluster in clusters:
@@ -126,14 +122,31 @@ def validate_partition(clusters: list[Cluster]) -> None:
         seen.update(cluster.members)
 
 
-def write_clusters(path, clusters: list[Cluster]) -> None:
-    """clusters_baseline.json: list of {id, leader, members}."""
-    blob = [{"id": c.id, "leader": c.leader, "members": sorted(c.members)}
-            for c in clusters]
-    write_json(path, blob)
+def write_clusters(path, clusters: list[Cluster], segments: list[Segment]) -> None:
+    """A clusters file (see the module docstring) for a partition of some of
+    `segments`; a clustering that is not one raises a ValueError."""
+    validate_partition(clusters)
+    held = {m for c in clusters for m in c.members}
+    ids = {s.id for s in segments}
+    if not held <= ids:
+        raise ValueError(f"cluster members {sorted(held - ids)[:5]} are not segments")
+    write_json(path, {
+        "clusters": [{"id": c.id, "leader": c.leader, "members": sorted(c.members),
+                      "stability": c.stability} for c in clusters],
+        "noise": sorted(ids - held),
+    })
 
 
 def load_clusters(path) -> list[Cluster]:
-    blob = json.loads(Path(path).read_text())
-    return [Cluster(id=c["id"], leader=c["leader"], members=list(c["members"]))
-            for c in blob]
+    """The clusters of a file that `write_clusters` wrote. A malformed file,
+    or the list of clusters that leader clustering once wrote, raises a
+    ValueError that names the path."""
+    try:
+        blob = json.loads(Path(path).read_text())
+        if not isinstance(blob, dict):
+            raise TypeError(f"a JSON {type(blob).__name__}, not an object")
+        return [Cluster(id=c["id"], leader=c["leader"], members=list(c["members"]),
+                        stability=c["stability"]) for c in blob["clusters"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a clusters file ({type(exc).__name__}: {exc}); "
+                         "run the stage that writes it again, with --force") from None

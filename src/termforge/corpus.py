@@ -175,8 +175,11 @@ class Corpus:
     """Validated, ordered collection of utterances with a shared feature space."""
 
     def __init__(self, feature_dim: int, alphabet_size: int, utterances: list[Utterance]):
-        self.feature_dim = int(feature_dim)
-        self.alphabet_size = int(alphabet_size)
+        if not all(type(v) is int for v in (feature_dim, alphabet_size)):
+            raise CorpusError(f"feature_dim and alphabet_size must be ints, got "
+                              f"{feature_dim!r} and {alphabet_size!r}")
+        self.feature_dim = feature_dim
+        self.alphabet_size = alphabet_size
         self._utterances: dict[str, Utterance] = {}
         for utt in utterances:
             if utt.id in self._utterances:
@@ -286,8 +289,6 @@ def load_corpus(path) -> Corpus:
                                   "integers, and frames a non-negative one")
             if len(starts) != len(ends):
                 raise CorpusError(f"{utt_id}: starts and ends differ in length")
-            if len(symbols) != len(starts):
-                raise CorpusError(f"{utt_id}: span/symbol length mismatch")
             utterances.append(Utterance(utt_id, features[offset:offset + frames],
                                         tuple(symbols), tuple(zip(starts, ends))))
             offset += frames

@@ -31,7 +31,7 @@ from . import baseline as baseline_mod
 from . import embednet, evaluation, mining, recluster, seqmatch, synthgen
 from .corpus import load_corpus, load_gold, write_corpus, write_gold
 from .util import (atomic_write, derive_seed, from_json, sha256_bytes, sha256_file,
-                   stable_json, write_json)
+                   stable_json)
 
 log = logging.getLogger("termforge")
 
@@ -207,8 +207,7 @@ def _run_discover(config: PipelineConfig, workdir: Path) -> None:
 def _run_baseline(config: PipelineConfig, workdir: Path) -> None:
     segments = seqmatch.load_segments(workdir / "segments.jsonl")
     clusters = baseline_mod.leader_cluster(segments, config.leader)
-    baseline_mod.validate_partition(clusters)
-    baseline_mod.write_clusters(workdir / "clusters_baseline.json", clusters)
+    baseline_mod.write_clusters(workdir / "clusters_baseline.json", clusters, segments)
     log.info("baseline: %d clusters", len(clusters))
 
 
@@ -260,28 +259,19 @@ def _run_recluster(config: PipelineConfig, workdir: Path) -> None:
     params = (config.hdbscan if config.extraction == "hybrid"
               else replace(config.hdbscan, cluster_selection_epsilon=0.0))
     result = recluster.hdbscan(table, params)
-    blob = {
-        "clusters": [
-            {
-                "id": idx,
-                "leader": min(segments[p].id for p in members),
-                "members": sorted(segments[p].id for p in members),
-                "stability": result.stabilities[idx],
-            }
-            for idx, members in enumerate(result.clusters)
-        ],
-        "noise": sorted(segments[p].id for p in result.noise),
-    }
-    write_json(workdir / "clusters_final.json", blob)
+    clusters = []
+    for idx, (rows, stability) in enumerate(zip(result.clusters, result.stabilities)):
+        ids = [segments[p].id for p in rows]
+        clusters.append(baseline_mod.Cluster(id=idx, leader=min(ids), members=ids,
+                                             stability=stability))
+    baseline_mod.write_clusters(workdir / "clusters_final.json", clusters, segments)
     log.info("recluster: %d clusters, %d noise segments",
              len(result.clusters), len(result.noise))
 
 
-def _load_final_clusters(path) -> list[baseline_mod.Cluster]:
-    blob = json.loads(Path(path).read_text())
-    return [baseline_mod.Cluster(id=c["id"], leader=c["leader"],
-                                 members=list(c["members"]))
-            for c in blob["clusters"]]
+def _scored_clusters(config: PipelineConfig) -> str:
+    """The clusters file that evaluate scores for the configured system."""
+    return "clusters_baseline.json" if config.system == "baseline" else "clusters_final.json"
 
 
 def _run_evaluate(config: PipelineConfig, workdir: Path) -> None:
@@ -289,10 +279,7 @@ def _run_evaluate(config: PipelineConfig, workdir: Path) -> None:
     # from the gold, which synth checked against it
     gold = load_gold(workdir / "corpus" / "gold.json")
     segments = seqmatch.load_segments(workdir / "segments.jsonl")
-    if config.system == "baseline":
-        clusters = baseline_mod.load_clusters(workdir / "clusters_baseline.json")
-    else:
-        clusters = _load_final_clusters(workdir / "clusters_final.json")
+    clusters = baseline_mod.load_clusters(workdir / _scored_clusters(config))
     report = evaluation.report(clusters, segments, gold)
     evaluation.write_report(report, workdir / "report.json", workdir / "report.txt",
                             system=config.mode)
@@ -304,8 +291,6 @@ _CORPUS = ("corpus/manifest.json", "corpus/features.npy")   # what load_corpus r
 
 def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
     """Every stage of the pipeline, in run order, as `config` sets it up."""
-    clusters_file = ("clusters_baseline.json" if config.system == "baseline"
-                     else "clusters_final.json")
     stages = (
         _Stage("synth", (), (*_CORPUS, "corpus/gold.json"), ("synth",), _run_synth),
         _Stage("discover", _CORPUS, ("segments.jsonl",), ("align",), _run_discover),
@@ -320,9 +305,9 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
                ("embeddings.npy",), (), _run_embed),
         _Stage("recluster", ("embeddings.npy", "segments.jsonl"), ("clusters_final.json",),
                ("hdbscan", "extraction"), _run_recluster),
-        _Stage("evaluate", (clusters_file, "segments.jsonl", "corpus/manifest.json",
-                            "corpus/gold.json"), ("report.json", "report.txt"),
-               ("system", "extraction"), _run_evaluate),
+        _Stage("evaluate", (_scored_clusters(config), "segments.jsonl",
+                            "corpus/manifest.json", "corpus/gold.json"),
+               ("report.json", "report.txt"), ("system", "extraction"), _run_evaluate),
     )
     return {stage.name: stage for stage in stages}
 

@@ -144,49 +144,35 @@ def generate(config: SynthConfig, seed: int) -> tuple[Corpus, GoldAnnotation]:
             token_sym_counts.append(len(syms))
 
         frame_counts = rng.integers(frames_lo, frames_hi + 1, size=len(true_symbols))
-        spans: list[tuple[int, int]] = []
-        cursor = 0
-        for count in frame_counts:
-            spans.append((cursor, cursor + int(count)))
-            cursor += int(count)
-        total_frames = cursor
-
-        blocks = []
-        for sym, (start, end) in zip(true_symbols, spans):
-            block = np.repeat(prototypes[sym][None, :], end - start, axis=0)
-            if config.feature_noise_sigma > 0:
-                block = block + config.feature_noise_sigma * rng.standard_normal(block.shape)
-            blocks.append(block)
-        features = np.concatenate(blocks, axis=0).astype(np.float32)
+        ends = np.cumsum(frame_counts)
+        starts = ends - frame_counts
+        features = prototypes[true_symbols].repeat(frame_counts, axis=0)
+        if config.feature_noise_sigma > 0:
+            features += config.feature_noise_sigma * rng.standard_normal(features.shape)
 
         emitted = _substitute(true_symbols, config.symbol_substitution_rate,
                               config.alphabet_size, rng)
 
         utterances.append(Utterance(
             id=utt_id,
-            features=features,
+            features=features.astype(np.float32),
             transcription=tuple(emitted),
-            frame_spans=tuple(spans),
+            frame_spans=tuple(zip(starts.tolist(), ends.tolist())),
         ))
 
-        boundaries = [0]
-        gold_tokens = []
-        sym_cursor = 0
-        for (kind, payload), count in zip(tokens, token_sym_counts):
-            start = spans[sym_cursor][0]
-            end = spans[sym_cursor + count - 1][1]
-            boundaries.append(end)
-            if kind == "word":
-                gold_tokens.append(GoldToken(payload, start, end, vocabulary[payload]))
-            sym_cursor += count
+        # token k holds true symbols edges[k] .. edges[k + 1] - 1
+        edges = np.cumsum([0, *token_sym_counts])
+        token_starts = starts[edges[:-1]].tolist()
+        token_ends = ends[edges[1:] - 1].tolist()
         gold_utts[utt_id] = UtteranceGold(
-            boundaries=tuple(boundaries),
-            tokens=tuple(gold_tokens),
+            boundaries=(0, *token_ends),
+            tokens=tuple(GoldToken(payload, start, end, vocabulary[payload])
+                         for (kind, payload), start, end
+                         in zip(tokens, token_starts, token_ends) if kind == "word"),
             true_symbols=tuple(true_symbols),
-            true_starts=tuple(start for start, _ in spans),
-            true_ends=tuple(end for _, end in spans),
+            true_starts=tuple(starts.tolist()),
+            true_ends=tuple(ends.tolist()),
         )
-        assert boundaries[-1] == total_frames
 
     corpus = Corpus(config.feature_dim, config.alphabet_size, utterances)
     gold = GoldAnnotation(gold_utts)

@@ -1,10 +1,11 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lev_oracle
-from termforge.baseline import (Cluster, LeaderParams, cluster_set_stats,
-                                leader_cluster, load_clusters,
+from termforge.baseline import (Cluster, LeaderParams, leader_cluster, load_clusters,
                                 validate_partition, write_clusters)
 from termforge.corpus import Segment
 from termforge.seqmatch import normalized_levenshtein
@@ -98,32 +99,56 @@ def test_leader_separation(rng):
             assert normalized_levenshtein(leaders[i], leaders[j]) >= params.a * params.T
 
 
-def test_stats_empty():
-    assert cluster_set_stats([]) == {
-        "count": 0, "total_members": 0, "size_histogram": {}}
-
-
-def test_stats_match_recount(rng):
-    segments = [seg(i, list(rng.integers(0, 6, size=int(rng.integers(3, 7)))))
-                for i in range(40)]
+def test_leader_clusters_round_trip(tmp_path):
+    # segment 3 is shorter than R = 3, so no leader cluster holds it
+    segments = [seg(0, [1, 2, 3]), seg(1, [7, 7, 7, 7]), seg(2, [1, 2, 3]), seg(3, [5])]
     clusters = leader_cluster(segments, LeaderParams())
-    stats = cluster_set_stats(clusters)
-    assert stats["count"] == len(clusters)
-    assert stats["total_members"] == sum(len(c.members) for c in clusters)
-    histogram = {}
-    for c in clusters:
-        histogram[len(c.members)] = histogram.get(len(c.members), 0) + 1
-    assert stats["size_histogram"] == histogram
-
-
-def test_cluster_json_round_trip(tmp_path):
-    segments = [seg(i, [1, 2, 3]) for i in range(3)]
-    clusters = leader_cluster(segments, LeaderParams())
+    assert [c.members for c in clusters] == [[0, 2], [1]]
     path = tmp_path / "clusters.json"
-    write_clusters(path, clusters)
+    write_clusters(path, clusters, segments)
+    assert load_clusters(path) == clusters
+    assert all(c.stability is None for c in load_clusters(path))
+    assert json.loads(path.read_text())["noise"] == [3]
+
+
+def test_stability_clusters_round_trip(tmp_path):
+    segments = [seg(i, [1, 2, 3]) for i in range(6)]
+    clusters = [Cluster(id=0, leader=1, members=[4, 1], stability=0.1 + 0.2),
+                Cluster(id=1, leader=0, members=[0, 3], stability=1e-17)]
+    path = tmp_path / "clusters.json"
+    write_clusters(path, clusters, segments)
+    blob = json.loads(path.read_text())
+    assert [c["members"] for c in blob["clusters"]] == [[1, 4], [0, 3]]
+    assert blob["noise"] == [2, 5]
     restored = load_clusters(path)
-    assert [(c.id, c.leader, sorted(c.members)) for c in restored] \
-        == [(c.id, c.leader, sorted(c.members)) for c in clusters]
+    assert [c.stability for c in restored] == [0.1 + 0.2, 1e-17]
+    assert restored == [Cluster(0, 1, [1, 4], 0.1 + 0.2), Cluster(1, 0, [0, 3], 1e-17)]
+
+
+@pytest.mark.parametrize("clusters, message", [
+    ([Cluster(0, 0, [0, 1]), Cluster(1, 1, [1, 2])], "multiple clusters"),
+    ([Cluster(0, 0, [])], "is empty"),
+    ([Cluster(0, 2, [0, 1])], "leader not a member"),
+    ([Cluster(0, 0, [0, 9])], "are not segments"),
+], ids=["overlap", "empty", "leader-outside", "unknown-member"])
+def test_write_clusters_refuses_a_non_partition(tmp_path, clusters, message):
+    path = tmp_path / "clusters.json"
+    with pytest.raises(ValueError, match=message):
+        write_clusters(path, clusters, [seg(i, [1, 2, 3]) for i in range(3)])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '[{"id": 0, "leader": 0, "members": [0, 1]}]',   # the old leader-cluster list
+    '{"noise": [0, 1]}',
+    '{"clusters": [{"id": 0, "leader": 0, "members": [0]}], "noise": []}',
+    '{"clusters": [',
+], ids=["old-list", "no-clusters", "no-stability", "not-json"])
+def test_load_clusters_refuses_a_malformed_file_naming_it(tmp_path, text):
+    path = tmp_path / "clusters_baseline.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="clusters_baseline.json: not a clusters file"):
+        load_clusters(path)
 
 
 @st.composite

@@ -49,6 +49,13 @@ def test_empty_utterance_rejected():
         Corpus(4, 55, [Utterance("u0", features, (), ())])
 
 
+@pytest.mark.parametrize("feature_dim, alphabet_size", [
+    (4.9, 55), (4, "55"), (True, 55), (4, np.int64(55)), (4.0, 55.0)])
+def test_corpus_refuses_non_int_dims(feature_dim, alphabet_size):
+    with pytest.raises(CorpusError, match="feature_dim and alphabet_size must be ints"):
+        Corpus(feature_dim, alphabet_size, [])
+
+
 def test_feature_dim_mismatch_names_utterance(tmp_path):
     corpus = make_corpus([[1, 2]])
     write_corpus(corpus, tmp_path)

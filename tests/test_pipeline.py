@@ -467,20 +467,22 @@ def test_identical_runs_are_byte_identical(tmp_path):
 
 # sha256 of the baseline system's artifacts and stamps on one small noisy
 # corpus (34 utterances, 498 segments, 24 clusters), with numpy 2.4 (the synth
-# stamp hashes the corpus's float32 features). The three artifacts are as an
-# earlier, per-segment implementation of discovery, leader clustering and
-# scoring wrote them; the stamps are as written since each stage hash covers
+# stamp hashes the corpus's float32 features). segments.jsonl and report.json
+# are as an earlier, per-segment implementation of discovery, leader
+# clustering and scoring wrote them, and clusters_baseline.json holds its
+# clusters in the file format that re-clusters share ("stability": null, a
+# "noise" list). The stamps are as written since each stage hash covers
 # exactly the config fields its stage names, discover's since it names
-# align alone, baseline's since the leader section has three settings, and
-# synth's, discover's and evaluate's since the corpus is a manifest and one
-# feature matrix, each hashed as a file.
+# align alone, synth's and discover's since the corpus is a manifest and one
+# feature matrix, each hashed as a file, and baseline's and evaluate's since
+# leader clusters share that format.
 NOISY_BASELINE_DIGESTS = {
     "segments.jsonl": "3bfe25d00e3b9b43e7b1b76b8d4cd304c614d213ba078c8e7278be4ed1c3244a",
-    "clusters_baseline.json": "3b3dec72d1e048d695d01979260e167042b2e3be7786cfd62d80cfd862f33ce1",
+    "clusters_baseline.json": "f4eddd650877996e1730d635c75784290de2580895760b85030a3e6a232daeb7",
     "report.json": "8f2412e059cb43d672960e93e20e95ad8a0b20ae6cbe52e3e465ba134226dd7f",
-    ".stamps/baseline.json": "8e0c526b8b702162e2d7ee24b13f45d830ee7a6a90d8006b8023fd84524485ba",
+    ".stamps/baseline.json": "c0e7f91f63ee2e8c5541f5c23c85f6f25cda8850a4496d9549cd302e809fbe5b",
     ".stamps/discover.json": "f7604cc2257aefcdb6ba8f4c6c8424d25b32bcd59804c02f290152aed802b6d4",
-    ".stamps/evaluate.json": "15527e797dc2c901ffe46c15a6cfc45b737fd5b8e60c486ba30865aaa7b06b60",
+    ".stamps/evaluate.json": "97d33a3a25a562783ebb35dc085bd7c032fb3ce6413af6beeefb3996c5bff076",
     ".stamps/synth.json": "0d2980040d9ee414ac3d0d0bd771ad4501e9f28b21236b76e98509d18a2985a0",
 }
 
@@ -505,12 +507,13 @@ def test_noisy_baseline_artifacts_match_golden_digests(tmp_path):
 # sha256 of what the siamese system's mine stage wrote for small_blob, and
 # the train stage's hash, which covers its settings and input hashes but no
 # trained float. The manifest is as the code before the synth and train seeds
-# became arguments wrote it; the stamp and the hash are as written since each
-# stage hash covers exactly the config fields its stage names, and the hash
-# since the corpus is a manifest and one feature matrix.
+# became arguments wrote it; the hash is as written since each stage hash
+# covers exactly the config fields its stage names and the corpus is a
+# manifest and one feature matrix, and the stamp since the leader clusters
+# it reads share the re-clusters' file format.
 LEARNED_DIGESTS = {
     "manifest.json": "60f509192f460edaae708f87bc077147cda6873d2af8a6a2a61eaf8fbc54cdc8",
-    ".stamps/mine.json": "721b702ac4ed703adea791c8e444e0fad6df5c1fcbaba00d1452a0319e615787",
+    ".stamps/mine.json": "de8baa63e02e44345810c77b43f2d79bf6428ed30c52c9b3c17a4b51ef66c31a",
 }
 LEARNED_TRAIN_HASH = "3bfd9e5748ce62c86189ea3810508281ffe302de6ac274fdd5d9c903ed8e9411"
 
@@ -524,6 +527,21 @@ def test_learned_artifacts_match_golden_digests(tmp_path):
             for name in LEARNED_DIGESTS} == LEARNED_DIGESTS
     assert json.loads((workdir / ".stamps" / "train.json").read_text())["hash"] \
         == LEARNED_TRAIN_HASH
+
+
+# sha256 of the siamese system's re-clusters for small_blob with numpy 2.4
+# (training is float32), as written before leader clusters and re-clusters
+# shared one writer
+LEARNED_CLUSTERS_DIGEST = "5f430ca4f81b502895c58930a94253ff89fc6b27465310f7a7e18da3234667be"
+
+
+def test_learned_clusters_match_golden_digest(tmp_path):
+    workdir = tmp_path / "wd"
+    config = PipelineConfig.from_dict(small_blob(workdir, system="siamese"))
+    for stage in config.stage_names():
+        run_stage(stage, config)
+    assert sha256_bytes((workdir / "clusters_final.json").read_bytes()) \
+        == LEARNED_CLUSTERS_DIGEST
 
 
 def test_evaluate_reads_no_features(tmp_path, monkeypatch):
