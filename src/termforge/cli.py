@@ -9,10 +9,8 @@ under `d/corpus` and the synth stamp under `d/.stamps`.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
-from pathlib import Path
 
 from . import embednet, mining, pipeline, util
 
@@ -41,11 +39,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        try:
-            blob = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise pipeline.PipelineError(f"{args.config}: {exc}") from None
-        config = pipeline.PipelineConfig.from_dict(blob)
+        config = util.read_json(args.config, pipeline.PipelineConfig.from_dict)
         if args.out:
             config.workdir = args.out
         if args.stage == "all":

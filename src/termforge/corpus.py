@@ -8,7 +8,8 @@ A corpus directory contains:
                     of an utterance spans its frames [starts[k], ends[k])
     features.npy    every utterance's frames, in manifest order, as one
                     (total frames, feature_dim) little-endian float32 matrix
-                    in NumPy's .npy format
+                    in NumPy's .npy format, written by `util.write_npy` and
+                    read by `util.read_npy`
     gold.json       optional word-level ground truth, per utterance in the
                     shape of `UtteranceGold`, which gold lookups bisect
 
@@ -18,14 +19,13 @@ A Corpus is immutable after load and safe for concurrent readers.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .util import atomic_write, write_json
+from .util import read_json, read_npy, write_json, write_npy
 
 
 class CorpusError(ValueError):
@@ -227,8 +227,7 @@ def write_corpus(corpus: Corpus, path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     rows = [utt.features for utt in corpus] or [np.empty((0, corpus.feature_dim))]
-    with atomic_write(root / "features.npy", "wb") as fh:
-        np.save(fh, np.concatenate(rows).astype("<f4", copy=False))
+    write_npy(root / "features.npy", np.concatenate(rows))
     manifest = {
         "feature_dim": corpus.feature_dim,
         "alphabet_size": corpus.alphabet_size,
@@ -242,66 +241,46 @@ def write_corpus(corpus: Corpus, path) -> None:
     write_json(root / "manifest.json", manifest)
 
 
-def _read_features(path: Path) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            # not np.load, which raises EOFError on an empty file and opens a zip
-            features = np.lib.format.read_array(fh, allow_pickle=False)
-            trailing = fh.read(1)
-    except ValueError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
-    if features.ndim != 2 or features.dtype != np.dtype("<f4"):
-        raise CorpusError(f"{path}: expected a 2-D little-endian float32 matrix, "
-                          f"got {features.ndim}-D {features.dtype}")
-    if trailing:
-        raise CorpusError(f"{path}: bytes after the feature matrix")
-    return features
-
-
 def load_corpus(path) -> Corpus:
     """Load and validate a corpus directory. Each utterance's features are a
     view of the one feature matrix. A missing or malformed file, or a
     manifest entry that does not fit the matrix, raises a CorpusError that
-    names the file or the utterance."""
+    names the file (and the utterance)."""
     root = Path(path)
     manifest_path, features_path = root / "manifest.json", root / "features.npy"
     for required in (manifest_path, features_path):
         if not required.is_file():
             raise CorpusError(f"missing corpus file: {required}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:
-        raise CorpusError(f"{manifest_path}: {exc}") from None
-    features = _read_features(features_path)
+        features = read_npy(features_path, 2)
+        return read_json(manifest_path, lambda manifest: _decode_manifest(manifest, features))
+    except ValueError as exc:   # a CorpusError too; either way the message names the file
+        raise CorpusError(str(exc)) from None
+
+
+def _decode_manifest(manifest, features: np.ndarray) -> Corpus:
     utterances = []
     offset = 0
-    try:
-        for entry in manifest["utterances"]:
-            utt_id = entry["id"]
-            if type(utt_id) is not str:
-                raise CorpusError(f"{manifest_path}: utterance id {utt_id!r} is not a "
-                                  "JSON string")
-            frames, symbols, starts, ends = (entry[key] for key in
-                                             ("frames", "symbols", "starts", "ends"))
-            if not all(type(v) is int for v in (frames, *symbols, *starts, *ends)) \
-                    or frames < 0:
-                raise CorpusError(f"{utt_id}: symbols, starts and ends must be JSON "
-                                  "integers, and frames a non-negative one")
-            if len(starts) != len(ends):
-                raise CorpusError(f"{utt_id}: starts and ends differ in length")
-            utterances.append(Utterance(utt_id, features[offset:offset + frames],
-                                        tuple(symbols), tuple(zip(starts, ends))))
-            offset += frames
-        feature_dim, alphabet_size = manifest["feature_dim"], manifest["alphabet_size"]
-        if type(feature_dim) is not int or type(alphabet_size) is not int:
-            raise CorpusError(f"{manifest_path}: feature_dim and alphabet_size must be "
-                              "JSON integers")
-    except (KeyError, TypeError) as exc:
-        raise CorpusError(f"{manifest_path}: malformed manifest ({type(exc).__name__}: "
-                          f"{exc})") from None
+    for entry in manifest["utterances"]:
+        utt_id = entry["id"]
+        if type(utt_id) is not str:
+            raise CorpusError(f"utterance id {utt_id!r} is not a JSON string")
+        frames, symbols, starts, ends = (entry[key] for key in
+                                         ("frames", "symbols", "starts", "ends"))
+        if not all(type(v) is int for v in (frames, *symbols, *starts, *ends)) or frames < 0:
+            raise CorpusError(f"{utt_id}: symbols, starts and ends must be JSON "
+                              "integers, and frames a non-negative one")
+        if len(starts) != len(ends):
+            raise CorpusError(f"{utt_id}: starts and ends differ in length")
+        utterances.append(Utterance(utt_id, features[offset:offset + frames],
+                                    tuple(symbols), tuple(zip(starts, ends))))
+        offset += frames
+    feature_dim, alphabet_size = manifest["feature_dim"], manifest["alphabet_size"]
+    if type(feature_dim) is not int or type(alphabet_size) is not int:
+        raise CorpusError("feature_dim and alphabet_size must be JSON integers")
     if offset != len(features):
-        raise CorpusError(f"{features_path}: {len(features)} rows, but the manifest's "
-                          f"utterances have {offset} frames")
+        raise CorpusError(f"its utterances have {offset} frames, but features.npy has "
+                          f"{len(features)} rows")
     return Corpus(feature_dim, alphabet_size, utterances)
 
 
@@ -322,7 +301,11 @@ def write_gold(gold: GoldAnnotation, path) -> None:
 
 
 def load_gold(path) -> GoldAnnotation:
-    blob = json.loads(Path(path).read_text())
+    """`write_gold`'s gold; a malformed file raises a ValueError naming it."""
+    return read_json(path, _decode_gold)
+
+
+def _decode_gold(blob) -> GoldAnnotation:
     utterances = {}
     for utt_id, g in blob["utterances"].items():
         tokens = tuple(

@@ -22,6 +22,10 @@ the same kernels, for the finite-difference checks and the bit-identical
 reference below; float32 results match that reference within a stated
 tolerance.
 
+A checkpoint is two files that the caller names, as a corpus is: a JSON
+header of the arch and init_seed, and a .npy of one float32 vector that holds
+every parameter, flattened in `param_shapes` order.
+
 Each convolution is one matrix product over an explicit window matrix
 ("im2col", Chellapilla, Puri & Simard 2006). Activations are kept
 channel-major, (C, B, T), so `_cols` fills the (C*k, B*T) matrix one kernel
@@ -84,22 +88,17 @@ is why `embed_all` keeps chunk_size=256, in float32 as it did in float64.
 from __future__ import annotations
 
 import csv
-import json
 import math
-import struct
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus, Segment, slice_features
 from .mining import PairManifest
-from .util import atomic_write, from_json, rng_from
+from .util import atomic_write, from_json, read_json, read_npy, rng_from, write_json, write_npy
 
-CHECKPOINT_MAGIC = b"TERMFNET"
-CHECKPOINT_VERSION = 3   # 2 stored names and shapes, 1 float64 parameters
-# the dtype of the parameters init_params and load_params give; checkpoints
-# store it little-endian
+# the dtype of the parameters init_params and load_params give; a checkpoint
+# stores them as one little-endian vector of it (see save_params)
 PARAM_DTYPE = np.dtype(np.float32)
 
 
@@ -592,62 +591,39 @@ def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, length of the arch JSON, arch JSON, then
-# every parameter as little-endian PARAM_DTYPE, in the order and shapes
-# param_shapes gives its arch
-
-_STORED = PARAM_DTYPE.newbyteorder("<")
+# checkpoint: a header {"arch": ..., "init_seed": ...} and one vector, which
+# param_shapes of the header's arch cuts into the parameters
 
 
-def save_params(path, params: NetworkParams) -> None:
-    arch_blob = json.dumps({"arch": asdict(params.arch),
-                            "init_seed": params.init_seed},
-                           sort_keys=True).encode("utf-8")
-    with atomic_write(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(arch_blob)))
-        fh.write(arch_blob)
-        for name in param_shapes(params.arch):
-            fh.write(np.ascontiguousarray(params.arrays[name], dtype=_STORED).tobytes())
+def save_params(header_path, vector_path, params: NetworkParams) -> None:
+    write_npy(vector_path, np.concatenate([params.arrays[name].ravel()
+                                           for name in param_shapes(params.arch)]))
+    write_json(header_path, {"arch": asdict(params.arch), "init_seed": params.init_seed})
 
 
-def load_params(path) -> NetworkParams:
-    """The network a checkpoint of CHECKPOINT_VERSION holds, in PARAM_DTYPE.
-    Any other magic or version, a cut or over-long file and an arch JSON that
-    is not an arch and init_seed raise a ValueError that starts with the path."""
-    raw = memoryview(Path(path).read_bytes())   # slices share its bytes
-    offset = 0
+def _decode_header(blob) -> tuple[NetArch, int, dict[str, tuple[int, ...]]]:
+    if not isinstance(blob, dict) or sorted(blob) != ["arch", "init_seed"]:
+        raise ValueError("a network header must be an object with the keys arch and "
+                         "init_seed")
+    arch = from_json(NetArch, blob["arch"], "arch")
+    return arch, blob["init_seed"], param_shapes(arch)
 
-    def take(size: int) -> memoryview:
-        nonlocal offset
-        if offset + size > len(raw):
-            raise ValueError(f"{path}: checkpoint ends at byte {len(raw)}, inside "
-                             f"a field that runs to byte {offset + size}")
-        offset += size
-        return raw[offset - size:offset]
 
-    if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a network checkpoint")
-    version, = struct.unpack("<I", take(4))
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    arch_blob = take(struct.unpack("<I", take(4))[0])
-    try:
-        meta = json.loads(bytes(arch_blob))
-    except ValueError as exc:   # a JSONDecodeError or UnicodeDecodeError
-        raise ValueError(f"{path}: arch JSON: {exc}") from None
-    if not isinstance(meta, dict) or sorted(meta) != ["arch", "init_seed"]:
-        raise ValueError(f"{path}: arch JSON must be an object with the keys "
-                         "arch and init_seed")
-    arch = from_json(NetArch, meta["arch"], str(path))
-    try:
-        shapes = param_shapes(arch)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    arrays = {name: np.frombuffer(take(_STORED.itemsize * math.prod(shape)), dtype=_STORED)
-              .reshape(shape).astype(PARAM_DTYPE) for name, shape in shapes.items()}
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} bytes past the end of the checkpoint")
-    return NetworkParams(arch, arrays, meta["init_seed"])
+def load_params(header_path, vector_path) -> NetworkParams:
+    """The network that save_params stored, in PARAM_DTYPE, each array a view
+    of the one vector read. A header that is not an arch and init_seed, or a
+    vector that is not a float32 .npy of the arch's parameter count, raises a
+    ValueError that starts with the path of the file at fault."""
+    arch, init_seed, shapes = read_json(header_path, _decode_header)
+    vector = read_npy(vector_path, 1)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if len(vector) != sum(sizes):
+        raise ValueError(f"{vector_path}: {len(vector)} parameters, but the arch of "
+                         f"{header_path} has {sum(sizes)}")
+    chunks = np.split(vector, np.cumsum(sizes)[:-1])
+    return NetworkParams(arch, {name: chunk.reshape(shape).astype(PARAM_DTYPE, copy=False)
+                                for (name, shape), chunk in zip(shapes.items(), chunks)},
+                         init_seed)
 
 
 def write_loss_curve(path, curve: list[float]) -> None:

@@ -24,12 +24,10 @@ NED_BLOCK values however large a cluster is.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +36,7 @@ from .corpus import GoldAnnotation, Segment
 # normalized_levenshtein stays a module attribute for code that wraps it
 from .seqmatch import StringTable, normalized_levenshtein  # noqa: F401
 from .synthgen import gold_segment_label
-from .util import atomic_write, from_json, write_json
+from .util import atomic_write, from_json, read_json, write_json
 
 TOLERANCE = 1   # frames per edge, for token spans and gold boundaries
 NED_BLOCK = 1 << 16   # pair values summed by one np.add.accumulate call
@@ -320,4 +318,5 @@ def write_report(report_: EvalReport, json_path, txt_path, system: str = "system
 
 
 def load_report(path) -> EvalReport:
-    return from_json(EvalReport, json.loads(Path(path).read_text()), str(path))
+    """`write_report`'s report; a malformed file raises a ValueError naming it."""
+    return read_json(path, lambda blob: from_json(EvalReport, blob, "report"))

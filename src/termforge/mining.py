@@ -9,11 +9,9 @@ involved, and comparisons are strict.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +19,7 @@ from .baseline import Cluster
 from .corpus import Segment
 # levenshtein stays a module attribute for code that wraps it
 from .seqmatch import StringTable, levenshtein  # noqa: F401
-from .util import rng_from, write_json
+from .util import read_json, rng_from, write_json
 
 
 class MiningError(RuntimeError):
@@ -273,7 +271,11 @@ def write_manifest(path, manifest: PairManifest) -> None:
 
 
 def load_manifest(path) -> PairManifest:
-    blob = json.loads(Path(path).read_text())
+    """`write_manifest`'s manifest; a malformed file raises a ValueError naming it."""
+    return read_json(path, _decode_manifest)
+
+
+def _decode_manifest(blob) -> PairManifest:
     return PairManifest(
         siamese_pairs=[SiamesePair(p["a"], p["b"], p["y"], tuple(p["clusters"]))
                        for p in blob["siamese"]],

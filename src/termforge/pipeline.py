@@ -4,7 +4,8 @@ embed -> recluster -> evaluate, with content-hash stage caching.
 One table (`_stage_table`) describes each stage: the artifacts it reads and
 writes, the `PipelineConfig` fields its hash covers and the function that
 runs it. Each artifact is one workdir file, hashed by its sha256; the
-corpus is two of them, `corpus/manifest.json` and `corpus/features.npy`.
+corpus is two of them, `corpus/manifest.json` and `corpus/features.npy`, and
+so is the network, `params.json` (its arch) and `params.npy` (its weights).
 A stage's hash covers the root seed, the fields its table entry names and
 the hashes of its inputs, and nothing else. Every stage is
 idempotent for identical inputs and seed: a stage re-runs only when that
@@ -25,13 +26,11 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import baseline as baseline_mod
 from . import embednet, evaluation, mining, recluster, seqmatch, synthgen
 from .corpus import load_corpus, load_gold, write_corpus, write_gold
-from .util import (atomic_write, derive_seed, from_json, sha256_bytes, sha256_file,
-                   stable_json)
+from .util import (atomic_write, derive_seed, from_json, read_npy, sha256_bytes,
+                   sha256_file, stable_json, write_npy)
 
 log = logging.getLogger("termforge")
 
@@ -235,7 +234,7 @@ def _run_train(config: PipelineConfig, workdir: Path) -> None:
     params = embednet.init_params(arch, derive_seed(config.seed, "init"))
     params, curve = embednet.train(params, manifest, corpus, segments, config.train,
                                    config.system, derive_seed(config.seed, "train"))
-    embednet.save_params(workdir / "params.ckpt", params)
+    embednet.save_params(*(workdir / rel for rel in _NETWORK), params)
     embednet.write_loss_curve(workdir / "loss_curve.csv", curve)
     tower_ids = embednet.tower_segment_ids(manifest, config.system)
     log.info("train[%s]: %d epochs, final loss %.6f, %d distinct segments for %d "
@@ -246,16 +245,15 @@ def _run_train(config: PipelineConfig, workdir: Path) -> None:
 def _run_embed(config: PipelineConfig, workdir: Path) -> None:
     corpus = load_corpus(workdir / "corpus")
     segments = seqmatch.load_segments(workdir / "segments.jsonl")
-    params = embednet.load_params(workdir / "params.ckpt")
+    params = embednet.load_params(*(workdir / rel for rel in _NETWORK))
     table = embednet.embed_all(params, segments, corpus)
-    with atomic_write(workdir / "embeddings.npy", "wb") as fh:
-        np.save(fh, table)
+    write_npy(workdir / "embeddings.npy", table)
     log.info("embed: %s table", table.shape)
 
 
 def _run_recluster(config: PipelineConfig, workdir: Path) -> None:
     segments = seqmatch.load_segments(workdir / "segments.jsonl")
-    table = np.load(workdir / "embeddings.npy")
+    table = read_npy(workdir / "embeddings.npy", 2)
     params = (config.hdbscan if config.extraction == "hybrid"
               else replace(config.hdbscan, cluster_selection_epsilon=0.0))
     result = recluster.hdbscan(table, params)
@@ -287,6 +285,7 @@ def _run_evaluate(config: PipelineConfig, workdir: Path) -> None:
 
 
 _CORPUS = ("corpus/manifest.json", "corpus/features.npy")   # what load_corpus reads
+_NETWORK = ("params.json", "params.npy")   # save_params' header and vector, in its order
 
 
 def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
@@ -299,9 +298,9 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
         _Stage("mine", ("segments.jsonl", "clusters_baseline.json"), ("manifest.json",),
                ("mining",), _run_mine),
         _Stage("train", ("manifest.json", *_CORPUS, "segments.jsonl"),
-               ("params.ckpt", "loss_curve.csv"), ("train", "system"), _run_train),
-        # l_max reaches embed inside the checkpoint's arch, an input
-        _Stage("embed", ("params.ckpt", "segments.jsonl", *_CORPUS),
+               (*_NETWORK, "loss_curve.csv"), ("train", "system"), _run_train),
+        # l_max reaches embed inside params.json's arch, an input
+        _Stage("embed", (*_NETWORK, "segments.jsonl", *_CORPUS),
                ("embeddings.npy",), (), _run_embed),
         _Stage("recluster", ("embeddings.npy", "segments.jsonl"), ("clusters_final.json",),
                ("hdbscan", "extraction"), _run_recluster),

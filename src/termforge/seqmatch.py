@@ -476,9 +476,13 @@ def write_segments(path, segments: list[Segment]) -> None:
 
 
 def load_segments(path) -> list[Segment]:
-    """The segments of a segments.jsonl, decoded as one JSON array."""
-    with open(path) as fh:
-        blobs = json.loads("[" + ",".join(fh.read().splitlines()) + "]")
+    """The segments of a segments.jsonl, decoded as one JSON array. A torn
+    line raises a ValueError that starts with the path."""
+    try:
+        with open(path) as fh:
+            blobs = json.loads("[" + ",".join(fh.read().splitlines()) + "]")
+    except json.JSONDecodeError as exc:   # its position is in the array, not the file
+        raise ValueError(f"{path}: a line is not one JSON object ({exc.msg})") from None
     return [Segment(id=blob["id"], utterance_id=blob["utterance"], start=blob["span"][0],
                     end=blob["span"][1], symbols=tuple(blob["symbols"]))
             for blob in blobs]

@@ -1,5 +1,5 @@
-"""Shared plumbing: seed derivation, stable hashing, atomic writes (also of
-JSON artifacts), and `from_json`, which reads every settings dataclass."""
+"""Shared plumbing: seed derivation, stable hashing, atomic writes, the one
+reader and writer of JSON and .npy artifacts, and `from_json` for settings."""
 
 from __future__ import annotations
 
@@ -116,3 +116,44 @@ def write_json(path, obj) -> None:
     a final newline: the byte format of every JSON artifact."""
     with atomic_write(path) as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def read_json(path, decode):
+    """`decode` applied to the JSON value of the file at `path`. A file that is
+    not JSON, and a KeyError, TypeError, AttributeError or ValueError that
+    `decode` raises, raise a ValueError that starts with the path; a
+    ValueError subclass that `decode` raises keeps its class."""
+    try:
+        return decode(json.loads(Path(path).read_bytes()))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def write_npy(path, array) -> None:
+    """Write `array` to `path` atomically as a C-ordered little-endian float32
+    .npy: the byte format of every array artifact."""
+    with atomic_write(path, "wb") as fh:
+        np.save(fh, np.ascontiguousarray(array, dtype="<f4"))
+
+
+def read_npy(path, ndim: int) -> np.ndarray:
+    """The `ndim`-D array of a file that `write_npy` wrote. An empty, cut or
+    zipped file, another dtype or rank, or bytes after the array raise a
+    ValueError that starts with the path."""
+    try:
+        with open(path, "rb") as fh:
+            # not np.load, which raises EOFError on an empty file and opens a zip
+            array = np.lib.format.read_array(fh, allow_pickle=False)
+            trailing = fh.read(1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if array.ndim != ndim or array.dtype != np.dtype("<f4"):
+        raise ValueError(f"{path}: expected a {ndim}-D little-endian float32 array, "
+                         f"got {array.ndim}-D {array.dtype}")
+    if trailing:
+        raise ValueError(f"{path}: bytes after the array")
+    return array

@@ -95,7 +95,7 @@ def _second_utterance(edit):
     return _manifest(lambda manifest: edit(manifest["utterances"][1]))
 
 
-MATRIX = r"features\.npy: expected a 2-D little-endian float32 matrix"
+MATRIX = r"features\.npy: expected a 2-D little-endian float32 array"
 INTEGERS = "symbols, starts and ends must be JSON integers, and frames a non-negative one"
 DIMS = r"manifest\.json: feature_dim and alphabet_size must be JSON integers"
 MALFORMED = {
@@ -108,14 +108,15 @@ MALFORMED = {
     "features-data-cut": (_features(lambda raw, x: raw[:-5]),
                           r"features\.npy: Failed to read all data"),
     "features-trailing": (_features(lambda raw, x: raw + b"\0"),
-                          r"features\.npy: bytes after the feature matrix"),
+                          r"features\.npy: bytes after the array$"),
     "features-npz": (_features(lambda raw, x: _saved(x, np.savez)),
                      r"features\.npy: the magic string is not correct"),
     "features-float64": (_features(lambda raw, x: _saved(x.astype(np.float64))),
                          MATRIX + ", got 2-D float64"),
     "features-1d": (_features(lambda raw, x: _saved(x.ravel())), MATRIX + ", got 1-D float32"),
     "frame-total": (_second_utterance(lambda u: u.update(frames=3)),
-                    r"features\.npy: 10 rows, but the manifest's utterances have 9 frames"),
+                    r"manifest\.json: its utterances have 9 frames, but features\.npy has "
+                    "10 rows"),
     "ends-short": (_second_utterance(lambda u: u.update(ends=u["ends"][:-1])),
                    "u1: starts and ends differ in length"),
     "symbol-extra": (_second_utterance(lambda u: u.update(symbols=u["symbols"] + [9])),
@@ -125,7 +126,7 @@ MALFORMED = {
     "frames-string": (_second_utterance(lambda u: u.update(frames="4")), "u1: " + INTEGERS),
     "frames-negative": (_second_utterance(lambda u: u.update(frames=-4)), "u1: " + INTEGERS),
     "ends-absent": (_second_utterance(lambda u: u.pop("ends")),
-                    r"manifest\.json: malformed manifest \(KeyError: 'ends'\)"),
+                    r"manifest\.json: KeyError: 'ends'"),
     "manifest-not-json": (lambda root: (root / "manifest.json").write_text("{"),
                           r"manifest\.json: Expecting property name"),
     "feature-dim-float": (_manifest(lambda m: m.update(feature_dim=4.9)), DIMS),
@@ -250,8 +251,24 @@ def test_out_of_order_gold_is_refused(tmp_path, entry, message):
     path.write_text(json.dumps({"utterances": {"u 7": IN_ORDER_GOLD}}))
     load_gold(path)
     path.write_text(json.dumps({"utterances": {"u 7": {**IN_ORDER_GOLD, **entry}}}))
-    with pytest.raises(CorpusError, match=f"^u 7: {message}$"):
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: u 7: {message}$"):
         load_gold(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "Expecting property name enclosed in double quotes"),
+    (json.dumps({"utterances": {"u 7": {k: v for k, v in IN_ORDER_GOLD.items()
+                                        if k != "true_ends"}}}), "KeyError: 'true_ends'"),
+    (json.dumps([IN_ORDER_GOLD]), "TypeError: list indices must be integers"),
+    (json.dumps({"utterances": [IN_ORDER_GOLD]}), "AttributeError: 'list' object"),
+], ids=["not-json", "missing-key", "list-not-object", "utterances-list"])
+def test_malformed_gold_is_refused_naming_the_file(tmp_path, text, message):
+    path = tmp_path / "gold.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_gold(path)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{path}: {message}")
 
 
 def test_gold_round_trips_through_json(tmp_path):

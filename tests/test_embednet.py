@@ -1,6 +1,6 @@
+import io
 import json
-import re
-import struct
+import math
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -22,6 +22,7 @@ from termforge.synthgen import SynthConfig, generate
 from termforge.util import rng_from
 
 SMALL = NetArch(l_max=24, feature_dim=8)
+SMALL_SIZE = sum(math.prod(shape) for shape in param_shapes(SMALL).values())
 
 # Float32 results against the float64 reference, as a fraction of the
 # largest magnitude compared. Float32 rounds at 6e-8. Over the stack's sums
@@ -961,11 +962,23 @@ def test_branches_share_parameters():
     assert (ea == ep).all() and (ea == en).all()
 
 
+def _saved(tmp_path, params):
+    """The header and vector paths of `params`, saved under tmp_path."""
+    paths = tmp_path / "params.json", tmp_path / "params.npy"
+    save_params(*paths, params)
+    return paths
+
+
+def _npy_bytes(array, save=np.save) -> bytes:
+    buffer = io.BytesIO()
+    save(buffer, array)
+    return buffer.getvalue()
+
+
 def test_checkpoint_round_trip(tmp_path):
     params = init_params(SMALL, 42)
-    path = tmp_path / "params.ckpt"
-    save_params(path, params)
-    restored = load_params(path)
+    header, vector = _saved(tmp_path, params)
+    restored = load_params(header, vector)
     assert restored.arch == params.arch
     assert restored.init_seed == params.init_seed
     assert restored.arrays.keys() == params.arrays.keys()
@@ -973,110 +986,93 @@ def test_checkpoint_round_trip(tmp_path):
         assert restored.arrays[name].dtype == np.float32
         assert restored.arrays[name].shape == arr.shape
         assert restored.arrays[name].tobytes() == arr.tobytes()
+    # the vector's data is every parameter, in param_shapes order
+    assert vector.read_bytes().endswith(b"".join(
+        params.arrays[name].astype("<f4").tobytes() for name in param_shapes(SMALL)))
 
 
 def test_float64_checkpoint_is_refused(tmp_path):
-    """A version-1 file, which stored each array as little-endian float64."""
     params = init_params(SMALL, 42)
-    path = tmp_path / "params.ckpt"
-    save_params(path, params)
-    raw = path.read_bytes()
-    payload = sum(arr.size for arr in params.arrays.values()) * 4
-    header = raw[len(embednet.CHECKPOINT_MAGIC) + 4:len(raw) - payload]
-    path.write_bytes(embednet.CHECKPOINT_MAGIC + struct.pack("<I", 1) + header + b"".join(
-        params.arrays[name].astype("<f8").tobytes() for name in param_shapes(params.arch)))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
-                                         "unsupported checkpoint version 1$"):
-        load_params(path)
-
-
-def test_v2_checkpoint_is_refused(tmp_path):
-    """A version-2 file, whose header also listed each parameter's name and
-    shape between the arch JSON and the payload."""
-    params = init_params(SMALL, 42)
-    path = tmp_path / "params.ckpt"
-    save_params(path, params)
-    raw = path.read_bytes()
-    arch_end = 16 + struct.unpack_from("<I", raw, 12)[0]
-    names = list(param_shapes(params.arch))
-    shapes = [struct.pack("<I", len(names))]
-    for name in names:
-        arr = params.arrays[name]
-        shapes += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", arr.ndim),
-                   struct.pack(f"<{arr.ndim}Q", *arr.shape)]
-    path.write_bytes(raw[:8] + struct.pack("<I", 2) + raw[12:arch_end] + b"".join(shapes)
-                     + raw[arch_end:])
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
-                                         "unsupported checkpoint version 2$"):
-        load_params(path)
-
-
-@pytest.mark.parametrize("cut", ["magic", "version", "arch-length", "arch-json",
-                                 "payload", "last-byte", "appended"])
-def test_torn_or_overlong_checkpoint_is_refused(tmp_path, cut):
-    """A file cut anywhere, or with bytes after the payload, raises a
-    ValueError that names it."""
-    params = init_params(SMALL, 42)
-    path = tmp_path / "params.ckpt"
-    save_params(path, params)
-    raw = path.read_bytes()
-    arch_end = 16 + struct.unpack_from("<I", raw, 12)[0]
-    payload_start = len(raw) - sum(arr.size for arr in params.arrays.values()) * 4
-    assert payload_start == arch_end
-    ends = {"magic": 5, "version": 10, "arch-length": 14, "arch-json": arch_end - 5,
-            "payload": (payload_start + len(raw)) // 2, "last-byte": len(raw) - 1}
-    if cut == "appended":
-        path.write_bytes(raw + bytes(8))
-        message = "8 bytes past the end of the checkpoint"
-    else:
-        path.write_bytes(raw[:ends[cut]])
-        message = f"checkpoint ends at byte {ends[cut]}, inside a field"
+    header, vector = _saved(tmp_path, params)
+    vector.write_bytes(_npy_bytes(np.load(vector).astype("<f8")))
     with pytest.raises(ValueError) as info:
-        load_params(path)
-    assert str(info.value).startswith(f"{path}: {message}")
+        load_params(header, vector)
+    assert str(info.value) == (f"{vector}: expected a 1-D little-endian float32 array, "
+                               "got 1-D float64")
+
+
+@pytest.mark.parametrize("cut", ["empty", "magic", "header", "payload", "last-byte",
+                                 "appended", "arch-json"])
+def test_torn_or_overlong_checkpoint_is_refused(tmp_path, cut):
+    """A vector cut anywhere or with bytes after its data, or a cut header,
+    raises a ValueError that names the file."""
+    header, vector = _saved(tmp_path, init_params(SMALL, 42))
+    raw = vector.read_bytes()
+    ends = {"empty": 0, "magic": 5, "header": 20, "payload": len(raw) // 2,
+            "last-byte": len(raw) - 1}
+    messages = {"empty": "EOF: reading magic string", "magic": "EOF: reading magic string",
+                "header": "EOF: reading array header",
+                "payload": "Failed to read all data", "last-byte": "Failed to read all data",
+                "appended": "bytes after the array", "arch-json": "Unterminated string"}
+    path = header if cut == "arch-json" else vector
+    if cut == "appended":
+        vector.write_bytes(raw + bytes(8))
+    elif cut == "arch-json":
+        header.write_text(header.read_text()[:30])
+    else:
+        vector.write_bytes(raw[:ends[cut]])
+    with pytest.raises(ValueError) as info:
+        load_params(header, vector)
+    assert str(info.value).startswith(f"{path}: {messages[cut]}")
 
 
 def test_file_that_is_not_a_checkpoint_is_refused(tmp_path):
-    path = tmp_path / "params.ckpt"
-    path.write_text(json.dumps({"arch": {}, "init_seed": 0}))
+    """A zipped archive of the vector is not the vector."""
+    header, vector = _saved(tmp_path, init_params(SMALL, 42))
+    vector.write_bytes(_npy_bytes(np.load(vector), np.savez))
     with pytest.raises(ValueError) as info:
-        load_params(path)
-    assert str(info.value) == f"{path}: not a network checkpoint"
+        load_params(header, vector)
+    assert str(info.value).startswith(f"{vector}: the magic string is not correct")
 
 
-def _rewrite_meta(path, meta):
-    """Replace the arch JSON of the checkpoint at `path` with `meta`."""
-    raw = path.read_bytes()
-    blob_len, = struct.unpack_from("<I", raw, 12)
-    blob = json.dumps(meta).encode()
-    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + blob_len:])
+@pytest.mark.parametrize("reshape, message", [
+    (lambda x: x.reshape(-1, 2), "expected a 1-D little-endian float32 array, got 2-D float32"),
+    (lambda x: x[:-1], f"{SMALL_SIZE - 1} parameters, but the arch of {{header}} has "
+     f"{SMALL_SIZE}"),
+    (lambda x: np.append(x, x[:3]), f"{SMALL_SIZE + 3} parameters, but the arch of "
+     f"{{header}} has {SMALL_SIZE}"),
+], ids=["2-d", "one-short", "three-over"])
+def test_vector_of_another_shape_is_refused(tmp_path, reshape, message):
+    header, vector = _saved(tmp_path, init_params(SMALL, 42))
+    vector.write_bytes(_npy_bytes(reshape(np.load(vector))))
+    with pytest.raises(ValueError) as info:
+        load_params(header, vector)
+    assert str(info.value) == f"{vector}: " + message.format(header=header)
 
 
 @pytest.mark.parametrize("meta, message", [
-    ([1, 2], "arch JSON must be an object with the keys arch and init_seed"),
+    ([1, 2], "a network header must be an object with the keys arch and init_seed"),
     ({"arch": {"l_max": 24, "feature_dim": 8}},
-     "arch JSON must be an object with the keys arch and init_seed"),
+     "a network header must be an object with the keys arch and init_seed"),
     ({"arch": {"l_max": 10, "feature_dim": 8}, "init_seed": 42},
      "l_max=10 too short for conv stack"),
     ({"arch": {"l_max": 24, "feature_dim": 8, "pool_width": 0}, "init_seed": 42},
      f"every width of {replace(SMALL, pool_width=0)} must be positive"),
 ], ids=["not-an-object", "no-init-seed", "l_max-too-short", "zero-pool-width"])
 def test_checkpoint_with_bad_header_is_refused(tmp_path, meta, message):
-    path = tmp_path / "params.ckpt"
-    save_params(path, init_params(SMALL, 42))
-    _rewrite_meta(path, meta)
+    header, vector = _saved(tmp_path, init_params(SMALL, 42))
+    header.write_text(json.dumps(meta))
     with pytest.raises(ValueError) as info:
-        load_params(path)
-    assert str(info.value) == f"{path}: {message}"
+        load_params(header, vector)
+    assert str(info.value) == f"{header}: {message}"
 
 
 def test_checkpoint_arch_with_unknown_key_rejected(tmp_path):
-    path = tmp_path / "params.ckpt"
-    save_params(path, init_params(SMALL, 42))
-    _rewrite_meta(path, {"arch": {**asdict(SMALL), "dropout": 0.5}, "init_seed": 42})
+    header, vector = _saved(tmp_path, init_params(SMALL, 42))
+    header.write_text(json.dumps({"arch": {**asdict(SMALL), "dropout": 0.5}, "init_seed": 42}))
     with pytest.raises(ValueError) as info:
-        load_params(path)
-    assert str(info.value) == (f"{path}: NetArch.__init__() got an unexpected "
+        load_params(header, vector)
+    assert str(info.value) == (f"{header}: arch: NetArch.__init__() got an unexpected "
                                "keyword argument 'dropout'")
 
 

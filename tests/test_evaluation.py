@@ -250,17 +250,26 @@ def test_report_json_round_trip(tmp_path):
     assert restored == rep
 
 
-def test_load_report_names_the_file(tmp_path):
-    corpus, gold, segments, perfect = toy_world()
-    write_report(report(perfect, segments, gold), tmp_path / "report.json",
-                 tmp_path / "report.txt")
-    blob = json.loads((tmp_path / "report.json").read_text())
+def _without_n_pairs(text):
+    blob = json.loads(text)
     del blob["n_pairs"]
-    (tmp_path / "report.json").write_text(json.dumps(blob))
+    return json.dumps(blob)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_without_n_pairs, "report: EvalReport.__init__() missing 1 required positional "
+     "argument: 'n_pairs'"),
+    (lambda text: text[:-3], "Expecting"),
+    (lambda text: f"[{text}]", "report must be a JSON object, got list"),
+], ids=["missing-key", "not-json", "list-not-object"])
+def test_load_report_names_the_file(tmp_path, edit, message):
+    corpus, gold, segments, perfect = toy_world()
+    path = tmp_path / "report.json"
+    write_report(report(perfect, segments, gold), path, tmp_path / "report.txt")
+    path.write_text(edit(path.read_text()))
     with pytest.raises(ValueError) as info:
-        load_report(tmp_path / "report.json")
-    assert str(info.value).startswith(f"{tmp_path / 'report.json'}: ")
-    assert "'n_pairs'" in str(info.value)
+        load_report(path)
+    assert str(info.value).startswith(f"{path}: {message}")
 
 
 def test_null_metrics_render_as_na(tmp_path):

@@ -251,6 +251,24 @@ def test_manifest_round_trip(tmp_path):
     assert load_manifest(path) == manifest
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text[:-3], "Expecting ',' delimiter"),
+    (lambda text: text.replace('"siamese"', '"pairs"'), "KeyError: 'siamese'"),
+    (lambda text: f"[{text}]", "TypeError: list indices must be integers"),
+    (lambda text: text.replace('"siamese": [', '"siamese": [1, '),
+     "TypeError: 'int' object is not subscriptable"),
+], ids=["not-json", "missing-key", "list-not-object", "pair-not-object"])
+def test_malformed_manifest_is_refused_naming_the_file(tmp_path, edit, message):
+    c1, _ = make_cluster(0, [[1, 2, 3]] * 3)
+    c2, _ = make_cluster(1, [[7, 8, 9]] * 3, start_id=10)
+    path = tmp_path / "manifest.json"
+    write_manifest(path, sample_manifest([c1, c2], [(c1, c2)], 10, 10, seed=8))
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError) as info:
+        load_manifest(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
 cluster_strings = st.integers(1, 5).flatmap(lambda k: st.lists(
     st.lists(st.integers(0, k - 1), min_size=1, max_size=8), min_size=1, max_size=12))
 

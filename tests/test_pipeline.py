@@ -403,7 +403,7 @@ LEARNED_PRODUCERS = [("discover", "corpus/manifest.json", "synth"),
                      ("baseline", "segments.jsonl", "discover"),
                      ("mine", "segments.jsonl", "discover"),
                      ("train", "manifest.json", "mine"),
-                     ("embed", "params.ckpt", "train"),
+                     ("embed", "params.json", "train"),
                      ("recluster", "embeddings.npy", "embed"),
                      ("evaluate", "clusters_final.json", "recluster")]
 
@@ -423,7 +423,8 @@ def test_baseline_mode_skips_training_stages(tmp_path):
     run_all(config)
     workdir = tmp_path / "wd"
     assert not (workdir / "manifest.json").exists()
-    assert not (workdir / "params.ckpt").exists()
+    assert not (workdir / "params.json").exists()
+    assert not (workdir / "params.npy").exists()
     assert not (workdir / "clusters_final.json").exists()
     with pytest.raises(PipelineError, match="not part of mode"):
         run_stage("train", config)
@@ -435,10 +436,27 @@ def test_triplet_mode_emits_all_artifacts(tmp_path):
     report = run_all(config)
     workdir = tmp_path / "wd"
     for name in ("segments.jsonl", "clusters_baseline.json", "manifest.json",
-                 "params.ckpt", "loss_curve.csv", "embeddings.npy",
+                 "params.json", "params.npy", "loss_curve.csv", "embeddings.npy",
                  "clusters_final.json", "report.json"):
         assert (workdir / name).exists(), name
     assert report.n_words >= 1
+
+
+@pytest.mark.parametrize("system", ["siamese", "baseline"])
+def test_each_stage_writes_exactly_its_outputs(tmp_path, system):
+    """Every file a stage adds outside .stamps is one of its table outputs,
+    and so is hashed into its stamp and never served stale."""
+    config = PipelineConfig.from_dict(small_blob(tmp_path / "wd", system=system))
+    table = pipeline._stage_table(config)
+    workdir = tmp_path / "wd"
+
+    def files():
+        return {p.relative_to(workdir).as_posix() for p in workdir.rglob("*")
+                if p.is_file() and ".stamps" not in p.parts}
+    for stage in config.stage_names():
+        before = files()
+        run_stage(stage, config)
+        assert files() - before == set(table[stage].outputs), stage
 
 
 def test_train_log_counts_distinct_segments(tmp_path, caplog):
@@ -691,6 +709,29 @@ def test_cli_non_finite_embeddings_are_one_logged_line(tmp_path, caplog, monkeyp
     [record] = caplog.records
     assert record.getMessage() == "embedding row 3 is not finite: column 0 is inf"
     assert not (tmp_path / "wd" / "clusters_final.json").exists()
+
+
+def test_malformed_pair_manifest_is_one_logged_line(tmp_path, caplog):
+    """A manifest without its siamese pairs, recorded in the mine stamp as
+    the stage's own output, stops train with one line that names the file."""
+    workdir = tmp_path / "wd"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_blob(workdir, system="siamese")))
+    for stage in ("synth", "discover", "baseline", "mine"):
+        assert cli.main([stage, "--config", str(config_path)]) == 0
+    manifest = workdir / "manifest.json"
+    blob = json.loads(manifest.read_text())
+    del blob["siamese"]
+    manifest.write_text(json.dumps(blob))
+    stamp = json.loads((workdir / ".stamps" / "mine.json").read_text())
+    stamp["outputs"]["manifest.json"] = sha256_bytes(manifest.read_bytes())
+    (workdir / ".stamps" / "mine.json").write_text(json.dumps(stamp))
+    caplog.clear()
+    with caplog.at_level(logging.ERROR, logger="termforge"):
+        assert cli.main(["train", "--config", str(config_path)]) == 1
+    [record] = caplog.records
+    assert record.getMessage() == f"{manifest}: KeyError: 'siamese'"
+    assert not (workdir / "params.npy").exists()
 
 
 def test_unknown_stage_rejected(tmp_path):

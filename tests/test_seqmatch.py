@@ -514,3 +514,18 @@ def test_segments_jsonl_round_trip(tmp_path):
     restored = load_segments(path)
     assert [(s.id, s.utterance_id, s.start, s.end, s.symbols) for s in restored] \
         == [(s.id, s.utterance_id, s.start, s.end, s.symbols) for s in segments]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:-1] + [lines[-1][:15]], "Unterminated string"),
+    (lambda lines: lines[:1] + [lines[1][:-1]] + lines[2:], "Expecting property name"),
+    (lambda lines: lines[:2] + [""] + lines[2:], "Expecting value"),
+    (lambda lines: ["{"] + lines[1:], "Expecting property name"),
+], ids=["last-line-cut", "brace-dropped", "empty-line", "first-line-open"])
+def test_torn_segments_line_is_refused_naming_the_file(tmp_path, edit, message):
+    path = tmp_path / "segments.jsonl"
+    write_segments(path, [Segment(k, f"u{k}", k, k + 3, (k, 1)) for k in range(4)])
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_segments(path)
+    assert str(info.value).startswith(f"{path}: a line is not one JSON object ({message}")

@@ -91,3 +91,19 @@ def test_no_module_reads_the_environment():
             reads += [f"{path.name}:{node.lineno} os.{name}"
                       for name in names if name in ENVIRONMENT_READERS]
     assert reads == []
+
+
+NPY_FUNCTIONS = {f"{numpy}.{name}" for numpy in ("np", "numpy")
+                 for name in ("save", "load", "lib.format.read_array")}
+
+
+def test_only_util_reads_or_writes_npy():
+    """util.read_npy and util.write_npy are the one .npy reader and writer:
+    no other module calls np.save, np.load or np.lib.format.read_array."""
+    calls = []
+    for path in sorted(Path(termforge.__file__).parent.rglob("*.py")):
+        if path.name != "util.py":
+            calls += [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and ast.unparse(node) in NPY_FUNCTIONS]
+    assert calls == []
