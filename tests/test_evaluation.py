@@ -250,19 +250,26 @@ def test_report_json_round_trip(tmp_path):
     assert restored == rep
 
 
-def _without_n_pairs(text):
-    blob = json.loads(text)
+def test_load_report_names_the_file(tmp_path):
+    corpus, gold, segments, perfect = toy_world()
+    path = tmp_path / "report.json"
+    write_report(report(perfect, segments, gold), path, tmp_path / "report.txt")
+    blob = json.loads(path.read_text())
     del blob["n_pairs"]
-    return json.dumps(blob)
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError) as info:
+        load_report(path)
+    assert str(info.value).startswith(
+        f"{path}: report: EvalReport.__init__() missing 1 required positional "
+        "argument: 'n_pairs'")
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_without_n_pairs, "report: EvalReport.__init__() missing 1 required positional "
-     "argument: 'n_pairs'"),
     (lambda text: text[:-3], "Expecting"),
     (lambda text: f"[{text}]", "report must be a JSON object, got list"),
-], ids=["missing-key", "not-json", "list-not-object"])
-def test_load_report_names_the_file(tmp_path, edit, message):
+], ids=["not-json", "list-not-object"])
+def test_load_report_names_the_file_of_a_malformed_report(tmp_path, edit,
+                                                          message):
     corpus, gold, segments, perfect = toy_world()
     path = tmp_path / "report.json"
     write_report(report(perfect, segments, gold), path, tmp_path / "report.txt")
