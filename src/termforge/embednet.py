@@ -606,14 +606,17 @@ def _decode_header(blob) -> tuple[NetArch, int, dict[str, tuple[int, ...]]]:
         raise ValueError("a network header must be an object with the keys arch and "
                          "init_seed")
     arch = from_json(NetArch, blob["arch"], "arch")
+    if type(blob["init_seed"]) is not int:     # a bool is an int too
+        raise ValueError(f"init_seed must be an integer, not {blob['init_seed']!r}")
     return arch, blob["init_seed"], param_shapes(arch)
 
 
 def load_params(header_path, vector_path) -> NetworkParams:
     """The network that save_params stored, in PARAM_DTYPE, each array a view
-    of the one vector read. A header that is not an arch and init_seed, or a
-    vector that is not a float32 .npy of the arch's parameter count, raises a
-    ValueError that starts with the path of the file at fault."""
+    of the one vector read. A header that is not an arch and an integer
+    init_seed, or a vector that is not a float32 .npy of the arch's parameter
+    count, raises a ValueError that starts with the path of the file at
+    fault."""
     arch, init_seed, shapes = read_json(header_path, _decode_header)
     vector = read_npy(vector_path, 1)
     sizes = [math.prod(shape) for shape in shapes.values()]

@@ -1058,7 +1058,14 @@ def test_vector_of_another_shape_is_refused(tmp_path, reshape, message):
      "l_max=10 too short for conv stack"),
     ({"arch": {"l_max": 24, "feature_dim": 8, "pool_width": 0}, "init_seed": 42},
      f"every width of {replace(SMALL, pool_width=0)} must be positive"),
-], ids=["not-an-object", "no-init-seed", "l_max-too-short", "zero-pool-width"])
+    ({"arch": {"l_max": 24, "feature_dim": 8}, "init_seed": "x"},
+     "init_seed must be an integer, not 'x'"),
+    ({"arch": {"l_max": 24, "feature_dim": 8}, "init_seed": 1.5},
+     "init_seed must be an integer, not 1.5"),
+    ({"arch": {"l_max": 24, "feature_dim": 8}, "init_seed": True},
+     "init_seed must be an integer, not True"),
+], ids=["not-an-object", "no-init-seed", "l_max-too-short", "zero-pool-width",
+        "string-seed", "float-seed", "bool-seed"])
 def test_checkpoint_with_bad_header_is_refused(tmp_path, meta, message):
     header, vector = _saved(tmp_path, init_params(SMALL, 42))
     header.write_text(json.dumps(meta))

@@ -1,6 +1,10 @@
+import ast
 import importlib
+import json
+import logging
 import pkgutil
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 import lev_oracle
 import sw_oracle
 import termforge
-from termforge import recluster, seqmatch, util
+from termforge import cli, recluster, seqmatch, util
 from termforge.corpus import Segment
 from termforge.recluster import HdbscanParams
 from termforge.seqmatch import (AlignScoring, ScaleError, StringTable,
@@ -18,6 +22,7 @@ from termforge.seqmatch import (AlignScoring, ScaleError, StringTable,
                                 load_segments, normalized_levenshtein,
                                 write_segments)
 from termforge.synthgen import SynthConfig, generate
+from termforge.util import sha256_file
 
 from conftest import make_corpus
 
@@ -409,15 +414,136 @@ def test_symbols_at_type_bounds_match_reference(strings, self_pair):
         [lev_oracle.levenshtein(u, v) for v in table.strings] for u in table.strings]
 
 
-def test_discovery_matches_reference_on_noisy_corpus():
+def noisy_corpus():
     corpus, _ = generate(SynthConfig(
         vocabulary_size=6, word_length_range=(4, 7), occurrences_per_word=5,
         words_per_utterance=3, symbol_substitution_rate=0.1, filler_rate=0.3,
         min_word_separation=0.5, alphabet_size=25, feature_dim=4), 11)
+    return corpus
+
+
+def test_discovery_matches_reference_on_noisy_corpus():
+    corpus = noisy_corpus()
     scoring = default_scoring()
     found = discover_segments(corpus, scoring)
     assert len(found) > 10
     assert found == sw_oracle.discover_segments(corpus, scoring)
+
+
+def oracle_fill_bests(a, b, scoring, self_pair):
+    """The best score of every fill the reference makes for one pair: one
+    per extracted alignment, then the one that ends the pair."""
+    bests = []
+
+    def spy(*args):
+        rows, best, i, j = fill(*args)
+        bests.append(best)
+        return rows, best, i, j
+
+    fill = sw_oracle.sw_fill
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sw_oracle, "sw_fill", spy)
+        sw_oracle.local_align(a, b, scoring, self_pair)
+    return bests
+
+
+@given(st.lists(symbol_pairs(), min_size=1, max_size=6), scorings,
+       st.sampled_from([seqmatch.CHUNK_BYTES, 3000, 1]))
+# the int8 edges of test_local_align_matches_reference, and an int16 fill
+@example([((0,) * 127, (0,) * 127, False)], AlignScoring(1.0, -1.0, -1.0, 3.0, 1),
+         seqmatch.CHUNK_BYTES)
+@example([((0,) * 128, (0,) * 128, False)], AlignScoring(1.0, -1.0, -1.0, 3.0, 1),
+         seqmatch.CHUNK_BYTES)
+@example([((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False)] * 3,
+         AlignScoring(2.0, -128.0, -1.0, 1.0, 1), 3000)
+@example([((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False)] * 3,
+         AlignScoring(2.0, -1.0, -129.0, 1.0, 1), 3000)
+@example([((0, 1, 0, 1, 1, 0, 1), (0, 1, 0, 1, 1, 0, 1), True)],
+         AlignScoring(4681.0, -1.0, -1.0, 3.0, 1), seqmatch.CHUNK_BYTES)
+@settings(max_examples=150)
+def test_refill_bound_covers_the_next_fill(pairs, scoring, chunk_bytes):
+    # every alignment the kernel extracts comes with a bound on its pair's
+    # next fill; the reference makes that fill, and it never scores higher
+    seqs = [seq for a, b, _ in pairs for seq in (a, b)]
+    tasks = [(2 * k, 2 * k + 1, self_pair) for k, (_, _, self_pair) in enumerate(pairs)]
+    chunk = []
+    bounds = {k: [] for k in range(len(pairs))}
+
+    def chunks_spy(*args):
+        for step in chunks(*args):
+            chunk[:] = [step[0]]
+            yield step
+
+    def bounds_spy(skew, row_best, hit, *args):
+        bound = refill_bounds(skew, row_best, hit, *args)
+        for k, value in zip(chunk[0][hit].tolist(), bound.tolist()):
+            bounds[k].append(value)
+        return bound
+
+    chunks, refill_bounds = seqmatch._chunks, seqmatch._refill_bounds
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seqmatch, "CHUNK_BYTES", chunk_bytes)
+        patch.setattr(seqmatch, "_chunks", chunks_spy)
+        patch.setattr(seqmatch, "_refill_bounds", bounds_spy)
+        seqmatch._align_many(seqs, tasks, scoring)
+    for k, (a, b, self_pair) in enumerate(pairs):
+        bests = oracle_fill_bests(a, b, scoring, self_pair)
+        assert len(bounds[k]) == len(bests) - 1
+        assert all(bound >= best for bound, best in zip(bounds[k], bests[1:]))
+
+
+def test_discovery_skips_refills_the_bound_rules_out(monkeypatch):
+    # the reference fills each pair once per extracted alignment and once
+    # more; the kernel leaves out the last fill wherever the bound allows
+    corpus = noisy_corpus()
+    scoring = default_scoring()
+    lanes, oracle_fills = [], []
+
+    def spy(*args):
+        skew = fill(*args)
+        lanes.append(skew.shape[2])
+        return skew
+
+    def oracle_spy(*args):
+        oracle_fills.append(1)
+        return oracle_fill(*args)
+
+    fill, oracle_fill = seqmatch._fill, sw_oracle.sw_fill
+    monkeypatch.setattr(seqmatch, "_fill", spy)
+    monkeypatch.setattr(sw_oracle, "sw_fill", oracle_spy)
+    assert discover_segments(corpus, scoring) == sw_oracle.discover_segments(corpus, scoring)
+    assert sum(lanes) < len(oracle_fills)
+
+
+def is_number(node):
+    """True for a numeric literal, negated or not."""
+    if isinstance(node, ast.UnaryOp):
+        return is_number(node.operand)
+    return isinstance(node, ast.Constant) and isinstance(node.value, (int, float, complex))
+
+
+def test_fill_loop_keeps_off_numpy_slow_paths():
+    """np.where with scalar operands, and a ufunc given a Python number, take
+    numpy's slow paths: on a (20, 700) int8 diagonal np.where took about
+    60 us and np.maximum(v, 0) 14-16 us, against 1.5-1.8 us for
+    np.maximum(v, zeros). The per-diagonal loop of _fill makes neither call."""
+    tree = ast.parse(Path(seqmatch.__file__).read_text())
+    [fill] = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "_fill"]
+    loops = [node for node in ast.walk(fill) if isinstance(node, ast.For)]
+    assert loops
+    slow = []
+    for node in (call for loop in loops for call in ast.walk(loop)
+                 if isinstance(call, ast.Call)):
+        name = ast.unparse(node.func)
+        module, _, attr = name.partition(".")
+        if module not in ("np", "numpy"):
+            continue
+        ufunc = isinstance(getattr(np, attr, None), np.ufunc)
+        if attr == "where" or ufunc and any(
+                map(is_number, node.args + [kw.value for kw in node.keywords])):
+            slow.append(f"{node.lineno}: {ast.unparse(node)}")
+    assert slow == []
 
 
 def test_non_finite_scores_rejected():
@@ -529,3 +655,40 @@ def test_torn_segments_line_is_refused_naming_the_file(tmp_path, edit, message):
     with pytest.raises(ValueError) as info:
         load_segments(path)
     assert str(info.value).startswith(f"{path}: a line is not one JSON object ({message}")
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda blob: blob.pop("id"), "KeyError: 'id'"),
+    (lambda blob: blob.pop("utterance"), "KeyError: 'utterance'"),
+    (lambda blob: blob.pop("span"), "KeyError: 'span'"),
+    (lambda blob: blob.pop("symbols"), "KeyError: 'symbols'"),
+    (lambda blob: blob.update(span=[2]), "IndexError: list index out of range"),
+], ids=["no-id", "no-utterance", "no-span", "no-symbols", "one-element-span"])
+def test_segment_line_without_its_keys_is_refused_naming_the_file(tmp_path, edit, error):
+    path = tmp_path / "segments.jsonl"
+    write_segments(path, [Segment(k, f"u{k}", k, k + 3, (k, 1)) for k in range(4)])
+    lines = path.read_text().splitlines()
+    blob = json.loads(lines[2])
+    edit(blob)
+    lines[2] = json.dumps(blob)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_segments(path)
+    assert str(info.value) == f"{path}: a line is not a segment ({error})"
+
+
+def test_baseline_on_segments_without_a_span_logs_one_line(tmp_path, caplog):
+    workdir = tmp_path / "wd"
+    (workdir / ".stamps").mkdir(parents=True)
+    path = workdir / "segments.jsonl"
+    path.write_text('{"id": 0, "symbols": [1, 2, 3], "utterance": "u0"}\n')
+    # a discover stamp that records the hand-written file, so baseline reads it
+    (workdir / ".stamps" / "discover.json").write_text(json.dumps(
+        {"hash": "", "outputs": {"segments.jsonl": sha256_file(path)}}))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"workdir": str(workdir)}))
+    with caplog.at_level(logging.ERROR, logger="termforge"):
+        assert cli.main(["baseline", "--config", str(config_path)]) == 1
+    [record] = caplog.records
+    assert record.getMessage() == f"{path}: a line is not a segment (KeyError: 'span')"
+    assert not (workdir / "clusters_baseline.json").exists()
