@@ -13,6 +13,20 @@ hash changes (or with force=True). All randomness flows from the root seed
 through labelled sub-seed derivation, so two runs with the same config produce
 byte-identical artifacts.
 
+Within one process, stages hand decoded artifacts forward instead of each
+decoding the files again. A stage returns the values it wrote (synth the
+corpus and gold, discover the segments, mine the pair manifest, baseline and
+recluster their clusters when their members are sorted as written), and
+`run_stage` holds each under the sha256 of its files, which it computes for
+the stamp anyway. A later stage reads an input through `read`, which serves
+the held value when its hashes equal those `_input_hashes` just verified
+against the producer's stamp, and otherwise decodes the file and holds the
+result. A value is handed forward only when it equals a decode of the bytes
+written, so a stage computes from it exactly what it would from the file,
+and a changed byte changes the hash and so forces a decode. Values of one
+workdir are held at a time, and a process that runs one stage starts with
+none and decodes, as `termforge <stage>` does.
+
 A config file is `PipelineConfig` as JSON: its keys are the fields, and each
 section is the JSON object of that field's own settings dataclass.
 """
@@ -127,7 +141,8 @@ class _Stage:
     inputs: tuple[str, ...]           # workdir-relative artifact paths
     outputs: tuple[str, ...]
     settings: tuple[str, ...]         # PipelineConfig fields the stage hash covers
-    run: Callable[[PipelineConfig, Path], None]
+    # run(config, workdir, read) -> {artifact: value} of what it wrote
+    run: Callable[[PipelineConfig, Path, Callable], dict]
 
 
 def _read_stamp(workdir: Path, stage: str) -> dict:
@@ -185,35 +200,46 @@ def _is_current(workdir: Path, current: str, stage: _Stage) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# stage bodies
+# stage bodies: run(config, workdir, read) reads each input through `read`
+# and returns the values it wrote that equal a decode of their bytes
 
 
-def _run_synth(config: PipelineConfig, workdir: Path) -> None:
+def _run_synth(config: PipelineConfig, workdir: Path, read) -> dict:
     corpus, gold = synthgen.generate(config.synth, derive_seed(config.seed, "synth"))
     corpus_dir = workdir / "corpus"
     write_corpus(corpus, corpus_dir)
     write_gold(gold, corpus_dir / "gold.json")
     log.info("synth: %d utterances, %d frames", len(corpus), corpus.total_frames())
+    # generate's features are float32 and its ints Python ints, as decoded
+    return {_CORPUS: corpus, "corpus/gold.json": gold}
 
 
-def _run_discover(config: PipelineConfig, workdir: Path) -> None:
-    corpus = load_corpus(workdir / "corpus")
-    segments = seqmatch.discover_segments(corpus, config.align)
+def _run_discover(config: PipelineConfig, workdir: Path, read) -> dict:
+    segments = seqmatch.discover_segments(read(_CORPUS), config.align)
     seqmatch.write_segments(workdir / "segments.jsonl", segments)
     log.info("discover: %d segments", len(segments))
+    return {"segments.jsonl": segments}
 
 
-def _run_baseline(config: PipelineConfig, workdir: Path) -> None:
-    segments = seqmatch.load_segments(workdir / "segments.jsonl")
+def _sorted_clusters(rel: str, clusters: list[baseline_mod.Cluster]) -> dict:
+    """{rel: clusters} when their members are sorted, as write_clusters
+    writes them and load_clusters reads them back; else {}."""
+    if all(c.members == sorted(c.members) for c in clusters):
+        return {rel: clusters}
+    return {}
+
+
+def _run_baseline(config: PipelineConfig, workdir: Path, read) -> dict:
+    segments = read("segments.jsonl")
     clusters = baseline_mod.leader_cluster(segments, config.leader)
     baseline_mod.write_clusters(workdir / "clusters_baseline.json", clusters, segments)
     log.info("baseline: %d clusters", len(clusters))
+    return _sorted_clusters("clusters_baseline.json", clusters)
 
 
-def _run_mine(config: PipelineConfig, workdir: Path) -> None:
-    segments = seqmatch.load_segments(workdir / "segments.jsonl")
-    by_id = {s.id: s for s in segments}
-    clusters = baseline_mod.load_clusters(workdir / "clusters_baseline.json")
+def _run_mine(config: PipelineConfig, workdir: Path, read) -> dict:
+    by_id = {s.id: s for s in read("segments.jsonl")}
+    clusters = read("clusters_baseline.json")
     retained = mining.select_pure_clusters(clusters, by_id, config.mining)
     contrasting = mining.select_contrasting_pairs(retained, by_id, config.mining)
     manifest = mining.sample_manifest(
@@ -223,36 +249,37 @@ def _run_mine(config: PipelineConfig, workdir: Path) -> None:
     log.info("mine: %d retained clusters, %d contrasting pairs, %d pairs, %d triplets",
              len(retained), len(contrasting),
              len(manifest.siamese_pairs), len(manifest.triplets))
+    return {"manifest.json": manifest}
 
 
-def _run_train(config: PipelineConfig, workdir: Path) -> None:
-    corpus = load_corpus(workdir / "corpus")
-    segments = seqmatch.load_segments(workdir / "segments.jsonl")
-    manifest = mining.load_manifest(workdir / "manifest.json")
+def _run_train(config: PipelineConfig, workdir: Path, read) -> dict:
+    corpus = read(_CORPUS)
+    manifest = read("manifest.json")
     arch = embednet.NetArch(l_max=config.train.l_max,
                             feature_dim=corpus.feature_dim)
     params = embednet.init_params(arch, derive_seed(config.seed, "init"))
-    params, curve = embednet.train(params, manifest, corpus, segments, config.train,
-                                   config.system, derive_seed(config.seed, "train"))
+    params, curve = embednet.train(params, manifest, corpus, read("segments.jsonl"),
+                                   config.train, config.system,
+                                   derive_seed(config.seed, "train"))
     embednet.save_params(*(workdir / rel for rel in _NETWORK), params)
     embednet.write_loss_curve(workdir / "loss_curve.csv", curve)
     tower_ids = embednet.tower_segment_ids(manifest, config.system)
     log.info("train[%s]: %d epochs, final loss %.6f, %d distinct segments for %d "
              "tower inputs", config.system, len(curve), curve[-1],
              len(set(tower_ids.ravel().tolist())), tower_ids.size)
+    return {}
 
 
-def _run_embed(config: PipelineConfig, workdir: Path) -> None:
-    corpus = load_corpus(workdir / "corpus")
-    segments = seqmatch.load_segments(workdir / "segments.jsonl")
+def _run_embed(config: PipelineConfig, workdir: Path, read) -> dict:
     params = embednet.load_params(*(workdir / rel for rel in _NETWORK))
-    table = embednet.embed_all(params, segments, corpus)
+    table = embednet.embed_all(params, read("segments.jsonl"), read(_CORPUS))
     write_npy(workdir / "embeddings.npy", table)
     log.info("embed: %s table", table.shape)
+    return {}
 
 
-def _run_recluster(config: PipelineConfig, workdir: Path) -> None:
-    segments = seqmatch.load_segments(workdir / "segments.jsonl")
+def _run_recluster(config: PipelineConfig, workdir: Path, read) -> dict:
+    segments = read("segments.jsonl")
     table = read_npy(workdir / "embeddings.npy", 2)
     params = (config.hdbscan if config.extraction == "hybrid"
               else replace(config.hdbscan, cluster_selection_epsilon=0.0))
@@ -265,6 +292,7 @@ def _run_recluster(config: PipelineConfig, workdir: Path) -> None:
     baseline_mod.write_clusters(workdir / "clusters_final.json", clusters, segments)
     log.info("recluster: %d clusters, %d noise segments",
              len(result.clusters), len(result.noise))
+    return _sorted_clusters("clusters_final.json", clusters)
 
 
 def _scored_clusters(config: PipelineConfig) -> str:
@@ -272,20 +300,31 @@ def _scored_clusters(config: PipelineConfig) -> str:
     return "clusters_baseline.json" if config.system == "baseline" else "clusters_final.json"
 
 
-def _run_evaluate(config: PipelineConfig, workdir: Path) -> None:
+def _run_evaluate(config: PipelineConfig, workdir: Path, read) -> dict:
     # the corpus manifest stays an input: coverage counts the corpus's frames
     # from the gold, which synth checked against it
-    gold = load_gold(workdir / "corpus" / "gold.json")
-    segments = seqmatch.load_segments(workdir / "segments.jsonl")
-    clusters = baseline_mod.load_clusters(workdir / _scored_clusters(config))
-    report = evaluation.report(clusters, segments, gold)
+    clusters = read(_scored_clusters(config))
+    report = evaluation.report(clusters, read("segments.jsonl"), read("corpus/gold.json"))
     evaluation.write_report(report, workdir / "report.json", workdir / "report.txt",
                             system=config.mode)
     log.info("evaluate[%s]: %d clusters scored", config.mode, len(clusters))
+    return {}
 
 
 _CORPUS = ("corpus/manifest.json", "corpus/features.npy")   # what load_corpus reads
 _NETWORK = ("params.json", "params.npy")   # save_params' header and vector, in its order
+
+# The decoder of each artifact that a stage reads through `read`, given the
+# path of its first file. An artifact is the tuple of its workdir paths. The
+# loaders are looked up when called, so a wrapped loader sees every decode.
+_DECODERS: dict[tuple[str, ...], Callable[[Path], object]] = {
+    _CORPUS: lambda path: load_corpus(path.parent),
+    ("corpus/gold.json",): lambda path: load_gold(path),
+    ("segments.jsonl",): lambda path: seqmatch.load_segments(path),
+    ("manifest.json",): lambda path: mining.load_manifest(path),
+    ("clusters_baseline.json",): lambda path: baseline_mod.load_clusters(path),
+    ("clusters_final.json",): lambda path: baseline_mod.load_clusters(path),
+}
 
 
 def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
@@ -311,6 +350,52 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
     return {stage.name: stage for stage in stages}
 
 
+def _artifact(rels: str | tuple[str, ...]) -> tuple[str, ...]:
+    return (rels,) if isinstance(rels, str) else rels
+
+
+class _Handoff:
+    """Decoded artifacts of one workdir, handed from stage to stage inside
+    one process. Each value is held under the sha256 digests of the files
+    it was decoded from or written as, and is served only for those digests.
+    """
+
+    def __init__(self) -> None:
+        self.workdir: Path | None = None
+        self.held: dict[tuple[str, ...], tuple[tuple[str, ...], object]] = {}
+
+    def clear(self) -> None:
+        self.workdir = None
+        self.held.clear()
+
+    def enter(self, workdir: Path) -> None:
+        """Hold artifacts of `workdir` only, dropping those of another one."""
+        if workdir != self.workdir:
+            self.clear()
+            self.workdir = workdir
+
+    def read(self, workdir: Path, rels: str | tuple[str, ...], digests: dict[str, str]):
+        """The value of an artifact of `workdir` whose files have the
+        verified `digests`: the held one when it was held under them, else a
+        fresh decode, which is then held."""
+        artifact = _artifact(rels)
+        want = tuple(digests[rel] for rel in artifact)
+        held = self.held.get(artifact)
+        if held is not None and held[0] == want:
+            return held[1]
+        value = _DECODERS[artifact](workdir / artifact[0])
+        self.held[artifact] = (want, value)
+        return value
+
+    def hold(self, written: dict, digests: dict[str, str]) -> None:
+        for rels, value in written.items():
+            artifact = _artifact(rels)
+            self.held[artifact] = (tuple(digests[rel] for rel in artifact), value)
+
+
+_HANDOFF = _Handoff()
+
+
 def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> bool:
     """Run one stage; returns False when the cached artifacts are current.
 
@@ -319,6 +404,12 @@ def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> b
     stage that fails or an output changed since leaves the stage stale.
     Every input must still have the hash its producing stage recorded;
     otherwise a PipelineError names the stage to run again.
+
+    Within one process, a stage reads an input that an earlier stage wrote
+    or read as the value held for it, when the input's verified hashes
+    equal those the value was held under (see `_Handoff`); otherwise it
+    decodes the file. A held value equals a decode of those bytes, so the
+    stage computes what it would from the file.
     """
     config.validate()
     table = _stage_table(config)
@@ -328,8 +419,10 @@ def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> b
         raise PipelineError(f"stage {stage_name!r} is not part of mode {config.mode}")
     workdir = Path(config.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
+    _HANDOFF.enter(workdir)
     stage = table[stage_name]
-    current = _stage_hash(config, stage, _input_hashes(table, stage, workdir))
+    hashes = _input_hashes(table, stage, workdir)
+    current = _stage_hash(config, stage, hashes)
 
     stamp_dir = workdir / ".stamps"
     stamp_dir.mkdir(exist_ok=True)
@@ -339,10 +432,12 @@ def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> b
         return False
 
     stamp_path.unlink(missing_ok=True)
-    stage.run(config, workdir)
+    verified = dict(zip(stage.inputs, hashes))
+    written = stage.run(config, workdir, lambda rels: _HANDOFF.read(workdir, rels, verified))
     outputs = {rel: sha256_file(workdir / rel) for rel in stage.outputs}
     with atomic_write(stamp_path) as fh:
         fh.write(json.dumps({"hash": current, "outputs": outputs}, sort_keys=True) + "\n")
+    _HANDOFF.hold(written, outputs)
     return True
 
 

@@ -416,9 +416,12 @@ def _chunks(order, rows, cols, cells, budget):
         start += take
 
 
-def _align_many(seqs, pairs, scoring: AlignScoring) -> list[list[tuple[Span, Span, float]]]:
+def _align_many(seqs, pairs, scoring: AlignScoring) -> tuple[np.ndarray, ...]:
     """local_align(seqs[a], seqs[b], scoring, self_pair) for every (a, b,
-    self_pair) in `pairs`, through the batched kernel.
+    self_pair) in `pairs`, through the batched kernel, as six arrays with one
+    entry per alignment: the index of its pair in `pairs`, a0, a1, b0 and b1
+    (it aligns seqs[a][a0:a1] with seqs[b][b0:b1]) and its float64 score,
+    ordered by pair and, within a pair, by the round that extracted it.
 
     Each round fills every pair still in play, chunk by chunk, and extracts at
     most one alignment per pair; the pairs that extracted one are masked and
@@ -452,7 +455,10 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> list[list[tuple[Span, Spa
     # summed as the fill sums it
     cap = np.zeros(width + 1, dtype)
     cap[1:] = np.cumsum(np.full(width, scoring.match_score, dtype))
-    results: list[list[tuple[Span, Span, float]]] = [[] for _ in pairs]
+    # cap of a live position, then of a dead one, picked by dead.view(np.uint8)
+    caps = np.array([live, 0], dtype)
+    # per round and chunk: pair, a0, a1, b0, b1, score of each kept alignment
+    found = [(np.empty(0, np.intp),) * 5 + (np.empty(0),)]
     todo = np.lexsort((cols, rows))
     while todo.size:
         extracted = []
@@ -463,8 +469,8 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> list[list[tuple[Span, Spa
                 buffer = np.empty(max(cells, budget), dtype)
             a_sym = np.take(forward[:n_rows], a_of[chunk], axis=1)
             b_rev = np.take(backward[tail], b_of[chunk], axis=1)
-            a_cap = np.where(np.take(a_dead[:n_rows], chunk, axis=1), 0, live)
-            b_cap = np.where(np.take(b_dead[tail], chunk, axis=1), 0, live)
+            a_cap = np.take(caps, np.take(a_dead[:n_rows], chunk, axis=1).view(np.uint8))
+            b_cap = np.take(caps, np.take(b_dead[tail], chunk, axis=1).view(np.uint8))
             skew = _fill(buffer, a_sym, a_cap, b_rev, b_cap,
                          np.flatnonzero(self_pair[chunk]), scoring)
             best, i_end, j_end, row_best = _best_cells(skew)
@@ -481,14 +487,17 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> list[list[tuple[Span, Spa
             b_dead[tail, k] = b_masked
             keep = ((a1 - a0 >= scoring.min_length) & (b1 - b0 >= scoring.min_length)
                     & ~(self_pair[k] & (a0 == b0) & (a1 == b1)))
-            for pair, i0, i1, j0, j1, score in zip(*(v[keep].tolist() for v in (
-                    k, a0, a1, b0, b1, best[hit].astype(np.float64)))):
-                results[pair].append(((i0, i1), (j0, j1), score))
+            found.append(tuple(v[keep] for v in (
+                k, a0, a1, b0, b1, best[hit].astype(np.float64))))
             # a pair goes on only if its next fill can still reach the threshold
             bound = _refill_bounds(skew, row_best, hit, a_masked, b_masked[::-1], cap)
             extracted.append(k[bound >= scoring.min_align_score])
         todo = np.concatenate(extracted)
-    return results
+    # a pair extracts at most one alignment per round, so a stable sort by
+    # pair keeps each pair's alignments in round order
+    columns = [np.concatenate(column) for column in zip(*found)]
+    order = np.argsort(columns[0], kind="stable")
+    return tuple(column[order] for column in columns)
 
 
 def local_align(a: Sequence[int], b: Sequence[int], scoring: AlignScoring,
@@ -505,7 +514,8 @@ def local_align(a: Sequence[int], b: Sequence[int], scoring: AlignScoring,
     docstring and CHUNK_BYTES); a pair of lengths n and m takes
     (n + m + 1) * (n + 1) score cells.
     """
-    return _align_many([a, b], [(0, 1, self_pair)], scoring)[0]
+    _pair, *found = (v.tolist() for v in _align_many([a, b], [(0, 1, self_pair)], scoring))
+    return [((a0, a1), (b0, b1), score) for a0, a1, b0, b1, score in zip(*found)]
 
 
 def discover_segments(corpus: Corpus, scoring: AlignScoring) -> list[Segment]:
@@ -521,7 +531,10 @@ def discover_segments(corpus: Corpus, scoring: AlignScoring) -> list[Segment]:
     """
     utts = list(corpus)
     seqs = [utt.transcription for utt in utts]
-    tasks = [(i, j, i == j) for i in range(len(utts)) for j in range(i, len(utts))]
+    # every pair of utterances i <= j, row by row
+    first_utt, second_utt = np.triu_indices(len(utts))
+    tasks = list(zip(first_utt.tolist(), second_utt.tolist(),
+                     (first_utt == second_utt).tolist()))
     # sum of len(a) * len(b) over the pairs a <= b: half of (sum of lengths)**2
     # plus the squares of the self pairs
     lengths = [len(seq) for seq in seqs]
@@ -532,15 +545,26 @@ def discover_segments(corpus: Corpus, scoring: AlignScoring) -> list[Segment]:
             "shrink the corpus"
         )
 
-    alignments = _align_many(seqs, tasks, scoring)
+    pair, a0, a1, b0, b1, _score = _align_many(seqs, tasks, scoring)
 
-    # every aligned span once, in discovery order: (utterance, symbol span)
-    spans = dict.fromkeys(
-        key for (i, j, _), found in zip(tasks, alignments)
-        for (a0, a1), (b0, b1), _score in found for key in ((i, a0, a1), (j, b0, b1)))
-    return [Segment(id=k, utterance_id=utts[u].id, start=utts[u].frame_spans[lo][0],
-                    end=utts[u].frame_spans[hi - 1][1], symbols=utts[u].transcription[lo:hi])
-            for k, (u, lo, hi) in enumerate(spans)]
+    # every aligned span once, in discovery order: the (utterance, lo, hi)
+    # keys of each alignment's a side, then b side, as one integer each;
+    # the sorted first occurrences of the distinct keys are in that order
+    utt, lo, hi = (np.stack(both, axis=1).ravel() for both in (
+        (first_utt[pair], second_utt[pair]), (a0, b0), (a1, b1)))
+    width = max(lengths, default=0) + 1
+    _, first = np.unique((utt * width + lo) * width + hi, return_index=True)
+    first.sort()
+    utt, lo, hi = utt[first], lo[first], hi[first]
+    # frame spans of every utterance's symbols, one row per symbol
+    spans = np.fromiter(chain.from_iterable(chain.from_iterable(
+        u.frame_spans for u in utts)), dtype=np.int64, count=2 * sum(lengths)).reshape(-1, 2)
+    offset = np.cumsum([0, *lengths])[utt]
+    starts, ends = spans[offset + lo, 0].tolist(), spans[offset + hi - 1, 1].tolist()
+    return [Segment(id=k, utterance_id=utts[u].id, start=start, end=end,
+                    symbols=seqs[u][i0:i1])
+            for k, (u, i0, i1, start, end) in enumerate(
+                zip(utt.tolist(), lo.tolist(), hi.tolist(), starts, ends))]
 
 
 def write_segments(path, segments: list[Segment]) -> None:

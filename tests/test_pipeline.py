@@ -10,14 +10,15 @@ import pytest
 
 import termforge
 from termforge import cli, embednet, pipeline, seqmatch
-from termforge.baseline import LeaderParams
+from termforge.baseline import Cluster, LeaderParams, leader_cluster, load_clusters
+from termforge.corpus import Corpus
 from termforge.embednet import TrainConfig
 from termforge.mining import MiningConfig, load_manifest
 from termforge.pipeline import PipelineConfig, PipelineError, run_all, run_stage
 from termforge.recluster import HdbscanParams
 from termforge.seqmatch import AlignScoring
 from termforge.synthgen import SynthConfig
-from termforge.util import atomic_write, sha256_bytes
+from termforge.util import atomic_write, sha256_bytes, sha256_file
 
 
 def small_blob(workdir, system="baseline", extraction="eom", seed=77):
@@ -582,6 +583,110 @@ def test_mode_switch_reuses_shared_stages(tmp_path):
         small_blob(workdir, system="triplet"))
     run_all(triplet_config)
     assert (workdir / "segments.jsonl").stat().st_mtime_ns == stamp
+
+
+def canonical(value):
+    """`value` as nested tuples that keep the type of every leaf, an array
+    as its dtype, shape and bytes, so == compares decoded artifacts exactly."""
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, Corpus):
+        return ("Corpus", value.feature_dim, value.alphabet_size, canonical(list(value)))
+    if is_dataclass(value):
+        return (type(value).__name__,
+                *(canonical(getattr(value, f.name)) for f in fields(value)))
+    if isinstance(value, dict):
+        return ("dict", tuple((key, canonical(v)) for key, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, tuple(map(canonical, value)))
+    return (type(value).__name__, value)
+
+
+# what each stage hands forward: every artifact it writes that a later stage reads
+HANDED_FORWARD = {
+    "synth": {pipeline._CORPUS, ("corpus/gold.json",)},
+    "discover": {("segments.jsonl",)},
+    "baseline": {("clusters_baseline.json",)},
+    "mine": {("manifest.json",)},
+    "recluster": {("clusters_final.json",)},
+}
+
+
+@pytest.mark.parametrize("system", pipeline.SYSTEMS)
+def test_handed_forward_values_equal_a_decode_of_their_bytes(tmp_path, system):
+    workdir = tmp_path / "wd"
+    config = PipelineConfig.from_dict(small_blob(workdir, system=system))
+    table = pipeline._stage_table(config)
+    for stage in config.stage_names():
+        run_stage(stage, config)
+        handed = {artifact: held for artifact, held in pipeline._HANDOFF.held.items()
+                  if set(artifact) <= set(table[stage].outputs)}
+        assert set(handed) == HANDED_FORWARD.get(stage, set()), stage
+        for artifact, (digests, value) in handed.items():
+            assert digests == tuple(sha256_file(workdir / rel) for rel in artifact)
+            decoded = pipeline._DECODERS[artifact](workdir / artifact[0])
+            assert canonical(value) == canonical(decoded), artifact
+
+
+def test_clusters_with_unsorted_members_are_not_handed_forward():
+    """load_clusters reads members sorted, as write_clusters writes them."""
+    held = [Cluster(id=0, leader=2, members=[2, 5]), Cluster(id=1, leader=1, members=[4, 1])]
+    assert pipeline._sorted_clusters("clusters_final.json", held[:1]) \
+        == {"clusters_final.json": held[:1]}
+    assert pipeline._sorted_clusters("clusters_final.json", held) == {}
+
+
+def workdir_bytes(workdir):
+    return {p.relative_to(workdir).as_posix(): p.read_bytes()
+            for p in sorted(workdir.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("system", pipeline.SYSTEMS)
+def test_handoff_writes_what_a_decode_per_stage_writes(tmp_path, system):
+    """All stages in one process, and each stage with nothing held (as one
+    CLI process per stage runs them), write byte-identical workdirs."""
+    runs = {}
+    for name in ("handed", "decoded"):
+        config = PipelineConfig.from_dict(small_blob(tmp_path / name, system=system))
+        for stage in config.stage_names():
+            if name == "decoded":
+                pipeline._HANDOFF.clear()
+            assert run_stage(stage, config), stage
+        runs[name] = workdir_bytes(tmp_path / name)
+    assert runs["handed"].keys() == runs["decoded"].keys()
+    assert runs["handed"] == runs["decoded"]
+
+
+def test_forced_discover_hands_its_new_segments_to_baseline(tmp_path):
+    workdir = tmp_path / "wd"
+    config = PipelineConfig.from_dict(small_blob(workdir))
+    for stage in ("synth", "discover", "baseline"):
+        run_stage(stage, config)
+    before = seqmatch.load_segments(workdir / "segments.jsonl")
+    changed = replace(config, align=replace(config.align, min_length=5))
+    assert run_stage("discover", changed, force=True)
+    segments = seqmatch.load_segments(workdir / "segments.jsonl")
+    assert segments != before
+    assert run_stage("baseline", changed)
+    assert load_clusters(workdir / "clusters_baseline.json") \
+        == leader_cluster(segments, changed.leader)
+
+
+def test_handoff_holds_one_workdir(tmp_path):
+    first = PipelineConfig.from_dict(small_blob(tmp_path / "a"))
+    second = PipelineConfig.from_dict(small_blob(tmp_path / "b"))
+    run_stage("synth", second)
+    for stage in ("synth", "discover"):
+        run_stage(stage, first)
+    values = [value for _, value in pipeline._HANDOFF.held.values()]
+    assert len(values) == 3
+    # a cached stage on another workdir drops what the first one held too
+    assert run_stage("synth", second) is False
+    assert pipeline._HANDOFF.workdir == tmp_path / "b"
+    assert pipeline._HANDOFF.held == {}
+    run_stage("discover", second)
+    assert not any(held is value for _, held in pipeline._HANDOFF.held.values()
+                   for value in values)
 
 
 def cli_env():

@@ -4,6 +4,7 @@ import json
 import logging
 import pkgutil
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -303,7 +304,10 @@ def test_mixed_length_batch_matches_reference(pairs, scoring, chunk_bytes):
     tasks = [(2 * k, 2 * k + 1, self_pair) for k, (_, _, self_pair) in enumerate(pairs)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(seqmatch, "CHUNK_BYTES", chunk_bytes)
-        batched = seqmatch._align_many(seqs, tasks, scoring)
+        pair, *spans = (v.tolist() for v in seqmatch._align_many(seqs, tasks, scoring))
+    batched = [[] for _ in pairs]
+    for k, a0, a1, b0, b1, score in zip(pair, *spans):
+        batched[k].append(((a0, a1), (b0, b1), score))
     for (a, b, self_pair), found in zip(pairs, batched):
         assert found == sw_oracle.local_align(a, b, scoring, self_pair)
 
@@ -526,14 +530,16 @@ def test_fill_loop_keeps_off_numpy_slow_paths():
     """np.where with scalar operands, and a ufunc given a Python number, take
     numpy's slow paths: on a (20, 700) int8 diagonal np.where took about
     60 us and np.maximum(v, 0) 14-16 us, against 1.5-1.8 us for
-    np.maximum(v, zeros). The per-diagonal loop of _fill makes neither call."""
+    np.maximum(v, zeros). Neither the per-diagonal loop of _fill nor the
+    chunk loop of _align_many makes either call."""
     tree = ast.parse(Path(seqmatch.__file__).read_text())
-    [fill] = [node for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and node.name == "_fill"]
-    loops = [node for node in ast.walk(fill) if isinstance(node, ast.For)]
-    assert loops
+    loops = {node.name: [loop for loop in ast.walk(node) if isinstance(loop, ast.For)]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name in ("_fill", "_align_many")}
+    assert len(loops) == 2 and all(loops.values())
     slow = []
-    for node in (call for loop in loops for call in ast.walk(loop)
+    for node in (call for loop in chain.from_iterable(loops.values())
+                 for call in ast.walk(loop)
                  if isinstance(call, ast.Call)):
         name = ast.unparse(node.func)
         module, _, attr = name.partition(".")
