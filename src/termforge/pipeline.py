@@ -13,6 +13,10 @@ hash changes (or with force=True). All randomness flows from the root seed
 through labelled sub-seed derivation, so two runs with the same config produce
 byte-identical artifacts.
 
+`SYSTEMS` has one row per system: the clusters file evaluate scores and the
+mining count the system trains on. No stage list is written down: a system
+runs evaluate and every stage whose outputs evaluate reads, directly or not.
+
 Within one process, stages hand decoded artifacts forward instead of each
 decoding the files again. A stage returns the values it wrote (synth the
 corpus and gold, discover the segments, mine the pair manifest, baseline and
@@ -50,7 +54,10 @@ log = logging.getLogger("termforge")
 
 STAGES = ("synth", "discover", "baseline", "mine", "train",
           "embed", "recluster", "evaluate")
-SYSTEMS = ("baseline", "siamese", "triplet")
+# system: (clusters file evaluate scores, MiningConfig count it trains on or None)
+SYSTEMS = {"baseline": ("clusters_baseline.json", None),
+           "siamese": ("clusters_final.json", "n_siamese"),
+           "triplet": ("clusters_final.json", "n_triplet")}
 EXTRACTIONS = ("eom", "hybrid")
 
 
@@ -80,15 +87,15 @@ class PipelineConfig:
         writes; a bad section value, such as a float that is NaN or
         infinite, raises a PipelineError naming the section."""
         if self.system not in SYSTEMS:
-            raise PipelineError(f"system must be one of {SYSTEMS}, got {self.system!r}")
+            raise PipelineError(f"system must be one of {tuple(SYSTEMS)}, got {self.system!r}")
         if self.extraction not in EXTRACTIONS:
             raise PipelineError(
                 f"extraction must be one of {EXTRACTIONS}, got {self.extraction!r}")
-        for system, count in (("siamese", self.mining.n_siamese),
-                              ("triplet", self.mining.n_triplet)):
-            least = 1 if system == self.system else 0   # the count the system trains on
+        for system, (_, name) in SYSTEMS.items():
+            least = int(system == self.system)   # a system trains on its own count
+            count = getattr(self.mining, name) if name else least
             if count < least:
-                raise PipelineError(f"config section 'mining': n_{system} must be >= {least}"
+                raise PipelineError(f"config section 'mining': {name} must be >= {least}"
                                     f" for system {self.system!r}, got {count}")
         for section in fields(self):
             settings = getattr(self, section.name)
@@ -105,14 +112,17 @@ class PipelineConfig:
 
     @property
     def mode(self) -> str:
-        if self.system == "baseline":
-            return "baseline"
-        return f"{self.system}-{self.extraction}"
+        reclusters = "recluster" in self.stage_names()
+        return f"{self.system}-{self.extraction}" if reclusters else self.system
 
     def stage_names(self) -> tuple[str, ...]:
-        if self.system == "baseline":
-            return ("synth", "discover", "baseline", "evaluate")
-        return STAGES
+        """Evaluate and every stage it reads from, directly or not, in run order."""
+        needed, names = {"report.json"}, []
+        for stage in reversed(_stage_table(self).values()):
+            if needed.intersection(stage.outputs):
+                names.insert(0, stage.name)
+                needed.update(stage.inputs)
+        return tuple(names)
 
     @classmethod
     def from_dict(cls, blob: dict) -> "PipelineConfig":
@@ -295,15 +305,10 @@ def _run_recluster(config: PipelineConfig, workdir: Path, read) -> dict:
     return _sorted_clusters("clusters_final.json", clusters)
 
 
-def _scored_clusters(config: PipelineConfig) -> str:
-    """The clusters file that evaluate scores for the configured system."""
-    return "clusters_baseline.json" if config.system == "baseline" else "clusters_final.json"
-
-
 def _run_evaluate(config: PipelineConfig, workdir: Path, read) -> dict:
     # the corpus manifest stays an input: coverage counts the corpus's frames
     # from the gold, which synth checked against it
-    clusters = read(_scored_clusters(config))
+    clusters = read(SYSTEMS[config.system][0])
     report = evaluation.report(clusters, read("segments.jsonl"), read("corpus/gold.json"))
     evaluation.write_report(report, workdir / "report.json", workdir / "report.txt",
                             system=config.mode)
@@ -343,7 +348,7 @@ def _stage_table(config: PipelineConfig) -> dict[str, _Stage]:
                ("embeddings.npy",), (), _run_embed),
         _Stage("recluster", ("embeddings.npy", "segments.jsonl"), ("clusters_final.json",),
                ("hdbscan", "extraction"), _run_recluster),
-        _Stage("evaluate", (_scored_clusters(config), "segments.jsonl",
+        _Stage("evaluate", (SYSTEMS[config.system][0], "segments.jsonl",
                             "corpus/manifest.json", "corpus/gold.json"),
                ("report.json", "report.txt"), ("system", "extraction"), _run_evaluate),
     )
@@ -403,13 +408,8 @@ def run_stage(stage_name: str, config: PipelineConfig, force: bool = False) -> b
     stage runs and written after it with the hash of every output, so a
     stage that fails or an output changed since leaves the stage stale.
     Every input must still have the hash its producing stage recorded;
-    otherwise a PipelineError names the stage to run again.
-
-    Within one process, a stage reads an input that an earlier stage wrote
-    or read as the value held for it, when the input's verified hashes
-    equal those the value was held under (see `_Handoff`); otherwise it
-    decodes the file. A held value equals a decode of those bytes, so the
-    stage computes what it would from the file.
+    otherwise a PipelineError names the stage to run again. Inputs are read
+    through `_HANDOFF`, as the module docstring says.
     """
     config.validate()
     table = _stage_table(config)

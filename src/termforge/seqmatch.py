@@ -591,6 +591,6 @@ def load_segments(path) -> list[Segment]:
         return [Segment(id=blob["id"], utterance_id=blob["utterance"], start=blob["span"][0],
                         end=blob["span"][1], symbols=tuple(blob["symbols"]))
                 for blob in blobs]
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"{path}: a line is not a segment "
                          f"({type(exc).__name__}: {exc})") from None

@@ -1,9 +1,11 @@
+import ast
 import json
 import logging
 import os
 import subprocess
 import sys
 from dataclasses import asdict, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,7 +165,7 @@ def test_recluster_before_embed_fails(tmp_path):
         run_stage("recluster", config)
 
 
-@pytest.mark.parametrize("system", ["baseline", "siamese"])
+@pytest.mark.parametrize("system", pipeline.SYSTEMS)
 def test_every_input_has_one_earlier_producer(tmp_path, system):
     config = PipelineConfig.from_dict(small_blob(tmp_path / "wd", system=system))
     table = pipeline._stage_table(config)
@@ -173,6 +175,47 @@ def test_every_input_has_one_earlier_producer(tmp_path, system):
             producers = [other for other in names[:position]
                          if rel in table[other].outputs]
             assert len(producers) == 1, (name, rel, producers)
+
+
+LEADER_STAGES = ("synth", "discover", "baseline", "evaluate")
+
+
+# what each (system, extraction) runs: its stages, its mode (the label of
+# report.txt, which evaluate's hash covers) and the clusters file evaluate scores
+@pytest.mark.parametrize("system, extraction, stages, mode, scored", [
+    ("baseline", "eom", LEADER_STAGES, "baseline", "clusters_baseline.json"),
+    ("baseline", "hybrid", LEADER_STAGES, "baseline", "clusters_baseline.json"),
+    ("siamese", "eom", pipeline.STAGES, "siamese-eom", "clusters_final.json"),
+    ("siamese", "hybrid", pipeline.STAGES, "siamese-hybrid", "clusters_final.json"),
+    ("triplet", "eom", pipeline.STAGES, "triplet-eom", "clusters_final.json"),
+    ("triplet", "hybrid", pipeline.STAGES, "triplet-hybrid", "clusters_final.json"),
+])
+def test_each_system_runs_its_pinned_stages(system, extraction, stages, mode, scored):
+    config = PipelineConfig.from_dict(small_blob("wd", system, extraction))
+    assert config.stage_names() == stages
+    assert config.mode == mode
+    assert pipeline._stage_table(config)["evaluate"].inputs[0] == scored
+
+
+def is_text(node):
+    """True for a string literal, or a tuple, list or set that holds one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(is_text, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_no_module_compares_a_system_with_a_name():
+    """What a system runs is its row of pipeline.SYSTEMS and the stages its
+    evaluate reads from: no module compares a `.system` attribute with a
+    string literal, so that a new system is one row and not a new branch."""
+    branches = []
+    for path in sorted(Path(termforge.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+            if (any(isinstance(o, ast.Attribute) and o.attr == "system" for o in operands)
+                    and any(map(is_text, operands))):
+                branches.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert branches == []
 
 
 # the stages whose hash each config field changes
@@ -443,7 +486,7 @@ def test_triplet_mode_emits_all_artifacts(tmp_path):
     assert report.n_words >= 1
 
 
-@pytest.mark.parametrize("system", ["siamese", "baseline"])
+@pytest.mark.parametrize("system", pipeline.SYSTEMS)
 def test_each_stage_writes_exactly_its_outputs(tmp_path, system):
     """Every file a stage adds outside .stamps is one of its table outputs,
     and so is hashed into its stamp and never served stale."""
@@ -561,6 +604,51 @@ def test_learned_clusters_match_golden_digest(tmp_path):
         run_stage(stage, config)
     assert sha256_bytes((workdir / "clusters_final.json").read_bytes()) \
         == LEARNED_CLUSTERS_DIGEST
+
+
+# sha256 of what the triplet system writes for small_blob with hybrid
+# extraction at cluster_selection_epsilon 0.2, as the benchmark's sweep runs
+# it: its report, re-clusters and every stamp; and of the siamese-eom
+# report.txt and evaluate stamp, which carry the mode. With numpy 2.4
+# (training is float32), as written while each system's stages, mode and
+# scored clusters were spelled out by hand.
+SYSTEM_DIGESTS = {
+    ("triplet", "hybrid", 0.2): {
+        "report.json": "f3ca21340c50fb95f46d5270b92033e08794ce07fa47ff984206b55a8cdefb09",
+        "report.txt": "23f4c445eb1efa22ae39a762be54033da198a66530db41787044fa5e025eab6f",
+        "clusters_final.json":
+            "e1dbf15e95887a07f14e7f0f571bce8fc8e1f9111f77855304b1ad24881afe5d",
+        ".stamps/synth.json": "7f027801b362e7d0e6585ca2f374c5e77ef977831d3a1d11b407bc1c3f236b02",
+        ".stamps/discover.json":
+            "4ff5b3950585a6c8511a1d42b58ebe8ed3a8d482e3e9d2d63924cbbc847bcc8b",
+        ".stamps/baseline.json":
+            "76055fb285017df7b6e3b7906b5aec4f2e11f115ed931a3c3e7b190ef4c6dc28",
+        ".stamps/mine.json": "de8baa63e02e44345810c77b43f2d79bf6428ed30c52c9b3c17a4b51ef66c31a",
+        ".stamps/train.json": "8108238e5b6b8509030fff40ee65d59226ef88c18758a7c3fb94badc3cbd4cd2",
+        ".stamps/embed.json": "d1d7fc5723f278b541b5a0afbb81f6b9da765dcd16a0ca0eb53270431a527d93",
+        ".stamps/recluster.json":
+            "a6e4395a691b48e9d2f02385017d516efd0ee761eef06b563c7c75fb4b26458e",
+        ".stamps/evaluate.json":
+            "360ba802a77d1e7ed1b4eb75c3c1919fac7115941ab9469fdbcfc080244ca66b",
+    },
+    ("siamese", "eom", 0.0): {
+        "report.txt": "fad7988eb26398a58fc5700b2527c01ff2938721c647bd62424c8c3f7afd25b5",
+        ".stamps/evaluate.json":
+            "9a564699d0ed589f310911bb53c1c7173b4440f559267cd531cbd290b86a35d5",
+    },
+}
+
+
+@pytest.mark.parametrize("system, extraction, epsilon", SYSTEM_DIGESTS)
+def test_system_artifacts_match_golden_digests(tmp_path, system, extraction, epsilon):
+    workdir = tmp_path / "wd"
+    blob = small_blob(workdir, system, extraction)
+    blob["hdbscan"]["cluster_selection_epsilon"] = epsilon
+    config = PipelineConfig.from_dict(blob)
+    for stage in config.stage_names():
+        run_stage(stage, config)
+    digests = SYSTEM_DIGESTS[system, extraction, epsilon]
+    assert {name: sha256_bytes((workdir / name).read_bytes()) for name in digests} == digests
 
 
 def test_evaluate_reads_no_features(tmp_path, monkeypatch):

@@ -669,7 +669,10 @@ def test_torn_segments_line_is_refused_naming_the_file(tmp_path, edit, message):
     (lambda blob: blob.pop("span"), "KeyError: 'span'"),
     (lambda blob: blob.pop("symbols"), "KeyError: 'symbols'"),
     (lambda blob: blob.update(span=[2]), "IndexError: list index out of range"),
-], ids=["no-id", "no-utterance", "no-span", "no-symbols", "one-element-span"])
+    (lambda blob: blob.update(span=[5, 3]), "CorpusError: segment 2: end must exceed start"),
+    (lambda blob: blob.update(symbols=[]), "CorpusError: segment 2: symbols must be non-empty"),
+], ids=["no-id", "no-utterance", "no-span", "no-symbols", "one-element-span",
+        "inverted-span", "empty-symbols"])
 def test_segment_line_without_its_keys_is_refused_naming_the_file(tmp_path, edit, error):
     path = tmp_path / "segments.jsonl"
     write_segments(path, [Segment(k, f"u{k}", k, k + 3, (k, 1)) for k in range(4)])
