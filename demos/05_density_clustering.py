@@ -1,8 +1,8 @@
 """Hierarchical density clustering on a constructed 2-D geometry.
 
 Runs the clustering stack step by step (one distance matrix, core distances
-and mutual reachability from it, minimum spanning tree, single linkage,
-condensation, extraction) and shows
+from it, mutual reachability written over it, minimum spanning tree, single
+linkage, condensation, extraction) and shows
 how the hybrid epsilon rule merges micro-clusters that plain excess-of-mass
 keeps apart.
 """

@@ -78,6 +78,10 @@ and branch backward around the reference kernels. It equals the per-tower
 reference over padded inputs, which forwards and back-propagates each
 tower's B inputs on their own, only to rounding.
 
+Inference frees the packed or padded input once conv1's window matrix is
+built from it, so only that matrix and its product are live at a chunk's
+largest GEMM.
+
 A BLAS product's last bits can depend on its shape: OpenBLAS picks kernels
 and blockings by size. The packed sequence of a chunk of `embed_all` is as
 long as the sum of its segments' slots, so each row's floats depend on the
@@ -223,12 +227,13 @@ def _cols(x, kernel):
     return cols.reshape(channels * kernel, batch * t_out)
 
 
-def _conv_forward(x, W, b):
-    """Valid convolution of channel-major x (C_in, B, T_in); the result is
-    channel-major (C_out, B, T)."""
-    out_ch, in_ch, kernel = W.shape
-    z = W.reshape(out_ch, in_ch * kernel) @ _cols(x, kernel)
-    z = z.reshape(out_ch, x.shape[1], -1)
+def _conv_forward(cols, batch, W, b):
+    """Valid convolution from the window matrix `_cols` built of a
+    channel-major input (C_in, batch, T_in); the result is channel-major
+    (C_out, batch, T)."""
+    out_ch = len(W)
+    z = W.reshape(out_ch, -1) @ cols
+    z = z.reshape(out_ch, batch, -1)
     z += b[:, None, None]
     return z
 
@@ -339,19 +344,24 @@ def _forward(params: NetworkParams, inputs, cache: dict | None = None):
     """Embeddings of a batch of frame matrices, each (frames, feature_dim),
     computed in the dtype of the parameters over the layout `_pack` picks. A
     `cache` dict receives the intermediates backprop needs; without one,
-    each is dropped once the next layer has read it."""
+    each is dropped once the next layer has read it, and the packed or
+    padded input once conv1's window matrix is built from it."""
     p = params.arrays
+    k1, k2, k3 = params.arch.conv_kernels
     width = params.arch.pool_width
     keep = cache.update if cache is not None else lambda **_: None
     h, gather = _pack(params.arch, inputs, params.dtype)
     keep(x=h, gather=gather)
-    z = _conv_forward(h, p["W1"], p["b1"])
+    cols, batch = _cols(h, k1), h.shape[1]
+    del h
+    z = _conv_forward(cols, batch, p["W1"], p["b1"])
+    del cols
     h, idx = _pool_forward(np.maximum(z, 0.0), width)
     keep(z1=z, idx1=idx, p1=h)
-    z = _conv_forward(h, p["W2"], p["b2"])
+    z = _conv_forward(_cols(h, k2), batch, p["W2"], p["b2"])
     h, idx = _pool_forward(np.maximum(z, 0.0), width)
     keep(z2=z, idx2=idx, p2=h)
-    z = _conv_forward(h, p["W3"], p["b3"])
+    z = _conv_forward(_cols(h, k3), batch, p["W3"], p["b3"])
     h = np.ascontiguousarray(z.reshape(len(z), -1).T)
     h = np.maximum(h, 0.0, out=h)[gather].reshape(len(gather), -1)
     keep(z3=z, flat=h)

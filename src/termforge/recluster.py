@@ -1,7 +1,7 @@
 """Hierarchical density clustering of segment embeddings.
 
 From-scratch HDBSCAN on a dense Euclidean distance matrix, built once per
-call: core distances and mutual reachability both read it, then Prim's
+call: core distances read it, mutual reachability overwrites it, then Prim's
 minimum spanning tree, single-linkage dendrogram, condensation by minimum
 cluster size, then one cluster selection,
 `extract(tree, epsilon)`: excess-of-mass, followed for epsilon > 0 by the
@@ -14,6 +14,13 @@ cluster but is disqualified when the corpus itself is smaller than
 min_cluster_size. Cluster ids are canonical: decreasing size, ties broken by
 smallest member index. A call refuses more points than one n x n float64
 matrix of DENSE_MATRIX_BYTES holds (n > 20,000).
+
+Memory: a call holds one n x n float64 matrix. The distance matrix is
+built in the Gram matrix's storage, core distances are read from it a
+row block at a time, and mutual reachability overwrites it; the scratch of
+a row block is BLOCK_SHARE of one matrix. Each step computes the same
+floats as a fresh-matrix form, in the same order, since max does not
+round, except that identical rows are set exactly 0 apart.
 """
 
 from __future__ import annotations
@@ -25,8 +32,11 @@ import numpy as np
 from .util import ScaleError
 
 # Bytes one n x n float64 matrix may take: n = 20,000 points, 3.2 GB. A
-# call's peak is three such matrices, inside mutual_reachability.
+# call's peak is one such matrix, plus row-block scratch.
 DENSE_MATRIX_BYTES = 8 * 20_000**2
+# Share of one n x n matrix that the scratch of a row block takes: a block
+# is n * BLOCK_SHARE rows, and at least one.
+BLOCK_SHARE = 1 / 32
 # Largest squared row norm a call takes: every term of a squared distance
 # is at most 4 * max |x|^2, so below this none overflows float64.
 MAX_SQUARED_NORM = np.finfo(np.float64).max / 4
@@ -77,35 +87,59 @@ class HdbscanResult:
     noise: list[int]
 
 
+def _row_blocks(n: int):
+    """Slices of consecutive rows that cover range(n), n * BLOCK_SHARE rows
+    each (at least one)."""
+    step = max(1, int(n * BLOCK_SHARE))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def distance_matrix(embeddings: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances in float64, with a zero diagonal."""
+    """Pairwise Euclidean distances in float64, with a zero diagonal and
+    exactly 0 between identical rows. The Gram matrix is formed once and
+    overwritten, a row block at a time, with (|x_i|^2 + |x_j|^2) - 2 x_i.x_j;
+    the clip at 0 and the square root run in place."""
     x = np.asarray(embeddings, dtype=np.float64)
+    # rounding leaves identical rows up to ~3e-8 |x| apart in the Gram form;
+    # they are found before the n x n matrix exists and set to 0 at the end
+    group, counts = np.unique(x, axis=0, return_inverse=True, return_counts=True)[1:]
+    twins = [np.flatnonzero(group == g) for g in np.flatnonzero(counts > 1)]
     sq = np.einsum("ij,ij->i", x, x)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    d2 = x @ x.T
+    for rows in _row_blocks(len(x)):
+        block = d2[rows]
+        np.multiply(block, 2.0, out=block)
+        np.subtract(sq[rows, None] + sq[None, :], block, out=block)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
+    for members in twins:
+        d2[np.ix_(members, members)] = 0.0
+    return np.sqrt(d2, out=d2)
 
 
 def core_distances(dist: np.ndarray, k: int) -> np.ndarray:
     """Distance to each point's k-th nearest neighbor (self excluded), read
-    from the distance matrix."""
+    from the distance matrix a row block at a time."""
     n = len(dist)
     if n <= k:
         raise ValueError(f"need more than k={k} points, got {n}")
-    # row-sorted position k skips the self distance at position 0; the copy
-    # frees the n x n partition, which a column view would keep alive
-    return np.partition(dist, k, axis=1)[:, k].copy()
+    # row-sorted position k skips the self distance at position 0; each
+    # block's partition is a copy, and only its k-th column is kept
+    core = np.empty(n, dtype=dist.dtype)
+    for rows in _row_blocks(n):
+        core[rows] = np.partition(dist[rows], k, axis=1)[:, k]
+    return core
 
 
 def mutual_reachability(dist: np.ndarray, core: np.ndarray) -> np.ndarray:
     """max(core_i, core_j, d(i, j)) with a zero diagonal, from the distance
-    matrix d."""
+    matrix d. Overwrites d and returns it."""
     if len(core) != len(dist):
         raise ValueError("core distances and distance matrix disagree in length")
-    out = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
-    np.fill_diagonal(out, 0.0)
-    return out
+    np.maximum(dist, core[:, None], out=dist)
+    np.maximum(dist, core[None, :], out=dist)
+    np.fill_diagonal(dist, 0.0)
+    return dist
 
 
 def mst(matrix: np.ndarray) -> list[tuple[int, int, float]]:
@@ -362,9 +396,7 @@ def hdbscan(embeddings: np.ndarray, params: HdbscanParams) -> HdbscanResult:
             f"dense-matrix guard of {DENSE_MATRIX_BYTES} bytes; subsample the segments"
         )
     dist = distance_matrix(embeddings)
-    core = core_distances(dist, params.min_samples)
-    reach = mutual_reachability(dist, core)
-    del dist
+    reach = mutual_reachability(dist, core_distances(dist, params.min_samples))
     edges = mst(reach)
     tree = condense(build_hierarchy(edges), params.min_cluster_size)
     labels, clusters, order = _partition(tree, _select(tree, params.cluster_selection_epsilon))

@@ -1,13 +1,44 @@
-"""Reference cluster selection: the separate excess-of-mass and hybrid
-selection passes, the label builder and the leaf counter that the single
-`extract` path in termforge.recluster replaced. Tests require the package
-to reproduce them exactly."""
+"""Reference HDBSCAN kernels and cluster selection that termforge.recluster
+replaced, which tests require the package to reproduce exactly:
+
+- the three-matrix distance matrix, core distances and mutual
+  reachability, each allocating a fresh n x n result; the package's
+  in-place, row-block kernels give the same floats, except that its
+  distance matrix sets identical rows exactly 0 apart;
+- the separate excess-of-mass and hybrid selection passes, the label
+  builder and the leaf counter that the single `extract` path replaced."""
 
 import numpy as np
 
 from termforge.recluster import (_cluster_children, _descendants, build_hierarchy,
-                                 condense, core_distances, distance_matrix, mst,
-                                 mutual_reachability)
+                                 condense, mst)
+
+
+def distance_matrix(embeddings):
+    """Pairwise Euclidean distances in float64 by the Gram form, with a zero
+    diagonal; identical rows may come out a rounding error apart."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    sq = np.einsum("ij,ij->i", x, x)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return np.sqrt(d2)
+
+
+def identical_rows(embeddings):
+    """(n, n) mask of the pairs of rows equal in every column."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    return (x[:, None] == x[None]).all(axis=-1)
+
+
+def core_distances(dist, k):
+    return np.partition(dist, k, axis=1)[:, k].copy()
+
+
+def mutual_reachability(dist, core):
+    out = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def leaf_counts(dendrogram, n):
@@ -103,6 +134,7 @@ def hdbscan(embeddings, params):
     """(labels, clusters, stabilities, noise) as the package's hdbscan
     returned them, after its input checks have passed."""
     dist = distance_matrix(embeddings)
+    dist[identical_rows(embeddings)] = 0.0
     reach = mutual_reachability(dist, core_distances(dist, params.min_samples))
     tree = condense(build_hierarchy(mst(reach)), params.min_cluster_size)
     labels, order = labels_from_selection(

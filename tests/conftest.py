@@ -10,6 +10,20 @@ settings.register_profile("termforge", deadline=None, derandomize=True)
 settings.load_profile("termforge")
 
 
+def pytest_addoption(parser):
+    parser.addoption("--run-slow", action="store_true",
+                     help="also run the tests marked slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow: pass --run-slow to run it")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(key=20250809))

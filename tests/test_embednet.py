@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -930,6 +931,49 @@ def test_embed_all_duplicates_agree_in_float32():
     by_symbols = {}
     for row, seg in zip(table, segments):
         assert np.abs(by_symbols.setdefault(seg.symbols, row) - row).max() <= tolerance
+
+
+class _InputOnly(dict):
+    """A forward cache that keeps the conv stack's input alone, alive to the
+    end of the pass, as inference kept it through conv1's product."""
+
+    def update(self, **arrays):
+        if "x" in arrays:
+            self["x"] = arrays["x"]
+
+
+def test_embed_all_frees_its_input_before_conv1s_product():
+    """A 256-segment chunk of full-width segments at l_max 40 runs padded.
+    Its traced peak is the padded input and conv1's window matrix, which
+    meet while the latter is built, plus at most 64 KiB of small arrays; a
+    pass that holds the input also holds conv1's output with them."""
+    arch = NetArch(l_max=40)
+    rng = rng_from(8)
+    features = rng.uniform(0.5, 1.5, (256 * 40, arch.feature_dim)).astype(np.float32)
+    corpus = Corpus(arch.feature_dim, 1,
+                    [Utterance("u0", features, (0,), ((0, len(features)),))])
+    segments = [Segment(i, "u0", 40 * i, 40 * (i + 1), (0,)) for i in range(256)]
+    params = init_params(arch, 3)
+    inputs = [slice_features(corpus, seg) for seg in segments]
+    t1 = arch.time_lengths()[0]
+    padded_bytes = arch.feature_dim * 256 * arch.l_max * 4
+    cols_bytes = arch.feature_dim * arch.conv_kernels[0] * 256 * t1 * 4
+    conv1_bytes = arch.conv_channels[0] * 256 * t1 * 4
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    table, freed = peak(lambda: embed_all(params, segments, corpus))
+    held = _InputOnly()
+    expected, holding = peak(lambda: embednet._forward(params, inputs, held))
+    assert held["x"].shape == (arch.feature_dim, 256, arch.l_max)   # padded layout
+    assert _same_bytes(table, expected)
+    assert freed <= padded_bytes + cols_bytes + 2**16
+    assert holding >= padded_bytes + cols_bytes + conv1_bytes
 
 
 def test_trained_embeddings_separate_classes():

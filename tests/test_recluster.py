@@ -140,6 +140,16 @@ def test_mutual_reachability_symmetric_zero_diagonal(rng):
     assert (np.diag(reach) == 0).all()
 
 
+def test_mutual_reachability_overwrites_its_argument(rng):
+    points = rng.standard_normal((12, 3))
+    dist = distance_matrix(points)
+    core = core_distances(dist, 3)
+    expected = cluster_oracle.mutual_reachability(dist, core)
+    reach = mutual_reachability(dist, core)
+    assert reach is dist
+    assert np.array_equal(reach, expected)
+
+
 def test_mutual_reachability_hand_case():
     points = np.array([[0.0], [1.0], [2.0], [10.0]])
     dist = distance_matrix(points)
@@ -149,6 +159,72 @@ def test_mutual_reachability_hand_case():
     assert reach[0, 2] == 2.0                  # max(1, 1, 2)
     assert reach[0, 3] == 10.0                 # max(1, 8, 10)
     assert reach[1, 2] == 1.0
+
+
+# --- in-place kernels against the three-matrix oracle --------------------------
+
+
+def planted_twins(rng, n, width, scale):
+    """n float rows scaled by `scale`, with some rows copied onto others."""
+    points = scale * rng.standard_normal((n, width))
+    sources = rng.integers(0, n, size=n // 4)
+    targets = rng.integers(0, n, size=n // 4)
+    points[targets] = points[sources]
+    return points
+
+
+def test_distance_matrix_puts_identical_rows_at_zero(rng):
+    """The Gram form leaves some planted duplicates a rounding error apart;
+    the package sets every such pair to exactly 0."""
+    nonzero = 0
+    for _ in range(40):
+        points = planted_twins(rng, 30, 8, rng.uniform(0.01, 100.0))
+        same = cluster_oracle.identical_rows(points)
+        assert (distance_matrix(points)[same] == 0.0).all()
+        nonzero += int((cluster_oracle.distance_matrix(points)[same] > 0.0).sum())
+    assert nonzero > 0
+
+
+def test_identical_rows_cluster_alike_at_any_scale():
+    """A table of one repeated row is all at distance 0, whatever the row."""
+    params = HdbscanParams(min_cluster_size=4, min_samples=3)
+    base = hdbscan(np.zeros((20, 40)), params)
+    row = rng_from(4).standard_normal(40)     # the Gram form puts copies apart
+    for scale in (1e-3, 0.37, 1.0, 12_345.678, 3e120):
+        result = hdbscan(np.tile(scale * row, (20, 1)), params)
+        assert result.labels.tolist() == base.labels.tolist()
+        assert result.clusters == base.clusters
+        assert result.stabilities == base.stabilities
+        assert result.noise == base.noise
+
+
+@given(st.integers(6, 60), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.floats(0.01, 100.0), st.booleans(), st.integers(1, 5),
+       st.sampled_from(("default", "one row", "all but one row")))
+@settings(max_examples=150)
+def test_in_place_kernels_match_three_matrix_oracle(n, width, seed, scale, as_float32, k,
+                                                    blocks):
+    """Distance matrix, core distances and mutual reachability, a row block
+    at a time in one matrix, equal the oracle's fresh-matrix kernels float for
+    float, except that identical rows are exactly 0 apart."""
+    points = planted_twins(rng_from(seed), n, width, scale)
+    if as_float32:
+        points = points.astype(np.float32)
+    share = {"default": recluster.BLOCK_SHARE, "one row": 0.0,
+             "all but one row": (n - 0.5) / n}[blocks]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recluster, "BLOCK_SHARE", share)
+        if blocks != "default":
+            rows = {"one row": 1, "all but one row": n - 1}[blocks]
+            assert recluster._row_blocks(n)[0] == slice(0, rows)
+        dist = distance_matrix(points)
+        same = cluster_oracle.identical_rows(points)
+        assert np.array_equal(dist[~same], cluster_oracle.distance_matrix(points)[~same])
+        assert (dist[same] == 0.0).all()
+        core = core_distances(dist, k)
+        assert np.array_equal(core, cluster_oracle.core_distances(dist, k))
+        expected = cluster_oracle.mutual_reachability(dist, core)
+        assert np.array_equal(mutual_reachability(dist, core), expected)
 
 
 # --- minimum spanning tree ---------------------------------------------------
@@ -458,18 +534,32 @@ def test_hdbscan_refuses_rows_whose_distances_overflow(monkeypatch, rng):
     assert sorted([*chain.from_iterable(result.clusters), *result.noise]) == list(range(40))
 
 
-def test_hdbscan_holds_at_most_three_dense_matrices(rng):
-    """One call's traced peak stays under four n x n float64 matrices: the
-    distance matrix is built once, and no view keeps a dead matrix alive."""
-    n = 300
-    points = rng.standard_normal((n, 8))
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated during call()."""
     tracemalloc.start()
     try:
-        hdbscan(points, HdbscanParams())
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 8 * n * n
+
+
+def test_hdbscan_holds_one_dense_matrix(rng):
+    """One call's traced peak stays under one and a half n x n float64
+    matrices: the distance matrix is built once and then overwritten, and
+    row-block scratch is a small share of it."""
+    n = 300
+    points = rng.standard_normal((n, 8))
+    assert traced_peak(lambda: hdbscan(points, HdbscanParams())) < 1.5 * 8 * n * n
+
+
+@pytest.mark.slow
+def test_hdbscan_holds_one_dense_matrix_at_noisy_250_size(rng):
+    """The same bound at noisy-250's 7,223 segments and embedding width 40,
+    where one matrix takes 417 MB."""
+    n = 7_223
+    points = rng.standard_normal((n, 40))
+    assert traced_peak(lambda: hdbscan(points, HdbscanParams())) < 1.5 * 8 * n * n
 
 
 def test_hdbscan_builds_the_distance_matrix_once(monkeypatch, rng):
