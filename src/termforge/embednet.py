@@ -76,7 +76,9 @@ tower by tower and slot by slot, and one branch backward runs over x. In
 float64 a step is bit-identical to the same gather, scatter, packed layout
 and branch backward around the reference kernels. It equals the per-tower
 reference over padded inputs, which forwards and back-propagates each
-tower's B inputs on their own, only to rounding.
+tower's B inputs on their own, only to rounding. The step's forward cache
+keeps each ReLU's input as its bool mask z > 0.0, all that backprop reads
+of it.
 
 Inference frees the packed or padded input once conv1's window matrix is
 built from it, so only that matrix and its product are live at a chunk's
@@ -85,8 +87,15 @@ largest GEMM.
 A BLAS product's last bits can depend on its shape: OpenBLAS picks kernels
 and blockings by size. The packed sequence of a chunk of `embed_all` is as
 long as the sum of its segments' slots, so each row's floats depend on the
-chunk it lands in: embedding in chunks of another size changes them, which
-is why `embed_all` keeps chunk_size=256, in float32 as it did in float64.
+chunk it lands in: embedding in chunks of another size changes them by
+rounding. `embed_all` embeds 64 segments per chunk: at l_max 40 a chunk's
+conv1 window matrix is then 1.84 MB, where 256 segments made it 7.37 MB.
+64 is the knee of its time per corpus: on a 2-core x86 host with one BLAS
+thread, 64-segment chunks take 0.94x (l_max 40) and 1.03x (l_max 100) the
+time of 256-segment ones, and 32-segment chunks 1.01x and 1.12x. On the
+learned bench runs the 64-segment tables differ from the 256-segment ones
+by at most 3.2e-7 of a table's largest |entry|, and every cluster
+membership is the same.
 """
 
 from __future__ import annotations
@@ -343,13 +352,15 @@ def _pack(arch: NetArch, inputs, dtype: np.dtype):
 def _forward(params: NetworkParams, inputs, cache: dict | None = None):
     """Embeddings of a batch of frame matrices, each (frames, feature_dim),
     computed in the dtype of the parameters over the layout `_pack` picks. A
-    `cache` dict receives the intermediates backprop needs; without one,
-    each is dropped once the next layer has read it, and the packed or
-    padded input once conv1's window matrix is built from it."""
+    `cache` dict receives the intermediates backprop needs, each ReLU's
+    input as its bool mask `z > 0.0`; without one, no mask is formed, each
+    intermediate is dropped once the next layer has read it, and the packed
+    or padded input once conv1's window matrix is built from it."""
     p = params.arrays
     k1, k2, k3 = params.arch.conv_kernels
     width = params.arch.pool_width
     keep = cache.update if cache is not None else lambda **_: None
+    mask = (lambda z: z > 0.0) if cache is not None else (lambda z: None)
     h, gather = _pack(params.arch, inputs, params.dtype)
     keep(x=h, gather=gather)
     cols, batch = _cols(h, k1), h.shape[1]
@@ -357,20 +368,20 @@ def _forward(params: NetworkParams, inputs, cache: dict | None = None):
     z = _conv_forward(cols, batch, p["W1"], p["b1"])
     del cols
     h, idx = _pool_forward(np.maximum(z, 0.0), width)
-    keep(z1=z, idx1=idx, p1=h)
+    keep(m1=mask(z), idx1=idx, p1=h)
     z = _conv_forward(_cols(h, k2), batch, p["W2"], p["b2"])
     h, idx = _pool_forward(np.maximum(z, 0.0), width)
-    keep(z2=z, idx2=idx, p2=h)
+    keep(m2=mask(z), idx2=idx, p2=h)
     z = _conv_forward(_cols(h, k3), batch, p["W3"], p["b3"])
     h = np.ascontiguousarray(z.reshape(len(z), -1).T)
     h = np.maximum(h, 0.0, out=h)[gather].reshape(len(gather), -1)
-    keep(z3=z, flat=h)
+    keep(m3=mask(z), flat=h)
     z = h @ p["Wf1"] + p["bf1"]
     h = np.maximum(z, 0.0)
-    keep(zf1=z, af1=h)
+    keep(mf1=mask(z), af1=h)
     z = h @ p["Wf2"] + p["bf2"]
     h = np.maximum(z, 0.0)
-    keep(zf2=z, af2=h)
+    keep(mf2=mask(z), af2=h)
     return h @ p["Wo"] + p["bo"]
 
 
@@ -399,34 +410,34 @@ def _branch_backward(params: NetworkParams, cache, d_out, grads):
     width = params.arch.pool_width
     grads["Wo"] += cache["af2"].T @ d_out
     grads["bo"] += d_out.sum(axis=0)
-    d = (d_out @ p["Wo"].T) * (cache["zf2"] > 0.0)
+    d = (d_out @ p["Wo"].T) * cache["mf2"]
     grads["Wf2"] += cache["af1"].T @ d
     grads["bf2"] += d.sum(axis=0)
-    d = (d @ p["Wf2"].T) * (cache["zf1"] > 0.0)
+    d = (d @ p["Wf2"].T) * cache["mf1"]
     grads["Wf1"] += cache["flat"].T @ d
     grads["bf1"] += d.sum(axis=0)
     # each data position of fc1's input takes its gradient from one row;
     # the template's one position takes the sum over every padding row
     gather = cache["gather"].reshape(-1)
     d = (d @ p["Wf1"].T).reshape(len(gather), -1)
-    z3 = cache["z3"]
-    d3 = np.zeros((z3[0].size, d.shape[1]), dtype=d.dtype)
+    m3 = cache["m3"]
+    d3 = np.zeros((m3[0].size, d.shape[1]), dtype=d.dtype)
     padding = gather < 0
     d3[gather[~padding]] = d[~padding]
     if padding.any():
         d3[-1] = d[padding].sum(axis=0)
-    d3 *= z3.reshape(len(z3), -1).T > 0.0
-    d = d3.T.reshape(z3.shape)
+    d3 *= m3.reshape(len(m3), -1).T
+    d = d3.T.reshape(m3.shape)
     dW, db, d = _conv_backward(d, cache["p2"], p["W3"])
     grads["W3"] += dW
     grads["b3"] += db
-    d = _pool_backward(d, cache["idx2"], cache["z2"].shape[2], width)
-    d *= cache["z2"] > 0.0
+    d = _pool_backward(d, cache["idx2"], cache["m2"].shape[2], width)
+    d *= cache["m2"]
     dW, db, d = _conv_backward(d, cache["p1"], p["W2"])
     grads["W2"] += dW
     grads["b2"] += db
-    d = _pool_backward(d, cache["idx1"], cache["z1"].shape[2], width)
-    d *= cache["z1"] > 0.0
+    d = _pool_backward(d, cache["idx1"], cache["m1"].shape[2], width)
+    d *= cache["m1"]
     dW, db, _ = _conv_backward(d, cache["x"], p["W1"], input_grad=False)
     grads["W1"] += dW
     grads["b1"] += db
@@ -585,12 +596,15 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
 
 
 def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus,
-              chunk_size: int = 256) -> np.ndarray:
+              chunk_size: int = 64) -> np.ndarray:
     """Embedding table in the dtype of `params`: row i is the embedding of
     segments[i], its features padded or cut to the network's input width.
     Each chunk of segments is packed into one sequence whose length, and so
     the GEMM shapes and the last bits of every row, depend on the chunk's
-    segments (see the module docstring)."""
+    segments (see the module docstring). A chunk_size below 1 raises a
+    ValueError."""
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, not {chunk_size}")
     rows = []
     for lo in range(0, len(segments), chunk_size):
         rows.append(_forward(params, [slice_features(corpus, seg)

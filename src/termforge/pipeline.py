@@ -267,10 +267,10 @@ def _run_train(config: PipelineConfig, workdir: Path, read) -> dict:
     manifest = read("manifest.json")
     arch = embednet.NetArch(l_max=config.train.l_max,
                             feature_dim=corpus.feature_dim)
-    params = embednet.init_params(arch, derive_seed(config.seed, "init"))
-    params, curve = embednet.train(params, manifest, corpus, read("segments.jsonl"),
-                                   config.train, config.system,
-                                   derive_seed(config.seed, "train"))
+    # passed unnamed, so the initial set is freed once train has copied it
+    params, curve = embednet.train(
+        embednet.init_params(arch, derive_seed(config.seed, "init")), manifest, corpus,
+        read("segments.jsonl"), config.train, config.system, derive_seed(config.seed, "train"))
     embednet.save_params(*(workdir / rel for rel in _NETWORK), params)
     embednet.write_loss_curve(workdir / "loss_curve.csv", curve)
     tower_ids = embednet.tower_segment_ids(manifest, config.system)

@@ -113,9 +113,11 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
 
 def write_json(path, obj) -> None:
     """Write `obj` to `path` atomically as sorted, 2-space indented JSON with
-    a final newline: the byte format of every JSON artifact."""
+    a final newline: the byte format of every JSON artifact. The text is
+    streamed to the file, not built whole first."""
     with atomic_write(path) as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def read_json(path, decode):

@@ -1,3 +1,12 @@
+import os
+
+# BLAS runs on one thread, as perfbench/run.py runs every corpus, whatever the
+# environment says: a GEMM's last bits can depend on its thread count, and
+# the golden digests are taken at one thread. numpy reads these variables
+# when it loads BLAS, so they are set before it is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 from hypothesis import settings

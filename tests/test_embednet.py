@@ -214,15 +214,15 @@ def _state_signature(params, batch):
     _, cache = embednet._forward_cached(params, batch["x"])
     _, k2, k3 = params.arch.conv_kernels
     width = params.arch.pool_width
-    used = np.zeros(cache["z3"][0].shape, dtype=bool)
+    used = np.zeros(cache["m3"][0].shape, dtype=bool)
     used.reshape(-1)[cache["gather"]] = True
-    parts = [cache["z3"][:, used] > 0]
-    for z, idx, kernel in (("z2", "idx2", k3), ("z1", "idx1", k2)):
+    parts = [cache["m3"][:, used]]
+    for mask, idx, kernel in (("m2", "idx2", k3), ("m1", "idx1", k2)):
         pooled = _read_by(used, kernel)
-        used = np.zeros(cache[z][0].shape, dtype=bool)
+        used = np.zeros(cache[mask][0].shape, dtype=bool)
         used[:, :pooled.shape[1] * width] = pooled.repeat(width, axis=1)
-        parts += [cache[idx][:, pooled], cache[z][:, used] > 0]
-    parts += [cache[z] > 0 for z in ("zf1", "zf2")]
+        parts += [cache[idx][:, pooled], cache[mask][:, used]]
+    parts += [cache[mask] for mask in ("mf1", "mf2")]
     return b"".join(np.ascontiguousarray(part).tobytes() for part in parts)
 
 
@@ -654,7 +654,8 @@ def test_float32_backward_is_close_to_float64_reference(case, size, kind, data):
     assume(_kink_sides(params, batch, kind, 1.0) == _kink_sides(reference, batch, kind, 1.0))
     losses, cache, tower_grads = embednet._losses_and_grads(params, batch, kind, 1.0)
     floats = [losses, *tower_grads, *(value for key, value in cache.items()
-                                      if not key.startswith("idx") and key != "gather")]
+                                      if not key.startswith(("idx", "m"))
+                                      and key != "gather")]
     assert {value.dtype for value in floats} == {np.dtype(np.float32)}
     loss, grads = backward(params, batch, kind, 1.0)
     expected_loss, expected = net_oracle.packed_backward(reference, batch, kind, 1.0,
@@ -967,13 +968,101 @@ def test_embed_all_frees_its_input_before_conv1s_product():
         finally:
             tracemalloc.stop()
 
-    table, freed = peak(lambda: embed_all(params, segments, corpus))
+    table, freed = peak(lambda: embed_all(params, segments, corpus, chunk_size=256))
     held = _InputOnly()
     expected, holding = peak(lambda: embednet._forward(params, inputs, held))
     assert held["x"].shape == (arch.feature_dim, 256, arch.l_max)   # padded layout
     assert _same_bytes(table, expected)
     assert freed <= padded_bytes + cols_bytes + 2**16
     assert holding >= padded_bytes + cols_bytes + conv1_bytes
+
+
+def test_embed_all_peaks_at_one_64_segment_chunk():
+    """256 full-width segments at l_max 40 run in four padded 64-segment
+    chunks. The traced peak is one chunk's padded input and its conv1
+    window matrix, plus at most 64 KiB of small arrays: 2.32 MB, where one
+    256-segment chunk peaks at 9.06 MB."""
+    arch = NetArch(l_max=40)
+    features = rng_from(8).uniform(0.5, 1.5, (256 * 40, arch.feature_dim))
+    corpus = Corpus(arch.feature_dim, 1, [Utterance("u0", features.astype(np.float32),
+                                                    (0,), ((0, len(features)),))])
+    segments = [Segment(i, "u0", 40 * i, 40 * (i + 1), (0,)) for i in range(256)]
+    params = init_params(arch, 3)
+    padded_bytes = arch.feature_dim * 64 * arch.l_max * 4
+    cols_bytes = arch.feature_dim * arch.conv_kernels[0] * 64 * arch.time_lengths()[0] * 4
+    tracemalloc.start()
+    try:
+        table = embed_all(params, segments, corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (256, arch.embed_dim)
+    assert peak <= padded_bytes + cols_bytes + 2**16
+
+
+def test_embed_all_default_chunks_are_close_to_256_segment_chunks():
+    """A chunk's GEMM shapes set the last bits of its rows, so the default
+    64-segment chunks move a table of 300 segments of 9-60 frames, packed at
+    l_max 100 and padded at 40, by rounding only; 64 segments make one chunk
+    either way, and the same rows."""
+    rng = rng_from(21)
+    for l_max in (100, 40):
+        arch = NetArch(l_max=l_max)
+        features = rng.uniform(-1.0, 1.0, (4000, arch.feature_dim)).astype(np.float32)
+        corpus = Corpus(arch.feature_dim, 1,
+                        [Utterance("u0", features, (0,), ((0, len(features)),))])
+        starts = rng.integers(0, len(features) - 60, 300).tolist()
+        lengths = rng.integers(9, 61, 300).tolist()
+        segments = [Segment(i, "u0", start, start + length, (0,))
+                    for i, (start, length) in enumerate(zip(starts, lengths))]
+        params = init_params(arch, 3)
+        table = embed_all(params, segments, corpus)
+        wide = embed_all(params, segments, corpus, chunk_size=256)
+        assert table.shape == wide.shape == (300, arch.embed_dim)
+        assert np.abs(table - wide).max() <= 1e-6 * np.abs(wide).max()
+        assert _same_bytes(embed_all(params, segments[:64], corpus),
+                           embed_all(params, segments[:64], corpus, chunk_size=256))
+
+
+@pytest.mark.parametrize("chunk_size", [0, -3])
+def test_embed_all_rejects_a_chunk_size_below_one(chunk_size):
+    corpus, segments, _ = _toy_training_setup()
+    params = init_params(NetArch(l_max=24, feature_dim=8), 6)
+    with pytest.raises(ValueError, match="chunk_size"):
+        embed_all(params, segments, corpus, chunk_size)
+
+
+@pytest.mark.parametrize("l_max", [24, 100])
+def test_cached_forward_keeps_relu_masks_not_pre_activations(l_max):
+    """A training pass, padded at l_max 24 and packed at 100, caches each
+    ReLU's input as its bool mask: z > 0.0 of the same pass, each z formed
+    again here by the same kernels from the cached input of its layer. The
+    cache's float arrays are the layer inputs backprop reads, and nothing
+    else."""
+    arch = replace(SMALL, l_max=l_max)
+    params = init_params(arch, 4)
+    rng = rng_from(12)
+    x = rng.standard_normal((5, l_max, arch.feature_dim)).astype(np.float32)
+    for row, length in zip(x, (0, 9, 17, 24, 60)):
+        row[length:] = 0.0
+    _, cache = embednet._forward_cached(params, x)
+    assert (cache["x"].shape[1] == 1) == (l_max == 100)
+    p = params.arrays
+    k1, k2, k3 = arch.conv_kernels
+    rows = cache["x"].shape[1]
+    pre_activations = {
+        "m1": embednet._conv_forward(embednet._cols(cache["x"], k1), rows, p["W1"], p["b1"]),
+        "m2": embednet._conv_forward(embednet._cols(cache["p1"], k2), rows, p["W2"], p["b2"]),
+        "m3": embednet._conv_forward(embednet._cols(cache["p2"], k3), rows, p["W3"], p["b3"]),
+        "mf1": cache["flat"] @ p["Wf1"] + p["bf1"],
+        "mf2": cache["af1"] @ p["Wf2"] + p["bf2"],
+    }
+    for name, z in pre_activations.items():
+        assert cache[name].dtype == bool, name
+        assert 0 < cache[name].sum() < cache[name].size, name
+        assert np.array_equal(cache[name], z > 0.0), name
+    assert {key for key, value in cache.items() if value.dtype.kind == "f"} == {
+        "x", "p1", "p2", "flat", "af1", "af2"}
 
 
 def test_trained_embeddings_separate_classes():

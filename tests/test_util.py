@@ -11,7 +11,7 @@ from termforge.embednet import NetArch
 from termforge.evaluation import PRF, EvalReport
 from termforge.pipeline import PipelineConfig
 from termforge.synthgen import SynthConfig
-from termforge.util import from_json, sha256_bytes
+from termforge.util import from_json, sha256_bytes, write_json
 
 
 @pytest.mark.parametrize("value", [
@@ -107,3 +107,15 @@ def test_only_util_reads_or_writes_npy():
                       for node in ast.walk(ast.parse(path.read_text()))
                       if isinstance(node, ast.Attribute) and ast.unparse(node) in NPY_FUNCTIONS]
     assert calls == []
+
+
+def test_write_json_writes_the_bytes_of_dumps(tmp_path):
+    """write_json streams the text that json.dumps builds whole, with its
+    final newline."""
+    obj = {"b": [1, 2.5, -0.0, 1e-300, None, True, [], {}],
+           "a": {"z": {"nested": [{"y": 1, "x": 2}]}, "naïve": "日本語 ✓ \u0000"},
+           "floats": [0.1, 3.0, float(2**60), -1.5e300]}
+    for value in (obj, [obj, None], None, "straße", 0.1):
+        write_json(tmp_path / "out.json", value)
+        expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "out.json").read_bytes() == expected.encode()
