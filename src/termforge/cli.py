@@ -19,6 +19,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="termforge",
         description="Spoken term discovery pipeline over pseudo-transcriptions.",
+        epilog="The trained network, and so every stamp from the train stage on, "
+               "depends on the BLAS thread count, which termforge does not pin. Set "
+               "OPENBLAS_NUM_THREADS=1 for stamps that reproduce across machines.",
     )
     parser.add_argument("stage", choices=list(pipeline.STAGES) + ["all"],
                         help="pipeline stage to run, or 'all'")

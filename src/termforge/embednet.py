@@ -18,25 +18,31 @@ Every kernel computes in the dtype of the parameters: inputs are cast to it
 and every buffer is allocated in it. `init_params` and `load_params` give
 float32, the dtype of the stored features, so the pipeline trains, stores
 and embeds in float32. The tests cast a `NetworkParams` to float64 and run
-the same kernels, for the finite-difference checks and the bit-identical
-reference below; float32 results match that reference within a stated
-tolerance.
+the same kernels, for the finite-difference checks and the reference
+below; float32 results match that reference within a stated tolerance.
 
 A checkpoint is two files that the caller names, as a corpus is: a JSON
 header of the arch and init_seed, and a .npy of one float32 vector that holds
 every parameter, flattened in `param_shapes` order.
 
-Each convolution is one matrix product over an explicit window matrix
-("im2col", Chellapilla, Puri & Simard 2006). Activations are kept
-channel-major, (C, B, T), so `_cols` fills the (C*k, B*T) matrix one kernel
-tap at a time from contiguous rows. The forward pass is
-W.reshape(C_out, C*k) @ cols, the weight gradient cols @ d, and the input
-gradient the flipped kernel times the window matrix of the zero-padded d;
-the first layer's input gradient is never formed. These are the operands,
-shapes and orders of the reference kernels of tests/net_oracle.py, so in
-float64 every float is bit-identical to them. Max-pool compares strided
-slices and keeps the first maximum, a NaN counting as the maximum, as
-argmax does.
+Activations are kept channel-major, (C, B, T). The forward pass of a
+convolution is one matrix product over an explicit window matrix ("im2col",
+Chellapilla, Puri & Simard 2006): `_cols` fills the (C*k, B*T) matrix one
+kernel tap at a time from contiguous rows, and the output is
+W.reshape(C_out, C*k) @ cols. These are the operands, shapes and orders of
+the reference kernels of tests/net_oracle.py, so in float64 every embedding
+is bit-identical to theirs. The backward pass forms no window matrix, as
+MEC (Cho & Brand 2017) convolves over unexpanded data. It lays d into rows
+as long as the input's, zero after each row's outputs, and takes one
+product per kernel tap j over the flat (C, B*T_in) views of d and x, cut to
+n = B*T_in - k + 1 columns: dW[:, :, j] = d @ x[:, j:j + n].T and
+dx[:, j:j + n] += W[:, :, j].T @ d. A column that straddles two rows is
+zero in d, so this is exact in real arithmetic for the packed and the
+padded layout alike; in float64 the gradients match the reference's to
+TAP_RTOL of tests/test_embednet.py (1e-12 of the gradient scale; under
+1e-14 measured). The first layer's input gradient is never formed. Max-pool
+compares strided slices and keeps the first maximum, a NaN counting as the
+maximum, as argmax does.
 
 The conv stack runs over a packed layout, not over each input zero-padded to
 l_max. An input's data ends at its last nonzero frame (a segment longer than
@@ -73,12 +79,16 @@ holds the U distinct inputs `x` and a (B, towers) table `rows`, so that tower
 t of example i embeds x[rows[i, t]]. The losses read the embeddings gathered
 by `rows`; each tower's embedding gradient is scatter-added onto the U rows,
 tower by tower and slot by slot, and one branch backward runs over x. In
-float64 a step is bit-identical to the same gather, scatter, packed layout
-and branch backward around the reference kernels. It equals the per-tower
-reference over padded inputs, which forwards and back-propagates each
-tower's B inputs on their own, only to rounding. The step's forward cache
-keeps each ReLU's input as its bool mask z > 0.0, all that backprop reads
-of it.
+float64 a step's loss is bit-identical to the same gather, scatter, packed
+layout and branch backward around the reference kernels, and its gradients
+match theirs to rounding. It equals the per-tower reference over padded
+inputs, which forwards and back-propagates each tower's B inputs on their
+own, only to rounding. The step's forward cache keeps each ReLU's input as
+its bool mask z > 0.0, all that backprop reads of it.
+
+A step's working set is its forward cache and one gradient set: the branch
+backward pops each cached array after its last read, and `train` drops a
+step's gradients once it has applied them.
 
 Inference frees the packed or padded input once conv1's window matrix is
 built from it, so only that matrix and its product are live at a chunk's
@@ -249,21 +259,28 @@ def _conv_forward(cols, batch, W, b):
 
 def _conv_backward(d_out, x, W, input_grad=True):
     """Weight, bias and (unless input_grad is false) input gradients of a
-    conv layer from channel-major d_out (C_out, B, T) and input x."""
+    conv layer from channel-major d_out (C_out, B, T) and input x (C_in, B,
+    T_in), one product per kernel tap over flat views, with no window
+    matrix. d_out is laid into rows of T_in columns, zero after its T, so
+    that column b*T_in + t of the flat view is output t of row b and every
+    column that straddles two rows is zero."""
     out_ch, in_ch, kernel = W.shape
-    _, batch, t_out = d_out.shape
-    # d_out as a C-ordered (B*T, C_out) matrix: the operand, and the order
-    # of the bias sum, of the reference kernel
-    rows = np.ascontiguousarray(d_out.transpose(1, 2, 0)).reshape(batch * t_out, out_ch)
-    dW = (_cols(x, kernel) @ rows).reshape(in_ch, kernel, out_ch).transpose(2, 0, 1)
-    db = rows.sum(axis=0)
+    _, batch, t_in = x.shape
+    buffer = np.zeros((out_ch, batch, t_in), dtype=d_out.dtype)
+    buffer[:, :, :d_out.shape[2]] = d_out
+    n = batch * t_in - kernel + 1
+    full = buffer.reshape(out_ch, -1)[:, :n]
+    flat = x.reshape(in_ch, -1)
+    dW = np.empty(W.shape, dtype=d_out.dtype)
+    for j in range(kernel):
+        dW[:, :, j] = full @ flat[:, j:j + n].T
+    db = d_out.sum(axis=(1, 2))
     if not input_grad:
         return dW, db, None
-    padded = np.zeros((out_ch, batch, t_out + 2 * (kernel - 1)), dtype=d_out.dtype)
-    padded[:, :, kernel - 1:kernel - 1 + t_out] = d_out
-    flipped = W[:, :, ::-1].transpose(1, 0, 2).reshape(in_ch, out_ch * kernel)
-    dx = flipped @ _cols(padded, kernel)
-    return dW, db, dx.reshape(in_ch, batch, -1)
+    dx = np.zeros((in_ch, batch * t_in), dtype=d_out.dtype)
+    for j in range(kernel):
+        dx[:, j:j + n] += W[:, :, j].T @ full
+    return dW, db, dx.reshape(in_ch, batch, t_in)
 
 
 def _pool_forward(x, width):
@@ -406,21 +423,24 @@ def forward(params: NetworkParams, padded: np.ndarray) -> np.ndarray:
 
 
 def _branch_backward(params: NetworkParams, cache, d_out, grads):
+    """Adds to `grads` what d_out, the gradient wrt the embeddings of one
+    forward pass, back-propagates through that pass's `cache`. Each cached
+    array is popped after its last read, so the cache ends empty."""
     p = params.arrays
     width = params.arch.pool_width
-    grads["Wo"] += cache["af2"].T @ d_out
+    grads["Wo"] += cache.pop("af2").T @ d_out
     grads["bo"] += d_out.sum(axis=0)
-    d = (d_out @ p["Wo"].T) * cache["mf2"]
-    grads["Wf2"] += cache["af1"].T @ d
+    d = (d_out @ p["Wo"].T) * cache.pop("mf2")
+    grads["Wf2"] += cache.pop("af1").T @ d
     grads["bf2"] += d.sum(axis=0)
-    d = (d @ p["Wf2"].T) * cache["mf1"]
-    grads["Wf1"] += cache["flat"].T @ d
+    d = (d @ p["Wf2"].T) * cache.pop("mf1")
+    grads["Wf1"] += cache.pop("flat").T @ d
     grads["bf1"] += d.sum(axis=0)
     # each data position of fc1's input takes its gradient from one row;
     # the template's one position takes the sum over every padding row
-    gather = cache["gather"].reshape(-1)
+    gather = cache.pop("gather").reshape(-1)
     d = (d @ p["Wf1"].T).reshape(len(gather), -1)
-    m3 = cache["m3"]
+    m3 = cache.pop("m3")
     d3 = np.zeros((m3[0].size, d.shape[1]), dtype=d.dtype)
     padding = gather < 0
     d3[gather[~padding]] = d[~padding]
@@ -428,17 +448,18 @@ def _branch_backward(params: NetworkParams, cache, d_out, grads):
         d3[-1] = d[padding].sum(axis=0)
     d3 *= m3.reshape(len(m3), -1).T
     d = d3.T.reshape(m3.shape)
-    dW, db, d = _conv_backward(d, cache["p2"], p["W3"])
+    del m3
+    dW, db, d = _conv_backward(d, cache.pop("p2"), p["W3"])
     grads["W3"] += dW
     grads["b3"] += db
-    d = _pool_backward(d, cache["idx2"], cache["m2"].shape[2], width)
-    d *= cache["m2"]
-    dW, db, d = _conv_backward(d, cache["p1"], p["W2"])
+    d = _pool_backward(d, cache.pop("idx2"), cache["m2"].shape[2], width)
+    d *= cache.pop("m2")
+    dW, db, d = _conv_backward(d, cache.pop("p1"), p["W2"])
     grads["W2"] += dW
     grads["b2"] += db
-    d = _pool_backward(d, cache["idx1"], cache["m1"].shape[2], width)
-    d *= cache["m1"]
-    dW, db, _ = _conv_backward(d, cache["x"], p["W1"], input_grad=False)
+    d = _pool_backward(d, cache.pop("idx1"), cache["m1"].shape[2], width)
+    d *= cache.pop("m1")
+    dW, db, _ = _conv_backward(d, cache.pop("x"), p["W1"], input_grad=False)
     grads["W1"] += dW
     grads["b1"] += db
 
@@ -497,12 +518,6 @@ def _losses_and_grads(params: NetworkParams, batch: dict, kind: str, margin: flo
         return losses, cache, (g, -g)
     losses, *grads = _triplet_batch(*towers, margin)
     return losses, cache, grads
-
-
-def batch_loss(params: NetworkParams, batch: dict, kind: str, margin: float) -> float:
-    """Mean loss of a batch without gradients (finite-difference probes)."""
-    losses, _, _ = _losses_and_grads(params, batch, kind, margin)
-    return float(losses.mean())
 
 
 def backward(params: NetworkParams, batch: dict, kind: str, margin: float):
@@ -584,8 +599,9 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
             loss, grads = backward(params, batch, mode, config.margin)
             total += loss * len(chunk)
             if config.learning_rate != 0.0:
-                for name, grad in grads.items():
-                    params.arrays[name] -= config.learning_rate * grad
+                for name in params.arrays:
+                    params.arrays[name] -= config.learning_rate * grads[name]
+            del grads       # before the next step's backward allocates its own
         epoch_mean = total / len(entry_rows)
         if not np.isfinite(epoch_mean):
             raise TrainingDiverged(f"epoch-mean loss is {epoch_mean}")

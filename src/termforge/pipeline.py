@@ -11,7 +11,13 @@ the hashes of its inputs, and nothing else. Every stage is
 idempotent for identical inputs and seed: a stage re-runs only when that
 hash changes (or with force=True). All randomness flows from the root seed
 through labelled sub-seed derivation, so two runs with the same config produce
-byte-identical artifacts.
+byte-identical artifacts on one host. The BLAS thread count, which follows
+the core count unless set, moves bytes too: OpenBLAS splits a float32
+GEMM's sums by thread, so the trained `params.npy`, and with it the train
+stamp and every stamp after it, differs between one and two threads, and a
+corpus on a knife edge may then score differently. The pipeline does not
+pin it; run with OPENBLAS_NUM_THREADS=1, as the tests and the benchmark do,
+for stamps that reproduce across machines with other core counts.
 
 `SYSTEMS` has one row per system: the clusters file evaluate scores and the
 mining count the system trains on. No stage list is written down: a system

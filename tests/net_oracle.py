@@ -18,8 +18,13 @@ unless stated:
   reference kernels once over it, with one forward over x and the same
   gather and scatter order as termforge.embednet. They take the choice
   between the packed and the padded layout from the caller, so that the
-  package's rule for it is stated once; the package reproduces these bit
-  for bit;
+  package's rule for it is stated once. The package reproduces their
+  embeddings and losses bit for bit, and their gradients to float64
+  rounding, because it forms each conv gradient by kernel taps;
+- the window-matrix conv backward ("im2col") that termforge.embednet ran
+  before it formed each conv gradient by kernel taps, over the package's
+  channel-major layout: `window_conv_backward`, which agrees with the tap
+  kernels to float64 rounding;
 - the scalar contrastive and triplet losses, kept for closed-form tests.
 """
 
@@ -82,6 +87,38 @@ def _conv_backward(d_out, x, W):
     pwin = sliding_window_view(padded, kernel, axis=1)    # (B, T_in, C_out, k)
     dx = np.einsum("bsok,oik->bsi", pwin, W[:, :, ::-1], optimize=True)
     return dW, db, dx
+
+
+def _window_matrix(x, kernel):
+    """Window matrix of a valid convolution over channel-major x (C, B, T_in):
+    row c*kernel + j, column b*T + t holds x[c, b, t + j]."""
+    channels, batch, t_in = x.shape
+    t_out = t_in - kernel + 1
+    cols = np.empty((channels, kernel, batch, t_out), dtype=x.dtype)
+    for j in range(kernel):
+        cols[:, j] = x[:, :, j:j + t_out]
+    return cols.reshape(channels * kernel, batch * t_out)
+
+
+def window_conv_backward(d_out, x, W, input_grad=True):
+    """Weight, bias and (unless input_grad is false) input gradients of a
+    conv layer from channel-major d_out (C_out, B, T) and input x: the
+    weight gradient is the window matrix of x times d, the input gradient
+    the flipped kernel times the window matrix of the zero-padded d. These
+    are the operands and orders of `_conv_backward` above, in the
+    channel-major layout."""
+    out_ch, in_ch, kernel = W.shape
+    _, batch, t_out = d_out.shape
+    rows = np.ascontiguousarray(d_out.transpose(1, 2, 0)).reshape(batch * t_out, out_ch)
+    dW = (_window_matrix(x, kernel) @ rows).reshape(in_ch, kernel, out_ch).transpose(2, 0, 1)
+    db = rows.sum(axis=0)
+    if not input_grad:
+        return dW, db, None
+    padded = np.zeros((out_ch, batch, t_out + 2 * (kernel - 1)), dtype=d_out.dtype)
+    padded[:, :, kernel - 1:kernel - 1 + t_out] = d_out
+    flipped = W[:, :, ::-1].transpose(1, 0, 2).reshape(in_ch, out_ch * kernel)
+    dx = flipped @ _window_matrix(padded, kernel)
+    return dW, db, dx.reshape(in_ch, batch, -1)
 
 
 def _pool_forward(x, width):
