@@ -15,8 +15,10 @@ print("b =", b)
 print("levenshtein(a, b) =", levenshtein(a, b))
 print("normalized        =", round(normalized_levenshtein(a, b), 3))
 
-scoring = AlignScoring(match_score=1.0, mismatch_penalty=-1.0,
-                       gap_penalty=-1.0, min_align_score=3.0, min_length=3)
+# Smith-Waterman weights are integers; the fill computes in the narrowest
+# integer type that holds the scores (int8 here)
+scoring = AlignScoring(match_score=1, mismatch_penalty=-1, gap_penalty=-1,
+                       min_align_score=3.0, min_length=3)
 for span_a, span_b, score in local_align(a, b, scoring):
     print(f"\nlocal alignment score {score}:")
     print("  a", span_a, "->", a[span_a[0]:span_a[1]])

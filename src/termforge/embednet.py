@@ -98,14 +98,14 @@ A BLAS product's last bits can depend on its shape: OpenBLAS picks kernels
 and blockings by size. The packed sequence of a chunk of `embed_all` is as
 long as the sum of its segments' slots, so each row's floats depend on the
 chunk it lands in: embedding in chunks of another size changes them by
-rounding. `embed_all` embeds 64 segments per chunk: at l_max 40 a chunk's
-conv1 window matrix is then 1.84 MB, where 256 segments made it 7.37 MB.
-64 is the knee of its time per corpus: on a 2-core x86 host with one BLAS
-thread, 64-segment chunks take 0.94x (l_max 40) and 1.03x (l_max 100) the
-time of 256-segment ones, and 32-segment chunks 1.01x and 1.12x. On the
-learned bench runs the 64-segment tables differ from the 256-segment ones
-by at most 3.2e-7 of a table's largest |entry|, and every cluster
-membership is the same.
+rounding. `embed_all` embeds CHUNK_SEGMENTS = 64 segments per chunk: at
+l_max 40 a chunk's conv1 window matrix is then 1.84 MB, where 256 segments
+made it 7.37 MB. 64 is the knee of its time per corpus: on a 2-core x86
+host with one BLAS thread, 64-segment chunks take 0.94x (l_max 40) and
+1.03x (l_max 100) the time of 256-segment ones, and 32-segment chunks 1.01x
+and 1.12x. On the learned bench runs the 64-segment tables differ from the
+256-segment ones by at most 3.2e-7 of a table's largest |entry|, and every
+cluster membership is the same.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ from .util import atomic_write, from_json, read_json, read_npy, rng_from, write_
 # the dtype of the parameters init_params and load_params give; a checkpoint
 # stores them as one little-endian vector of it (see save_params)
 PARAM_DTYPE = np.dtype(np.float32)
+# segments that embed_all packs into one forward pass (see the module docstring)
+CHUNK_SEGMENTS = 64
 
 
 class TrainingDiverged(RuntimeError):
@@ -193,6 +195,7 @@ class TrainConfig:
             raise ValueError("batch_size and max_epochs must be positive")
         if self.max_epochs > 20:
             raise ValueError("max_epochs is capped at 20")
+        NetArch(l_max=self.l_max).time_lengths()   # l_max is long enough for the conv stack
 
 
 def param_shapes(arch: NetArch) -> dict[str, tuple[int, ...]]:
@@ -402,12 +405,6 @@ def _forward(params: NetworkParams, inputs, cache: dict | None = None):
     return h @ p["Wo"] + p["bo"]
 
 
-def _forward_cached(params: NetworkParams, x: np.ndarray):
-    """Forward pass keeping the intermediates needed for backprop."""
-    cache = {}
-    return _forward(params, x, cache), cache
-
-
 def forward(params: NetworkParams, padded: np.ndarray) -> np.ndarray:
     """Embed one (l_max x feature_dim) matrix or a batch of them; trailing
     zero frames are padding."""
@@ -511,7 +508,8 @@ def _losses_and_grads(params: NetworkParams, batch: dict, kind: str, margin: flo
     x[rows[i, t]]."""
     if kind not in _TOWERS:
         raise ValueError(f"unknown loss kind {kind!r}")
-    embeddings, cache = _forward_cached(params, batch["x"])
+    cache = {}
+    embeddings = _forward(params, batch["x"], cache)
     towers = embeddings[batch["rows"].T]      # (towers, B, embed_dim)
     if kind == "siamese":
         losses, g = _contrastive_batch(*towers, batch["y"], margin)
@@ -611,20 +609,16 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
     return params, curve
 
 
-def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus,
-              chunk_size: int = 64) -> np.ndarray:
+def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus) -> np.ndarray:
     """Embedding table in the dtype of `params`: row i is the embedding of
     segments[i], its features padded or cut to the network's input width.
-    Each chunk of segments is packed into one sequence whose length, and so
-    the GEMM shapes and the last bits of every row, depend on the chunk's
-    segments (see the module docstring). A chunk_size below 1 raises a
-    ValueError."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, not {chunk_size}")
+    Each chunk of CHUNK_SEGMENTS segments is packed into one sequence whose
+    length, and so the GEMM shapes and the last bits of every row, depend on
+    the chunk's segments (see the module docstring)."""
     rows = []
-    for lo in range(0, len(segments), chunk_size):
+    for lo in range(0, len(segments), CHUNK_SEGMENTS):
         rows.append(_forward(params, [slice_features(corpus, seg)
-                                      for seg in segments[lo:lo + chunk_size]]))
+                                      for seg in segments[lo:lo + CHUNK_SEGMENTS]]))
     if not rows:
         return np.zeros((0, params.arch.embed_dim), dtype=params.dtype)
     return np.concatenate(rows, axis=0)

@@ -28,58 +28,52 @@ tests/lev_oracle.py keeps the scalar row-by-row DP as the reference.
 Local alignment is Smith-Waterman with a linear gap penalty, computed by one
 batched numpy kernel for every caller (local_align and discover_segments).
 The kernel packs sequence pairs into lanes, cuts them into chunks whose
-buffer holds at most CHUNK_BYTES (2 MiB: 2**21 int8, 2**20 int16 or 2**18
-float64 cells) and fills a chunk one anti-diagonal at a time in a skewed,
-diagonal-major buffer S[d, i, p] = H_p[i, d - i], so every step reads
-contiguous slices; a fill spends much of its time in the overhead of those
-per-diagonal numpy calls, which a larger chunk spreads over more lanes.
-Each round extracts at most one alignment per pair: the best cell is the
-first row-major maximum, and the traceback prefers the diagonal, then up,
-then left. The aligned positions of every pair of a chunk are masked at
+buffer holds at most CHUNK_BYTES (2 MiB: 2**21 int8, 2**20 int16, 2**19
+int32 or 2**18 int64 cells) and fills a chunk one anti-diagonal at a time in
+a skewed, diagonal-major buffer S[d, i, p] = H_p[i, d - i], so every step
+reads contiguous slices; a fill spends much of its time in the overhead of
+those per-diagonal numpy calls, which a larger chunk spreads over more
+lanes. Each round extracts at most one alignment per pair: the best cell is
+the first row-major maximum, and the traceback prefers the diagonal, then
+up, then left. The aligned positions of every pair of a chunk are masked at
 once, and the pairs that extracted an alignment are filled again, batched
 together, in the next round, except those whose re-fill this round's fill
 already rules out (below).
 
+Scores are integers. AlignScoring takes only integer match, mismatch and
+gap weights, as in Smith & Waterman (1981), and the fill and the traceback
+run in the narrowest signed integer type that holds every value they form
+(_score_dtype): the default 1/-1/-1 scoring fills in int8 on sequences of
+up to 127 symbols and in int16 beyond. No sum leaves the type, so each cell
+holds the exact score, and scores and tie-breaks match a row-major fill bit
+for bit; tests/sw_oracle.py keeps that row-major float fill as the
+reference. An int8 chunk holds eight times the lanes of an int64 one in the
+same bytes, so the fill makes an eighth of the numpy calls.
+
 Per anti-diagonal the fill makes only calls that stay on numpy's fast
 paths: np.equal into a preallocated bool buffer; the substitution score as
-eq * (match - mismatch) + mismatch in wrapping integer arithmetic, or as
-eq * match + ~eq * mismatch in float64, where match - mismatch may round
-(both exact, signed zeros included); adds and maxima of arrays and scalars
-of the fill's type; the floor at 0 against an array of zeros; and the caps
-as two minima against arrays. np.where with scalar operands and a ufunc
-given a Python number take numpy's generic paths. On a (20, 700) int8
-diagonal (2-core Xeon, numpy 2.4) np.where(eq, match, mismatch) took about
-60 us and np.maximum(v, 0) 14-16 us, against 1.5-1.8 us for
-np.maximum(v, zeros) and 2 us for v + np.int8(-1); one 35 x 43 int8 fill
-over 700 lanes went from 3.3-5.5 ms to 1.3-2.1 ms. A test keeps both
+eq * (match - mismatch) + mismatch in wrapping integer arithmetic, exact
+because the result, match or mismatch, lies in the type; adds and maxima of
+arrays and scalars of the fill's type; the floor at 0 against an array of
+zeros; and the caps as two minima against arrays. np.where with scalar
+operands and a ufunc given a Python number take numpy's generic paths. On a
+(20, 700) int8 diagonal (2-core Xeon, numpy 2.4) np.where(eq, match,
+mismatch) took about 60 us and np.maximum(v, 0) 14-16 us, against 1.5-1.8
+us for np.maximum(v, zeros) and 2 us for v + np.int8(-1); one 35 x 43 int8
+fill over 700 lanes went from 3.3-5.5 ms to 1.3-2.1 ms. A test keeps both
 calls out of the loop.
 
 The bound that rules out a re-fill is exact. Masking only lowers caps, and
-every step of the recurrence (a max, a min, or adding a weight, rounded in
-float64) is monotone, so no cell of a pair's next fill exceeds that cell of
-this fill. An alignment that ends in row i also lies in the run of live
-rows that ends at row i, so a cell of row i holds at most cap[r] for a run
-of r rows, where cap is the running sum of match in the fill's type,
-rounded as the fill rounds its sums; the same holds for columns. The
-maximum over live rows of min(row maximum, cap[run]), and the same over
-columns, thus bound the next fill's best score, and a pair whose smaller
-bound is below min_align_score leaves the next round. On the 67-utterance
-corpus 0 of the discover-67x14 benchmark at seed 3, 2,278 pairs took
-4,805 lane fills, of which this leaves out 1,346.
-
-The fill runs in int8 when the match, mismatch and gap weights are
-integers, width * match <= 127 for the longest sequence's width, and both
-penalties are >= -128 (the default 1/-1/-1 scoring on sequences of up to
-127 symbols qualifies); in int16 under the same rule with 32767 and -32768;
-and in float64 for any other scoring. An int8 chunk holds eight times the
-lanes of a float64 one in the same bytes, so the fill makes an eighth of
-the numpy calls. Under that rule every value the fill and traceback form is
-an integer inside the chosen type, which float64 holds exactly as well, and
-max, min and == agree between them, so all three types pick the same cells
-and float(score) is the same. Every cell performs the operations of a
-row-major fill in the same order, so scores and tie-breaks match it bit for
-bit for any AlignScoring; tests/sw_oracle.py keeps that row-major float
-fill as the reference.
+every step of the recurrence (a max, a min, or adding a weight) is
+monotone, so no cell of a pair's next fill exceeds that cell of this fill.
+An alignment that ends in row i also lies in the run of live rows that ends
+at row i, so a cell of row i holds at most cap[r] = r * match for a run of
+r rows; the same holds for columns. The maximum over live rows of min(row
+maximum, cap[run]), and the same over columns, thus bound the next fill's
+best score, and a pair whose smaller bound is below min_align_score leaves
+the next round. On the 67-utterance corpus 0 of the discover-67x14
+benchmark at seed 3, 2,278 pairs took 4,805 lane fills, of which this
+leaves out 1,346.
 """
 from __future__ import annotations
 
@@ -97,7 +91,7 @@ from .util import ScaleError, atomic_write
 Span = tuple[int, int]
 
 # Bytes of the skewed Smith-Waterman buffer of one batched chunk, whatever
-# the corpus size: 2**21 int8, 2**20 int16 or 2**18 float64 cells. A fill
+# the corpus size: 2**21 int8 cells, down to 2**18 int64 ones. A fill
 # makes a few numpy calls per anti-diagonal of a chunk, so larger chunks
 # make fewer calls. An edit-distance chunk does as much DP work as 2**17
 # cells (CHUNK_BYTES // 16) and holds only one DP row per pair at a time; it
@@ -112,6 +106,14 @@ MAX_DP_CELLS = 200_000_000   # the most DP cells discover_segments takes on
 
 @dataclass
 class AlignScoring:
+    """Smith-Waterman weights and the thresholds an alignment must meet.
+
+    The match, mismatch and gap weights must be integers, as in Smith &
+    Waterman (1981): the fill computes in integers (see the module
+    docstring). They are annotated and stored as floats, so that a config
+    file may say 1 or 1.0 and every stage hash stays as it was;
+    min_align_score may be any positive number.
+    """
     match_score: float = 1.0
     mismatch_penalty: float = -1.0
     gap_penalty: float = -1.0
@@ -119,9 +121,13 @@ class AlignScoring:
     min_length: int = 3
 
     def validate(self) -> None:
-        if not all(math.isfinite(v) for v in (self.match_score, self.mismatch_penalty,
-                                              self.gap_penalty, self.min_align_score)):
+        weights = {"match_score": self.match_score, "mismatch_penalty": self.mismatch_penalty,
+                   "gap_penalty": self.gap_penalty}
+        if not all(math.isfinite(v) for v in (*weights.values(), self.min_align_score)):
             raise ValueError("scores must be finite")
+        for name, value in weights.items():
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value}")
         if self.match_score <= 0:
             raise ValueError("match_score must be positive")
         if self.mismatch_penalty > 0 or self.gap_penalty > 0:
@@ -130,6 +136,9 @@ class AlignScoring:
             raise ValueError("min_align_score must be positive")
         if self.min_length < 1:
             raise ValueError("min_length must be >= 1")
+        # the scores fit in int64 on the widest sequence discover_segments
+        # takes, whose self pair alone fills n * n <= MAX_DP_CELLS cells
+        _score_dtype(self, math.isqrt(MAX_DP_CELLS))
 
 
 def _narrowest(bound: int) -> type:
@@ -249,26 +258,21 @@ def normalized_levenshtein(a: Sequence[int], b: Sequence[int]) -> float:
 
 
 def _score_dtype(scoring: AlignScoring, width: int) -> type:
-    """int8, else int16, when the weights are integers and no Smith-Waterman
-    value of sequences up to `width` symbols leaves that type; float64
-    otherwise.
+    """The narrowest signed integer type that holds every Smith-Waterman
+    value of sequences up to `width` symbols under integer weights.
 
     Cell (i, j) holds at most min(i, j) * match, so every sum the fill and
     the traceback form, a cell plus match or a cell (>= 0) plus a penalty,
-    lies in [penalty, width * match]. With width * match <= 127 (match alone
-    for width 0) and both penalties >= -128 no int8 sum wraps, and with
-    32767 and -32768 no int16 sum. Each sum is then an integer that float64
-    holds exactly as well, and max, min and == agree between the types, so
-    an integer fill stores the values of the float64 fill and picks the same
-    cells; float(score) is unchanged.
+    lies in [penalty, max(width, 1) * match]. Scores that leave int64 raise
+    a ValueError naming the weights.
     """
-    weights = (scoring.match_score, scoring.mismatch_penalty, scoring.gap_penalty)
-    if all(float(w).is_integer() for w in weights):
-        for top, dtype in _SIGNED[:2]:
-            if (max(width, 1) * scoring.match_score <= top
-                    and min(scoring.mismatch_penalty, scoring.gap_penalty) >= -top - 1):
-                return dtype
-    return np.float64
+    match, width = int(scoring.match_score), max(width, 1)
+    penalty = int(min(scoring.mismatch_penalty, scoring.gap_penalty))
+    bound = max(width * match, -1 - penalty)
+    if bound > _SIGNED[-1][0]:
+        raise ValueError(f"match_score {match} over {width} symbol(s), or a penalty of "
+                         f"{penalty}, makes scores that do not fit in int64")
+    return _narrowest(bound)
 
 
 def _weights(scoring: AlignScoring, dtype) -> tuple:
@@ -282,8 +286,8 @@ def _fill(buffer, a_sym, a_cap, b_rev, b_cap, self_lanes, scoring: AlignScoring)
 
     Rows 1..N of lane p hold a_sym[:, p]; columns are stored reversed (column
     j at index M - j) so that every anti-diagonal reads contiguous slices.
-    A cap is the largest value of the dtype of `buffer` (+inf for float64)
-    where a row or column is live and 0 where it is masked or padding. The
+    A cap is the largest value of the dtype of `buffer` where a row or
+    column is live and 0 where it is masked or padding. The
     returned buffer is diagonal-major and skewed, S[d, i, p] = H_p[i, d - i],
     in the dtype of `buffer`. Each cell is diag + (match | mismatch), then
     the max with up + gap, then with left + gap, and 0 where that is <= 0 or
@@ -297,9 +301,9 @@ def _fill(buffer, a_sym, a_cap, b_rev, b_cap, self_lanes, scoring: AlignScoring)
     dtype = buffer.dtype.type
     match, mismatch, gap = _weights(scoring, dtype)
     # integer sums wrap, so eq * (match - mismatch) + mismatch is exact in
-    # the fill's dtype even where match - mismatch itself leaves it
-    spread = (None if dtype is np.float64 else
-              np.int64(scoring.match_score - scoring.mismatch_penalty).astype(dtype))
+    # the fill's dtype even where match - mismatch itself leaves it; uint64
+    # holds the difference of two int64 weights, match > 0 >= mismatch
+    spread = np.uint64(int(match) - int(mismatch)).astype(dtype)
     shape = (n_rows + n_cols + 1, n_rows + 1, lanes)
     skew = buffer[:shape[0] * shape[1] * lanes].reshape(shape)
     skew.fill(0)
@@ -311,18 +315,12 @@ def _fill(buffer, a_sym, a_cap, b_rev, b_cap, self_lanes, scoring: AlignScoring)
         rows = slice(lo - 1, hi - 1)
         cols = slice(n_cols - d + lo, n_cols - d + hi)
         eq = np.equal(a_sym[rows], b_rev[cols], out=same[:hi - lo])
-        if spread is None:
-            value = eq * match
-            value += ~eq * mismatch
-        else:
-            value = np.multiply(eq.view(np.int8), spread, dtype=dtype)
-            value += mismatch
+        value = np.multiply(eq.view(np.int8), spread, dtype=dtype)
+        value += mismatch
         value += skew[d - 2, rows]
         gapped = skew[d - 1, lo - 1:hi] + gap
         np.maximum(value, gapped[:-1], out=value)
         np.maximum(value, gapped[1:], out=value)
-        # float64 only: no score is ever -0.0, so the max with 0 and the min
-        # with the caps store +0.0 exactly where the row-major fill leaves 0.0.
         np.maximum(value, zeros[:hi - lo], out=value)
         np.minimum(value, a_cap[rows], out=value)
         np.minimum(value, b_cap[cols], out=skew[d, lo:hi])
@@ -448,11 +446,10 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> tuple[np.ndarray, ...]:
     b_dead = position < width - cols
 
     dtype = _score_dtype(scoring, width)
-    live = dtype(np.inf if dtype is np.float64 else np.iinfo(dtype).max)
+    live = np.iinfo(dtype).max
     budget = CHUNK_BYTES // np.dtype(dtype).itemsize
     buffer = np.empty(0, dtype)
-    # cap[r]: the most that r rows (or columns) of an alignment can score,
-    # summed as the fill sums it
+    # cap[r]: the most that r rows (or columns) of an alignment can score
     cap = np.zeros(width + 1, dtype)
     cap[1:] = np.cumsum(np.full(width, scoring.match_score, dtype))
     # cap of a live position, then of a dead one, picked by dead.view(np.uint8)

@@ -39,8 +39,9 @@ class SynthConfig:
     min_word_separation: float = 0.0   # pairwise normalized Levenshtein floor
 
     def validate(self) -> None:
-        if self.vocabulary_size < 1:
-            raise SynthError("vocabulary_size must be positive")
+        for name in ("vocabulary_size", "occurrences_per_word", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise SynthError(f"{name} must be positive")
         for name, (lo, hi) in (
             ("word_length_range", self.word_length_range),
             ("frames_per_subword_range", self.frames_per_subword_range),

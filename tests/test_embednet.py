@@ -220,7 +220,8 @@ def _state_signature(params, batch):
     the positions that reach the loss: the conv3 positions fc1 reads and
     the windows below them. Positions that straddle two slots of the packed
     sequence reach nothing, and their kinks do not bend the loss."""
-    _, cache = embednet._forward_cached(params, batch["x"])
+    cache = {}
+    embednet._forward(params, batch["x"], cache)
     _, k2, k3 = params.arch.conv_kernels
     width = params.arch.pool_width
     used = np.zeros(cache["m3"][0].shape, dtype=bool)
@@ -573,6 +574,13 @@ def _segment_world(inputs, arch, n_segments, data):
     return corpus, segments
 
 
+def _embed_in_chunks(params, segments, corpus, chunk_size):
+    """embed_all with CHUNK_SEGMENTS set to chunk_size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embednet, "CHUNK_SEGMENTS", chunk_size)
+        return embed_all(params, segments, corpus)
+
+
 @given(kernel_cases(), st.integers(1, 13), st.integers(1, 6), st.data())
 @settings(max_examples=40)
 def test_embed_all_matches_reference_kernels(case, n_segments, chunk_size, data):
@@ -583,7 +591,7 @@ def test_embed_all_matches_reference_kernels(case, n_segments, chunk_size, data)
     arch = params.arch
     corpus, segments = _segment_world(inputs, arch, n_segments, data)
     with np.errstate(invalid="ignore"):
-        table = embed_all(params, segments, corpus, chunk_size)
+        table = _embed_in_chunks(params, segments, corpus, chunk_size)
         expected = net_oracle.packed_embed_all(params, segments, corpus, _packs(params),
                                                chunk_size)
     assert _same_bytes(table, expected)
@@ -597,7 +605,7 @@ def test_embed_all_matches_padded_reference(case, n_segments, chunk_size, data):
     params = float64(params)
     arch = params.arch
     corpus, segments = _segment_world(inputs, arch, n_segments, data)
-    table = embed_all(params, segments, corpus, chunk_size)
+    table = _embed_in_chunks(params, segments, corpus, chunk_size)
     expected = net_oracle.embed_all(params, segments, corpus, arch.l_max, chunk_size)
     assert table.shape == expected.shape
     assert (np.abs(table - expected) <= PER_TOWER_RTOL * np.abs(expected).max()).all()
@@ -748,7 +756,7 @@ def test_float32_embed_all_is_close_to_float64_reference(case, n_segments, chunk
     params, inputs = case
     arch = params.arch
     corpus, segments = _segment_world(inputs, arch, n_segments, data)
-    table = embed_all(params, segments, corpus, chunk_size)
+    table = _embed_in_chunks(params, segments, corpus, chunk_size)
     expected = net_oracle.embed_all(float64(params), segments, corpus, arch.l_max,
                                     chunk_size)
     assert _close32(table, expected)
@@ -910,14 +918,13 @@ def test_backward_leaves_the_forward_cache_empty(monkeypatch, kind, l_max):
     for row, length in zip(x, (0, 9, 17, 24, 60)):
         row[length:] = 0.0
     caches = []
-    original = embednet._forward_cached
+    original = embednet._forward
 
-    def keeping(params, inputs):
-        embeddings, cache = original(params, inputs)
+    def keeping(params, inputs, cache=None):
         caches.append(cache)
-        return embeddings, cache
+        return original(params, inputs, cache)
 
-    monkeypatch.setattr(embednet, "_forward_cached", keeping)
+    monkeypatch.setattr(embednet, "_forward", keeping)
     rows = np.array([[0, 1, 2], [3, 4, 0], [1, 3, 2]])[:, :len(embednet._TOWERS[kind])]
     backward(init_params(arch, 4), {"x": x, "rows": rows, "y": np.array([1, 0, 1])},
              kind, 1.0)
@@ -940,7 +947,8 @@ def test_backward_holds_no_window_matrix():
     rows = rng.permutation(np.concatenate([np.arange(88), rng.integers(0, 88, 3 * 64 - 88)]))
     batch = {"x": x, "rows": rows.reshape(64, 3)}
     assert embednet._pack(arch, x, params.dtype)[0].shape[1] == 1
-    _, cache = embednet._forward_cached(params, x)
+    cache = {}
+    embednet._forward(params, x, cache)
     cache_bytes = sum(value.nbytes for value in cache.values())
     del cache
     grads_bytes = sum(value.nbytes for value in params.arrays.values())
@@ -1113,7 +1121,7 @@ def test_embed_all_frees_its_input_before_conv1s_product():
         finally:
             tracemalloc.stop()
 
-    table, freed = peak(lambda: embed_all(params, segments, corpus, chunk_size=256))
+    table, freed = peak(lambda: _embed_in_chunks(params, segments, corpus, 256))
     held = _InputOnly()
     expected, holding = peak(lambda: embednet._forward(params, inputs, held))
     assert held["x"].shape == (arch.feature_dim, 256, arch.l_max)   # padded layout
@@ -1162,19 +1170,11 @@ def test_embed_all_default_chunks_are_close_to_256_segment_chunks():
                     for i, (start, length) in enumerate(zip(starts, lengths))]
         params = init_params(arch, 3)
         table = embed_all(params, segments, corpus)
-        wide = embed_all(params, segments, corpus, chunk_size=256)
+        wide = _embed_in_chunks(params, segments, corpus, 256)
         assert table.shape == wide.shape == (300, arch.embed_dim)
         assert np.abs(table - wide).max() <= 1e-6 * np.abs(wide).max()
         assert _same_bytes(embed_all(params, segments[:64], corpus),
-                           embed_all(params, segments[:64], corpus, chunk_size=256))
-
-
-@pytest.mark.parametrize("chunk_size", [0, -3])
-def test_embed_all_rejects_a_chunk_size_below_one(chunk_size):
-    corpus, segments, _ = _toy_training_setup()
-    params = init_params(NetArch(l_max=24, feature_dim=8), 6)
-    with pytest.raises(ValueError, match="chunk_size"):
-        embed_all(params, segments, corpus, chunk_size)
+                           _embed_in_chunks(params, segments[:64], corpus, 256))
 
 
 @pytest.mark.parametrize("l_max", [24, 100])
@@ -1190,7 +1190,8 @@ def test_cached_forward_keeps_relu_masks_not_pre_activations(l_max):
     x = rng.standard_normal((5, l_max, arch.feature_dim)).astype(np.float32)
     for row, length in zip(x, (0, 9, 17, 24, 60)):
         row[length:] = 0.0
-    _, cache = embednet._forward_cached(params, x)
+    cache = {}
+    embednet._forward(params, x, cache)
     assert (cache["x"].shape[1] == 1) == (l_max == 100)
     p = params.arrays
     k1, k2, k3 = arch.conv_kernels
@@ -1234,9 +1235,7 @@ def test_branches_share_parameters():
     params = init_params(SMALL, 11)
     rng = rng_from(4)
     x = rng.standard_normal((2, SMALL.l_max, SMALL.feature_dim))
-    ea, _ = embednet._forward_cached(params, x)
-    ep, _ = embednet._forward_cached(params, x.copy())
-    en, _ = embednet._forward_cached(params, x.copy())
+    ea, ep, en = (embednet._forward(params, inputs, {}) for inputs in (x, x.copy(), x.copy()))
     assert (ea == ep).all() and (ea == en).all()
 
 

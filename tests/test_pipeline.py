@@ -376,6 +376,12 @@ def test_asdict_of_a_config_is_a_config(config):
      "SynthConfig.__init__() got an unexpected keyword argument 'seed'"),
     ("train", {"seed": 7}, "TrainConfig.__init__() got an unexpected keyword argument 'seed'"),
     ("train", {"learning_rate": float("nan")}, "learning_rate must be finite, got nan"),
+    ("train", {"l_max": 5}, "l_max=5 too short for conv stack"),
+    ("train", {"l_max": 0}, "l_max=0 too short for conv stack"),
+    ("synth", {"vocabulary_size": 3, "occurrences_per_word": 0},
+     "occurrences_per_word must be positive"),
+    ("synth", {"vocabulary_size": 3, "feature_dim": -1}, "feature_dim must be positive"),
+    ("align", {"gap_penalty": -0.5}, "gap_penalty must be an integer, got -0.5"),
 ])
 def test_bad_section_value_stops_before_any_stage(tmp_path, caplog, section, settings,
                                                   message):

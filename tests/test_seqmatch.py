@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import logging
+import math
 import pkgutil
 from functools import lru_cache
 from itertools import chain
@@ -248,15 +249,14 @@ def test_self_alignment_finds_internal_repeat():
 
 # --- equivalence with the row-major reference ----------------------------------
 
-# Round values make equal scores, and so tie-breaking, frequent; integers run
-# the int16 fill; the floats cover non-dyadic weights whose sums round.
-positive = st.one_of(st.sampled_from([1.0, 0.7, 0.5, 2.0]), st.integers(1, 9).map(float),
-                     st.floats(0.05, 3.0, allow_nan=False, allow_infinity=False))
-penalty = st.one_of(st.sampled_from([-1.0, -0.3, -0.45, -0.5, 0.0]),
-                    st.integers(-9, 0).map(float),
-                    st.floats(-3.0, 0.0, allow_nan=False, allow_infinity=False))
+# Small weights make equal scores, and so tie-breaking, frequent. Weights
+# are integers, as AlignScoring requires; the threshold need not be.
+positive = st.one_of(st.sampled_from([1.0, 2.0]), st.integers(1, 9).map(float))
+penalty = st.one_of(st.sampled_from([-1.0, 0.0]), st.integers(-9, 0).map(float))
+threshold = st.one_of(positive, st.sampled_from([0.5, 1.5, 2.5]),
+                      st.floats(0.05, 9.0, allow_nan=False, allow_infinity=False))
 scorings = st.builds(AlignScoring, match_score=positive, mismatch_penalty=penalty,
-                     gap_penalty=penalty, min_align_score=positive,
+                     gap_penalty=penalty, min_align_score=threshold,
                      min_length=st.integers(1, 4))
 
 
@@ -273,17 +273,21 @@ def symbol_pairs(draw, max_len=40):
 
 @given(symbol_pairs(), scorings)
 @example(((0, 1, 0, 1, 1, 0, 1), (1, 0, 1, 1, 0, 1, 0), False),
-         AlignScoring(0.7, -0.3, -0.45, 1.1, 1))
+         AlignScoring(7.0, -3.0, -4.0, 11.0, 1))
 @example(((0, 2, 1, 0, 0, 1), (0, 2, 1, 0, 0, 1), True),   # diagonal ties with up
-         AlignScoring(1.0, -0.3, -0.3, 1.0, 1))
-@example(((0, 1, 0, 0, 1, 1, 0), (0, 1, 1, 0, 1, 1, 1), False),   # integral penalties
-         AlignScoring(1.5, -1.0, -2.0, 2.0, 1))
+         AlignScoring(10.0, -3.0, -3.0, 10.0, 1))
+@example(((0, 1, 0, 0, 1, 1, 0), (0, 1, 1, 0, 1, 1, 1), False),
+         AlignScoring(3.0, -2.0, -4.0, 4.0, 1))
 # either side of the int16 bound: width * match 32767 | 32768, a penalty
-# -32768 | -32769; the first and third fill in int16, the others in float64
+# -32768 | -32769; the first and third fill in int16, the others in int32
 @example(((0,) * 7, (0,) * 7, False), AlignScoring(4681.0, -1.0, -1.0, 3.0, 1))
 @example(((0,) * 8, (0,) * 8, False), AlignScoring(4096.0, -1.0, -1.0, 3.0, 1))
 @example(((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False), AlignScoring(2.0, -32768.0, -1.0, 1.0, 1))
 @example(((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False), AlignScoring(2.0, -1.0, -32769.0, 1.0, 1))
+# either side of the int32 bound: width * match 2**31 - 1 | 2**31; the
+# first fills in int32, the second in int64
+@example(((0,), (0,), False), AlignScoring(2.0**31 - 1, -1.0, -1.0, 3.0, 1))
+@example(((0, 0), (0, 0), False), AlignScoring(2.0**30, -2.0**31, -1.0, 3.0, 1))
 # either side of the int8 bound: width * match 127 | 128, a penalty -128 |
 # -129; the first and third fill in int8, the others in int16
 @example(((0,) * 127, (0,) * 127, False), AlignScoring(1.0, -1.0, -1.0, 3.0, 1))
@@ -298,6 +302,11 @@ def test_local_align_matches_reference(pair, scoring):
 
 @given(st.lists(symbol_pairs(), min_size=1, max_size=12), scorings,
        st.sampled_from([seqmatch.CHUNK_BYTES, 16000, 1]))
+# an int32 and an int64 fill, as in test_local_align_matches_reference
+@example([((0,) * 8, (0,) * 8, False), ((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False)],
+         AlignScoring(4096.0, -1.0, -1.0, 3.0, 1), 16000)
+@example([((0, 0), (0, 0), False), ((0, 1), (1, 0), True)],
+         AlignScoring(2.0**30, -2.0**31, -1.0, 3.0, 1), 1)
 def test_mixed_length_batch_matches_reference(pairs, scoring, chunk_bytes):
     # small budgets split the batch into many chunks, down to one pair each
     seqs = [seq for a, b, _ in pairs for seq in (a, b)]
@@ -313,26 +322,23 @@ def test_mixed_length_batch_matches_reference(pairs, scoring, chunk_bytes):
 
 
 def expected_dtype(scoring, width):
-    """int8, else int16, when the weights are integers, max(width, 1) * match
-    is at most the type's largest value and both penalties at least its
-    smallest; float64 otherwise."""
-    weights = (scoring.match_score, scoring.mismatch_penalty, scoring.gap_penalty)
-    if all(w == int(w) for w in weights):
-        for dtype in (np.int8, np.int16):
-            info = np.iinfo(dtype)
-            if max(width, 1) * scoring.match_score <= info.max and min(weights) >= info.min:
-                return dtype
-    return np.float64
+    """The first of int8, int16, int32 and int64 whose range holds
+    max(width, 1) * match and both penalties."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        info = np.iinfo(dtype)
+        if (max(width, 1) * scoring.match_score <= info.max
+                and min(scoring.mismatch_penalty, scoring.gap_penalty) >= info.min):
+            return dtype
 
 
 @pytest.mark.parametrize("width, scoring, dtype", [
     (7, AlignScoring(4681.0, -1.0, -1.0), np.int16),
-    (8, AlignScoring(4096.0, -1.0, -1.0), np.float64),
-    (0, AlignScoring(1e9, -1.0, -1.0), np.float64),
+    (8, AlignScoring(4096.0, -1.0, -1.0), np.int32),
+    (0, AlignScoring(1e9, -1.0, -1.0), np.int32),
     (40, AlignScoring(1.0, -32768.0, -32768.0), np.int16),
-    (40, AlignScoring(1.0, -32769.0, -1.0), np.float64),
-    (40, AlignScoring(1.0, -1.0, -32769.0), np.float64),
-    (40, AlignScoring(1.0, -1.0, -0.5), np.float64),
+    (40, AlignScoring(1.0, -32769.0, -1.0), np.int32),
+    (40, AlignScoring(1.0, -1.0, -32769.0), np.int32),
+    (40, AlignScoring(2.0**26, -1.0, -1.0), np.int64),
     (40, AlignScoring(4.0, -1.0, -1.0), np.int16),
     (40, AlignScoring(), np.int8),
     (127, AlignScoring(), np.int8),
@@ -344,7 +350,7 @@ def expected_dtype(scoring, width):
     (40, AlignScoring(1.0, -1.0, -129.0), np.int16),
 ])
 def test_fill_dtype_follows_the_int16_bound(width, scoring, dtype):
-    # the three tiers: int8, then int16, then float64
+    # the narrowest signed integer type that holds the fill's values
     assert seqmatch._score_dtype(scoring, width) is dtype
     assert expected_dtype(scoring, width) is dtype
 
@@ -360,6 +366,10 @@ def test_fill_dtype_follows_the_int16_bound(width, scoring, dtype):
          AlignScoring(2.0, -128.0, -1.0, 1.0, 1), 3000)
 @example([((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False)] * 4,
          AlignScoring(2.0, -1.0, -129.0, 1.0, 1), 3000)
+# int32 and int64 fills, a few lanes to a chunk
+@example([((0,) * 8, (0,) * 8, False)] * 4, AlignScoring(4096.0, -1.0, -1.0, 3.0, 1), 3000)
+@example([((0, 1, 0, 0, 1), (0, 0, 0, 1, 1), False)] * 4,
+         AlignScoring(2.0**30, -1.0, -1.0, 1.0, 1), 1000)
 def test_sw_chunks_fit_the_byte_budget(pairs, scoring, chunk_bytes):
     # every skewed buffer the kernel fills fits the byte budget at the dtype
     # the scoring selects, unless it holds a single pair
@@ -555,6 +565,30 @@ def test_fill_loop_keeps_off_numpy_slow_paths():
 def test_non_finite_scores_rejected():
     with pytest.raises(ValueError, match="finite"):
         local_align((1, 2), (1, 2), default_scoring(gap_penalty=float("-inf")))
+
+
+@pytest.mark.parametrize("name, value", [("match_score", 0.7), ("mismatch_penalty", -0.45),
+                                         ("gap_penalty", -0.5)])
+def test_fractional_weight_rejected_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+        local_align((1, 2), (1, 2), default_scoring(**{name: value}))
+
+
+def test_weight_too_large_for_int64_rejected():
+    # validate takes weights whose scores fit in int64 on the widest
+    # sequence discover_segments takes, 14,142 symbols; the fill's own
+    # type check covers wider calls of local_align
+    widest = math.isqrt(seqmatch.MAX_DP_CELLS)
+    top = np.iinfo(np.int64).max
+    default_scoring(match_score=float(top // widest // 2048 * 2048)).validate()
+    for too_large in (dict(match_score=float(top // widest + 2048)),
+                      dict(gap_penalty=-2.0**63 - 2.0**11)):
+        with pytest.raises(ValueError, match="int64"):
+            local_align((1, 2), (1, 2), default_scoring(**too_large))
+    scoring = default_scoring(match_score=2.0**40)
+    assert seqmatch._score_dtype(scoring, 2**22) is np.int64
+    with pytest.raises(ValueError, match="^match_score 1099511627776 over 8388608 symbol"):
+        seqmatch._score_dtype(scoring, 2**23)
 
 
 # --- discover_segments -------------------------------------------------------
