@@ -419,20 +419,21 @@ def forward(params: NetworkParams, padded: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _branch_backward(params: NetworkParams, cache, d_out, grads):
-    """Adds to `grads` what d_out, the gradient wrt the embeddings of one
-    forward pass, back-propagates through that pass's `cache`. Each cached
-    array is popped after its last read, so the cache ends empty."""
+def _branch_backward(params: NetworkParams, cache, d_out) -> dict[str, np.ndarray]:
+    """The gradient of every parameter that d_out, the gradient wrt the
+    embeddings of one forward pass, back-propagates through that pass's
+    `cache`. Each gradient is the product that forms it, with no zeroed
+    array to add it into, and each cached array is popped after its last
+    read, so the cache ends empty."""
     p = params.arrays
     width = params.arch.pool_width
-    grads["Wo"] += cache.pop("af2").T @ d_out
-    grads["bo"] += d_out.sum(axis=0)
+    grads = {"Wo": cache.pop("af2").T @ d_out, "bo": d_out.sum(axis=0)}
     d = (d_out @ p["Wo"].T) * cache.pop("mf2")
-    grads["Wf2"] += cache.pop("af1").T @ d
-    grads["bf2"] += d.sum(axis=0)
+    grads["Wf2"] = cache.pop("af1").T @ d
+    grads["bf2"] = d.sum(axis=0)
     d = (d @ p["Wf2"].T) * cache.pop("mf1")
-    grads["Wf1"] += cache.pop("flat").T @ d
-    grads["bf1"] += d.sum(axis=0)
+    grads["Wf1"] = cache.pop("flat").T @ d
+    grads["bf1"] = d.sum(axis=0)
     # each data position of fc1's input takes its gradient from one row;
     # the template's one position takes the sum over every padding row
     gather = cache.pop("gather").reshape(-1)
@@ -446,19 +447,14 @@ def _branch_backward(params: NetworkParams, cache, d_out, grads):
     d3 *= m3.reshape(len(m3), -1).T
     d = d3.T.reshape(m3.shape)
     del m3
-    dW, db, d = _conv_backward(d, cache.pop("p2"), p["W3"])
-    grads["W3"] += dW
-    grads["b3"] += db
+    grads["W3"], grads["b3"], d = _conv_backward(d, cache.pop("p2"), p["W3"])
     d = _pool_backward(d, cache.pop("idx2"), cache["m2"].shape[2], width)
     d *= cache.pop("m2")
-    dW, db, d = _conv_backward(d, cache.pop("p1"), p["W2"])
-    grads["W2"] += dW
-    grads["b2"] += db
+    grads["W2"], grads["b2"], d = _conv_backward(d, cache.pop("p1"), p["W2"])
     d = _pool_backward(d, cache.pop("idx1"), cache["m1"].shape[2], width)
     d *= cache.pop("m1")
-    dW, db, _ = _conv_backward(d, cache.pop("x"), p["W1"], input_grad=False)
-    grads["W1"] += dW
-    grads["b1"] += db
+    grads["W1"], grads["b1"], _ = _conv_backward(d, cache.pop("x"), p["W1"], input_grad=False)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +527,7 @@ def backward(params: NetworkParams, batch: dict, kind: str, margin: float):
     d_out = np.zeros((len(batch["x"]), params.arch.embed_dim), dtype=params.dtype)
     for t, g in enumerate(tower_grads):
         np.add.at(d_out, batch["rows"][:, t], g / n)
-    grads = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
-    _branch_backward(params, cache, d_out, grads)
-    return float(losses.mean()), grads
+    return float(losses.mean()), _branch_backward(params, cache, d_out)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,19 @@ Gold lookups bisect each utterance's `UtteranceGold`, whose true spans,
 word tokens and boundaries are sorted, instead of scanning it: a
 segment's gold string, its gold word, the tokens its edges match and the
 boundaries an edge matches each take a bisection and a look at the few
-spans it finds. `ned` sums its pair values in blocks of rows, one
-`np.add.accumulate` per block; the sum stays sequential, in pair order, so
-its floats are those of a pair-by-pair loop, and a block holds at most
-NED_BLOCK values however large a cluster is.
+spans it finds.
+
+`ned` works on distinct gold strings: each pair of distinct strings in a
+cluster stands for the member pairs that carry it, and one batched kernel
+call gives all their distances. The sum over pairs is exact, integer
+numerators over one common denominator, and is rounded once, so NED is
+the correctly rounded mean and depends on no member or cluster order. The
+mining statistics are summed the same way.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -39,7 +44,6 @@ from .synthgen import gold_segment_label
 from .util import atomic_write, from_json, read_json, write_json
 
 TOLERANCE = 1   # frames per edge, for token spans and gold boundaries
-NED_BLOCK = 1 << 16   # pair values summed by one np.add.accumulate call
 
 
 @dataclass
@@ -96,45 +100,27 @@ def ned(members: list[list[Segment]], gold: GoldAnnotation) -> float | None:
     None when no cluster has >= 2 members.
 
     Two empty gold strings are at 0.0 and an empty one is at 1.0 from any
-    other. Distances come from one batched kernel call over the distinct
-    pairs of distinct gold strings that share a cluster; the pair values
-    are then summed in pair order (cluster by cluster, i < j) by a
-    sequential float sum, exactly as a loop over the pairs adds them: one
-    np.add.accumulate per block of a cluster's rows, each block holding at
-    most NED_BLOCK pair values (a single row may hold more).
+    other. The pairs of distinct gold strings that share a cluster, each
+    weighted by the ordered member pairs it stands for
+    (`StringTable.run_pairs`), get their distances from one batched kernel
+    call. Their integer sums per denominator max(len a, len b) meet over one
+    common denominator, so the mean is an exact fraction rounded once,
+    whatever the order of members or clusters.
     """
     table = StringTable(gold.utterances[seg.utterance_id].overlapped_symbols(seg.start, seg.end)
                         for group in members for seg in group)
-    n_strings = len(table.strings)
-    sizes = np.cumsum([len(group) for group in members], dtype=np.intp)
-    # per cluster: its distinct strings and each member's index among them
-    distinct = [np.unique(g, return_inverse=True) for g in np.split(table.ids, sizes[:-1])]
-    upper = [np.triu_indices(len(strings), 1) for strings, _ in distinct]
-    # distinct pair keys by a sort and a neighbour mask: a plain np.unique
-    # imports numpy.ma on its first call in a process
-    keys = np.sort(np.concatenate(
-        [strings[i] * n_strings + strings[j] for (strings, _), (i, j) in zip(distinct, upper)]
-        + [np.empty(0, dtype=np.intp)]))
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    values = table.normalized(keys // n_strings, keys % n_strings)
-
-    total = 0.0
-    count = 0
-    for (strings, member_of), (i, j) in zip(distinct, upper):
-        within = np.zeros((len(strings), len(strings)))
-        within[i, j] = within[j, i] = values[
-            np.searchsorted(keys, strings[i] * n_strings + strings[j])]
-        n = len(member_of)
-        step = max(1, NED_BLOCK // max(n, 1))
-        for r in range(0, n - 1, step):
-            rows = np.arange(r, min(r + step, n - 1))
-            # the upper triangle of these rows, row-major: the pair order
-            block = within[member_of[rows, None], member_of][rows[:, None] < np.arange(n)]
-            total = np.add.accumulate(np.concatenate(([total], block)))[-1]
-        count += n * (n - 1) // 2
-    return float(total) / count if count else None
+    a, b, weights, _ = table.run_pairs([len(group) for group in members],
+                                       [(k, k) for k in range(len(members))])
+    longest = np.maximum(np.maximum(table.lengths[a], table.lengths[b]), 1)
+    sums = np.zeros(int(longest.max(initial=0)) + 1, dtype=np.int64)
+    np.add.at(sums, longest, weights * table.distances(a, b))
+    ordered_pairs = sum(n * (n - 1) for n in map(len, members))
+    if not ordered_pairs:
+        return None
+    denominators = np.flatnonzero(sums).tolist()
+    common = math.lcm(*denominators)
+    return (sum(sums[k].item() * (common // k) for k in denominators)
+            / (common * ordered_pairs))
 
 
 def coverage(members: list[list[Segment]], gold: GoldAnnotation) -> float:

@@ -5,12 +5,15 @@ distances over all |C|^2 ordered member pairs (self pairs included, read
 literally from the defining sums). Contrast statistics run over all |C1||C2|
 cross pairs. Thresholds scale with the average symbol length of the clusters
 involved, and comparisons are strict.
+
+Both run over each cluster's distinct strings, weighted by multiplicity, in
+exact integer sums rounded once (`_stats`), so no member or cluster order
+changes a statistic or a selection.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,85 +82,67 @@ class PairManifest:
     sample_seed: int = 0
 
 
-def _distinct(cluster: Cluster, segments_by_id: dict[int, Segment]):
-    """The distinct symbol strings of a cluster's members, in first-seen
-    order, and how many members carry each."""
-    counts = Counter(segments_by_id[m].symbols for m in cluster.members)
-    return list(counts), np.array(list(counts.values()), dtype=np.int64)
-
-
-def _weighted_stats(jobs) -> list[tuple[float, float]]:
-    """Mean and standard deviation of edit distance for each job (left,
-    right, i, j, weights, total): pair k is left[i[k]] against right[j[k]]
-    with integer weight weights[k], and the total - sum(weights) pairs not
-    listed are at distance 0. Every job shares one batched kernel call."""
-    table = StringTable(s for left, right, *_ in jobs for s in (*left, *right))
-    a, b, offset = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], 0
-    for left, right, i, j, _, _ in jobs:
-        a.append(table.ids[offset + i])
-        b.append(table.ids[offset + len(left) + j])
-        offset += len(left) + len(right)
-    values = table.distances(np.concatenate(a), np.concatenate(b))
-    ends = np.cumsum([len(job[2]) for job in jobs], dtype=np.intp)
-    stats = []
-    for (*_, weights, total), part in zip(jobs, np.split(values, ends[:-1])):
-        entries = list(zip(weights.tolist(), part.tolist()))
-        mu = sum(w * v for w, v in entries) / total
-        zero_weight = total - sum(w for w, _ in entries)
-        var = (sum(w * (v - mu) ** 2 for w, v in entries) + zero_weight * mu * mu)
-        stats.append((mu, math.sqrt(var / total)))
-    return stats
-
-
 def mean_symbol_length(cluster: Cluster, segments_by_id: dict[int, Segment]) -> float:
     return sum(len(segments_by_id[m].symbols) for m in cluster.members) / len(cluster.members)
 
 
-def _purity_job(cluster: Cluster, segments_by_id: dict[int, Segment]):
-    """_weighted_stats job of a cluster: each pair of distinct strings
-    stands for both orders of the member pairs that carry it; the other
-    pairs of the |C|^2, self pairs included, join equal strings."""
-    if not cluster.members:
+def _stats(clusters: list[Cluster], candidates: list[tuple[int, int]],
+           segments_by_id: dict[int, Segment]) -> list[tuple[float, float]]:
+    """Mean and standard deviation of edit distance over the |C_k||C_l|
+    member pairs of clusters k and l, for each candidate (k, l); (k, k) is
+    the purity of cluster k. The member pairs not among the weighted pairs
+    of distinct strings (`StringTable.run_pairs`) join equal strings. With
+    s1 = sum(w * d) and s2 = sum(w * d * d) in exact integers, mu = s1 / N
+    and sigma = sqrt((N * s2 - s1**2) / N**2) are each rounded once."""
+    table = StringTable(segments_by_id[m].symbols for c in clusters for m in c.members)
+    a, b, w, sizes = table.run_pairs([len(c.members) for c in clusters], candidates)
+    d = table.distances(a, b)
+    ends = np.cumsum([0] + sizes)
+    # the running int64 sums stay below (member strings * longest string)^2
+    s1, s2 = (np.diff(np.concatenate(([0], np.cumsum(x)))[ends]).tolist()
+              for x in (w * d, w * d * d))
+    totals = [len(clusters[k].members) * len(clusters[l].members) for k, l in candidates]
+    return [(x1 / n, math.sqrt((n * x2 - x1 * x1) / (n * n)))
+            for x1, x2, n in zip(s1, s2, totals)]
+
+
+def _purity(clusters: list[Cluster], segments_by_id: dict[int, Segment]):
+    if not all(c.members for c in clusters):
         raise ValueError("purity_stats requires a non-empty cluster")
-    strings, counts = _distinct(cluster, segments_by_id)
-    i, j = np.triu_indices(len(strings), 1)
-    return strings, strings, i, j, 2 * counts[i] * counts[j], len(cluster.members) ** 2
+    return _stats(clusters, [(k, k) for k in range(len(clusters))], segments_by_id)
 
 
-def _contrast_job(c1: Cluster, c2: Cluster, segments_by_id: dict[int, Segment]):
-    """_weighted_stats job of a cluster pair: every distinct cross pair."""
-    if not c1.members or not c2.members:
+def _contrast(clusters: list[Cluster], candidates: list[tuple[int, int]],
+              segments_by_id: dict[int, Segment]):
+    if not all(clusters[k].members and clusters[l].members for k, l in candidates):
         raise ValueError("contrast_stats requires non-empty clusters")
-    strings_1, counts_1 = _distinct(c1, segments_by_id)
-    strings_2, counts_2 = _distinct(c2, segments_by_id)
-    i, j = np.divmod(np.arange(len(strings_1) * len(strings_2)), len(strings_2))
-    return (strings_1, strings_2, i, j, counts_1[i] * counts_2[j],
-            len(c1.members) * len(c2.members))
+    return _stats(clusters, candidates, segments_by_id)
 
 
 def purity_stats(cluster: Cluster, segments_by_id: dict[int, Segment]) -> PurityStats:
     """Mean/std of within-cluster Levenshtein distances over all |C|^2
     ordered member pairs, self pairs included as the defining sums read.
 
-    Computed over distinct symbol strings weighted by multiplicity, which is
-    exact and much cheaper on clusters full of repeated strings.
+    Computed over the cluster's distinct symbol strings, each pair weighted
+    by the member pairs it stands for, in exact integer sums (`_stats`):
+    the result depends on no member order.
     """
-    return PurityStats(*_weighted_stats([_purity_job(cluster, segments_by_id)])[0])
+    return PurityStats(*_purity([cluster], segments_by_id)[0])
 
 
 def contrast_stats(c1: Cluster, c2: Cluster,
                    segments_by_id: dict[int, Segment]) -> ContrastStats:
-    """Mean/std of Levenshtein distances over all cross pairs of two clusters."""
-    return ContrastStats(*_weighted_stats([_contrast_job(c1, c2, segments_by_id)])[0])
+    """Mean/std of Levenshtein distances over all cross pairs of two
+    clusters, from their distinct strings as `purity_stats`."""
+    return ContrastStats(*_contrast([c1, c2], [(0, 1)], segments_by_id)[0])
 
 
 def select_pure_clusters(clusters: list[Cluster], segments_by_id: dict[int, Segment],
                          thresholds: MiningConfig) -> list[Cluster]:
     """Clusters whose purity statistics fall strictly below the scaled bounds."""
     thresholds.validate()
-    stats = _weighted_stats([_purity_job(c, segments_by_id) for c in clusters])
     retained = []
-    for cluster, (mu_s, sigma_s) in zip(clusters, stats):
+    for cluster, (mu_s, sigma_s) in zip(clusters, _purity(clusters, segments_by_id)):
         mean_len = mean_symbol_length(cluster, segments_by_id)
         if (mu_s < thresholds.thres_mu_s * mean_len
                 and sigma_s < thresholds.thres_sigma_s * mean_len):
@@ -169,10 +154,11 @@ def select_contrasting_pairs(retained: list[Cluster], segments_by_id: dict[int, 
                              thresholds: MiningConfig) -> list[tuple[Cluster, Cluster]]:
     """Unordered retained-cluster pairs with large, consistent cross distance."""
     thresholds.validate()
-    candidates = [(c1, c2) for k, c1 in enumerate(retained) for c2 in retained[k + 1:]]
-    stats = _weighted_stats([_contrast_job(c1, c2, segments_by_id) for c1, c2 in candidates])
+    candidates = [(k, l) for k in range(len(retained)) for l in range(k + 1, len(retained))]
     pairs = []
-    for (c1, c2), (mu_d, sigma_d) in zip(candidates, stats):
+    for (k, l), (mu_d, sigma_d) in zip(candidates,
+                                       _contrast(retained, candidates, segments_by_id)):
+        c1, c2 = retained[k], retained[l]
         scale = (mean_symbol_length(c1, segments_by_id)
                  + mean_symbol_length(c2, segments_by_id)) / 2
         if (mu_d > thresholds.thres_mu_d * scale

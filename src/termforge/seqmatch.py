@@ -12,12 +12,13 @@ for every caller: leader clustering, NED, the mining statistics, vocabulary
 sampling, and levenshtein / normalized_levenshtein, which are one-pair
 calls into it. Callers pack their distinct strings once into a StringTable
 (repeated strings share a column) and ask for the distances of many pairs
-of columns at a time. The kernel puts the shorter string of each pair on
-the DP rows, orders the pairs by shape, cuts them into chunks of at most
-CHUNK_BYTES // 16 = 2**17 DP cells (as many as under the earlier 1 MiB
-budget; larger chunks made corpus synthesis slower in a fresh process, see
-CHUNK_BYTES) and runs the DP one row at a time, vectorised over the pairs
-and columns of a chunk: substitutions and deletions from the row above,
+of columns at a time; NED and the mining statistics take their pairs of
+distinct strings, weighted by multiplicity, from StringTable.run_pairs. The
+kernel puts the shorter string of each pair on the DP rows, orders the
+pairs by shape, cuts them into chunks of at most CHUNK_BYTES // 16 =
+2**17 DP cells (as many as under the earlier 1 MiB budget; larger chunks
+made corpus synthesis slower in a fresh process, see CHUNK_BYTES) and runs
+the DP one row at a time, vectorised over the pairs and columns of a chunk: substitutions and deletions from the row above,
 then insertions folded in by a running minimum down the columns. A row is
 a (columns + 1, lanes) array, so each step of that running minimum is one
 operation over contiguous lanes, and it takes the narrowest signed type
@@ -191,6 +192,34 @@ class StringTable:
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))
         longest = np.maximum(np.maximum(self.lengths[a], self.lengths[b]), 1)
         return self.distances(a, b) / longest
+
+    def run_pairs(self, sizes: Sequence[int], candidates: Iterable[tuple[int, int]]):
+        """For each candidate (k, l) of runs of the strings given, run k
+        being the next sizes[k] strings, the pairs of a distinct string of
+        run k and one of run l, as columns a and b, each with w, the ordered
+        pairs of strings it stands for: c_a * c_b across two runs (c counts
+        a string in its run), 2 * c_a * c_b for the unordered pairs of
+        distinct strings within one. Returns a, b and w over all candidates
+        and each candidate's pair count. One np.unique over (run, column)
+        keys counts the strings; with return_counts it leaves numpy.ma
+        unimported, which a plain np.unique call imports."""
+        n = len(self.strings)
+        keys, counts = np.unique(np.repeat(np.arange(len(sizes)), sizes) * n + self.ids,
+                                 return_counts=True)
+        runs = np.split(np.stack([keys % n, counts]),
+                        np.searchsorted(keys, np.arange(1, len(sizes)) * n), axis=1)
+        a, b, w = ([np.empty(0, dtype=np.intp)] for _ in range(3))
+        pairs = []
+        for k, l in candidates:
+            (columns_1, counts_1), (columns_2, counts_2) = runs[k], runs[l]
+            # every pair across two runs, the pairs i < j within one
+            i, j = np.nonzero(np.less.outer(np.arange(len(columns_1)), np.arange(len(columns_2)))
+                              | (k != l))
+            a.append(columns_1[i])
+            b.append(columns_2[j])
+            w.append((1 + (k == l)) * counts_1[i] * counts_2[j])
+            pairs.append(len(i))
+        return np.concatenate(a), np.concatenate(b), np.concatenate(w), pairs
 
 
 def _lev_rows(a_sym, a_len, b_sym, b_len) -> np.ndarray:

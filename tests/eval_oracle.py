@@ -1,21 +1,17 @@
 """Reference scoring code: the metric functions of termforge.evaluation as
 they were before `report` resolved a clustering once, each mapping member
 ids to segments and labelling segments on its own, with NED from
-lev_oracle; the linear gold scans, the per-token, per-edge and per-row
-loops over resolved members that the bisected gold index and the blocked
-NED sum replaced; and coverage over the corpus's frame count, which the
-gold's last boundaries replaced. Tests require the package to reproduce
-them exactly."""
+lev_oracle; the linear gold scans and the per-token and per-edge loops
+over resolved members that the bisected gold index replaced; and coverage
+over the corpus's frame count, which the gold's last boundaries replaced.
+Tests require the package to reproduce them exactly."""
 
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
 import lev_oracle
 from termforge.evaluation import PRF, TOLERANCE, EvalReport, f_score
-from termforge.seqmatch import StringTable
 
 
 def overlapped_symbols(symbols, spans, start, end, min_overlap=0.5):
@@ -53,37 +49,6 @@ def _gold_string(gold, segment):
     utt = gold.utterances[segment.utterance_id]
     return overlapped_symbols(utt.true_symbols, zip(utt.true_starts, utt.true_ends),
                               segment.start, segment.end)
-
-
-def resolved_ned(members, gold):
-    """termforge.evaluation.ned with one np.add.accumulate per member row."""
-    table = StringTable(_gold_string(gold, seg) for group in members for seg in group)
-    n_strings = len(table.strings)
-    sizes = np.cumsum([len(group) for group in members], dtype=np.intp)
-    # per cluster: its distinct strings and each member's index among them
-    distinct = [np.unique(g, return_inverse=True) for g in np.split(table.ids, sizes[:-1])]
-    upper = [np.triu_indices(len(strings), 1) for strings, _ in distinct]
-    # distinct pair keys by a sort and a neighbour mask: a plain np.unique
-    # imports numpy.ma on its first call in a process
-    keys = np.sort(np.concatenate(
-        [strings[i] * n_strings + strings[j] for (strings, _), (i, j) in zip(distinct, upper)]
-        + [np.empty(0, dtype=np.intp)]))
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    values = table.normalized(keys // n_strings, keys % n_strings)
-
-    total = 0.0
-    count = 0
-    for (strings, member_of), (i, j) in zip(distinct, upper):
-        within = np.zeros((len(strings), len(strings)))
-        within[i, j] = within[j, i] = values[
-            np.searchsorted(keys, strings[i] * n_strings + strings[j])]
-        for r in range(len(member_of) - 1):
-            row = within[member_of[r], member_of[r + 1:]]
-            total = np.add.accumulate(np.concatenate(([total], row)))[-1]
-        count += len(member_of) * (len(member_of) - 1) // 2
-    return float(total) / count if count else None
 
 
 def resolved_token_type_prf(members, labels, gold):

@@ -1,10 +1,13 @@
 """Reference edit-distance code: the scalar row-by-row DP and the per-pair
-loops of leader clustering, NED and the mining statistics that the batched
-kernel in termforge.seqmatch replaced, and the per-segment loop of leader
-clustering over that kernel's distances that the per-leader loop replaced.
-Tests require the package to reproduce them exactly, floats included."""
+loops of leader clustering that the batched kernel in termforge.seqmatch
+replaced, and the per-segment loop of leader clustering over that kernel's
+distances that the per-leader loop replaced. NED and the mining statistics
+loop over every member pair and sum in exact fractions, rounded once at
+the end. Tests require the package to reproduce them exactly, floats
+included."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -108,9 +111,10 @@ def gold_string(gold_utt, start, end, min_overlap=0.5):
 
 
 def ned(clusters, segments, gold):
-    """Mean normalized distance over within-cluster pairs, summed in pair order."""
+    """Mean normalized distance over within-cluster pairs, as an exact
+    fraction rounded once."""
     by_id = {s.id: s for s in segments}
-    total = 0.0
+    total = Fraction(0)
     count = 0
     for cluster in clusters:
         strings = []
@@ -122,57 +126,31 @@ def ned(clusters, segments, gold):
             for j in range(i + 1, len(strings)):
                 a, b = strings[i], strings[j]
                 if not a and not b:
-                    value = 0.0
+                    value = Fraction(0)
                 elif not a or not b:
-                    value = 1.0
+                    value = Fraction(1)
                 else:
-                    value = normalized_levenshtein(a, b)
+                    value = Fraction(levenshtein(a, b), max(len(a), len(b)))
                 total += value
                 count += 1
-    return total / count if count else None
+    return float(total / count) if count else None
 
 
-def _string_counts(symbols):
-    counts = {}
-    for s in symbols:
-        counts[s] = counts.get(s, 0) + 1
-    return list(counts.items())
+def _mean_std(values):
+    """Mean and standard deviation of integer distances, each an exact
+    fraction rounded once."""
+    mu = Fraction(sum(values), len(values))
+    var = sum((v - mu) ** 2 for v in values) / len(values)
+    return float(mu), math.sqrt(var)
 
 
 def purity_stats(cluster, segments_by_id):
-    """(mu, sigma) over all |C|^2 ordered member pairs, accumulated pair by
-    pair."""
+    """(mu, sigma) over all |C|^2 ordered member pairs, pair by pair."""
     symbols = [segments_by_id[m].symbols for m in cluster.members]
-    n = len(symbols)
-    counts = _string_counts(symbols)
-    total_pairs = n * n
-    weighted_sum = 0.0
-    entries = []
-    for i, (sa, ca) in enumerate(counts):
-        for sb, cb in counts[i + 1:]:
-            value = levenshtein(sa, sb)
-            weight = 2 * ca * cb
-            weighted_sum += weight * value
-            entries.append((weight, value))
-    mu = weighted_sum / total_pairs
-    zero_weight = total_pairs - sum(w for w, _ in entries)
-    var = (sum(w * (v - mu) ** 2 for w, v in entries) + zero_weight * mu * mu)
-    var /= total_pairs
-    return mu, math.sqrt(var)
+    return _mean_std([levenshtein(a, b) for a in symbols for b in symbols])
 
 
 def contrast_stats(c1, c2, segments_by_id):
-    syms_1 = [segments_by_id[m].symbols for m in c1.members]
-    syms_2 = [segments_by_id[m].symbols for m in c2.members]
-    total_pairs = len(syms_1) * len(syms_2)
-    weighted_sum = 0.0
-    entries = []
-    for sa, ca in _string_counts(syms_1):
-        for sb, cb in _string_counts(syms_2):
-            value = levenshtein(sa, sb)
-            weight = ca * cb
-            weighted_sum += weight * value
-            entries.append((weight, value))
-    mu = weighted_sum / total_pairs
-    var = sum(w * (v - mu) ** 2 for w, v in entries) / total_pairs
-    return mu, math.sqrt(var)
+    """(mu, sigma) over all |C1||C2| cross pairs, pair by pair."""
+    return _mean_std([levenshtein(segments_by_id[m].symbols, segments_by_id[n].symbols)
+                      for m in c1.members for n in c2.members])

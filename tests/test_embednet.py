@@ -714,8 +714,7 @@ def _term_scale(params, batch, kind, margin, inputs):
     for t, g in enumerate(tower_grads):
         np.add.at(d_out, batch["rows"][:, t], np.abs(g) / len(g))
     d_out[~inputs] = 0.0
-    grads = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
-    embednet._branch_backward(params, cache, d_out, grads)
+    grads = embednet._branch_backward(params, cache, d_out)
     return max(np.abs(grad).max() for grad in grads.values())
 
 
@@ -934,11 +933,13 @@ def test_backward_leaves_the_forward_cache_empty(monkeypatch, kind, l_max):
 def test_backward_holds_no_window_matrix():
     """A triplet step of 64 examples over 88 distinct segments of 9-60
     frames at the paper's l_max of 100 runs packed. Its traced peak is the
-    forward cache, one gradient set and fc1's weight-gradient product before
-    it is added, plus at most 64 KiB of small arrays: 5.38 MB. The
-    window-matrix backward held conv1's 3.76 MB window matrix on top of the
-    whole cache and peaked at 9.69 MB. The forward's own peak, its packed
-    input, conv1's window matrix and conv1's output, is 5.13 MB."""
+    forward's own, its packed input, conv1's window matrix and conv1's
+    output (5.13 MB), plus at most 64 KiB of small arrays: backward forms
+    each gradient as the product that it is, so the cache, the gradients
+    and a product never outgrow the forward. The window-matrix backward
+    held conv1's 3.76 MB window matrix on top of the whole cache and peaked
+    at 9.69 MB; adding each product into a zeroed gradient set peaked at
+    5.38 MB."""
     arch = NetArch(l_max=100)
     params = init_params(arch, 3)
     rng = rng_from(5)
@@ -947,18 +948,17 @@ def test_backward_holds_no_window_matrix():
     rows = rng.permutation(np.concatenate([np.arange(88), rng.integers(0, 88, 3 * 64 - 88)]))
     batch = {"x": x, "rows": rows.reshape(64, 3)}
     assert embednet._pack(arch, x, params.dtype)[0].shape[1] == 1
-    cache = {}
-    embednet._forward(params, x, cache)
-    cache_bytes = sum(value.nbytes for value in cache.values())
-    del cache
-    grads_bytes = sum(value.nbytes for value in params.arrays.values())
-    tracemalloc.start()
-    try:
-        backward(params, batch, "triplet", 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= cache_bytes + grads_bytes + params.arrays["Wf1"].nbytes + 2**16
+    peaks = []
+    for step in (lambda: embednet._forward(params, x, {}),
+                 lambda: backward(params, batch, "triplet", 1.0)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    forward_peak, backward_peak = peaks
+    assert backward_peak <= forward_peak + 2**16
 
 
 def test_zero_learning_rate_is_identity():

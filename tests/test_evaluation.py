@@ -374,10 +374,10 @@ EDGE_WORLD = (
 )
 
 
-@given(scored_worlds(), st.sampled_from([evaluation.NED_BLOCK, 40, 1]))
-@example(EDGE_WORLD, 1)
+@given(scored_worlds())
+@example(EDGE_WORLD)
 @settings(max_examples=300)
-def test_bisected_gold_lookups_match_scans(world, ned_block):
+def test_bisected_gold_lookups_match_scans(world):
     clusters, segments, gold = world
     for seg in segments:
         utt = gold.utterances[seg.utterance_id]
@@ -390,10 +390,7 @@ def test_bisected_gold_lookups_match_scans(world, ned_block):
     assert (token_type_prf(members, labels, gold)
             == eval_oracle.resolved_token_type_prf(members, labels, gold))
     assert boundary_prf(members, gold) == eval_oracle.resolved_boundary_prf(members, gold)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluation, "NED_BLOCK", ned_block)
-        value = ned(members, gold)
-    assert value == eval_oracle.resolved_ned(members, gold)
+    assert ned(members, gold) == lev_oracle.ned(clusters, segments, gold)
 
 
 @given(scored_worlds())

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import lev_oracle
 from termforge.baseline import Cluster
-from termforge.corpus import Segment
+from termforge.corpus import GoldAnnotation, Segment, UtteranceGold
+from termforge.evaluation import ned, resolve
 from termforge.mining import (MiningConfig, MiningError, contrast_stats,
                               load_manifest, mean_symbol_length, purity_stats,
                               sample_manifest, select_contrasting_pairs,
@@ -283,3 +284,64 @@ def test_statistics_match_pairwise_reference(first, second):
     assert (purity.mu_s, purity.sigma_s) == lev_oracle.purity_stats(c1, by_id)
     contrast = contrast_stats(c1, c2, by_id)
     assert (contrast.mu_d, contrast.sigma_d) == lev_oracle.contrast_stats(c1, c2, by_id)
+
+
+@st.composite
+def scored_clusterings(draw):
+    """(clusters, segments, gold): up to 4 clusters of 1-6 members over a
+    small alphabet, so strings repeat within and across clusters. Segment k
+    has its own utterance, whose gold string, possibly empty, is what the
+    segment covers."""
+    k = draw(st.integers(1, 4))
+    strings = st.lists(st.integers(0, k - 1), min_size=1, max_size=6)
+    golds = st.lists(st.integers(0, k - 1), max_size=5)
+    sizes = draw(st.lists(st.integers(1, 6), max_size=4))
+    clusters, segments, utterances = [], [], {}
+    for cluster_id, size in enumerate(sizes):
+        members = []
+        for _ in range(size):
+            seg_id, gold_string = len(segments), tuple(draw(golds))
+            frames = max(len(gold_string), 1)
+            utterances[f"u{seg_id}"] = UtteranceGold(
+                boundaries=(0, frames), tokens=(), true_symbols=gold_string,
+                true_starts=tuple(range(len(gold_string))),
+                true_ends=tuple(range(1, len(gold_string) + 1)))
+            segments.append(Segment(seg_id, f"u{seg_id}", 0, frames, tuple(draw(strings))))
+            members.append(seg_id)
+        clusters.append(Cluster(id=cluster_id, leader=members[0], members=members))
+    return clusters, segments, GoldAnnotation(utterances)
+
+
+def _shuffled(draw, clusters):
+    return [Cluster(c.id, c.leader, list(draw(st.permutations(c.members))))
+            for c in draw(st.permutations(clusters))]
+
+
+@given(scored_clusterings(), st.data(),
+       st.tuples(*[st.sampled_from([0.1, 0.2, 0.4, 0.6, 1.0])] * 4))
+@settings(max_examples=300)
+def test_statistics_do_not_depend_on_member_or_cluster_order(world, data, thresholds):
+    clusters, segments, gold = world
+    by_id = {s.id: s for s in segments}
+    shuffled = _shuffled(data.draw, clusters)
+    config = MiningConfig(*thresholds)
+
+    value = ned(resolve(clusters, segments, gold)[0], gold)
+    assert value == lev_oracle.ned(clusters, segments, gold)
+    assert ned(resolve(shuffled, segments, gold)[0], gold) == value
+
+    by_cluster = {c.id: c for c in shuffled}
+    for c1 in clusters:
+        c1_shuffled = by_cluster[c1.id]
+        assert purity_stats(c1_shuffled, by_id) == purity_stats(c1, by_id)
+        for c2 in clusters:
+            expected = contrast_stats(c1, c2, by_id)
+            assert contrast_stats(by_cluster[c2.id], c1_shuffled, by_id) == expected
+
+    retained = select_pure_clusters(clusters, by_id, config)
+    retained_shuffled = select_pure_clusters(shuffled, by_id, config)
+    assert sorted(c.id for c in retained_shuffled) == sorted(c.id for c in retained)
+    assert ({frozenset((c1.id, c2.id))
+             for c1, c2 in select_contrasting_pairs(retained_shuffled, by_id, config)}
+            == {frozenset((c1.id, c2.id))
+                for c1, c2 in select_contrasting_pairs(retained, by_id, config)})

@@ -535,22 +535,25 @@ def test_identical_runs_are_byte_identical(tmp_path):
 
 # sha256 of the baseline system's artifacts and stamps on one small noisy
 # corpus (34 utterances, 498 segments, 24 clusters), with numpy 2.4 (the synth
-# stamp hashes the corpus's float32 features). segments.jsonl and report.json
-# are as an earlier, per-segment implementation of discovery, leader
-# clustering and scoring wrote them, and clusters_baseline.json holds its
-# clusters in the file format that re-clusters share ("stability": null, a
-# "noise" list). The stamps are as written since each stage hash covers
-# exactly the config fields its stage names, discover's since it names
-# align alone, synth's and discover's since the corpus is a manifest and one
-# feature matrix, each hashed as a file, and baseline's and evaluate's since
-# leader clusters share that format.
+# stamp hashes the corpus's float32 features). segments.jsonl is as an
+# earlier, per-segment implementation of discovery wrote it, and
+# clusters_baseline.json holds that implementation's leader clusters in the
+# file format that re-clusters share ("stability": null, a "noise" list).
+# report.json is as that implementation's scoring wrote it, except that NED
+# is the exact mean rounded once (0.3467827831367466, 16 ulp below the
+# pair-order float sum). The stamps are as written since each stage hash
+# covers exactly the config fields its stage names, discover's since it
+# names align alone, synth's and discover's since the corpus is a manifest
+# and one feature matrix, each hashed as a file, baseline's and evaluate's
+# since leader clusters share that format, and evaluate's since NED is
+# exact.
 NOISY_BASELINE_DIGESTS = {
     "segments.jsonl": "3bfe25d00e3b9b43e7b1b76b8d4cd304c614d213ba078c8e7278be4ed1c3244a",
     "clusters_baseline.json": "f4eddd650877996e1730d635c75784290de2580895760b85030a3e6a232daeb7",
-    "report.json": "8f2412e059cb43d672960e93e20e95ad8a0b20ae6cbe52e3e465ba134226dd7f",
+    "report.json": "bee8be1e7bb4e84099cf3fa6b674d8c184727209ca04b60f8d7ee69437dc1390",
     ".stamps/baseline.json": "c0e7f91f63ee2e8c5541f5c23c85f6f25cda8850a4496d9549cd302e809fbe5b",
     ".stamps/discover.json": "f7604cc2257aefcdb6ba8f4c6c8424d25b32bcd59804c02f290152aed802b6d4",
-    ".stamps/evaluate.json": "97d33a3a25a562783ebb35dc085bd7c032fb3ce6413af6beeefb3996c5bff076",
+    ".stamps/evaluate.json": "fa3e5d9ebe07873e3bd54e8bebfaa7abb2c442d77000bcc6367614a2320c746e",
     ".stamps/synth.json": "0d2980040d9ee414ac3d0d0bd771ad4501e9f28b21236b76e98509d18a2985a0",
 }
 
@@ -814,18 +817,20 @@ def test_cli_end_to_end(tmp_path):
 
 def test_siamese_stages_leave_numpy_ma_unimported(tmp_path):
     # a plain np.unique imports numpy.ma on its first call, which costs a
-    # fresh process 10-20 ms
+    # fresh process 10-20 ms; fractions imports decimal, 0.4 MiB of RSS
+    blob = small_blob(tmp_path / "wd", system="siamese")
     script = (
         "import sys\n"
         "from termforge.pipeline import PipelineConfig, run_stage\n"
-        f"config = PipelineConfig.from_dict({small_blob(tmp_path / 'wd', system='siamese')!r})\n"
+        f"config = PipelineConfig.from_dict({blob!r})\n"
         "for stage in config.stage_names():\n"
         "    assert run_stage(stage, config), stage\n"
-        "print('numpy.ma' in sys.modules)\n")
+        "    print(stage, sorted({'numpy.ma', 'decimal', 'fractions'} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=cli_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == [
+        f"{stage} []" for stage in PipelineConfig.from_dict(blob).stage_names()]
 
 
 @pytest.mark.parametrize("stage, text, message, dp_cells", [
