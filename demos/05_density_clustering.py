@@ -32,8 +32,8 @@ edges = mst(reach)
 print("MST total weight:", round(sum(w for _, _, w in edges), 3))
 
 tree = condense(build_hierarchy(edges), min_cluster_size=5)
-print("condensed clusters:", len(tree.clusters()),
-      "(sizes:", sorted(tree.cluster_size.values(), reverse=True), ")")
+print("condensed clusters:", len(tree.size),
+      "(sizes:", sorted(tree.size.tolist(), reverse=True), ")")
 
 eom_labels = extract(tree)
 hybrid_labels = extract(tree, epsilon=0.2)

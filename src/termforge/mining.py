@@ -212,13 +212,13 @@ def sample_manifest(retained: list[Cluster], contrasting: list[tuple[Cluster, Cl
     need_positives = n_siamese > 0 or n_triplet > 0
     if need_positives and not positive_sources:
         raise MiningError("no positive source: no retained cluster has >= 2 members")
-    if n_siamese > 0 and not contrasting:
+    n_pos = (n_siamese + 1) // 2
+    if n_siamese > n_pos and not contrasting:
         raise MiningError("no negative source: no contrasting cluster pair selected")
     if n_triplet > 0 and not triplet_sources:
         raise MiningError("no negative source: no retained cluster contrasts with another")
 
     rng = rng_from(seed)
-    n_pos = (n_siamese + 1) // 2
     for k in range(n_siamese):
         if k < n_pos:
             src = positive_sources[_weighted_choice(rng, pos_weights)]

@@ -9,9 +9,12 @@ hybrid cluster-selection-epsilon rule that merges clusters born below that
 distance (epsilon = 0 is plain excess-of-mass).
 
 Conventions: lambda = 1/distance (distance 0 -> +inf, exact duplicates merge
-immediately); the root competes in excess-of-mass selection like any other
-cluster but is disqualified when the corpus itself is smaller than
-min_cluster_size. Cluster ids are canonical: decreasing size, ties broken by
+immediately); the root competes in excess-of-mass selection only when it is
+the sole cluster and the corpus is not smaller than min_cluster_size. The
+condensed tree holds one record per cluster (parent, birth lambda, size,
+stability), numbered in birth order with the root as 0, and one per point
+(the cluster it falls out of, and the lambda at which it does). Output
+cluster ids are canonical: decreasing size, ties broken by
 smallest member index. A call refuses more points than one n x n float64
 matrix of DENSE_MATRIX_BYTES holds (n > 20,000).
 
@@ -25,7 +28,7 @@ round, except that identical rows are set exactly 0 apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,29 +57,21 @@ class HdbscanParams:
             raise ValueError("min_cluster_size must be >= 2")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
-        if self.cluster_selection_epsilon < 0:
+        if not self.cluster_selection_epsilon >= 0:
             raise ValueError("cluster_selection_epsilon must be >= 0")
 
 
 @dataclass
 class CondensedTree:
-    n_points: int
+    """One record per cluster and one per point. Clusters are numbered in
+    birth order with the root as 0, so a child comes after its parent."""
+    parent: np.ndarray          # per cluster: parent cluster, -1 for the root
+    birth: np.ndarray           # per cluster: lambda of its birth, 0 for the root
+    size: np.ndarray            # per cluster: points at its birth
+    stability: np.ndarray       # per cluster
+    point_cluster: np.ndarray   # per point: the cluster it falls out of
+    point_lambda: np.ndarray    # per point: the lambda at which it falls out
     min_cluster_size: int
-    parent: np.ndarray
-    child: np.ndarray
-    lambda_val: np.ndarray
-    child_size: np.ndarray
-    cluster_parent: dict[int, int] = field(default_factory=dict)
-    cluster_birth: dict[int, float] = field(default_factory=dict)
-    cluster_size: dict[int, int] = field(default_factory=dict)
-    stability: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def root(self) -> int:
-        return self.n_points
-
-    def clusters(self) -> list[int]:
-        return sorted(self.cluster_size)
 
 
 @dataclass
@@ -190,166 +185,110 @@ def build_hierarchy(mst_edges: list[tuple[int, int, float]]) -> np.ndarray:
     return rows
 
 
-def _leaves_under(dendrogram: np.ndarray, node: int, n: int) -> list[int]:
-    stack = [node]
-    leaves = []
-    while stack:
-        current = stack.pop()
-        if current < n:
-            leaves.append(current)
-        else:
-            row = dendrogram[current - n]
-            stack.append(int(row[0]))
-            stack.append(int(row[1]))
-    return sorted(leaves)
-
-
 def condense(dendrogram: np.ndarray, min_cluster_size: int) -> CondensedTree:
-    """Drop splits whose smaller side is below min_cluster_size; record each
-    point's fall-out lambda and per-cluster stability."""
+    """Walk each cluster down its dendrogram nodes until it splits into two
+    sides of at least min_cluster_size points or dissolves; the points of
+    each smaller side fall out of it along the way. Stability adds, in the
+    cluster's chain order, lambda - birth once per fallen point (not
+    count * (lambda - birth), which rounds differently) and
+    size * (lambda - birth) per child."""
     if min_cluster_size < 2:
         raise ValueError("min_cluster_size must be >= 2")
     n = dendrogram.shape[0] + 1
-    counts = np.ones(2 * n - 1, dtype=np.int64)   # points under each node
-    counts[n:] = dendrogram[:, 3]
-    root = 2 * n - 2
+    if n < 2:
+        raise ValueError("need at least 2 points to condense a dendrogram")
+    left, right, merged = dendrogram[:, [0, 1, 3]].astype(np.int64).T.tolist()
+    height = dendrogram[:, 2].tolist()
+    counts = [1] * n + merged               # points under each node
+    parent, birth, size, stability = [-1], [0.0], [n], []
+    start = [2 * n - 2]                     # first dendrogram node of each cluster
+    point_cluster, point_lambda = [0] * n, [0.0] * n
+    for cluster, node in enumerate(start):  # grows as clusters are born
+        born, total = birth[cluster], 0.0
+        while True:
+            a, b, h = left[node - n], right[node - n], height[node - n]
+            lam = np.inf if h == 0.0 else 1.0 / h
+            # born and dissolved at the same (infinite) density: stability 0
+            gain = 0.0 if born == np.inf else lam - born
+            big = [side for side in (a, b) if counts[side] >= min_cluster_size]
+            if len(big) == 2:
+                for side in big:
+                    parent.append(cluster)
+                    birth.append(lam)
+                    size.append(counts[side])
+                    start.append(side)
+                    total += gain * counts[side]
+                break
+            stack = [side for side in (a, b) if side not in big]
+            while stack:                    # the points of the smaller sides fall out
+                x = stack.pop()
+                if x >= n:
+                    stack += (left[x - n], right[x - n])
+                else:
+                    point_cluster[x], point_lambda[x] = cluster, lam
+                    total += gain
+            if not big:
+                break
+            node = big[0]
+        stability.append(total)
 
-    rows: list[tuple[int, int, float, int]] = []
-    cluster_parent: dict[int, int] = {}
-    cluster_birth: dict[int, float] = {n: 0.0}
-    cluster_size: dict[int, int] = {n: n}
-    next_label = n + 1
-    queue = [(root, n)]
-    while queue:
-        node, label = queue.pop(0)
-        row = dendrogram[node - n]
-        left, right = int(row[0]), int(row[1])
-        distance = float(row[2])
-        lam = np.inf if distance == 0.0 else 1.0 / distance
-        left_big = counts[left] >= min_cluster_size
-        right_big = counts[right] >= min_cluster_size
-        if left_big and right_big:
-            for side in (left, right):
-                child = next_label
-                next_label += 1
-                rows.append((label, child, lam, int(counts[side])))
-                cluster_parent[child] = label
-                cluster_birth[child] = lam
-                cluster_size[child] = int(counts[side])
-                queue.append((side, child))
-        elif not left_big and not right_big:
-            for side in (left, right):
-                for point in _leaves_under(dendrogram, side, n):
-                    rows.append((label, point, lam, 1))
-        else:
-            keep, drop = (left, right) if left_big else (right, left)
-            for point in _leaves_under(dendrogram, drop, n):
-                rows.append((label, point, lam, 1))
-            queue.append((keep, label))
-
-    parent = np.array([r[0] for r in rows], dtype=np.int64)
-    child = np.array([r[1] for r in rows], dtype=np.int64)
-    lambda_val = np.array([r[2] for r in rows])
-    child_size = np.array([r[3] for r in rows], dtype=np.int64)
-
-    stability: dict[int, float] = {c: 0.0 for c in cluster_size}
-    for p, lam, sz in zip(parent, lambda_val, child_size):
-        birth = cluster_birth[int(p)]
-        if np.isinf(birth):
-            continue  # born and dissolved at the same (infinite) density
-        stability[int(p)] += (lam - birth) * int(sz)
-
-    return CondensedTree(
-        n_points=n,
-        min_cluster_size=min_cluster_size,
-        parent=parent,
-        child=child,
-        lambda_val=lambda_val,
-        child_size=child_size,
-        cluster_parent=cluster_parent,
-        cluster_birth=cluster_birth,
-        cluster_size=cluster_size,
-        stability=stability,
-    )
+    arrays = (parent, birth, size, stability, point_cluster, point_lambda)
+    return CondensedTree(*map(np.array, arrays), min_cluster_size)
 
 
-def _cluster_children(tree: CondensedTree) -> dict[int, list[int]]:
-    children: dict[int, list[int]] = {c: [] for c in tree.cluster_size}
-    for child, parent in tree.cluster_parent.items():
-        children[parent].append(child)
-    return children
+def _outermost(parent: list[int], marked: list[bool]) -> list[int]:
+    """The marked clusters with no marked ancestor (parents precede children)."""
+    under = [False] * len(parent)           # a proper ancestor is marked
+    for c in range(1, len(parent)):
+        under[c] = under[parent[c]] or marked[parent[c]]
+    return [c for c, m in enumerate(marked) if m and not under[c]]
 
 
-def _descendants(tree: CondensedTree, cluster: int,
-                 children: dict[int, list[int]]) -> list[int]:
-    out = []
-    stack = list(children[cluster])
-    while stack:
-        c = stack.pop()
-        out.append(c)
-        stack.extend(children[c])
-    return out
-
-
-def _birth_distance(tree: CondensedTree, cluster: int) -> float:
-    birth = tree.cluster_birth[cluster]
-    return np.inf if birth == 0.0 else 1.0 / birth
-
-
-def _select(tree: CondensedTree, epsilon: float) -> set[int]:
+def _select(tree: CondensedTree, epsilon: float) -> list[int]:
     # Excess of mass first. The root's stability integrates from lambda 0 and
     # would dominate any child structure, so it only competes when it is the
     # sole cluster (the single-blob case); it is also disqualified when the
     # whole corpus is smaller than min_cluster_size.
-    children = _cluster_children(tree)
-    propagated: dict[int, float] = {}
-    selected: set[int] = set()
-    for cluster in sorted(tree.cluster_size, reverse=True):
-        subtree = sum(propagated[c] for c in children[cluster])
-        selectable = tree.cluster_size[cluster] >= tree.min_cluster_size
-        if cluster == tree.root and len(tree.cluster_size) > 1:
-            selectable = False
-        if selectable and tree.stability[cluster] > subtree:
-            for d in _descendants(tree, cluster, children):
-                selected.discard(d)
-            selected.add(cluster)
-            propagated[cluster] = tree.stability[cluster]
-        else:
-            propagated[cluster] = subtree
+    parent = tree.parent.tolist()
+    stability = tree.stability.tolist()
+    selectable = (tree.size >= tree.min_cluster_size).tolist()
+    if len(parent) > 1:
+        selectable[0] = False
+    subtree = [0.0] * len(parent)           # what the children propagate
+    wins = [False] * len(parent)
+    for c in range(len(parent) - 1, -1, -1):
+        wins[c] = selectable[c] and stability[c] > subtree[c]
+        if c:
+            subtree[parent[c]] += stability[c] if wins[c] else subtree[c]
+    selected = _outermost(parent, wins)
     if epsilon <= 0:
         return selected
     # Hybrid rule: lift each cluster born closer than epsilon to its nearest
-    # ancestor born at distance >= epsilon, then drop lifted descendants.
-    lifted: set[int] = set()
-    for cluster in selected:
-        while _birth_distance(tree, cluster) < epsilon:
-            cluster = tree.cluster_parent[cluster]
-        lifted.add(cluster)
-    return lifted.difference(*(_descendants(tree, c, children) for c in lifted))
+    # ancestor born at distance >= epsilon, then keep the outermost.
+    birth = tree.birth.tolist()
+    lifted = [False] * len(parent)
+    for c in selected:
+        while birth[c] != 0.0 and 1.0 / birth[c] < epsilon:
+            c = parent[c]
+        lifted[c] = True
+    return _outermost(parent, lifted)
 
 
-def _partition(tree: CondensedTree, selected: set[int]):
+def _partition(tree: CondensedTree, selected: list[int]):
     """The label of each point (-1 for noise), the sorted member points of
     each selected cluster in canonical order (decreasing size, then smallest
     member) and the cluster behind each label."""
-    nearest: dict[int, int | None] = {}
-    for cluster in sorted(tree.cluster_size):
-        if cluster in selected:
-            nearest[cluster] = cluster
-        else:
-            parent = tree.cluster_parent.get(cluster)
-            nearest[cluster] = nearest[parent] if parent is not None else None
-
+    nearest = [-1] * len(tree.parent)       # nearest selected cluster at or above
+    chosen = set(selected)
+    for c, p in enumerate(tree.parent.tolist()):
+        nearest[c] = c if c in chosen else nearest[p] if p >= 0 else -1
     members: dict[int, list[int]] = {c: [] for c in selected}
-    for parent, child in zip(tree.parent, tree.child):
-        if child < tree.n_points:
-            owner = nearest[int(parent)]
-            if owner is not None:
-                members[owner].append(int(child))
-    order = sorted((c for c in selected if members[c]),
-                   key=lambda c: (-len(members[c]), min(members[c])))
-    clusters = [sorted(members[c]) for c in order]
-    labels = np.full(tree.n_points, -1, dtype=np.int64)
+    for point, owner in enumerate(np.array(nearest)[tree.point_cluster].tolist()):
+        if owner >= 0:
+            members[owner].append(point)
+    order = sorted(selected, key=lambda c: (-len(members[c]), members[c][0]))
+    clusters = [members[c] for c in order]
+    labels = np.full(len(tree.point_cluster), -1, dtype=np.int64)
     for label, points in enumerate(clusters):
         labels[points] = label
     return labels, clusters, order
@@ -359,7 +298,7 @@ def extract(tree: CondensedTree, epsilon: float = 0.0) -> np.ndarray:
     """Cluster label per point, -1 marking noise: excess-of-mass selection in
     which clusters born closer than epsilon are replaced by their nearest
     ancestor born at distance >= epsilon; epsilon = 0 is plain EOM."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     labels, _, _ = _partition(tree, _select(tree, epsilon))
     return labels

@@ -221,6 +221,16 @@ def test_sample_errors_without_sources():
         sample_manifest([pair_source], [], 0, 4, seed=1)
 
 
+
+def test_single_siamese_pair_needs_no_negative_source():
+    """One Siamese pair is a positive, so no contrasting pair is needed;
+    a second pair is a negative and is refused without one."""
+    source = Cluster(0, 1, [1, 2])
+    manifest = sample_manifest([source], [], 1, 0, seed=0)
+    assert [(p.a, p.b, p.y) for p in manifest.siamese_pairs] in ([(1, 2, 1)], [(2, 1, 1)])
+    with pytest.raises(MiningError, match="no negative source"):
+        sample_manifest([source], [], 2, 0, seed=0)
+
 def test_label_audit_on_zero_noise_corpus():
     config = SynthConfig(vocabulary_size=5, word_length_range=(4, 6),
                          occurrences_per_word=8, words_per_utterance=1,

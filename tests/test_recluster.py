@@ -313,43 +313,40 @@ def build_tree(points, k, mcs):
 def test_condense_mcs_above_n_gives_root_only(rng):
     points = rng.standard_normal((8, 2))
     tree = build_tree(points, 2, 16)
-    assert tree.clusters() == [tree.root]
+    assert tree.parent.tolist() == [-1] and tree.size.tolist() == [8]
     # every point falls out of the root at its own lambda
-    point_rows = tree.child[tree.child < tree.n_points]
-    assert sorted(point_rows.tolist()) == list(range(8))
+    assert tree.point_cluster.tolist() == [0] * 8
+    assert (tree.point_lambda > 0).all()
 
 
 def test_condense_two_blobs_two_children(rng):
     points = blob_matrix(rng, [np.zeros(2), np.array([10.0, 0])], 10)
     tree = build_tree(points, 3, 5)
-    children = [c for c, p in tree.cluster_parent.items() if p == tree.root]
+    children = np.flatnonzero(tree.parent == 0)
     assert len(children) == 2
-    assert sorted(tree.cluster_size[c] for c in children) == [10, 10]
+    assert sorted(tree.size[children].tolist()) == [10, 10]
 
 
-def oracle_stability(tree: CondensedTree) -> dict:
+def test_condense_refuses_a_one_point_dendrogram():
+    with pytest.raises(ValueError, match="need at least 2 points"):
+        condense(np.zeros((0, 4)), 2)
+
+
+def oracle_stability(tree: CondensedTree) -> list:
     """Direct per-point summation: each point contributes its capped fall-out
     lambda minus the cluster's birth lambda, for every cluster it crosses."""
-    stability = {c: 0.0 for c in tree.cluster_size}
-    point_lambda = {}
-    point_parent = {}
-    for parent, child, lam in zip(tree.parent, tree.child, tree.lambda_val):
-        if child < tree.n_points:
-            point_lambda[int(child)] = lam
-            point_parent[int(child)] = int(parent)
-    death = {}
-    for parent, child, lam in zip(tree.parent, tree.child, tree.lambda_val):
-        if child >= tree.n_points:
-            death[int(parent)] = lam
-    for point in range(tree.n_points):
-        cluster = point_parent[point]
-        lam = point_lambda[point]
-        while cluster is not None:
-            birth = tree.cluster_birth[cluster]
+    stability = [0.0] * len(tree.parent)
+    death = {}     # a cluster dies at the lambda at which its children are born
+    for cluster, parent in enumerate(tree.parent.tolist()):
+        if parent >= 0:
+            death[parent] = tree.birth[cluster]
+    for cluster, lam in zip(tree.point_cluster.tolist(), tree.point_lambda):
+        while cluster >= 0:
+            birth = tree.birth[cluster]
             capped = min(lam, death.get(cluster, np.inf))
             if not np.isinf(birth):
                 stability[cluster] += capped - birth
-            cluster = tree.cluster_parent.get(cluster)
+            cluster = int(tree.parent[cluster])
             lam = capped
     return stability
 
@@ -360,8 +357,8 @@ def test_stability_matches_direct_summation(rng):
         points = rng.standard_normal((n, 2))
         tree = build_tree(points, 2, 3)
         oracle = oracle_stability(tree)
-        for cluster, value in tree.stability.items():
-            assert value == pytest.approx(oracle[cluster], rel=1e-9, abs=1e-9)
+        for value, expected in zip(tree.stability, oracle, strict=True):
+            assert value == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 # --- extraction ---------------------------------------------------------------
@@ -418,13 +415,24 @@ def test_hybrid_compares_birth_distance_with_epsilon(rng):
         blob_matrix(rng, [np.array([10.0, 0.0])], 10, spread=0.005),
     ])
     tree = build_tree(points, 3, 5)
-    micro = max(cluster_oracle.select_eom(tree), key=lambda c: tree.cluster_birth[c])
-    birth = tree.cluster_birth[micro]
+    micro = max(recluster._select(tree, 0.0), key=lambda c: tree.birth[c])
+    birth = tree.birth[micro]
     while 1.0 / (1.0 / birth) >= birth:
         birth = np.nextafter(birth, np.inf)
-    tree.cluster_birth[micro] = birth
+    tree.birth[micro] = birth
     assert (extract(tree, 1.0 / birth) == extract(tree)).all()
     assert (extract(tree, np.nextafter(1.0 / birth, np.inf)) != extract(tree)).any()
+
+
+def test_nan_epsilon_is_refused(rng):
+    """A NaN epsilon fails every comparison, so `epsilon < 0` let it through
+    and selection ran plain excess-of-mass; it is refused like a negative."""
+    points = blob_matrix(rng, [np.zeros(2), np.array([0.1, 0.0]), np.array([10.0, 0.0])],
+                         10, spread=0.005)
+    with pytest.raises(ValueError, match="cluster_selection_epsilon must be >= 0"):
+        hdbscan(points, HdbscanParams(5, 3, np.nan))
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        extract(build_tree(points, 3, 5), np.nan)
 
 
 # --- equivalence with the separate EOM and hybrid passes ---------------------
@@ -447,8 +455,51 @@ def epsilons(tree, points, which):
     if which == "beyond":   # past the diameter: everything merges
         return [2.0 * float(np.abs(points[:, None] - points[None]).sum(-1).max()) + 1.0]
     # the birth distance of each selected cluster, where < and <= part ways
-    lambdas = {tree.cluster_birth[c] for c in cluster_oracle.select_eom(tree)}
+    lambdas = {tree.birth[c] for c in recluster._select(tree, 0.0)}
     return sorted(1.0 / lam for lam in lambdas if 0.0 < lam < np.inf) or [1.0]
+
+
+def points_under(tree):
+    """The sorted tuple of points under each cluster of a package tree."""
+    under = [[] for _ in tree.parent]
+    for point, cluster in enumerate(tree.point_cluster.tolist()):
+        while cluster >= 0:
+            under[cluster].append(point)
+            cluster = int(tree.parent[cluster])
+    return [tuple(points) for points in under]
+
+
+def assert_same_tree(tree, reference):
+    """Every point falls out of the same cluster at the same lambda, and every
+    cluster, keyed by the points under it, has the reference's parent,
+    birth, size and stability."""
+    key = points_under(tree)
+    reference_key = cluster_oracle.members_under(reference)
+    assert tree.min_cluster_size == reference.min_cluster_size
+    assert len(tree.point_lambda) == reference.n_points
+    for parent, child, lam in zip(reference.parent, reference.child, reference.lambda_val):
+        if child < reference.n_points:
+            assert tree.point_lambda[child] == lam
+            assert key[tree.point_cluster[child]] == reference_key[parent]
+    by_key = {key[c]: c for c in range(len(tree.parent))}
+    assert len(by_key) == len(tree.parent) == len(reference.cluster_size)
+    for cluster, points in reference_key.items():
+        c = by_key[points]
+        parent = reference.cluster_parent.get(cluster)
+        assert tree.parent[c] == (-1 if parent is None else by_key[reference_key[parent]])
+        assert tree.birth[c] == reference.cluster_birth[cluster]
+        assert tree.size[c] == reference.cluster_size[cluster] == len(points)
+        assert tree.stability[c] == reference.stability[cluster]
+    assert (tree.parent[1:] < np.arange(1, len(tree.parent))).all()   # birth order
+
+
+@given(point_sets, st.integers(1, 4), st.integers(2, 8))
+@settings(max_examples=200)
+def test_condensed_tree_matches_reference_tree(points, k, mcs):
+    dist = distance_matrix(points)
+    dendrogram = build_hierarchy(mst(mutual_reachability(dist, core_distances(dist, k))))
+    for m in (mcs, len(points) + 1):
+        assert_same_tree(condense(dendrogram, m), cluster_oracle.condense(dendrogram, m))
 
 
 @given(point_sets, st.integers(1, 4), st.integers(2, 8),
@@ -459,14 +510,15 @@ def test_selection_matches_parent_oracle(points, k, mcs, which):
     dist = distance_matrix(points)
     dendrogram = build_hierarchy(mst(mutual_reachability(dist, core_distances(dist, k))))
     assert (cluster_oracle.leaf_counts(dendrogram, n)[n:] == dendrogram[:, 3]).all()
-    trees = (condense(dendrogram, mcs), condense(dendrogram, n + 1))   # n + 1 > n
-    for epsilon in epsilons(trees[0], points, which):
-        for tree in trees:
+    trees = [(condense(dendrogram, m), cluster_oracle.condense(dendrogram, m))
+             for m in (mcs, n + 1)]                                      # n + 1 > n
+    for epsilon in epsilons(trees[0][0], points, which):
+        for tree, reference in trees:
             labels = extract(tree, epsilon)
             assert labels.dtype == np.int64
-            assert labels.tolist() == cluster_oracle.extract_hybrid(tree, epsilon).tolist()
+            assert labels.tolist() == cluster_oracle.extract_hybrid(reference, epsilon).tolist()
             if epsilon == 0.0:
-                assert labels.tolist() == cluster_oracle.extract_eom(tree).tolist()
+                assert labels.tolist() == cluster_oracle.extract_eom(reference).tolist()
         params = HdbscanParams(min_cluster_size=mcs, min_samples=k,
                                cluster_selection_epsilon=epsilon)
         result = hdbscan(points, params)
@@ -612,3 +664,35 @@ def test_hdbscan_permutation_equivariant(rng):
     mapped = sorted(sorted(int(perm[p]) for p in c) for c in permuted.clusters)
     assert base_partition == mapped
     assert sorted(int(perm[p]) for p in permuted.noise) == sorted(base.noise)
+
+
+@pytest.mark.slow
+def test_tree_and_selection_match_reference_at_noisy_250_size(rng):
+    """At noisy-250's 7,223 segments of width 40, in 50 Gaussian blobs, the
+    tree, labels and stabilities equal the reference. Hypothesis draws at
+    most 40 points, so only here does condense walk long chains. The blobs
+    lie in 10 groups, about 0.27 apart within one, so each epsilon selects
+    differently (42, 29 and 10 clusters)."""
+    n = 7_223
+    groups = rng.standard_normal((10, 40))[rng.integers(0, 10, 50)]
+    centers = groups + 0.03 * rng.standard_normal((50, 40))
+    spread = rng.uniform(0.005, 0.03, 50)
+    blob = rng.integers(0, 50, n)
+    points = centers[blob] + spread[blob, None] * rng.standard_normal((n, 40))
+    dist = distance_matrix(points)
+    dendrogram = build_hierarchy(mst(mutual_reachability(dist, core_distances(dist, 5))))
+    del dist
+    selected = []
+    for mcs in (3, 5):
+        tree = condense(dendrogram, mcs)
+        reference = cluster_oracle.condense(dendrogram, mcs)
+        assert_same_tree(tree, reference)
+        for epsilon in (0.0, 0.2, 1.0):
+            labels, clusters, order = recluster._partition(
+                tree, recluster._select(tree, epsilon))
+            expected = cluster_oracle.result(reference, epsilon)
+            assert labels.tolist() == expected[0].tolist()
+            assert clusters == expected[1]
+            assert tree.stability[order].tolist() == expected[2]
+            selected.append(len(clusters))
+    assert selected == [42, 29, 10] * 2
