@@ -34,7 +34,7 @@ print(f"  {flips} substituted symbols out of {len(utt.transcription)}")
 
 print("\ngold word tokens:")
 for token in gold_utt.tokens:
-    print(f"  word {token.word_id}: frames [{token.start}, {token.end}) "
+    print(f"  word {token.word}: frames [{token.start}, {token.end}) "
           f"symbols {token.symbols}")
 
 block = utt.features[gold_utt.tokens[0].start:gold_utt.tokens[0].end]

@@ -47,13 +47,13 @@ manifest = sample_manifest(retained, contrasting, n_siamese=50, n_triplet=50,
                            seed=123)
 agree = 0
 checked = 0
-for pair in manifest.siamese_pairs:
+for pair in manifest.siamese:
     la = gold_segment_label(gold, by_id[pair.a])
     lb = gold_segment_label(gold, by_id[pair.b])
     if la is None or lb is None:
         continue
     checked += 1
     agree += (la == lb) == (pair.y == 1)
-print(f"\nsampled {len(manifest.siamese_pairs)} pairs, {len(manifest.triplets)} "
+print(f"\nsampled {len(manifest.siamese)} pairs, {len(manifest.triplets)} "
       f"triplets; weak labels agree with gold on {agree}/{checked} "
       "checkable pairs")

@@ -8,23 +8,22 @@ existing leader. Segments failing both tests go to the nearest leader.
 
 Leader clusters (`clusters_baseline.json`) and HDBSCAN re-clusters
 (`clusters_final.json`) are both written by `write_clusters` and read by
-`load_clusters`, as {"clusters": [{"id", "leader", "members", "stability"}],
-"noise": [segment ids]}: members and noise are sorted, noise holds every
-segment that no cluster holds, and stability is null for a leader cluster.
+`load_clusters`, as `_ClustersFile`, {"clusters": [{"id", "leader",
+"members", "stability"}], "noise": [ids]}: members and noise are sorted,
+noise holds every segment no cluster holds, and a leader cluster's
+stability is null.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import Segment
 # normalized_levenshtein stays a module attribute for code that wraps it
 from .seqmatch import StringTable, normalized_levenshtein  # noqa: F401
-from .util import write_json
+from .util import from_json, read_json, write_json
 
 
 @dataclass
@@ -122,6 +121,12 @@ def validate_partition(clusters: list[Cluster]) -> None:
         seen.update(cluster.members)
 
 
+@dataclass
+class _ClustersFile:
+    clusters: list[Cluster]
+    noise: list[int]
+
+
 def write_clusters(path, clusters: list[Cluster], segments: list[Segment]) -> None:
     """A clusters file (see the module docstring) for a partition of some of
     `segments`; a clustering that is not one raises a ValueError."""
@@ -130,23 +135,16 @@ def write_clusters(path, clusters: list[Cluster], segments: list[Segment]) -> No
     ids = {s.id for s in segments}
     if not held <= ids:
         raise ValueError(f"cluster members {sorted(held - ids)[:5]} are not segments")
-    write_json(path, {
-        "clusters": [{"id": c.id, "leader": c.leader, "members": sorted(c.members),
-                      "stability": c.stability} for c in clusters],
-        "noise": sorted(ids - held),
-    })
+    write_json(path, _ClustersFile([replace(c, members=sorted(c.members)) for c in clusters],
+                                   sorted(ids - held)))
 
 
 def load_clusters(path) -> list[Cluster]:
     """The clusters of a file that `write_clusters` wrote. A malformed file,
     or the list of clusters that leader clustering once wrote, raises a
-    ValueError that names the path."""
+    ValueError that names the path and the field."""
     try:
-        blob = json.loads(Path(path).read_text())
-        if not isinstance(blob, dict):
-            raise TypeError(f"a JSON {type(blob).__name__}, not an object")
-        return [Cluster(id=c["id"], leader=c["leader"], members=list(c["members"]),
-                        stability=c["stability"]) for c in blob["clusters"]]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: not a clusters file ({type(exc).__name__}: {exc}); "
-                         "run the stage that writes it again, with --force") from None
+        return read_json(path, lambda blob: from_json(_ClustersFile, blob, "clusters file",
+                                                      complete=True)).clusters
+    except ValueError as exc:
+        raise ValueError(f"{exc}; run the stage that writes it again, with --force") from None

@@ -10,8 +10,8 @@ A corpus directory contains:
                     (total frames, feature_dim) little-endian float32 matrix
                     in NumPy's .npy format, written by `util.write_npy` and
                     read by `util.read_npy`
-    gold.json       optional word-level ground truth, per utterance in the
-                    shape of `UtteranceGold`, which gold lookups bisect
+    gold.json       optional word-level ground truth, `GoldAnnotation`'s init
+                    fields, per utterance an `UtteranceGold`, which lookups bisect
 
 Feature payloads are float32 so that write -> load round-trips are bit-exact.
 A Corpus is immutable after load and safe for concurrent readers.
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import read_json, read_npy, write_json, write_npy
+from .util import from_json, read_json, read_npy, write_json, write_npy
 
 
 class CorpusError(ValueError):
@@ -86,7 +86,7 @@ class Segment:
 
 @dataclass
 class GoldToken:
-    word_id: int
+    word: int
     start: int
     end: int
     symbols: tuple[int, ...]
@@ -284,39 +284,6 @@ def _decode_manifest(manifest, features: np.ndarray) -> Corpus:
     return Corpus(feature_dim, alphabet_size, utterances)
 
 
-def write_gold(gold: GoldAnnotation, path) -> None:
-    blob = {"utterances": {}}
-    for utt_id, g in gold.utterances.items():
-        blob["utterances"][utt_id] = {
-            "boundaries": list(g.boundaries),
-            "tokens": [
-                {"word": t.word_id, "start": t.start, "end": t.end, "symbols": list(t.symbols)}
-                for t in g.tokens
-            ],
-            "true_symbols": list(g.true_symbols),
-            "true_starts": list(g.true_starts),
-            "true_ends": list(g.true_ends),
-        }
-    write_json(path, blob)
-
-
 def load_gold(path) -> GoldAnnotation:
-    """`write_gold`'s gold; a malformed file raises a ValueError naming it."""
-    return read_json(path, _decode_gold)
-
-
-def _decode_gold(blob) -> GoldAnnotation:
-    utterances = {}
-    for utt_id, g in blob["utterances"].items():
-        tokens = tuple(
-            GoldToken(t["word"], t["start"], t["end"], tuple(t["symbols"]))
-            for t in g["tokens"]
-        )
-        utterances[utt_id] = UtteranceGold(
-            boundaries=tuple(g["boundaries"]),
-            tokens=tokens,
-            true_symbols=tuple(g["true_symbols"]),
-            true_starts=tuple(g["true_starts"]),
-            true_ends=tuple(g["true_ends"]),
-        )
-    return GoldAnnotation(utterances)
+    """`write_json`'s gold; a malformed file raises a ValueError naming it and the field."""
+    return read_json(path, lambda blob: from_json(GoldAnnotation, blob, "gold", complete=True))

@@ -112,7 +112,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -539,7 +539,7 @@ def tower_segment_ids(manifest: PairManifest, mode: str) -> np.ndarray:
     entry of the manifest reads, towers in forward order."""
     if mode not in _TOWERS:
         raise ValueError(f"unknown training mode {mode!r}")
-    entries = manifest.siamese_pairs if mode == "siamese" else manifest.triplets
+    entries = manifest.siamese if mode == "siamese" else manifest.triplets
     if not entries:
         raise ValueError(f"manifest has no {mode} entries")
     return np.array([[getattr(entry, field) for field in _TOWERS[mode]]
@@ -574,7 +574,7 @@ def train(params: NetworkParams, manifest: PairManifest, corpus: Corpus,
     # the distinct segment that tower t of entry k reads
     entry_rows = entry_rows.reshape(tower_ids.shape)
     frames = [slice_features(corpus, segments[position[seg_id]]) for seg_id in distinct]
-    labels = np.array([p.y for p in manifest.siamese_pairs]) if mode == "siamese" else None
+    labels = np.array([p.y for p in manifest.siamese]) if mode == "siamese" else None
 
     params = params.copy()
     rng = rng_from(seed)
@@ -623,20 +623,21 @@ def embed_all(params: NetworkParams, segments: list[Segment], corpus: Corpus) ->
 # param_shapes of the header's arch cuts into the parameters
 
 
+@dataclass
+class _Header:
+    arch: NetArch
+    init_seed: int
+
+
 def save_params(header_path, vector_path, params: NetworkParams) -> None:
     write_npy(vector_path, np.concatenate([params.arrays[name].ravel()
                                            for name in param_shapes(params.arch)]))
-    write_json(header_path, {"arch": asdict(params.arch), "init_seed": params.init_seed})
+    write_json(header_path, _Header(params.arch, params.init_seed))
 
 
 def _decode_header(blob) -> tuple[NetArch, int, dict[str, tuple[int, ...]]]:
-    if not isinstance(blob, dict) or sorted(blob) != ["arch", "init_seed"]:
-        raise ValueError("a network header must be an object with the keys arch and "
-                         "init_seed")
-    arch = from_json(NetArch, blob["arch"], "arch")
-    if type(blob["init_seed"]) is not int:     # a bool is an int too
-        raise ValueError(f"init_seed must be an integer, not {blob['init_seed']!r}")
-    return arch, blob["init_seed"], param_shapes(arch)
+    header = from_json(_Header, blob, "network header", complete=True)
+    return header.arch, header.init_seed, param_shapes(header.arch)
 
 
 def load_params(header_path, vector_path) -> NetworkParams:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -201,8 +201,8 @@ def token_type_prf(members: list[list[Segment]], labels: list[list[int]],
     token_p = n_matched / n_clustered if n_clustered else None
     token_r = len(matched_tokens) / n_gold_tokens if n_gold_tokens else None
 
-    gold_types = {t.word_id for g in gold.utterances.values() for t in g.tokens}
-    found_types = {gold.utterances[utt_id].tokens[token_idx].word_id
+    gold_types = {t.word for g in gold.utterances.values() for t in g.tokens}
+    found_types = {gold.utterances[utt_id].tokens[token_idx].word
                    for utt_id, token_idx in matched_tokens}
     discovered_types = set()
     for words in labels:
@@ -298,11 +298,11 @@ def render_text(report_: EvalReport, system: str = "system") -> str:
 
 
 def write_report(report_: EvalReport, json_path, txt_path, system: str = "system") -> None:
-    write_json(json_path, asdict(report_))
+    write_json(json_path, report_)
     with atomic_write(txt_path) as fh:
         fh.write(render_text(report_, system))
 
 
 def load_report(path) -> EvalReport:
-    """`write_report`'s report; a malformed file raises a ValueError naming it."""
-    return read_json(path, lambda blob: from_json(EvalReport, blob, "report"))
+    """`write_report`'s report; a malformed file raises a ValueError naming it and the field."""
+    return read_json(path, lambda blob: from_json(EvalReport, blob, "report", complete=True))

@@ -9,6 +9,9 @@ involved, and comparisons are strict.
 Both run over each cluster's distinct strings, weighted by multiplicity, in
 exact integer sums rounded once (`_stats`), so no member or cluster order
 changes a statistic or a selection.
+
+manifest.json is the object of `PairManifest`'s init fields, which
+`util.write_json` writes and `load_manifest` reads.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .baseline import Cluster
 from .corpus import Segment
 # levenshtein stays a module attribute for code that wraps it
 from .seqmatch import StringTable, levenshtein  # noqa: F401
-from .util import read_json, rng_from, write_json
+from .util import from_json, read_json, rng_from
 
 
 class MiningError(RuntimeError):
@@ -77,7 +80,7 @@ class Triplet:
 
 @dataclass
 class PairManifest:
-    siamese_pairs: list[SiamesePair] = field(default_factory=list)
+    siamese: list[SiamesePair] = field(default_factory=list)
     triplets: list[Triplet] = field(default_factory=list)
     sample_seed: int = 0
 
@@ -223,13 +226,13 @@ def sample_manifest(retained: list[Cluster], contrasting: list[tuple[Cluster, Cl
         if k < n_pos:
             src = positive_sources[_weighted_choice(rng, pos_weights)]
             i, j = _distinct_pair(rng, len(src.members))
-            manifest.siamese_pairs.append(SiamesePair(
+            manifest.siamese.append(SiamesePair(
                 a=src.members[i], b=src.members[j], y=1, clusters=(src.id, src.id)))
         else:
             c1, c2 = contrasting[_weighted_choice(rng, neg_weights)]
             i = int(rng.integers(0, len(c1.members)))
             j = int(rng.integers(0, len(c2.members)))
-            manifest.siamese_pairs.append(SiamesePair(
+            manifest.siamese.append(SiamesePair(
                 a=c1.members[i], b=c2.members[j], y=0, clusters=(c1.id, c2.id)))
 
     for _ in range(n_triplet):
@@ -244,28 +247,7 @@ def sample_manifest(retained: list[Cluster], contrasting: list[tuple[Cluster, Cl
     return manifest
 
 
-def write_manifest(path, manifest: PairManifest) -> None:
-    blob = {
-        "sample_seed": manifest.sample_seed,
-        "siamese": [{"a": p.a, "b": p.b, "y": p.y, "clusters": list(p.clusters)}
-                    for p in manifest.siamese_pairs],
-        "triplets": [{"anchor": t.anchor, "positive": t.positive,
-                      "negative": t.negative, "clusters": list(t.clusters)}
-                     for t in manifest.triplets],
-    }
-    write_json(path, blob)
-
-
 def load_manifest(path) -> PairManifest:
-    """`write_manifest`'s manifest; a malformed file raises a ValueError naming it."""
-    return read_json(path, _decode_manifest)
-
-
-def _decode_manifest(blob) -> PairManifest:
-    return PairManifest(
-        siamese_pairs=[SiamesePair(p["a"], p["b"], p["y"], tuple(p["clusters"]))
-                       for p in blob["siamese"]],
-        triplets=[Triplet(t["anchor"], t["positive"], t["negative"], tuple(t["clusters"]))
-                  for t in blob["triplets"]],
-        sample_seed=blob["sample_seed"],
-    )
+    """`write_json`'s manifest; a malformed file raises a ValueError naming it and the field."""
+    return read_json(path, lambda blob: from_json(PairManifest, blob, "pair manifest",
+                                                  complete=True))

@@ -47,14 +47,14 @@ import json
 import logging
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import baseline as baseline_mod
 from . import embednet, evaluation, mining, recluster, seqmatch, synthgen
-from .corpus import load_corpus, load_gold, write_corpus, write_gold
+from .corpus import load_corpus, load_gold, write_corpus
 from .util import (atomic_write, derive_seed, from_json, read_npy, sha256_bytes,
-                   sha256_file, stable_json, write_npy)
+                   sha256_file, stable_json, write_json, write_npy)
 
 log = logging.getLogger("termforge")
 
@@ -75,7 +75,8 @@ class PipelineError(RuntimeError):
 class PipelineConfig:
     """Settings of a run. The keys of a config file are these fields, and
     each section (`synth`, `align`, `leader`, `mining`, `train`, `hdbscan`)
-    is its dataclass's own object, so `asdict` of a config is a config file."""
+    is its dataclass's own object, so `write_json` of a config writes a
+    config file."""
     seed: int = 0
     system: str = "baseline"
     extraction: str = "eom"
@@ -201,8 +202,7 @@ def _input_hashes(table: dict[str, _Stage], stage: _Stage, workdir: Path) -> lis
 
 
 def _stage_hash(config: PipelineConfig, stage: _Stage, input_hashes: list[str]) -> str:
-    blob = asdict(config)
-    settings = {name: blob[name] for name in ("seed", *stage.settings)}
+    settings = {name: getattr(config, name) for name in ("seed", *stage.settings)}
     return sha256_bytes("|".join([stable_json(settings), *input_hashes]).encode())
 
 
@@ -224,7 +224,7 @@ def _run_synth(config: PipelineConfig, workdir: Path, read) -> dict:
     corpus, gold = synthgen.generate(config.synth, derive_seed(config.seed, "synth"))
     corpus_dir = workdir / "corpus"
     write_corpus(corpus, corpus_dir)
-    write_gold(gold, corpus_dir / "gold.json")
+    write_json(corpus_dir / "gold.json", gold)
     log.info("synth: %d utterances, %d frames", len(corpus), corpus.total_frames())
     # generate's features are float32 and its ints Python ints, as decoded
     return {_CORPUS: corpus, "corpus/gold.json": gold}
@@ -261,10 +261,10 @@ def _run_mine(config: PipelineConfig, workdir: Path, read) -> dict:
     manifest = mining.sample_manifest(
         retained, contrasting, config.mining.n_siamese, config.mining.n_triplet,
         seed=derive_seed(config.seed, "mine"))
-    mining.write_manifest(workdir / "manifest.json", manifest)
+    write_json(workdir / "manifest.json", manifest)
     log.info("mine: %d retained clusters, %d contrasting pairs, %d pairs, %d triplets",
              len(retained), len(contrasting),
-             len(manifest.siamese_pairs), len(manifest.triplets))
+             len(manifest.siamese), len(manifest.triplets))
     return {"manifest.json": manifest}
 
 

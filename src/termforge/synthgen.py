@@ -197,7 +197,7 @@ def gold_segment_label(gold: GoldAnnotation, segment: Segment) -> int | None:
         if inter <= 0:
             continue
         if inter * 2 > seg_len and inter * 2 > (token.end - token.start):
-            key = (-inter, token.start, token.word_id)
+            key = (-inter, token.start, token.word)
             if best is None or key < best:
                 best = key
     return None if best is None else best[2]

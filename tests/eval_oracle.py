@@ -39,7 +39,7 @@ def gold_segment_label(gold, segment):
         if inter <= 0:
             continue
         if inter * 2 > seg_len and inter * 2 > (token.end - token.start):
-            key = (-inter, token.start, token.word_id)
+            key = (-inter, token.start, token.word)
             if best is None or key < best:
                 best = key
     return None if best is None else best[2]
@@ -72,8 +72,8 @@ def resolved_token_type_prf(members, labels, gold):
     token_p = n_matched / n_clustered if n_clustered else None
     token_r = len(matched_tokens) / n_gold_tokens if n_gold_tokens else None
 
-    gold_types = {t.word_id for g in gold.utterances.values() for t in g.tokens}
-    found_types = {gold.utterances[utt_id].tokens[token_idx].word_id
+    gold_types = {t.word for g in gold.utterances.values() for t in g.tokens}
+    found_types = {gold.utterances[utt_id].tokens[token_idx].word
                    for utt_id, token_idx in matched_tokens}
     discovered_types = set()
     for words in labels:
@@ -213,10 +213,10 @@ def token_type_prf(clusters, segments, gold, tolerance=1):
     token_p = len(matched_segments) / len(clustered) if clustered else None
     token_r = len(matched_tokens) / n_gold_tokens if n_gold_tokens else None
 
-    gold_types = {t.word_id for g in gold.utterances.values() for t in g.tokens}
+    gold_types = {t.word for g in gold.utterances.values() for t in g.tokens}
     found_types = set()
     for utt_id, token_idx in matched_tokens:
-        found_types.add(gold.utterances[utt_id].tokens[token_idx].word_id)
+        found_types.add(gold.utterances[utt_id].tokens[token_idx].word)
 
     labels = _segment_labels(clusters, segments, gold)
     discovered_types = set()

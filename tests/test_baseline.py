@@ -138,17 +138,23 @@ def test_write_clusters_refuses_a_non_partition(tmp_path, clusters, message):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("text", [
-    '[{"id": 0, "leader": 0, "members": [0, 1]}]',   # the old leader-cluster list
-    '{"noise": [0, 1]}',
-    '{"clusters": [{"id": 0, "leader": 0, "members": [0]}], "noise": []}',
-    '{"clusters": [',
-], ids=["old-list", "no-clusters", "no-stability", "not-json"])
-def test_load_clusters_refuses_a_malformed_file_naming_it(tmp_path, text):
+@pytest.mark.parametrize("text, message", [
+    ('[{"id": 0, "leader": 0, "members": [0, 1]}]',   # the old leader-cluster list
+     "clusters file must be a JSON object, got list"),
+    ('{"noise": [0, 1]}', "clusters file: missing key(s) ['clusters']"),
+    ('{"clusters": [{"id": 0, "leader": 0, "members": [0]}], "noise": []}',
+     "clusters file: clusters[0]: missing key(s) ['stability']"),
+    ('{"clusters": [', "Expecting value"),
+    ('{"clusters": [{"id": 0, "leader": 3, "members": ["3"], "stability": null}], '
+     '"noise": []}', "clusters file: clusters[0]: members[0] must be int, got str '3'"),
+], ids=["old-list", "no-clusters", "no-stability", "not-json", "string-member"])
+def test_load_clusters_refuses_a_malformed_file_naming_it(tmp_path, text, message):
     path = tmp_path / "clusters_baseline.json"
     path.write_text(text)
-    with pytest.raises(ValueError, match="clusters_baseline.json: not a clusters file"):
+    with pytest.raises(ValueError) as info:
         load_clusters(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+    assert str(info.value).endswith("; run the stage that writes it again, with --force")
 
 
 @st.composite

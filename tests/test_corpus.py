@@ -9,9 +9,9 @@ import pytest
 from termforge import cli
 from termforge.corpus import (Corpus, CorpusError, GoldAnnotation, Segment,
                               Utterance, UtteranceGold, load_corpus, load_gold,
-                              slice_features, write_corpus, write_gold)
+                              slice_features, write_corpus)
 from termforge.synthgen import SynthConfig, generate
-from termforge.util import sha256_file
+from termforge.util import sha256_file, write_json
 
 from conftest import make_corpus, make_segment
 
@@ -258,10 +258,15 @@ def test_out_of_order_gold_is_refused(tmp_path, entry, message):
 @pytest.mark.parametrize("text, message", [
     ("{", "Expecting property name enclosed in double quotes"),
     (json.dumps({"utterances": {"u 7": {k: v for k, v in IN_ORDER_GOLD.items()
-                                        if k != "true_ends"}}}), "KeyError: 'true_ends'"),
-    (json.dumps([IN_ORDER_GOLD]), "TypeError: list indices must be integers"),
-    (json.dumps({"utterances": [IN_ORDER_GOLD]}), "AttributeError: 'list' object"),
-], ids=["not-json", "missing-key", "list-not-object", "utterances-list"])
+                                        if k != "true_ends"}}}),
+     "gold: utterances['u 7']: missing key(s) ['true_ends']"),
+    (json.dumps([IN_ORDER_GOLD]), "gold must be a JSON object, got list"),
+    (json.dumps({"utterances": [IN_ORDER_GOLD]}),
+     "gold: utterances must be a JSON object, got list"),
+    (json.dumps({"utterances": {"u 7": {**IN_ORDER_GOLD, "tokens": [
+        {**IN_ORDER_GOLD["tokens"][0], "word": "7"}]}}}),
+     "gold: utterances['u 7']: tokens[0]: word must be int, got str '7'"),
+], ids=["not-json", "missing-key", "list-not-object", "utterances-list", "string-word"])
 def test_malformed_gold_is_refused_naming_the_file(tmp_path, text, message):
     path = tmp_path / "gold.json"
     path.write_text(text)
@@ -274,13 +279,13 @@ def test_malformed_gold_is_refused_naming_the_file(tmp_path, text, message):
 def test_gold_round_trips_through_json(tmp_path):
     _, gold = generate(SynthConfig(vocabulary_size=4, occurrences_per_word=3,
                                    filler_rate=0.5, words_per_utterance=3), 5)
-    write_gold(gold, tmp_path / "gold.json")
+    write_json(tmp_path / "gold.json", gold)
     loaded = load_gold(tmp_path / "gold.json")
     assert loaded == gold
     for utt_id, utt in loaded.utterances.items():
         assert utt.token_starts == gold.utterances[utt_id].token_starts
         assert utt.token_ends == gold.utterances[utt_id].token_ends
-    write_gold(loaded, tmp_path / "again.json")
+    write_json(tmp_path / "again.json", loaded)
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "gold.json").read_bytes()
 
 

@@ -841,14 +841,14 @@ def _toy_training_setup(seed=0, feature_noise_sigma=0.0):
         pairs.append(SiamesePair(group_a[i], group_b[i], 0, (0, 1)))
         triplets.append(Triplet(group_a[i], group_a[i + 1], group_b[i], (0, 1)))
         triplets.append(Triplet(group_b[i], group_b[i + 1], group_a[i], (1, 0)))
-    manifest = PairManifest(siamese_pairs=pairs, triplets=triplets, sample_seed=0)
+    manifest = PairManifest(siamese=pairs, triplets=triplets, sample_seed=0)
     return corpus, segments, manifest
 
 
 @pytest.mark.parametrize("mode, field", [("siamese", "b"), ("triplet", "negative")])
 def test_train_refuses_entry_naming_unknown_segment(monkeypatch, mode, field):
     corpus, segments, manifest = _toy_training_setup()
-    entries = manifest.siamese_pairs if mode == "siamese" else manifest.triplets
+    entries = manifest.siamese if mode == "siamese" else manifest.triplets
     missing = max(seg.id for seg in segments) + 1
     entries[3] = replace(entries[3], **{field: missing})
     steps = []
@@ -880,7 +880,7 @@ def test_train_calls_module_backward_once_per_step(monkeypatch, mode):
     assert isinstance(result, tuple) and len(result) == 2
     trained, curve = result
     assert isinstance(trained, NetworkParams) and isinstance(curve, list)
-    assert len(manifest.siamese_pairs) == len(manifest.triplets) == 10
+    assert len(manifest.siamese) == len(manifest.triplets) == 10
     assert batch_sizes == [4, 4, 2] * len(curve)     # ceil(10 / 4) steps an epoch
 
 
@@ -1043,7 +1043,7 @@ def test_divergence_guard():
     assert any(
         not np.array_equal(slice_features(corpus, segments_by_id[p.a])[:24],
                            slice_features(corpus, segments_by_id[p.b])[:24])
-        for p in manifest.siamese_pairs if p.y == 1
+        for p in manifest.siamese if p.y == 1
     ), "every matched pair has identical inputs; nothing can diverge"
     arch = NetArch(l_max=24, feature_dim=8)
     params = init_params(arch, 5)
@@ -1328,21 +1328,23 @@ def test_vector_of_another_shape_is_refused(tmp_path, reshape, message):
 
 
 @pytest.mark.parametrize("meta, message", [
-    ([1, 2], "a network header must be an object with the keys arch and init_seed"),
-    ({"arch": {"l_max": 24, "feature_dim": 8}},
-     "a network header must be an object with the keys arch and init_seed"),
-    ({"arch": {"l_max": 10, "feature_dim": 8}, "init_seed": 42},
+    ([1, 2], "network header must be a JSON object, got list"),
+    ({"arch": asdict(SMALL)}, "network header: missing key(s) ['init_seed']"),
+    ({"arch": {**asdict(SMALL), "l_max": 10}, "init_seed": 42},
      "l_max=10 too short for conv stack"),
-    ({"arch": {"l_max": 24, "feature_dim": 8, "pool_width": 0}, "init_seed": 42},
+    ({"arch": {**asdict(SMALL), "pool_width": 0}, "init_seed": 42},
      f"every width of {replace(SMALL, pool_width=0)} must be positive"),
-    ({"arch": {"l_max": 24, "feature_dim": 8}, "init_seed": "x"},
-     "init_seed must be an integer, not 'x'"),
-    ({"arch": {"l_max": 24, "feature_dim": 8}, "init_seed": 1.5},
-     "init_seed must be an integer, not 1.5"),
-    ({"arch": {"l_max": 24, "feature_dim": 8}, "init_seed": True},
-     "init_seed must be an integer, not True"),
+    ({"arch": asdict(SMALL), "init_seed": "x"},
+     "network header: init_seed must be int, got str 'x'"),
+    ({"arch": asdict(SMALL), "init_seed": 1.5},
+     "network header: init_seed must be int, got float 1.5"),
+    ({"arch": asdict(SMALL), "init_seed": True},
+     "network header: init_seed must be int, got bool True"),
+    ({"arch": {"l_max": 24, "feature_dim": 8}, "init_seed": 42},
+     "network header section 'arch': missing key(s) ['conv_channels', 'conv_kernels', "
+     "'pool_width', 'fc_sizes', 'embed_dim']"),
 ], ids=["not-an-object", "no-init-seed", "l_max-too-short", "zero-pool-width",
-        "string-seed", "float-seed", "bool-seed"])
+        "string-seed", "float-seed", "bool-seed", "partial-arch"])
 def test_checkpoint_with_bad_header_is_refused(tmp_path, meta, message):
     header, vector = _saved(tmp_path, init_params(SMALL, 42))
     header.write_text(json.dumps(meta))
@@ -1356,8 +1358,8 @@ def test_checkpoint_arch_with_unknown_key_rejected(tmp_path):
     header.write_text(json.dumps({"arch": {**asdict(SMALL), "dropout": 0.5}, "init_seed": 42}))
     with pytest.raises(ValueError) as info:
         load_params(header, vector)
-    assert str(info.value) == (f"{header}: arch: NetArch.__init__() got an unexpected "
-                               "keyword argument 'dropout'")
+    assert str(info.value) == (f"{header}: network header section 'arch': NetArch.__init__() "
+                               "got an unexpected keyword argument 'dropout'")
 
 
 def test_bad_input_shape_rejected():

@@ -259,9 +259,7 @@ def test_load_report_names_the_file(tmp_path):
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError) as info:
         load_report(path)
-    assert str(info.value).startswith(
-        f"{path}: report: EvalReport.__init__() missing 1 required positional "
-        "argument: 'n_pairs'")
+    assert str(info.value).startswith(f"{path}: report: missing key(s) ['n_pairs']")
 
 
 @pytest.mark.parametrize("edit, message", [

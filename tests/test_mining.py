@@ -11,8 +11,9 @@ from termforge.evaluation import ned, resolve
 from termforge.mining import (MiningConfig, MiningError, contrast_stats,
                               load_manifest, mean_symbol_length, purity_stats,
                               sample_manifest, select_contrasting_pairs,
-                              select_pure_clusters, write_manifest)
+                              select_pure_clusters)
 from termforge.seqmatch import levenshtein
+from termforge.util import write_json
 from termforge.synthgen import SynthConfig, generate, gold_segment_label
 from termforge.seqmatch import AlignScoring, discover_segments
 from termforge.baseline import LeaderParams, leader_cluster
@@ -167,7 +168,7 @@ def test_selection_monotone_in_thresholds(rng):
 
 def test_sample_zero_is_empty():
     manifest = sample_manifest([], [], 0, 0, seed=5)
-    assert manifest.siamese_pairs == [] and manifest.triplets == []
+    assert manifest.siamese == [] and manifest.triplets == []
 
 
 def test_sample_deterministic():
@@ -183,8 +184,8 @@ def test_sample_balance_invariant():
     c2, seg2 = make_cluster(1, [[7, 8, 9]] * 4, start_id=10)
     for n in (0, 1, 7, 20):
         manifest = sample_manifest([c1, c2], [(c1, c2)], n, 0, seed=3)
-        positives = sum(p.y == 1 for p in manifest.siamese_pairs)
-        negatives = sum(p.y == 0 for p in manifest.siamese_pairs)
+        positives = sum(p.y == 1 for p in manifest.siamese)
+        negatives = sum(p.y == 0 for p in manifest.siamese)
         assert positives + negatives == n
         assert abs(positives - negatives) <= 1
 
@@ -193,7 +194,7 @@ def test_sample_pair_provenance():
     c1, seg1 = make_cluster(0, [[1, 2, 3]] * 4)
     c2, seg2 = make_cluster(1, [[7, 8, 9]] * 4, start_id=10)
     manifest = sample_manifest([c1, c2], [(c1, c2)], 40, 40, seed=123)
-    for pair in manifest.siamese_pairs:
+    for pair in manifest.siamese:
         if pair.y == 1:
             assert pair.clusters[0] == pair.clusters[1]
             members = c1.members if pair.clusters[0] == 0 else c2.members
@@ -227,7 +228,7 @@ def test_single_siamese_pair_needs_no_negative_source():
     a second pair is a negative and is refused without one."""
     source = Cluster(0, 1, [1, 2])
     manifest = sample_manifest([source], [], 1, 0, seed=0)
-    assert [(p.a, p.b, p.y) for p in manifest.siamese_pairs] in ([(1, 2, 1)], [(2, 1, 1)])
+    assert [(p.a, p.b, p.y) for p in manifest.siamese] in ([(1, 2, 1)], [(2, 1, 1)])
     with pytest.raises(MiningError, match="no negative source"):
         sample_manifest([source], [], 2, 0, seed=0)
 
@@ -243,7 +244,7 @@ def test_label_audit_on_zero_noise_corpus():
     retained = select_pure_clusters(clusters, by_id, thresholds)
     contrasting = select_contrasting_pairs(retained, by_id, thresholds)
     manifest = sample_manifest(retained, contrasting, 200, 200, seed=5)
-    for pair in manifest.siamese_pairs:
+    for pair in manifest.siamese:
         same = (gold_segment_label(gold, by_id[pair.a])
                 == gold_segment_label(gold, by_id[pair.b]))
         assert same == (pair.y == 1)
@@ -258,22 +259,25 @@ def test_manifest_round_trip(tmp_path):
     c2, _ = make_cluster(1, [[7, 8, 9]] * 3, start_id=10)
     manifest = sample_manifest([c1, c2], [(c1, c2)], 10, 10, seed=8)
     path = tmp_path / "manifest.json"
-    write_manifest(path, manifest)
+    write_json(path, manifest)
     assert load_manifest(path) == manifest
 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda text: text[:-3], "Expecting ',' delimiter"),
-    (lambda text: text.replace('"siamese"', '"pairs"'), "KeyError: 'siamese'"),
-    (lambda text: f"[{text}]", "TypeError: list indices must be integers"),
+    (lambda text: text.replace('"siamese"', '"pairs"'),
+     "pair manifest: missing key(s) ['siamese']"),
+    (lambda text: f"[{text}]", "pair manifest must be a JSON object, got list"),
     (lambda text: text.replace('"siamese": [', '"siamese": [1, '),
-     "TypeError: 'int' object is not subscriptable"),
-], ids=["not-json", "missing-key", "list-not-object", "pair-not-object"])
+     "pair manifest: siamese[0] must be a JSON object, got int"),
+    (lambda text: text.replace('"y": 1', '"y": "1"', 1),
+     "pair manifest: siamese[0]: y must be int, got str '1'"),
+], ids=["not-json", "missing-key", "list-not-object", "pair-not-object", "string-label"])
 def test_malformed_manifest_is_refused_naming_the_file(tmp_path, edit, message):
     c1, _ = make_cluster(0, [[1, 2, 3]] * 3)
     c2, _ = make_cluster(1, [[7, 8, 9]] * 3, start_id=10)
     path = tmp_path / "manifest.json"
-    write_manifest(path, sample_manifest([c1, c2], [(c1, c2)], 10, 10, seed=8))
+    write_json(path, sample_manifest([c1, c2], [(c1, c2)], 10, 10, seed=8))
     path.write_text(edit(path.read_text()))
     with pytest.raises(ValueError) as info:
         load_manifest(path)

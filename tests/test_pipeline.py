@@ -12,15 +12,16 @@ import pytest
 
 import termforge
 from termforge import cli, embednet, pipeline, seqmatch
-from termforge.baseline import Cluster, LeaderParams, leader_cluster, load_clusters
-from termforge.corpus import Corpus
+from termforge.baseline import (Cluster, LeaderParams, leader_cluster, load_clusters,
+                                write_clusters)
+from termforge.corpus import Corpus, write_corpus
 from termforge.embednet import TrainConfig
 from termforge.mining import MiningConfig, load_manifest
 from termforge.pipeline import PipelineConfig, PipelineError, run_all, run_stage
 from termforge.recluster import HdbscanParams
 from termforge.seqmatch import AlignScoring
 from termforge.synthgen import SynthConfig
-from termforge.util import atomic_write, sha256_bytes, sha256_file
+from termforge.util import atomic_write, sha256_bytes, sha256_file, write_json
 
 
 def small_blob(workdir, system="baseline", extraction="eom", seed=77):
@@ -714,9 +715,28 @@ HANDED_FORWARD = {
 }
 
 
+# how the stage that writes each artifact in pipeline._DECODERS encodes its
+# value, into a directory `root` under the artifact's workdir paths
+ENCODERS = {
+    pipeline._CORPUS: lambda value, root, segments: write_corpus(value, root / "corpus"),
+    ("corpus/gold.json",): lambda value, root, segments: write_json(
+        root / "corpus/gold.json", value),
+    ("segments.jsonl",): lambda value, root, segments: seqmatch.write_segments(
+        root / "segments.jsonl", value),
+    ("manifest.json",): lambda value, root, segments: write_json(root / "manifest.json", value),
+    ("clusters_baseline.json",): lambda value, root, segments: write_clusters(
+        root / "clusters_baseline.json", value, segments),
+    ("clusters_final.json",): lambda value, root, segments: write_clusters(
+        root / "clusters_final.json", value, segments),
+}
+
+
 @pytest.mark.parametrize("system", pipeline.SYSTEMS)
 def test_handed_forward_values_equal_a_decode_of_their_bytes(tmp_path, system):
-    workdir = tmp_path / "wd"
+    """Each handed-forward value equals a decode of its files, and every
+    artifact a stage reads decodes and encodes again to the bytes on disk."""
+    workdir, again = tmp_path / "wd", tmp_path / "again"
+    (again / "corpus").mkdir(parents=True)
     config = PipelineConfig.from_dict(small_blob(workdir, system=system))
     table = pipeline._stage_table(config)
     for stage in config.stage_names():
@@ -728,6 +748,13 @@ def test_handed_forward_values_equal_a_decode_of_their_bytes(tmp_path, system):
             assert digests == tuple(sha256_file(workdir / rel) for rel in artifact)
             decoded = pipeline._DECODERS[artifact](workdir / artifact[0])
             assert canonical(value) == canonical(decoded), artifact
+    assert set(ENCODERS) == set(pipeline._DECODERS)
+    segments = seqmatch.load_segments(workdir / "segments.jsonl")
+    for artifact, decode in pipeline._DECODERS.items():
+        if (workdir / artifact[0]).exists():
+            ENCODERS[artifact](decode(workdir / artifact[0]), again, segments)
+            for rel in artifact:
+                assert (again / rel).read_bytes() == (workdir / rel).read_bytes(), rel
 
 
 def test_clusters_with_unsorted_members_are_not_handed_forward():
@@ -939,7 +966,7 @@ def test_malformed_pair_manifest_is_one_logged_line(tmp_path, caplog):
     with caplog.at_level(logging.ERROR, logger="termforge"):
         assert cli.main(["train", "--config", str(config_path)]) == 1
     [record] = caplog.records
-    assert record.getMessage() == f"{manifest}: KeyError: 'siamese'"
+    assert record.getMessage() == f"{manifest}: pair manifest: missing key(s) ['siamese']"
     assert not (workdir / "params.npy").exists()
 
 

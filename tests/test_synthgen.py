@@ -47,7 +47,7 @@ def test_occurrence_counts_match_config():
     counts = {}
     for g in gold.utterances.values():
         for token in g.tokens:
-            counts[token.word_id] = counts.get(token.word_id, 0) + 1
+            counts[token.word] = counts.get(token.word, 0) + 1
     assert counts == {w: config.occurrences_per_word
                       for w in range(config.vocabulary_size)}
 
@@ -87,7 +87,7 @@ def test_zero_noise_same_word_segments_at_distance_zero():
         for token in gold.utterances[utt.id].tokens:
             lo = next(i for i, (s, _) in enumerate(utt.frame_spans) if s == token.start)
             hi = next(i + 1 for i, (_, e) in enumerate(utt.frame_spans) if e == token.end)
-            by_word.setdefault(token.word_id, []).append(utt.transcription[lo:hi])
+            by_word.setdefault(token.word, []).append(utt.transcription[lo:hi])
     for occurrences in by_word.values():
         first = occurrences[0]
         assert all(levenshtein(first, other) == 0 for other in occurrences)
@@ -107,7 +107,7 @@ def test_min_word_separation_enforced():
     words = {}
     for g in gold.utterances.values():
         for token in g.tokens:
-            words[token.word_id] = token.symbols
+            words[token.word] = token.symbols
     words = list(words.values())
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
@@ -135,7 +135,7 @@ def test_label_exact_token_span():
     utt = next(iter(corpus))
     token = gold.utterances[utt.id].tokens[0]
     seg = Segment(0, utt.id, token.start, token.end, (1,))
-    assert gold_segment_label(gold, seg) == token.word_id
+    assert gold_segment_label(gold, seg) == token.word
 
 
 def test_label_two_full_words_is_none():

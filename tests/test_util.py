@@ -1,14 +1,20 @@
 import ast
 import json
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import termforge
 from termforge import pipeline
-from termforge.embednet import NetArch
-from termforge.evaluation import PRF, EvalReport
+from termforge.baseline import Cluster, load_clusters, write_clusters
+from termforge.corpus import GoldAnnotation, GoldToken, Segment, UtteranceGold, load_gold
+from termforge.embednet import NetArch, init_params, load_params, save_params
+from termforge.evaluation import PRF, EvalReport, load_report, write_report
+from termforge.mining import PairManifest, SiamesePair, Triplet, load_manifest
 from termforge.pipeline import PipelineConfig
 from termforge.synthgen import SynthConfig
 from termforge.util import from_json, sha256_bytes, write_json
@@ -119,3 +125,129 @@ def test_write_json_writes_the_bytes_of_dumps(tmp_path):
         write_json(tmp_path / "out.json", value)
         expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
         assert (tmp_path / "out.json").read_bytes() == expected.encode()
+
+
+# --- every JSON artifact round-trips through its writer and reader ----------
+# pipeline._Handoff serves a held value only because it equals the decode of
+# the file it was written as
+
+
+def assert_round_trips(value, encode, decode):
+    """decode(encode(value)) == value, and encoding the decoded value writes
+    the same bytes again."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first"), Path(tmp, "second")
+        for root in (first, second):
+            root.mkdir()
+        encode(value, first)
+        decoded = decode(first)
+        assert decoded == value
+        encode(decoded, second)
+        for path in first.iterdir():
+            assert (second / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+small_ints = st.integers(0, 99)
+uint64s = st.integers(0, 2**64 - 1)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def gold_annotations(draw):
+    utterances = {}
+    for utt_id in draw(st.lists(st.text(max_size=5), unique=True, max_size=3)):
+        bounds = (0, *sorted(draw(st.sets(st.integers(1, 39), max_size=6))), 40)
+        spans = list(zip(bounds, bounds[1:]))
+        words = [span for span in spans if draw(st.booleans())]
+        true = [span for span in spans if draw(st.booleans())]
+        utterances[utt_id] = UtteranceGold(
+            boundaries=bounds,
+            tokens=tuple(GoldToken(draw(small_ints), start, end,
+                                   tuple(draw(st.lists(small_ints, max_size=3))))
+                         for start, end in words),
+            true_symbols=tuple(draw(small_ints) for _ in true),
+            true_starts=tuple(start for start, _ in true),
+            true_ends=tuple(end for _, end in true))
+    return GoldAnnotation(utterances)
+
+
+@given(gold_annotations())
+@settings(max_examples=60)
+def test_gold_round_trips(gold):
+    assert_round_trips(gold, lambda value, root: write_json(root / "gold.json", value),
+                       lambda root: load_gold(root / "gold.json"))
+
+
+cluster_pairs = st.tuples(small_ints, small_ints)
+manifests = st.builds(
+    PairManifest,
+    siamese=st.lists(st.builds(SiamesePair, small_ints, small_ints, st.integers(0, 1),
+                               cluster_pairs), max_size=4),
+    triplets=st.lists(st.builds(Triplet, small_ints, small_ints, small_ints, cluster_pairs),
+                      max_size=4),
+    sample_seed=uint64s)
+
+
+@given(manifests)
+@settings(max_examples=60)
+def test_pair_manifest_round_trips(manifest):
+    assert_round_trips(manifest, lambda value, root: write_json(root / "manifest.json", value),
+                       lambda root: load_manifest(root / "manifest.json"))
+
+
+@given(st.lists(st.integers(-1, 3), max_size=12), st.data())
+@settings(max_examples=60)
+def test_clusters_round_trip(labels, data):
+    """Segment i is in cluster labels[i], or noise for -1."""
+    segments = [Segment(i, "u0", i, i + 1, (1,)) for i in range(len(labels))]
+    clusters = []
+    for k in sorted(set(labels) - {-1}):
+        members = [i for i, label in enumerate(labels) if label == k]
+        clusters.append(Cluster(k, data.draw(st.sampled_from(members)), members,
+                                data.draw(st.none() | finite_floats)))
+    assert_round_trips(
+        clusters, lambda value, root: write_clusters(root / "clusters.json", value, segments),
+        lambda root: load_clusters(root / "clusters.json"))
+
+
+prfs = st.builds(PRF, st.none() | finite_floats, st.none() | finite_floats,
+                 st.none() | finite_floats)
+
+
+@given(st.builds(EvalReport, prfs, prfs, prfs, prfs, st.none() | finite_floats, finite_floats,
+                 small_ints, small_ints))
+@settings(max_examples=60)
+def test_report_round_trips(report):
+    assert_round_trips(
+        report, lambda value, root: write_report(value, root / "report.json", root / "report.txt"),
+        lambda root: load_report(root / "report.json"))
+
+
+def fits(arch: NetArch) -> bool:
+    """Whether `arch`'s conv stack fits its input width."""
+    try:
+        arch.time_lengths()
+    except ValueError:
+        return False
+    return True
+
+
+widths = st.integers(1, 3)
+archs = st.builds(NetArch, l_max=st.integers(8, 30), feature_dim=widths,
+                  conv_channels=st.tuples(widths, widths, widths),
+                  conv_kernels=st.tuples(widths, widths, widths), pool_width=st.integers(1, 2),
+                  fc_sizes=st.tuples(widths, widths), embed_dim=widths).filter(fits)
+
+
+@given(archs, uint64s)
+@settings(max_examples=30)
+def test_network_header_round_trips(arch, init_seed):
+    def decode(root):
+        params = load_params(root / "params.json", root / "params.npy")
+        return params.arch, params.init_seed
+
+    assert_round_trips(
+        (arch, init_seed),
+        lambda value, root: save_params(root / "params.json", root / "params.npy",
+                                        init_params(*value)),
+        decode)
