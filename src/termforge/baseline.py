@@ -111,14 +111,16 @@ def leader_cluster(segments: list[Segment], params: LeaderParams) -> list[Cluste
 def validate_partition(clusters: list[Cluster]) -> None:
     seen: set[int] = set()
     for cluster in clusters:
-        if not cluster.members:
+        members = set(cluster.members)
+        if not members:
             raise ValueError(f"cluster {cluster.id} is empty")
-        if cluster.leader not in cluster.members:
+        if len(members) < len(cluster.members):
+            raise ValueError(f"cluster {cluster.id} lists a member more than once")
+        if cluster.leader not in members:
             raise ValueError(f"cluster {cluster.id}: leader not a member")
-        overlap = seen.intersection(cluster.members)
-        if overlap:
-            raise ValueError(f"segments {sorted(overlap)} appear in multiple clusters")
-        seen.update(cluster.members)
+        if seen & members:
+            raise ValueError(f"segments {sorted(seen & members)} appear in multiple clusters")
+        seen |= members
 
 
 @dataclass
@@ -127,16 +129,18 @@ class _ClustersFile:
     noise: list[int]
 
 
-def write_clusters(path, clusters: list[Cluster], segments: list[Segment]) -> None:
+def write_clusters(path, clusters: list[Cluster], segments: list[Segment]) -> list[Cluster]:
     """A clusters file (see the module docstring) for a partition of some of
-    `segments`; a clustering that is not one raises a ValueError."""
+    `segments`; a clustering that is not one raises a ValueError. Returns
+    what it wrote: copies of the clusters with sorted members."""
     validate_partition(clusters)
     held = {m for c in clusters for m in c.members}
     ids = {s.id for s in segments}
     if not held <= ids:
         raise ValueError(f"cluster members {sorted(held - ids)[:5]} are not segments")
-    write_json(path, _ClustersFile([replace(c, members=sorted(c.members)) for c in clusters],
-                                   sorted(ids - held)))
+    written = [replace(c, members=sorted(c.members)) for c in clusters]
+    write_json(path, _ClustersFile(written, sorted(ids - held)))
+    return written
 
 
 def load_clusters(path) -> list[Cluster]:

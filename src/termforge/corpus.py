@@ -2,10 +2,9 @@
 
 A corpus directory contains:
 
-    manifest.json   {"feature_dim": int, "alphabet_size": int, "utterances":
-                    [{"id": str, "frames": int, "symbols": [int],
-                      "starts": [int], "ends": [int]}, ...]}, where symbol k
-                    of an utterance spans its frames [starts[k], ends[k])
+    manifest.json   `_Manifest`'s init fields, per utterance an `_Entry`
+                    (id, frames, symbols, starts, ends), where symbol k of
+                    an utterance spans its frames [starts[k], ends[k])
     features.npy    every utterance's frames, in manifest order, as one
                     (total frames, feature_dim) little-endian float32 matrix
                     in NumPy's .npy format, written by `util.write_npy` and
@@ -222,23 +221,32 @@ def slice_features(corpus: Corpus, segment: Segment) -> np.ndarray:
 # on-disk formats
 
 
+@dataclass
+class _Entry:
+    id: str
+    frames: int
+    symbols: tuple[int, ...]
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+
+
+@dataclass
+class _Manifest:
+    feature_dim: int
+    alphabet_size: int
+    utterances: list[_Entry]
+
+
 def write_corpus(corpus: Corpus, path) -> None:
     """Persist a corpus; load_corpus(write_corpus(c)) reproduces c bit-exactly."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     rows = [utt.features for utt in corpus] or [np.empty((0, corpus.feature_dim))]
     write_npy(root / "features.npy", np.concatenate(rows))
-    manifest = {
-        "feature_dim": corpus.feature_dim,
-        "alphabet_size": corpus.alphabet_size,
-        "utterances": [{"id": utt.id, "frames": utt.frames,
-                        "symbols": list(utt.transcription),
-                        "starts": [start for start, _ in utt.frame_spans],
-                        "ends": [end for _, end in utt.frame_spans]}
-                       for utt in corpus],
-    }
     # last, so a manifest never lists an utterance whose features are not yet written
-    write_json(root / "manifest.json", manifest)
+    write_json(root / "manifest.json", _Manifest(corpus.feature_dim, corpus.alphabet_size, [
+        _Entry(utt.id, utt.frames, utt.transcription, tuple(s for s, _ in utt.frame_spans),
+               tuple(e for _, e in utt.frame_spans)) for utt in corpus]))
 
 
 def load_corpus(path) -> Corpus:
@@ -258,30 +266,21 @@ def load_corpus(path) -> Corpus:
         raise CorpusError(str(exc)) from None
 
 
-def _decode_manifest(manifest, features: np.ndarray) -> Corpus:
-    utterances = []
-    offset = 0
-    for entry in manifest["utterances"]:
-        utt_id = entry["id"]
-        if type(utt_id) is not str:
-            raise CorpusError(f"utterance id {utt_id!r} is not a JSON string")
-        frames, symbols, starts, ends = (entry[key] for key in
-                                         ("frames", "symbols", "starts", "ends"))
-        if not all(type(v) is int for v in (frames, *symbols, *starts, *ends)) or frames < 0:
-            raise CorpusError(f"{utt_id}: symbols, starts and ends must be JSON "
-                              "integers, and frames a non-negative one")
-        if len(starts) != len(ends):
-            raise CorpusError(f"{utt_id}: starts and ends differ in length")
-        utterances.append(Utterance(utt_id, features[offset:offset + frames],
-                                    tuple(symbols), tuple(zip(starts, ends))))
-        offset += frames
-    feature_dim, alphabet_size = manifest["feature_dim"], manifest["alphabet_size"]
-    if type(feature_dim) is not int or type(alphabet_size) is not int:
-        raise CorpusError("feature_dim and alphabet_size must be JSON integers")
+def _decode_manifest(blob, features: np.ndarray) -> Corpus:
+    manifest = from_json(_Manifest, blob, "corpus manifest", complete=True)
+    utterances, offset = [], 0
+    for entry in manifest.utterances:
+        if entry.frames < 0:
+            raise CorpusError(f"{entry.id}: frames must be non-negative, got {entry.frames}")
+        if len(entry.starts) != len(entry.ends):
+            raise CorpusError(f"{entry.id}: starts and ends differ in length")
+        utterances.append(Utterance(entry.id, features[offset:offset + entry.frames],
+                                    entry.symbols, tuple(zip(entry.starts, entry.ends))))
+        offset += entry.frames
     if offset != len(features):
         raise CorpusError(f"its utterances have {offset} frames, but features.npy has "
                           f"{len(features)} rows")
-    return Corpus(feature_dim, alphabet_size, utterances)
+    return Corpus(manifest.feature_dim, manifest.alphabet_size, utterances)
 
 
 def load_gold(path) -> GoldAnnotation:

@@ -26,7 +26,7 @@ runs evaluate and every stage whose outputs evaluate reads, directly or not.
 Within one process, stages hand decoded artifacts forward instead of each
 decoding the files again. A stage returns the values it wrote (synth the
 corpus and gold, discover the segments, mine the pair manifest, baseline and
-recluster their clusters when their members are sorted as written), and
+recluster the clusters that write_clusters returns, members sorted), and
 `run_stage` holds each under the sha256 of its files, which it computes for
 the stamp anyway. A later stage reads an input through `read`, which serves
 the held value when its hashes equal those `_input_hashes` just verified
@@ -237,20 +237,12 @@ def _run_discover(config: PipelineConfig, workdir: Path, read) -> dict:
     return {"segments.jsonl": segments}
 
 
-def _sorted_clusters(rel: str, clusters: list[baseline_mod.Cluster]) -> dict:
-    """{rel: clusters} when their members are sorted, as write_clusters
-    writes them and load_clusters reads them back; else {}."""
-    if all(c.members == sorted(c.members) for c in clusters):
-        return {rel: clusters}
-    return {}
-
-
 def _run_baseline(config: PipelineConfig, workdir: Path, read) -> dict:
     segments = read("segments.jsonl")
     clusters = baseline_mod.leader_cluster(segments, config.leader)
-    baseline_mod.write_clusters(workdir / "clusters_baseline.json", clusters, segments)
+    written = baseline_mod.write_clusters(workdir / "clusters_baseline.json", clusters, segments)
     log.info("baseline: %d clusters", len(clusters))
-    return _sorted_clusters("clusters_baseline.json", clusters)
+    return {"clusters_baseline.json": written}
 
 
 def _run_mine(config: PipelineConfig, workdir: Path, read) -> dict:
@@ -305,10 +297,10 @@ def _run_recluster(config: PipelineConfig, workdir: Path, read) -> dict:
         ids = [segments[p].id for p in rows]
         clusters.append(baseline_mod.Cluster(id=idx, leader=min(ids), members=ids,
                                              stability=stability))
-    baseline_mod.write_clusters(workdir / "clusters_final.json", clusters, segments)
+    written = baseline_mod.write_clusters(workdir / "clusters_final.json", clusters, segments)
     log.info("recluster: %d clusters, %d noise segments",
              len(result.clusters), len(result.noise))
-    return _sorted_clusters("clusters_final.json", clusters)
+    return {"clusters_final.json": written}
 
 
 def _run_evaluate(config: PipelineConfig, workdir: Path, read) -> dict:

@@ -87,7 +87,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, Segment
-from .util import ScaleError, atomic_write
+from .util import ScaleError, atomic_write, from_json
 
 Span = tuple[int, int]
 
@@ -604,19 +604,26 @@ def write_segments(path, segments: list[Segment]) -> None:
             f'"utterance": {quoted[seg.utterance_id]}}}\n' for seg in segments))
 
 
+@dataclass
+class _SegmentLine:
+    id: int
+    span: Span
+    symbols: tuple[int, ...]
+    utterance: str
+
+
 def load_segments(path) -> list[Segment]:
-    """The segments of a segments.jsonl, decoded as one JSON array. A torn
-    line, or an object without the keys or shapes of a segment, raises a
-    ValueError that starts with the path."""
+    """The segments of a segments.jsonl, its lines joined in bytes into one
+    JSON array and read by `from_json`. A torn or non-UTF-8 line, or one
+    that is not a segment, raises a ValueError that starts with the path."""
     try:
-        with open(path) as fh:
-            blobs = json.loads("[" + ",".join(fh.read().splitlines()) + "]")
+        with open(path, "rb") as fh:
+            blobs = json.loads(b"[" + b",".join(fh.read().splitlines()) + b"]")
+        lines = from_json(list[_SegmentLine], blobs, "segments", complete=True)
+        return [Segment(line.id, line.utterance, *line.span, line.symbols) for line in lines]
     except json.JSONDecodeError as exc:   # its position is in the array, not the file
         raise ValueError(f"{path}: a line is not one JSON object ({exc.msg})") from None
-    try:
-        return [Segment(id=blob["id"], utterance_id=blob["utterance"], start=blob["span"][0],
-                        end=blob["span"][1], symbols=tuple(blob["symbols"]))
-                for blob in blobs]
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: a line is not a segment "
-                         f"({type(exc).__name__}: {exc})") from None
+    except UnicodeDecodeError as exc:   # its position likewise
+        raise ValueError(f"{path}: not UTF-8 ({exc.reason})") from None
+    except ValueError as exc:   # not a segment line, or not a segment
+        raise ValueError(f"{path}: {exc}") from None

@@ -163,18 +163,16 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path, decode):
-    """`decode` applied to the JSON value of the file at `path`. A file that is
-    not JSON, and a KeyError, TypeError, AttributeError or ValueError that
-    `decode` raises, raise a ValueError that starts with the path; a
-    ValueError subclass that `decode` raises keeps its class."""
+    """`decode` applied to the JSON value of the file at `path`, typically a
+    `from_json` call. A file that is not JSON, or a ValueError that `decode`
+    raises, raises a ValueError that starts with the path; a ValueError
+    subclass that `decode` raises keeps its class."""
     try:
         return decode(json.loads(Path(path).read_bytes()))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def write_npy(path, array) -> None:

@@ -130,7 +130,8 @@ def test_stability_clusters_round_trip(tmp_path):
     ([Cluster(0, 0, [])], "is empty"),
     ([Cluster(0, 2, [0, 1])], "leader not a member"),
     ([Cluster(0, 0, [0, 9])], "are not segments"),
-], ids=["overlap", "empty", "leader-outside", "unknown-member"])
+    ([Cluster(0, 2, [2, 2])], "cluster 0 lists a member more than once"),
+], ids=["overlap", "empty", "leader-outside", "unknown-member", "repeated-member"])
 def test_write_clusters_refuses_a_non_partition(tmp_path, clusters, message):
     path = tmp_path / "clusters.json"
     with pytest.raises(ValueError, match=message):

@@ -96,8 +96,8 @@ def _second_utterance(edit):
 
 
 MATRIX = r"features\.npy: expected a 2-D little-endian float32 array"
-INTEGERS = "symbols, starts and ends must be JSON integers, and frames a non-negative one"
-DIMS = r"manifest\.json: feature_dim and alphabet_size must be JSON integers"
+ENTRY = r"manifest\.json: corpus manifest: utterances\[1\]"
+MANIFEST = r"manifest\.json: corpus manifest: "
 MALFORMED = {
     "features-missing": (lambda root: (root / "features.npy").unlink(),
                          r"missing .*features\.npy"),
@@ -122,18 +122,27 @@ MALFORMED = {
     "symbol-extra": (_second_utterance(lambda u: u.update(symbols=u["symbols"] + [9])),
                      "u1: span/symbol length mismatch"),
     "symbol-float": (_second_utterance(lambda u: u.update(symbols=[1.5, 5])),
-                     "u1: " + INTEGERS),
-    "frames-string": (_second_utterance(lambda u: u.update(frames="4")), "u1: " + INTEGERS),
-    "frames-negative": (_second_utterance(lambda u: u.update(frames=-4)), "u1: " + INTEGERS),
+                     ENTRY + r": symbols\[0\] must be int, got float 1\.5$"),
+    "frames-string": (_second_utterance(lambda u: u.update(frames="4")),
+                      ENTRY + ": frames must be int, got str '4'$"),
+    "frames-negative": (_second_utterance(lambda u: u.update(frames=-4)),
+                        r"manifest\.json: u1: frames must be non-negative, got -4$"),
     "ends-absent": (_second_utterance(lambda u: u.pop("ends")),
-                    r"manifest\.json: KeyError: 'ends'"),
+                    ENTRY + r": missing key\(s\) \['ends'\]$"),
+    "entry-extra-key": (_second_utterance(lambda u: u.update(speaker="s1")),
+                        ENTRY + ": .*unexpected keyword argument 'speaker'$"),
+    "utterances-object": (_manifest(lambda m: m.update(utterances={})),
+                          MANIFEST + "utterances must be a JSON array, got dict$"),
     "manifest-not-json": (lambda root: (root / "manifest.json").write_text("{"),
                           r"manifest\.json: Expecting property name"),
-    "feature-dim-float": (_manifest(lambda m: m.update(feature_dim=4.9)), DIMS),
-    "alphabet-string": (_manifest(lambda m: m.update(alphabet_size="55")), DIMS),
-    "alphabet-bool": (_manifest(lambda m: m.update(alphabet_size=True)), DIMS),
+    "feature-dim-float": (_manifest(lambda m: m.update(feature_dim=4.9)),
+                          MANIFEST + r"feature_dim must be int, got float 4\.9$"),
+    "alphabet-string": (_manifest(lambda m: m.update(alphabet_size="55")),
+                        MANIFEST + "alphabet_size must be int, got str '55'$"),
+    "alphabet-bool": (_manifest(lambda m: m.update(alphabet_size=True)),
+                      MANIFEST + "alphabet_size must be int, got bool True$"),
     "id-integer": (_second_utterance(lambda u: u.update(id=7)),
-                   r"manifest\.json: utterance id 7 is not a JSON string"),
+                   ENTRY + ": id must be str, got int 7$"),
 }
 
 

@@ -757,12 +757,29 @@ def test_handed_forward_values_equal_a_decode_of_their_bytes(tmp_path, system):
                 assert (again / rel).read_bytes() == (workdir / rel).read_bytes(), rel
 
 
-def test_clusters_with_unsorted_members_are_not_handed_forward():
-    """load_clusters reads members sorted, as write_clusters writes them."""
-    held = [Cluster(id=0, leader=2, members=[2, 5]), Cluster(id=1, leader=1, members=[4, 1])]
-    assert pipeline._sorted_clusters("clusters_final.json", held[:1]) \
-        == {"clusters_final.json": held[:1]}
-    assert pipeline._sorted_clusters("clusters_final.json", held) == {}
+def test_unsorted_clusters_are_handed_forward_sorted(tmp_path, monkeypatch):
+    """Baseline hands forward what write_clusters returns: the clusters with
+    their members sorted, equal to a decode of the file, while the caller's
+    clusters keep their order."""
+    workdir = tmp_path / "wd"
+    config = PipelineConfig.from_dict(small_blob(workdir))
+    for stage in ("synth", "discover"):
+        run_stage(stage, config)
+    made = []
+
+    def unsorted_clusters(segments, params):
+        a, b, c, d = sorted(s.id for s in segments)[:4]
+        made.extend([Cluster(0, d, [d, a]), Cluster(1, b, [c, b])])
+        return made
+
+    monkeypatch.setattr(pipeline.baseline_mod, "leader_cluster", unsorted_clusters)
+    assert run_stage("baseline", config)
+    digests, held = pipeline._HANDOFF.held[("clusters_baseline.json",)]
+    assert [c.members for c in held] == [sorted(c.members) for c in made]
+    assert [c.members for c in made] != [sorted(c.members) for c in made]
+    decoded = load_clusters(workdir / "clusters_baseline.json")
+    assert canonical(held) == canonical(decoded)
+    assert digests == (sha256_file(workdir / "clusters_baseline.json"),)
 
 
 def workdir_bytes(workdir):

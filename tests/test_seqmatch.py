@@ -698,16 +698,31 @@ def test_torn_segments_line_is_refused_naming_the_file(tmp_path, edit, message):
 
 
 @pytest.mark.parametrize("edit, error", [
-    (lambda blob: blob.pop("id"), "KeyError: 'id'"),
-    (lambda blob: blob.pop("utterance"), "KeyError: 'utterance'"),
-    (lambda blob: blob.pop("span"), "KeyError: 'span'"),
-    (lambda blob: blob.pop("symbols"), "KeyError: 'symbols'"),
-    (lambda blob: blob.update(span=[2]), "IndexError: list index out of range"),
-    (lambda blob: blob.update(span=[5, 3]), "CorpusError: segment 2: end must exceed start"),
-    (lambda blob: blob.update(symbols=[]), "CorpusError: segment 2: symbols must be non-empty"),
+    (lambda blob: blob.pop("id"), "segments[2]: missing key(s) ['id']"),
+    (lambda blob: blob.pop("utterance"), "segments[2]: missing key(s) ['utterance']"),
+    (lambda blob: blob.pop("span"), "segments[2]: missing key(s) ['span']"),
+    (lambda blob: blob.pop("symbols"), "segments[2]: missing key(s) ['symbols']"),
+    (lambda blob: blob.update(span=[2]),
+     "segments[2]: span must be tuple[int, int], got list [2]"),
+    (lambda blob: blob.update(span=[5, 3]), "segment 2: end must exceed start"),
+    (lambda blob: blob.update(symbols=[]), "segment 2: symbols must be non-empty"),
+    (lambda blob: blob.update(id="2"), "segments[2]: id must be int, got str '2'"),
+    (lambda blob: blob.update(span=[2.0, 5.0]),
+     "segments[2]: span must be tuple[int, int], got list [2.0, 5.0]"),
+    (lambda blob: blob.update(utterance=7), "segments[2]: utterance must be str, got int 7"),
+    (lambda blob: blob.update(symbols="ab"),
+     "segments[2]: symbols must be a JSON array, got str"),
+    (lambda blob: blob.update(span=[2, 5, 9]),
+     "segments[2]: span must be tuple[int, int], got list [2, 5, 9]"),
+    (lambda blob: blob.update(speaker="s1"),
+     "segments[2]: _SegmentLine.__init__() got an unexpected keyword argument 'speaker'"),
 ], ids=["no-id", "no-utterance", "no-span", "no-symbols", "one-element-span",
-        "inverted-span", "empty-symbols"])
+        "inverted-span", "empty-symbols", "string-id", "float-span", "int-utterance",
+        "string-symbols", "three-element-span", "extra-key"])
 def test_segment_line_without_its_keys_is_refused_naming_the_file(tmp_path, edit, error):
+    """A line that lacks a key of a segment or holds an unknown one, a
+    wrong-typed value or an empty or inverted span is refused, naming the
+    file, the line and the field, and is never read into a Segment."""
     path = tmp_path / "segments.jsonl"
     write_segments(path, [Segment(k, f"u{k}", k, k + 3, (k, 1)) for k in range(4)])
     lines = path.read_text().splitlines()
@@ -717,7 +732,15 @@ def test_segment_line_without_its_keys_is_refused_naming_the_file(tmp_path, edit
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as info:
         load_segments(path)
-    assert str(info.value) == f"{path}: a line is not a segment ({error})"
+    assert str(info.value) == f"{path}: {error}"
+
+
+def test_non_utf8_segments_file_is_refused_naming_the_file(tmp_path):
+    path = tmp_path / "segments.jsonl"
+    path.write_bytes(b'{"id": 0, "span": [0, 3], "symbols": [1], "utterance": "u\xff"}\n')
+    with pytest.raises(ValueError) as info:
+        load_segments(path)
+    assert str(info.value) == f"{path}: not UTF-8 (invalid start byte)"
 
 
 def test_baseline_on_segments_without_a_span_logs_one_line(tmp_path, caplog):
@@ -733,5 +756,5 @@ def test_baseline_on_segments_without_a_span_logs_one_line(tmp_path, caplog):
     with caplog.at_level(logging.ERROR, logger="termforge"):
         assert cli.main(["baseline", "--config", str(config_path)]) == 1
     [record] = caplog.records
-    assert record.getMessage() == f"{path}: a line is not a segment (KeyError: 'span')"
+    assert record.getMessage() == f"{path}: segments[0]: missing key(s) ['span']"
     assert not (workdir / "clusters_baseline.json").exists()

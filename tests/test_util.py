@@ -4,14 +4,16 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import termforge
 from termforge import pipeline
 from termforge.baseline import Cluster, load_clusters, write_clusters
-from termforge.corpus import GoldAnnotation, GoldToken, Segment, UtteranceGold, load_gold
+from termforge.corpus import (Corpus, GoldAnnotation, GoldToken, Segment, Utterance,
+                              UtteranceGold, load_corpus, load_gold, write_corpus)
 from termforge.embednet import NetArch, init_params, load_params, save_params
 from termforge.evaluation import PRF, EvalReport, load_report, write_report
 from termforge.mining import PairManifest, SiamesePair, Triplet, load_manifest
@@ -99,6 +101,28 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
+JSON_PARSERS = {"json.loads", "json.load"}
+
+
+def test_only_the_json_readers_parse_json():
+    """util.read_json parses every JSON artifact and setting, so that each
+    is read by `from_json`; only seqmatch.load_segments (the lines of a
+    segments.jsonl) and pipeline._read_stamp call json.loads themselves."""
+    parsers = []
+    for path in sorted(Path(termforge.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): f"{path.stem}.{func.name}" for func in tree.body
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in JSON_PARSERS:
+                parsers.append(owner.get(id(node), f"{path.name}:{node.lineno}"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                parsers += [f"{path.name}:{node.lineno} from json import {alias.name}"
+                            for alias in node.names if f"json.{alias.name}" in JSON_PARSERS]
+    assert sorted(parsers) == ["pipeline._read_stamp", "seqmatch.load_segments",
+                               "util.read_json"]
+
+
 NPY_FUNCTIONS = {f"{numpy}.{name}" for numpy in ("np", "numpy")
                  for name in ("save", "load", "lib.format.read_array")}
 
@@ -132,16 +156,16 @@ def test_write_json_writes_the_bytes_of_dumps(tmp_path):
 # the file it was written as
 
 
-def assert_round_trips(value, encode, decode):
-    """decode(encode(value)) == value, and encoding the decoded value writes
-    the same bytes again."""
+def assert_round_trips(value, encode, decode, view=lambda value: value):
+    """decode(encode(value)) == value, compared as `view`s, and encoding the
+    decoded value writes the same bytes again."""
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "first"), Path(tmp, "second")
         for root in (first, second):
             root.mkdir()
         encode(value, first)
         decoded = decode(first)
-        assert decoded == value
+        assert view(decoded) == view(value)
         encode(decoded, second)
         for path in first.iterdir():
             assert (second / path.name).read_bytes() == path.read_bytes(), path.name
@@ -150,6 +174,40 @@ def assert_round_trips(value, encode, decode):
 small_ints = st.integers(0, 99)
 uint64s = st.integers(0, 2**64 - 1)
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def corpora(draw):
+    feature_dim, alphabet_size = draw(st.integers(1, 3)), draw(st.integers(1, 99))
+    utterances = []
+    for utt_id in draw(st.lists(st.text(max_size=5), unique=True, max_size=3)):
+        frames = draw(st.integers(1, 8))
+        bounds = sorted(draw(st.sets(st.integers(0, frames), max_size=6)))
+        spans = tuple(span for span in zip(bounds, bounds[1:]) if draw(st.booleans()))
+        values = draw(st.lists(st.floats(width=32), min_size=frames * feature_dim,
+                               max_size=frames * feature_dim))
+        utterances.append(Utterance(
+            utt_id, np.array(values, dtype=np.float32).reshape(frames, feature_dim),
+            tuple(draw(st.integers(0, alphabet_size - 1)) for _ in spans), spans))
+    return Corpus(feature_dim, alphabet_size, utterances)
+
+
+def corpus_view(corpus: Corpus):
+    """Everything a corpus holds, the features as their dtype, shape and bytes."""
+    return corpus.feature_dim, corpus.alphabet_size, [
+        (utt.id, utt.features.dtype.str, utt.features.shape, utt.features.tobytes(),
+         utt.transcription, utt.frame_spans) for utt in corpus]
+
+
+@given(corpora())
+@example(Corpus(2, 5, []))
+@example(Corpus(1, 5, [Utterance("u0", np.zeros((3, 1), np.float32), (), ())]))
+@settings(max_examples=60)
+def test_corpus_round_trips(corpus):
+    """The manifest and the feature matrix, an empty corpus and an utterance
+    without symbols included."""
+    assert_round_trips(corpus, lambda value, root: write_corpus(value, root), load_corpus,
+                       corpus_view)
 
 
 @st.composite
