@@ -27,10 +27,10 @@ sizes = sorted(Counter(len(c.members) for c in clusters).items())
 print(f"leader clustering: {len(clusters)} clusters, sizes {dict(sizes[:6])} ...")
 
 by_id = {s.id: s for s in segments}
-for cluster in clusters[:4]:
-    p = purity_stats(cluster, by_id)
+# one batched call gives (mu_s, sigma_s) for every cluster it is given
+for cluster, (mu_s, sigma_s) in zip(clusters[:4], purity_stats(clusters[:4], by_id)):
     print(f"  cluster {cluster.id}: |C|={len(cluster.members)} "
-          f"C~={mean_symbol_length(cluster, by_id):.1f} mu_s={p.mu_s:.2f} sigma_s={p.sigma_s:.2f}")
+          f"C~={mean_symbol_length(cluster, by_id):.1f} mu_s={mu_s:.2f} sigma_s={sigma_s:.2f}")
 
 thresholds = MiningConfig(thres_mu_s=0.4, thres_sigma_s=0.4,
                           thres_mu_d=0.4, thres_sigma_d=0.4)
@@ -39,9 +39,9 @@ contrasting = select_contrasting_pairs(retained, by_id, thresholds)
 print(f"\nretained {len(retained)} pure clusters, "
       f"{len(contrasting)} contrasting pairs")
 if contrasting:
-    c1, c2 = contrasting[0]
-    d = contrast_stats(c1, c2, by_id)
-    print(f"first contrasting pair: mu_d={d.mu_d:.2f} sigma_d={d.sigma_d:.2f}")
+    # and (mu_d, sigma_d) for every (k, l) index pair of its clusters
+    [(mu_d, sigma_d)] = contrast_stats(list(contrasting[0]), [(0, 1)], by_id)
+    print(f"first contrasting pair: mu_d={mu_d:.2f} sigma_d={sigma_d:.2f}")
 
 manifest = sample_manifest(retained, contrasting, n_siamese=50, n_triplet=50,
                            seed=123)

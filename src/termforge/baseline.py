@@ -11,7 +11,8 @@ Leader clusters (`clusters_baseline.json`) and HDBSCAN re-clusters
 `load_clusters`, as `_ClustersFile`, {"clusters": [{"id", "leader",
 "members", "stability"}], "noise": [ids]}: members and noise are sorted,
 noise holds every segment no cluster holds, and a leader cluster's
-stability is null.
+stability is null. `_ClustersFile` refuses, on write and on read, clusters
+that are not a partition and noise that repeats a segment or a member.
 """
 
 from __future__ import annotations
@@ -125,15 +126,22 @@ def validate_partition(clusters: list[Cluster]) -> None:
 
 @dataclass
 class _ClustersFile:
+    """A partition of some segments into clusters and noise; one that is not
+    raises a ValueError, whether it is about to be written or was read."""
     clusters: list[Cluster]
     noise: list[int]
+
+    def __post_init__(self):
+        validate_partition(self.clusters)
+        held = {m for c in self.clusters for m in c.members}
+        if len(held.union(self.noise)) < len(held) + len(self.noise):
+            raise ValueError("noise lists a segment twice, or a cluster member")
 
 
 def write_clusters(path, clusters: list[Cluster], segments: list[Segment]) -> list[Cluster]:
     """A clusters file (see the module docstring) for a partition of some of
     `segments`; a clustering that is not one raises a ValueError. Returns
     what it wrote: copies of the clusters with sorted members."""
-    validate_partition(clusters)
     held = {m for c in clusters for m in c.members}
     ids = {s.id for s in segments}
     if not held <= ids:

@@ -10,7 +10,7 @@ rendered as "NA".
 `report` scores one resolved clustering: `resolve` maps the cluster member
 ids to their segments and gold words once, and each metric reads that. A
 clustering is a partition, no segment in two clusters, as
-`baseline.validate_partition` checks and every stage writes.
+`baseline.validate_partition` checks on every clusters file written or read.
 
 Gold lookups bisect each utterance's `UtteranceGold`, whose true spans,
 word tokens and boundaries are sorted, instead of scanning it: a

@@ -6,9 +6,10 @@ literally from the defining sums). Contrast statistics run over all |C1||C2|
 cross pairs. Thresholds scale with the average symbol length of the clusters
 involved, and comparisons are strict.
 
-Both run over each cluster's distinct strings, weighted by multiplicity, in
-exact integer sums rounded once (`_stats`), so no member or cluster order
-changes a statistic or a selection.
+Both take a list of clusters and run in one batched call over each
+cluster's distinct strings, weighted by multiplicity, in exact integer sums
+rounded once (`_stats`), so no member or cluster order changes a statistic
+or a selection.
 
 manifest.json is the object of `PairManifest`'s init fields, which
 `util.write_json` writes and `load_manifest` reads.
@@ -30,18 +31,6 @@ from .util import from_json, read_json, rng_from
 
 class MiningError(RuntimeError):
     """No usable source clusters for the requested samples."""
-
-
-@dataclass
-class PurityStats:
-    mu_s: float
-    sigma_s: float
-
-
-@dataclass
-class ContrastStats:
-    mu_d: float
-    sigma_d: float
 
 
 @dataclass
@@ -68,6 +57,11 @@ class SiamesePair:
     b: int
     y: int                      # 1 matched, 0 mismatched
     clusters: tuple[int, int]
+
+    def __post_init__(self):
+        if self.y not in (0, 1):
+            raise ValueError(f"siamese pair ({self.a}, {self.b}): y must be 0 or 1, "
+                             f"got {self.y!r}")
 
 
 @dataclass
@@ -109,35 +103,24 @@ def _stats(clusters: list[Cluster], candidates: list[tuple[int, int]],
             for x1, x2, n in zip(s1, s2, totals)]
 
 
-def _purity(clusters: list[Cluster], segments_by_id: dict[int, Segment]):
+def purity_stats(clusters: list[Cluster],
+                 segments_by_id: dict[int, Segment]) -> list[tuple[float, float]]:
+    """(mu_s, sigma_s) of each cluster: the mean and standard deviation of
+    Levenshtein distance over all |C|^2 ordered member pairs, self pairs
+    included as the defining sums read, in one `_stats` call."""
     if not all(c.members for c in clusters):
-        raise ValueError("purity_stats requires a non-empty cluster")
+        raise ValueError("purity_stats requires non-empty clusters")
     return _stats(clusters, [(k, k) for k in range(len(clusters))], segments_by_id)
 
 
-def _contrast(clusters: list[Cluster], candidates: list[tuple[int, int]],
-              segments_by_id: dict[int, Segment]):
-    if not all(clusters[k].members and clusters[l].members for k, l in candidates):
+def contrast_stats(clusters: list[Cluster], pairs: list[tuple[int, int]],
+                   segments_by_id: dict[int, Segment]) -> list[tuple[float, float]]:
+    """(mu_d, sigma_d) of each (k, l) in `pairs`: the mean and standard
+    deviation of Levenshtein distance over all |C_k||C_l| cross pairs of
+    clusters[k] and clusters[l], in one `_stats` call."""
+    if not all(clusters[k].members and clusters[l].members for k, l in pairs):
         raise ValueError("contrast_stats requires non-empty clusters")
-    return _stats(clusters, candidates, segments_by_id)
-
-
-def purity_stats(cluster: Cluster, segments_by_id: dict[int, Segment]) -> PurityStats:
-    """Mean/std of within-cluster Levenshtein distances over all |C|^2
-    ordered member pairs, self pairs included as the defining sums read.
-
-    Computed over the cluster's distinct symbol strings, each pair weighted
-    by the member pairs it stands for, in exact integer sums (`_stats`):
-    the result depends on no member order.
-    """
-    return PurityStats(*_purity([cluster], segments_by_id)[0])
-
-
-def contrast_stats(c1: Cluster, c2: Cluster,
-                   segments_by_id: dict[int, Segment]) -> ContrastStats:
-    """Mean/std of Levenshtein distances over all cross pairs of two
-    clusters, from their distinct strings as `purity_stats`."""
-    return ContrastStats(*_contrast([c1, c2], [(0, 1)], segments_by_id)[0])
+    return _stats(clusters, pairs, segments_by_id)
 
 
 def select_pure_clusters(clusters: list[Cluster], segments_by_id: dict[int, Segment],
@@ -145,7 +128,7 @@ def select_pure_clusters(clusters: list[Cluster], segments_by_id: dict[int, Segm
     """Clusters whose purity statistics fall strictly below the scaled bounds."""
     thresholds.validate()
     retained = []
-    for cluster, (mu_s, sigma_s) in zip(clusters, _purity(clusters, segments_by_id)):
+    for cluster, (mu_s, sigma_s) in zip(clusters, purity_stats(clusters, segments_by_id)):
         mean_len = mean_symbol_length(cluster, segments_by_id)
         if (mu_s < thresholds.thres_mu_s * mean_len
                 and sigma_s < thresholds.thres_sigma_s * mean_len):
@@ -160,7 +143,7 @@ def select_contrasting_pairs(retained: list[Cluster], segments_by_id: dict[int, 
     candidates = [(k, l) for k in range(len(retained)) for l in range(k + 1, len(retained))]
     pairs = []
     for (k, l), (mu_d, sigma_d) in zip(candidates,
-                                       _contrast(retained, candidates, segments_by_id)):
+                                       contrast_stats(retained, candidates, segments_by_id)):
         c1, c2 = retained[k], retained[l]
         scale = (mean_symbol_length(c1, segments_by_id)
                  + mean_symbol_length(c2, segments_by_id)) / 2
@@ -170,14 +153,10 @@ def select_contrasting_pairs(retained: list[Cluster], segments_by_id: dict[int, 
     return pairs
 
 
-def _weighted_choice(rng, weights: list[int]) -> int:
-    total = sum(weights)
-    ticket = int(rng.integers(0, total))
-    for idx, w in enumerate(weights):
-        ticket -= w
-        if ticket < 0:
-            return idx
-    return len(weights) - 1
+def _draw(rng, cum: np.ndarray) -> int:
+    """Index k with probability w[k] / sum(w), where cum = np.cumsum(w): the
+    first k whose cumulative weight exceeds one rng.integers(0, sum(w))."""
+    return int(np.searchsorted(cum, rng.integers(0, int(cum[-1])), side="right"))
 
 
 def _distinct_pair(rng, n: int) -> tuple[int, int]:
@@ -202,18 +181,17 @@ def sample_manifest(retained: list[Cluster], contrasting: list[tuple[Cluster, Cl
         return manifest
 
     positive_sources = [c for c in retained if len(c.members) >= 2]
-    pos_weights = [len(c.members) * (len(c.members) - 1) // 2 for c in positive_sources]
-    neg_weights = [len(c1.members) * len(c2.members) for c1, c2 in contrasting]
+    pos_cum = np.cumsum([len(c.members) * (len(c.members) - 1) // 2 for c in positive_sources])
+    neg_cum = np.cumsum([len(c1.members) * len(c2.members) for c1, c2 in contrasting])
 
     partners: dict[int, list[Cluster]] = {}
     for c1, c2 in contrasting:
         partners.setdefault(c1.id, []).append(c2)
         partners.setdefault(c2.id, []).append(c1)
     triplet_sources = [c for c in positive_sources if c.id in partners]
-    tri_weights = [len(c.members) * (len(c.members) - 1) // 2 for c in triplet_sources]
+    tri_cum = np.cumsum([len(c.members) * (len(c.members) - 1) // 2 for c in triplet_sources])
 
-    need_positives = n_siamese > 0 or n_triplet > 0
-    if need_positives and not positive_sources:
+    if not positive_sources:
         raise MiningError("no positive source: no retained cluster has >= 2 members")
     n_pos = (n_siamese + 1) // 2
     if n_siamese > n_pos and not contrasting:
@@ -224,19 +202,19 @@ def sample_manifest(retained: list[Cluster], contrasting: list[tuple[Cluster, Cl
     rng = rng_from(seed)
     for k in range(n_siamese):
         if k < n_pos:
-            src = positive_sources[_weighted_choice(rng, pos_weights)]
+            src = positive_sources[_draw(rng, pos_cum)]
             i, j = _distinct_pair(rng, len(src.members))
             manifest.siamese.append(SiamesePair(
                 a=src.members[i], b=src.members[j], y=1, clusters=(src.id, src.id)))
         else:
-            c1, c2 = contrasting[_weighted_choice(rng, neg_weights)]
+            c1, c2 = contrasting[_draw(rng, neg_cum)]
             i = int(rng.integers(0, len(c1.members)))
             j = int(rng.integers(0, len(c2.members)))
             manifest.siamese.append(SiamesePair(
                 a=c1.members[i], b=c2.members[j], y=0, clusters=(c1.id, c2.id)))
 
     for _ in range(n_triplet):
-        src = triplet_sources[_weighted_choice(rng, tri_weights)]
+        src = triplet_sources[_draw(rng, tri_cum)]
         i, j = _distinct_pair(rng, len(src.members))
         options = partners[src.id]
         neg_cluster = options[int(rng.integers(0, len(options)))]

@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -447,7 +448,7 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> tuple[np.ndarray, ...]:
     """local_align(seqs[a], seqs[b], scoring, self_pair) for every (a, b,
     self_pair) in `pairs`, through the batched kernel, as six arrays with one
     entry per alignment: the index of its pair in `pairs`, a0, a1, b0 and b1
-    (it aligns seqs[a][a0:a1] with seqs[b][b0:b1]) and its float64 score,
+    (it aligns seqs[a][a0:a1] with seqs[b][b0:b1]) and its integer score,
     ordered by pair and, within a pair, by the round that extracted it.
 
     Each round fills every pair still in play, chunk by chunk, and extracts at
@@ -484,7 +485,7 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> tuple[np.ndarray, ...]:
     # cap of a live position, then of a dead one, picked by dead.view(np.uint8)
     caps = np.array([live, 0], dtype)
     # per round and chunk: pair, a0, a1, b0, b1, score of each kept alignment
-    found = [(np.empty(0, np.intp),) * 5 + (np.empty(0),)]
+    found = [(np.empty(0, np.intp),) * 5 + (np.empty(0, dtype),)]
     todo = np.lexsort((cols, rows))
     while todo.size:
         extracted = []
@@ -514,7 +515,7 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> tuple[np.ndarray, ...]:
             keep = ((a1 - a0 >= scoring.min_length) & (b1 - b0 >= scoring.min_length)
                     & ~(self_pair[k] & (a0 == b0) & (a1 == b1)))
             found.append(tuple(v[keep] for v in (
-                k, a0, a1, b0, b1, best[hit].astype(np.float64))))
+                k, a0, a1, b0, b1, best[hit])))
             # a pair goes on only if its next fill can still reach the threshold
             bound = _refill_bounds(skew, row_best, hit, a_masked, b_masked[::-1], cap)
             extracted.append(k[bound >= scoring.min_align_score])
@@ -527,7 +528,7 @@ def _align_many(seqs, pairs, scoring: AlignScoring) -> tuple[np.ndarray, ...]:
 
 
 def local_align(a: Sequence[int], b: Sequence[int], scoring: AlignScoring,
-                self_pair: bool = False) -> list[tuple[Span, Span, float]]:
+                self_pair: bool = False) -> list[tuple[Span, Span, int]]:
     """All maximal local alignments meeting the score and length thresholds.
 
     Alignments are extracted best-first; the positions they consume are then
@@ -614,12 +615,16 @@ class _SegmentLine:
 
 def load_segments(path) -> list[Segment]:
     """The segments of a segments.jsonl, its lines joined in bytes into one
-    JSON array and read by `from_json`. A torn or non-UTF-8 line, or one
-    that is not a segment, raises a ValueError that starts with the path."""
+    JSON array and read by `from_json`. A torn or non-UTF-8 line, one that
+    is not a segment, or a repeated segment id raises a ValueError that
+    starts with the path."""
     try:
         with open(path, "rb") as fh:
             blobs = json.loads(b"[" + b",".join(fh.read().splitlines()) + b"]")
         lines = from_json(list[_SegmentLine], blobs, "segments", complete=True)
+        repeated = [i for i, n in Counter(line.id for line in lines).items() if n > 1]
+        if repeated:
+            raise ValueError(f"segment id {repeated[0]} appears more than once")
         return [Segment(line.id, line.utterance, *line.span, line.symbols) for line in lines]
     except json.JSONDecodeError as exc:   # its position is in the array, not the file
         raise ValueError(f"{path}: a line is not one JSON object ({exc.msg})") from None

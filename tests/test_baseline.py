@@ -148,7 +148,20 @@ def test_write_clusters_refuses_a_non_partition(tmp_path, clusters, message):
     ('{"clusters": [', "Expecting value"),
     ('{"clusters": [{"id": 0, "leader": 3, "members": ["3"], "stability": null}], '
      '"noise": []}', "clusters file: clusters[0]: members[0] must be int, got str '3'"),
-], ids=["old-list", "no-clusters", "no-stability", "not-json", "string-member"])
+    ('{"clusters": [{"id": 0, "leader": 9, "members": [3, 3], "stability": null}, '
+     '{"id": 1, "leader": 3, "members": [3], "stability": null}], "noise": [3]}',
+     "cluster 0 lists a member more than once"),
+    ('{"clusters": [{"id": 0, "leader": 9, "members": [3], "stability": null}], '
+     '"noise": []}', "cluster 0: leader not a member"),
+    ('{"clusters": [{"id": 0, "leader": 3, "members": [3], "stability": null}, '
+     '{"id": 1, "leader": 3, "members": [3], "stability": null}], "noise": []}',
+     "segments [3] appear in multiple clusters"),
+    ('{"clusters": [{"id": 0, "leader": 3, "members": [3], "stability": null}], '
+     '"noise": [4, 4]}', "noise lists a segment twice, or a cluster member"),
+    ('{"clusters": [{"id": 0, "leader": 3, "members": [3], "stability": null}], '
+     '"noise": [3, 4]}', "noise lists a segment twice, or a cluster member"),
+], ids=["old-list", "no-clusters", "no-stability", "not-json", "string-member",
+        "not-a-partition", "leader-outside", "overlap", "repeated-noise", "noise-member"])
 def test_load_clusters_refuses_a_malformed_file_naming_it(tmp_path, text, message):
     path = tmp_path / "clusters_baseline.json"
     path.write_text(text)

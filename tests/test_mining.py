@@ -1,5 +1,7 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +10,13 @@ import lev_oracle
 from termforge.baseline import Cluster
 from termforge.corpus import GoldAnnotation, Segment, UtteranceGold
 from termforge.evaluation import ned, resolve
-from termforge.mining import (MiningConfig, MiningError, contrast_stats,
+from termforge import mining
+from termforge.mining import (MiningConfig, MiningError, SiamesePair, contrast_stats,
                               load_manifest, mean_symbol_length, purity_stats,
                               sample_manifest, select_contrasting_pairs,
                               select_pure_clusters)
 from termforge.seqmatch import levenshtein
-from termforge.util import write_json
+from termforge.util import rng_from, write_json
 from termforge.synthgen import SynthConfig, generate, gold_segment_label
 from termforge.seqmatch import AlignScoring, discover_segments
 from termforge.baseline import LeaderParams, leader_cluster
@@ -44,10 +47,19 @@ def oracle_contrast(lists_a, lists_b):
     return mu, sigma
 
 
+def make_clusters(symbol_lists_per_cluster):
+    """Clusters 0, 1, ... of the given strings, with consecutive segment ids."""
+    clusters, segments = [], {}
+    for cluster_id, lists in enumerate(symbol_lists_per_cluster):
+        cluster, segs = make_cluster(cluster_id, lists, start_id=len(segments))
+        clusters.append(cluster)
+        segments.update(segs)
+    return clusters, segments
+
+
 def test_purity_identical_sequences():
     cluster, segments = make_cluster(0, [[1, 2, 3]] * 4)
-    stats = purity_stats(cluster, segments)
-    assert stats.mu_s == 0.0 and stats.sigma_s == 0.0
+    assert purity_stats([cluster], segments) == [(0.0, 0.0)]
 
 
 def test_mean_symbol_length_of_leader_cluster():
@@ -59,21 +71,22 @@ def test_mean_symbol_length_of_leader_cluster():
 
 def test_purity_two_member_hand_case():
     cluster, segments = make_cluster(0, [[1, 2, 3], [1, 2, 4]])
-    stats = purity_stats(cluster, segments)
+    [(mu_s, sigma_s)] = purity_stats([cluster], segments)
     # ordered-pair distances (0, 1, 1, 0): mean 0.5, std 0.5
-    assert stats.mu_s == pytest.approx(0.5)
-    assert stats.sigma_s == pytest.approx(0.5)
+    assert mu_s == pytest.approx(0.5)
+    assert sigma_s == pytest.approx(0.5)
 
 
 def test_purity_matches_double_loop_oracle(rng):
-    for _ in range(30):
-        lists = [list(rng.integers(0, 8, size=int(rng.integers(1, 12))))
-                 for _ in range(int(rng.integers(1, 12)))]
-        cluster, segments = make_cluster(0, lists)
-        stats = purity_stats(cluster, segments)
+    per_cluster = [[list(rng.integers(0, 8, size=int(rng.integers(1, 12))))
+                    for _ in range(int(rng.integers(1, 12)))] for _ in range(30)]
+    clusters, segments = make_clusters(per_cluster)
+    stats = purity_stats(clusters, segments)
+    assert len(stats) == len(clusters)
+    for (mu_s, sigma_s), lists in zip(stats, per_cluster):
         mu, sigma = oracle_purity([tuple(l) for l in lists])
-        assert stats.mu_s == pytest.approx(mu, abs=1e-12)
-        assert stats.sigma_s == pytest.approx(sigma, abs=1e-12)
+        assert mu_s == pytest.approx(mu, abs=1e-12)
+        assert sigma_s == pytest.approx(sigma, abs=1e-12)
 
 
 def test_select_pure_identical_strings_retained():
@@ -96,32 +109,41 @@ def test_contrast_same_contents_coincides_with_purity():
     c1, seg1 = make_cluster(0, lists)
     c2, seg2 = make_cluster(1, lists, start_id=10)
     segments = {**seg1, **seg2}
-    stats = contrast_stats(c1, c2, segments)
+    [(mu_d, _)] = contrast_stats([c1, c2], [(0, 1)], segments)
     mu, _ = oracle_purity([tuple(l) for l in lists])
-    assert stats.mu_d == pytest.approx(mu)
+    assert mu_d == pytest.approx(mu)
 
 
 def test_contrast_singletons():
     c1, seg1 = make_cluster(0, [[1, 2, 3]])
     c2, seg2 = make_cluster(1, [[4, 5, 6, 7]], start_id=10)
-    stats = contrast_stats(c1, c2, {**seg1, **seg2})
-    assert stats.mu_d == pytest.approx(levenshtein((1, 2, 3), (4, 5, 6, 7)))
-    assert stats.sigma_d == 0.0
+    [(mu_d, sigma_d)] = contrast_stats([c1, c2], [(0, 1)], {**seg1, **seg2})
+    assert mu_d == pytest.approx(levenshtein((1, 2, 3), (4, 5, 6, 7)))
+    assert sigma_d == 0.0
 
 
 def test_contrast_matches_double_loop_oracle(rng):
-    for _ in range(30):
-        lists_a = [list(rng.integers(0, 8, size=int(rng.integers(1, 12))))
-                   for _ in range(int(rng.integers(1, 10)))]
-        lists_b = [list(rng.integers(0, 8, size=int(rng.integers(1, 12))))
-                   for _ in range(int(rng.integers(1, 10)))]
-        c1, seg1 = make_cluster(0, lists_a)
-        c2, seg2 = make_cluster(1, lists_b, start_id=100)
-        stats = contrast_stats(c1, c2, {**seg1, **seg2})
-        mu, sigma = oracle_contrast([tuple(l) for l in lists_a],
-                                    [tuple(l) for l in lists_b])
-        assert stats.mu_d == pytest.approx(mu, abs=1e-12)
-        assert stats.sigma_d == pytest.approx(sigma, abs=1e-12)
+    per_cluster = [[list(rng.integers(0, 8, size=int(rng.integers(1, 12))))
+                    for _ in range(int(rng.integers(1, 10)))] for _ in range(12)]
+    clusters, segments = make_clusters(per_cluster)
+    pairs = [(k, l) for k in range(len(clusters)) for l in range(len(clusters)) if k != l]
+    stats = contrast_stats(clusters, pairs, segments)
+    assert len(stats) == len(pairs)
+    for (mu_d, sigma_d), (k, l) in zip(stats, pairs):
+        mu, sigma = oracle_contrast([tuple(x) for x in per_cluster[k]],
+                                    [tuple(x) for x in per_cluster[l]])
+        assert mu_d == pytest.approx(mu, abs=1e-12)
+        assert sigma_d == pytest.approx(sigma, abs=1e-12)
+
+
+def test_statistics_refuse_an_empty_cluster():
+    full, segments = make_cluster(0, [[1, 2, 3]])
+    empty = Cluster(id=1, leader=0, members=[])
+    with pytest.raises(ValueError, match="purity_stats requires non-empty clusters"):
+        purity_stats([full, empty], segments)
+    with pytest.raises(ValueError, match="contrast_stats requires non-empty clusters"):
+        contrast_stats([full, empty], [(0, 1)], segments)
+    assert contrast_stats([full, empty], [(0, 0)], segments) == [(0.0, 0.0)]
 
 
 def test_contrasting_disjoint_singletons_selected():
@@ -232,6 +254,62 @@ def test_single_siamese_pair_needs_no_negative_source():
     with pytest.raises(MiningError, match="no negative source"):
         sample_manifest([source], [], 2, 0, seed=0)
 
+
+def weighted_choice(rng, weights):
+    """The weighted draw that `mining._draw` replaced: one ticket from
+    rng.integers(0, sum(weights)), then a scan that spends it weight by
+    weight."""
+    ticket = int(rng.integers(0, sum(weights)))
+    for idx, w in enumerate(weights):
+        ticket -= w
+        if ticket < 0:
+            return idx
+    return len(weights) - 1
+
+
+def scanning_draw(rng, cum):
+    return weighted_choice(rng, np.diff(cum, prepend=0).tolist())
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=40), st.integers(0, 2**64 - 1))
+@settings(max_examples=300)
+def test_weighted_draw_matches_the_scan(weights, seed):
+    cum = np.cumsum(weights)
+    fast, slow = rng_from(seed), rng_from(seed)
+    assert ([mining._draw(fast, cum) for _ in range(5)]
+            == [weighted_choice(slow, weights) for _ in range(5)])
+
+
+@st.composite
+def mining_inputs(draw):
+    """Retained clusters of 1-6 members, a random subset of their pairs as
+    the contrasting ones, sample counts and a seed."""
+    sizes = draw(st.lists(st.integers(1, 6), max_size=6))
+    retained = [Cluster(k, 10 * k, list(range(10 * k, 10 * k + n)))
+                for k, n in enumerate(sizes)]
+    pairs = [(c1, c2) for k, c1 in enumerate(retained) for c2 in retained[k + 1:]]
+    contrasting = [pair for pair in pairs if draw(st.booleans())]
+    return (retained, contrasting, draw(st.integers(0, 30)), draw(st.integers(0, 30)),
+            draw(st.integers(0, 2**64 - 1)))
+
+
+def _sampled(args):
+    try:
+        return sample_manifest(*args)
+    except MiningError as exc:
+        return str(exc)
+
+
+@given(mining_inputs())
+@settings(max_examples=300)
+def test_sample_manifest_matches_the_scanning_draw(args):
+    """The cumulative search draws the same sources as the scan it replaced,
+    so every manifest, and every refusal, is the same."""
+    expected = _sampled(args)
+    with mock.patch.object(mining, "_draw", scanning_draw):
+        assert _sampled(args) == expected
+
+
 def test_label_audit_on_zero_noise_corpus():
     config = SynthConfig(vocabulary_size=5, word_length_range=(4, 6),
                          occurrences_per_word=8, words_per_utterance=1,
@@ -252,6 +330,20 @@ def test_label_audit_on_zero_noise_corpus():
         anchor = gold_segment_label(gold, by_id[triplet.anchor])
         assert anchor == gold_segment_label(gold, by_id[triplet.positive])
         assert anchor != gold_segment_label(gold, by_id[triplet.negative])
+
+
+def test_siamese_label_other_than_0_or_1_is_refused(tmp_path):
+    with pytest.raises(ValueError, match=r"siamese pair \(1, 2\): y must be 0 or 1, got 2"):
+        SiamesePair(a=1, b=2, y=2, clusters=(0, 0))
+    c1, _ = make_cluster(0, [[1, 2, 3]] * 3)
+    c2, _ = make_cluster(1, [[7, 8, 9]] * 3, start_id=10)
+    path = tmp_path / "manifest.json"
+    write_json(path, sample_manifest([c1, c2], [(c1, c2)], 10, 10, seed=8))
+    path.write_text(path.read_text().replace('"y": 1', '"y": 2', 1))
+    with pytest.raises(ValueError) as info:
+        load_manifest(path)
+    assert str(info.value).startswith(f"{path}: siamese pair (")
+    assert str(info.value).endswith("y must be 0 or 1, got 2")
 
 
 def test_manifest_round_trip(tmp_path):
@@ -288,16 +380,18 @@ cluster_strings = st.integers(1, 5).flatmap(lambda k: st.lists(
     st.lists(st.integers(0, k - 1), min_size=1, max_size=8), min_size=1, max_size=12))
 
 
-@given(cluster_strings, cluster_strings)
+@given(st.lists(cluster_strings, min_size=1, max_size=8))
 @settings(max_examples=200)
-def test_statistics_match_pairwise_reference(first, second):
-    c1, segs_1 = make_cluster(0, first)
-    c2, segs_2 = make_cluster(1, second, start_id=len(first))
-    by_id = {**segs_1, **segs_2}
-    purity = purity_stats(c1, by_id)
-    assert (purity.mu_s, purity.sigma_s) == lev_oracle.purity_stats(c1, by_id)
-    contrast = contrast_stats(c1, c2, by_id)
-    assert (contrast.mu_d, contrast.sigma_d) == lev_oracle.contrast_stats(c1, c2, by_id)
+def test_statistics_match_pairwise_reference(per_cluster):
+    """One batched call gives, row by row, the per-cluster purity and the
+    per-pair contrast that the pair-by-pair reference gives, for every
+    ordered pair of clusters, a cluster with itself included."""
+    clusters, by_id = make_clusters(per_cluster)
+    assert purity_stats(clusters, by_id) == [lev_oracle.purity_stats(c, by_id)
+                                             for c in clusters]
+    pairs = [(k, l) for k in range(len(clusters)) for l in range(len(clusters))]
+    assert contrast_stats(clusters, pairs, by_id) == [
+        lev_oracle.contrast_stats(clusters[k], clusters[l], by_id) for k, l in pairs]
 
 
 @st.composite
@@ -344,13 +438,16 @@ def test_statistics_do_not_depend_on_member_or_cluster_order(world, data, thresh
     assert value == lev_oracle.ned(clusters, segments, gold)
     assert ned(resolve(shuffled, segments, gold)[0], gold) == value
 
-    by_cluster = {c.id: c for c in shuffled}
-    for c1 in clusters:
-        c1_shuffled = by_cluster[c1.id]
-        assert purity_stats(c1_shuffled, by_id) == purity_stats(c1, by_id)
-        for c2 in clusters:
-            expected = contrast_stats(c1, c2, by_id)
-            assert contrast_stats(by_cluster[c2.id], c1_shuffled, by_id) == expected
+    # shuffled[k] holds the members of clusters[at[k]] in another order, so
+    # pair (k, l) of the shuffled list must equal the reversed pair
+    # (at[l], at[k]) of the original: contrast is symmetric as well
+    at = [c.id for c in shuffled]
+    purity = purity_stats(clusters, by_id)
+    assert purity_stats(shuffled, by_id) == [purity[k] for k in at]
+    pairs = [(k, l) for k in range(len(clusters)) for l in range(len(clusters))]
+    expected = dict(zip(pairs, contrast_stats(clusters, pairs, by_id)))
+    assert contrast_stats(shuffled, pairs, by_id) == [expected[at[l], at[k]]
+                                                      for k, l in pairs]
 
     retained = select_pure_clusters(clusters, by_id, config)
     retained_shuffled = select_pure_clusters(shuffled, by_id, config)

@@ -181,7 +181,7 @@ def test_identical_sequences_align_fully():
     scoring = default_scoring(min_align_score=len(s) * 1.0)
     [(span_a, span_b, score)] = local_align(s, s, scoring)
     assert span_a == span_b == (0, len(s))
-    assert score == len(s)
+    assert score == len(s) and type(score) is int
 
 
 def test_disjoint_alphabets_align_empty():
@@ -716,13 +716,15 @@ def test_torn_segments_line_is_refused_naming_the_file(tmp_path, edit, message):
      "segments[2]: span must be tuple[int, int], got list [2, 5, 9]"),
     (lambda blob: blob.update(speaker="s1"),
      "segments[2]: _SegmentLine.__init__() got an unexpected keyword argument 'speaker'"),
+    (lambda blob: blob.update(id=0), "segment id 0 appears more than once"),
 ], ids=["no-id", "no-utterance", "no-span", "no-symbols", "one-element-span",
         "inverted-span", "empty-symbols", "string-id", "float-span", "int-utterance",
-        "string-symbols", "three-element-span", "extra-key"])
+        "string-symbols", "three-element-span", "extra-key", "repeated-id"])
 def test_segment_line_without_its_keys_is_refused_naming_the_file(tmp_path, edit, error):
     """A line that lacks a key of a segment or holds an unknown one, a
-    wrong-typed value or an empty or inverted span is refused, naming the
-    file, the line and the field, and is never read into a Segment."""
+    wrong-typed value, an empty or inverted span or the id of an earlier
+    line is refused, naming the file, the line or id and the field, and is
+    never read into a Segment."""
     path = tmp_path / "segments.jsonl"
     write_segments(path, [Segment(k, f"u{k}", k, k + 3, (k, 1)) for k in range(4)])
     lines = path.read_text().splitlines()
